@@ -27,13 +27,12 @@ fi
 echo "== plans bench smoke (small N, offline) =="
 # Small-scale run of the plan-compilation bench into a scratch path (the
 # committed BENCH_plans.json is the full-scale artifact). Every emitted
-# point must report compiled execution bit-identical to the interpreter —
-# results and wire bytes both.
+# point must report a replayed cached plan returning exactly what a fresh
+# front end returns.
 cargo run --release --offline --example plans_bench -- --small --out target/BENCH_plans.ci.json
 grep -q '"results_identical": true' target/BENCH_plans.ci.json
-grep -q '"bytes_identical": true' target/BENCH_plans.ci.json
 if grep -q 'identical": false' target/BENCH_plans.ci.json; then
-    echo "plans bench: compiled and interpreted execution diverged" >&2
+    echo "plans bench: cached-plan replay diverged from a fresh front end" >&2
     exit 1
 fi
 # Tracing overhead budget: a traced warm run must stay within 3% (plus a
@@ -47,11 +46,9 @@ fi
 echo "== joins bench smoke (small N, offline) =="
 # Small-scale run of the semi-join bench into a scratch path (the
 # committed BENCH_joins.json is the full-scale artifact). Every emitted
-# point must report the semi-join result identical to the paper baseline
-# and the off-toggle wire byte-identical to the interpreter oracle.
+# point must report the semi-join result identical to the paper baseline.
 cargo run --release --offline --example joins_bench -- --small --out target/BENCH_joins.ci.json
 grep -q '"results_identical": true' target/BENCH_joins.ci.json
-grep -q '"bytes_identical": true' target/BENCH_joins.ci.json
 if grep -q 'identical": false' target/BENCH_joins.ci.json; then
     echo "joins bench: semi-join execution diverged from the baseline" >&2
     exit 1
@@ -142,5 +139,20 @@ done
 cmp target/ci_wtrace_1.json target/ci_wtrace_2.json
 grep -q '"name": "sched.run"' target/ci_wtrace_1.json
 grep -q '"name": "sched.shed"' target/ci_wtrace_1.json
+
+echo "== wirebench smoke (real sockets; correctness only, no timing gate) =="
+# The real-wire benchmark's own smoke pass (builds into wirebench/target):
+# two `xqd serve` daemons per workload, driven through SocketFederation —
+# the socket coordinator's front end and plan cache on every CI run. The
+# driver exits non-zero on any reply that is not bit-identical to
+# in-process Federation::run, on any retry, failover, shed request or
+# orphaned daemon, and on an unclean drain. Timing is printed, never
+# gated: identical code swings 10-20% on this host (wirebench/AA.md).
+bash wirebench/run.sh > target/ci_wirebench.out
+grep -q '"correct": true' target/ci_wirebench.out
+if grep -q '"correct": false' target/ci_wirebench.out; then
+    echo "wirebench: a workload returned a wrong or failed reply" >&2
+    exit 1
+fi
 
 echo "== ci OK =="

@@ -1,8 +1,8 @@
 //! # xqd-bench — the Section VII experiment harness
 //!
-//! One function per figure of the paper's evaluation; both the Criterion
-//! benches (`benches/`) and the `experiments` example binary drive these,
-//! so the printed series and the measured ones come from the same code.
+//! One function per figure of the paper's evaluation; the `experiments`
+//! example binary and the `*_bench` examples drive these, so the printed
+//! series and the committed BENCH_*.json files come from the same code.
 //!
 //! Sizes are scaled down from the paper's 10–160 MB per document (see
 //! DESIGN.md): the reproduction target is the *shape* of each figure — who
@@ -454,7 +454,7 @@ pub const PLANS_QUERIES: &[(&str, &str)] = &[
 
 /// One `plans` measurement: the front-end rate (plans/sec) for one query
 /// with the cache off / cold / warm, plus end-to-end per-query latency and
-/// the bit-parity verdict of compiled vs. interpreted execution.
+/// the bit-parity verdict of a replayed cached plan vs. a fresh front end.
 #[derive(Debug, Clone)]
 pub struct PlansPoint {
     /// Workload label (see [`PLANS_QUERIES`]).
@@ -467,17 +467,14 @@ pub struct PlansPoint {
     pub cold_plans_per_sec: f64,
     /// Front-end rate on a primed cache: one hash lookup per call.
     pub warm_plans_per_sec: f64,
-    /// End-to-end latency of one run with compilation on and a warm cache.
+    /// End-to-end latency of one run on a warm cache.
     pub compiled_us: u128,
-    /// End-to-end latency of one run with the tree-walk interpreter.
-    pub interpreted_us: u128,
     /// End-to-end latency of one run with span tracing enabled (same warm
     /// federation as `compiled_us`) — the tracing overhead budget.
     pub traced_us: u128,
+    /// Replaying the cached plan returns exactly what the cache-off
+    /// federation (full front end on every run) returns.
     pub results_identical: bool,
-    /// Message AND document bytes agree between compiled and interpreted
-    /// execution — the wire is bit-identical.
-    pub bytes_identical: bool,
 }
 
 impl PlansPoint {
@@ -507,20 +504,18 @@ impl PlansPoint {
         format!(
             "{{\"query\": \"{}\", \"off_plans_per_sec\": {:.1}, \
              \"cold_plans_per_sec\": {:.1}, \"warm_plans_per_sec\": {:.1}, \
-             \"warm_speedup\": {:.3}, \"compiled_us\": {}, \"interpreted_us\": {}, \
+             \"warm_speedup\": {:.3}, \"compiled_us\": {}, \
              \"traced_us\": {}, \"trace_overhead_ok\": {}, \
-             \"results_identical\": {}, \"bytes_identical\": {}}}",
+             \"results_identical\": {}}}",
             self.query,
             self.off_plans_per_sec,
             self.cold_plans_per_sec,
             self.warm_plans_per_sec,
             self.warm_speedup(),
             self.compiled_us,
-            self.interpreted_us,
             self.traced_us,
             self.trace_overhead_ok(),
             self.results_identical,
-            self.bytes_identical,
         )
     }
 }
@@ -567,26 +562,18 @@ pub fn plans_point(
         warm.prepare(query, strategy).expect("prepare");
     });
 
-    // bit-parity + latency: compiled (warm fed) vs the interpreter oracle
-    let mut interp = setup_federation(bytes_per_doc, 42);
-    interp.set_exec_options(ExecOptions { compile: false, ..ExecOptions::default() });
+    // latency on the warm federation, parity against the cache-off one
     let lat_iters = iters.clamp(1, 5);
     let mut compiled_us = u128::MAX;
-    let mut interpreted_us = u128::MAX;
-    let mut compiled_out = None;
-    let mut interp_out = None;
+    let mut warm_out = None;
     for _ in 0..lat_iters {
         let t = Instant::now();
-        let out = warm.run(query, strategy).expect("compiled run");
+        let out = warm.run(query, strategy).expect("warm run");
         compiled_us = compiled_us.min(t.elapsed().as_micros());
-        compiled_out = Some(out);
-        let t = Instant::now();
-        let out = interp.run(query, strategy).expect("interpreted run");
-        interpreted_us = interpreted_us.min(t.elapsed().as_micros());
-        interp_out = Some(out);
+        warm_out = Some(out);
     }
-    let compiled_out = compiled_out.expect("at least one run");
-    let interp_out = interp_out.expect("at least one run");
+    let warm_out = warm_out.expect("at least one run");
+    let off_out = off.run(query, strategy).expect("cache-off run");
 
     // tracing overhead: the same warm federation with span tracing on
     let saved = warm.exec_options();
@@ -605,11 +592,8 @@ pub fn plans_point(
         cold_plans_per_sec,
         warm_plans_per_sec,
         compiled_us,
-        interpreted_us,
         traced_us,
-        results_identical: compiled_out.result == interp_out.result,
-        bytes_identical: compiled_out.metrics.message_bytes == interp_out.metrics.message_bytes
-            && compiled_out.metrics.document_bytes == interp_out.metrics.document_bytes,
+        results_identical: warm_out.result == off_out.result,
     }
 }
 
@@ -692,10 +676,6 @@ pub struct JoinsPoint {
     pub join_bytes_saved: u64,
     /// Semi-join results == existing-ladder results, bit for bit.
     pub results_identical: bool,
-    /// With the semi-join off, compiled execution is byte-identical to the
-    /// interpreter oracle on the baseline strategy — flipping the toggle
-    /// reproduces the old wire exactly.
-    pub bytes_identical: bool,
 }
 
 impl JoinsPoint {
@@ -715,8 +695,7 @@ impl JoinsPoint {
              \"semijoin_strategy\": \"{}\", \"semijoin_bytes\": {}, \
              \"semijoin_wall_us\": {}, \"byte_reduction\": {:.3}, \
              \"semijoins\": {}, \"join_keys_shipped\": {}, \
-             \"join_bytes_saved\": {}, \
-             \"results_identical\": {}, \"bytes_identical\": {}}}",
+             \"join_bytes_saved\": {}, \"results_identical\": {}}}",
             self.bytes_per_doc,
             self.total_doc_bytes,
             self.baseline_strategy,
@@ -730,7 +709,6 @@ impl JoinsPoint {
             self.join_keys_shipped,
             self.join_bytes_saved,
             self.results_identical,
-            self.bytes_identical,
         )
     }
 }
@@ -740,9 +718,9 @@ impl JoinsPoint {
 /// cheapest strategy by transferred bytes; data shipping only competes on
 /// the off side (the rewrite never fires without decomposition).
 pub fn joins_point(bytes_per_doc: usize, seed: u64) -> JoinsPoint {
-    let run = |strategy: Strategy, semijoin: bool, compile: bool| {
+    let run = |strategy: Strategy, semijoin: bool| {
         let mut fed = joins_federation(bytes_per_doc, seed);
-        fed.set_exec_options(ExecOptions { semijoin, compile, ..ExecOptions::default() });
+        fed.set_exec_options(ExecOptions { semijoin, ..ExecOptions::default() });
         let t = Instant::now();
         let out = fed.run(JOIN_QUERY, strategy).expect("join query");
         (out, t.elapsed().as_micros())
@@ -752,7 +730,7 @@ pub fn joins_point(bytes_per_doc: usize, seed: u64) -> JoinsPoint {
 
     let mut baseline: Option<(Strategy, _, u128)> = None;
     for strategy in Strategy::ALL {
-        let (out, us) = run(strategy, false, true);
+        let (out, us) = run(strategy, false);
         if baseline
             .as_ref()
             .map(|(_, b, _): &(_, xqd_xrpc::RunOutcome, _)| {
@@ -767,7 +745,7 @@ pub fn joins_point(bytes_per_doc: usize, seed: u64) -> JoinsPoint {
 
     let mut semi: Option<(Strategy, _, u128)> = None;
     for strategy in [Strategy::ByValue, Strategy::ByFragment, Strategy::ByProjection] {
-        let (out, us) = run(strategy, true, true);
+        let (out, us) = run(strategy, true);
         if semi
             .as_ref()
             .map(|(_, b, _): &(_, xqd_xrpc::RunOutcome, _)| {
@@ -779,9 +757,6 @@ pub fn joins_point(bytes_per_doc: usize, seed: u64) -> JoinsPoint {
         }
     }
     let (semi_strategy, semi_out, semi_us) = semi.expect("one semijoin run");
-
-    // oracle check: semi-join off must replay the old wire bit for bit
-    let (interp_out, _) = run(base_strategy, false, false);
 
     JoinsPoint {
         bytes_per_doc,
@@ -795,10 +770,7 @@ pub fn joins_point(bytes_per_doc: usize, seed: u64) -> JoinsPoint {
         semijoins: semi_out.metrics.semijoins,
         join_keys_shipped: semi_out.metrics.join_keys_shipped,
         join_bytes_saved: semi_out.metrics.join_bytes_saved,
-        results_identical: semi_out.result == base_out.result
-            && interp_out.result == base_out.result,
-        bytes_identical: interp_out.metrics.message_bytes == base_out.metrics.message_bytes
-            && interp_out.metrics.document_bytes == base_out.metrics.document_bytes,
+        results_identical: semi_out.result == base_out.result,
     }
 }
 
@@ -1065,8 +1037,7 @@ mod tests {
     fn plans_warm_cache_amortizes_front_end() {
         let (label, query) = PLANS_QUERIES[0];
         let p = plans_point(label, query, 6_000, Strategy::ByValue, 40);
-        assert!(p.results_identical, "compiled and interpreted results differ");
-        assert!(p.bytes_identical, "compiled and interpreted wire bytes differ");
+        assert!(p.results_identical, "cached-plan replay and fresh front end differ");
         assert!(
             p.warm_speedup() > 3.0,
             "warm cache should beat the uncached front end: {:.1}x (off {:.0}/s, warm {:.0}/s)",
@@ -1085,7 +1056,6 @@ mod tests {
         let json = plans_json(&points, Strategy::ByValue);
         assert!(json.contains("\"bench\": \"plans\""));
         assert!(json.contains("\"results_identical\": true"));
-        assert!(json.contains("\"bytes_identical\": true"));
         assert!(!json.contains("false"));
     }
 
@@ -1093,7 +1063,6 @@ mod tests {
     fn joins_semijoin_beats_the_ladder_and_stays_identical() {
         let p = joins_point(60_000, 42);
         assert!(p.results_identical, "semi-join changed the join result");
-        assert!(p.bytes_identical, "semi-join off no longer replays the old wire");
         assert_eq!(p.semijoins, 1, "the join edge must be detected");
         assert!(p.join_keys_shipped > 0, "no keys were shipped");
         assert!(
@@ -1111,7 +1080,6 @@ mod tests {
         let json = joins_json(&points);
         assert!(json.contains("\"bench\": \"joins\""));
         assert!(json.contains("\"results_identical\": true"));
-        assert!(json.contains("\"bytes_identical\": true"));
         assert!(!json.contains("identical\": false"));
     }
 

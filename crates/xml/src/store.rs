@@ -362,6 +362,16 @@ impl Store {
         id
     }
 
+    /// Drops every document at or above `mark` (a [`Store::doc_count`]
+    /// taken earlier) together with its URI registration, invalidating all
+    /// their node ids. Request-scoped documents — decoded envelopes,
+    /// shipped fragments, constructed results — are released this way once
+    /// the reply that needed them is encoded. Interned names stay.
+    pub fn truncate_docs(&mut self, mark: usize) {
+        self.docs.truncate(mark);
+        self.by_uri.retain(|_, id| (id.0 as usize) < mark);
+    }
+
     /// Builds and caches the document's name index if absent. Documents are
     /// immutable after [`Store::attach`], so a built index stays valid for
     /// the document's lifetime.
@@ -755,6 +765,26 @@ mod tests {
         let d = sample(&mut store);
         assert_eq!(store.doc_by_uri("sample.xml"), Some(d));
         assert_eq!(store.doc_by_uri("other.xml"), None);
+    }
+
+    #[test]
+    fn truncate_drops_documents_and_their_uris() {
+        let mut store = Store::new();
+        let kept = sample(&mut store);
+        let mark = store.doc_count();
+        let mut b = DocBuilder::new(Some("scratch.xml"));
+        b.start_element("tmp");
+        b.end_element();
+        store.attach(b.finish());
+        store.attach(DocBuilder::new(None).finish());
+        assert_eq!(store.doc_count(), mark + 2);
+        store.truncate_docs(mark);
+        assert_eq!(store.doc_count(), mark);
+        assert_eq!(store.doc_by_uri("scratch.xml"), None);
+        assert_eq!(store.doc_by_uri("sample.xml"), Some(kept));
+        // a mark at or past the end is a no-op
+        store.truncate_docs(mark + 5);
+        assert_eq!(store.doc_count(), mark);
     }
 
     #[test]

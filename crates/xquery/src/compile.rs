@@ -1,10 +1,14 @@
 //! AST → flat plan IR compiler and the compiled-plan evaluator.
 //!
-//! The tree-walk interpreter ([`crate::eval`]) re-derives everything per
-//! run: QName lookups, indexed-vs-scan step choices, scatter/bulk shapes,
-//! even constant subexpressions. This module lowers a (normalized or
-//! surface) module once into a flat arena of [`Op`]s — children are `u32`
-//! operand indices instead of `Box`es — with those decisions baked in:
+//! The plan IR is the one engine that executes queries in production —
+//! coordinators and peers alike — and the only one that ever drives a
+//! [`crate::eval::RemoteHandler`]. The tree-walk interpreter
+//! ([`crate::eval`]) re-derives everything per run (QName lookups,
+//! indexed-vs-scan step choices, even constant subexpressions) and is kept
+//! as the local reference semantics the tests compare against. This module
+//! lowers a (normalized or surface) module once into a flat arena of
+//! [`Op`]s — children are `u32` operand indices instead of `Box`es — with
+//! those decisions baked in:
 //!
 //! * names interned into a plan-local symbol table, resolved to the
 //!   executing store's [`xqd_xml::NameId`]s through a per-run [`NameCache`]
@@ -16,15 +20,15 @@
 //!   cleanly: a subexpression that would raise a dynamic error is lowered
 //!   unfolded so the error surfaces at the same point, with the same
 //!   message, as under the interpreter),
-//! * the scatter-round / Bulk-RPC shapes recorded per op instead of
-//!   re-pattern-matched on every evaluation.
+//! * the scatter-round / Bulk-RPC shapes detected once, here, and recorded
+//!   per op (the shape detectors live in this module).
 //!
-//! The compiled engine drives the *same* [`Evaluator`] — environment,
-//! context stack, scratch buffers, builtins, remote hooks — so the two
-//! engines cannot diverge in book-keeping. `Plan::eval` is bit-identical
-//! to interpreting the source expression: results, errors and the exact
-//! network messages (the equivalence property suite in the workspace root
-//! asserts all three across every wire strategy).
+//! The compiled engine drives the *same* [`Evaluator`] state — environment,
+//! context stack, scratch buffers, builtins — so the two engines cannot
+//! diverge in book-keeping. On local (`Execute`-free) queries `Plan::eval`
+//! is bit-identical to interpreting the source expression, results and
+//! errors both, which the unit tests below and the plan-equivalence suite
+//! in the workspace root assert.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -39,9 +43,8 @@ use xqd_xml::{Axis, NameId, NodeId, Store};
 use crate::ast::*;
 use crate::builtins;
 use crate::eval::{
-    binary_scatter, bulk_pattern, compare_order_keys, let_scatter, matches_seq_type,
-    sequence_scatter, single_node, Evaluator, LocalResolver, ScatterCall, StaticContext,
-    MAX_CALL_DEPTH,
+    compare_order_keys, matches_seq_type, single_node, Evaluator, LocalResolver, ScatterCall,
+    StaticContext, MAX_CALL_DEPTH,
 };
 use crate::value::*;
 
@@ -227,9 +230,9 @@ impl Plan {
         &self.syms[s as usize]
     }
 
-    /// Executes the plan with the given evaluator. Bit-identical to
-    /// `ev.eval(&body)` on the source expression — results, errors and
-    /// remote messages.
+    /// Executes the plan with the given evaluator. On `Execute`-free
+    /// plans, bit-identical to `ev.eval(&body)` on the source expression —
+    /// results and errors.
     pub fn eval(&self, ev: &mut Evaluator<'_>) -> EvalResult {
         let mut nc = NameCache::new(self.syms.len());
         ev.eval_op(self, &mut nc, self.root)
@@ -597,6 +600,137 @@ fn is_const(e: &Expr) -> bool {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Scatter-round / Bulk-RPC shape detection
+// ---------------------------------------------------------------------------
+
+/// Is `ret` a `for`-return clause amenable to Bulk RPC: a chain of local
+/// `let`s ending in an `Execute` with a literal peer (a computed peer could
+/// vary per iteration)?
+fn is_bulk_shape(ret: &Expr) -> bool {
+    let mut cur = ret;
+    while let Expr::Let { ret, .. } = cur {
+        cur = ret;
+    }
+    scatter_exec_peer(cur).is_some()
+}
+
+/// Returns the element indices of a `Sequence` that form a scatter round:
+/// `Execute` expressions with a literal peer. Engages only when at least two
+/// such calls target at least two distinct peers — otherwise there is
+/// nothing to overlap.
+fn sequence_scatter(es: &[Expr]) -> Option<Vec<usize>> {
+    let mut idxs = Vec::new();
+    let mut peers = Vec::new();
+    for (i, e) in es.iter().enumerate() {
+        if let Some(p) = scatter_exec_peer(e) {
+            idxs.push(i);
+            if !peers.contains(&p) {
+                peers.push(p);
+            }
+        }
+    }
+    (idxs.len() >= 2 && peers.len() >= 2).then_some(idxs)
+}
+
+/// The literal peer of an `Execute` eligible for scattering, if any.
+fn scatter_exec_peer(e: &Expr) -> Option<String> {
+    if let Expr::Execute { peer, .. } = e {
+        if let Expr::Literal(a) = peer.as_ref() {
+            return Some(a.to_lexical());
+        }
+    }
+    None
+}
+
+/// Do `lhs`/`rhs` form a two-call scatter round? Both operands of a binary
+/// expression are always evaluated, so two remote calls to distinct peers —
+/// the shape distributed code motion leaves behind when it collapses a
+/// `let`-chain into `execute(…) ⊕ execute(…)` — can fan out together.
+fn binary_scatter(lhs: &Expr, rhs: &Expr) -> bool {
+    matches!(
+        (scatter_exec_peer(lhs), scatter_exec_peer(rhs)),
+        (Some(a), Some(b)) if a != b
+    )
+}
+
+/// A chain of `let $v := execute at <literal peer> … return …` bindings
+/// whose parameters are independent of earlier chain variables — the shape
+/// distributed code motion produces for a federated join. The calls can run
+/// as one scatter round and bind in order afterwards.
+struct LetScatterChain<'a> {
+    /// (bound variable, the Execute expression it binds)
+    binds: Vec<(&'a str, &'a Expr)>,
+    tail: &'a Expr,
+}
+
+fn let_scatter(e: &Expr) -> Option<LetScatterChain<'_>> {
+    let mut binds: Vec<(&str, &Expr)> = Vec::new();
+    let mut peers: Vec<String> = Vec::new();
+    let mut cur = e;
+    while let Expr::Let { var, value, ret } = cur {
+        let Expr::Execute { peer, params, .. } = value.as_ref() else {
+            break;
+        };
+        let Expr::Literal(a) = peer.as_ref() else {
+            break;
+        };
+        // independence: parameters must not read variables bound earlier in
+        // this chain (they'd need the earlier call's result first)
+        if params.iter().any(|p| binds.iter().any(|(v, _)| *v == p.outer)) {
+            break;
+        }
+        binds.push((var.as_str(), value.as_ref()));
+        let p = a.to_lexical();
+        if !peers.contains(&p) {
+            peers.push(p);
+        }
+        cur = ret;
+    }
+    (binds.len() >= 2 && peers.len() >= 2).then_some(LetScatterChain { binds, tail: cur })
+}
+
+/// Sizes of every scatter round statically detectable in `e` — the same
+/// predicates the compiler bakes into the plan, exposed so the decomposer
+/// can tag plans whose XRPC calls will fan out (explain output, tests).
+pub fn scatter_rounds(e: &Expr) -> Vec<usize> {
+    fn walk(e: &Expr, out: &mut Vec<usize>) {
+        if let Expr::Sequence(es) = e {
+            if let Some(idxs) = sequence_scatter(es) {
+                out.push(idxs.len());
+                for (i, child) in es.iter().enumerate() {
+                    if !idxs.contains(&i) {
+                        walk(child, out);
+                    }
+                }
+                return;
+            }
+        }
+        if let Some(chain) = let_scatter(e) {
+            out.push(chain.binds.len());
+            walk(chain.tail, out);
+            return;
+        }
+        if let Expr::Comparison { lhs, rhs, .. }
+        | Expr::NodeComparison { lhs, rhs, .. }
+        | Expr::NodeSet { lhs, rhs, .. }
+        | Expr::Arith { lhs, rhs, .. } = e
+        {
+            if binary_scatter(lhs, rhs) {
+                out.push(2);
+                return;
+            }
+        }
+        crate::normalize::map_children_infallible(e, &mut |c| {
+            walk(c, out);
+            c.clone()
+        });
+    }
+    let mut out = Vec::new();
+    walk(e, &mut out);
+    out
+}
+
 struct Compiler<'c> {
     ops: Vec<Op>,
     syms: Vec<String>,
@@ -766,8 +900,8 @@ impl<'c> Compiler<'c> {
         }
     }
 
-    /// A `Let` node: the scatter-chain detection runs here at compile time
-    /// with the same predicate the interpreter applies per evaluation.
+    /// A `Let` node: the scatter-chain detection runs here, once, at
+    /// compile time.
     fn compile_let(&mut self, e: &Expr) -> OpRef {
         if let Some(chain) = let_scatter(e) {
             let mut binds = Vec::with_capacity(chain.binds.len());
@@ -791,7 +925,7 @@ impl<'c> Compiler<'c> {
     /// shape alongside the plain compiled chain. The plain chain is the
     /// no-remote fallback and shares the very same value ops.
     fn compile_for_ret(&mut self, ret: &Expr) -> (OpRef, Option<PlanBulk>) {
-        if bulk_pattern(ret).is_none() {
+        if !is_bulk_shape(ret) {
             return (self.compile(ret), None);
         }
         let mut lets: Vec<(SymId, OpRef)> = Vec::new();
@@ -946,7 +1080,7 @@ pub fn compile_module(
         funcs,
         syms: c.syms,
         use_indexes,
-        scatter_rounds: crate::eval::scatter_rounds(body),
+        scatter_rounds: scatter_rounds(body),
         routes: Vec::new(),
         semijoins: Vec::new(),
         consts_folded: c.consts_folded,
@@ -985,9 +1119,9 @@ impl NameCache {
 }
 
 /// The compiled engine reuses the interpreter's `Evaluator` state wholesale
-/// (environment, context stack, scratch buffers, hooks); every arm below
-/// mirrors the corresponding `Evaluator::eval` arm op-for-op so results,
-/// errors and remote messages stay bit-identical.
+/// (environment, context stack, scratch buffers, hooks); every local arm
+/// below mirrors the corresponding `Evaluator::eval` arm op-for-op so
+/// results and errors stay bit-identical to the reference semantics.
 impl<'a> Evaluator<'a> {
     /// Single dispatch point of the compiled engine. When a [`ProfileHook`]
     /// is attached, wraps the real dispatch with per-op accounting — one
@@ -1066,7 +1200,7 @@ impl<'a> Evaluator<'a> {
                     return r;
                 }
                 // no remote handler: the chain degrades to plain nested
-                // lets, exactly as the interpreter's gate does
+                // lets
                 let mut pushed = 0usize;
                 let mut err = None;
                 for (var, exec) in binds {
@@ -1265,7 +1399,8 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// Mirror of `bind_scatter_call` over a compiled `Op::Execute`.
+    /// Binds the parameters of one compiled `Op::Execute` from the current
+    /// environment into a [`ScatterCall`].
     fn bind_scatter_call_plan<'p>(
         &self,
         plan: &'p Plan,
@@ -1310,9 +1445,9 @@ impl<'a> Evaluator<'a> {
         Ok(out.into())
     }
 
-    /// Mirror of `eval_operand_pair`: both operands of a binary op fan out
-    /// as a two-call scatter round when the compile-time flag is set and a
-    /// remote handler is attached.
+    /// Evaluates the two operands of a binary op, fanning them out as a
+    /// two-call scatter round when the compile-time flag is set and a remote
+    /// handler is attached.
     fn eval_operand_pair_plan(
         &mut self,
         plan: &Plan,
@@ -1336,8 +1471,9 @@ impl<'a> Evaluator<'a> {
         Ok((self.eval_op(plan, nc, lhs)?, self.eval_op(plan, nc, rhs)?))
     }
 
-    /// Mirror of `eval_bulk_for`: one Bulk RPC for the whole loop, with the
-    /// identical per-iteration binding and error-unwinding order.
+    /// One Bulk RPC for the whole loop: every iteration binds its lets and
+    /// parameters (unwinding the environment on error) before anything is
+    /// sent.
     fn eval_bulk_for_plan(
         &mut self,
         plan: &Plan,

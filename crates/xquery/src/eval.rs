@@ -1,13 +1,15 @@
-//! Tree-walking evaluator for normalized XCore expressions.
+//! Tree-walking evaluator for normalized XCore expressions — the **local
+//! reference semantics** the test suites compare the plan engine
+//! ([`crate::compile`]) and the distributed executor against.
 //!
-//! The evaluator is **network-agnostic**: remote execution (`Execute` nodes)
-//! and non-local `fn:doc` URIs are delegated to the [`RemoteHandler`] and
-//! [`DocResolver`] hooks, which `xqd-xrpc` implements with the three message
-//! passing semantics. Everything else — node identity, document order,
-//! duplicate elimination, constructor copy semantics — is evaluated against
-//! the local [`Store`], which is exactly what makes the paper's semantic
-//! Problems 1–5 reproducible: a shipped fragment is just another document in
-//! the receiving store.
+//! The tree-walker never touches a transport: `Execute` nodes are an error
+//! here, and only compiled plans drive the [`RemoteHandler`] hook that
+//! `xqd-xrpc` implements with the three message passing semantics. Non-local
+//! `fn:doc` URIs go through the [`DocResolver`] hook. Everything else — node
+//! identity, document order, duplicate elimination, constructor copy
+//! semantics — is evaluated against the local [`Store`], which is exactly
+//! what makes the paper's semantic Problems 1–5 reproducible: a shipped
+//! fragment is just another document in the receiving store.
 
 use xqd_xml::axes::{axis_nodes, node_test_matches, NodeTest};
 use xqd_xml::{index, Axis, DocBuilder, DocId, NodeId, NodeKind, Store};
@@ -79,7 +81,7 @@ pub trait RemoteHandler {
     ) -> EvalResult<Sequence>;
 
     /// **Bulk RPC**: executes the same body once per parameter binding in a
-    /// single network interaction. The evaluator batches a remote call
+    /// single network interaction. The plan engine batches a remote call
     /// nested directly in a `for`-loop through this method; under
     /// pass-by-fragment all iterations then share one fragments preamble,
     /// which is what lets Section V drop `ForExpr` from condition iii.
@@ -102,7 +104,7 @@ pub trait RemoteHandler {
     }
 
     /// **Scatter-gather**: executes one round of calls aimed at (usually
-    /// distinct) peers. The evaluator only batches calls whose parameters
+    /// distinct) peers. The plan engine only batches calls whose parameters
     /// are independent of each other's results, so a handler may run them
     /// concurrently — but it must gather results in call order and stay
     /// observably identical to executing the calls one by one.
@@ -172,6 +174,8 @@ impl<'a> Evaluator<'a> {
         }
     }
 
+    /// Attaches the transport that compiled plans ([`crate::Plan::eval`])
+    /// send their `Execute` ops through; the tree-walker never uses it.
     pub fn with_remote(mut self, remote: &'a mut dyn RemoteHandler) -> Self {
         self.remote = Some(remote);
         self
@@ -222,14 +226,6 @@ impl<'a> Evaluator<'a> {
             Expr::Literal(a) => Ok(Sequence::unit(Item::Atom(a.clone()))),
             Expr::Empty => Ok(Sequence::new()),
             Expr::Sequence(es) => {
-                // scatter point: ≥2 sibling remote calls to ≥2 distinct
-                // peers are independent by construction (sequence elements
-                // bind nothing) and fan out as one round
-                if self.remote.is_some() {
-                    if let Some(idxs) = sequence_scatter(es) {
-                        return self.eval_sequence_scatter(es, &idxs);
-                    }
-                }
                 let mut out = Vec::new();
                 for e in es {
                     out.extend(self.eval(e)?);
@@ -240,13 +236,6 @@ impl<'a> Evaluator<'a> {
             Expr::ContextItem => Ok(Sequence::unit(self.context_item()?)),
             Expr::For { var, seq, ret } => {
                 let input = self.eval(seq)?;
-                // Bulk RPC: a remote call directly in the return clause
-                // (possibly under local lets) is batched into one message
-                if self.remote.is_some() {
-                    if let Some(plan) = bulk_pattern(ret) {
-                        return self.eval_bulk_for(var, input, plan);
-                    }
-                }
                 let mut out = Vec::new();
                 for item in input.iter() {
                     self.env.push((var.clone(), Sequence::unit(item.clone())));
@@ -257,15 +246,6 @@ impl<'a> Evaluator<'a> {
                 Ok(out.into())
             }
             Expr::Let { var, value, ret } => {
-                // scatter point: a chain of lets each binding a remote call
-                // whose parameters don't reference earlier chain variables
-                // (the decomposed shape of a federated join) fans out as
-                // one round
-                if self.remote.is_some() {
-                    if let Some(chain) = let_scatter(e) {
-                        return self.eval_let_scatter(chain);
-                    }
-                }
                 let v = self.eval(value)?;
                 self.env.push((var.clone(), v));
                 let r = self.eval(ret);
@@ -296,12 +276,12 @@ impl<'a> Evaluator<'a> {
                 r
             }
             Expr::Comparison { op, lhs, rhs } => {
-                let (l, r) = self.eval_operand_pair(lhs, rhs)?;
+                let (l, r) = (self.eval(lhs)?, self.eval(rhs)?);
                 let b = general_compare(self.store, *op, &l, &r)?;
                 Ok(Sequence::unit(Item::Atom(Atomic::Bool(b))))
             }
             Expr::NodeComparison { op, lhs, rhs } => {
-                let (l, r) = self.eval_operand_pair(lhs, rhs)?;
+                let (l, r) = (self.eval(lhs)?, self.eval(rhs)?);
                 if l.is_empty() || r.is_empty() {
                     return Ok(Sequence::new());
                 }
@@ -316,7 +296,7 @@ impl<'a> Evaluator<'a> {
             }
             Expr::OrderBy { input, specs } => self.eval_order_by(input, specs),
             Expr::NodeSet { op, lhs, rhs } => {
-                let (l, r) = self.eval_operand_pair(lhs, rhs)?;
+                let (l, r) = (self.eval(lhs)?, self.eval(rhs)?);
                 let (mut l, mut r) = (l.into_vec(), r.into_vec());
                 sort_document_order(&mut l)?;
                 sort_document_order(&mut r)?;
@@ -375,7 +355,7 @@ impl<'a> Evaluator<'a> {
                 Ok(Sequence::unit(Item::Atom(Atomic::Bool(effective_boolean_value(&rv)?))))
             }
             Expr::Arith { op, lhs, rhs } => {
-                let (l, r) = self.eval_operand_pair(lhs, rhs)?;
+                let (l, r) = (self.eval(lhs)?, self.eval(rhs)?);
                 if l.is_empty() || r.is_empty() {
                     return Ok(Sequence::new());
                 }
@@ -416,30 +396,9 @@ impl<'a> Evaluator<'a> {
                     Atomic::Dbl(result)
                 })))
             }
-            Expr::Execute { peer, params, body, projection } => {
-                let peer_seq = self.eval(peer)?;
-                let peer_uri = match peer_seq.as_slice() {
-                    [item] => string_value(self.store, item),
-                    _ => return Err(EvalError::new("execute at peer must be a single item")),
-                };
-                let mut bound = Vec::with_capacity(params.len());
-                for p in params {
-                    bound.push((p.var.clone(), self.lookup(&p.outer)?));
-                }
-                match &mut self.remote {
-                    Some(handler) => handler.execute(
-                        self.store,
-                        &self.static_ctx,
-                        &peer_uri,
-                        &bound,
-                        body,
-                        projection.as_deref(),
-                    ),
-                    None => Err(EvalError::new(
-                        "execute at: no remote handler configured (local-only evaluator)",
-                    )),
-                }
-            }
+            Expr::Execute { .. } => Err(EvalError::new(
+                "execute at: no remote handler configured (local-only evaluator)",
+            )),
         }
     }
 
@@ -839,294 +798,6 @@ impl<'a> Evaluator<'a> {
             b.text(&t);
         }
         Ok(())
-    }
-}
-
-/// A `for`-return clause amenable to Bulk RPC: a chain of local `let`s
-/// ending in an `Execute` with a literal peer.
-pub(crate) struct BulkPlan<'a> {
-    pub(crate) lets: Vec<(&'a str, &'a Expr)>,
-    pub(crate) peer: String,
-    pub(crate) params: &'a [XrpcParam],
-    pub(crate) body: &'a Expr,
-    pub(crate) projection: Option<&'a ExecProjection>,
-}
-
-pub(crate) fn bulk_pattern(ret: &Expr) -> Option<BulkPlan<'_>> {
-    let mut lets = Vec::new();
-    let mut cur = ret;
-    loop {
-        match cur {
-            Expr::Let { var, value, ret } => {
-                lets.push((var.as_str(), value.as_ref()));
-                cur = ret;
-            }
-            Expr::Execute { peer, params, body, projection } => {
-                let Expr::Literal(a) = peer.as_ref() else {
-                    return None; // peer could vary per iteration
-                };
-                return Some(BulkPlan {
-                    lets,
-                    peer: a.to_lexical(),
-                    params,
-                    body,
-                    projection: projection.as_deref(),
-                });
-            }
-            _ => return None,
-        }
-    }
-}
-
-/// Returns the element indices of a `Sequence` that form a scatter round:
-/// `Execute` expressions with a literal peer. Engages only when at least two
-/// such calls target at least two distinct peers — otherwise there is
-/// nothing to overlap.
-pub(crate) fn sequence_scatter(es: &[Expr]) -> Option<Vec<usize>> {
-    let mut idxs = Vec::new();
-    let mut peers = Vec::new();
-    for (i, e) in es.iter().enumerate() {
-        if let Expr::Execute { peer, .. } = e {
-            if let Expr::Literal(a) = peer.as_ref() {
-                idxs.push(i);
-                let p = a.to_lexical();
-                if !peers.contains(&p) {
-                    peers.push(p);
-                }
-            }
-        }
-    }
-    (idxs.len() >= 2 && peers.len() >= 2).then_some(idxs)
-}
-
-/// The literal peer of an `Execute` eligible for scattering, if any.
-pub(crate) fn scatter_exec_peer(e: &Expr) -> Option<String> {
-    if let Expr::Execute { peer, .. } = e {
-        if let Expr::Literal(a) = peer.as_ref() {
-            return Some(a.to_lexical());
-        }
-    }
-    None
-}
-
-/// Do `lhs`/`rhs` form a two-call scatter round? Both operands of a binary
-/// expression are always evaluated, so two remote calls to distinct peers —
-/// the shape distributed code motion leaves behind when it collapses a
-/// `let`-chain into `execute(…) ⊕ execute(…)` — can fan out together.
-pub(crate) fn binary_scatter(lhs: &Expr, rhs: &Expr) -> bool {
-    matches!(
-        (scatter_exec_peer(lhs), scatter_exec_peer(rhs)),
-        (Some(a), Some(b)) if a != b
-    )
-}
-
-/// A chain of `let $v := execute at <literal peer> … return …` bindings
-/// whose parameters are independent of earlier chain variables — the shape
-/// distributed code motion produces for a federated join. The calls can run
-/// as one scatter round and bind in order afterwards.
-pub(crate) struct LetScatterChain<'a> {
-    /// (bound variable, the Execute expression it binds)
-    pub(crate) binds: Vec<(&'a str, &'a Expr)>,
-    pub(crate) tail: &'a Expr,
-}
-
-pub(crate) fn let_scatter(e: &Expr) -> Option<LetScatterChain<'_>> {
-    let mut binds: Vec<(&str, &Expr)> = Vec::new();
-    let mut peers: Vec<String> = Vec::new();
-    let mut cur = e;
-    while let Expr::Let { var, value, ret } = cur {
-        let Expr::Execute { peer, params, .. } = value.as_ref() else {
-            break;
-        };
-        let Expr::Literal(a) = peer.as_ref() else {
-            break;
-        };
-        // independence: parameters must not read variables bound earlier in
-        // this chain (they'd need the earlier call's result first)
-        if params.iter().any(|p| binds.iter().any(|(v, _)| *v == p.outer)) {
-            break;
-        }
-        binds.push((var.as_str(), value.as_ref()));
-        let p = a.to_lexical();
-        if !peers.contains(&p) {
-            peers.push(p);
-        }
-        cur = ret;
-    }
-    (binds.len() >= 2 && peers.len() >= 2).then_some(LetScatterChain { binds, tail: cur })
-}
-
-/// Sizes of every scatter round statically detectable in `e` — the same
-/// predicates the evaluator applies at runtime, exposed so the decomposer
-/// can tag plans whose XRPC calls will fan out (explain output, tests).
-pub fn scatter_rounds(e: &Expr) -> Vec<usize> {
-    fn walk(e: &Expr, out: &mut Vec<usize>) {
-        if let Expr::Sequence(es) = e {
-            if let Some(idxs) = sequence_scatter(es) {
-                out.push(idxs.len());
-                for (i, child) in es.iter().enumerate() {
-                    if !idxs.contains(&i) {
-                        walk(child, out);
-                    }
-                }
-                return;
-            }
-        }
-        if let Some(chain) = let_scatter(e) {
-            out.push(chain.binds.len());
-            walk(chain.tail, out);
-            return;
-        }
-        if let Expr::Comparison { lhs, rhs, .. }
-        | Expr::NodeComparison { lhs, rhs, .. }
-        | Expr::NodeSet { lhs, rhs, .. }
-        | Expr::Arith { lhs, rhs, .. } = e
-        {
-            if binary_scatter(lhs, rhs) {
-                out.push(2);
-                return;
-            }
-        }
-        crate::normalize::map_children_infallible(e, &mut |c| {
-            walk(c, out);
-            c.clone()
-        });
-    }
-    let mut out = Vec::new();
-    walk(e, &mut out);
-    out
-}
-
-impl<'a> Evaluator<'a> {
-    /// Binds the parameters of one `Execute` from the current environment
-    /// into a [`ScatterCall`].
-    fn bind_scatter_call<'e>(&self, exec: &'e Expr) -> EvalResult<ScatterCall<'e>> {
-        let Expr::Execute { peer, params, body, projection } = exec else {
-            unreachable!("scatter detection only selects Execute expressions");
-        };
-        let Expr::Literal(a) = peer.as_ref() else {
-            unreachable!("scatter detection requires a literal peer");
-        };
-        let mut bound = Vec::with_capacity(params.len());
-        for p in params {
-            bound.push((p.var.clone(), self.lookup(&p.outer)?));
-        }
-        Ok(ScatterCall {
-            peer: a.to_lexical(),
-            params: bound,
-            body,
-            projection: projection.as_deref(),
-        })
-    }
-
-    /// Evaluates the two operands of a binary expression, fanning them out
-    /// as a two-call scatter round when both are independent remote calls
-    /// to distinct peers.
-    fn eval_operand_pair(&mut self, lhs: &Expr, rhs: &Expr) -> EvalResult<(Sequence, Sequence)> {
-        let scatter = self.remote.is_some() && binary_scatter(lhs, rhs);
-        if scatter {
-            let calls = vec![self.bind_scatter_call(lhs)?, self.bind_scatter_call(rhs)?];
-            let handler = self.remote.as_mut().expect("scatter path requires a handler");
-            let mut gathered = handler.execute_scatter(self.store, &self.static_ctx, &calls)?;
-            let r = gathered.pop().expect("two results for two calls");
-            let l = gathered.pop().expect("two results for two calls");
-            return Ok((l, r));
-        }
-        Ok((self.eval(lhs)?, self.eval(rhs)?))
-    }
-
-    /// Sequence whose `Execute` elements fan out as one scatter round; the
-    /// remaining elements evaluate afterwards and everything splices back
-    /// in element order.
-    fn eval_sequence_scatter(&mut self, es: &[Expr], idxs: &[usize]) -> EvalResult {
-        let calls: Vec<ScatterCall<'_>> = idxs
-            .iter()
-            .map(|&i| self.bind_scatter_call(&es[i]))
-            .collect::<EvalResult<_>>()?;
-        let handler = self.remote.as_mut().expect("scatter path requires a handler");
-        let gathered = handler.execute_scatter(self.store, &self.static_ctx, &calls)?;
-        let mut by_idx: Vec<Option<Sequence>> = vec![None; es.len()];
-        for (&i, seq) in idxs.iter().zip(gathered) {
-            by_idx[i] = Some(seq);
-        }
-        let mut out = Vec::new();
-        for (i, e) in es.iter().enumerate() {
-            match by_idx[i].take() {
-                Some(seq) => out.extend(seq),
-                None => out.extend(self.eval(e)?),
-            }
-        }
-        Ok(out.into())
-    }
-
-    /// Let-chain of independent remote calls: scatter the round, then bind
-    /// the gathered results in order and evaluate the tail.
-    fn eval_let_scatter(&mut self, chain: LetScatterChain<'_>) -> EvalResult {
-        let calls: Vec<ScatterCall<'_>> = chain
-            .binds
-            .iter()
-            .map(|(_, exec)| self.bind_scatter_call(exec))
-            .collect::<EvalResult<_>>()?;
-        let handler = self.remote.as_mut().expect("scatter path requires a handler");
-        let gathered = handler.execute_scatter(self.store, &self.static_ctx, &calls)?;
-        for ((var, _), seq) in chain.binds.iter().zip(gathered) {
-            self.env.push((var.to_string(), seq));
-        }
-        let r = self.eval(chain.tail);
-        for _ in 0..chain.binds.len() {
-            self.env.pop();
-        }
-        r
-    }
-
-    fn eval_bulk_for(&mut self, var: &str, input: Sequence, plan: BulkPlan<'_>) -> EvalResult {
-        let mut calls: Vec<Vec<(String, Sequence)>> = Vec::with_capacity(input.len());
-        for item in input.iter() {
-            self.env.push((var.to_string(), Sequence::unit(item.clone())));
-            let mut pushed = 1usize;
-            let mut bound: EvalResult<Vec<(String, Sequence)>> = Ok(Vec::new());
-            for (lv, lval) in &plan.lets {
-                match self.eval(lval) {
-                    Ok(v) => {
-                        self.env.push((lv.to_string(), v));
-                        pushed += 1;
-                    }
-                    Err(e) => {
-                        bound = Err(e);
-                        break;
-                    }
-                }
-            }
-            if bound.is_ok() {
-                let mut params = Vec::with_capacity(plan.params.len());
-                for p in plan.params {
-                    match self.lookup(&p.outer) {
-                        Ok(v) => params.push((p.var.clone(), v)),
-                        Err(e) => {
-                            bound = Err(e);
-                            break;
-                        }
-                    }
-                }
-                if bound.is_ok() {
-                    bound = Ok(params);
-                }
-            }
-            for _ in 0..pushed {
-                self.env.pop();
-            }
-            calls.push(bound?);
-        }
-        let handler = self.remote.as_mut().expect("bulk path requires a handler");
-        let results = handler.execute_bulk(
-            self.store,
-            &self.static_ctx,
-            &plan.peer,
-            &calls,
-            plan.body,
-            plan.projection,
-        )?;
-        Ok(results.into_iter().flatten().collect())
     }
 }
 

@@ -34,12 +34,12 @@ pub mod value;
 
 pub use ast::{Atomic, Expr, FunctionDef, QueryModule, XrpcParam};
 pub use compile::{
-    compile_module, compile_query, Op, OpProfile, OpRef, Plan, PlanRoute, PlanSemijoin, PlanStep,
-    ProfileHook, SymId,
+    compile_module, compile_query, scatter_rounds, Op, OpProfile, OpRef, Plan, PlanRoute,
+    PlanSemijoin, PlanStep, ProfileHook, SymId,
 };
 pub use eval::{
-    eval_query, eval_query_with_indexes, scatter_rounds, DocResolver, Evaluator, LocalResolver,
-    RemoteHandler, ScatterCall, StaticContext,
+    eval_query, eval_query_with_indexes, DocResolver, Evaluator, LocalResolver, RemoteHandler,
+    ScatterCall, StaticContext,
 };
 pub use normalize::{free_vars, inline_functions, lower_filters, normalize, rename_var};
 pub use parser::{parse_expr_str, parse_query, ParseError};

@@ -43,17 +43,34 @@ impl From<LexError> for ParseError {
 
 type Result<T> = std::result::Result<T, ParseError>;
 
+/// Deepest expression nesting the parser accepts. Query text arrives from
+/// outside the program (the CLI, and shipped bodies on a daemon's worker
+/// threads), and the parser, normalizer, decomposer, compiler and both
+/// evaluators all recurse on the AST — an unbounded depth lets a small
+/// hostile query overflow the stack, which aborts the process. Nesting is
+/// counted per recursive descent into an expression *and* per link of a
+/// loop-built chain (`a + b + …`, `e[p][q]…`, FLWOR clauses), so it bounds
+/// the depth of the AST as well as the parser's own recursion. The value
+/// is sized for the weakest configuration that sees untrusted text: an
+/// unoptimized build spends ~24 kB of stack per parenthesis level here (the
+/// full precedence chain) and ~16 kB per AST level in the evaluators, and
+/// test and daemon worker threads have 2 MiB.
+const MAX_NESTING: usize = 64;
+
 struct Parser {
     toks: Vec<(Token, usize)>,
     pos: usize,
     functions: Vec<FunctionDef>,
     fresh: u32,
+    /// Nesting of the expression being parsed: live recursive descents
+    /// plus chain links charged so far (see [`MAX_NESTING`]).
+    depth: usize,
 }
 
 /// Parses a complete query module (function declarations + body).
 pub fn parse_query(input: &str) -> Result<QueryModule> {
     let toks = tokenize(input)?;
-    let mut p = Parser { toks, pos: 0, functions: Vec::new(), fresh: 0 };
+    let mut p = Parser { toks, pos: 0, functions: Vec::new(), fresh: 0, depth: 0 };
     p.parse_module()
 }
 
@@ -129,6 +146,26 @@ impl Parser {
     fn expect_var(&mut self) -> Result<String> {
         self.expect(&Token::Dollar)?;
         self.expect_name()
+    }
+
+    /// Charges `levels` more levels of nesting against [`MAX_NESTING`].
+    /// The caller gives them back (`self.depth -= levels`) when the
+    /// construct that nests ends; an error aborts the whole parse, so
+    /// failing paths need not.
+    fn deepen(&mut self, levels: usize) -> Result<()> {
+        if self.depth + levels > MAX_NESTING {
+            return self.err(format!("expression nested deeper than {MAX_NESTING} levels"));
+        }
+        self.depth += levels;
+        Ok(())
+    }
+
+    /// Runs one recursive descent under the nesting bound.
+    fn nested<T>(&mut self, f: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        self.deepen(1)?;
+        let r = f(self);
+        self.depth -= 1;
+        r
     }
 
     fn fresh_var(&mut self, hint: &str) -> String {
@@ -284,6 +321,10 @@ impl Parser {
     /// (`ExprSingle order by OrderSpecs`) from FLWOR's own `order by`
     /// clause: clause sources and order keys are parsed with it off.
     fn parse_single_inner(&mut self, allow_order: bool) -> Result<Expr> {
+        self.nested(|p| p.parse_single_body(allow_order))
+    }
+
+    fn parse_single_body(&mut self, allow_order: bool) -> Result<Expr> {
         let mut e = match self.peek() {
             Token::Name(n) => match n.as_str() {
                 "for" | "let" => return self.parse_flwor(),
@@ -315,6 +356,8 @@ impl Parser {
         self.bump();
         let mut bindings = Vec::new();
         loop {
+            // the first binding is the level this descent already paid for
+            self.deepen(usize::from(!bindings.is_empty()))?;
             let v = self.expect_var()?;
             self.expect_kw("in")?;
             let seq = self.parse_single_inner(false)?;
@@ -327,6 +370,7 @@ impl Parser {
         }
         self.expect_kw("satisfies")?;
         let pred = self.parse_single()?;
+        self.depth -= bindings.len() - 1;
         // innermost body: if (P) then 1 else ()   (for `every`: if (not P))
         let cond = if every {
             Expr::FunCall { name: "not".into(), args: vec![pred] }
@@ -382,6 +426,8 @@ impl Parser {
             if self.at_kw("for") {
                 self.bump();
                 loop {
+                    // the first clause is the level this descent paid for
+                    self.deepen(usize::from(!clauses.is_empty()))?;
                     let v = self.expect_var()?;
                     self.expect_kw("in")?;
                     let seq = self.parse_single_inner(false)?;
@@ -395,6 +441,7 @@ impl Parser {
             } else if self.at_kw("let") {
                 self.bump();
                 loop {
+                    self.deepen(usize::from(!clauses.is_empty()))?;
                     let v = self.expect_var()?;
                     self.expect(&Token::Assign)?;
                     let value = self.parse_single_inner(false)?;
@@ -423,6 +470,7 @@ impl Parser {
         }
         self.expect_kw("return")?;
         let ret = self.parse_single()?;
+        self.depth -= clauses.len() - 1;
 
         // Desugar: where → if; clauses nest outside-in. `order by` sorts the
         // *input* of the innermost `for` (keys rewritten to the context
@@ -590,21 +638,29 @@ impl Parser {
 
     fn parse_or(&mut self) -> Result<Expr> {
         let mut lhs = self.parse_and()?;
+        let mut links = 0;
         while self.at_kw("or") {
+            self.deepen(1)?;
+            links += 1;
             self.bump();
             let rhs = self.parse_and()?;
             lhs = Expr::Or(lhs.boxed(), rhs.boxed());
         }
+        self.depth -= links;
         Ok(lhs)
     }
 
     fn parse_and(&mut self) -> Result<Expr> {
         let mut lhs = self.parse_comparison()?;
+        let mut links = 0;
         while self.at_kw("and") {
+            self.deepen(1)?;
+            links += 1;
             self.bump();
             let rhs = self.parse_comparison()?;
             lhs = Expr::And(lhs.boxed(), rhs.boxed());
         }
+        self.depth -= links;
         Ok(lhs)
     }
 
@@ -640,21 +696,26 @@ impl Parser {
 
     fn parse_additive(&mut self) -> Result<Expr> {
         let mut lhs = self.parse_multiplicative()?;
+        let mut links = 0;
         loop {
             let op = match self.peek() {
                 Token::Plus => ArithOp::Add,
                 Token::Minus => ArithOp::Sub,
                 _ => break,
             };
+            self.deepen(1)?;
+            links += 1;
             self.bump();
             let rhs = self.parse_multiplicative()?;
             lhs = Expr::Arith { op, lhs: lhs.boxed(), rhs: rhs.boxed() };
         }
+        self.depth -= links;
         Ok(lhs)
     }
 
     fn parse_multiplicative(&mut self) -> Result<Expr> {
         let mut lhs = self.parse_setop()?;
+        let mut links = 0;
         loop {
             let op = match self.peek() {
                 Token::Star => ArithOp::Mul,
@@ -662,15 +723,19 @@ impl Parser {
                 Token::Name(n) if n == "mod" => ArithOp::Mod,
                 _ => break,
             };
+            self.deepen(1)?;
+            links += 1;
             self.bump();
             let rhs = self.parse_setop()?;
             lhs = Expr::Arith { op, lhs: lhs.boxed(), rhs: rhs.boxed() };
         }
+        self.depth -= links;
         Ok(lhs)
     }
 
     fn parse_setop(&mut self) -> Result<Expr> {
         let mut lhs = self.parse_unary()?;
+        let mut links = 0;
         loop {
             let op = match self.peek() {
                 Token::Pipe => NodeSetOp::Union,
@@ -679,17 +744,20 @@ impl Parser {
                 Token::Name(n) if n == "except" => NodeSetOp::Except,
                 _ => break,
             };
+            self.deepen(1)?;
+            links += 1;
             self.bump();
             let rhs = self.parse_unary()?;
             lhs = Expr::NodeSet { op, lhs: lhs.boxed(), rhs: rhs.boxed() };
         }
+        self.depth -= links;
         Ok(lhs)
     }
 
     fn parse_unary(&mut self) -> Result<Expr> {
         if self.peek() == &Token::Minus {
             self.bump();
-            let operand = self.parse_unary()?;
+            let operand = self.nested(Self::parse_unary)?;
             return Ok(Expr::Arith {
                 op: ArithOp::Sub,
                 lhs: Expr::int(0).boxed(),
@@ -698,7 +766,7 @@ impl Parser {
         }
         if self.peek() == &Token::Plus {
             self.bump();
-            return self.parse_unary();
+            return self.nested(Self::parse_unary);
         }
         self.parse_path()
     }
@@ -818,11 +886,13 @@ impl Parser {
             other => return self.err(format!("expected axis step, found {other}")),
         };
         while self.peek() == &Token::LBracket {
+            self.deepen(1)?;
             self.bump();
             let pred = self.parse_expr()?;
             self.expect(&Token::RBracket)?;
             step.predicates.push(pred);
         }
+        self.depth -= step.predicates.len();
         Ok(step)
     }
 
@@ -855,12 +925,16 @@ impl Parser {
 
     fn parse_postfix(&mut self) -> Result<Expr> {
         let mut e = self.parse_primary()?;
+        let mut links = 0;
         while self.peek() == &Token::LBracket {
+            self.deepen(1)?;
+            links += 1;
             self.bump();
             let pred = self.parse_expr()?;
             self.expect(&Token::RBracket)?;
             e = Expr::Filter { input: e.boxed(), predicate: pred.boxed() };
         }
+        self.depth -= links;
         Ok(e)
     }
 

@@ -3,21 +3,23 @@
 //! implementations wiring the decomposed query to the message codecs.
 //!
 //! A [`Federation`] owns one [`Peer`] per `xrpc://host/…` host; `run()`
-//! spins up a fresh coordinator store (the query originator), decomposes the
-//! query under the chosen [`Strategy`] and evaluates it. Remote `execute
-//! at` calls serialize a real request message, "transfer" it under the
-//! [`NetworkModel`], shred it into the target peer's store, evaluate the
-//! body there with the *same* evaluator, and ship the response back the
-//! same way. `fn:doc("xrpc://…")` on the coordinator performs data
-//! shipping: the remote peer serializes the whole document, bytes are
-//! accounted, and the coordinator shreds and caches it.
+//! spins up a fresh coordinator store (the query originator), prepares the
+//! query through the shared front end ([`crate::frontend`]: decomposed under
+//! the chosen [`Strategy`], lowered to plan IR, cached) and executes the
+//! plan. Remote `execute at` calls serialize a real request message,
+//! "transfer" it under the [`NetworkModel`], shred it into the target
+//! peer's store, compile and execute the body there with the *same* plan
+//! engine, and ship the response back the same way. `fn:doc("xrpc://…")`
+//! on the coordinator performs data shipping: the remote peer serializes
+//! the whole document, bytes are accounted, and the coordinator shreds and
+//! caches it.
 //!
 //! # Parallel scatter-gather
 //!
 //! The federation core is thread-safe: peers live in slots behind a
 //! `Mutex`+`Condvar` (a peer is *taken* for the duration of a call, and
 //! waiting replaces the old hard "busy" failure), and metrics accumulate
-//! into atomics. When the evaluator detects a scatter point — independent
+//! into atomics. When a plan reaches a scatter point — independent
 //! `execute at` calls aimed at distinct peers — [`FedLink::execute_scatter`]
 //! encodes every request up front (byte-identical to sequential execution),
 //! fans the decode→evaluate→respond pipeline out across one scoped thread
@@ -61,6 +63,8 @@ use xqd_xquery::ast::{Atomic, ExecProjection};
 use xqd_xquery::eval::{DocResolver, Evaluator, RemoteHandler, ScatterCall, StaticContext};
 use xqd_xquery::value::{EvalError, EvalResult, Item, Sequence};
 use xqd_xquery::{parse_query, Expr, QueryModule};
+
+use crate::frontend::{FrontEnd, FrontEndEvent, PreparedQuery, Session, Source};
 
 use xqd_core::replicas::{mix_score, ReplicaCatalog};
 
@@ -132,11 +136,6 @@ pub struct ExecOptions {
     /// Seed of the rendezvous replica-selection policy (see
     /// [`xqd_core::replicas::rendezvous_order`]).
     pub replica_seed: u64,
-    /// Lower queries to the flat plan IR ([`xqd_xquery::Plan`]) and execute
-    /// that, on the coordinator and on every peer. Off = the tree-walk
-    /// interpreter runs everywhere; results and message bytes are
-    /// bit-identical either way, which the plan-equivalence suite asserts.
-    pub compile: bool,
     /// Capacity of the coordinator-side LRU plan cache. `0` disables
     /// caching entirely: every run pays the full front end again.
     pub plan_cache_size: usize,
@@ -160,8 +159,7 @@ pub struct ExecOptions {
     pub trace: bool,
     /// Collect a per-operator execution profile of the coordinator's
     /// compiled plan (execution counts, items produced, simulated-time
-    /// attribution — the `explain --analyze` payload). Requires
-    /// [`ExecOptions::compile`]; off by default.
+    /// attribution — the `explain --analyze` payload). Off by default.
     pub profile: bool,
 }
 
@@ -176,7 +174,6 @@ impl Default for ExecOptions {
             hedge: None,
             breaker: BreakerPolicy::default(),
             replica_seed: 0,
-            compile: true,
             plan_cache_size: 64,
             semijoin: true,
             peer_queue_depth: 32,
@@ -404,15 +401,12 @@ struct FedCore {
     board: Mutex<Scoreboard>,
     /// Replicated document placement (see [`ReplicaCatalog`]).
     catalog: Mutex<ReplicaCatalog>,
-    /// Coordinator-side LRU cache of prepared queries (see [`PlanCache`]).
-    plans: Mutex<PlanCache>,
+    /// Coordinator-side plan cache and the topology generation stamped
+    /// into its keys (see [`crate::frontend`]).
+    frontend: FrontEnd,
     /// Static context applied to coordinator evaluation and compiled into
     /// cached plans; part of the plan-cache key.
     static_ctx: Mutex<StaticContext>,
-    /// Topology generation: bumped whenever a peer, document or replica
-    /// placement is added, so plans whose replica resolution was baked
-    /// against the old topology miss the cache instead of being replayed.
-    catalog_gen: AtomicU64,
     /// The active run's span collector, installed by `begin_run` when
     /// [`ExecOptions::trace`] is set and *taken* by `finish_run` — so spans
     /// from stray `prepare()` calls between runs can never leak into the
@@ -422,83 +416,6 @@ struct FedCore {
     /// run that ends in a typed error (no [`RunOutcome`]) still surfaces
     /// its trace via [`Federation::take_trace`].
     last_trace: Mutex<Option<Trace>>,
-}
-
-/// One cached unit of coordinator front-end work: the decomposition (kept
-/// for explain output) plus the compiled plan that executes it.
-#[derive(Debug)]
-pub struct PreparedQuery {
-    pub decomposition: xqd_core::Decomposition,
-    pub plan: xqd_xquery::Plan,
-}
-
-/// Everything a prepared query is a function of. Two runs whose keys differ
-/// in any field can never share a plan — which is exactly the safety
-/// argument for replaying a hit: documents are immutable once loaded (the
-/// generation covers additions), and the static context, index strategy,
-/// decomposition knobs and replica seed are all fingerprinted here.
-#[derive(Clone, PartialEq, Eq, Hash)]
-struct PlanKey {
-    /// Raw query text (`run`) or the module's canonical printed form
-    /// (`run_module`); equivalent spellings may occupy two entries.
-    query: String,
-    strategy: Strategy,
-    let_motion: bool,
-    code_motion: bool,
-    /// The *effective* toggle (decompose-level OR exec-level): flipping
-    /// `--no-semijoin` must never replay a semi-join plan from the cache.
-    semijoin: bool,
-    use_indexes: bool,
-    replica_seed: u64,
-    catalog_gen: u64,
-    /// `\u{1}`-joined static-context fields.
-    static_fingerprint: String,
-}
-
-/// LRU cache of prepared queries: a map plus a monotonic access tick.
-/// Eviction scans for the smallest tick — O(capacity), fine for the
-/// double-digit capacities a coordinator holds.
-#[derive(Default)]
-struct PlanCache {
-    tick: u64,
-    entries: HashMap<PlanKey, (u64, Arc<PreparedQuery>)>,
-}
-
-impl PlanCache {
-    fn touch(&mut self) -> u64 {
-        self.tick += 1;
-        self.tick
-    }
-
-    fn get(&mut self, cap: usize, key: &PlanKey) -> Option<Arc<PreparedQuery>> {
-        if cap == 0 {
-            return None;
-        }
-        let tick = self.touch();
-        self.entries.get_mut(key).map(|e| {
-            e.0 = tick;
-            Arc::clone(&e.1)
-        })
-    }
-
-    fn insert(&mut self, cap: usize, key: PlanKey, prepared: Arc<PreparedQuery>) {
-        if cap == 0 {
-            return;
-        }
-        while self.entries.len() >= cap && !self.entries.contains_key(&key) {
-            let Some(oldest) = self
-                .entries
-                .iter()
-                .min_by_key(|(_, (tick, _))| *tick)
-                .map(|(k, _)| k.clone())
-            else {
-                break;
-            };
-            self.entries.remove(&oldest);
-        }
-        let tick = self.touch();
-        self.entries.insert(key, (tick, prepared));
-    }
 }
 
 /// Fault-schedule ordinal of one attempt: the ladder's lane, the rung
@@ -668,10 +585,11 @@ pub struct RunOutcome {
     /// The run's span trace when [`ExecOptions::trace`] was set.
     pub trace: Option<Trace>,
     /// Per-operator execution profile when [`ExecOptions::profile`] was set
-    /// and the run executed a compiled plan (pair it with
-    /// [`RunOutcome::compiled`] for `explain --analyze` output).
+    /// (pair it with [`RunOutcome::compiled`] for `explain --analyze`
+    /// output).
     pub profile: Option<xqd_xquery::OpProfile>,
-    /// The compiled plan the profile indexes into, when one executed.
+    /// The prepared query that executed (always `Some`); its plan is what
+    /// the profile indexes into.
     pub compiled: Option<Arc<PreparedQuery>>,
 }
 
@@ -688,9 +606,8 @@ impl Federation {
                 lanes: AtomicU64::new(0),
                 board: Mutex::new(Scoreboard::new(BreakerPolicy::default())),
                 catalog: Mutex::new(ReplicaCatalog::new()),
-                plans: Mutex::new(PlanCache::default()),
+                frontend: FrontEnd::default(),
                 static_ctx: Mutex::new(StaticContext::default()),
-                catalog_gen: AtomicU64::new(0),
                 tracer: Mutex::new(None),
                 last_trace: Mutex::new(None),
             }),
@@ -707,14 +624,12 @@ impl Federation {
 
     /// Number of prepared queries currently cached.
     pub fn plan_cache_len(&self) -> usize {
-        self.core.plans.lock().unwrap().entries.len()
+        self.core.frontend.len()
     }
 
     /// Drops every cached plan (the cold-cache bench mode).
     pub fn clear_plan_cache(&mut self) {
-        let mut plans = self.core.plans.lock().unwrap();
-        plans.entries.clear();
-        plans.tick = 0;
+        self.core.frontend.clear();
     }
 
     /// Switches execution modes (scatter parallelism, bulk workers) for
@@ -808,7 +723,7 @@ impl Federation {
         }
         drop(peers);
         self.core.catalog.lock().unwrap().register(&canonical, replica);
-        self.core.catalog_gen.fetch_add(1, Ordering::Relaxed);
+        self.core.frontend.topology_changed();
         Ok(())
     }
 
@@ -851,7 +766,7 @@ impl Federation {
             .lock()
             .unwrap()
             .insert(name.to_string(), PeerSlot::ready(Peer::new(name)));
-        self.core.catalog_gen.fetch_add(1, Ordering::Relaxed);
+        self.core.frontend.topology_changed();
     }
 
     /// Loads `xml` as document `doc_name` on `peer` (added if absent).
@@ -866,7 +781,7 @@ impl Federation {
             .ok_or_else(|| EvalError::new(format!("peer {peer} is busy")))?
             .load_document(doc_name, xml)?;
         drop(peers);
-        self.core.catalog_gen.fetch_add(1, Ordering::Relaxed);
+        self.core.frontend.topology_changed();
         Ok(())
     }
 
@@ -896,7 +811,7 @@ impl Federation {
         }
         drop(peers);
         self.core.catalog.lock().unwrap().register(canonical_uri, peer);
-        self.core.catalog_gen.fetch_add(1, Ordering::Relaxed);
+        self.core.frontend.topology_changed();
         Ok(())
     }
 
@@ -928,26 +843,7 @@ impl Federation {
         strategy: Strategy,
         options: xqd_core::DecomposeOptions,
     ) -> EvalResult<RunOutcome> {
-        let (exec_options, static_ctx) = self.begin_run(strategy);
-        if !exec_options.compile {
-            let module =
-                parse_query(query).map_err(|e| EvalError::new(format!("parse error: {e}")))?;
-            self.trace_parse_event(query);
-            return self.run_prepared_module(&module, strategy, options, &exec_options, &static_ctx);
-        }
-        // key on the raw query text: a warm cache skips the parser too
-        let key = self.plan_key(query, strategy, options, &exec_options, &static_ctx);
-        let prepared = match self.cache_lookup(exec_options.plan_cache_size, &key) {
-            Some(p) => p,
-            None => {
-                let module = parse_query(query)
-                    .map_err(|e| EvalError::new(format!("parse error: {e}")))?;
-                self.trace_parse_event(query);
-                self.compile_into_cache(key, &module, strategy, options, &exec_options, &static_ctx)?
-            }
-        };
-        let decomposition = prepared.decomposition.clone();
-        self.finish_run(Some(prepared), decomposition, &exec_options, &static_ctx)
+        self.run_source(Source::Text(query), strategy, options)
     }
 
     /// Like [`Self::run`] for an already-parsed module.
@@ -962,8 +858,7 @@ impl Federation {
         strategy: Strategy,
         options: xqd_core::DecomposeOptions,
     ) -> EvalResult<RunOutcome> {
-        let (exec_options, static_ctx) = self.begin_run(strategy);
-        self.run_prepared_module(module, strategy, options, &exec_options, &static_ctx)
+        self.run_source(Source::Module(module), strategy, options)
     }
 
     /// Runs (or, on a warm cache, skips) the front end for `query` — parse,
@@ -973,35 +868,69 @@ impl Federation {
     /// events count into the metric sink and are swept up by the next run's
     /// reset.
     pub fn prepare(&mut self, query: &str, strategy: Strategy) -> EvalResult<Arc<PreparedQuery>> {
-        let exec_options = self.core.options();
+        let session = Session {
+            strategy,
+            decompose: xqd_core::DecomposeOptions::default(),
+            exec: self.core.options(),
+            static_ctx: &self.core.static_ctx.lock().unwrap().clone(),
+        };
+        self.front_end(Source::Text(query), &session)
+    }
+
+    /// Every run: reset per-run state (before the front end, so cache
+    /// events land inside the run's metric snapshot), prepare, execute.
+    fn run_source(
+        &mut self,
+        source: Source<'_>,
+        strategy: Strategy,
+        decompose: xqd_core::DecomposeOptions,
+    ) -> EvalResult<RunOutcome> {
+        let exec = self.begin_run(strategy);
         let static_ctx = self.core.static_ctx.lock().unwrap().clone();
-        let options = xqd_core::DecomposeOptions::default();
-        let key = self.plan_key(query, strategy, options, &exec_options, &static_ctx);
-        match self.cache_lookup(exec_options.plan_cache_size, &key) {
-            Some(p) => Ok(p),
-            None => {
-                let module = parse_query(query)
-                    .map_err(|e| EvalError::new(format!("parse error: {e}")))?;
-                self.compile_into_cache(key, &module, strategy, options, &exec_options, &static_ctx)
+        let session = Session { strategy, decompose, exec, static_ctx: &static_ctx };
+        let prepared = self.front_end(source, &session)?;
+        self.finish_run(prepared, &exec, &static_ctx)
+    }
+
+    /// The shared front end ([`crate::frontend`]), with its milestones
+    /// counted into the metric sink and marked in the run's trace as
+    /// zero-duration events: parsing, decomposition and lowering are
+    /// coordinator CPU, which the simulated clock does not bill.
+    fn front_end(&self, source: Source<'_>, session: &Session<'_>) -> EvalResult<Arc<PreparedQuery>> {
+        let sink = &self.core.metrics;
+        let tracer = self.core.tracer();
+        let mut observe = |event: FrontEndEvent| {
+            let (counter, name, args) = match event {
+                FrontEndEvent::CacheHit => {
+                    (Some(&sink.plan_cache_hits), "frontend.cache-hit", Vec::new())
+                }
+                FrontEndEvent::CacheMiss => {
+                    (Some(&sink.plan_cache_misses), "frontend.cache-miss", Vec::new())
+                }
+                FrontEndEvent::Parsed { chars } => {
+                    (None, "frontend.parse", vec![("chars", chars.to_string())])
+                }
+                FrontEndEvent::Compiled { remote_calls, semijoins } => (
+                    Some(&sink.plans_compiled),
+                    "frontend.compile",
+                    vec![
+                        ("remote_calls", remote_calls.to_string()),
+                        ("semijoins", semijoins.to_string()),
+                    ],
+                ),
+            };
+            if let Some(counter) = counter {
+                counter.fetch_add(1, Ordering::Relaxed);
             }
-        }
+            if let Some(tracer) = &tracer {
+                tracer.event(ROOT_SPAN, name, "frontend", args);
+            }
+        };
+        self.core.frontend.prepare(source, session, &self.core.catalog, &mut observe)
     }
 
-    /// Zero-duration front-end marker: the query parsed.
-    fn trace_parse_event(&self, query: &str) {
-        if let Some(tracer) = self.core.tracer() {
-            tracer.event(
-                ROOT_SPAN,
-                "frontend.parse",
-                "frontend",
-                vec![("chars", query.len().to_string())],
-            );
-        }
-    }
-
-    /// Per-run state reset, done before the front end so cache events land
-    /// inside the run's metric snapshot.
-    fn begin_run(&mut self, strategy: Strategy) -> (ExecOptions, StaticContext) {
+    /// Per-run state reset.
+    fn begin_run(&mut self, strategy: Strategy) -> ExecOptions {
         let exec_options = self.core.options();
         self.core.metrics.reset();
         self.core.lanes.store(0, Ordering::Relaxed);
@@ -1018,194 +947,39 @@ impl Federation {
             tracer.root_arg("strategy", format!("{strategy:?}"));
             Arc::new(tracer)
         });
-        *self.core.wire.lock().unwrap() = match strategy {
-            Strategy::ByFragment => WireSemantics::Fragment,
-            Strategy::ByProjection => WireSemantics::Projection,
-            _ => WireSemantics::Value,
-        };
-        let static_ctx = self.core.static_ctx.lock().unwrap().clone();
-        (exec_options, static_ctx)
-    }
-
-    /// The module-level front end: cache lookup under the printed module
-    /// text when compiling, plain decomposition otherwise.
-    fn run_prepared_module(
-        &mut self,
-        module: &QueryModule,
-        strategy: Strategy,
-        options: xqd_core::DecomposeOptions,
-        exec_options: &ExecOptions,
-        static_ctx: &StaticContext,
-    ) -> EvalResult<RunOutcome> {
-        if exec_options.compile {
-            let mut text = String::new();
-            xqd_xquery::ast::print_module(module, &mut text);
-            let key = self.plan_key(&text, strategy, options, exec_options, static_ctx);
-            let prepared = match self.cache_lookup(exec_options.plan_cache_size, &key) {
-                Some(p) => p,
-                None => {
-                    self.compile_into_cache(key, module, strategy, options, exec_options, static_ctx)?
-                }
-            };
-            let decomposition = prepared.decomposition.clone();
-            self.finish_run(Some(prepared), decomposition, exec_options, static_ctx)
-        } else {
-            let plan = self.decompose_resolved(module, strategy, options, exec_options)?;
-            self.finish_run(None, plan, exec_options, static_ctx)
-        }
-    }
-
-    /// Decomposes `module` and annotates each remote call with its replica
-    /// candidates (explain output; the executor re-derives the same order
-    /// per ladder).
-    fn decompose_resolved(
-        &self,
-        module: &QueryModule,
-        strategy: Strategy,
-        options: xqd_core::DecomposeOptions,
-        exec_options: &ExecOptions,
-    ) -> EvalResult<xqd_core::Decomposition> {
-        let mut options = options;
-        options.semijoin = options.semijoin || exec_options.semijoin;
-        let mut plan = xqd_core::decompose_with(module, strategy, options)?;
-        let catalog = self.core.catalog.lock().unwrap();
-        plan.resolve_replicas(&catalog, exec_options.replica_seed);
-        Ok(plan)
-    }
-
-    fn plan_key(
-        &self,
-        query: &str,
-        strategy: Strategy,
-        options: xqd_core::DecomposeOptions,
-        exec_options: &ExecOptions,
-        static_ctx: &StaticContext,
-    ) -> PlanKey {
-        PlanKey {
-            query: query.to_string(),
-            strategy,
-            let_motion: options.let_motion,
-            code_motion: options.code_motion,
-            semijoin: options.semijoin || exec_options.semijoin,
-            use_indexes: exec_options.use_indexes,
-            replica_seed: exec_options.replica_seed,
-            catalog_gen: self.core.catalog_gen.load(Ordering::Relaxed),
-            static_fingerprint: format!(
-                "{}\u{1}{}\u{1}{}",
-                static_ctx.base_uri, static_ctx.default_collation, static_ctx.current_datetime
-            ),
-        }
-    }
-
-    fn cache_lookup(&self, cap: usize, key: &PlanKey) -> Option<Arc<PreparedQuery>> {
-        let hit = self.core.plans.lock().unwrap().get(cap, key);
-        let sink = &self.core.metrics;
-        match &hit {
-            Some(_) => sink.plan_cache_hits.fetch_add(1, Ordering::Relaxed),
-            None => sink.plan_cache_misses.fetch_add(1, Ordering::Relaxed),
-        };
-        if let Some(tracer) = self.core.tracer() {
-            let name = if hit.is_some() { "frontend.cache-hit" } else { "frontend.cache-miss" };
-            tracer.event(ROOT_SPAN, name, "frontend", Vec::new());
-        }
-        hit
-    }
-
-    /// The cache-miss slow path: decompose, resolve replicas, lower to plan
-    /// IR (recording the routes for explain), insert under `key`.
-    fn compile_into_cache(
-        &self,
-        key: PlanKey,
-        module: &QueryModule,
-        strategy: Strategy,
-        options: xqd_core::DecomposeOptions,
-        exec_options: &ExecOptions,
-        static_ctx: &StaticContext,
-    ) -> EvalResult<Arc<PreparedQuery>> {
-        let decomposition = self.decompose_resolved(module, strategy, options, exec_options)?;
-        let routes = decomposition
-            .calls
-            .iter()
-            .map(|c| xqd_xquery::PlanRoute { peer: c.peer.clone(), replicas: c.replicas.clone() })
-            .collect();
-        let semijoins = decomposition
-            .semijoins
-            .iter()
-            .map(|e| xqd_xquery::PlanSemijoin {
-                var: e.var.clone(),
-                key_path: e.key_path.clone(),
-                producer_peer: e.producer_peer.clone(),
-                consumer_peer: e.consumer_peer.clone(),
-            })
-            .collect();
-        // the decomposer inlined user functions; the body is the whole query
-        let plan = xqd_xquery::compile_module(&[], &decomposition.rewritten, exec_options.use_indexes, static_ctx)
-            .with_routes(routes)
-            .with_semijoins(semijoins);
-        self.core.metrics.plans_compiled.fetch_add(1, Ordering::Relaxed);
-        if let Some(tracer) = self.core.tracer() {
-            // zero-duration marker: decompose + lowering are coordinator
-            // CPU, which the simulated clock does not bill (see trace docs)
-            tracer.event(
-                ROOT_SPAN,
-                "frontend.compile",
-                "frontend",
-                vec![
-                    ("remote_calls", decomposition.calls.len().to_string()),
-                    ("semijoins", decomposition.semijoins.len().to_string()),
-                ],
-            );
-        }
-        let prepared = Arc::new(PreparedQuery { decomposition, plan });
-        self.core.plans.lock().unwrap().insert(
-            exec_options.plan_cache_size,
-            key,
-            Arc::clone(&prepared),
-        );
-        Ok(prepared)
+        *self.core.wire.lock().unwrap() = WireSemantics::of(strategy);
+        exec_options
     }
 
     /// The back end shared by every entry point: fresh coordinator store,
-    /// evaluate (compiled plan or interpreter), canonicalize, snapshot.
+    /// execute the plan, canonicalize, snapshot.
     fn finish_run(
         &mut self,
-        compiled: Option<Arc<PreparedQuery>>,
-        plan: xqd_core::Decomposition,
+        prepared: Arc<PreparedQuery>,
         exec_options: &ExecOptions,
         static_ctx: &StaticContext,
     ) -> EvalResult<RunOutcome> {
         let started = Instant::now();
         // per-op profiling reads the tracer's simulated clock when tracing
         // is on (one shared timeline); a fresh zero cell otherwise
-        let hook = match (&compiled, exec_options.profile) {
-            (Some(p), true) => Some(xqd_xquery::ProfileHook {
-                data: std::rc::Rc::new(std::cell::RefCell::new(xqd_xquery::OpProfile::new(
-                    p.plan.ops.len(),
-                ))),
-                clock: self
-                    .core
-                    .tracer()
-                    .map(|t| t.clock_handle())
-                    .unwrap_or_default(),
-            }),
-            _ => None,
-        };
+        let hook = exec_options.profile.then(|| xqd_xquery::ProfileHook {
+            data: std::rc::Rc::new(std::cell::RefCell::new(xqd_xquery::OpProfile::new(
+                prepared.plan.ops.len(),
+            ))),
+            clock: self.core.tracer().map(|t| t.clock_handle()).unwrap_or_default(),
+        });
         // fresh coordinator store per run
         let mut local = Store::new();
         let mut link = FedLink { core: Arc::clone(&self.core), peer: String::new() };
         let mut handler = FedLink { core: Arc::clone(&self.core), peer: String::new() };
-        let functions: Vec<xqd_xquery::FunctionDef> = Vec::new();
-        let mut ev = Evaluator::new(&mut local, &functions, &mut link)
+        let mut ev = Evaluator::new(&mut local, &[], &mut link)
             .with_remote(&mut handler)
             .with_static_context(static_ctx.clone())
             .with_indexes(exec_options.use_indexes);
         if let Some(h) = &hook {
             ev = ev.with_profile(h.clone());
         }
-        let evaluated = match &compiled {
-            Some(p) => p.plan.eval(&mut ev),
-            None => ev.eval(&plan.rewritten),
-        };
+        let evaluated = prepared.plan.eval(&mut ev);
         drop(ev);
         // the tracer is *taken* even on error, so spans from one run (or
         // from stray `prepare()` calls in between) never leak into the next
@@ -1218,6 +992,7 @@ impl Federation {
         *self.core.last_trace.lock().unwrap() = trace.clone();
         let result = evaluated?;
         let profile = hook.map(|h| h.data.borrow().clone());
+        let plan = prepared.decomposition.clone();
         self.core
             .metrics
             .semijoins
@@ -1226,7 +1001,7 @@ impl Federation {
         let canonical = result.iter().map(|i| canonical_item(&local, i)).collect();
         let mut metrics = self.core.metrics.snapshot();
         metrics.total = total;
-        Ok(RunOutcome { result: canonical, metrics, plan, trace, profile, compiled })
+        Ok(RunOutcome { result: canonical, metrics, plan, trace, profile, compiled: Some(prepared) })
     }
 
     /// Metrics of the last run (also returned in [`RunOutcome`]); `total`
@@ -1651,24 +1426,21 @@ fn eval_one_call(
     core: &Arc<FedCore>,
     peer: &str,
     store: &mut Store,
-    module: &QueryModule,
-    plan: Option<&xqd_xquery::Plan>,
+    plan: &xqd_xquery::Plan,
     static_ctx: &StaticContext,
     params: &[(String, Sequence)],
 ) -> EvalResult<Sequence> {
     let mut resolver = FedLink { core: Arc::clone(core), peer: peer.to_string() };
     let mut nested = FedLink { core: Arc::clone(core), peer: peer.to_string() };
-    let mut ev = Evaluator::new(store, &module.functions, &mut resolver)
+    // the plan carries its own compiled functions
+    let mut ev = Evaluator::new(store, &[], &mut resolver)
         .with_remote(&mut nested)
         .with_static_context(static_ctx.clone())
-        .with_indexes(core.options().use_indexes);
+        .with_indexes(plan.use_indexes);
     for (name, value) in params {
         ev.bind(name, value.clone());
     }
-    match plan {
-        Some(p) => p.eval(&mut ev),
-        None => ev.eval(&module.body),
-    }
+    plan.eval(&mut ev)
 }
 
 /// Syntactic gate for splitting a Bulk RPC call list across store
@@ -1711,7 +1483,29 @@ fn body_snapshot_safe(module: &QueryModule, peer: &str) -> bool {
 /// peer's store): decode, evaluate every carried call, encode the response.
 /// Shared by the sequential, re-entrant and scatter paths so their
 /// observable behavior cannot drift apart.
+///
+/// The request envelope, shipped fragments and constructed results are
+/// shredded into `store` only for the duration of the request: once the
+/// reply is encoded (or the request failed) they are dropped again, so a
+/// long-lived peer's store does not grow with requests served. Marks nest
+/// LIFO, which covers the re-entrant same-peer call. A request whose body
+/// data-shipped a document keeps everything: the fetched copy is the
+/// peer's document cache, and later requests must find it.
 fn process_request(
+    core: &Arc<FedCore>,
+    peer: &str,
+    store: &mut Store,
+    request: &str,
+) -> EvalResult<String> {
+    let mark = store.doc_count();
+    let response = process_request_in(core, peer, store, request);
+    if store.docs().skip(mark).all(|(_, doc)| doc.uri.is_none()) {
+        store.truncate_docs(mark);
+    }
+    response
+}
+
+fn process_request_in(
     core: &Arc<FedCore>,
     peer: &str,
     store: &mut Store,
@@ -1728,24 +1522,22 @@ fn process_request(
     // Peers compile per request — the request is the unit of determinism
     // under concurrent scatter/hedged delivery, so peer-side compiles are
     // kept off the plan counters and out of the coordinator's cache.
-    let plan = options.compile.then(|| {
-        xqd_xquery::compile_module(
-            &module.functions,
-            &module.body,
-            options.use_indexes,
-            &decoded.static_ctx,
-        )
-    });
+    let plan = xqd_xquery::compile_module(
+        &module.functions,
+        &module.body,
+        options.use_indexes,
+        &decoded.static_ctx,
+    );
     let t_exec = Instant::now();
     let results = if options.bulk_workers > 1
         && decoded.calls.len() > 1
         && body_snapshot_safe(&module, peer)
     {
-        eval_calls_parallel(core, peer, store, &module, plan.as_ref(), &decoded.static_ctx, &decoded.calls, options.bulk_workers)?
+        eval_calls_parallel(core, peer, store, &plan, &decoded.static_ctx, &decoded.calls, options.bulk_workers)?
     } else {
         let mut results = Vec::with_capacity(decoded.calls.len());
         for params in &decoded.calls {
-            results.push(eval_one_call(core, peer, store, &module, plan.as_ref(), &decoded.static_ctx, params)?);
+            results.push(eval_one_call(core, peer, store, &plan, &decoded.static_ctx, params)?);
         }
         results
     };
@@ -1772,13 +1564,11 @@ fn process_request(
 /// store — guarded both syntactically ([`body_snapshot_safe`]) and at
 /// runtime (a worker whose snapshot grew is discarded and its chunk re-run
 /// sequentially against the base store).
-#[allow(clippy::too_many_arguments)]
 fn eval_calls_parallel(
     core: &Arc<FedCore>,
     peer: &str,
     store: &mut Store,
-    module: &QueryModule,
-    plan: Option<&xqd_xquery::Plan>,
+    plan: &xqd_xquery::Plan,
     static_ctx: &StaticContext,
     calls: &[Vec<(String, Sequence)>],
     workers: usize,
@@ -1805,7 +1595,7 @@ fn eval_calls_parallel(
                 s.spawn(move || {
                     let out: Vec<EvalResult<Sequence>> = r
                         .map(|ci| {
-                            eval_one_call(&core, peer, &mut snapshot, module, plan, static_ctx, &calls[ci])
+                            eval_one_call(&core, peer, &mut snapshot, plan, static_ctx, &calls[ci])
                         })
                         .collect();
                     let clean = snapshot.docs().count() == base_docs;
@@ -1846,7 +1636,7 @@ fn eval_calls_parallel(
             // the snapshot diverged (body attached documents despite the
             // gate): discard and recompute this chunk against the base store
             for ci in range {
-                results.push(eval_one_call(core, peer, store, module, plan, static_ctx, &calls[ci])?);
+                results.push(eval_one_call(core, peer, store, plan, static_ctx, &calls[ci])?);
             }
         }
     }
@@ -2528,19 +2318,17 @@ fn fallback_local(
 ) -> EvalResult<Option<Vec<Sequence>>> {
     let Ok(module) = parse_query(body_src) else { return Ok(None) };
     let Some(module) = degrade_module(&module, peer) else { return Ok(None) };
-    let use_indexes = core.options().use_indexes;
+    let plan = xqd_xquery::compile_module(
+        &module.functions,
+        &module.body,
+        core.options().use_indexes,
+        static_ctx,
+    );
     let mut results = Vec::with_capacity(calls.len());
     for params in calls {
-        let mut resolver = FedLink { core: Arc::clone(core), peer: String::new() };
-        let mut nested = FedLink { core: Arc::clone(core), peer: String::new() };
-        let mut ev = Evaluator::new(local, &module.functions, &mut resolver)
-            .with_remote(&mut nested)
-            .with_static_context(static_ctx.clone())
-            .with_indexes(use_indexes);
-        for (name, value) in params {
-            ev.bind(name, value.clone());
-        }
-        let seq = ev.eval(&module.body).map_err(|e| {
+        // evaluated as the coordinator (empty peer name), so the rewritten
+        // `xrpc://` document URIs data-ship through the resolver
+        let seq = eval_one_call(core, "", local, &plan, static_ctx, params).map_err(|e| {
             if e.code.is_some() {
                 e
             } else {
@@ -3021,6 +2809,38 @@ mod tests {
         // a hint the deadline budget cannot afford is capped by it
         let huge = Duration::from_secs(60);
         assert_eq!(policy.backoff_with_hint(1, 0.0, Some(huge)), policy.deadline);
+    }
+
+    /// Request envelopes, shipped fragments and constructed results live in
+    /// the peer's store only while their request is being served — under
+    /// every wire semantics, for constructor bodies, and on the error path.
+    #[test]
+    fn served_requests_leave_the_peer_store_as_they_found_it() {
+        let f = federation();
+        let doc_count = || f.core.peers.lock().unwrap()["p"].peer.as_ref().unwrap().store.doc_count();
+        let before = doc_count();
+        let mut caller = Store::new();
+        let shipped = xqd_xml::parse_document(&mut caller, "<x><y/><y/></x>", None).unwrap();
+        let node = Sequence::unit(Item::Node(NodeId::new(shipped, 1)));
+        let calls = vec![vec![("n".to_string(), node)]];
+        let bodies = [
+            "count($n//y) + count(doc(\"d.xml\")//b)",
+            "element out { $n/y, doc(\"d.xml\")//b }",
+            "$n/y[1 div 0]",
+        ];
+        let transport = f.transport();
+        for wire in [WireSemantics::Value, WireSemantics::Fragment, WireSemantics::Projection] {
+            for body in bodies {
+                let request =
+                    encode_request(&caller, wire, &StaticContext::default(), body, &calls, None, None)
+                        .unwrap();
+                for _ in 0..200 {
+                    let reply = transport.exchange("p", &request, Duration::from_secs(5)).unwrap();
+                    assert_eq!(reply.contains("<fault "), body.contains("div 0"), "{body}: {reply}");
+                }
+                assert_eq!(doc_count(), before, "{wire:?}: store grew serving {body}");
+            }
+        }
     }
 
     #[test]

@@ -1,0 +1,241 @@
+//! The coordinator front end: query text (or a parsed module) → cache key
+//! → LRU plan cache → parse · decompose · replica resolution · lowering to
+//! plan IR.
+//!
+//! Both coordinators — the simulated [`crate::exec::Federation`] and the
+//! socket-mode [`crate::tcp::SocketFederation`] — prepare queries through
+//! the one [`FrontEnd::prepare`], so what they execute can differ only in
+//! the transport, ladder and clock underneath. A warm hit skips the parser,
+//! the decomposer and the compiler alike.
+
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
+
+use xqd_core::replicas::ReplicaCatalog;
+use xqd_core::{DecomposeOptions, Strategy};
+use xqd_xquery::eval::StaticContext;
+use xqd_xquery::value::{EvalError, EvalResult};
+use xqd_xquery::{parse_query, QueryModule};
+
+use crate::exec::ExecOptions;
+
+/// One cached unit of coordinator front-end work: the decomposition (kept
+/// for explain output) plus the compiled plan that executes it.
+#[derive(Debug)]
+pub struct PreparedQuery {
+    pub decomposition: xqd_core::Decomposition,
+    pub plan: xqd_xquery::Plan,
+}
+
+/// What the front end is asked to prepare.
+pub(crate) enum Source<'a> {
+    /// Raw query text: the cache key, so a warm hit skips the parser too.
+    Text(&'a str),
+    /// An already-parsed module, keyed on its canonical printed form.
+    Module(&'a QueryModule),
+}
+
+/// Everything besides the query itself that a prepared query is a function
+/// of (the catalog generation is the front end's own).
+pub(crate) struct Session<'a> {
+    pub strategy: Strategy,
+    pub decompose: DecomposeOptions,
+    pub exec: ExecOptions,
+    pub static_ctx: &'a StaticContext,
+}
+
+/// Front-end milestones, reported in the order they happen so a
+/// coordinator can count and trace them its own way.
+pub(crate) enum FrontEndEvent {
+    CacheHit,
+    CacheMiss,
+    /// The query text went through the parser (miss path, text source).
+    Parsed { chars: usize },
+    /// The query was decomposed and lowered to plan IR (miss path).
+    Compiled { remote_calls: usize, semijoins: usize },
+}
+
+/// Everything a prepared query is a function of. Two runs whose keys differ
+/// in any field can never share a plan — which is exactly the safety
+/// argument for replaying a hit: documents are immutable once loaded (the
+/// generation covers additions), and the static context, index strategy,
+/// decomposition knobs and replica seed are all fingerprinted here.
+#[derive(Clone, PartialEq, Eq, Hash)]
+struct PlanKey {
+    /// Raw query text or the module's canonical printed form (see
+    /// [`Source`]); equivalent spellings may occupy two entries.
+    query: String,
+    strategy: Strategy,
+    let_motion: bool,
+    code_motion: bool,
+    /// The *effective* toggle (decompose-level OR exec-level): flipping
+    /// `--no-semijoin` must never replay a semi-join plan from the cache.
+    semijoin: bool,
+    use_indexes: bool,
+    replica_seed: u64,
+    catalog_gen: u64,
+    /// `\u{1}`-joined static-context fields.
+    static_fingerprint: String,
+}
+
+/// LRU cache of prepared queries: a map plus a monotonic access tick.
+/// Eviction scans for the smallest tick — O(capacity), fine for the
+/// double-digit capacities a coordinator holds.
+#[derive(Default)]
+struct PlanCache {
+    tick: u64,
+    entries: HashMap<PlanKey, (u64, Arc<PreparedQuery>)>,
+}
+
+impl PlanCache {
+    fn touch(&mut self) -> u64 {
+        self.tick += 1;
+        self.tick
+    }
+
+    fn get(&mut self, cap: usize, key: &PlanKey) -> Option<Arc<PreparedQuery>> {
+        if cap == 0 {
+            return None;
+        }
+        let tick = self.touch();
+        self.entries.get_mut(key).map(|e| {
+            e.0 = tick;
+            Arc::clone(&e.1)
+        })
+    }
+
+    fn insert(&mut self, cap: usize, key: PlanKey, prepared: Arc<PreparedQuery>) {
+        if cap == 0 {
+            return;
+        }
+        while self.entries.len() >= cap && !self.entries.contains_key(&key) {
+            let Some(oldest) = self
+                .entries
+                .iter()
+                .min_by_key(|(_, (tick, _))| *tick)
+                .map(|(k, _)| k.clone())
+            else {
+                break;
+            };
+            self.entries.remove(&oldest);
+        }
+        let tick = self.touch();
+        self.entries.insert(key, (tick, prepared));
+    }
+}
+
+/// The plan cache plus the topology generation its keys are stamped with.
+#[derive(Default)]
+pub(crate) struct FrontEnd {
+    plans: Mutex<PlanCache>,
+    /// Bumped whenever a peer, document or replica placement is added, so
+    /// plans whose replica resolution was baked against the old topology
+    /// miss the cache instead of being replayed.
+    catalog_gen: AtomicU64,
+}
+
+impl FrontEnd {
+    /// Records a topology change (see [`FrontEnd::catalog_gen`]).
+    pub(crate) fn topology_changed(&self) {
+        self.catalog_gen.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Number of prepared queries currently cached.
+    pub(crate) fn len(&self) -> usize {
+        self.plans.lock().unwrap().entries.len()
+    }
+
+    /// Drops every cached plan.
+    pub(crate) fn clear(&self) {
+        let mut plans = self.plans.lock().unwrap();
+        plans.entries.clear();
+        plans.tick = 0;
+    }
+
+    /// Looks `source` up in the plan cache and, on a miss, runs the slow
+    /// path — parse, decompose, annotate each remote call with its replica
+    /// candidates (explain output; the executor re-derives the same order
+    /// per ladder), lower to plan IR — and caches the result.
+    pub(crate) fn prepare(
+        &self,
+        source: Source<'_>,
+        session: &Session<'_>,
+        catalog: &Mutex<ReplicaCatalog>,
+        observe: &mut dyn FnMut(FrontEndEvent),
+    ) -> EvalResult<Arc<PreparedQuery>> {
+        let Session { strategy, decompose, exec, static_ctx } = session;
+        let mut decompose = *decompose;
+        decompose.semijoin = decompose.semijoin || exec.semijoin;
+        let key = PlanKey {
+            query: match source {
+                Source::Text(text) => text.to_string(),
+                Source::Module(module) => {
+                    let mut text = String::new();
+                    xqd_xquery::ast::print_module(module, &mut text);
+                    text
+                }
+            },
+            strategy: *strategy,
+            let_motion: decompose.let_motion,
+            code_motion: decompose.code_motion,
+            semijoin: decompose.semijoin,
+            use_indexes: exec.use_indexes,
+            replica_seed: exec.replica_seed,
+            catalog_gen: self.catalog_gen.load(Ordering::Relaxed),
+            static_fingerprint: format!(
+                "{}\u{1}{}\u{1}{}",
+                static_ctx.base_uri, static_ctx.default_collation, static_ctx.current_datetime
+            ),
+        };
+        if let Some(hit) = self.plans.lock().unwrap().get(exec.plan_cache_size, &key) {
+            observe(FrontEndEvent::CacheHit);
+            return Ok(hit);
+        }
+        observe(FrontEndEvent::CacheMiss);
+
+        let parsed;
+        let module = match source {
+            Source::Module(module) => module,
+            Source::Text(text) => {
+                parsed = parse_query(text)
+                    .map_err(|e| EvalError::new(format!("parse error: {e}")))?;
+                observe(FrontEndEvent::Parsed { chars: text.len() });
+                &parsed
+            }
+        };
+        let mut decomposition = xqd_core::decompose_with(module, *strategy, decompose)?;
+        decomposition.resolve_replicas(&catalog.lock().unwrap(), exec.replica_seed);
+        let routes = decomposition
+            .calls
+            .iter()
+            .map(|c| xqd_xquery::PlanRoute { peer: c.peer.clone(), replicas: c.replicas.clone() })
+            .collect();
+        let semijoins = decomposition
+            .semijoins
+            .iter()
+            .map(|e| xqd_xquery::PlanSemijoin {
+                var: e.var.clone(),
+                key_path: e.key_path.clone(),
+                producer_peer: e.producer_peer.clone(),
+                consumer_peer: e.consumer_peer.clone(),
+            })
+            .collect();
+        // the decomposer inlined user functions; the body is the whole query
+        let plan = xqd_xquery::compile_module(
+            &[],
+            &decomposition.rewritten,
+            exec.use_indexes,
+            static_ctx,
+        )
+        .with_routes(routes)
+        .with_semijoins(semijoins);
+        observe(FrontEndEvent::Compiled {
+            remote_calls: decomposition.calls.len(),
+            semijoins: decomposition.semijoins.len(),
+        });
+        let prepared = Arc::new(PreparedQuery { decomposition, plan });
+        self.plans.lock().unwrap().insert(exec.plan_cache_size, key, Arc::clone(&prepared));
+        Ok(prepared)
+    }
+}

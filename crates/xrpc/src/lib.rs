@@ -14,6 +14,9 @@
 //! * [`health`] — the peer health scoreboard: EWMA latency, circuit
 //!   breakers on the simulated clock, and seeded selection helpers behind
 //!   the replica failover ladder;
+//! * `frontend` — the one query front end both coordinators share: text
+//!   or module → cache key → LRU plan cache → parse · decompose · replica
+//!   resolution · lowering to plan IR ([`PreparedQuery`]);
 //! * [`exec`] — the [`Federation`] of peers, the `RemoteHandler` /
 //!   `DocResolver` implementations (including Bulk RPC and data-shipping
 //!   document fetches), the fault-injecting transport with
@@ -53,6 +56,7 @@
 //! ```
 
 pub mod exec;
+mod frontend;
 pub mod health;
 pub mod message;
 pub mod net;
@@ -64,9 +68,9 @@ pub mod transport;
 pub mod wire;
 
 pub use exec::{
-    canonical_item, ExecOptions, Federation, Peer, PreparedQuery, RetryPolicy, RunOutcome,
-    SimTransport,
+    canonical_item, ExecOptions, Federation, Peer, RetryPolicy, RunOutcome, SimTransport,
 };
+pub use frontend::PreparedQuery;
 pub use health::{Admission, BreakerPolicy, BreakerState, Scoreboard};
 pub use message::{
     decode_doc_request, decode_doc_response, decode_fault, decode_request, decode_response,

@@ -43,6 +43,16 @@ pub enum WireSemantics {
 }
 
 impl WireSemantics {
+    /// The codec the calls of a `strategy` run travel in (data shipping
+    /// generates no calls; it rides along with by-value).
+    pub fn of(strategy: xqd_core::Strategy) -> Self {
+        match strategy {
+            xqd_core::Strategy::ByFragment => WireSemantics::Fragment,
+            xqd_core::Strategy::ByProjection => WireSemantics::Projection,
+            _ => WireSemantics::Value,
+        }
+    }
+
     fn tag(self) -> &'static str {
         match self {
             WireSemantics::Value => "value",

@@ -730,26 +730,10 @@ impl MetricsSnapshot {
         METRIC_NAMES.iter().copied().zip(self.counters.iter().copied())
     }
 
-    /// The transport and resilience counters — `message_bytes` through
-    /// `replica_failovers` — the contract prefix that must stay
-    /// byte-identical between the compiled engine and the interpreter
-    /// oracle (the plan-compilation trio that follows legitimately
-    /// differs between them).
-    pub fn wire(&self) -> &[u64] {
-        &self.counters[..13]
-    }
-
     /// The plan-compilation trio `[plans_compiled, plan_cache_hits,
     /// plan_cache_misses]`.
     pub fn plan_cache(&self) -> [u64; 3] {
         [self.counters[13], self.counters[14], self.counters[15]]
-    }
-
-    /// Everything after the plan trio: the join-rewrite (`semijoins`,
-    /// `join_keys_shipped`, `join_bytes_saved`) and scheduler
-    /// (`queued` … `peak_queue_depth`) counter families.
-    pub fn joins_and_scheduler(&self) -> &[u64] {
-        &self.counters[16..]
     }
 
     snapshot_accessors! {

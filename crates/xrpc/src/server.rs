@@ -365,8 +365,8 @@ impl PeerServer {
         self.fed.load_replica_copy(&name, canonical_uri, xml)
     }
 
-    /// Execution options for the peer's evaluator (indexes, compile mode,
-    /// bulk workers, slot queue depth).
+    /// Execution options for the peer's evaluator (indexes, bulk workers,
+    /// slot queue depth).
     pub fn set_exec_options(&mut self, options: ExecOptions) {
         self.fed.set_exec_options(options);
     }

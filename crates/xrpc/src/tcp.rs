@@ -3,11 +3,11 @@
 //! [`TcpTransport`] dials peer daemons over localhost (or any reachable
 //! address) and speaks the length-prefixed envelope framing of
 //! [`crate::transport`]; [`SocketFederation`] is the coordinator that
-//! drives a **multi-process** federation through it — same decomposition
-//! front end, same replica failover ladder discipline, same health
-//! scoreboard as the simulated [`crate::exec::Federation`], so the same
-//! query returns bit-identical canonical results whichever side of the
-//! seam executes it.
+//! drives a **multi-process** federation through it — the same front end
+//! ([`crate::frontend`]: plan cache, decomposition, compiled plan IR), the
+//! same replica failover ladder discipline, the same health scoreboard as
+//! the simulated [`crate::exec::Federation`], so the same query returns
+//! bit-identical canonical results whichever side of the seam executes it.
 //!
 //! Differences from the simulated side are deliberate and small:
 //!
@@ -33,9 +33,10 @@ use xqd_core::Strategy;
 use xqd_xml::Store;
 use xqd_xquery::eval::{DocResolver, Evaluator, RemoteHandler, StaticContext};
 use xqd_xquery::value::{EvalError, EvalResult, Sequence};
-use xqd_xquery::{ast::ExecProjection, parse_query};
+use xqd_xquery::ast::ExecProjection;
 
 use crate::exec::{admitted_candidates, canonical_item, ExecOptions, RetryPolicy};
+use crate::frontend::{FrontEnd, Session, Source};
 use crate::health::{BreakerPolicy, Observation, Scoreboard};
 use crate::message::{
     decode_doc_response, decode_response, encode_doc_request, encode_request, WireSemantics,
@@ -194,6 +195,8 @@ pub struct SocketRunOutcome {
 struct SockCore {
     transport: Arc<dyn Transport>,
     catalog: Mutex<ReplicaCatalog>,
+    /// Plan cache; its topology generation is bumped per registered replica.
+    frontend: FrontEnd,
     options: Mutex<ExecOptions>,
     static_ctx: Mutex<StaticContext>,
     wire: Mutex<WireSemantics>,
@@ -389,6 +392,7 @@ impl SocketFederation {
             core: Arc::new(SockCore {
                 transport,
                 catalog: Mutex::new(ReplicaCatalog::new()),
+                frontend: FrontEnd::default(),
                 options: Mutex::new(options),
                 static_ctx: Mutex::new(StaticContext::default()),
                 wire: Mutex::new(WireSemantics::Value),
@@ -414,6 +418,7 @@ impl SocketFederation {
     /// (replica placement — identical meaning to the simulated catalog).
     pub fn register_replica(&mut self, canonical_uri: &str, host: &str) {
         self.core.catalog.lock().unwrap().register(canonical_uri, host);
+        self.core.frontend.topology_changed();
     }
 
     /// Records the transport address of `peer` in the catalog (the address
@@ -437,6 +442,11 @@ impl SocketFederation {
         *self.core.static_ctx.lock().unwrap() = ctx;
     }
 
+    /// Number of prepared queries currently cached.
+    pub fn plan_cache_len(&self) -> usize {
+        self.core.frontend.len()
+    }
+
     /// Breaker state of `peer` on the persistent wall-clock scoreboard.
     pub fn breaker_state(&self, peer: &str) -> crate::health::BreakerState {
         self.core.board.lock().unwrap().state(peer)
@@ -449,39 +459,40 @@ impl SocketFederation {
         *self.core.board_clock.lock().unwrap() = Instant::now();
     }
 
-    /// Parses, decomposes and executes `query` under `strategy` against
-    /// the live federation. Canonical result items are directly comparable
-    /// with [`crate::exec::Federation::run`] output — the equivalence the
-    /// daemon tests and the crash harness assert byte for byte.
+    /// Prepares `query` through the shared front end (a repeated text is a
+    /// plan-cache hit: no parse, no decomposition, no lowering) and executes
+    /// the plan under `strategy` against the live federation. Canonical
+    /// result items are directly comparable with
+    /// [`crate::exec::Federation::run`] output — the equivalence the daemon
+    /// tests and the crash harness assert byte for byte.
     pub fn run(&mut self, query: &str, strategy: Strategy) -> EvalResult<SocketRunOutcome> {
-        let module = parse_query(query).map_err(|e| EvalError::new(format!("parse error: {e}")))?;
         let options = *self.core.options.lock().unwrap();
-        let dopts =
-            xqd_core::DecomposeOptions { semijoin: options.semijoin, ..Default::default() };
-        let mut plan = xqd_core::decompose_with(&module, strategy, dopts)?;
-        {
-            let catalog = self.core.catalog.lock().unwrap();
-            plan.resolve_replicas(&catalog, options.replica_seed);
-        }
-        *self.core.wire.lock().unwrap() = match strategy {
-            Strategy::ByFragment => WireSemantics::Fragment,
-            Strategy::ByProjection => WireSemantics::Projection,
-            _ => WireSemantics::Value,
+        let static_ctx = self.core.static_ctx.lock().unwrap().clone();
+        let session = Session {
+            strategy,
+            decompose: xqd_core::DecomposeOptions::default(),
+            exec: options,
+            static_ctx: &static_ctx,
         };
+        let prepared = self.core.frontend.prepare(
+            Source::Text(query),
+            &session,
+            &self.core.catalog,
+            &mut |_| {},
+        )?;
+        *self.core.wire.lock().unwrap() = WireSemantics::of(strategy);
         self.core.remote_calls.store(0, Ordering::Relaxed);
         self.core.doc_fetches.store(0, Ordering::Relaxed);
         self.core.failovers.store(0, Ordering::Relaxed);
         self.core.retries.store(0, Ordering::Relaxed);
-        let static_ctx = self.core.static_ctx.lock().unwrap().clone();
         let mut local = Store::new();
-        let functions: Vec<xqd_xquery::FunctionDef> = Vec::new();
         let mut link = SockLink { core: Arc::clone(&self.core) };
         let mut handler = SockLink { core: Arc::clone(&self.core) };
-        let mut ev = Evaluator::new(&mut local, &functions, &mut link)
+        let mut ev = Evaluator::new(&mut local, &[], &mut link)
             .with_remote(&mut handler)
             .with_static_context(static_ctx)
             .with_indexes(options.use_indexes);
-        let result = ev.eval(&plan.rewritten)?;
+        let result = prepared.plan.eval(&mut ev)?;
         drop(ev);
         let canonical = result.iter().map(|i| canonical_item(&local, i)).collect();
         Ok(SocketRunOutcome {

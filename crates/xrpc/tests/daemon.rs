@@ -9,9 +9,12 @@
 //! Invariants under test:
 //!
 //! * the same query over TCP returns **bit-identical** canonical results
-//!   to the simulated federation, across all three strategies;
+//!   to the simulated federation, across all three strategies — cold, and
+//!   again warm from the socket coordinator's plan cache, whose routes a
+//!   newly registered replica invalidates;
 //! * malformed-but-well-framed payloads get a typed fault and the
-//!   connection **stays usable**; frame-level desync (mid-frame EOF,
+//!   connection **stays usable** — including a query body nested far past
+//!   the parser's depth bound; frame-level desync (mid-frame EOF,
 //!   oversized declared length) gets a typed fault and then a close;
 //! * admission beyond `max_inflight` sheds with `xrpc:overloaded`
 //!   carrying an honest `retry-after-ms`;
@@ -28,9 +31,9 @@ use std::time::{Duration, Instant};
 
 use xqd_core::Strategy;
 use xqd_xrpc::{
-    decode_doc_response, decode_fault, encode_doc_request, read_frame, write_frame, ExecOptions,
-    Federation, NetworkModel, PeerServer, RetryPolicy, ServerConfig, SocketFederation,
-    XrpcError, MAX_FRAME_LEN,
+    decode_doc_response, decode_fault, encode_doc_request, encode_request, read_frame,
+    write_frame, Federation, NetworkModel, PeerServer, RetryPolicy, ServerConfig,
+    SocketFederation, WireSemantics, XrpcError, MAX_FRAME_LEN,
 };
 
 const PEOPLE: &str = r#"<people><person id="p1"><age>31</age></person><person id="p2"><age>55</age></person><person id="p3"><age>24</age></person></people>"#;
@@ -104,6 +107,49 @@ fn tcp_results_are_bit_identical_to_simulated() {
     }
 }
 
+/// The socket coordinator runs compiled plans out of the shared front end:
+/// a semi-join and a two-peer scatter each return the simulated answer
+/// cold, the same answer warm (second run = plan-cache hit), and a replica
+/// registered between runs invalidates the cached routes — the re-planned
+/// query fails over to it once the primary is gone.
+#[test]
+fn tcp_runs_cached_compiled_plans_and_replans_on_new_replicas() {
+    let scatter = r#"(count(doc("xrpc://P1/people.xml")//person),
+                      count(doc("xrpc://P2/orders.xml")//order))"#;
+    let mut sim = Federation::new(NetworkModel::lan());
+    sim.load_document("P1", "people.xml", PEOPLE).unwrap();
+    sim.load_document("P2", "orders.xml", ORDERS).unwrap();
+
+    let mut p1 = daemon("P1", ServerConfig::default());
+    let p2 = daemon("P2", ServerConfig::default());
+    let mut p3 = PeerServer::bind("P3", "127.0.0.1:0", ServerConfig::default()).unwrap();
+    p3.load_replica("xrpc://P1/people.xml", PEOPLE).unwrap();
+    p3.start();
+    let mut fed = socket_fed(&[&p1, &p2, &p3]);
+    fed.set_retry_policy(fast_retry());
+
+    for query in [JOIN_QUERY, scatter] {
+        let expected = sim.run(query, Strategy::ByProjection).expect("simulated run");
+        let cold = fed.run(query, Strategy::ByProjection).expect("cold tcp run");
+        let warm = fed.run(query, Strategy::ByProjection).expect("warm tcp run");
+        assert_eq!(cold.result, expected.result, "cold run diverged on {query}");
+        assert_eq!(warm.result, expected.result, "warm run diverged on {query}");
+        assert_eq!(cold.remote_calls, expected.metrics.remote_calls, "{query}");
+        assert_eq!(warm.remote_calls, cold.remote_calls, "{query}");
+    }
+    assert_eq!(fed.plan_cache_len(), 2, "each warm run must have hit the cold run's plan");
+    let semijoin = sim.run(JOIN_QUERY, Strategy::ByProjection).unwrap();
+    assert_eq!(semijoin.metrics.semijoins, 1, "fixture must exercise the semi-join rewrite");
+
+    // the cached join plan's routes predate P3; registering it must re-plan
+    fed.register_replica("xrpc://P1/people.xml", "P3");
+    assert!(p1.drain().clean);
+    let rerouted = fed.run(JOIN_QUERY, Strategy::ByProjection).expect("failover run");
+    assert_eq!(rerouted.result, semijoin.result);
+    assert_eq!(fed.plan_cache_len(), 3, "stale routes were replayed from the cache");
+    assert!(rerouted.failovers > 0, "the replica rung was never used");
+}
+
 #[test]
 fn doc_request_over_raw_socket_ships_the_document() {
     let p1 = daemon("P1", ServerConfig::default());
@@ -132,6 +178,34 @@ fn malformed_payload_gets_typed_fault_and_connection_survives() {
     let reply = raw_exchange(&mut stream, &encode_doc_request("xrpc://P1/people.xml"))
         .expect("connection must survive a malformed payload");
     assert!(decode_doc_response(&reply).is_some(), "second request failed: {reply}");
+}
+
+/// A 200 kB query of 100 000 nested parentheses used to overflow the worker
+/// thread's stack in the parser and abort the whole daemon; it must be an
+/// ordinary typed fault, and the connection must serve the next request.
+#[test]
+fn hostile_deep_query_gets_typed_fault_and_daemon_keeps_serving() {
+    let p1 = daemon("P1", ServerConfig::default());
+    let mut stream = TcpStream::connect(p1.addr()).unwrap();
+
+    let deep = format!("{}1{}", "(".repeat(100_000), ")".repeat(100_000));
+    let request = encode_request(
+        &xqd_xml::Store::new(),
+        WireSemantics::Value,
+        &Default::default(),
+        &deep,
+        &[Vec::new()],
+        None,
+        None,
+    )
+    .unwrap();
+    let reply = raw_exchange(&mut stream, &request).expect("fault frame");
+    let fault = decode_fault(&reply).expect("typed fault for the hostile body");
+    assert!(fault.to_string().contains("nested deeper"), "{fault}");
+
+    let reply = raw_exchange(&mut stream, &encode_doc_request("xrpc://P1/people.xml"))
+        .expect("daemon must survive the hostile body");
+    assert!(decode_doc_response(&reply).is_some(), "next request failed: {reply}");
 }
 
 #[test]

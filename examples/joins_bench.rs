@@ -36,7 +36,7 @@ fn main() {
             p.semijoin_bytes,
             p.reduction(),
             p.join_keys_shipped,
-            p.results_identical && p.bytes_identical,
+            p.results_identical,
         );
     }
 

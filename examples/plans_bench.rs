@@ -1,7 +1,7 @@
 //! Plans experiment: the compiled front end (parse → decompose → lower to
 //! flat plan IR) on a repeated-query workload, with the coordinator's LRU
 //! plan cache off / cold / warm, plus end-to-end latency and bit-parity of
-//! compiled vs. interpreted execution. Writes the trajectory to
+//! a replayed cached plan vs. a fresh front end. Writes the trajectory to
 //! `BENCH_plans.json` (override with `--out <path>`) and prints the table.
 //!
 //! Run with: `cargo run --release --example plans_bench`
@@ -37,22 +37,20 @@ fn main() {
     let points = xqd_bench::plans_sweep(bytes_per_doc, strategy, iters);
 
     println!(
-        "{:>28} {:>12} {:>12} {:>12} {:>9} {:>10} {:>10} {:>10} {:>6}",
-        "query", "off p/s", "cold p/s", "warm p/s", "speedup", "comp us", "interp us", "traced us",
-        "equal"
+        "{:>28} {:>12} {:>12} {:>12} {:>9} {:>10} {:>10} {:>6}",
+        "query", "off p/s", "cold p/s", "warm p/s", "speedup", "comp us", "traced us", "equal"
     );
     for p in &points {
         println!(
-            "{:>28} {:>12.0} {:>12.0} {:>12.0} {:>8.1}x {:>10} {:>10} {:>10} {:>6}",
+            "{:>28} {:>12.0} {:>12.0} {:>12.0} {:>8.1}x {:>10} {:>10} {:>6}",
             p.query,
             p.off_plans_per_sec,
             p.cold_plans_per_sec,
             p.warm_plans_per_sec,
             p.warm_speedup(),
             p.compiled_us,
-            p.interpreted_us,
             p.traced_us,
-            p.results_identical && p.bytes_identical,
+            p.results_identical,
         );
     }
     let worst = points

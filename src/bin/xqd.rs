@@ -87,8 +87,6 @@ OPTIONS:
                            breaker (default 4; 0 disables breakers)
   --breaker-cooldown-ms N  simulated ms an open breaker rejects calls
                            before admitting a half-open probe (default 500)
-  --no-compile             tree-walk the AST instead of compiling queries
-                           to the flat plan IR (the correctness oracle)
   --no-semijoin            disable join-aware decomposition (semi-join key
                            shipping for cross-peer value joins; default on)
   --plan-cache-size N      coordinator LRU plan-cache capacity (default 64;
@@ -156,7 +154,6 @@ struct RunOptions {
     replicas: Vec<(String, Vec<String>)>, // (primary, alternates)
     hedge: Option<Duration>,
     breaker: BreakerPolicy,
-    compile: bool,
     semijoin: bool,
     plan_cache_size: usize,
     trace_out: Option<String>,
@@ -199,7 +196,6 @@ fn parse_run_options(args: &[String]) -> Result<RunOptions, String> {
         replicas: Vec::new(),
         hedge: None,
         breaker: BreakerPolicy::default(),
-        compile: ExecOptions::default().compile,
         semijoin: ExecOptions::default().semijoin,
         plan_cache_size: ExecOptions::default().plan_cache_size,
         trace_out: None,
@@ -318,10 +314,6 @@ fn parse_run_options(args: &[String]) -> Result<RunOptions, String> {
                 opts.breaker.cooldown =
                     Duration::from_millis(num_arg(args, i, "--breaker-cooldown-ms")?);
                 i += 2;
-            }
-            "--no-compile" => {
-                opts.compile = false;
-                i += 1;
             }
             "--no-semijoin" => {
                 opts.semijoin = false;
@@ -509,7 +501,6 @@ fn cmd_run(args: &[String], explain_only: bool) -> ExitCode {
     for strategy in &opts.strategies {
         let mut fed = Federation::new(opts.network);
         fed.set_exec_options(ExecOptions {
-            compile: opts.compile,
             semijoin: opts.semijoin,
             plan_cache_size: opts.plan_cache_size,
             trace: opts.trace_out.is_some() || opts.analyze,
@@ -585,15 +576,13 @@ fn cmd_run(args: &[String], explain_only: bool) -> ExitCode {
                         m.network,
                         m.total + m.network,
                     );
-                    if opts.compile {
-                        eprintln!(
-                            "# {}: {} plans compiled, plan cache {} hits / {} misses",
-                            strategy.name(),
-                            m.plans_compiled,
-                            m.plan_cache_hits,
-                            m.plan_cache_misses,
-                        );
-                    }
+                    eprintln!(
+                        "# {}: {} plans compiled, plan cache {} hits / {} misses",
+                        strategy.name(),
+                        m.plans_compiled,
+                        m.plan_cache_hits,
+                        m.plan_cache_misses,
+                    );
                     if opts.semijoin || m.semijoins > 0 {
                         eprintln!(
                             "# {}: {} semijoins, {} join_keys_shipped, \
@@ -836,9 +825,8 @@ fn write_trace(trace: &xqd::Trace, path: &str, chrome: bool) -> Result<(), Strin
 /// `explain --analyze` output: the per-operator plan profile plus the
 /// span-level attribution of the run's simulated wall time.
 fn print_analysis(out: &xqd::RunOutcome) {
-    match (&out.compiled, &out.profile) {
-        (Some(prepared), Some(profile)) => println!("{}", prepared.plan.dump_analyze(profile)),
-        _ => println!("(no per-operator profile: query ran without the compiled plan IR)"),
+    if let (Some(prepared), Some(profile)) = (&out.compiled, &out.profile) {
+        println!("{}", prepared.plan.dump_analyze(profile));
     }
     let Some(trace) = &out.trace else { return };
     // aggregate the root's direct children — the network-bearing spans that
@@ -907,7 +895,6 @@ fn cmd_workload(args: &[String]) -> ExitCode {
 
     let mut fed = Federation::new(opts.network);
     fed.set_exec_options(ExecOptions {
-        compile: opts.compile,
         semijoin: opts.semijoin,
         plan_cache_size: opts.plan_cache_size,
         ..ExecOptions::default()

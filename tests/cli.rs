@@ -95,6 +95,11 @@ fn bad_usage_fails_cleanly() {
         .unwrap();
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown strategy"));
+
+    // the interpreter toggle is gone: one engine, no flag to pick another
+    let out = xqd().args(["run", "-e", "1", "--no-compile"]).output().unwrap();
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown option"));
 }
 
 #[test]

@@ -1,18 +1,21 @@
 //! Join-equivalence suite — the semi-join rewrite's headline invariant:
 //!
 //! > Join-aware decomposition changes only the wire, never the answer:
-//! > results are bit-identical with the rewrite on or off, flipping it off
-//! > replays the pre-semi-join wire byte-for-byte against the interpreter
-//! > oracle, and the key harvest rides the same failover ladder as every
-//! > other remote call.
+//! > with the rewrite on or off, every strategy returns exactly what the
+//! > tree-walk reference evaluator returns for the undecomposed join over
+//! > one local store, and the key harvest rides the same failover ladder
+//! > as every other remote call.
 //!
 //! Plus the plan-cache contract: the effective semi-join toggle is part of
 //! the cache key, so flipping it never replays the wrong plan.
 
 use std::time::Duration;
 
+use xqd::xml::Store;
+use xqd::xrpc::canonical_item;
 use xqd::{
-    rendezvous_order, ExecOptions, FaultPlan, Federation, MetricsSnapshot, NetworkModel, Strategy,
+    eval_query, parse_query, rendezvous_order, ExecOptions, FaultPlan, Federation, NetworkModel,
+    Strategy,
 };
 
 /// Twelve students on peer A and exams with duplicated ids on peer B —
@@ -68,24 +71,15 @@ fn federation() -> Federation {
     f
 }
 
-fn run_mode(
-    semijoin: bool,
-    strategy: Strategy,
-    compile: bool,
-    use_indexes: bool,
-    fault: Option<FaultPlan>,
-) -> (Result<Vec<String>, String>, MetricsSnapshot) {
-    let mut f = federation();
-    f.set_exec_options(ExecOptions { semijoin, compile, use_indexes, fault, ..ExecOptions::default() });
-    match f.run(JOIN_QUERY, strategy) {
-        Ok(out) => (Ok(out.result), out.metrics.named()),
-        Err(e) => {
-            let code = e
-                .code
-                .unwrap_or_else(|| panic!("{strategy:?}: untyped error {:?}", e.message));
-            (Err(code), f.metrics().named())
-        }
-    }
+/// The reference answer: the tree-walker on the join as written, over one
+/// store holding both documents under their `xrpc://` URIs.
+fn local_reference() -> Vec<String> {
+    let mut store = Store::new();
+    xqd::xml::parse_document(&mut store, DOC_A, Some("xrpc://A/students.xml")).unwrap();
+    xqd::xml::parse_document(&mut store, DOC_B, Some("xrpc://B/course42.xml")).unwrap();
+    let module = parse_query(JOIN_QUERY).unwrap();
+    let result = eval_query(&mut store, &module).unwrap();
+    result.iter().map(|i| canonical_item(&store, i)).collect()
 }
 
 /// See `chaos_property.rs`: silences the intentional worker panics.
@@ -107,48 +101,27 @@ fn quiet_injected_panics() {
     });
 }
 
-/// The core contract, all four strategies × indexes on/off:
-/// - semi-join on and off produce bit-identical results;
-/// - with semi-join off, compiled wire bytes equal the interpreter oracle
-///   (flipping the flag reproduces the old wire exactly);
-/// - with semi-join on, compiled and interpreter still agree on every
-///   wire counter (the rewrite lives in decomposition, not the engine).
+/// The core contract, all four strategies × indexes on/off × rewrite
+/// on/off: the answer is the local reference's, and only an on-run of a
+/// decomposing strategy counts a semi-join.
 #[test]
 fn semijoin_changes_bytes_never_results() {
+    let expected = local_reference();
+    assert!(!expected.is_empty(), "fixture join must produce rows");
     for strategy in Strategy::ALL {
         for use_indexes in [true, false] {
-            let (res_off_i, ctr_off_i) = run_mode(false, strategy, false, use_indexes, None);
-            let (res_off_c, ctr_off_c) = run_mode(false, strategy, true, use_indexes, None);
-            let (res_on_i, ctr_on_i) = run_mode(true, strategy, false, use_indexes, None);
-            let (res_on_c, ctr_on_c) = run_mode(true, strategy, true, use_indexes, None);
-
-            assert_eq!(res_on_c, res_off_c, "{strategy:?}: semi-join changed the result");
-            assert_eq!(res_on_i, res_off_i, "{strategy:?}: semi-join changed the interpreter");
-            assert_eq!(res_off_c, res_off_i, "{strategy:?}: compiled diverged from oracle");
-            assert_eq!(
-                ctr_off_c.wire(),
-                ctr_off_i.wire(),
-                "{strategy:?} indexes={use_indexes}: off-wire not byte-identical to oracle"
-            );
-            assert_eq!(
-                ctr_on_c.wire(),
-                ctr_on_i.wire(),
-                "{strategy:?} indexes={use_indexes}: on-wire not byte-identical to oracle"
-            );
-            // the join counters agree between engines too; the keyset
-            // counters may fire even with the rewrite off (front-coding is
-            // content-driven), but `semijoins` is the rewrite's alone
-            assert_eq!(
-                ctr_on_c.joins_and_scheduler(),
-                ctr_on_i.joins_and_scheduler(),
-                "{strategy:?}: join counters diverged"
-            );
-            assert_eq!(
-                ctr_off_c.joins_and_scheduler(),
-                ctr_off_i.joins_and_scheduler(),
-                "{strategy:?}: join counters diverged"
-            );
-            assert_eq!(ctr_off_c.semijoins(), 0, "{strategy:?}: off-run counted semi-joins");
+            for semijoin in [true, false] {
+                let mut f = federation();
+                f.set_exec_options(ExecOptions { semijoin, use_indexes, ..ExecOptions::default() });
+                let out = f.run(JOIN_QUERY, strategy).unwrap();
+                assert_eq!(
+                    out.result, expected,
+                    "{strategy:?} indexes={use_indexes} semijoin={semijoin}: wrong join answer"
+                );
+                if !semijoin {
+                    assert_eq!(out.metrics.semijoins, 0, "{strategy:?}: off-run counted semi-joins");
+                }
+            }
         }
     }
 }
@@ -177,23 +150,24 @@ fn semijoin_saves_bytes_and_counts_itself() {
     }
 }
 
-/// A dozen seeded fault schedules per strategy: with the semi-join on,
-/// compiled and interpreted execution see the same wire, so every schedule
-/// perturbs both identically — same outcome, same counters.
+/// A dozen seeded fault schedules per strategy with the semi-join on:
+/// every schedule ends in the local reference's answer or a typed error.
 #[test]
 fn semijoin_equivalence_holds_under_chaos() {
     quiet_injected_panics();
+    let expected = local_reference();
     for seed in 0..12u64 {
         for strategy in [Strategy::ByValue, Strategy::ByFragment, Strategy::ByProjection] {
-            let plan = Some(FaultPlan::uniform(seed, 0.3));
-            let (res_i, ctr_i) = run_mode(true, strategy, false, true, plan);
-            let (res_c, ctr_c) = run_mode(true, strategy, true, true, plan);
-            assert_eq!(res_c, res_i, "seed {seed} {strategy:?}: outcome diverged");
-            assert_eq!(
-                ctr_c.wire(),
-                ctr_i.wire(),
-                "seed {seed} {strategy:?}: wire counters diverged"
-            );
+            let mut f = federation();
+            f.set_fault_plan(Some(FaultPlan::uniform(seed, 0.3)));
+            match f.run(JOIN_QUERY, strategy) {
+                Ok(out) => assert_eq!(out.result, expected, "seed {seed} {strategy:?}"),
+                Err(e) => assert!(
+                    e.code.is_some(),
+                    "seed {seed} {strategy:?}: untyped error {:?}",
+                    e.message
+                ),
+            }
         }
     }
 }

@@ -1,15 +1,20 @@
-//! Plan-equivalence suite — the compiled path's headline invariant:
+//! Plan-equivalence suite — Section I's invariant, asserted against an
+//! oracle that shares no operator code with the path under test:
 //!
-//! > Executing the flat plan IR ([`xqd::Plan`]) is **bit-identical** to the
-//! > tree-walk interpreter — same results, same wire bytes — for every
-//! > strategy, with indexes on or off, and under seeded fault schedules.
+//! > For every strategy, with indexes on or off, running `Q` through the
+//! > federation — decomposed, lowered to the flat plan IR ([`xqd::Plan`]),
+//! > executed by coordinator and peers over the wire codecs — is
+//! > **deep-equal** to the tree-walk reference evaluator on the
+//! > *undecomposed* `Q` over one local store holding every document.
 //!
 //! Plus the coordinator's LRU plan cache contract: hit/miss counters are
 //! exact, eviction follows recency, and a plan is never shared across
 //! distinct static contexts or catalog generations.
 
+use xqd::xml::Store;
+use xqd::xrpc::canonical_item;
 use xqd::{
-    ExecOptions, FaultPlan, Federation, MetricsSnapshot, NetworkModel, StaticContext, Strategy,
+    eval_query, parse_query, ExecOptions, Federation, NetworkModel, StaticContext, Strategy,
 };
 
 const DOC_A: &str = "<people>\
@@ -49,106 +54,64 @@ fn federation() -> Federation {
     f
 }
 
-fn run_mode(
-    query: &str,
-    strategy: Strategy,
-    compile: bool,
-    use_indexes: bool,
-    fault: Option<FaultPlan>,
-) -> (Result<Vec<String>, String>, MetricsSnapshot) {
-    let mut f = federation();
-    f.set_exec_options(ExecOptions { compile, use_indexes, fault, ..ExecOptions::default() });
-    match f.run(query, strategy) {
-        Ok(out) => (Ok(out.result), out.metrics.named()),
-        Err(e) => {
-            let code = e
-                .code
-                .unwrap_or_else(|| panic!("{strategy:?}: untyped error {:?}", e.message));
-            (Err(code), f.metrics().named())
-        }
-    }
+/// The reference answer: the tree-walker on the query as written, over one
+/// store holding both documents under their `xrpc://` URIs.
+fn local_reference(query: &str) -> Vec<String> {
+    let mut store = Store::new();
+    xqd::xml::parse_document(&mut store, DOC_A, Some("xrpc://peer1/a.xml")).unwrap();
+    xqd::xml::parse_document(&mut store, DOC_B, Some("xrpc://peer2/b.xml")).unwrap();
+    let module = parse_query(query).unwrap();
+    let result = eval_query(&mut store, &module).unwrap();
+    result.iter().map(|i| canonical_item(&store, i)).collect()
 }
 
-/// Silences the intentional `injected fault` worker panics (they are
-/// captured and converted to typed errors); real panics still print.
-fn quiet_injected_panics() {
-    use std::sync::Once;
-    static ONCE: Once = Once::new();
-    ONCE.call_once(|| {
-        let default = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let injected = info
-                .payload()
-                .downcast_ref::<String>()
-                .map(|s| s.contains("injected fault"))
-                .unwrap_or(false);
-            if !injected {
-                default(info);
-            }
-        }));
-    });
-}
-
-/// Compiled execution is bit-identical to the interpreter — results AND
-/// wire bytes (message_bytes, document_bytes, transfers, ... — every
-/// counter up to the plan-compilation trio, which legitimately differs) —
-/// across all four strategies with indexes on and off.
+/// All four strategies × indexes on/off against the local reference. A
+/// fresh federation misses its plan cache once and lowers once.
 #[test]
-fn compiled_execution_matches_interpreter_bit_for_bit() {
+fn distributed_execution_matches_the_local_reference() {
     for query in QUERIES {
+        let expected = local_reference(query);
         for strategy in Strategy::ALL {
             for use_indexes in [true, false] {
-                let (res_i, ctr_i) = run_mode(query, strategy, false, use_indexes, None);
-                let (res_c, ctr_c) = run_mode(query, strategy, true, use_indexes, None);
+                let mut f = federation();
+                f.set_exec_options(ExecOptions { use_indexes, ..ExecOptions::default() });
+                let out = f.run(query, strategy).unwrap();
                 assert_eq!(
-                    res_c, res_i,
-                    "{strategy:?} indexes={use_indexes}: compiled result diverged on {query}"
+                    out.result, expected,
+                    "{strategy:?} indexes={use_indexes}: diverged from local evaluation on {query}"
                 );
                 assert_eq!(
-                    ctr_c.wire(),
-                    ctr_i.wire(),
-                    "{strategy:?} indexes={use_indexes}: wire counters diverged on {query}"
-                );
-                // the trio itself: interpreter compiles nothing...
-                assert_eq!(ctr_i.plan_cache(), [0, 0, 0], "interpreter touched plan counters");
-                // ...while a fresh compiled federation misses once and lowers once
-                assert_eq!(ctr_c.plan_cache(), [1, 0, 1], "compiled run miscounted on {query}");
-                // the join counters must agree bit-for-bit too
-                assert_eq!(
-                    ctr_c.joins_and_scheduler(),
-                    ctr_i.joins_and_scheduler(),
-                    "{strategy:?} indexes={use_indexes}: join counters diverged on {query}"
+                    out.metrics.named().plan_cache(),
+                    [1, 0, 1],
+                    "{strategy:?}: fresh run miscounted its front end on {query}"
                 );
             }
         }
     }
 }
 
-/// The compiled plan prints remote call bodies byte-identically, so a
-/// seeded fault schedule perturbs both executions at the same offsets:
-/// compiled and interpreted runs agree on the outcome (same results or the
-/// same typed error) and on every non-plan counter, fault by fault.
+/// Queries nested right up to the parser's depth bound go through every
+/// recursive pass — normalizer, decomposer, compiler, wire printer, both
+/// evaluators — on this 2 MiB test thread (the stack a daemon worker has)
+/// and still match the local reference. This pins the bound from below:
+/// raising it past what an unoptimized build can recurse through fails here.
 #[test]
-fn compiled_execution_matches_interpreter_under_chaos() {
-    quiet_injected_panics();
-    let scatter = QUERIES[4];
-    let single = QUERIES[2];
-    for seed in 0..12u64 {
-        for strategy in [Strategy::ByValue, Strategy::ByFragment, Strategy::ByProjection] {
-            for query in [single, scatter] {
-                let plan = Some(FaultPlan::uniform(seed, 0.3));
-                let (res_i, ctr_i) = run_mode(query, strategy, false, true, plan);
-                let (res_c, ctr_c) = run_mode(query, strategy, true, true, plan);
-                assert_eq!(
-                    res_c, res_i,
-                    "seed {seed} {strategy:?}: compiled outcome diverged on {query}"
-                );
-                assert_eq!(
-                    ctr_c.wire(),
-                    ctr_i.wire(),
-                    "seed {seed} {strategy:?}: counters diverged on {query}"
-                );
-            }
+fn nesting_at_the_parser_bound_survives_every_pass() {
+    let names = "doc(\"xrpc://peer1/a.xml\")//name";
+    let n = 58;
+    let shapes = [
+        format!("{}{names}{}", "(".repeat(n), ")".repeat(n)),
+        format!("{}{names}", "for $x in 1 return ".repeat(n)),
+        format!("{}return {names}", "let $x := 1 ".repeat(n)),
+        format!("count({}{names}{})", "element e { ".repeat(n), " }".repeat(n)),
+        format!("({names}){}", "[1]".repeat(n)),
+        format!("1{}", format!(" + count({names})").repeat(n)),
+    ];
+    for query in &shapes {
+        let expected = local_reference(query);
+        for strategy in Strategy::ALL {
+            let out = federation().run(query, strategy).unwrap();
+            assert_eq!(out.result, expected, "{strategy:?} diverged on {query:.60}");
         }
     }
 }
@@ -255,7 +218,7 @@ fn zero_capacity_disables_caching() {
     f.set_exec_options(ExecOptions { plan_cache_size: 0, ..ExecOptions::default() });
     let q = QUERIES[0];
 
-    let baseline = run_mode(q, Strategy::ByValue, false, true, None).0.unwrap();
+    let baseline = local_reference(q);
     for _ in 0..3 {
         let out = f.run(q, Strategy::ByValue).unwrap();
         assert_eq!(out.metrics.plan_cache_misses, 1);
