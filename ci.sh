@@ -10,8 +10,8 @@ cargo build --release --offline
 echo "== tests (workspace, offline) =="
 cargo test -q --offline --workspace
 
-echo "== clippy (all targets, deny warnings) =="
-cargo clippy --offline --all-targets -- -D warnings
+echo "== clippy (workspace, all targets, deny warnings) =="
+cargo clippy --offline --workspace --all-targets -- -D warnings
 
 echo "== paths bench smoke (small N, offline) =="
 # Small-scale run of the staircase-join bench into a scratch path (the
@@ -154,5 +154,31 @@ if grep -q '"correct": false' target/ci_wirebench.out; then
     echo "wirebench: a workload returned a wrong or failed reply" >&2
     exit 1
 fi
+# Structural, not a timing: exchange time summed over exchange time covered.
+# A plan without a scatter round cannot overlap anything (exactly 1.0000,
+# as sequential scatter also read), and a plan with one must have its
+# exchanges in flight together: two equal calls fully overlapped read 2.0,
+# full-length runs on two cores 1.6-1.8, smoke-length runs on this shared
+# host 1.35-1.70 — hence 1.2, which sequential code cannot reach and a
+# momentarily stolen core does not fail.
+overlap_ratio() {
+    awk -v section="# smoke: $1 trace=1" '
+        $0 == section { on = 1; next }
+        /^# smoke:/ { on = 0 }
+        on && $1 == "xrpc.tcp.overlap_ratio" { print $2; exit }
+    ' target/ci_wirebench.out
+}
+ratio=$(overlap_ratio scatter_fanout)
+if ! awk -v r="$ratio" 'BEGIN { exit !(r != "" && r + 0 >= 1.2) }'; then
+    echo "wirebench: scatter_fanout overlap_ratio '$ratio' < 1.2 — the round did not fan out" >&2
+    exit 1
+fi
+for w in point_lookup xmark_semijoin bulk_ship; do
+    ratio=$(overlap_ratio "$w")
+    if [ "$ratio" != "1.0000" ]; then
+        echo "wirebench: $w overlap_ratio '$ratio' != 1.0000 — exchanges overlapped without a scatter round" >&2
+        exit 1
+    fi
+done
 
 echo "== ci OK =="

@@ -76,6 +76,7 @@ use crate::message::{
     encode_fault, encode_request, encode_response, WireSemantics,
 };
 use crate::net::{Fault, FaultPlan, Metrics, NetworkModel, XrpcError};
+use crate::scatter::{fan_out, group_by_peer};
 use crate::trace::{SpanBuilder, Trace, Tracer, ROOT_SPAN};
 use crate::transport::Transport;
 
@@ -1655,7 +1656,7 @@ fn char_floor(s: &str, pos: usize) -> usize {
 }
 
 /// Human-readable form of a captured panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     payload
         .downcast_ref::<&str>()
         .map(|s| (*s).to_string())
@@ -2528,85 +2529,32 @@ impl RemoteHandler for FedLink {
         // the schedule is independent of thread interleaving even when two
         // slots fail over to the same replica; health observations are
         // collected per slot and applied at the gather, in slot order.
-        let mut groups: Vec<(&str, Vec<usize>)> = Vec::new();
-        for (i, c) in calls.iter().enumerate() {
-            match groups.iter_mut().find(|(p, _)| *p == c.peer) {
-                Some((_, idxs)) => idxs.push(i),
-                None => groups.push((&c.peer, vec![i])),
-            }
-        }
+        // Grouping, spawn and join are shared with the socket coordinator.
+        let peers: Vec<&str> = calls.iter().map(|c| c.peer.as_str()).collect();
+        let groups = group_by_peer(&peers);
         let board = self.core.board_snapshot();
         let lane_base = self.core.reserve_lanes(calls.len() as u64);
-        let mut slots: Vec<Option<LadderOutcome>> = (0..calls.len()).map(|_| None).collect();
-        std::thread::scope(|s| {
-            let mut handles = Vec::with_capacity(groups.len());
-            for (gi, group) in groups.iter().enumerate() {
-                let (peer, idxs) = (group.0, &group.1);
-                let core = Arc::clone(&self.core);
-                let requests = &requests;
-                let board = &board;
-                handles.push((
-                    gi,
-                    s.spawn(move || -> Vec<(usize, LadderOutcome)> {
-                        idxs.iter()
-                            .map(|&i| {
-                                let mut process =
-                                    |host: &str, req: &str, wait: Duration| -> EvalResult<String> {
-                                        let mut remote = core
-                                            .take_peer(host, wait)
-                                            .map_err(EvalError::from)?;
-                                        let outcome = process_request(
-                                            &core,
-                                            host,
-                                            &mut remote.store,
-                                            req,
-                                        );
-                                        core.put_peer(remote);
-                                        outcome
-                                    };
-                                let ladder = call_with_failover(
-                                    &core,
-                                    board,
-                                    peer,
-                                    lane_base + i as u64,
-                                    &requests[i],
-                                    &mut process,
-                                );
-                                (i, ladder)
-                            })
-                            .collect()
-                    }),
-                ));
-            }
-            for (gi, handle) in handles {
-                match handle.join() {
-                    Ok(rows) => {
-                        for (i, ladder) in rows {
-                            slots[i] = Some(ladder);
-                        }
-                    }
-                    Err(payload) => {
-                        // a poisoned worker must not kill the federation:
-                        // its calls fail with a typed remote fault instead
-                        let err = XrpcError::RemoteFault {
-                            peer: groups[gi].0.to_string(),
-                            code: "xrpc:panic".to_string(),
-                            message: format!(
-                                "scatter worker panicked: {}",
-                                panic_message(payload.as_ref())
-                            ),
-                        };
-                        for &i in &groups[gi].1 {
-                            slots[i] = Some(LadderOutcome::failed(err.clone()));
-                        }
-                    }
-                }
-            }
-        });
-        let mut rows: Vec<LadderOutcome> = slots
-            .into_iter()
-            .map(|r| r.expect("every call belongs to exactly one peer group"))
-            .collect();
+        let core = &self.core;
+        let mut rows: Vec<LadderOutcome> = fan_out(
+            &groups,
+            |i| {
+                let mut process = |host: &str, req: &str, wait: Duration| -> EvalResult<String> {
+                    let mut remote = core.take_peer(host, wait).map_err(EvalError::from)?;
+                    let outcome = process_request(core, host, &mut remote.store, req);
+                    core.put_peer(remote);
+                    outcome
+                };
+                call_with_failover(
+                    core,
+                    &board,
+                    peers[i],
+                    lane_base + i as u64,
+                    &requests[i],
+                    &mut process,
+                )
+            },
+            LadderOutcome::failed,
+        );
 
         // ---- account the round ----
         // serialized network: the exact sum over every attempt chain

@@ -22,6 +22,9 @@
 //!   document fetches), the fault-injecting transport with
 //!   [`RetryPolicy`]-driven retries and graceful degradation, and
 //!   canonical result serialization;
+//! * `scatter` — the transport-independent core of a scatter round (group
+//!   slots by destination, one scoped worker per destination, typed
+//!   `xrpc:panic` rows, slot-order gather) both coordinators fan out through;
 //! * [`sched`] — the coordinator-side concurrency layer: admission
 //!   control with bounded per-tenant run queues, weighted fair queuing,
 //!   deadline propagation, and the deterministic multi-tenant
@@ -39,7 +42,8 @@
 //! * [`tcp`] — the real-socket side: [`TcpTransport`] (pooled
 //!   connections, per-attempt deadlines) and [`SocketFederation`], the
 //!   coordinator that drives a multi-process localhost federation
-//!   through the same failover ladder discipline;
+//!   through the same failover ladder discipline and the same concurrent
+//!   scatter rounds;
 //! * [`server`] — the `xqd serve` daemon: [`PeerServer`] listening for
 //!   length-prefixed envelopes with read/write/idle deadlines, bounded
 //!   in-flight admission with honest `retry-after-ms`, typed faults for
@@ -60,6 +64,7 @@ mod frontend;
 pub mod health;
 pub mod message;
 pub mod net;
+mod scatter;
 pub mod sched;
 pub mod server;
 pub mod tcp;

@@ -18,9 +18,29 @@
 //!   ends in a typed error instead (the crash harness asserts exactly
 //!   this "typed error or identical result" dichotomy);
 //! * connections are pooled per peer and rebuilt transparently — a stale
-//!   pooled connection (server restarted, drained, or killed) costs one
-//!   reconnect, and a refused connection surfaces as a retryable
-//!   [`XrpcError::PeerBusy`] feeding the breaker like any other failure.
+//!   pooled connection (server restarted, drained, killed, or closed at
+//!   the daemon's idle timeout) costs one reconnect-and-resend whether the
+//!   send or the read discovers it, and a refused connection surfaces as a
+//!   retryable [`XrpcError::PeerBusy`] feeding the breaker like any other
+//!   failure.
+//!
+//! # Scatter on real sockets
+//!
+//! A scatter round fans out through the same `scatter::fan_out` as the
+//! simulated coordinator's — slots grouped by destination, one scoped
+//! worker per distinct destination, rows back in slot order — under the
+//! same switch ([`ExecOptions::parallel_scatter`]; off, or fewer than two
+//! slots, is the sequential loop). Every request is encoded up front in
+//! call order against the coordinator store, each worker drives its slots
+//! through the wall-clock failover ladder over its peer's one pooled
+//! connection, and replies are shredded into the store strictly in call
+//! order, so results and wire bytes are those of the sequential loop. What
+//! differs from the simulated round follows from the wall clock: health
+//! observations reach the scoreboard as each ladder finishes rather than
+//! in slot order at the gather; there is no degrade rung; and because all
+//! slots are sent before any reply is looked at, a failing slot does not
+//! stop later ones from being sent — the round's error is the first
+//! failing slot's, in call order.
 
 use std::collections::{BTreeMap, HashMap};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -31,7 +51,7 @@ use std::time::{Duration, Instant};
 use xqd_core::replicas::ReplicaCatalog;
 use xqd_core::Strategy;
 use xqd_xml::Store;
-use xqd_xquery::eval::{DocResolver, Evaluator, RemoteHandler, StaticContext};
+use xqd_xquery::eval::{DocResolver, Evaluator, RemoteHandler, ScatterCall, StaticContext};
 use xqd_xquery::value::{EvalError, EvalResult, Sequence};
 use xqd_xquery::ast::ExecProjection;
 
@@ -42,7 +62,10 @@ use crate::message::{
     decode_doc_response, decode_response, encode_doc_request, encode_request, WireSemantics,
 };
 use crate::net::XrpcError;
-use crate::transport::{call_with_retry, read_frame, write_frame, Transport, MAX_FRAME_LEN};
+use crate::scatter::{fan_out, group_by_peer};
+use crate::transport::{
+    call_with_retry, read_payload, read_prefix, write_frame, FrameError, Transport, MAX_FRAME_LEN,
+};
 
 /// How long a fresh connection attempt may take before it counts as a
 /// failed attempt (distinct from the per-exchange budget: connecting to a
@@ -123,59 +146,91 @@ impl TcpTransport {
         self.pool.lock().unwrap().remove(peer)
     }
 
-    fn set_deadlines(stream: &TcpStream, remaining: Duration) {
-        // zero is "no timeout" to the socket API — clamp to 1ms instead
-        let t = remaining.max(Duration::from_millis(1));
-        let _ = stream.set_write_timeout(Some(t));
-        let _ = stream.set_read_timeout(Some(t));
+    /// One request frame out and one reply frame back on `stream`, inside
+    /// what is left of `budget`. A healthy exchange returns the connection
+    /// to the pool.
+    fn round_trip(
+        &self,
+        peer: &str,
+        mut stream: TcpStream,
+        request: &str,
+        started: Instant,
+        budget: Duration,
+    ) -> Result<String, RoundTripError> {
+        let timeout = || RoundTripError::Typed(XrpcError::Timeout {
+            peer: peer.to_string(),
+            deadline: budget,
+        });
+        let set_deadlines = |stream: &TcpStream| {
+            let remaining = budget.saturating_sub(started.elapsed());
+            if remaining.is_zero() {
+                return Err(timeout());
+            }
+            let _ = stream.set_write_timeout(Some(remaining));
+            let _ = stream.set_read_timeout(Some(remaining));
+            Ok(())
+        };
+        set_deadlines(&stream)?;
+        write_frame(&mut stream, request).map_err(|e| match e.kind() {
+            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => timeout(),
+            _ => RoundTripError::Dead(format!("send failed: {e}")),
+        })?;
+        set_deadlines(&stream)?;
+        let declared = match read_prefix(&mut stream) {
+            Ok(Some(declared)) => declared,
+            Ok(None) => {
+                return Err(RoundTripError::Dead(
+                    "connection closed before a reply frame".to_string(),
+                ))
+            }
+            Err(FrameError::Io { detail, timed_out: false }) => {
+                return Err(RoundTripError::Dead(detail))
+            }
+            Err(fe) => return Err(RoundTripError::Typed(fe.into_xrpc(peer, budget))),
+        };
+        let reply = read_payload(&mut stream, declared, self.max_frame_len)
+            .map_err(|fe| RoundTripError::Typed(fe.into_xrpc(peer, budget)))?;
+        self.pool.lock().unwrap().insert(peer.to_string(), stream);
+        Ok(reply)
     }
+}
+
+/// Why [`TcpTransport::round_trip`] produced no reply.
+enum RoundTripError {
+    /// The connection was dead before a reply began: the send failed, or
+    /// the peer closed or reset it before the reply's length prefix.
+    Dead(String),
+    Typed(XrpcError),
 }
 
 impl Transport for TcpTransport {
     fn exchange(&self, peer: &str, request: &str, budget: Duration) -> Result<String, XrpcError> {
         let started = Instant::now();
-        let mut stream = match self.pooled(peer) {
-            Some(s) => s,
-            None => self.connect(peer)?,
-        };
-        TcpTransport::set_deadlines(&stream, budget);
-        if let Err(first) = write_frame(&mut stream, request) {
-            // the pooled connection went stale (drained / restarted peer):
-            // one transparent reconnect, then the error is real
-            stream = self.connect(peer)?;
-            let remaining = budget.saturating_sub(started.elapsed());
-            if remaining.is_zero() {
-                return Err(XrpcError::Timeout { peer: peer.to_string(), deadline: budget });
+        // A pooled connection may have died since its last exchange — the
+        // peer drained, restarted, or closed it at its idle timeout. The
+        // send then fails, or succeeds into a dead socket and the read sees
+        // the close. Requests are read-only, so either way costs one
+        // transparent reconnect-and-resend instead of a retry charged to a
+        // healthy peer; a fresh connection dying is a real error.
+        let mut stale = None;
+        if let Some(stream) = self.pooled(peer) {
+            match self.round_trip(peer, stream, request, started, budget) {
+                Ok(reply) => return Ok(reply),
+                Err(RoundTripError::Typed(e)) => return Err(e),
+                Err(RoundTripError::Dead(detail)) => stale = Some(detail),
             }
-            TcpTransport::set_deadlines(&stream, remaining);
-            write_frame(&mut stream, request).map_err(|e| {
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) {
-                    XrpcError::Timeout { peer: peer.to_string(), deadline: budget }
-                } else {
-                    XrpcError::TransportCorrupt {
-                        peer: peer.to_string(),
-                        detail: format!("send failed twice ({first}; then {e})"),
-                    }
-                }
-            })?;
         }
-        let remaining = budget.saturating_sub(started.elapsed());
-        TcpTransport::set_deadlines(&stream, remaining);
-        match read_frame(&mut stream, self.max_frame_len) {
-            Ok(Some(reply)) => {
-                // healthy exchange: the connection goes back in the pool
-                self.pool.lock().unwrap().insert(peer.to_string(), stream);
-                Ok(reply)
-            }
-            Ok(None) => Err(XrpcError::TransportCorrupt {
+        let stream = self.connect(peer)?;
+        self.round_trip(peer, stream, request, started, budget).map_err(|e| match e {
+            RoundTripError::Typed(e) => e,
+            RoundTripError::Dead(detail) => XrpcError::TransportCorrupt {
                 peer: peer.to_string(),
-                detail: "connection closed before a reply frame".to_string(),
-            }),
-            Err(fe) => Err(fe.into_xrpc(peer, budget)),
-        }
+                detail: match stale {
+                    Some(first) => format!("{detail} (on a fresh connection, after: {first})"),
+                    None => detail,
+                },
+            },
+        })
     }
 }
 
@@ -321,6 +376,51 @@ impl DocResolver for SockLink {
     }
 }
 
+impl SockLink {
+    fn encode(
+        &self,
+        local: &Store,
+        static_ctx: &StaticContext,
+        calls: &[Vec<(String, Sequence)>],
+        body: &xqd_xquery::Expr,
+        projection: Option<&ExecProjection>,
+    ) -> EvalResult<String> {
+        let wire = *self.core.wire.lock().unwrap();
+        let request = encode_request(
+            local,
+            wire,
+            static_ctx,
+            &body.to_string(),
+            calls,
+            projection.map(|p| p.params.as_slice()),
+            projection.map(|p| &p.result),
+        )?;
+        self.core.remote_calls.fetch_add(calls.len() as u64, Ordering::Relaxed);
+        Ok(request)
+    }
+
+    /// One request through the failover ladder over every host serving `peer`.
+    fn deliver(&self, peer: &str, request: &str) -> Result<String, XrpcError> {
+        let (retry, seed) = {
+            let o = self.core.options.lock().unwrap();
+            (o.retry, o.replica_seed)
+        };
+        let hosts = self.core.catalog.lock().unwrap().hosts_serving_peer(peer);
+        self.core.call_ladder(peer, hosts, request, &retry, seed)
+    }
+
+    fn decode(local: &mut Store, response: &str, calls: usize) -> EvalResult<Vec<Sequence>> {
+        let sequences = decode_response(local, response)?;
+        if sequences.len() != calls {
+            return Err(EvalError::new(format!(
+                "response carries {} sequences for {calls} calls",
+                sequences.len()
+            )));
+        }
+        Ok(sequences)
+    }
+}
+
 impl RemoteHandler for SockLink {
     fn execute(
         &mut self,
@@ -345,36 +445,45 @@ impl RemoteHandler for SockLink {
         body: &xqd_xquery::Expr,
         projection: Option<&ExecProjection>,
     ) -> EvalResult<Vec<Sequence>> {
-        let wire = *self.core.wire.lock().unwrap();
-        let body_src = body.to_string();
-        let request = encode_request(
-            local,
-            wire,
-            static_ctx,
-            &body_src,
-            calls,
-            projection.map(|p| p.params.as_slice()),
-            projection.map(|p| &p.result),
-        )?;
-        self.core.remote_calls.fetch_add(calls.len() as u64, Ordering::Relaxed);
-        let (retry, seed) = {
-            let o = self.core.options.lock().unwrap();
-            (o.retry, o.replica_seed)
-        };
-        let hosts = self.core.catalog.lock().unwrap().hosts_serving_peer(peer);
-        let response = self
-            .core
-            .call_ladder(peer, hosts, &request, &retry, seed)
-            .map_err(EvalError::from)?;
-        let sequences = decode_response(local, &response)?;
-        if sequences.len() != calls.len() {
-            return Err(EvalError::new(format!(
-                "response carries {} sequences for {} calls",
-                sequences.len(),
-                calls.len()
-            )));
+        let request = self.encode(local, static_ctx, calls, body, projection)?;
+        let response = self.deliver(peer, &request).map_err(EvalError::from)?;
+        SockLink::decode(local, &response, calls.len())
+    }
+
+    fn execute_scatter(
+        &mut self,
+        local: &mut Store,
+        static_ctx: &StaticContext,
+        calls: &[ScatterCall<'_>],
+    ) -> EvalResult<Vec<Sequence>> {
+        let parallel = self.core.options.lock().unwrap().parallel_scatter;
+        if !parallel || calls.len() < 2 {
+            return calls
+                .iter()
+                .map(|c| self.execute(local, static_ctx, &c.peer, &c.params, c.body, c.projection))
+                .collect();
         }
-        Ok(sequences)
+        // Parameters were pre-bound by the evaluator and replies only ever
+        // *add* documents to the coordinator store, so encoding every
+        // request up front yields the bytes sequential execution would send.
+        let requests = calls
+            .iter()
+            .map(|c| {
+                self.encode(local, static_ctx, std::slice::from_ref(&c.params), c.body, c.projection)
+            })
+            .collect::<EvalResult<Vec<String>>>()?;
+        let peers: Vec<&str> = calls.iter().map(|c| c.peer.as_str()).collect();
+        let replies =
+            fan_out(&group_by_peer(&peers), |i| self.deliver(peers[i], &requests[i]), Err);
+        // every slot was sent; replies are shredded into the local store
+        // strictly in call order, and the first failing slot is the error
+        let mut results = Vec::with_capacity(calls.len());
+        for reply in replies {
+            let response = reply.map_err(EvalError::from)?;
+            let mut sequences = SockLink::decode(local, &response, 1)?;
+            results.push(sequences.pop().unwrap_or_default());
+        }
+        Ok(results)
     }
 }
 

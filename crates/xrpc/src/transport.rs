@@ -15,7 +15,7 @@
 //! (`xrpc:transport-corrupt`), never a panic and never an allocation sized
 //! by an untrusted length field.
 
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 use std::time::{Duration, Instant};
 
 use crate::exec::RetryPolicy;
@@ -103,13 +103,28 @@ fn io_frame_err(e: std::io::Error) -> FrameError {
     FrameError::Io { detail: format!("read failed: {e}"), timed_out }
 }
 
-/// Writes one length-prefixed frame and flushes it.
+/// Writes one length-prefixed frame and flushes it. Prefix and payload
+/// leave in a single vectored write: on a `TCP_NODELAY` stream two writes
+/// are two segments and two syscalls, and the reader can wake on the 4-byte
+/// prefix alone only to block again for the payload. Gathering instead of
+/// assembling keeps an MB-sized payload from being copied just to be sent.
 pub fn write_frame(w: &mut dyn Write, payload: &str) -> std::io::Result<()> {
     let len = u32::try_from(payload.len()).map_err(|_| {
         std::io::Error::new(std::io::ErrorKind::InvalidInput, "frame payload exceeds u32 length")
     })?;
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(payload.as_bytes())?;
+    let prefix = len.to_be_bytes();
+    let mut parts = [IoSlice::new(&prefix), IoSlice::new(payload.as_bytes())];
+    let mut left = &mut parts[..];
+    // an empty payload leaves an empty slice behind the prefix: done when
+    // no byte is left, not when no slice is
+    while left.iter().any(|part| !part.is_empty()) {
+        match w.write_vectored(left) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut left, n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     w.flush()
 }
 
@@ -288,6 +303,63 @@ mod tests {
         );
         // a second read sees the clean close
         assert!(read_frame(&mut cur, MAX_FRAME_LEN).unwrap().is_none());
+    }
+
+    /// Counts write calls of either kind; takes at most `max` bytes per
+    /// call, like a socket with that much send-buffer room.
+    struct CountingWriter {
+        calls: usize,
+        max: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            self.calls += 1;
+            let before = self.bytes.len();
+            for buf in bufs {
+                let room = self.max - (self.bytes.len() - before);
+                self.bytes.extend_from_slice(&buf[..buf.len().min(room)]);
+            }
+            Ok(self.bytes.len() - before)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_leaves_in_one_write() {
+        let payload = "x".repeat(512);
+        let mut w = CountingWriter { calls: 0, max: usize::MAX, bytes: Vec::new() };
+        write_frame(&mut w, &payload).unwrap();
+        assert_eq!(w.calls, 1, "prefix and payload must share one write");
+        assert_eq!(
+            read_frame(&mut Cursor::new(w.bytes), MAX_FRAME_LEN).unwrap().as_deref(),
+            Some(payload.as_str())
+        );
+    }
+
+    /// Short writes — mid-prefix, on the prefix/payload seam, mid-payload —
+    /// resume where they stopped, and an empty payload terminates.
+    #[test]
+    fn short_writes_resume_without_loss_or_repeat() {
+        for payload in ["", "abcdefghij"] {
+            for max in [1, 3, 4, 5, 7] {
+                let mut w = CountingWriter { calls: 0, max, bytes: Vec::new() };
+                write_frame(&mut w, payload).unwrap();
+                assert_eq!(w.calls, (4 + payload.len()).div_ceil(max), "{payload:?} max={max}");
+                assert_eq!(
+                    read_frame(&mut Cursor::new(w.bytes), MAX_FRAME_LEN).unwrap().as_deref(),
+                    Some(payload)
+                );
+            }
+        }
     }
 
     /// Replies with an `Overloaded` fault envelope (carrying a

@@ -22,18 +22,26 @@
 //!   deadline, refuses new connections with a typed fault meanwhile, and
 //!   always reaches a bounded clean exit;
 //! * a dead (or drained) peer yields a typed error — or, with a replica
-//!   registered, the identical result via failover.
+//!   registered, the identical result via failover;
+//! * scatter rounds fan out over the sockets with nothing observable
+//!   moved: results and per-peer request bytes are identical with
+//!   `parallel_scatter` on and off, a failing slot is reported in call
+//!   order, two slots for one peer share its one connection in call order;
+//! * a pooled connection the daemon closed at its idle timeout costs one
+//!   transparent reconnect — no retry, no mark against the peer's health.
 
+use std::collections::BTreeMap;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use xqd_core::Strategy;
 use xqd_xrpc::{
     decode_doc_response, decode_fault, encode_doc_request, encode_request, read_frame,
-    write_frame, Federation, NetworkModel, PeerServer, RetryPolicy, ServerConfig,
-    SocketFederation, WireSemantics, XrpcError, MAX_FRAME_LEN,
+    write_frame, BreakerState, ExecOptions, Federation, NetworkModel, PeerServer, RetryPolicy,
+    ServerConfig, SocketFederation, TcpTransport, Transport, WireSemantics, XrpcError,
+    MAX_FRAME_LEN,
 };
 
 const PEOPLE: &str = r#"<people><person id="p1"><age>31</age></person><person id="p2"><age>55</age></person><person id="p3"><age>24</age></person></people>"#;
@@ -436,4 +444,196 @@ fn drained_primary_fails_over_to_replica_with_identical_result() {
         "failover result must be bit-identical to the healthy one"
     );
     assert!(failed_over.failovers > 0, "the replica rung was never used");
+}
+
+// ---------------------------------------------------------------------------
+// scatter rounds over real sockets
+// ---------------------------------------------------------------------------
+
+/// The three plan shapes that carry a scatter round: a `scaleout`-style
+/// sequence of per-peer aggregates, a let-chain, and a binary operator's
+/// two operands.
+const SCATTER_SHAPES: [&str; 3] = [
+    r#"(count(for $p in doc("xrpc://P1/people.xml")/child::people/child::person
+              return if ($p/descendant::age < 40) then $p else ()),
+        count(for $o in doc("xrpc://P2/orders.xml")/child::orders/child::order
+              return if ($o/descendant::total < 40) then $o else ()))"#,
+    r#"let $a := count(doc("xrpc://P1/people.xml")//person)
+       let $b := sum(doc("xrpc://P2/orders.xml")//total)
+       return $a + $b"#,
+    r#"count(doc("xrpc://P1/people.xml")//person) + count(doc("xrpc://P2/orders.xml")//order)"#,
+];
+
+/// A round with two slots for P1 around one for P2.
+const SAME_PEER_TWICE: &str = r#"(count(doc("xrpc://P1/people.xml")//person),
+                                  count(doc("xrpc://P2/orders.xml")//order),
+                                  sum(doc("xrpc://P1/people.xml")//age))"#;
+
+/// A daemon counts a request served just *after* its reply is written, so
+/// the client can be ahead of the counter: wait for it, bounded.
+fn assert_served(server: &PeerServer, expected: u64) {
+    let t0 = Instant::now();
+    while server.served() < expected {
+        assert!(
+            t0.elapsed() < Duration::from_secs(5),
+            "{} served {} of {expected} requests",
+            server.name(),
+            server.served()
+        );
+        std::thread::yield_now();
+    }
+    assert_eq!(server.served(), expected, "{} served too many requests", server.name());
+}
+
+fn sim_fed() -> Federation {
+    let mut sim = Federation::new(NetworkModel::lan());
+    sim.load_document("P1", "people.xml", PEOPLE).unwrap();
+    sim.load_document("P2", "orders.xml", ORDERS).unwrap();
+    sim
+}
+
+/// [`TcpTransport`] with every request logged under its destination, in
+/// the order that destination was sent them.
+struct RecordingTransport {
+    inner: TcpTransport,
+    sent: Mutex<BTreeMap<String, Vec<String>>>,
+}
+
+impl Transport for RecordingTransport {
+    fn exchange(&self, peer: &str, request: &str, budget: Duration) -> Result<String, XrpcError> {
+        self.sent.lock().unwrap().entry(peer.to_string()).or_default().push(request.to_string());
+        self.inner.exchange(peer, request, budget)
+    }
+}
+
+fn recording_fed(
+    servers: &[&PeerServer],
+    parallel_scatter: bool,
+) -> (SocketFederation, Arc<RecordingTransport>) {
+    let inner = TcpTransport::new();
+    for s in servers {
+        inner.register(s.name(), &s.addr().to_string());
+    }
+    let transport = Arc::new(RecordingTransport { inner, sent: Mutex::new(BTreeMap::new()) });
+    let mut fed = SocketFederation::new(Arc::<RecordingTransport>::clone(&transport));
+    fed.set_exec_options(ExecOptions {
+        parallel_scatter,
+        retry: RetryPolicy { max_attempts: 1, ..RetryPolicy::default() },
+        ..ExecOptions::default()
+    });
+    (fed, transport)
+}
+
+#[test]
+fn tcp_scatter_matches_simulated_and_sends_the_same_bytes_either_way() {
+    let mut sim = sim_fed();
+    let p1 = daemon("P1", ServerConfig::default());
+    let p2 = daemon("P2", ServerConfig::default());
+    let (mut par, par_sent) = recording_fed(&[&p1, &p2], true);
+    let (mut seq, seq_sent) = recording_fed(&[&p1, &p2], false);
+
+    for query in SCATTER_SHAPES {
+        for strategy in [Strategy::ByValue, Strategy::ByFragment, Strategy::ByProjection] {
+            let expected = sim.run(query, strategy).expect("simulated run");
+            assert_eq!(expected.plan.scatter_rounds, vec![2], "fixture lost its round: {query}");
+            let fanned = par.run(query, strategy).expect("parallel tcp run");
+            let looped = seq.run(query, strategy).expect("sequential tcp run");
+            assert_eq!(fanned.result, expected.result, "{strategy:?} {query}");
+            assert_eq!(looped.result, expected.result, "{strategy:?} {query}");
+            assert_eq!(fanned.remote_calls, expected.metrics.remote_calls, "{query}");
+            assert_eq!(looped.remote_calls, fanned.remote_calls, "{query}");
+            assert_eq!((fanned.retries, fanned.failovers), (0, 0));
+        }
+    }
+    let par_sent = par_sent.sent.lock().unwrap();
+    assert_eq!(par_sent.keys().collect::<Vec<_>>(), ["P1", "P2"]);
+    assert_eq!(*par_sent, *seq_sent.sent.lock().unwrap(), "fan-out moved request bytes");
+}
+
+#[test]
+fn scatter_slot_for_a_dead_peer_is_the_first_typed_error_in_call_order() {
+    let p1 = daemon("P1", ServerConfig::default());
+    let (mut fed, transport) = SocketFederation::over_tcp();
+    transport.register("P1", &p1.addr().to_string());
+    // two dead destinations either side of the live one: reserved ports
+    transport.register("P2", "127.0.0.1:1");
+    transport.register("P9", "127.0.0.1:2");
+    fed.set_retry_policy(fast_retry());
+    let query = r#"(count(doc("xrpc://P2/orders.xml")//order),
+                    count(doc("xrpc://P1/people.xml")//person),
+                    count(doc("xrpc://P9/orders.xml")//order))"#;
+    let t0 = Instant::now();
+    let err = fed.run(query, Strategy::ByValue).expect_err("dead peers must error");
+    assert!(t0.elapsed() < Duration::from_secs(5), "bounded by deadline, took {:?}", t0.elapsed());
+    assert!(err.code.is_some(), "error must be typed: {err:?}");
+    assert!(err.message.contains("P2"), "slot 0 failed first in call order: {err:?}");
+    assert!(!err.message.contains("P9"), "a later slot's error won: {err:?}");
+    // every slot was sent, and the surviving peer is none the worse for it
+    assert_served(&p1, 1);
+    assert_eq!(fed.breaker_state("P1"), BreakerState::Closed);
+    let alive = fed
+        .run(r#"count(doc("xrpc://P1/people.xml")//person)"#, Strategy::ByValue)
+        .expect("surviving peer must still answer");
+    assert_eq!(alive.result, vec!["atom:3"]);
+}
+
+#[test]
+fn scatter_slot_fails_over_to_its_replica_and_leaves_the_other_slot_alone() {
+    let expected = sim_fed().run(SCATTER_SHAPES[0], Strategy::ByProjection).unwrap();
+    let mut p1 = daemon("P1", ServerConfig::default());
+    let p2 = daemon("P2", ServerConfig::default());
+    let mut p3 = PeerServer::bind("P3", "127.0.0.1:0", ServerConfig::default()).unwrap();
+    p3.load_replica("xrpc://P1/people.xml", PEOPLE).unwrap();
+    p3.start();
+    let mut fed = socket_fed(&[&p1, &p2, &p3]);
+    fed.register_replica("xrpc://P1/people.xml", "P3");
+    fed.set_retry_policy(fast_retry());
+
+    let healthy = fed.run(SCATTER_SHAPES[0], Strategy::ByProjection).expect("healthy run");
+    assert_eq!(healthy.result, expected.result);
+    assert_eq!(healthy.failovers, 0);
+
+    assert!(p1.drain().clean);
+    assert_served(&p2, 1);
+    let failed_over = fed.run(SCATTER_SHAPES[0], Strategy::ByProjection).expect("failover run");
+    assert_eq!(failed_over.result, expected.result);
+    assert_eq!(failed_over.failovers, 1, "exactly P1's slot walks one rung");
+    assert_served(&p2, 2); // P2's slot was sent exactly once more
+    assert_eq!(fed.breaker_state("P2"), BreakerState::Closed);
+}
+
+#[test]
+fn scatter_slots_for_one_peer_share_its_connection_in_call_order() {
+    let expected = sim_fed().run(SAME_PEER_TWICE, Strategy::ByValue).unwrap();
+    assert_eq!(expected.plan.scatter_rounds, vec![3]);
+    // a second concurrent connection to P1 would be refused outright
+    let p1 = daemon("P1", ServerConfig { max_connections: 1, ..ServerConfig::default() });
+    let p2 = daemon("P2", ServerConfig::default());
+    let (mut fed, sent) = recording_fed(&[&p1, &p2], true);
+    let got = fed.run(SAME_PEER_TWICE, Strategy::ByValue).expect("tcp run");
+    assert_eq!(got.result, expected.result);
+    assert_served(&p1, 2);
+    let sent = sent.sent.lock().unwrap();
+    let to_p1 = &sent["P1"];
+    assert_eq!(to_p1.len(), 2);
+    assert!(to_p1[0].contains("person") && to_p1[1].contains("age"), "out of call order: {to_p1:?}");
+}
+
+// ---------------------------------------------------------------------------
+// pooled connections and the daemon's idle timeout
+// ---------------------------------------------------------------------------
+
+#[test]
+fn idle_closed_pooled_connection_is_not_charged_to_the_peer() {
+    let config = ServerConfig { idle_timeout: Duration::from_millis(50), ..ServerConfig::default() };
+    let p1 = daemon("P1", config);
+    let mut fed = socket_fed(&[&p1]);
+    let query = r#"count(doc("xrpc://P1/people.xml")//person)"#;
+    let first = fed.run(query, Strategy::ByValue).expect("first run");
+    // the daemon closes the pooled connection at its idle timeout
+    std::thread::sleep(Duration::from_millis(200));
+    let second = fed.run(query, Strategy::ByValue).expect("run after the idle close");
+    assert_eq!(second.result, first.result);
+    assert_eq!(second.retries, 0, "a stale pooled connection must not cost a retry");
+    assert_eq!(fed.breaker_state("P1"), BreakerState::Closed);
 }

@@ -148,7 +148,6 @@ fn retry_budget_exhaustion_is_a_typed_cancellation() {
         base_backoff: Duration::from_secs(2),
         max_backoff: Duration::from_secs(2),
         deadline: Duration::from_secs(1),
-        ..RetryPolicy::default()
     });
     let q = "execute at {\"p\"} params () { execute at {\"p\"} params () { 1 } }";
     let err = f.run(q, Strategy::ByValue).unwrap_err();

@@ -5,6 +5,11 @@
 //! (overlapped instead of one-after-another) but changes *nothing
 //! observable* — canonical results, message bytes, transfer and call counts
 //! are bit-identical to the sequential loop, under every wire semantics.
+//!
+//! The socket coordinator fans out through the same routine; that its
+//! exchanges really are in flight together is shown at the end of this
+//! file with a rendezvous transport instead of a stopwatch (identity over
+//! real TCP is `daemon.rs`'s job).
 
 use xqd_core::Strategy;
 use xqd_xrpc::{ExecOptions, Federation, NetworkModel};
@@ -176,4 +181,97 @@ fn unknown_peer_in_scatter_round_is_an_error() {
     let mut f = fed3(NetworkModel::lan());
     let err = f.run(q, Strategy::ByValue).unwrap_err();
     assert!(err.to_string().contains("nowhere"), "{err}");
+}
+
+// ---------------------------------------------------------------------------
+// the socket coordinator: overlap proven without a stopwatch
+// ---------------------------------------------------------------------------
+
+mod rendezvous {
+    use std::collections::BTreeMap;
+    use std::sync::{Arc, Condvar, Mutex};
+    use std::time::Duration;
+
+    use xqd_core::Strategy;
+    use xqd_xrpc::{
+        ExecOptions, Federation, NetworkModel, RetryPolicy, SimTransport, SocketFederation,
+        Transport, XrpcError,
+    };
+
+    const PEERS: [(&str, &str); 2] =
+        [("p1", "<site><item/><item/><item/></site>"), ("p2", "<site><item/><item/></site>")];
+    const TWO_PEER_Q: &str = r#"(count(doc("xrpc://p1/d.xml")//item),
+                                 count(doc("xrpc://p2/d.xml")//item))"#;
+
+    /// In-process single-peer federations behind one [`Transport`] whose
+    /// every exchange first waits until a second exchange has arrived too —
+    /// a two-party rendezvous that can time out (`std::sync::Barrier`
+    /// cannot). An exchange that finds no partner within its budget is a
+    /// typed timeout.
+    struct RendezvousTransport {
+        peers: BTreeMap<String, SimTransport>,
+        arrived: Mutex<usize>,
+        partner: Condvar,
+    }
+
+    impl RendezvousTransport {
+        fn new() -> Self {
+            let peers = PEERS
+                .iter()
+                .map(|(peer, xml)| {
+                    let mut f = Federation::new(NetworkModel::lan());
+                    f.load_document(peer, "d.xml", xml).unwrap();
+                    (peer.to_string(), f.transport())
+                })
+                .collect();
+            RendezvousTransport { peers, arrived: Mutex::new(0), partner: Condvar::new() }
+        }
+    }
+
+    impl Transport for RendezvousTransport {
+        fn exchange(&self, peer: &str, request: &str, budget: Duration) -> Result<String, XrpcError> {
+            let mut arrived = self.arrived.lock().unwrap();
+            *arrived += 1;
+            self.partner.notify_all();
+            let (arrived, wait) =
+                self.partner.wait_timeout_while(arrived, budget, |n| *n < 2).unwrap();
+            if wait.timed_out() {
+                return Err(XrpcError::Timeout { peer: peer.to_string(), deadline: budget });
+            }
+            drop(arrived);
+            self.peers[peer].exchange(peer, request, budget)
+        }
+    }
+
+    fn run(parallel_scatter: bool, deadline: Duration) -> Result<Vec<String>, String> {
+        let mut fed = SocketFederation::new(Arc::new(RendezvousTransport::new()));
+        fed.set_exec_options(ExecOptions {
+            parallel_scatter,
+            retry: RetryPolicy { max_attempts: 1, deadline, ..RetryPolicy::default() },
+            ..ExecOptions::default()
+        });
+        match fed.run(TWO_PEER_Q, Strategy::ByValue) {
+            Ok(out) => Ok(out.result),
+            Err(e) => Err(e.code.clone().unwrap_or_else(|| format!("untyped: {e}"))),
+        }
+    }
+
+    /// The round completes only if both exchanges are in flight together.
+    #[test]
+    fn socket_scatter_round_has_both_exchanges_in_flight_together() {
+        let mut sim = Federation::new(NetworkModel::lan());
+        for (peer, xml) in PEERS {
+            sim.load_document(peer, "d.xml", xml).unwrap();
+        }
+        let expected = sim.run(TWO_PEER_Q, Strategy::ByValue).unwrap();
+        assert_eq!(expected.plan.scatter_rounds, vec![2]);
+        assert_eq!(run(true, Duration::from_secs(60)), Ok(expected.result));
+    }
+
+    /// With the toggle off the same transport starves: the first exchange
+    /// never meets a partner, and the query fails typed instead of hanging.
+    #[test]
+    fn sequential_socket_scatter_never_meets_its_partner() {
+        assert_eq!(run(false, Duration::from_millis(300)), Err("xrpc:timeout".to_string()));
+    }
 }
