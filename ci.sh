@@ -154,6 +154,15 @@ if grep -q '"correct": false' target/ci_wirebench.out; then
     echo "wirebench: a workload returned a wrong or failed reply" >&2
     exit 1
 fi
+# One value of the smoke output: `smoke_metric <workload> <0|1> <name>`
+# reads metric <name> from the untraced (0) or traced (1) section.
+smoke_metric() {
+    awk -v section="# smoke: $1 trace=$2" -v name="$3" '
+        $0 == section { on = 1; next }
+        /^# smoke:/ { on = 0 }
+        on && $1 == name { print $2; exit }
+    ' target/ci_wirebench.out
+}
 # Structural, not a timing: exchange time summed over exchange time covered.
 # A plan without a scatter round cannot overlap anything (exactly 1.0000,
 # as sequential scatter also read), and a plan with one must have its
@@ -161,24 +170,53 @@ fi
 # full-length runs on two cores 1.6-1.8, smoke-length runs on this shared
 # host 1.35-1.70 — hence 1.2, which sequential code cannot reach and a
 # momentarily stolen core does not fail.
-overlap_ratio() {
-    awk -v section="# smoke: $1 trace=1" '
-        $0 == section { on = 1; next }
-        /^# smoke:/ { on = 0 }
-        on && $1 == "xrpc.tcp.overlap_ratio" { print $2; exit }
-    ' target/ci_wirebench.out
-}
-ratio=$(overlap_ratio scatter_fanout)
+ratio=$(smoke_metric scatter_fanout 1 xrpc.tcp.overlap_ratio)
 if ! awk -v r="$ratio" 'BEGIN { exit !(r != "" && r + 0 >= 1.2) }'; then
     echo "wirebench: scatter_fanout overlap_ratio '$ratio' < 1.2 — the round did not fan out" >&2
     exit 1
 fi
 for w in point_lookup xmark_semijoin bulk_ship; do
-    ratio=$(overlap_ratio "$w")
+    ratio=$(smoke_metric "$w" 1 xrpc.tcp.overlap_ratio)
     if [ "$ratio" != "1.0000" ]; then
         echo "wirebench: $w overlap_ratio '$ratio' != 1.0000 — exchanges overlapped without a scatter round" >&2
         exit 1
     fi
 done
+# The deterministic half of the ruler (smoke seed 1): bytes on the wire and
+# message counts are exact per seed, so they are gated exactly. A PR that
+# changes the wire format or the number of messages a plan sends updates
+# these constants in the same diff and says why.
+expect_smoke() {
+    got=$(smoke_metric "$1" "$2" "$3")
+    if [ "$got" != "$4" ]; then
+        echo "wirebench: $1 $3 is '$got', expected $4" >&2
+        exit 1
+    fi
+}
+#            workload       wire bytes   exchanges calls fetches
+for row in "point_lookup    4929.5000    1 1 0" \
+           "xmark_semijoin  35803.0000   2 2 0" \
+           "bulk_ship       1420504.0000 2 0 2" \
+           "scatter_fanout  1156.0000    2 2 0"; do
+    # shellcheck disable=SC2086  # the row is split into fields on purpose
+    set -- $row
+    expect_smoke "$1" 0 wire_bytes_per_query "$2"
+    expect_smoke "$1" 1 xrpc.tcp.exchanges_per_query "$3.0000"
+    expect_smoke "$1" 1 xrpc.tcp.remote_calls_per_query "$4.0000"
+    expect_smoke "$1" 1 xrpc.tcp.doc_fetches_per_query "$5.0000"
+    expect_smoke "$1" 1 xrpc.tcp.retries_per_query 0.0000
+    expect_smoke "$1" 1 xrpc.tcp.failovers_per_query 0.0000
+done
+
+echo "== one ladder, one retry loop (structural) =="
+# How a logical call survives failure is decided in crates/xrpc/src/ladder.rs
+# and nowhere else: the backoff rule has one call site and the failover
+# predicate one consumer, both there (net.rs defines the predicate and
+# unit-tests it). A second file matching means a copy grew back.
+ladder_files=$(grep -ln 'backoff_with_hint(\|failover_eligible()' crates/xrpc/src/*.rs | tr '\n' ' ')
+if [ "$ladder_files" != "crates/xrpc/src/ladder.rs crates/xrpc/src/net.rs " ]; then
+    echo "ladder logic outside ladder.rs/net.rs: $ladder_files" >&2
+    exit 1
+fi
 
 echo "== ci OK =="

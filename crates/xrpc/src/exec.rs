@@ -38,19 +38,18 @@
 //! # Failure semantics
 //!
 //! Every remote interaction — Bulk RPC, scatter rounds, document fetches —
-//! flows through a fault-injecting transport under a [`RetryPolicy`]. When
-//! a [`crate::FaultPlan`] is installed, each attempt may be mangled
-//! (truncation/corruption), delayed, dropped or hung per the deterministic
-//! schedule; failures surface as typed [`XrpcError`]s, retryable ones are
-//! replayed with exponential backoff and deterministic jitter, and calls
-//! whose retries exhaust degrade gracefully to data shipping (fetch the
-//! documents, evaluate the body locally, round-trip the results through
-//! the same wire codec) when the body is eligible. Remote evaluation
-//! failures and captured worker panics travel back as wire-encoded fault
-//! responses, so the error path exercises the same codecs as the data
-//! path.
+//! is one logical call carried by the failover ladder and retry loop of
+//! [`crate::ladder`]; this module supplies the two simulated attempts it
+//! drives (`RpcAttempt`, `DocAttempt`). When a [`crate::FaultPlan`] is
+//! installed, each attempt may be mangled (truncation/corruption), delayed,
+//! dropped or hung per the deterministic schedule; failures surface as
+//! typed [`XrpcError`]s, and calls whose ladder is exhausted degrade
+//! gracefully to data shipping (fetch the documents, evaluate the body
+//! locally, round-trip the results through the same wire codec) when the
+//! body is eligible. Remote evaluation failures and captured worker panics
+//! travel back as wire-encoded fault responses, so the error path
+//! exercises the same codecs as the data path.
 
-use std::borrow::Cow;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -64,16 +63,19 @@ use xqd_xquery::eval::{DocResolver, Evaluator, RemoteHandler, ScatterCall, Stati
 use xqd_xquery::value::{EvalError, EvalResult, Item, Sequence};
 use xqd_xquery::{parse_query, Expr, QueryModule};
 
-use crate::frontend::{FrontEnd, FrontEndEvent, PreparedQuery, Session, Source};
+use crate::frontend::{FrontEnd, FrontEndEvent, PreparedQuery, Session};
 
-use xqd_core::replicas::{mix_score, ReplicaCatalog};
+use xqd_core::replicas::ReplicaCatalog;
 
-use crate::health::{
-    seeded_fraction, Admission, BreakerPolicy, BreakerState, Observation, Scoreboard,
+use crate::health::{BreakerPolicy, BreakerState, Observation, Scoreboard};
+use crate::ladder::{
+    admitted_candidates, fault_seq, walk, Attempt, AttemptId, Attempted, Call, LadderOutcome,
+    Spans, BUSY_SWITCH_WAIT, DOC_SPANS, RPC_SPANS,
 };
+pub use crate::ladder::RetryPolicy;
 use crate::message::{
-    decode_doc_request, decode_fault, decode_request, decode_response, encode_doc_response,
-    encode_fault, encode_request, encode_response, WireSemantics,
+    decode_doc_request, decode_request, decode_response, encode_doc_response, encode_fault,
+    encode_request, encode_response, reply_or_fault, WireSemantics,
 };
 use crate::net::{Fault, FaultPlan, Metrics, NetworkModel, XrpcError};
 use crate::scatter::{fan_out, group_by_peer};
@@ -184,60 +186,6 @@ impl Default for ExecOptions {
     }
 }
 
-/// Retry policy for remote calls and document fetches. XRPC calls are pure
-/// and side-effect free (the paper's function-shipping model), so replaying
-/// a lost or mangled call is always safe.
-#[derive(Debug, Clone, Copy)]
-pub struct RetryPolicy {
-    /// Total attempts per logical call (`1` = no retries).
-    pub max_attempts: u32,
-    /// Backoff before the first retry; retry `n` waits `base * 2^(n-1)`,
-    /// capped at [`RetryPolicy::max_backoff`] and jittered to 50–100%.
-    pub base_backoff: Duration,
-    pub max_backoff: Duration,
-    /// Per-call budget. Bounds each attempt's simulated chain (transfer
-    /// legs plus stalls), the condvar wait for a busy peer slot, and the
-    /// total attempts-plus-backoff budget.
-    pub deadline: Duration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 3,
-            base_backoff: Duration::from_millis(10),
-            max_backoff: Duration::from_secs(1),
-            deadline: Duration::from_secs(10),
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Backoff before the attempt following `failed` failures (`failed >=
-    /// 1`), with the deterministic jitter fraction in `[0, 1)` scaling the
-    /// exponential wait to 50–100%.
-    pub fn backoff(&self, failed: u32, jitter: f64) -> Duration {
-        let shift = failed.saturating_sub(1).min(20);
-        let exp = self.base_backoff.saturating_mul(1u32 << shift);
-        exp.min(self.max_backoff).mul_f64(0.5 + 0.5 * jitter.clamp(0.0, 1.0))
-    }
-
-    /// Like [`RetryPolicy::backoff`], but honoring a server-supplied
-    /// `retry-after-ms` hint (`PeerBusy` / `BreakerOpen` / `Overloaded`
-    /// carry one). The server's estimate of when capacity frees up is
-    /// never *under*cut — retrying sooner is exactly the hammering the
-    /// hint exists to prevent — but it is capped by the caller's whole
-    /// deadline budget: a hint the budget cannot afford waits the budget
-    /// out, no longer.
-    pub fn backoff_with_hint(&self, failed: u32, jitter: f64, hint: Option<Duration>) -> Duration {
-        let exp = self.backoff(failed, jitter);
-        match hint {
-            Some(h) => exp.max(h).min(self.deadline),
-            None => exp,
-        }
-    }
-}
-
 /// Metric accumulators shared across worker threads. Durations are
 /// nanosecond counters; [`MetricsSink::snapshot`] converts back.
 #[derive(Default)]
@@ -344,15 +292,6 @@ impl MetricsSink {
         }
     }
 
-    /// Bills one call's simulated chain (transfer legs, injected stalls,
-    /// backoff waits) equally to the serialized and overlapped clocks —
-    /// used outside scatter rounds, where transfers never overlap.
-    fn charge_chain(&self, chain: Duration) {
-        let ns = as_ns(chain);
-        self.network_ns.fetch_add(ns, Ordering::Relaxed);
-        self.network_overlapped_ns.fetch_add(ns, Ordering::Relaxed);
-    }
-
     /// Accounts the `<keyset>` payloads of one wire leg, mirroring the
     /// adjacent `message_bytes` charge: every (re)transmission recounts.
     fn charge_keysets(&self, message: &str) {
@@ -419,13 +358,6 @@ struct FedCore {
     last_trace: Mutex<Option<Trace>>,
 }
 
-/// Fault-schedule ordinal of one attempt: the ladder's lane, the rung
-/// within the ladder, and the attempt within the rung, packed so no two
-/// attempts of a run ever share a `(peer, ordinal)` stream.
-fn fault_seq(lane: u64, rung: u32, attempt: u32) -> u64 {
-    (lane << 16) | (u64::from(rung & 0xff) << 8) | u64::from(attempt.min(255))
-}
-
 impl FedCore {
     fn wire(&self) -> WireSemantics {
         *self.wire.lock().unwrap()
@@ -476,9 +408,20 @@ impl FedCore {
         }
     }
 
-    /// Bills a ladder's availability counters (hedges, probes, failovers).
+    /// Bills one ladder outside a scatter round, where transfers never
+    /// overlap: its chains to the serialized and the overlapped clock, and
+    /// its counters.
+    fn charge_ladder(&self, ladder: &LadderOutcome) {
+        let sink = &self.metrics;
+        sink.network_ns.fetch_add(as_ns(ladder.serialized), Ordering::Relaxed);
+        sink.network_overlapped_ns.fetch_add(as_ns(ladder.window), Ordering::Relaxed);
+        self.charge_ladder_counters(ladder);
+    }
+
+    /// Bills a ladder's counters (retries, hedges, probes, failovers).
     fn charge_ladder_counters(&self, ladder: &LadderOutcome) {
         let sink = &self.metrics;
+        sink.retries.fetch_add(ladder.retries, Ordering::Relaxed);
         sink.hedges.fetch_add(ladder.hedges, Ordering::Relaxed);
         sink.hedge_wins.fetch_add(ladder.hedge_wins, Ordering::Relaxed);
         sink.breaker_probes.fetch_add(ladder.probes, Ordering::Relaxed);
@@ -837,29 +780,20 @@ impl Federation {
     }
 
     /// Like [`Self::run`] with explicit decomposition pipeline options
-    /// (used by the ablation benches).
+    /// (used by the ablation benches). Every run: reset per-run state
+    /// (before the front end, so cache events land inside the run's metric
+    /// snapshot), prepare, execute.
     pub fn run_with(
         &mut self,
         query: &str,
         strategy: Strategy,
-        options: xqd_core::DecomposeOptions,
+        decompose: xqd_core::DecomposeOptions,
     ) -> EvalResult<RunOutcome> {
-        self.run_source(Source::Text(query), strategy, options)
-    }
-
-    /// Like [`Self::run`] for an already-parsed module.
-    pub fn run_module(&mut self, module: &QueryModule, strategy: Strategy) -> EvalResult<RunOutcome> {
-        self.run_module_with(module, strategy, xqd_core::DecomposeOptions::default())
-    }
-
-    /// Full-control entry point: parsed module + pipeline options.
-    pub fn run_module_with(
-        &mut self,
-        module: &QueryModule,
-        strategy: Strategy,
-        options: xqd_core::DecomposeOptions,
-    ) -> EvalResult<RunOutcome> {
-        self.run_source(Source::Module(module), strategy, options)
+        let exec = self.begin_run(strategy);
+        let static_ctx = self.core.static_ctx.lock().unwrap().clone();
+        let session = Session { strategy, decompose, exec, static_ctx: &static_ctx };
+        let prepared = self.front_end(query, &session)?;
+        self.finish_run(prepared, &exec, &static_ctx)
     }
 
     /// Runs (or, on a warm cache, skips) the front end for `query` — parse,
@@ -875,29 +809,14 @@ impl Federation {
             exec: self.core.options(),
             static_ctx: &self.core.static_ctx.lock().unwrap().clone(),
         };
-        self.front_end(Source::Text(query), &session)
-    }
-
-    /// Every run: reset per-run state (before the front end, so cache
-    /// events land inside the run's metric snapshot), prepare, execute.
-    fn run_source(
-        &mut self,
-        source: Source<'_>,
-        strategy: Strategy,
-        decompose: xqd_core::DecomposeOptions,
-    ) -> EvalResult<RunOutcome> {
-        let exec = self.begin_run(strategy);
-        let static_ctx = self.core.static_ctx.lock().unwrap().clone();
-        let session = Session { strategy, decompose, exec, static_ctx: &static_ctx };
-        let prepared = self.front_end(source, &session)?;
-        self.finish_run(prepared, &exec, &static_ctx)
+        self.front_end(query, &session)
     }
 
     /// The shared front end ([`crate::frontend`]), with its milestones
     /// counted into the metric sink and marked in the run's trace as
     /// zero-duration events: parsing, decomposition and lowering are
     /// coordinator CPU, which the simulated clock does not bill.
-    fn front_end(&self, source: Source<'_>, session: &Session<'_>) -> EvalResult<Arc<PreparedQuery>> {
+    fn front_end(&self, query: &str, session: &Session<'_>) -> EvalResult<Arc<PreparedQuery>> {
         let sink = &self.core.metrics;
         let tracer = self.core.tracer();
         let mut observe = |event: FrontEndEvent| {
@@ -927,7 +846,7 @@ impl Federation {
                 tracer.event(ROOT_SPAN, name, "frontend", args);
             }
         };
-        self.core.frontend.prepare(source, session, &self.core.catalog, &mut observe)
+        self.core.frontend.prepare(query, session, &self.core.catalog, &mut observe)
     }
 
     /// Per-run state reset.
@@ -1115,12 +1034,9 @@ impl DocResolver for FedLink {
             // replaying one is always safe). Every host serving the URI is
             // a candidate; the ladder walks them healthiest-first.
             let options = self.core.options();
-            let retry = options.retry;
-            let sink = &self.core.metrics;
             let board = self.core.board_snapshot();
-            let lane = self.core.next_lane();
             let hosts = self.core.catalog.lock().unwrap().hosts_for(uri);
-            let (mut candidates, _) =
+            let (mut candidates, rejected) =
                 admitted_candidates(&board, options.replica_seed, hosts);
             if candidates.is_empty() {
                 // fetches back the degradation path — the last resort. With
@@ -1128,87 +1044,25 @@ impl DocResolver for FedLink {
                 // rather than failing the whole query without trying.
                 candidates.push((host.to_string(), false));
             }
-            let trace_on = options.trace;
-            let mut rungs: Vec<SpanBuilder> = Vec::new();
-            let mut observations: Vec<Observation> = Vec::new();
-            let mut total_chain = Duration::ZERO;
-            let mut fetched: Option<Result<String, XrpcError>> = None;
-            for (rung, (fhost, probe)) in candidates.iter().enumerate() {
-                if *probe {
-                    sink.breaker_probes.fetch_add(1, Ordering::Relaxed);
-                }
-                if rung > 0 {
-                    sink.replica_failovers.fetch_add(1, Ordering::Relaxed);
-                }
-                let has_alternative =
-                    candidates[rung + 1..].iter().any(|(_, p)| !*p);
-                let wait = if has_alternative {
-                    retry.deadline.min(BUSY_SWITCH_WAIT)
-                } else {
-                    retry.deadline
-                };
-                let w0 = total_chain;
-                let (chain, failed_attempts, result, spans) =
-                    fetch_document(&self.core, fhost, uri, name, lane, rung as u32, wait);
-                total_chain += chain;
-                if trace_on {
-                    let mut sb = SpanBuilder::new("doc.rung", "doc")
-                        .at(w0)
-                        .lasting(chain)
-                        .arg("peer", fhost.as_str())
-                        .arg("rung", rung.to_string())
-                        .arg("kind", if *probe { "probe" } else { "primary" })
-                        .arg("breaker", board.state(fhost).name());
-                    for a in spans {
-                        sb.push_child(a);
-                    }
-                    rungs.push(sb);
-                }
-                observations.push(Observation {
-                    peer: fhost.clone(),
-                    ok: result.is_ok(),
-                    failed_attempts,
-                    chain,
-                    probe: *probe,
-                });
-                match result {
-                    Ok(xml) => {
-                        fetched = Some(Ok(xml));
-                        break;
-                    }
-                    Err(e) => {
-                        let terminal = !e.failover_eligible();
-                        fetched = Some(Err(e));
-                        if terminal {
-                            break;
-                        }
-                    }
-                }
-            }
-            let fetched = fetched.expect("at least one fetch candidate");
-            sink.charge_chain(total_chain);
+            let call = Call {
+                policy: options.retry,
+                lane: self.core.next_lane(),
+                hedge: None,
+                spans: options.trace.then_some(Spans { names: &DOC_SPANS, board: &board }),
+            };
+            let mut fetch = DocAttempt { wire: SimWire::new(&self.core, &options), uri, name };
+            let mut ladder = walk(&mut fetch, &call, host, candidates, rejected);
+            self.core.charge_ladder(&ladder);
             if self.peer.is_empty() {
-                self.core.apply_observations(total_chain, &observations);
+                self.core.apply_observations(ladder.window, &ladder.observations);
                 if let Some(tracer) = self.core.tracer() {
-                    let anchor = tracer.clock_ns();
-                    let mut sb = SpanBuilder::new("doc.fetch", "doc")
-                        .lasting(total_chain)
-                        .arg("uri", uri)
-                        .arg(
-                            "outcome",
-                            match &fetched {
-                                Ok(_) => "ok".to_string(),
-                                Err(e) => e.code().to_string(),
-                            },
-                        );
-                    for r in rungs {
-                        sb.push_child(r);
-                    }
-                    tracer.submit(anchor, ROOT_SPAN, sb);
-                    tracer.advance(total_chain);
+                    let root = SpanBuilder::new("doc.fetch", "doc").arg("uri", uri);
+                    tracer.submit(tracer.clock_ns(), ROOT_SPAN, ladder.span(root));
+                    tracer.advance(ladder.window);
                 }
             }
-            let xml = fetched.map_err(EvalError::from)?;
+            let sink = &self.core.metrics;
+            let xml = ladder.outcome.map_err(EvalError::from)?;
             let t0 = Instant::now();
             let d = xqd_xml::parse_document(store, &xml, Some(uri))
                 .map_err(|e| EvalError::new(format!("shredding {uri}: {e}")))?;
@@ -1235,76 +1089,107 @@ impl DocResolver for FedLink {
     }
 }
 
-/// One data-shipping fetch of `uri` from `fhost` under the fault plan and
-/// retry policy. The whole-document payload *is* the message here, so
-/// truncation or corruption of either direction mangles it. Returns the
-/// simulated chain consumed, the number of failed attempts (for the health
-/// scoreboard), and the document text or the typed error that ended the
-/// fetch.
-fn fetch_document(
-    core: &FedCore,
-    fhost: &str,
-    uri: &str,
-    name: &str,
-    lane: u64,
-    rung: u32,
-    wait: Duration,
-) -> (Duration, u32, Result<String, XrpcError>, Vec<SpanBuilder>) {
-    let options = core.options();
-    let retry = options.retry;
-    let plan = options.fault;
-    let sink = &core.metrics;
-    let model = core.model;
-    let trace_on = options.trace;
-    let mut attempts: Vec<SpanBuilder> = Vec::new();
-    let mut chain = Duration::ZERO;
-    let mut failed = 0u32;
-    loop {
-        let attempt_start = chain;
-        let seq = plan.map(|_| fault_seq(lane, rung, failed));
-        let fault = match (plan, seq) {
-            (Some(p), Some(s)) => p.decide(fhost, s),
-            _ => None,
-        };
+/// What the two simulated attempts share: the core whose sink and link
+/// model they bill, and the run's fault schedule.
+struct SimWire<'a> {
+    core: &'a FedCore,
+    plan: Option<FaultPlan>,
+    deadline: Duration,
+    trace: bool,
+}
+
+impl<'a> SimWire<'a> {
+    fn new(core: &'a FedCore, options: &ExecOptions) -> Self {
+        SimWire { core, plan: options.fault, deadline: options.retry.deadline, trace: options.trace }
+    }
+
+    /// The fault scheduled for attempt `id` at `peer`, counted when one
+    /// fires. Ordinals are drawn from the ladder's `(lane, rung)` stream,
+    /// never from shared state.
+    fn fault(&self, peer: &str, id: AttemptId) -> Option<Fault> {
+        let fault = self.plan?.decide(peer, fault_seq(id));
         if fault.is_some() {
-            sink.faults_injected.fetch_add(1, Ordering::Relaxed);
+            self.core.metrics.faults_injected.fetch_add(1, Ordering::Relaxed);
         }
-        let budget = retry.deadline.saturating_sub(chain);
-        let attempt: Result<String, XrpcError> = 'attempt: {
+        fault
+    }
+
+    /// The plan behind a fault that fired.
+    fn scheduled(&self) -> &FaultPlan {
+        self.plan.as_ref().expect("a fault fired, so a plan is installed")
+    }
+
+    fn mangle_position(&self, peer: &str, id: AttemptId, len: usize) -> usize {
+        self.scheduled().mangle_position(peer, fault_seq(id), len)
+    }
+
+    fn jitter(&self, peer: &str, id: AttemptId) -> f64 {
+        self.plan.map_or(0.0, |p| p.jitter(peer, fault_seq(id)))
+    }
+
+    fn peer_down(peer: &str) -> XrpcError {
+        XrpcError::PeerBusy {
+            peer: peer.to_string(),
+            detail: "peer down (injected fault)".to_string(),
+            retry_after: BUSY_SWITCH_WAIT,
+        }
+    }
+
+    /// The caller's clock ran until it gave up at the deadline (simulated —
+    /// no real wait).
+    fn timeout(&self, peer: &str) -> XrpcError {
+        XrpcError::Timeout { peer: peer.to_string(), deadline: self.deadline }
+    }
+}
+
+/// The simulated document-fetch [`Attempt`]: one data-shipping fetch of
+/// `uri` from a serving host under the fault plan. The whole-document
+/// payload *is* the message here, so truncation or corruption of either
+/// direction mangles it. Waiting is free — the retry loop already charged
+/// the backoff to the chain.
+struct DocAttempt<'a> {
+    wire: SimWire<'a>,
+    uri: &'a str,
+    name: &'a str,
+}
+
+impl Attempt for DocAttempt<'_> {
+    fn attempt(
+        &mut self,
+        fhost: &str,
+        id: AttemptId,
+        budget: Duration,
+        slot_wait: Duration,
+    ) -> Attempted {
+        let DocAttempt { wire, uri, name } = self;
+        let core = wire.core;
+        let sink = &core.metrics;
+        let fault = wire.fault(fhost, id);
+        let (spent, result) = 'attempt: {
             match fault {
                 Some(Fault::PeerDown) => {
-                    chain += model.latency;
-                    break 'attempt Err(XrpcError::PeerBusy {
-                        peer: fhost.to_string(),
-                        detail: "peer down (injected fault)".to_string(),
-                        retry_after: BUSY_SWITCH_WAIT,
-                    });
+                    break 'attempt (core.model.latency, Err(SimWire::peer_down(fhost)));
                 }
-                Some(Fault::Hang) => {
-                    chain += budget;
-                    break 'attempt Err(XrpcError::Timeout {
-                        peer: fhost.to_string(),
-                        deadline: retry.deadline,
-                    });
-                }
+                Some(Fault::Hang) => break 'attempt (budget, Err(wire.timeout(fhost))),
                 Some(Fault::RemotePanic) => {
-                    break 'attempt Err(XrpcError::RemoteFault {
+                    let crashed = XrpcError::RemoteFault {
                         peer: fhost.to_string(),
                         code: "xrpc:panic".to_string(),
                         message: format!("peer {fhost} crashed while serializing {name}"),
-                    });
+                    };
+                    break 'attempt (Duration::ZERO, Err(crashed));
                 }
                 _ => {}
             }
             // the slot wait is bounded by the ladder's per-rung wait AND the
             // remaining deadline budget — a chain that already ate most of
             // the deadline must not block the full wait on a busy slot
-            let peer_obj = match core.take_peer(fhost, wait.min(budget)) {
+            let peer_obj = match core.take_peer(fhost, slot_wait.min(budget)) {
                 Ok(p) => p,
-                Err(e) => break 'attempt Err(e),
+                Err(e) => break 'attempt (Duration::ZERO, Err(e)),
             };
             let t0 = Instant::now();
-            let result = peer_obj
+            let found = peer_obj
                 .store
                 .doc_by_uri(uri)
                 .or_else(|| peer_obj.store.doc_by_uri(name))
@@ -1318,107 +1203,50 @@ fn fetch_document(
                 });
             sink.serialize_ns.fetch_add(as_ns(t0.elapsed()), Ordering::Relaxed);
             core.put_peer(peer_obj);
-            let xml = match result {
+            let xml = match found {
                 Ok(x) => x,
-                Err(e) => break 'attempt Err(e),
+                Err(e) => break 'attempt (Duration::ZERO, Err(e)),
             };
-            let mut spent = Duration::ZERO;
-            if let (Some(Fault::Latency), Some(p)) = (fault, plan.as_ref()) {
-                spent += p.extra_latency;
-            }
-            match fault {
+            let mut spent = match fault {
+                Some(Fault::Latency) => wire.scheduled().extra_latency,
+                _ => Duration::ZERO,
+            };
+            // a mangled payload moves the bytes that made it across
+            let (arrived, mangled) = match fault {
                 Some(Fault::TruncateRequest | Fault::TruncateResponse) => {
-                    let plan = plan.as_ref().unwrap();
-                    let cut =
-                        char_floor(&xml, plan.mangle_position(fhost, seq.unwrap(), xml.len()));
-                    sink.document_bytes.fetch_add(cut as u64, Ordering::Relaxed);
-                    sink.transfers.fetch_add(1, Ordering::Relaxed);
-                    chain += spent + model.transfer_time(cut as u64);
-                    break 'attempt Err(XrpcError::TransportCorrupt {
-                        peer: fhost.to_string(),
-                        detail: format!("document payload truncated at byte {cut}"),
-                    });
+                    let cut = char_floor(&xml, wire.mangle_position(fhost, id, xml.len()));
+                    (cut, Some(format!("document payload truncated at byte {cut}")))
                 }
                 Some(Fault::CorruptRequest | Fault::CorruptResponse) => {
-                    let plan = plan.as_ref().unwrap();
-                    let pos = plan.mangle_position(fhost, seq.unwrap(), xml.len());
-                    sink.document_bytes.fetch_add(xml.len() as u64, Ordering::Relaxed);
-                    sink.transfers.fetch_add(1, Ordering::Relaxed);
-                    chain += spent + model.transfer_time(xml.len() as u64);
-                    break 'attempt Err(XrpcError::TransportCorrupt {
-                        peer: fhost.to_string(),
-                        detail: format!("document payload byte {pos} is not valid UTF-8"),
-                    });
+                    let pos = wire.mangle_position(fhost, id, xml.len());
+                    (xml.len(), Some(format!("document payload byte {pos} is not valid UTF-8")))
                 }
-                _ => {}
-            }
-            let bytes = xml.len() as u64;
-            sink.document_bytes.fetch_add(bytes, Ordering::Relaxed);
-            sink.transfers.fetch_add(1, Ordering::Relaxed);
-            spent += model.transfer_time(bytes);
-            if spent > budget {
-                chain += budget;
-                break 'attempt Err(XrpcError::Timeout {
-                    peer: fhost.to_string(),
-                    deadline: retry.deadline,
-                });
-            }
-            chain += spent;
-            Ok(xml)
-        };
-        if trace_on {
-            let mut sb = SpanBuilder::new("doc.attempt", "doc")
-                .at(attempt_start)
-                .lasting(chain.saturating_sub(attempt_start))
-                .arg("peer", fhost)
-                .arg("attempt", failed.to_string());
-            if let Some(f) = fault {
-                sb = sb.arg("fault", f.name());
-            }
-            sb = match &attempt {
-                Ok(xml) => sb.arg("outcome", "ok").arg("bytes", xml.len().to_string()),
-                Err(e) => sb.arg("outcome", e.code()),
+                _ => (xml.len(), None),
             };
-            attempts.push(sb);
-        }
-        match attempt {
-            Ok(xml) => return (chain, failed, Ok(xml), attempts),
-            Err(e) => {
-                if !e.retryable() || failed + 1 >= retry.max_attempts {
-                    return (chain, failed + 1, Err(e), attempts);
-                }
-                failed += 1;
-                sink.retries.fetch_add(1, Ordering::Relaxed);
-                let jitter = match (plan, seq) {
-                    (Some(p), Some(s)) => p.jitter(fhost, s),
-                    _ => 0.0,
-                };
-                let wait = retry.backoff_with_hint(failed, jitter, e.retry_after());
-                if trace_on {
-                    attempts.push(
-                        SpanBuilder::new("doc.backoff", "doc")
-                            .at(chain)
-                            .lasting(wait)
-                            .arg("peer", fhost),
-                    );
-                }
-                chain += wait;
-                if chain >= retry.deadline {
-                    return (
-                        chain,
-                        failed,
-                        Err(XrpcError::Cancelled {
-                            peer: fhost.to_string(),
-                            reason: format!(
-                                "fetch retry budget exhausted after {failed} failed attempt(s)"
-                            ),
-                        }),
-                        attempts,
-                    );
-                }
+            sink.document_bytes.fetch_add(arrived as u64, Ordering::Relaxed);
+            sink.transfers.fetch_add(1, Ordering::Relaxed);
+            spent += core.model.transfer_time(arrived as u64);
+            if let Some(detail) = mangled {
+                let corrupt = XrpcError::TransportCorrupt { peer: fhost.to_string(), detail };
+                break 'attempt (spent, Err(corrupt));
             }
-        }
+            if spent > budget {
+                break 'attempt (budget, Err(wire.timeout(fhost)));
+            }
+            (spent, Ok(xml))
+        };
+        let ok_arg = match &result {
+            Ok(xml) if wire.trace => Some(("bytes", xml.len().to_string())),
+            _ => None,
+        };
+        Attempted { spent, result, fault, ok_arg }
     }
+
+    fn jitter(&self, host: &str, id: AttemptId) -> f64 {
+        self.wire.jitter(host, id)
+    }
+
+    fn pause(&mut self, _: Duration) {}
 }
 
 /// Evaluates one decoded call against `store` (binding its parameters) and
@@ -1695,86 +1523,48 @@ fn run_remote(
     }
 }
 
-/// Drives one logical RPC across the simulated wire under the installed
-/// fault plan and retry policy: mangles/drops/stalls messages per the
-/// deterministic schedule, replays retryable failures with exponential
-/// backoff and deterministic jitter, and accounts bytes and transfers for
-/// every attempt (failed attempts moved real bytes too).
-///
-/// Returns the total simulated chain consumed by the call — transfer legs,
-/// injected stalls and backoff waits — plus the number of failed attempts
-/// (for the health scoreboard) and the response or the typed error that
-/// ended it. The caller bills the chain to the serialized / overlapped
-/// clocks as appropriate for its execution mode. Fault ordinals are drawn
-/// from the caller's `(lane, rung)` stream, never from shared state.
-fn transport_call(
-    core: &FedCore,
-    peer: &str,
-    lane: u64,
-    rung: u32,
-    request: &str,
-    process: &mut dyn FnMut(&str, Duration) -> EvalResult<String>,
-) -> (Duration, u32, Result<String, XrpcError>, Vec<SpanBuilder>) {
-    let options = core.options();
-    let retry = options.retry;
-    let plan = options.fault;
-    let sink = &core.metrics;
-    let model = core.model;
-    let trace_on = options.trace;
-    // span builders with rung-relative offsets; empty (no allocation
-    // beyond the Vec header) when tracing is off
-    let mut attempts: Vec<SpanBuilder> = Vec::new();
-    let mut chain = Duration::ZERO;
-    let mut failed = 0u32;
-    loop {
-        let attempt_start = chain;
-        let seq = plan.map(|_| fault_seq(lane, rung, failed));
-        let fault = match (plan, seq) {
-            (Some(p), Some(s)) => p.decide(peer, s),
-            _ => None,
-        };
-        if fault.is_some() {
-            sink.faults_injected.fetch_add(1, Ordering::Relaxed);
-        }
-        let budget = retry.deadline.saturating_sub(chain);
+/// The simulated RPC [`Attempt`]: one delivery of `request` across the
+/// simulated wire under the installed fault plan — messages are mangled,
+/// dropped or stalled per the deterministic schedule, and bytes and
+/// transfers are accounted for every attempt (failed attempts moved real
+/// bytes too). The remote side runs through the caller's `process`
+/// (`host, request, slot wait`), which is what lets a re-entrant same-peer
+/// call evaluate on the store already on the caller's stack. Waiting is
+/// free — the retry loop already charged the backoff to the chain.
+struct RpcAttempt<'a> {
+    wire: SimWire<'a>,
+    request: &'a str,
+    process: &'a mut dyn FnMut(&str, &str, Duration) -> EvalResult<String>,
+}
 
-        let outcome: Result<String, XrpcError> = 'attempt: {
-            let mut spent = Duration::ZERO;
+impl Attempt for RpcAttempt<'_> {
+    fn attempt(
+        &mut self,
+        peer: &str,
+        id: AttemptId,
+        budget: Duration,
+        slot_wait: Duration,
+    ) -> Attempted {
+        let RpcAttempt { wire, request, process } = self;
+        let sink = &wire.core.metrics;
+        let model = wire.core.model;
+        let fault = wire.fault(peer, id);
+        let (spent, result) = 'attempt: {
             // ---- request leg (possibly mangled or lost in flight) ----
-            let delivered: Cow<'_, str> = match fault {
+            let delivered = match fault {
                 Some(Fault::TruncateRequest) => {
-                    let plan = plan.as_ref().unwrap();
-                    let cut = char_floor(
-                        request,
-                        plan.mangle_position(peer, seq.unwrap(), request.len()),
-                    );
-                    Cow::Borrowed(&request[..cut])
+                    &request[..char_floor(request, wire.mangle_position(peer, id, request.len()))]
                 }
-                _ => Cow::Borrowed(request),
+                _ => *request,
             };
             sink.message_bytes.fetch_add(delivered.len() as u64, Ordering::Relaxed);
             sink.transfers.fetch_add(1, Ordering::Relaxed);
-            sink.charge_keysets(&delivered);
-            spent += model.transfer_time(delivered.len() as u64);
+            sink.charge_keysets(delivered);
+            let mut spent = model.transfer_time(delivered.len() as u64);
             match fault {
-                Some(Fault::PeerDown) => {
-                    chain += spent;
-                    break 'attempt Err(XrpcError::PeerBusy {
-                        peer: peer.to_string(),
-                        detail: "peer down (injected fault)".to_string(),
-                        retry_after: BUSY_SWITCH_WAIT,
-                    });
-                }
-                Some(Fault::Hang) => {
-                    // the caller's clock runs until it gives up at the
-                    // deadline (simulated — no real wait)
-                    chain += budget;
-                    break 'attempt Err(XrpcError::Timeout {
-                        peer: peer.to_string(),
-                        deadline: retry.deadline,
-                    });
-                }
-                Some(Fault::Latency) => spent += plan.as_ref().unwrap().extra_latency,
+                Some(Fault::PeerDown) => break 'attempt (spent, Err(SimWire::peer_down(peer))),
+                Some(Fault::Hang) => break 'attempt (budget, Err(wire.timeout(peer))),
+                Some(Fault::Latency) => spent += wire.scheduled().extra_latency,
                 _ => {}
             }
 
@@ -1784,249 +1574,74 @@ fn transport_call(
             // requests go through the real decode path and fail there.
             let remote_outcome = match fault {
                 Some(Fault::CorruptRequest) => {
-                    let plan = plan.as_ref().unwrap();
-                    let pos = plan.mangle_position(peer, seq.unwrap(), request.len());
+                    let pos = wire.mangle_position(peer, id, request.len());
                     Ok(encode_fault(&XrpcError::TransportCorrupt {
                         peer: peer.to_string(),
                         detail: format!("request byte {pos} is not valid UTF-8"),
                     }))
                 }
                 _ => {
-                    // whatever the request leg consumed comes out of the
-                    // budget the remote side (and its slot wait) may spend
-                    let attempt_budget = budget.saturating_sub(spent);
-                    let mut bounded = |req: &str| process(req, attempt_budget);
+                    // the slot wait is the rung's switch policy bounded by
+                    // what the request leg left of the budget: no path may
+                    // out-wait its own deadline
+                    let wait = slot_wait.min(budget.saturating_sub(spent));
                     run_remote(
                         peer,
-                        &delivered,
+                        delivered,
                         matches!(fault, Some(Fault::RemotePanic)),
-                        &mut bounded,
+                        &mut |req| process(peer, req, wait),
                     )
                 }
             };
             let response = match remote_outcome {
                 Ok(r) => r,
-                Err(e) => {
-                    chain += spent;
-                    break 'attempt Err(e);
-                }
+                Err(e) => break 'attempt (spent, Err(e)),
             };
 
             // ---- response leg (possibly mangled in flight) ----
-            match fault {
+            let (arrived, mangled) = match fault {
                 Some(Fault::TruncateResponse) => {
-                    let plan = plan.as_ref().unwrap();
-                    let cut = char_floor(
-                        &response,
-                        plan.mangle_position(peer, seq.unwrap(), response.len()),
-                    );
-                    sink.message_bytes.fetch_add(cut as u64, Ordering::Relaxed);
-                    sink.transfers.fetch_add(1, Ordering::Relaxed);
-                    sink.charge_keysets(&response[..cut]);
-                    chain += spent + model.transfer_time(cut as u64);
-                    break 'attempt Err(XrpcError::TransportCorrupt {
-                        peer: peer.to_string(),
-                        detail: format!("response truncated at byte {cut}"),
-                    });
+                    let cut =
+                        char_floor(&response, wire.mangle_position(peer, id, response.len()));
+                    (&response[..cut], Some(format!("response truncated at byte {cut}")))
                 }
                 Some(Fault::CorruptResponse) => {
-                    let plan = plan.as_ref().unwrap();
-                    let pos = plan.mangle_position(peer, seq.unwrap(), response.len());
-                    sink.message_bytes.fetch_add(response.len() as u64, Ordering::Relaxed);
-                    sink.transfers.fetch_add(1, Ordering::Relaxed);
-                    sink.charge_keysets(&response);
-                    chain += spent + model.transfer_time(response.len() as u64);
-                    break 'attempt Err(XrpcError::TransportCorrupt {
-                        peer: peer.to_string(),
-                        detail: format!("response byte {pos} is not valid UTF-8"),
-                    });
+                    let pos = wire.mangle_position(peer, id, response.len());
+                    (&response[..], Some(format!("response byte {pos} is not valid UTF-8")))
                 }
-                _ => {}
-            }
-            sink.message_bytes.fetch_add(response.len() as u64, Ordering::Relaxed);
-            sink.transfers.fetch_add(1, Ordering::Relaxed);
-            sink.charge_keysets(&response);
-            spent += model.transfer_time(response.len() as u64);
-
-            if spent > budget {
-                chain += budget;
-                break 'attempt Err(XrpcError::Timeout {
-                    peer: peer.to_string(),
-                    deadline: retry.deadline,
-                });
-            }
-            chain += spent;
-
-            // a wire-encoded fault response decodes back into its typed
-            // error (normal responses have an env/response child, never
-            // env/fault, so this cannot misfire on result data)
-            if response.contains("<fault ") {
-                if let Some(e) = decode_fault(&response) {
-                    break 'attempt Err(e);
-                }
-            }
-            Ok(response)
-        };
-
-        if trace_on {
-            let mut sb = SpanBuilder::new("rpc.attempt", "rpc")
-                .at(attempt_start)
-                .lasting(chain.saturating_sub(attempt_start))
-                .arg("peer", peer)
-                .arg("attempt", failed.to_string());
-            if let Some(f) = fault {
-                sb = sb.arg("fault", f.name());
-            }
-            sb = match &outcome {
-                Ok(r) => sb.arg("outcome", "ok").arg("payload", crate::message::payload_kind(r)),
-                Err(e) => sb.arg("outcome", e.code()),
+                _ => (&response[..], None),
             };
-            attempts.push(sb);
-        }
-
-        match outcome {
-            Ok(response) => return (chain, failed, Ok(response), attempts),
-            Err(e) => {
-                if !e.retryable() || failed + 1 >= retry.max_attempts {
-                    return (chain, failed + 1, Err(e), attempts);
-                }
-                failed += 1;
-                sink.retries.fetch_add(1, Ordering::Relaxed);
-                let jitter = match (plan, seq) {
-                    (Some(p), Some(s)) => p.jitter(peer, s),
-                    _ => 0.0,
-                };
-                let wait = retry.backoff_with_hint(failed, jitter, e.retry_after());
-                if trace_on {
-                    attempts.push(
-                        SpanBuilder::new("rpc.backoff", "rpc")
-                            .at(chain)
-                            .lasting(wait)
-                            .arg("peer", peer),
-                    );
-                }
-                chain += wait;
-                if chain >= retry.deadline {
-                    return (
-                        chain,
-                        failed,
-                        Err(XrpcError::Cancelled {
-                            peer: peer.to_string(),
-                            reason: format!(
-                                "retry budget exhausted after {failed} failed attempt(s)"
-                            ),
-                        }),
-                        attempts,
-                    );
-                }
+            sink.message_bytes.fetch_add(arrived.len() as u64, Ordering::Relaxed);
+            sink.transfers.fetch_add(1, Ordering::Relaxed);
+            sink.charge_keysets(arrived);
+            spent += model.transfer_time(arrived.len() as u64);
+            if let Some(detail) = mangled {
+                let corrupt = XrpcError::TransportCorrupt { peer: peer.to_string(), detail };
+                break 'attempt (spent, Err(corrupt));
             }
-        }
-    }
-}
-
-/// Condvar wait for a busy peer slot when the ladder still has an
-/// alternative healthy replica to try: prefer switching hosts over
-/// blocking on the slot.
-const BUSY_SWITCH_WAIT: Duration = Duration::from_millis(250);
-
-/// Ranks a candidate host set for one ladder: healthiest tier first
-/// (closed breakers before half-open probes), rendezvous score under the
-/// replica seed breaking ties within a tier, names as the final tie-break.
-/// Hosts behind an open breaker are dropped from the admitted list; the
-/// first of them is reported so an all-rejected ladder can fail fast with
-/// a typed [`XrpcError::BreakerOpen`].
-/// `(host, probe)` pairs a ladder may dial, in preference order.
-pub(crate) type Candidates = Vec<(String, bool)>;
-/// The first open-breaker host and its remaining cooldown, if any.
-pub(crate) type RejectedHost = Option<(String, Duration)>;
-
-pub(crate) fn admitted_candidates(
-    board: &Scoreboard,
-    seed: u64,
-    mut hosts: Vec<String>,
-) -> (Candidates, RejectedHost) {
-    hosts.sort_by(|a, b| {
-        board
-            .health_rank(a)
-            .cmp(&board.health_rank(b))
-            .then_with(|| mix_score(seed, b, 0).cmp(&mix_score(seed, a, 0)))
-            .then_with(|| a.cmp(b))
-    });
-    hosts.dedup();
-    let mut admitted = Vec::with_capacity(hosts.len());
-    let mut rejected = None;
-    for host in hosts {
-        match board.admission(&host) {
-            Admission::Allow { probe } => admitted.push((host, probe)),
-            Admission::Reject { retry_after } => {
-                if rejected.is_none() {
-                    rejected = Some((host, retry_after));
-                }
+            if spent > budget {
+                break 'attempt (budget, Err(wire.timeout(peer)));
             }
-        }
+            (spent, reply_or_fault(response))
+        };
+        let ok_arg = match &result {
+            Ok(r) if wire.trace => Some(("payload", crate::message::payload_kind(r).to_string())),
+            _ => None,
+        };
+        Attempted { spent, result, fault, ok_arg }
     }
-    (admitted, rejected)
-}
 
-/// What one failover ladder did: its accounting, health observations and
-/// final outcome. Observations are applied to the live scoreboard by the
-/// *caller* (sequentially, or at the scatter gather in slot order) so the
-/// board's evolution never depends on thread interleaving.
-struct LadderOutcome {
-    /// Sum of every attempt chain — the serialized network bill (a hedge's
-    /// losing attempt really moved bytes, so it bills here too).
-    serialized: Duration,
-    /// Wall clock the ladder occupied: per rung the attempt chain, except a
-    /// hedged pair which ends when the winning response lands — the loser
-    /// is cancelled and costs no further wall clock.
-    window: Duration,
-    observations: Vec<Observation>,
-    hedges: u64,
-    hedge_wins: u64,
-    probes: u64,
-    failovers: u64,
-    outcome: Result<String, XrpcError>,
-    /// The ladder's span tree (rung and attempt children with
-    /// ladder-relative offsets), built on whichever thread ran the ladder
-    /// and submitted by the coordinator at its gather point. `None` when
-    /// tracing is off.
-    trace: Option<SpanBuilder>,
-}
-
-impl LadderOutcome {
-    /// A ladder that never dispatched (fast-fail or a poisoned worker).
-    fn failed(err: XrpcError) -> Self {
-        LadderOutcome {
-            serialized: Duration::ZERO,
-            window: Duration::ZERO,
-            observations: Vec::new(),
-            hedges: 0,
-            hedge_wins: 0,
-            probes: 0,
-            failovers: 0,
-            outcome: Err(err),
-            trace: None,
-        }
+    fn jitter(&self, host: &str, id: AttemptId) -> f64 {
+        self.wire.jitter(host, id)
     }
+
+    fn pause(&mut self, _: Duration) {}
 }
 
-/// The unified failover ladder of one logical call: same-peer retries (in
-/// [`transport_call`]) → next replica → hedged secondary → caller-side
-/// degradation (the caller's move, on a degradable final error).
-///
-/// Candidates are every catalog host able to stand in for `primary`,
-/// healthiest first; hosts behind an open breaker are skipped entirely, a
-/// half-open host is admitted as a single probe. Each rung gets a fresh
-/// deadline budget (a hung primary must not starve the replica's chance to
-/// answer). The ladder stops early on errors that would reproduce anywhere
-/// — evaluation faults are deterministic, so no replica can do better —
-/// and otherwise walks on while [`XrpcError::failover_eligible`] holds.
-///
-/// When hedging is enabled and the preferred host has not answered within
-/// the (deterministically jittered) hedge delay, the next healthy
-/// candidate is dispatched as a secondary attempt and the first valid
-/// response wins; both attempts bill the serialized clock, the window only
-/// runs to the winner.
+/// One logical call through the failover ladder ([`crate::ladder::walk`])
+/// over every catalog host able to stand in for `primary`, admitted against
+/// the `board` snapshot. Degradation on a degradable final error is the
+/// caller's move.
 fn call_with_failover(
     core: &FedCore,
     board: &Scoreboard,
@@ -2035,203 +1650,17 @@ fn call_with_failover(
     request: &str,
     process: &mut dyn FnMut(&str, &str, Duration) -> EvalResult<String>,
 ) -> LadderOutcome {
-    let mut rungs = Vec::new();
-    let mut out = ladder_rungs(core, board, primary, lane, request, process, &mut rungs);
-    if core.options().trace {
-        let mut sb = SpanBuilder::new("rpc.ladder", "rpc")
-            .lasting(out.window)
-            .arg("peer", primary)
-            .arg(
-                "outcome",
-                match &out.outcome {
-                    Ok(_) => "ok".to_string(),
-                    Err(e) => e.code().to_string(),
-                },
-            );
-        for r in rungs {
-            sb.push_child(r);
-        }
-        out.trace = Some(sb);
-    }
-    out
-}
-
-/// The rung walk of [`call_with_failover`]; `rungs` collects one
-/// ladder-relative span per dialed rung when tracing is on.
-fn ladder_rungs(
-    core: &FedCore,
-    board: &Scoreboard,
-    primary: &str,
-    lane: u64,
-    request: &str,
-    process: &mut dyn FnMut(&str, &str, Duration) -> EvalResult<String>,
-    rungs: &mut Vec<SpanBuilder>,
-) -> LadderOutcome {
     let options = core.options();
-    let trace_on = options.trace;
-    let deadline = options.retry.deadline;
-    let seed = options.replica_seed;
     let hosts = core.catalog.lock().unwrap().hosts_serving_peer(primary);
-    let (candidates, rejected) = admitted_candidates(board, seed, hosts);
-    if candidates.is_empty() {
-        // every breaker open: fail fast — a tripped peer is never re-dialed
-        let (host, retry_after) =
-            rejected.unwrap_or_else(|| (primary.to_string(), Duration::ZERO));
-        return LadderOutcome::failed(XrpcError::BreakerOpen { peer: host, retry_after });
-    }
-    let mut out = LadderOutcome::failed(XrpcError::UnknownPeer { peer: primary.to_string() });
-    let mut rung: u32 = 0;
-    let mut i = 0;
-    while i < candidates.len() {
-        let (host, probe) = &candidates[i];
-        if *probe {
-            out.probes += 1;
-        }
-        if rung > 0 {
-            out.failovers += 1;
-        }
-        let has_alternative = candidates[i + 1..].iter().any(|(_, p)| !*p);
-        let wait = if has_alternative { deadline.min(BUSY_SWITCH_WAIT) } else { deadline };
-        // hedge armed on the preferred (non-probe) rung only, when the very
-        // next candidate is healthy
-        let hedge = if rung == 0 && !probe {
-            options.hedge.and_then(|base| match candidates.get(i + 1) {
-                Some((h2, false)) => {
-                    let delay = base.mul_f64(0.5 + 0.5 * seeded_fraction(seed, host, lane));
-                    Some((h2.clone(), delay))
-                }
-                _ => None,
-            })
-        } else {
-            None
-        };
-
-        // the slot wait passed down is the rung's switch policy bounded by
-        // the attempt's remaining deadline budget (satellite of the
-        // unbounded busy-wait fix: no path may out-wait its own deadline)
-        let w0 = out.window;
-        let rung_idx = rung;
-        let mut rung_process =
-            |req: &str, remaining: Duration| process(host, req, wait.min(remaining));
-        let (chain_p, failed_p, res_p, spans_p) =
-            transport_call(core, host, lane, rung, request, &mut rung_process);
-        rung += 1;
-        if trace_on {
-            let mut sb = SpanBuilder::new("rpc.rung", "rpc")
-                .at(w0)
-                .lasting(chain_p)
-                .arg("peer", host.as_str())
-                .arg("rung", rung_idx.to_string())
-                .arg("kind", if *probe { "probe" } else { "primary" })
-                .arg("breaker", board.state(host).name());
-            for a in spans_p {
-                sb.push_child(a);
-            }
-            rungs.push(sb);
-        }
-        out.observations.push(Observation {
-            peer: host.clone(),
-            ok: res_p.is_ok(),
-            failed_attempts: failed_p,
-            chain: chain_p,
-            probe: *probe,
-        });
-
-        // the hedge timer fired before the preferred host answered
-        let hedge = hedge.filter(|(_, delay)| chain_p > *delay);
-        if let Some((host2, delay)) = hedge {
-            out.hedges += 1;
-            let wait2 = deadline.min(BUSY_SWITCH_WAIT);
-            let mut hedge_process =
-                |req: &str, remaining: Duration| process(&host2, req, wait2.min(remaining));
-            let (chain_h, failed_h, res_h, spans_h) =
-                transport_call(core, &host2, lane, rung, request, &mut hedge_process);
-            rung += 1;
-            if trace_on {
-                let mut sb = SpanBuilder::new("rpc.rung", "rpc")
-                    .at(w0 + delay)
-                    .lasting(chain_h)
-                    .arg("peer", host2.as_str())
-                    .arg("rung", rung_idx.saturating_add(1).to_string())
-                    .arg("kind", "hedge")
-                    .arg("breaker", board.state(&host2).name());
-                for a in spans_h {
-                    sb.push_child(a);
-                }
-                rungs.push(sb);
-            }
-            out.observations.push(Observation {
-                peer: host2.clone(),
-                ok: res_h.is_ok(),
-                failed_attempts: failed_h,
-                chain: chain_h,
-                probe: false,
-            });
-            let t_p = chain_p;
-            let t_h = delay + chain_h;
-            out.serialized += chain_p + chain_h;
-            match (res_p, res_h) {
-                (Ok(rp), Ok(rh)) => {
-                    // responses are bit-identical (content-based codecs);
-                    // the strictly earlier one wins, primary on a tie
-                    if t_h < t_p {
-                        out.hedge_wins += 1;
-                        out.window += t_h;
-                        out.outcome = Ok(rh);
-                    } else {
-                        out.window += t_p;
-                        out.outcome = Ok(rp);
-                    }
-                    return out;
-                }
-                (Ok(rp), Err(_)) => {
-                    out.window += t_p;
-                    out.outcome = Ok(rp);
-                    return out;
-                }
-                (Err(_), Ok(rh)) => {
-                    out.hedge_wins += 1;
-                    out.window += t_h;
-                    out.outcome = Ok(rh);
-                    return out;
-                }
-                (Err(ep), Err(eh)) => {
-                    out.window += t_p.max(t_h);
-                    if !ep.failover_eligible() {
-                        out.outcome = Err(ep);
-                        return out;
-                    }
-                    if !eh.failover_eligible() {
-                        out.outcome = Err(eh);
-                        return out;
-                    }
-                    // both the preferred host and the hedge target failed:
-                    // resume the ladder past the pair
-                    out.outcome = Err(eh);
-                    i += 2;
-                    continue;
-                }
-            }
-        }
-
-        out.serialized += chain_p;
-        out.window += chain_p;
-        match res_p {
-            Ok(r) => {
-                out.outcome = Ok(r);
-                return out;
-            }
-            Err(e) => {
-                let terminal = !e.failover_eligible();
-                out.outcome = Err(e);
-                if terminal {
-                    return out;
-                }
-                i += 1;
-            }
-        }
-    }
-    out
+    let (candidates, rejected) = admitted_candidates(board, options.replica_seed, hosts);
+    let call = Call {
+        policy: options.retry,
+        lane,
+        hedge: options.hedge.map(|base| (base, options.replica_seed)),
+        spans: options.trace.then_some(Spans { names: &RPC_SPANS, board }),
+    };
+    let mut attempt = RpcAttempt { wire: SimWire::new(core, &options), request, process };
+    walk(&mut attempt, &call, primary, candidates, rejected)
 }
 
 /// Rewrites a call body for coordinator-side evaluation: every literal
@@ -2351,6 +1780,89 @@ fn fallback_local(
     Ok(Some(decoded))
 }
 
+impl FedLink {
+    /// Caller side of a request: serialize `calls` against the local store.
+    fn encode(
+        &self,
+        local: &Store,
+        static_ctx: &StaticContext,
+        calls: &[Vec<(String, Sequence)>],
+        body: &xqd_xquery::Expr,
+        projection: Option<&ExecProjection>,
+    ) -> EvalResult<String> {
+        let t0 = Instant::now();
+        let request = encode_request(
+            local,
+            self.core.wire(),
+            static_ctx,
+            &body.to_string(),
+            calls,
+            projection.map(|p| p.params.as_slice()),
+            projection.map(|p| &p.result),
+        )?;
+        let sink = &self.core.metrics;
+        sink.serialize_ns.fetch_add(as_ns(t0.elapsed()), Ordering::Relaxed);
+        sink.remote_calls.fetch_add(calls.len() as u64, Ordering::Relaxed);
+        Ok(request)
+    }
+
+    /// Caller side of a ladder's outcome: shred the reply into the local
+    /// store, or — when the peer could not *answer* and the body is
+    /// eligible — degrade to data shipping ([`fallback_local`]); anything
+    /// else is the typed error.
+    #[allow(clippy::too_many_arguments)]
+    fn settle(
+        &self,
+        local: &mut Store,
+        static_ctx: &StaticContext,
+        peer: &str,
+        calls: &[Vec<(String, Sequence)>],
+        body: &xqd_xquery::Expr,
+        projection: Option<&ExecProjection>,
+        outcome: Result<String, XrpcError>,
+    ) -> EvalResult<Vec<Sequence>> {
+        let response = match outcome {
+            Ok(r) => r,
+            Err(e) => {
+                if e.degradable() {
+                    if let Some(sequences) = fallback_local(
+                        &self.core,
+                        local,
+                        static_ctx,
+                        peer,
+                        &body.to_string(),
+                        calls,
+                        projection,
+                        self.core.wire(),
+                    )? {
+                        if let Some(tracer) = self.core.tracer().filter(|_| self.peer.is_empty()) {
+                            tracer.event(
+                                ROOT_SPAN,
+                                "rpc.degrade",
+                                "rpc",
+                                vec![("peer", peer.to_string()), ("error", e.code().to_string())],
+                            );
+                        }
+                        return Ok(sequences);
+                    }
+                }
+                return Err(e.into());
+            }
+        };
+        let t0 = Instant::now();
+        let sequences = decode_response(local, &response)?;
+        self.core.metrics.shred_ns.fetch_add(as_ns(t0.elapsed()), Ordering::Relaxed);
+        if sequences.len() != calls.len() {
+            return Err(EvalError::new(format!(
+                "response carries {} sequences for {} calls",
+                sequences.len(),
+                calls.len()
+            )));
+        }
+        Ok(sequences)
+    }
+}
+
 impl RemoteHandler for FedLink {
     fn execute(
         &mut self,
@@ -2376,22 +1888,7 @@ impl RemoteHandler for FedLink {
         body: &xqd_xquery::Expr,
         projection: Option<&ExecProjection>,
     ) -> EvalResult<Vec<Sequence>> {
-        let wire = self.core.wire();
-        // ---- encode request (caller side) ----
-        let t0 = Instant::now();
-        let body_src = body.to_string();
-        let request = encode_request(
-            local,
-            wire,
-            static_ctx,
-            &body_src,
-            calls,
-            projection.map(|p| p.params.as_slice()),
-            projection.map(|p| &p.result),
-        )?;
-        let sink = &self.core.metrics;
-        sink.serialize_ns.fetch_add(as_ns(t0.elapsed()), Ordering::Relaxed);
-        sink.remote_calls.fetch_add(calls.len() as u64, Ordering::Relaxed);
+        let request = self.encode(local, static_ctx, calls, body, projection)?;
 
         // ---- deliver through the failover ladder over the replica set ----
         let core = Arc::clone(&self.core);
@@ -2413,70 +1910,19 @@ impl RemoteHandler for FedLink {
             }
         };
         let mut ladder = call_with_failover(&self.core, &board, peer, lane, &request, &mut process);
-        let sink = &self.core.metrics;
-        sink.network_ns.fetch_add(as_ns(ladder.serialized), Ordering::Relaxed);
-        sink.network_overlapped_ns.fetch_add(as_ns(ladder.window), Ordering::Relaxed);
-        self.core.charge_ladder_counters(&ladder);
+        self.core.charge_ladder(&ladder);
         if self.peer.is_empty() {
             self.core.apply_observations(ladder.window, &ladder.observations);
             // submit the ladder's span tree and advance the trace clock by
             // exactly the wall clock the scoreboard just advanced by
             if let Some(tracer) = self.core.tracer() {
-                if let Some(tb) = ladder.trace.take() {
-                    let anchor = tracer.clock_ns();
-                    tracer.submit(anchor, ROOT_SPAN, tb.arg("calls", calls.len().to_string()));
-                    tracer.advance(ladder.window);
-                }
+                let root = SpanBuilder::new("rpc.ladder", "rpc").arg("peer", peer);
+                let tree = ladder.span(root).arg("calls", calls.len().to_string());
+                tracer.submit(tracer.clock_ns(), ROOT_SPAN, tree);
+                tracer.advance(ladder.window);
             }
         }
-
-        let response = match ladder.outcome {
-            Ok(r) => r,
-            Err(e) => {
-                if e.degradable() {
-                    if let Some(sequences) = fallback_local(
-                        &self.core,
-                        local,
-                        static_ctx,
-                        peer,
-                        &body_src,
-                        calls,
-                        projection,
-                        wire,
-                    )? {
-                        if self.peer.is_empty() {
-                            if let Some(tracer) = self.core.tracer() {
-                                tracer.event(
-                                    ROOT_SPAN,
-                                    "rpc.degrade",
-                                    "rpc",
-                                    vec![
-                                        ("peer", peer.to_string()),
-                                        ("error", e.code().to_string()),
-                                    ],
-                                );
-                            }
-                        }
-                        return Ok(sequences);
-                    }
-                }
-                return Err(e.into());
-            }
-        };
-
-        // ---- decode response (caller side) ----
-        let sink = &self.core.metrics;
-        let t0 = Instant::now();
-        let sequences = decode_response(local, &response)?;
-        sink.shred_ns.fetch_add(as_ns(t0.elapsed()), Ordering::Relaxed);
-        if sequences.len() != calls.len() {
-            return Err(EvalError::new(format!(
-                "response carries {} sequences for {} calls",
-                sequences.len(),
-                calls.len()
-            )));
-        }
-        Ok(sequences)
+        self.settle(local, static_ctx, peer, calls, body, projection, ladder.outcome)
     }
 
     fn execute_scatter(
@@ -2496,31 +1942,16 @@ impl RemoteHandler for FedLink {
                 .collect();
         }
 
-        let wire = self.core.wire();
-        let sink = &self.core.metrics;
-
         // ---- scatter: encode every request up front, in call order ----
         // Parameters were pre-bound by the evaluator and responses only ever
         // *add* documents to the coordinator store, so these encodings are
         // byte-identical to the ones sequential execution would produce.
-        let mut requests = Vec::with_capacity(calls.len());
-        for c in calls {
-            let t0 = Instant::now();
-            let body_src = c.body.to_string();
-            let one_call = vec![c.params.clone()];
-            let request = encode_request(
-                local,
-                wire,
-                static_ctx,
-                &body_src,
-                &one_call,
-                c.projection.map(|p| p.params.as_slice()),
-                c.projection.map(|p| &p.result),
-            )?;
-            sink.serialize_ns.fetch_add(as_ns(t0.elapsed()), Ordering::Relaxed);
-            sink.remote_calls.fetch_add(1, Ordering::Relaxed);
-            requests.push(request);
-        }
+        let requests = calls
+            .iter()
+            .map(|c| {
+                self.encode(local, static_ctx, std::slice::from_ref(&c.params), c.body, c.projection)
+            })
+            .collect::<EvalResult<Vec<String>>>()?;
 
         // ---- fan out: one scoped thread per distinct destination ----
         // Each worker drives its calls through the same failover ladder as
@@ -2561,6 +1992,7 @@ impl RemoteHandler for FedLink {
         // (transfer legs, stalls, backoff waits — hedged losers included);
         // overlapped: the slowest destination's wall clock dominates the
         // round
+        let sink = &self.core.metrics;
         let mut serialized_sum = Duration::ZERO;
         let mut slowest_chain = Duration::ZERO;
         for (_, idxs) in &groups {
@@ -2591,9 +2023,8 @@ impl RemoteHandler for FedLink {
                     .lasting(slowest_chain)
                     .arg("slots", rows.len().to_string());
                 for (i, row) in rows.iter_mut().enumerate() {
-                    if let Some(tb) = row.trace.take() {
-                        round.push_child(tb.arg("slot", i.to_string()));
-                    }
+                    let root = SpanBuilder::new("rpc.ladder", "rpc").arg("peer", peers[i]);
+                    round.push_child(row.span(root).arg("slot", i.to_string()));
                 }
                 tracer.submit(anchor, ROOT_SPAN, round);
                 tracer.advance(slowest_chain);
@@ -2603,52 +2034,10 @@ impl RemoteHandler for FedLink {
         // ---- gather: decode or degrade per slot, in call order ----
         let mut results = Vec::with_capacity(calls.len());
         for (row, c) in rows.into_iter().zip(calls) {
-            match row.outcome {
-                Ok(response) => {
-                    let t0 = Instant::now();
-                    let mut sequences = decode_response(local, &response)?;
-                    sink.shred_ns.fetch_add(as_ns(t0.elapsed()), Ordering::Relaxed);
-                    if sequences.len() != 1 {
-                        return Err(EvalError::new(format!(
-                            "scatter response for peer {} carries {} sequences for 1 call",
-                            c.peer,
-                            sequences.len()
-                        )));
-                    }
-                    results.push(sequences.pop().unwrap());
-                }
-                Err(e) => {
-                    if e.degradable() {
-                        let body_src = c.body.to_string();
-                        let one_call = vec![c.params.clone()];
-                        if let Some(mut sequences) = fallback_local(
-                            &self.core,
-                            local,
-                            static_ctx,
-                            &c.peer,
-                            &body_src,
-                            &one_call,
-                            c.projection,
-                            wire,
-                        )? {
-                            if let Some(tracer) = self.core.tracer() {
-                                tracer.event(
-                                    ROOT_SPAN,
-                                    "rpc.degrade",
-                                    "rpc",
-                                    vec![
-                                        ("peer", c.peer.to_string()),
-                                        ("error", e.code().to_string()),
-                                    ],
-                                );
-                            }
-                            results.push(sequences.pop().unwrap_or_default());
-                            continue;
-                        }
-                    }
-                    return Err(e.into());
-                }
-            }
+            let one_call = std::slice::from_ref(&c.params);
+            let mut sequences =
+                self.settle(local, static_ctx, &c.peer, one_call, c.body, c.projection, row.outcome)?;
+            results.push(sequences.pop().unwrap_or_default());
         }
         Ok(results)
     }
@@ -2727,36 +2116,6 @@ mod tests {
         let mut f = Federation::new(NetworkModel::lan());
         f.load_document("p", "d.xml", "<a><b/></a>").unwrap();
         f
-    }
-
-    #[test]
-    fn backoff_hint_is_never_undercut_and_never_exceeds_the_deadline() {
-        let policy = RetryPolicy {
-            max_attempts: 5,
-            base_backoff: Duration::from_millis(10),
-            max_backoff: Duration::from_secs(1),
-            deadline: Duration::from_millis(200),
-        };
-        // no hint: plain exponential backoff, bit for bit
-        for failed in 1..5 {
-            assert_eq!(
-                policy.backoff_with_hint(failed, 0.5, None),
-                policy.backoff(failed, 0.5)
-            );
-        }
-        // a hint above the exponential wait wins: the server's estimate
-        // of when capacity frees is never undercut
-        let hint = Duration::from_millis(120);
-        assert_eq!(policy.backoff_with_hint(1, 0.0, Some(hint)), hint);
-        // a hint below the exponential wait changes nothing
-        let tiny = Duration::from_millis(1);
-        assert_eq!(
-            policy.backoff_with_hint(4, 1.0, Some(tiny)),
-            policy.backoff(4, 1.0)
-        );
-        // a hint the deadline budget cannot afford is capped by it
-        let huge = Duration::from_secs(60);
-        assert_eq!(policy.backoff_with_hint(1, 0.0, Some(huge)), policy.deadline);
     }
 
     /// Request envelopes, shipped fragments and constructed results live in

@@ -1,4 +1,4 @@
-//! The coordinator front end: query text (or a parsed module) → cache key
+//! The coordinator front end: query text → cache key
 //! → LRU plan cache → parse · decompose · replica resolution · lowering to
 //! plan IR.
 //!
@@ -16,7 +16,7 @@ use xqd_core::replicas::ReplicaCatalog;
 use xqd_core::{DecomposeOptions, Strategy};
 use xqd_xquery::eval::StaticContext;
 use xqd_xquery::value::{EvalError, EvalResult};
-use xqd_xquery::{parse_query, QueryModule};
+use xqd_xquery::parse_query;
 
 use crate::exec::ExecOptions;
 
@@ -26,14 +26,6 @@ use crate::exec::ExecOptions;
 pub struct PreparedQuery {
     pub decomposition: xqd_core::Decomposition,
     pub plan: xqd_xquery::Plan,
-}
-
-/// What the front end is asked to prepare.
-pub(crate) enum Source<'a> {
-    /// Raw query text: the cache key, so a warm hit skips the parser too.
-    Text(&'a str),
-    /// An already-parsed module, keyed on its canonical printed form.
-    Module(&'a QueryModule),
 }
 
 /// Everything besides the query itself that a prepared query is a function
@@ -50,7 +42,7 @@ pub(crate) struct Session<'a> {
 pub(crate) enum FrontEndEvent {
     CacheHit,
     CacheMiss,
-    /// The query text went through the parser (miss path, text source).
+    /// The query text went through the parser (miss path).
     Parsed { chars: usize },
     /// The query was decomposed and lowered to plan IR (miss path).
     Compiled { remote_calls: usize, semijoins: usize },
@@ -63,8 +55,8 @@ pub(crate) enum FrontEndEvent {
 /// decomposition knobs and replica seed are all fingerprinted here.
 #[derive(Clone, PartialEq, Eq, Hash)]
 struct PlanKey {
-    /// Raw query text or the module's canonical printed form (see
-    /// [`Source`]); equivalent spellings may occupy two entries.
+    /// Raw query text, so a warm hit skips the parser too; equivalent
+    /// spellings may occupy two entries.
     query: String,
     strategy: Strategy,
     let_motion: bool,
@@ -153,13 +145,13 @@ impl FrontEnd {
         plans.tick = 0;
     }
 
-    /// Looks `source` up in the plan cache and, on a miss, runs the slow
+    /// Looks `query` up in the plan cache and, on a miss, runs the slow
     /// path — parse, decompose, annotate each remote call with its replica
     /// candidates (explain output; the executor re-derives the same order
     /// per ladder), lower to plan IR — and caches the result.
     pub(crate) fn prepare(
         &self,
-        source: Source<'_>,
+        query: &str,
         session: &Session<'_>,
         catalog: &Mutex<ReplicaCatalog>,
         observe: &mut dyn FnMut(FrontEndEvent),
@@ -168,14 +160,7 @@ impl FrontEnd {
         let mut decompose = *decompose;
         decompose.semijoin = decompose.semijoin || exec.semijoin;
         let key = PlanKey {
-            query: match source {
-                Source::Text(text) => text.to_string(),
-                Source::Module(module) => {
-                    let mut text = String::new();
-                    xqd_xquery::ast::print_module(module, &mut text);
-                    text
-                }
-            },
+            query: query.to_string(),
             strategy: *strategy,
             let_motion: decompose.let_motion,
             code_motion: decompose.code_motion,
@@ -194,17 +179,10 @@ impl FrontEnd {
         }
         observe(FrontEndEvent::CacheMiss);
 
-        let parsed;
-        let module = match source {
-            Source::Module(module) => module,
-            Source::Text(text) => {
-                parsed = parse_query(text)
-                    .map_err(|e| EvalError::new(format!("parse error: {e}")))?;
-                observe(FrontEndEvent::Parsed { chars: text.len() });
-                &parsed
-            }
-        };
-        let mut decomposition = xqd_core::decompose_with(module, *strategy, decompose)?;
+        let module =
+            parse_query(query).map_err(|e| EvalError::new(format!("parse error: {e}")))?;
+        observe(FrontEndEvent::Parsed { chars: query.len() });
+        let mut decomposition = xqd_core::decompose_with(&module, *strategy, decompose)?;
         decomposition.resolve_replicas(&catalog.lock().unwrap(), exec.replica_seed);
         let routes = decomposition
             .calls

@@ -17,11 +17,16 @@
 //! * `frontend` — the one query front end both coordinators share: text
 //!   or module → cache key → LRU plan cache → parse · decompose · replica
 //!   resolution · lowering to plan IR ([`PreparedQuery`]);
+//! * `ladder` — how a logical call survives failure, once: the one retry
+//!   loop ([`RetryPolicy`]: backoff, server hints, deadline) and the one
+//!   failover walk over admitted replicas (busy-switch wait, hedging), both
+//!   driven through the `Attempt` seam — one attempt at one host, timed on
+//!   its own clock — that the simulated and the socket coordinator fill in;
 //! * [`exec`] — the [`Federation`] of peers, the `RemoteHandler` /
 //!   `DocResolver` implementations (including Bulk RPC and data-shipping
-//!   document fetches), the fault-injecting transport with
-//!   [`RetryPolicy`]-driven retries and graceful degradation, and
-//!   canonical result serialization;
+//!   document fetches), the two fault-injecting simulated attempts the
+//!   ladder drives, graceful degradation, and canonical result
+//!   serialization;
 //! * `scatter` — the transport-independent core of a scatter round (group
 //!   slots by destination, one scoped worker per destination, typed
 //!   `xrpc:panic` rows, slot-order gather) both coordinators fan out through;
@@ -37,8 +42,8 @@
 //!   `trace_event` export that replays byte-identically from a seed;
 //! * [`transport`] — the [`Transport`] seam over the envelope protocol
 //!   (one exchange = one reply envelope), the length-prefixed socket
-//!   framing with typed corruption errors, and the wall-clock
-//!   [`call_with_retry`] driver honoring server `retry-after-ms` hints;
+//!   framing with typed corruption errors and whole-read deadlines, and
+//!   the wall-clock attempt the ladder drives over real sockets;
 //! * [`tcp`] — the real-socket side: [`TcpTransport`] (pooled
 //!   connections, per-attempt deadlines) and [`SocketFederation`], the
 //!   coordinator that drives a multi-process localhost federation
@@ -62,6 +67,7 @@
 pub mod exec;
 mod frontend;
 pub mod health;
+mod ladder;
 pub mod message;
 pub mod net;
 mod scatter;
@@ -90,6 +96,4 @@ pub use sched::{
 pub use server::{DrainReport, PeerServer, ServerConfig};
 pub use tcp::{SocketFederation, TcpTransport};
 pub use trace::{Histogram, Span, SpanBuilder, Trace, Tracer, ROOT_SPAN};
-pub use transport::{
-    call_with_retry, read_frame, write_frame, CallOutcome, FrameError, Transport, MAX_FRAME_LEN,
-};
+pub use transport::{read_frame, write_frame, FrameError, Transport, MAX_FRAME_LEN};

@@ -763,6 +763,19 @@ pub fn decode_fault(message: &str) -> Option<XrpcError> {
     Some(err)
 }
 
+/// A reply envelope as the caller sees it: a wire-encoded fault decodes
+/// back into its typed error (normal replies have an `env/response` or
+/// `env/doc` child, never `env/fault`, so this cannot misfire on result
+/// data); anything else is the reply.
+pub(crate) fn reply_or_fault(reply: String) -> Result<String, XrpcError> {
+    if reply.contains("<fault ") {
+        if let Some(e) = decode_fault(&reply) {
+            return Err(e);
+        }
+    }
+    Ok(reply)
+}
+
 /// Encodes a whole-document fetch request (the data-shipping path over a
 /// real transport; the simulated transport serializes the peer's store
 /// directly and never needs one of these on the wire).

@@ -42,7 +42,9 @@ use xqd_xquery::value::EvalError;
 use crate::exec::{ExecOptions, Federation, Peer, SimTransport};
 use crate::message::encode_fault;
 use crate::net::{NetworkModel, XrpcError};
-use crate::transport::{read_payload, read_prefix, write_frame, FrameError, Transport, MAX_FRAME_LEN};
+use crate::transport::{
+    read_payload, read_prefix, write_frame, DeadlineReader, FrameError, Transport, MAX_FRAME_LEN,
+};
 
 /// Deadlines and bounds of one peer daemon.
 #[derive(Debug, Clone, Copy)]
@@ -252,9 +254,10 @@ fn serve_conn(shared: &Shared, stream: &mut TcpStream) {
             Err(e) if e.timed_out() => return, // idle: quiet close
             Err(_) => return, // reset/desync with no frame started
         };
-        // mid-frame: the sender must finish within the read deadline
-        let _ = stream.set_read_timeout(Some(shared.config.read_timeout));
-        let payload = match read_payload(stream, declared, shared.config.max_frame_len) {
+        // mid-frame: the sender must finish within the read deadline —
+        // the whole payload, not each read of it
+        let mut rest = DeadlineReader::new(stream, Instant::now() + shared.config.read_timeout);
+        let payload = match read_payload(&mut rest, declared, shared.config.max_frame_len) {
             Ok(p) => p,
             Err(e) => {
                 // frame-level desync: answer with a typed fault (the write

@@ -5,14 +5,18 @@
 //! [`crate::transport`]; [`SocketFederation`] is the coordinator that
 //! drives a **multi-process** federation through it — the same front end
 //! ([`crate::frontend`]: plan cache, decomposition, compiled plan IR), the
-//! same replica failover ladder discipline, the same health scoreboard as
-//! the simulated [`crate::exec::Federation`], so the same query returns
-//! bit-identical canonical results whichever side of the seam executes it.
+//! same failover ladder and retry loop ([`crate::ladder`], driven through
+//! the wall-clock attempt of [`crate::transport`]), the same health
+//! scoreboard as the simulated [`crate::exec::Federation`], so the same
+//! query returns bit-identical canonical results whichever side of the
+//! seam executes it.
 //!
 //! Differences from the simulated side are deliberate and small:
 //!
 //! * time is **wall clock** — retry backoff really sleeps, deadlines
-//!   really expire, and the scoreboard advances by observed elapsed time;
+//!   really expire (an exchange budget covers the whole reply, not each
+//!   read of it), and the scoreboard advances by observed elapsed time;
+//! * the ladder is walked without hedging and without span builders;
 //! * there is no graceful-degradation rung: a coordinator that cannot
 //!   reach any replica has no local copy to fall back on, so the ladder
 //!   ends in a typed error instead (the crash harness asserts exactly
@@ -32,7 +36,7 @@
 //! same switch ([`ExecOptions::parallel_scatter`]; off, or fewer than two
 //! slots, is the sequential loop). Every request is encoded up front in
 //! call order against the coordinator store, each worker drives its slots
-//! through the wall-clock failover ladder over its peer's one pooled
+//! through the failover ladder over its peer's one pooled
 //! connection, and replies are shredded into the store strictly in call
 //! order, so results and wire bytes are those of the sequential loop. What
 //! differs from the simulated round follows from the wall clock: health
@@ -55,16 +59,18 @@ use xqd_xquery::eval::{DocResolver, Evaluator, RemoteHandler, ScatterCall, Stati
 use xqd_xquery::value::{EvalError, EvalResult, Sequence};
 use xqd_xquery::ast::ExecProjection;
 
-use crate::exec::{admitted_candidates, canonical_item, ExecOptions, RetryPolicy};
-use crate::frontend::{FrontEnd, Session, Source};
-use crate::health::{BreakerPolicy, Observation, Scoreboard};
+use crate::exec::{canonical_item, ExecOptions};
+use crate::frontend::{FrontEnd, Session};
+use crate::health::{BreakerPolicy, Scoreboard};
+use crate::ladder::{admitted_candidates, walk, Call, RetryPolicy};
 use crate::message::{
     decode_doc_response, decode_response, encode_doc_request, encode_request, WireSemantics,
 };
 use crate::net::XrpcError;
 use crate::scatter::{fan_out, group_by_peer};
 use crate::transport::{
-    call_with_retry, read_payload, read_prefix, write_frame, FrameError, Transport, MAX_FRAME_LEN,
+    read_payload, read_prefix, write_frame, DeadlineReader, FrameError, Transport, WireAttempt,
+    MAX_FRAME_LEN,
 };
 
 /// How long a fresh connection attempt may take before it counts as a
@@ -161,22 +167,19 @@ impl TcpTransport {
             peer: peer.to_string(),
             deadline: budget,
         });
-        let set_deadlines = |stream: &TcpStream| {
-            let remaining = budget.saturating_sub(started.elapsed());
-            if remaining.is_zero() {
-                return Err(timeout());
-            }
-            let _ = stream.set_write_timeout(Some(remaining));
-            let _ = stream.set_read_timeout(Some(remaining));
-            Ok(())
-        };
-        set_deadlines(&stream)?;
+        let remaining = budget.saturating_sub(started.elapsed());
+        if remaining.is_zero() {
+            return Err(timeout());
+        }
+        let _ = stream.set_write_timeout(Some(remaining));
         write_frame(&mut stream, request).map_err(|e| match e.kind() {
             std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => timeout(),
             _ => RoundTripError::Dead(format!("send failed: {e}")),
         })?;
-        set_deadlines(&stream)?;
-        let declared = match read_prefix(&mut stream) {
+        // the reply — prefix and payload, however many reads they take —
+        // gets what is left of the budget once, not once per read
+        let mut reader = DeadlineReader::new(&stream, started + budget);
+        let declared = match read_prefix(&mut reader) {
             Ok(Some(declared)) => declared,
             Ok(None) => {
                 return Err(RoundTripError::Dead(
@@ -188,7 +191,7 @@ impl TcpTransport {
             }
             Err(fe) => return Err(RoundTripError::Typed(fe.into_xrpc(peer, budget))),
         };
-        let reply = read_payload(&mut stream, declared, self.max_frame_len)
+        let reply = read_payload(&mut reader, declared, self.max_frame_len)
             .map_err(|fe| RoundTripError::Typed(fe.into_xrpc(peer, budget)))?;
         self.pool.lock().unwrap().insert(peer.to_string(), stream);
         Ok(reply)
@@ -271,20 +274,12 @@ struct SockCore {
 }
 
 impl SockCore {
-    fn observe(&self, host: &str, ok: bool, failed_attempts: u32, chain: Duration, probe: bool) {
-        let mut board = self.board.lock().unwrap();
-        let mut last = self.board_clock.lock().unwrap();
-        let now = Instant::now();
-        board.advance(now.duration_since(*last));
-        *last = now;
-        board.observe(&Observation { peer: host.to_string(), ok, failed_attempts, chain, probe });
-    }
-
-    /// The failover ladder over every host able to stand in for `primary`
-    /// (healthiest first, open breakers dropped): per rung a full
-    /// [`call_with_retry`] cycle, each outcome fed to the scoreboard. No
-    /// degradation rung — the socket coordinator holds no local copy to
-    /// fall back on, so an exhausted ladder is a typed error.
+    /// The failover ladder ([`crate::ladder::walk`]) over every host able
+    /// to stand in for `primary`, admitted against the wall-clock board:
+    /// no hedging, no spans, and no degradation rung — the socket
+    /// coordinator holds no local copy to fall back on, so an exhausted
+    /// ladder is a typed error. Its observations land on the board once it
+    /// is done, after the board's clock caught up with the wall clock.
     fn call_ladder(
         &self,
         primary: &str,
@@ -293,49 +288,31 @@ impl SockCore {
         retry: &RetryPolicy,
         seed: u64,
     ) -> Result<String, XrpcError> {
-        let lane = self.lanes.fetch_add(1, Ordering::Relaxed);
         let (candidates, rejected) = {
             let board = self.board.lock().unwrap();
             admitted_candidates(&board, seed, hosts)
         };
-        if candidates.is_empty() {
-            return Err(match rejected {
-                Some((host, cooldown)) => {
-                    XrpcError::BreakerOpen { peer: host, retry_after: cooldown }
-                }
-                None => XrpcError::UnknownPeer { peer: primary.to_string() },
-            });
-        }
-        let mut last_err = None;
-        for (rung, (host, probe)) in candidates.into_iter().enumerate() {
-            if rung > 0 {
-                self.failovers.fetch_add(1, Ordering::Relaxed);
-            }
-            let t0 = Instant::now();
-            let out = call_with_retry(
-                &*self.transport,
-                &host,
-                request,
-                retry,
-                seed ^ lane.rotate_left(17) ^ (rung as u64),
-            );
-            let ok = out.outcome.is_ok();
-            self.retries.fetch_add(
-                u64::from(out.failed_attempts.saturating_sub(u32::from(!ok))),
-                Ordering::Relaxed,
-            );
-            self.observe(&host, ok, out.failed_attempts, t0.elapsed(), probe);
-            match out.outcome {
-                Ok(reply) => return Ok(reply),
-                Err(e) => {
-                    if !e.failover_eligible() {
-                        return Err(e);
-                    }
-                    last_err = Some(e);
-                }
+        let call = Call {
+            policy: *retry,
+            lane: self.lanes.fetch_add(1, Ordering::Relaxed),
+            hedge: None,
+            spans: None,
+        };
+        let mut attempt = WireAttempt { transport: &*self.transport, request, seed };
+        let ladder = walk(&mut attempt, &call, primary, candidates, rejected);
+        {
+            let mut board = self.board.lock().unwrap();
+            let mut last = self.board_clock.lock().unwrap();
+            let now = Instant::now();
+            board.advance(now.duration_since(*last));
+            *last = now;
+            for obs in &ladder.observations {
+                board.observe(obs);
             }
         }
-        Err(last_err.expect("non-empty candidate list"))
+        self.retries.fetch_add(ladder.retries, Ordering::Relaxed);
+        self.failovers.fetch_add(ladder.failovers, Ordering::Relaxed);
+        ladder.outcome
     }
 }
 
@@ -584,7 +561,7 @@ impl SocketFederation {
             static_ctx: &static_ctx,
         };
         let prepared = self.core.frontend.prepare(
-            Source::Text(query),
+            query,
             &session,
             &self.core.catalog,
             &mut |_| {},

@@ -13,14 +13,19 @@
 //! live — truncated prefixes, oversized declared lengths, mid-frame EOF —
 //! and every one of them maps to a *typed* error
 //! (`xrpc:transport-corrupt`), never a panic and never an allocation sized
-//! by an untrusted length field.
+//! by an untrusted length field. A read deadline covers a whole read
+//! (`DeadlineReader`), so neither end can be held by a trickling peer.
+//!
+//! Last, the wall-clock side of the [`crate::ladder`] seam lives here:
+//! `WireAttempt`, one exchange timed with `Instant`, waiting by sleeping.
 
 use std::io::{IoSlice, Read, Write};
+use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-use crate::exec::RetryPolicy;
 use crate::health::seeded_fraction;
-use crate::message::decode_fault;
+use crate::ladder::{Attempt, AttemptId, Attempted};
+use crate::message::reply_or_fault;
 use crate::net::XrpcError;
 
 /// Hard cap on a frame's declared payload length. A peer declaring more is
@@ -172,6 +177,34 @@ pub fn read_payload(
         .map_err(|e| FrameError::Utf8 { valid_up_to: e.utf8_error().valid_up_to() })
 }
 
+/// A socket read under one deadline for the whole read, however many
+/// `recv`s it takes: the socket timeout is re-armed with what is left
+/// before each one, so a peer trickling bytes just inside a per-`recv`
+/// timeout cannot hold the reader past `deadline`. At zero the read fails
+/// with `TimedOut`, which [`FrameError::timed_out`] reports like any other
+/// expired read deadline.
+pub(crate) struct DeadlineReader<'a> {
+    stream: &'a TcpStream,
+    deadline: Instant,
+}
+
+impl<'a> DeadlineReader<'a> {
+    pub(crate) fn new(stream: &'a TcpStream, deadline: Instant) -> Self {
+        DeadlineReader { stream, deadline }
+    }
+}
+
+impl Read for DeadlineReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(std::io::ErrorKind::TimedOut.into());
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        self.stream.read(buf)
+    }
+}
+
 /// Reads one whole frame: prefix plus payload. `Ok(None)` is a clean
 /// close between frames.
 pub fn read_frame(r: &mut dyn Read, max_len: usize) -> Result<Option<String>, FrameError> {
@@ -192,98 +225,36 @@ pub trait Transport: Send + Sync {
     /// Ships `request` to `peer` and returns the reply envelope, spending
     /// at most `budget` wall clock on this one attempt.
     fn exchange(&self, peer: &str, request: &str, budget: Duration) -> Result<String, XrpcError>;
+}
 
-    /// Fetches the serialized document `uri` from `host` (the data-shipping
-    /// path). The default implementation rides on [`Transport::exchange`]
-    /// with a doc-request envelope.
-    fn fetch_doc(&self, host: &str, uri: &str, budget: Duration) -> Result<String, XrpcError> {
-        let reply = self.exchange(host, &crate::message::encode_doc_request(uri), budget)?;
-        if reply.contains("<fault ") {
-            if let Some(e) = decode_fault(&reply) {
-                return Err(e);
-            }
-        }
-        crate::message::decode_doc_response(&reply).ok_or_else(|| XrpcError::TransportCorrupt {
-            peer: host.to_string(),
-            detail: format!("doc reply for {uri} is not a doc envelope"),
-        })
+/// The wall-clock [`Attempt`]: one envelope exchange through a
+/// [`Transport`], timed with [`Instant`]; a fault envelope is decoded into
+/// the typed error it carries, and waiting is a genuine `thread::sleep`.
+/// The server does its own slot queuing, so `slot_wait` has no meaning on
+/// this side of the wire.
+pub(crate) struct WireAttempt<'a> {
+    pub transport: &'a dyn Transport,
+    pub request: &'a str,
+    /// Jitter seed: backoff phases are a pure function of
+    /// `(seed, lane, rung, host, failures)`, so same-peer retries across a
+    /// run do not share them.
+    pub seed: u64,
+}
+
+impl Attempt for WireAttempt<'_> {
+    fn attempt(&mut self, host: &str, _: AttemptId, budget: Duration, _: Duration) -> Attempted {
+        let started = Instant::now();
+        let result = self.transport.exchange(host, self.request, budget).and_then(reply_or_fault);
+        Attempted { spent: started.elapsed(), result, fault: None, ok_arg: None }
     }
-}
 
-/// Outcome of one retried logical call: failed attempts (for the health
-/// scoreboard) plus the decoded-or-typed result.
-pub struct CallOutcome {
-    pub failed_attempts: u32,
-    pub outcome: Result<String, XrpcError>,
-}
+    fn jitter(&self, host: &str, id: AttemptId) -> f64 {
+        let stream = self.seed ^ id.lane.rotate_left(17) ^ u64::from(id.rung);
+        seeded_fraction(stream, host, u64::from(id.failed) + 1)
+    }
 
-/// Drives one logical call through `transport` under `policy`: replays
-/// retryable failures with exponential backoff and deterministic jitter
-/// (seeded per `(peer, attempt)`), honors server-supplied `retry-after-ms`
-/// hints, decodes fault envelopes into typed errors, and gives up when the
-/// deadline budget or the attempt budget runs out.
-///
-/// This is the real-time sibling of the simulated transport's retry loop:
-/// backoff here is a genuine `thread::sleep`, and the deadline is wall
-/// clock.
-pub fn call_with_retry(
-    transport: &dyn Transport,
-    peer: &str,
-    request: &str,
-    policy: &RetryPolicy,
-    jitter_seed: u64,
-) -> CallOutcome {
-    let started = Instant::now();
-    let mut failed = 0u32;
-    loop {
-        let budget = policy.deadline.saturating_sub(started.elapsed());
-        if budget.is_zero() {
-            return CallOutcome {
-                failed_attempts: failed,
-                outcome: Err(XrpcError::Cancelled {
-                    peer: peer.to_string(),
-                    reason: format!("retry budget exhausted after {failed} failed attempt(s)"),
-                }),
-            };
-        }
-        let attempt = match transport.exchange(peer, request, budget) {
-            Ok(reply) if reply.contains("<fault ") => match decode_fault(&reply) {
-                Some(e) => Err(e),
-                None => Ok(reply),
-            },
-            other => other,
-        };
-        match attempt {
-            Ok(reply) => return CallOutcome { failed_attempts: failed, outcome: Ok(reply) },
-            Err(e) => {
-                // Overloaded is final in the simulated world (the
-                // coordinator's own admission verdict), but over the wire
-                // it is the *server's* shed carrying an honest
-                // `retry-after-ms` — the wall-clock driver waits the hint
-                // out and tries again.
-                let worth_retrying =
-                    e.retryable() || matches!(e, XrpcError::Overloaded { .. });
-                if !worth_retrying || failed + 1 >= policy.max_attempts {
-                    return CallOutcome { failed_attempts: failed + 1, outcome: Err(e) };
-                }
-                failed += 1;
-                let jitter = seeded_fraction(jitter_seed, peer, u64::from(failed));
-                let wait = policy.backoff_with_hint(failed, jitter, e.retry_after());
-                let elapsed = started.elapsed();
-                if elapsed + wait >= policy.deadline {
-                    return CallOutcome {
-                        failed_attempts: failed,
-                        outcome: Err(XrpcError::Cancelled {
-                            peer: peer.to_string(),
-                            reason: format!(
-                                "retry budget exhausted after {failed} failed attempt(s)"
-                            ),
-                        }),
-                    };
-                }
-                std::thread::sleep(wait);
-            }
-        }
+    fn pause(&mut self, wait: Duration) {
+        std::thread::sleep(wait);
     }
 }
 
@@ -360,51 +331,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    /// Replies with an `Overloaded` fault envelope (carrying a
-    /// `retry-after-ms` hint) a fixed number of times, then succeeds.
-    struct HintingTransport {
-        shed_remaining: std::sync::Mutex<u32>,
-        hint_ms: u64,
-    }
-
-    impl Transport for HintingTransport {
-        fn exchange(&self, _peer: &str, _req: &str, _budget: Duration) -> Result<String, XrpcError> {
-            let mut left = self.shed_remaining.lock().unwrap();
-            if *left > 0 {
-                *left -= 1;
-                return Ok(crate::message::encode_fault(&XrpcError::Overloaded {
-                    retry_after_ms: self.hint_ms,
-                }));
-            }
-            Ok("<env><response/></env>".to_string())
-        }
-    }
-
-    #[test]
-    fn retry_honors_server_retry_after_hint() {
-        // base backoff of 1ms would retry almost immediately; the server's
-        // 80ms hint must dominate the wait
-        let policy = RetryPolicy {
-            max_attempts: 3,
-            base_backoff: Duration::from_millis(1),
-            max_backoff: Duration::from_millis(4),
-            deadline: Duration::from_secs(5),
-        };
-        let transport = HintingTransport {
-            shed_remaining: std::sync::Mutex::new(1),
-            hint_ms: 80,
-        };
-        let t0 = Instant::now();
-        let out = call_with_retry(&transport, "p", "<env><request/></env>", &policy, 7);
-        let elapsed = t0.elapsed();
-        assert_eq!(out.failed_attempts, 1);
-        assert!(out.outcome.is_ok(), "{:?}", out.outcome);
-        assert!(
-            elapsed >= Duration::from_millis(80),
-            "retried before the hinted wait: {elapsed:?}"
-        );
     }
 
     #[test]

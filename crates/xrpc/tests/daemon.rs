@@ -256,6 +256,75 @@ fn oversized_declared_length_gets_typed_fault_then_close() {
     assert!(read_frame(&mut stream, MAX_FRAME_LEN).unwrap().is_none());
 }
 
+/// A budget covers the whole reply, not each `recv` of it: a peer that
+/// declares 64 bytes and sends one every 40 ms (each inside a 150 ms
+/// per-read timeout, 2.5 s in all) is a typed timeout at the budget.
+#[test]
+fn trickled_reply_is_a_typed_timeout_inside_the_exchange_budget() {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let trickler = std::thread::spawn(move || {
+        use std::io::Write as _;
+        let (mut conn, _) = listener.accept().unwrap();
+        read_frame(&mut conn, MAX_FRAME_LEN).unwrap().expect("the request frame");
+        conn.write_all(&64u32.to_be_bytes()).unwrap();
+        for _ in 0..64 {
+            std::thread::sleep(Duration::from_millis(40));
+            if conn.write_all(b"x").is_err() {
+                return; // the client gave up and closed: what it should do
+            }
+        }
+    });
+    let transport = TcpTransport::new();
+    transport.register("T", &addr.to_string());
+    let budget = Duration::from_millis(150);
+    let t0 = Instant::now();
+    let outcome = transport.exchange("T", "<env><request/></env>", budget);
+    let took = t0.elapsed();
+    let err = outcome.expect_err("a reply trickling past the budget is no success");
+    assert_eq!(err.code(), "xrpc:timeout", "{err}");
+    assert!(took < 2 * budget, "a {budget:?} budget held the caller {took:?}");
+    trickler.join().unwrap();
+}
+
+/// The daemon's side of the same rule (slow-loris): a client that started
+/// a frame must finish it within `read_timeout`, however it paces its
+/// bytes; it gets a typed timeout fault, then the close, and the daemon
+/// serves the next connection.
+#[test]
+fn trickled_request_gets_a_typed_timeout_then_close() {
+    let read_timeout = Duration::from_millis(150);
+    let p1 = daemon("P1", ServerConfig { read_timeout, ..ServerConfig::default() });
+    let mut stream = TcpStream::connect(p1.addr()).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let t0 = Instant::now();
+    let trickler = std::thread::spawn(move || {
+        use std::io::Write as _;
+        writer.write_all(&64u32.to_be_bytes()).unwrap();
+        for _ in 0..64 {
+            std::thread::sleep(Duration::from_millis(40));
+            if writer.write_all(b"x").is_err() {
+                return; // the daemon closed on us
+            }
+        }
+    });
+    let reply = read_frame(&mut stream, MAX_FRAME_LEN)
+        .expect("fault frame expected")
+        .expect("fault frame expected");
+    let took = t0.elapsed();
+    let fault = decode_fault(&reply).expect("typed fault for a trickled frame");
+    assert_eq!(fault.code(), "xrpc:timeout", "{fault:?}");
+    assert!(took < 2 * read_timeout, "a {read_timeout:?} read deadline held {took:?}");
+    assert!(matches!(read_frame(&mut stream, MAX_FRAME_LEN), Ok(None) | Err(_)), "then the close");
+    trickler.join().unwrap();
+
+    let mut next = TcpStream::connect(p1.addr()).unwrap();
+    let reply = raw_exchange(&mut next, &encode_doc_request("xrpc://P1/people.xml"))
+        .expect("the daemon serves the next connection");
+    assert!(decode_doc_response(&reply).is_some(), "{reply}");
+}
+
 // ---------------------------------------------------------------------------
 // admission: bounded in-flight with honest hints
 // ---------------------------------------------------------------------------
@@ -636,4 +705,209 @@ fn idle_closed_pooled_connection_is_not_charged_to_the_peer() {
     assert_eq!(second.result, first.result);
     assert_eq!(second.retries, 0, "a stale pooled connection must not cost a retry");
     assert_eq!(fed.breaker_state("P1"), BreakerState::Closed);
+}
+
+// ---------------------------------------------------------------------------
+// TCP x chaos: a flaky wire under the socket coordinator
+// ---------------------------------------------------------------------------
+
+/// What the flaky wire does to one exchange.
+#[derive(Clone, Copy, PartialEq)]
+enum Flake {
+    Pass,
+    /// No reply at all: a retryable typed `Err`.
+    Lost,
+    /// The server's shed: an `Overloaded` fault envelope with a hint.
+    Shed,
+    /// A captured worker panic: another replica can route around it.
+    Panic,
+    /// An evaluation fault: every replica would reproduce it.
+    Dynamic,
+}
+
+#[derive(Default)]
+struct Injected {
+    retryable: u64,
+    panics: u64,
+    dynamics: u64,
+    /// Consecutive retryable flakes per peer, capped below `max_attempts`
+    /// so the script never exhausts a rung: every one of them is retried.
+    streak: BTreeMap<String, u32>,
+}
+
+/// [`TcpTransport`] behind a seeded script: per exchange to a `flaky`
+/// peer, pass through, or lose the exchange, or answer with a fault
+/// envelope the daemon never sent.
+struct FlakyTransport {
+    inner: TcpTransport,
+    flaky: Vec<&'static str>,
+    /// Share of a flaky peer's exchanges that draw from `menu`.
+    rate: f64,
+    menu: Vec<Flake>,
+    rng: Mutex<xqd_prng::Rng>,
+    injected: Mutex<Injected>,
+}
+
+const FLAKY_ATTEMPTS: u32 = 4;
+
+impl Transport for FlakyTransport {
+    fn exchange(&self, peer: &str, request: &str, budget: Duration) -> Result<String, XrpcError> {
+        let flake = {
+            let mut rng = self.rng.lock().unwrap();
+            let mut injected = self.injected.lock().unwrap();
+            let mut flake = if self.flaky.contains(&peer) && rng.gen_bool(self.rate) {
+                rng.choose(&self.menu)
+            } else {
+                Flake::Pass
+            };
+            let streak = injected.streak.entry(peer.to_string()).or_default();
+            if matches!(flake, Flake::Lost | Flake::Shed) && *streak + 1 >= FLAKY_ATTEMPTS {
+                flake = Flake::Pass;
+            }
+            *streak = if matches!(flake, Flake::Lost | Flake::Shed) { *streak + 1 } else { 0 };
+            match flake {
+                Flake::Pass => {}
+                Flake::Lost | Flake::Shed => injected.retryable += 1,
+                Flake::Panic => injected.panics += 1,
+                Flake::Dynamic => injected.dynamics += 1,
+            }
+            flake
+        };
+        let remote = |code: &str| XrpcError::RemoteFault {
+            peer: peer.to_string(),
+            code: code.to_string(),
+            message: "scripted".to_string(),
+        };
+        match flake {
+            Flake::Pass => self.inner.exchange(peer, request, budget),
+            Flake::Lost => Err(XrpcError::TransportCorrupt {
+                peer: peer.to_string(),
+                detail: "scripted loss".to_string(),
+            }),
+            Flake::Shed => Ok(xqd_xrpc::encode_fault(&XrpcError::Overloaded { retry_after_ms: 3 })),
+            Flake::Panic => Ok(xqd_xrpc::encode_fault(&remote("xrpc:panic"))),
+            Flake::Dynamic => Ok(xqd_xrpc::encode_fault(&remote("err:dynamic"))),
+        }
+    }
+}
+
+fn flaky_fed(
+    servers: &[&PeerServer],
+    flaky: &[&'static str],
+    rate: f64,
+    menu: &[Flake],
+    seed: u64,
+) -> (SocketFederation, Arc<FlakyTransport>) {
+    let inner = TcpTransport::new();
+    for s in servers {
+        inner.register(s.name(), &s.addr().to_string());
+    }
+    let transport = Arc::new(FlakyTransport {
+        inner,
+        flaky: flaky.to_vec(),
+        rate,
+        menu: menu.to_vec(),
+        rng: Mutex::new(xqd_prng::Rng::seed_from_u64(seed)),
+        injected: Mutex::new(Injected::default()),
+    });
+    let mut fed = SocketFederation::new(Arc::<FlakyTransport>::clone(&transport));
+    fed.set_exec_options(ExecOptions {
+        retry: RetryPolicy {
+            max_attempts: FLAKY_ATTEMPTS,
+            base_backoff: Duration::from_millis(1),
+            max_backoff: Duration::from_millis(4),
+            deadline: Duration::from_secs(5),
+        },
+        // breakers off: what the ladder does is then a function of the
+        // script alone, so the counters can be checked exactly
+        breaker: xqd_xrpc::BreakerPolicy { threshold: 0, ..Default::default() },
+        replica_seed: seed,
+        ..ExecOptions::default()
+    });
+    (fed, transport)
+}
+
+const FLAKY_SEEDS: u64 = 24;
+const FLAKY_STRATEGIES: [Strategy; 3] =
+    [Strategy::ByValue, Strategy::ByFragment, Strategy::ByProjection];
+
+/// Every seed x strategy x {scatter, non-scatter} run over a wire that
+/// loses exchanges, sheds, panics and faults is bit-identical to
+/// `Federation::run` or a typed error — the error exactly when the script
+/// injected something no retry can cure — and `retries` counts exactly the
+/// script's retryable flakes.
+#[test]
+fn flaky_wire_runs_are_identical_or_typed_errors_and_count_what_was_injected() {
+    let mut sim = sim_fed();
+    let p1 = daemon("P1", ServerConfig::default());
+    let p2 = daemon("P2", ServerConfig::default());
+    let menu = [Flake::Lost, Flake::Shed, Flake::Panic, Flake::Dynamic];
+    let (mut identical, mut typed, mut retried) = (0, 0, 0);
+    for seed in 0..FLAKY_SEEDS {
+        for strategy in FLAKY_STRATEGIES {
+            for query in [SCATTER_SHAPES[0], JOIN_QUERY] {
+                let expected = sim.run(query, strategy).expect("simulated run").result;
+                let (mut fed, wire) = flaky_fed(&[&p1, &p2], &["P1", "P2"], 0.45, &menu, seed);
+                let t0 = Instant::now();
+                let outcome = fed.run(query, strategy);
+                assert!(t0.elapsed() < Duration::from_secs(10), "seed {seed}: {:?}", t0.elapsed());
+                let injected = wire.injected.lock().unwrap();
+                let incurable = injected.panics + injected.dynamics;
+                match outcome {
+                    Ok(got) => {
+                        assert_eq!(got.result, expected, "seed {seed} {strategy:?}");
+                        assert_eq!(incurable, 0, "seed {seed}: a fault reply was swallowed");
+                        assert_eq!(got.retries, injected.retryable, "seed {seed} {strategy:?}");
+                        assert_eq!(got.failovers, 0, "seed {seed}: no replica to fail over to");
+                        identical += 1;
+                        retried += got.retries;
+                    }
+                    Err(e) => {
+                        let code = e.code.as_deref().expect("typed error");
+                        assert!(incurable > 0, "seed {seed} {strategy:?}: {e:?} out of retryables");
+                        assert!(matches!(code, "xrpc:panic" | "err:dynamic"), "seed {seed}: {e:?}");
+                        typed += 1;
+                    }
+                }
+            }
+        }
+    }
+    // the matrix reaches both sides of the dichotomy and the retry loop
+    assert!(identical > 20 && typed > 20 && retried > 20, "{identical} / {typed} / {retried}");
+}
+
+/// With a replica registered and only the primary flaky, nothing the wire
+/// does fails a run: lost and shed exchanges are retried, a panicking
+/// primary is failed over — one failover per scripted panic.
+#[test]
+fn flaky_primary_with_a_replica_never_fails_a_run() {
+    let mut sim = sim_fed();
+    let p1 = daemon("P1", ServerConfig::default());
+    let p2 = daemon("P2", ServerConfig::default());
+    let mut p3 = PeerServer::bind("P3", "127.0.0.1:0", ServerConfig::default()).unwrap();
+    p3.load_replica("xrpc://P1/people.xml", PEOPLE).unwrap();
+    p3.start();
+    let menu = [Flake::Lost, Flake::Shed, Flake::Panic];
+    let (mut retried, mut failed_over) = (0, 0);
+    for seed in 0..FLAKY_SEEDS {
+        for strategy in FLAKY_STRATEGIES {
+            for query in [SCATTER_SHAPES[0], JOIN_QUERY] {
+                let expected = sim.run(query, strategy).expect("simulated run").result;
+                let (mut fed, wire) = flaky_fed(&[&p1, &p2, &p3], &["P1"], 0.75, &menu, seed);
+                fed.register_replica("xrpc://P1/people.xml", "P3");
+                let got = fed
+                    .run(query, strategy)
+                    .unwrap_or_else(|e| panic!("seed {seed} {strategy:?}: {e:?}"));
+                assert_eq!(got.result, expected, "seed {seed} {strategy:?}");
+                let injected = wire.injected.lock().unwrap();
+                assert_eq!(got.retries, injected.retryable, "seed {seed} {strategy:?}");
+                assert_eq!(got.failovers, injected.panics, "seed {seed} {strategy:?}");
+                retried += got.retries;
+                failed_over += got.failovers;
+            }
+        }
+    }
+    // the replica seed varies with the run seed, so the primary leads the
+    // ladder in some runs and never gets dialed in others
+    assert!(retried > 10 && failed_over > 10, "{retried} retries / {failed_over} failovers");
 }
