@@ -85,19 +85,21 @@ echo "== multi-process crash harness (3 daemons over TCP, kill -9, drain) =="
 # replica standing, as the identical result via failover), and every
 # surviving daemon must exit 0 on graceful drain. The harness carries its
 # own 90s watchdog; the outer timeout is belt-and-braces where coreutils
-# provides one.
-run_crash_harness() {
-    cargo run --release --offline --example crash_harness -- --out target/ci_crash.json
-}
+# provides one. The harness's `xqd run --connect` client also writes the
+# trace of its run: the socket path is traced by the one coordinator.
+rm -f target/ci_socket_trace.json
+crash_harness=(cargo run --release --offline --example crash_harness --
+    --out target/ci_crash.json --trace-out target/ci_socket_trace.json)
 if command -v timeout >/dev/null 2>&1; then
-    timeout 150 cargo run --release --offline --example crash_harness -- --out target/ci_crash.json
+    timeout 150 "${crash_harness[@]}"
 else
-    run_crash_harness
+    "${crash_harness[@]}"
 fi
 grep -q '"equivalence_identical": true' target/ci_crash.json
 grep -q '"killed_typed_or_identical": true' target/ci_crash.json
 grep -q '"replica_failover_identical": true' target/ci_crash.json
 grep -q '"drain_exit_zero": true' target/ci_crash.json
+grep -q '"name": "rpc.attempt"' target/ci_socket_trace.json
 
 echo "== chaos smoke (seeded fault sweep + replica failover, offline) =="
 # Small-N seeded fault-injection sweep across all three wire semantics,
@@ -142,8 +144,8 @@ grep -q '"name": "sched.shed"' target/ci_wtrace_1.json
 
 echo "== wirebench smoke (real sockets; correctness only, no timing gate) =="
 # The real-wire benchmark's own smoke pass (builds into wirebench/target):
-# two `xqd serve` daemons per workload, driven through SocketFederation —
-# the socket coordinator's front end and plan cache on every CI run. The
+# two `xqd serve` daemons per workload, driven through the SocketFederation
+# face — the coordinator's wire carrier on every CI run. The
 # driver exits non-zero on any reply that is not bit-identical to
 # in-process Federation::run, on any retry, failover, shed request or
 # orphaned daemon, and on an unclean drain. Timing is printed, never
@@ -216,6 +218,26 @@ echo "== one ladder, one retry loop (structural) =="
 ladder_files=$(grep -ln 'backoff_with_hint(\|failover_eligible()' crates/xrpc/src/*.rs | tr '\n' ' ')
 if [ "$ladder_files" != "crates/xrpc/src/ladder.rs crates/xrpc/src/net.rs " ]; then
     echo "ladder logic outside ladder.rs/net.rs: $ladder_files" >&2
+    exit 1
+fi
+
+echo "== one coordinator (structural) =="
+# What turns a plan's `execute at`s and foreign `fn:doc`s into ladders is
+# `Federation` in exec.rs, over either carrier. tcp.rs is a transport plus
+# a logic-free face: a handler, a resolver, a ladder walk, an evaluator, a
+# scoreboard or a counter there means a second coordinator grew back.
+link_files=$(grep -l 'impl RemoteHandler for\|impl DocResolver for' crates/xrpc/src/*.rs | tr '\n' ' ')
+if [ "$link_files" != "crates/xrpc/src/exec.rs " ]; then
+    echo "RemoteHandler/DocResolver implemented outside exec.rs: $link_files" >&2
+    exit 1
+fi
+walk_files=$(grep -l 'walk(' crates/xrpc/src/*.rs | tr '\n' ' ')
+if [ "$walk_files" != "crates/xrpc/src/exec.rs crates/xrpc/src/ladder.rs " ]; then
+    echo "ladders walked outside exec.rs/ladder.rs: $walk_files" >&2
+    exit 1
+fi
+if grep -n 'Mutex<Scoreboard>\|Evaluator::new\|AtomicU64' crates/xrpc/src/tcp.rs >&2; then
+    echo "tcp.rs holds coordinator state again" >&2
     exit 1
 fi
 

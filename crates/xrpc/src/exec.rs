@@ -1,18 +1,28 @@
-//! The distributed execution fabric: simulated peers plus the
+//! The coordinator and the simulated peers: the
 //! [`xqd_xquery::RemoteHandler`] / [`xqd_xquery::DocResolver`]
 //! implementations wiring the decomposed query to the message codecs.
 //!
-//! A [`Federation`] owns one [`Peer`] per `xrpc://host/…` host; `run()`
-//! spins up a fresh coordinator store (the query originator), prepares the
-//! query through the shared front end ([`crate::frontend`]: decomposed under
-//! the chosen [`Strategy`], lowered to plan IR, cached) and executes the
-//! plan. Remote `execute at` calls serialize a real request message,
-//! "transfer" it under the [`NetworkModel`], shred it into the target
-//! peer's store, compile and execute the body there with the *same* plan
-//! engine, and ship the response back the same way. `fn:doc("xrpc://…")`
-//! on the coordinator performs data shipping: the remote peer serializes
-//! the whole document, bytes are accounted, and the coordinator shreds and
-//! caches it.
+//! There is one coordinator, [`Federation`], and it runs over either of two
+//! **carriers**. [`Federation::new`] simulates the federation in process:
+//! it owns one [`Peer`] per `xrpc://host/…` host and a [`NetworkModel`]
+//! whose clock it bills. [`Federation::over`] drives live peer daemons
+//! through a [`Transport`] on the wall clock. `run()` is the same code on
+//! both: a fresh coordinator store (the query originator), the query
+//! prepared through the shared front end ([`crate::frontend`]: decomposed
+//! under the chosen [`Strategy`], lowered to plan IR, cached), the plan
+//! executed. A remote `execute at` serializes a real request message and
+//! hands it to the failover ladder; `fn:doc("xrpc://…")` on the coordinator
+//! performs data shipping through the same ladder, and the coordinator
+//! shreds and caches the document. What an *attempt* is made of is the
+//! carrier's: simulated, the message is "transferred" under the
+//! [`NetworkModel`], shredded into the target peer's store, compiled and
+//! executed there with the *same* plan engine, and the response shipped
+//! back the same way; on the wire, it is one envelope exchange with a
+//! daemon that does all of that in its own process. The carrier is
+//! consulted where an attempt is built, where the health board's clock
+//! moves and where a ladder's last resort is decided (see `Carrier`) — the
+//! link, the scatter round, the accounting, the trace and the run itself
+//! cannot tell which one is underneath.
 //!
 //! # Parallel scatter-gather
 //!
@@ -22,10 +32,10 @@
 //! into atomics. When a plan reaches a scatter point — independent
 //! `execute at` calls aimed at distinct peers — [`FedLink::execute_scatter`]
 //! encodes every request up front (byte-identical to sequential execution),
-//! fans the decode→evaluate→respond pipeline out across one scoped thread
-//! per peer, and gathers/decodes responses in deterministic call order.
-//! Serialized network cost stays the exact per-transfer sum; the overlapped
-//! cost of a round is the slowest peer's chain (see
+//! fans the ladders out across one scoped thread per peer
+//! ([`crate::scatter`]), and gathers/decodes responses in deterministic
+//! call order. Serialized network cost stays the exact per-transfer sum;
+//! the overlapped cost of a round is the slowest peer's chain (see
 //! [`Metrics::network_overlapped`]).
 //!
 //! Within one Bulk RPC the remote side can also split the decoded call list
@@ -39,16 +49,18 @@
 //!
 //! Every remote interaction — Bulk RPC, scatter rounds, document fetches —
 //! is one logical call carried by the failover ladder and retry loop of
-//! [`crate::ladder`]; this module supplies the two simulated attempts it
-//! drives (`RpcAttempt`, `DocAttempt`). When a [`crate::FaultPlan`] is
-//! installed, each attempt may be mangled (truncation/corruption), delayed,
-//! dropped or hung per the deterministic schedule; failures surface as
-//! typed [`XrpcError`]s, and calls whose ladder is exhausted degrade
-//! gracefully to data shipping (fetch the documents, evaluate the body
-//! locally, round-trip the results through the same wire codec) when the
-//! body is eligible. Remote evaluation failures and captured worker panics
-//! travel back as wire-encoded fault responses, so the error path
-//! exercises the same codecs as the data path.
+//! [`crate::ladder`]; this module supplies the three attempts it drives
+//! (`RpcAttempt` and `DocAttempt` on the simulated carrier, `WireAttempt`
+//! on the wire). When a [`crate::FaultPlan`] is installed, each simulated
+//! attempt may be mangled (truncation/corruption), delayed, dropped or hung
+//! per the deterministic schedule; failures surface as typed
+//! [`XrpcError`]s, and calls whose ladder is exhausted degrade gracefully
+//! to data shipping (fetch the documents, evaluate the body locally,
+//! round-trip the results through the same wire codec) when the body is
+//! eligible and the carrier has that rung — over the wire an exhausted
+//! ladder is the typed error. Remote evaluation failures and captured
+//! worker panics travel back as wire-encoded fault responses, so the error
+//! path exercises the same codecs as the data path.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -67,15 +79,16 @@ use crate::frontend::{FrontEnd, FrontEndEvent, PreparedQuery, Session};
 
 use xqd_core::replicas::ReplicaCatalog;
 
-use crate::health::{BreakerPolicy, BreakerState, Observation, Scoreboard};
+use crate::health::{seeded_fraction, BreakerPolicy, BreakerState, Observation, Scoreboard};
 use crate::ladder::{
     admitted_candidates, fault_seq, walk, Attempt, AttemptId, Attempted, Call, LadderOutcome,
     Spans, BUSY_SWITCH_WAIT, DOC_SPANS, RPC_SPANS,
 };
 pub use crate::ladder::RetryPolicy;
 use crate::message::{
-    decode_doc_request, decode_request, decode_response, encode_doc_response, encode_fault,
-    encode_request, encode_response, reply_or_fault, WireSemantics,
+    decode_doc_request, decode_doc_response, decode_request, decode_response, encode_doc_request,
+    encode_doc_response, encode_fault, encode_request, encode_response, payload_kind,
+    reply_or_fault, WireSemantics,
 };
 use crate::net::{Fault, FaultPlan, Metrics, NetworkModel, XrpcError};
 use crate::scatter::{fan_out, group_by_peer};
@@ -214,6 +227,7 @@ struct MetricsSink {
     remote_exec_ns: AtomicU64,
     network_ns: AtomicU64,
     network_overlapped_ns: AtomicU64,
+    doc_fetches: AtomicU64,
 }
 
 fn as_ns(d: Duration) -> u64 {
@@ -247,6 +261,7 @@ impl MetricsSink {
             &self.remote_exec_ns,
             &self.network_ns,
             &self.network_overlapped_ns,
+            &self.doc_fetches,
         ] {
             cell.store(0, Ordering::Relaxed);
         }
@@ -289,6 +304,7 @@ impl MetricsSink {
                 self.network_overlapped_ns.load(Ordering::Relaxed),
             ),
             total: Duration::ZERO,
+            doc_fetches: self.doc_fetches.load(Ordering::Relaxed),
         }
     }
 
@@ -319,25 +335,51 @@ impl PeerSlot {
     }
 }
 
+/// What carries a federation's messages and which clock it keeps — the one
+/// thing that differs between a simulated run and a run against live
+/// daemons. It is consulted where an attempt is built
+/// ([`call_with_failover`], which also decides hedging, and
+/// [`FedLink::resolve`]), where the health board's clock moves
+/// ([`Federation::begin_run`], [`FedCore::advance_board`]) and where a
+/// ladder's last resort is decided ([`FedCore::degrades`]) — nowhere else.
+enum Carrier {
+    /// The in-process peers of [`FedCore::peers`] behind the
+    /// [`NetworkModel`], on the simulated clock.
+    Simulated,
+    /// Live daemons behind a [`Transport`], on the wall clock.
+    Wire {
+        transport: Arc<dyn Transport>,
+        /// Instant of the board's last advance. On this carrier the board
+        /// outlives the run and moves by genuinely elapsed time, so a killed
+        /// peer stays distrusted (its breaker open) from one query to the
+        /// next and is probed again once its cooldown has really passed.
+        board_clock: Mutex<Instant>,
+    },
+}
+
 struct FedCore {
-    /// Peer slots: see [`PeerSlot`].
+    carrier: Carrier,
+    /// Peer slots: see [`PeerSlot`]. A federation over a [`Transport`] has
+    /// none — its peers are the daemons.
     peers: Mutex<HashMap<String, PeerSlot>>,
     /// Signalled whenever a peer is returned to its slot.
     peers_returned: Condvar,
+    /// Link model the simulated attempts bill; the wire measures instead.
     model: NetworkModel,
     metrics: MetricsSink,
     wire: Mutex<WireSemantics>,
     options: Mutex<ExecOptions>,
-    /// Lane allocator for fault-schedule streams (reset per run): each
-    /// logical ladder — one Bulk RPC, one scatter slot, one document fetch —
-    /// draws its ordinals from its own lane, so the schedule stays
-    /// replayable under any thread interleaving even when two slots fail
-    /// over to the same replica concurrently.
+    /// Lane allocator for fault-schedule and backoff-jitter streams (reset
+    /// per run): each logical ladder — one Bulk RPC, one scatter slot, one
+    /// document fetch — draws its ordinals from its own lane, so the
+    /// schedule stays replayable under any thread interleaving even when
+    /// two slots fail over to the same replica concurrently.
     lanes: AtomicU64,
     /// Peer health scoreboard: EWMA latency and circuit breakers on the
-    /// simulated clock. Mutated only from coordinator call sites —
+    /// carrier's clock. Mutated only from coordinator call sites —
     /// sequentially between calls, or at the scatter gather in slot order —
-    /// so its evolution is a pure function of the run's fault seed.
+    /// so on the simulated clock its evolution is a pure function of the
+    /// run's fault seed.
     board: Mutex<Scoreboard>,
     /// Replicated document placement (see [`ReplicaCatalog`]).
     catalog: Mutex<ReplicaCatalog>,
@@ -391,16 +433,42 @@ impl FedCore {
         self.board.lock().unwrap().clone()
     }
 
+    /// Moves the board's clock past a ladder (or round) that occupied
+    /// `window`: by `window` on the simulated clock, by what has really
+    /// elapsed since the last reading on the wall clock.
+    fn advance_board(&self, board: &mut Scoreboard, window: Duration) {
+        match &self.carrier {
+            Carrier::Simulated => board.advance(window),
+            Carrier::Wire { board_clock, .. } => {
+                let mut last = board_clock.lock().unwrap();
+                let now = Instant::now();
+                board.advance(now.duration_since(*last));
+                *last = now;
+            }
+        }
+    }
+
+    /// Whether a call whose ladder is exhausted may degrade to data
+    /// shipping ([`fallback_local`]), and with it whether a document fetch
+    /// — the fetch backing that rung — forces an attempt past open
+    /// breakers. Off on the wire: against live daemons the contract is
+    /// "the identical result or a typed error, with the retries and
+    /// failovers the wire really cost", and a degraded answer would blur
+    /// both halves of it.
+    fn degrades(&self) -> bool {
+        matches!(self.carrier, Carrier::Simulated)
+    }
+
     /// Applies a ladder's (or a whole round's) health observations to the
-    /// shared scoreboard after advancing the simulated clock by the wall
-    /// clock the ladder occupied; breaker trips are counted as they land.
+    /// shared scoreboard after advancing its clock past the `window` the
+    /// ladder occupied; breaker trips are counted as they land.
     fn apply_observations<'a>(
         &self,
-        elapsed: Duration,
+        window: Duration,
         observations: impl IntoIterator<Item = &'a Observation>,
     ) {
         let mut board = self.board.lock().unwrap();
-        board.advance(elapsed);
+        self.advance_board(&mut board, window);
         for obs in observations {
             if board.observe(obs) {
                 self.metrics.breaker_trips.fetch_add(1, Ordering::Relaxed);
@@ -512,7 +580,8 @@ impl FedCore {
     }
 }
 
-/// A federation of peers plus the coordinator.
+/// The coordinator, plus — on the simulated carrier — the federation of
+/// peers it queries.
 pub struct Federation {
     core: Arc<FedCore>,
 }
@@ -524,8 +593,9 @@ pub struct RunOutcome {
     /// sorted, comments dropped) — directly comparable across strategies.
     pub result: Vec<String>,
     pub metrics: Metrics,
-    /// The decomposition that was executed (for explain output).
-    pub plan: xqd_core::Decomposition,
+    /// The decomposition that was executed (for explain output), shared
+    /// with the plan cache's entry.
+    pub plan: Arc<xqd_core::Decomposition>,
     /// The run's span trace when [`ExecOptions::trace`] was set.
     pub trace: Option<Trace>,
     /// Per-operator execution profile when [`ExecOptions::profile`] was set
@@ -538,9 +608,27 @@ pub struct RunOutcome {
 }
 
 impl Federation {
+    /// A simulated federation: peers are loaded into this process
+    /// ([`Self::load_document`]) and messages cross the `model`'s link.
     pub fn new(model: NetworkModel) -> Self {
+        Federation::carried_by(Carrier::Simulated, model)
+    }
+
+    /// A coordinator for live peer daemons reached through `transport`
+    /// (e.g. [`crate::TcpTransport`]): the same front end, ladder, scatter
+    /// round, accounting and tracing as a simulated run, on the wall clock.
+    /// Canonical results are directly comparable with a simulated run's —
+    /// the equivalence the daemon tests and the crash harness assert byte
+    /// for byte. Replica placement comes from [`Self::register_replica`].
+    pub fn over(transport: Arc<dyn Transport>) -> Self {
+        let wire = Carrier::Wire { transport, board_clock: Mutex::new(Instant::now()) };
+        Federation::carried_by(wire, NetworkModel::lan())
+    }
+
+    fn carried_by(carrier: Carrier, model: NetworkModel) -> Self {
         Federation {
             core: Arc::new(FedCore {
+                carrier,
                 peers: Mutex::new(HashMap::new()),
                 peers_returned: Condvar::new(),
                 model,
@@ -577,9 +665,12 @@ impl Federation {
     }
 
     /// Switches execution modes (scatter parallelism, bulk workers) for
-    /// subsequent runs.
+    /// subsequent runs, and re-arms the health board with the new breaker
+    /// policy (what a wire federation's board, which no run resets, would
+    /// otherwise never learn).
     pub fn set_exec_options(&mut self, options: ExecOptions) {
         *self.core.options.lock().unwrap() = options;
+        self.reset_health();
     }
 
     /// Installs (or clears) the deterministic fault plan for subsequent
@@ -602,6 +693,14 @@ impl Federation {
     /// (`threshold: 0` disables breakers entirely).
     pub fn set_breaker_policy(&mut self, breaker: BreakerPolicy) {
         self.core.options.lock().unwrap().breaker = breaker;
+        self.reset_health();
+    }
+
+    /// Forgets every peer's health (EWMA, failure counts, open breakers)
+    /// under the current breaker policy.
+    pub fn reset_health(&mut self) {
+        let policy = self.core.options().breaker;
+        self.core.board.lock().unwrap().reset(policy);
     }
 
     /// Seeds the rendezvous replica-selection order for subsequent runs.
@@ -612,6 +711,21 @@ impl Federation {
     /// The replica catalog as currently registered.
     pub fn replica_catalog(&self) -> ReplicaCatalog {
         self.core.catalog.lock().unwrap().clone()
+    }
+
+    /// Records that `host` serves a bit-identical copy of `canonical_uri`
+    /// without this federation holding the copy — placement for a
+    /// federation over a [`Transport`], whose documents live in the
+    /// daemons ([`Self::replicate_document`] covers the simulated case).
+    pub fn register_replica(&mut self, canonical_uri: &str, host: &str) {
+        self.core.catalog.lock().unwrap().register(canonical_uri, host);
+        self.core.frontend.topology_changed();
+    }
+
+    /// Records the transport address of `peer` in the catalog (the address
+    /// book `--connect` populates; a TCP transport keeps its own dial map).
+    pub fn set_peer_address(&mut self, peer: &str, addr: &str) {
+        self.core.catalog.lock().unwrap().set_address(peer, addr);
     }
 
     /// Breaker state of `peer` on the scoreboard left by the last run.
@@ -793,7 +907,7 @@ impl Federation {
         let static_ctx = self.core.static_ctx.lock().unwrap().clone();
         let session = Session { strategy, decompose, exec, static_ctx: &static_ctx };
         let prepared = self.front_end(query, &session)?;
-        self.finish_run(prepared, &exec, &static_ctx)
+        self.finish_run(prepared, &exec, static_ctx)
     }
 
     /// Runs (or, on a warm cache, skips) the front end for `query` — parse,
@@ -854,7 +968,15 @@ impl Federation {
         let exec_options = self.core.options();
         self.core.metrics.reset();
         self.core.lanes.store(0, Ordering::Relaxed);
-        self.core.board.lock().unwrap().reset(exec_options.breaker);
+        {
+            // the simulated board is per-run state; the wire's persists and
+            // only catches up with the time that passed since the last run
+            let mut board = self.core.board.lock().unwrap();
+            if let Carrier::Simulated = self.core.carrier {
+                board.reset(exec_options.breaker);
+            }
+            self.core.advance_board(&mut board, Duration::ZERO);
+        }
         *self.core.tracer.lock().unwrap() = exec_options.trace.then(|| {
             // the trace id is a pure function of the run's seeds, drawn
             // through the workspace PRNG — replaying a chaos schedule
@@ -877,7 +999,7 @@ impl Federation {
         &mut self,
         prepared: Arc<PreparedQuery>,
         exec_options: &ExecOptions,
-        static_ctx: &StaticContext,
+        static_ctx: StaticContext,
     ) -> EvalResult<RunOutcome> {
         let started = Instant::now();
         // per-op profiling reads the tracer's simulated clock when tracing
@@ -894,7 +1016,7 @@ impl Federation {
         let mut handler = FedLink { core: Arc::clone(&self.core), peer: String::new() };
         let mut ev = Evaluator::new(&mut local, &[], &mut link)
             .with_remote(&mut handler)
-            .with_static_context(static_ctx.clone())
+            .with_static_context(static_ctx)
             .with_indexes(exec_options.use_indexes);
         if let Some(h) = &hook {
             ev = ev.with_profile(h.clone());
@@ -912,7 +1034,7 @@ impl Federation {
         *self.core.last_trace.lock().unwrap() = trace.clone();
         let result = evaluated?;
         let profile = hook.map(|h| h.data.borrow().clone());
-        let plan = prepared.decomposition.clone();
+        let plan = Arc::clone(&prepared.decomposition);
         self.core
             .metrics
             .semijoins
@@ -1038,7 +1160,7 @@ impl DocResolver for FedLink {
             let hosts = self.core.catalog.lock().unwrap().hosts_for(uri);
             let (mut candidates, rejected) =
                 admitted_candidates(&board, options.replica_seed, hosts);
-            if candidates.is_empty() {
+            if candidates.is_empty() && self.core.degrades() {
                 // fetches back the degradation path — the last resort. With
                 // every breaker open, force one attempt on the primary
                 // rather than failing the whole query without trying.
@@ -1050,8 +1172,19 @@ impl DocResolver for FedLink {
                 hedge: None,
                 spans: options.trace.then_some(Spans { names: &DOC_SPANS, board: &board }),
             };
-            let mut fetch = DocAttempt { wire: SimWire::new(&self.core, &options), uri, name };
-            let mut ladder = walk(&mut fetch, &call, host, candidates, rejected);
+            let (mut simulated, mut wire, request);
+            let fetch: &mut dyn Attempt = match &self.core.carrier {
+                Carrier::Simulated => {
+                    simulated = DocAttempt { wire: SimWire::new(&self.core, &options), uri, name };
+                    &mut simulated
+                }
+                Carrier::Wire { transport, .. } => {
+                    request = encode_doc_request(uri);
+                    wire = WireAttempt::new(&self.core, &**transport, &request, Some(uri), &options);
+                    &mut wire
+                }
+            };
+            let mut ladder = walk(fetch, &call, host, candidates, rejected);
             self.core.charge_ladder(&ladder);
             if self.peer.is_empty() {
                 self.core.apply_observations(ladder.window, &ladder.observations);
@@ -1063,6 +1196,7 @@ impl DocResolver for FedLink {
             }
             let sink = &self.core.metrics;
             let xml = ladder.outcome.map_err(EvalError::from)?;
+            sink.doc_fetches.fetch_add(1, Ordering::Relaxed);
             let t0 = Instant::now();
             let d = xqd_xml::parse_document(store, &xml, Some(uri))
                 .map_err(|e| EvalError::new(format!("shredding {uri}: {e}")))?;
@@ -1638,10 +1772,97 @@ impl Attempt for RpcAttempt<'_> {
     fn pause(&mut self, _: Duration) {}
 }
 
+/// The wire carrier's [`Attempt`], for calls and document fetches alike:
+/// one envelope exchange through the [`Transport`], timed with [`Instant`];
+/// a fault envelope is decoded into the typed error it carries, and waiting
+/// is a genuine `thread::sleep`. Envelopes are billed as they cross — the
+/// request when it leaves, the reply (a fault included) when it lands —
+/// which is where the simulated attempts bill theirs, so a failed attempt's
+/// bytes count here too. The daemon does its own slot queuing, so
+/// `slot_wait` has no meaning on this side of the wire.
+struct WireAttempt<'a> {
+    core: &'a FedCore,
+    transport: &'a dyn Transport,
+    request: &'a str,
+    /// `Some(uri)` for a document fetch: `request` is then a doc-request
+    /// envelope, and the doc envelope that answers it is opened here, so
+    /// the link is handed document XML by either carrier.
+    doc: Option<&'a str>,
+    /// Jitter seed: backoff phases are a pure function of
+    /// `(seed, lane, rung, host, failures)`, so same-peer retries across a
+    /// run do not share them.
+    seed: u64,
+    trace: bool,
+}
+
+impl<'a> WireAttempt<'a> {
+    fn new(
+        core: &'a FedCore,
+        transport: &'a dyn Transport,
+        request: &'a str,
+        doc: Option<&'a str>,
+        options: &ExecOptions,
+    ) -> Self {
+        let (seed, trace) = (options.replica_seed, options.trace);
+        WireAttempt { core, transport, request, doc, seed, trace }
+    }
+}
+
+impl Attempt for WireAttempt<'_> {
+    fn attempt(&mut self, host: &str, _: AttemptId, budget: Duration, _: Duration) -> Attempted {
+        let sink = &self.core.metrics;
+        // a call is two transfers of message bytes; a fetch is one — the
+        // document coming back — behind a request that is a message
+        sink.message_bytes.fetch_add(self.request.len() as u64, Ordering::Relaxed);
+        let reply_bytes = match self.doc {
+            None => {
+                sink.transfers.fetch_add(1, Ordering::Relaxed);
+                sink.charge_keysets(self.request);
+                &sink.message_bytes
+            }
+            Some(_) => &sink.document_bytes,
+        };
+        let started = Instant::now();
+        let reply = self.transport.exchange(host, self.request, budget);
+        let spent = started.elapsed();
+        let result = reply.and_then(|reply| {
+            reply_bytes.fetch_add(reply.len() as u64, Ordering::Relaxed);
+            sink.transfers.fetch_add(1, Ordering::Relaxed);
+            let reply = reply_or_fault(reply)?;
+            let Some(uri) = self.doc else {
+                sink.charge_keysets(&reply);
+                return Ok(reply);
+            };
+            decode_doc_response(&reply).ok_or_else(|| XrpcError::TransportCorrupt {
+                peer: host.to_string(),
+                detail: format!("reply for {uri} is not a doc envelope"),
+            })
+        });
+        let ok_arg = match &result {
+            Ok(reply) if self.trace => Some(match self.doc {
+                None => ("payload", payload_kind(reply).to_string()),
+                Some(_) => ("bytes", reply.len().to_string()),
+            }),
+            _ => None,
+        };
+        Attempted { spent, result, fault: None, ok_arg }
+    }
+
+    fn jitter(&self, host: &str, id: AttemptId) -> f64 {
+        let stream = self.seed ^ id.lane.rotate_left(17) ^ u64::from(id.rung);
+        seeded_fraction(stream, host, u64::from(id.failed) + 1)
+    }
+
+    fn pause(&mut self, wait: Duration) {
+        std::thread::sleep(wait);
+    }
+}
+
 /// One logical call through the failover ladder ([`crate::ladder::walk`])
 /// over every catalog host able to stand in for `primary`, admitted against
-/// the `board` snapshot. Degradation on a degradable final error is the
-/// caller's move.
+/// the `board` snapshot, carried by the attempt the carrier supplies: the
+/// simulated delivery through the caller's `process`, or an exchange on
+/// the wire. Degradation on a degradable final error is the caller's move.
 fn call_with_failover(
     core: &FedCore,
     board: &Scoreboard,
@@ -1653,14 +1874,28 @@ fn call_with_failover(
     let options = core.options();
     let hosts = core.catalog.lock().unwrap().hosts_serving_peer(primary);
     let (candidates, rejected) = admitted_candidates(board, options.replica_seed, hosts);
+    let (mut simulated, mut wire);
+    let (attempt, hedge): (&mut dyn Attempt, _) = match &core.carrier {
+        Carrier::Simulated => {
+            simulated = RpcAttempt { wire: SimWire::new(core, &options), request, process };
+            (&mut simulated, options.hedge.map(|base| (base, options.replica_seed)))
+        }
+        // `walk` models a hedge: it dials the pair one after the other and
+        // computes which reply would have landed first. That is exact on a
+        // simulated clock and strictly slower than not hedging on a real
+        // one, so the wall clock never hedges.
+        Carrier::Wire { transport, .. } => {
+            wire = WireAttempt::new(core, &**transport, request, None, &options);
+            (&mut wire, None)
+        }
+    };
     let call = Call {
         policy: options.retry,
         lane,
-        hedge: options.hedge.map(|base| (base, options.replica_seed)),
+        hedge,
         spans: options.trace.then_some(Spans { names: &RPC_SPANS, board }),
     };
-    let mut attempt = RpcAttempt { wire: SimWire::new(core, &options), request, process };
-    walk(&mut attempt, &call, primary, candidates, rejected)
+    walk(attempt, &call, primary, candidates, rejected)
 }
 
 /// Rewrites a call body for coordinator-side evaluation: every literal
@@ -1807,9 +2042,9 @@ impl FedLink {
     }
 
     /// Caller side of a ladder's outcome: shred the reply into the local
-    /// store, or — when the peer could not *answer* and the body is
-    /// eligible — degrade to data shipping ([`fallback_local`]); anything
-    /// else is the typed error.
+    /// store, or — when the peer could not *answer*, the body is eligible
+    /// and the carrier has the rung — degrade to data shipping
+    /// ([`fallback_local`]); anything else is the typed error.
     #[allow(clippy::too_many_arguments)]
     fn settle(
         &self,
@@ -1824,7 +2059,7 @@ impl FedLink {
         let response = match outcome {
             Ok(r) => r,
             Err(e) => {
-                if e.degradable() {
+                if e.degradable() && self.core.degrades() {
                     if let Some(sequences) = fallback_local(
                         &self.core,
                         local,
@@ -1932,10 +2167,14 @@ impl RemoteHandler for FedLink {
         calls: &[ScatterCall<'_>],
     ) -> EvalResult<Vec<Sequence>> {
         let options = self.core.options();
-        // a round targeting our own peer re-entrantly, or parallelism
-        // disabled: fall back to the sequential per-call loop (identical
-        // results, bytes and serialized network; no overlap credit)
-        if !options.parallel_scatter || calls.iter().any(|c| c.peer == self.peer) {
+        // parallelism disabled, nothing to overlap, or a round targeting
+        // our own peer re-entrantly: fall back to the sequential per-call
+        // loop (identical results, bytes and serialized network; no overlap
+        // credit)
+        if !options.parallel_scatter
+            || calls.len() < 2
+            || calls.iter().any(|c| c.peer == self.peer)
+        {
             return calls
                 .iter()
                 .map(|c| self.execute(local, static_ctx, &c.peer, &c.params, c.body, c.projection))
@@ -1960,7 +2199,6 @@ impl RemoteHandler for FedLink {
         // the schedule is independent of thread interleaving even when two
         // slots fail over to the same replica; health observations are
         // collected per slot and applied at the gather, in slot order.
-        // Grouping, spawn and join are shared with the socket coordinator.
         let peers: Vec<&str> = calls.iter().map(|c| c.peer.as_str()).collect();
         let groups = group_by_peer(&peers);
         let board = self.core.board_snapshot();
@@ -2210,5 +2448,186 @@ mod tests {
         let err = f.core.take_peer("p", Duration::from_millis(10)).unwrap_err();
         assert!(format!("{err}").contains("slot still held"), "{err}");
         f.core.put_peer(held);
+    }
+
+    // ---- the wire carrier, proven without a socket ----
+
+    const COUNT_Q: &str = "count(doc(\"xrpc://p/d.xml\")//b)";
+
+    /// An in-process federation serving `p`'s document on `p` and `r`,
+    /// behind a transport that fails every exchange with the host named in
+    /// `down` and logs which hosts were dialed.
+    struct ScriptedTransport {
+        peers: SimTransport,
+        down: Mutex<&'static str>,
+        dialed: Mutex<Vec<String>>,
+    }
+
+    impl Transport for ScriptedTransport {
+        fn exchange(&self, peer: &str, request: &str, budget: Duration) -> Result<String, XrpcError> {
+            self.dialed.lock().unwrap().push(peer.to_string());
+            if peer == *self.down.lock().unwrap() {
+                let detail = "scripted loss".to_string();
+                return Err(XrpcError::TransportCorrupt { peer: peer.to_string(), detail });
+            }
+            self.peers.exchange(peer, request, budget)
+        }
+    }
+
+    /// A wire federation over [`ScriptedTransport`] whose ladders dial `p`
+    /// first, with `p` down; two failed attempts trip `p`'s breaker.
+    fn scripted(cooldown: Duration) -> (Federation, Arc<ScriptedTransport>) {
+        let mut served = federation();
+        served.replicate_peer("p", "r").unwrap();
+        let transport = Arc::new(ScriptedTransport {
+            peers: served.transport(),
+            down: Mutex::new("p"),
+            dialed: Mutex::new(Vec::new()),
+        });
+        let mut fed = Federation::over(Arc::<ScriptedTransport>::clone(&transport));
+        fed.register_replica("xrpc://p/d.xml", "r");
+        let hosts = vec!["p".to_string(), "r".to_string()];
+        let replica_seed = (0..64)
+            .find(|&seed| xqd_core::replicas::rendezvous_order(seed, &hosts)[0] == "p")
+            .expect("some seed prefers p");
+        fed.set_exec_options(ExecOptions {
+            retry: RetryPolicy {
+                max_attempts: 2,
+                base_backoff: Duration::from_millis(1),
+                ..RetryPolicy::default()
+            },
+            breaker: BreakerPolicy { threshold: 2, cooldown },
+            replica_seed,
+            ..ExecOptions::default()
+        });
+        (fed, transport)
+    }
+
+    fn dialed(transport: &ScriptedTransport) -> Vec<String> {
+        std::mem::take(&mut *transport.dialed.lock().unwrap())
+    }
+
+    /// On the wall clock the board outlives the run: a breaker tripped in
+    /// one run rejects its peer in the next, and admits a probe only once
+    /// the cooldown has really passed.
+    #[test]
+    fn a_wire_breaker_stays_open_across_runs_until_its_cooldown_really_passes() {
+        // long enough that two back-to-back in-process runs fit inside it
+        // even on a loaded host
+        let cooldown = Duration::from_millis(200);
+        let (mut fed, transport) = scripted(cooldown);
+        let tripped = fed.run(COUNT_Q, Strategy::ByValue).expect("the replica answers");
+        assert_eq!(tripped.result, vec!["atom:1"]);
+        assert_eq!(dialed(&transport), ["p", "p", "r"]);
+        let m = tripped.metrics;
+        assert_eq!((m.retries, m.replica_failovers, m.breaker_trips), (1, 1, 1));
+        assert_eq!(fed.breaker_state("p"), BreakerState::Open);
+
+        // the next run starts with the breaker still open: p is not dialed
+        let rejected = fed.run(COUNT_Q, Strategy::ByValue).expect("the replica answers");
+        assert_eq!(dialed(&transport), ["r"], "an open breaker was dialed");
+        assert_eq!((rejected.metrics.replica_failovers, rejected.metrics.breaker_probes), (0, 0));
+        assert_eq!(fed.breaker_state("p"), BreakerState::Open);
+
+        // real time, not runs, half-opens it: with the healthy replica gone
+        // the ladder reaches p again, as a probe, and the answer closes it
+        std::thread::sleep(cooldown + Duration::from_millis(20));
+        *transport.down.lock().unwrap() = "r";
+        let probed = fed.run(COUNT_Q, Strategy::ByValue).expect("the probe answers");
+        assert_eq!(probed.result, vec!["atom:1"]);
+        assert_eq!(dialed(&transport), ["r", "r", "p"]);
+        assert_eq!((probed.metrics.breaker_probes, probed.metrics.replica_failovers), (1, 1));
+        assert_eq!(fed.breaker_state("p"), BreakerState::Closed);
+    }
+
+    /// No run resets a wire federation's board, so setting options or the
+    /// breaker policy is what re-arms it.
+    #[test]
+    fn setting_a_breaker_policy_re_arms_the_persistent_wire_board() {
+        let (mut fed, transport) = scripted(Duration::from_secs(60));
+        fed.run(COUNT_Q, Strategy::ByValue).expect("the replica answers");
+        assert_eq!(fed.breaker_state("p"), BreakerState::Open);
+        let lenient = BreakerPolicy { threshold: 9, cooldown: Duration::from_secs(60) };
+        fed.set_breaker_policy(lenient);
+        assert_eq!(fed.breaker_state("p"), BreakerState::Closed);
+        assert_eq!(fed.scoreboard().policy(), lenient);
+        dialed(&transport);
+        fed.run(COUNT_Q, Strategy::ByValue).expect("the replica answers");
+        assert_eq!(dialed(&transport), ["p", "p", "r"], "p is trusted again under the new policy");
+        assert_eq!(fed.breaker_state("p"), BreakerState::Closed, "2 failures < threshold 9");
+        fed.set_exec_options(ExecOptions { breaker: BreakerPolicy::default(), ..fed.exec_options() });
+        assert_eq!(fed.scoreboard().policy(), BreakerPolicy::default());
+    }
+
+    /// Over the wire an exhausted ladder is the typed error: the call is
+    /// not degraded to data shipping (on the simulated carrier this very
+    /// error would be), and a document fetch is not forced past an open
+    /// breaker.
+    #[test]
+    fn the_wire_carrier_has_no_degrade_rung() {
+        let (replicated, transport) = scripted(Duration::from_secs(60));
+        let mut fed = Federation::over(Arc::<ScriptedTransport>::clone(&transport));
+        fed.set_exec_options(replicated.exec_options());
+        let err = fed.run(COUNT_Q, Strategy::ByValue).expect_err("p is down and has no replica");
+        assert_eq!(err.code.as_deref(), Some("xrpc:transport-corrupt"));
+        assert_eq!(dialed(&transport), ["p", "p"], "no document was fetched to degrade with");
+        assert_eq!(fed.metrics().fallbacks, 0);
+        assert_eq!(fed.breaker_state("p"), BreakerState::Open);
+        let err = fed.run(COUNT_Q, Strategy::DataShipping).expect_err("p's breaker is open");
+        assert_eq!(err.code.as_deref(), Some("xrpc:breaker-open"));
+        assert!(dialed(&transport).is_empty(), "an open breaker was dialed");
+    }
+
+    /// Replies with an `Overloaded` fault envelope (carrying a
+    /// `retry-after-ms` hint) a fixed number of times, then succeeds.
+    struct HintingTransport {
+        shed_remaining: Mutex<u32>,
+        hint_ms: u64,
+    }
+
+    impl Transport for HintingTransport {
+        fn exchange(&self, _peer: &str, _req: &str, _budget: Duration) -> Result<String, XrpcError> {
+            let mut left = self.shed_remaining.lock().unwrap();
+            if *left > 0 {
+                *left -= 1;
+                return Ok(encode_fault(&XrpcError::Overloaded { retry_after_ms: self.hint_ms }));
+            }
+            Ok("<env><response/></env>".to_string())
+        }
+    }
+
+    /// The wire attempt decodes a fault envelope into its typed error,
+    /// really sleeps the wait the loop hands it, and bills every envelope
+    /// that crossed — the shed reply included.
+    #[test]
+    fn the_wire_attempt_waits_out_a_server_hint_on_the_wall_clock() {
+        // base backoff of 1ms would retry almost immediately; the server's
+        // 80ms hint must dominate the wait
+        let policy = RetryPolicy {
+            max_attempts: 3,
+            base_backoff: Duration::from_millis(1),
+            max_backoff: Duration::from_millis(4),
+            deadline: Duration::from_secs(5),
+        };
+        let transport = Arc::new(HintingTransport { shed_remaining: Mutex::new(1), hint_ms: 80 });
+        let shed_len = encode_fault(&XrpcError::Overloaded { retry_after_ms: 80 }).len();
+        let fed = Federation::over(Arc::<HintingTransport>::clone(&transport));
+        let request = "<env><request/></env>";
+        let options = ExecOptions { replica_seed: 7, ..ExecOptions::default() };
+        let mut attempt = WireAttempt::new(&fed.core, &*transport, request, None, &options);
+        let call = Call { policy, lane: 0, hedge: None, spans: None };
+        let t0 = Instant::now();
+        let out = walk(&mut attempt, &call, "p", vec![("p".to_string(), false)], None);
+        let elapsed = t0.elapsed();
+        assert!(out.outcome.is_ok(), "{:?}", out.outcome);
+        assert_eq!((out.retries, out.observations[0].failed_attempts), (1, 1));
+        assert!(
+            elapsed >= Duration::from_millis(80),
+            "retried before the hinted wait: {elapsed:?}"
+        );
+        assert!(out.window >= Duration::from_millis(80) && out.window <= elapsed);
+        let m = fed.metrics();
+        let crossed = 2 * request.len() + shed_len + "<env><response/></env>".len();
+        assert_eq!((m.message_bytes, m.transfers), (crossed as u64, 4));
     }
 }

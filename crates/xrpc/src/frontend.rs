@@ -2,10 +2,10 @@
 //! → LRU plan cache → parse · decompose · replica resolution · lowering to
 //! plan IR.
 //!
-//! Both coordinators — the simulated [`crate::exec::Federation`] and the
-//! socket-mode [`crate::tcp::SocketFederation`] — prepare queries through
-//! the one [`FrontEnd::prepare`], so what they execute can differ only in
-//! the transport, ladder and clock underneath. A warm hit skips the parser,
+//! Every run of the coordinator ([`crate::exec::Federation`]), simulated
+//! or over sockets, prepares its query through the one
+//! [`FrontEnd::prepare`], so what the two carriers execute can differ only
+//! in the attempt and the clock underneath. A warm hit skips the parser,
 //! the decomposer and the compiler alike.
 
 use std::collections::HashMap;
@@ -24,7 +24,7 @@ use crate::exec::ExecOptions;
 /// for explain output) plus the compiled plan that executes it.
 #[derive(Debug)]
 pub struct PreparedQuery {
-    pub decomposition: xqd_core::Decomposition,
+    pub decomposition: Arc<xqd_core::Decomposition>,
     pub plan: xqd_xquery::Plan,
 }
 
@@ -212,7 +212,8 @@ impl FrontEnd {
             remote_calls: decomposition.calls.len(),
             semijoins: decomposition.semijoins.len(),
         });
-        let prepared = Arc::new(PreparedQuery { decomposition, plan });
+        let prepared =
+            Arc::new(PreparedQuery { decomposition: Arc::new(decomposition), plan });
         self.plans.lock().unwrap().insert(exec.plan_cache_size, key, Arc::clone(&prepared));
         Ok(prepared)
     }

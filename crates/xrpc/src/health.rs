@@ -1,11 +1,14 @@
 //! Peer health scoreboard: EWMA latency, consecutive-failure counts and a
-//! per-peer **circuit breaker**, all driven by the federation's *simulated*
-//! clock so that trips and probes replay bit-identically from a seed under
-//! any thread interleaving.
+//! per-peer **circuit breaker**, all driven by the clock the federation
+//! hands it — the *simulated* clock in a simulated federation, so that
+//! trips and probes replay bit-identically from a seed under any thread
+//! interleaving.
 //!
-//! The scoreboard never reads the wall clock. Its notion of "now" advances
-//! only when the executor charges simulated network chains (the same
-//! quantities billed to [`crate::Metrics::network_overlapped`]), and its
+//! The scoreboard never reads a clock itself. Its notion of "now" advances
+//! only when its owner says so — on a simulated federation when the
+//! executor charges simulated network chains (the same quantities billed
+//! to [`crate::Metrics::network_overlapped`]), on a federation over real
+//! sockets by the wall-clock time its owner measured — and its
 //! state mutates only at deterministic points: immediately after a call on
 //! the sequential path, and in slot order at the gather barrier of a
 //! scatter round. Worker threads only ever consult an immutable *snapshot*

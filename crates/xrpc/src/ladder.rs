@@ -4,14 +4,15 @@
 //! carried by a **ladder**: [`walk`] dials every admitted host able to
 //! answer it, healthiest first, and on each rung [`retry`] replays the
 //! attempt under the [`RetryPolicy`] — exponential backoff with jitter,
-//! server `retry-after` hints honored, one deadline per rung. Both
-//! coordinators run exactly this code; what differs between a simulated
-//! federation and real sockets sits behind the [`Attempt`] seam: **one
-//! attempt at one host, which reports how long it took on its own clock
-//! and knows how to wait**. The loop needs nothing else from a clock, so
-//! there is no separate clock abstraction: the simulated attempts return
-//! modeled transfer chains and wait for free (the loop already charged the
-//! wait), the wire attempt measures an [`std::time::Instant`] and sleeps.
+//! server `retry-after` hints honored, one deadline per rung. The
+//! coordinator runs exactly this code on both of its carriers; what differs
+//! between a simulated federation and real sockets sits behind the
+//! [`Attempt`] seam: **one attempt at one host, which reports how long it
+//! took on its own clock and knows how to wait**. The loop needs nothing
+//! else from a clock, so there is no separate clock abstraction: the
+//! simulated attempts return modeled transfer chains and wait for free (the
+//! loop already charged the wait), the wire attempt measures an
+//! [`std::time::Instant`] and sleeps.
 //!
 //! The rules, each stated once:
 //!
@@ -525,9 +526,7 @@ pub(crate) fn walk(
 mod tests {
     use super::*;
     use crate::health::BreakerPolicy;
-    use crate::transport::{Transport, WireAttempt};
     use std::collections::{HashMap, VecDeque};
-    use std::time::Instant;
 
     const MS: Duration = Duration::from_millis(1);
 
@@ -873,53 +872,5 @@ mod tests {
                 ("doc.attempt", 7_000_000, 3_000_000),
             ]
         );
-    }
-
-    /// Replies with an `Overloaded` fault envelope (carrying a
-    /// `retry-after-ms` hint) a fixed number of times, then succeeds.
-    struct HintingTransport {
-        shed_remaining: std::sync::Mutex<u32>,
-        hint_ms: u64,
-    }
-
-    impl Transport for HintingTransport {
-        fn exchange(&self, _peer: &str, _req: &str, _budget: Duration) -> Result<String, XrpcError> {
-            let mut left = self.shed_remaining.lock().unwrap();
-            if *left > 0 {
-                *left -= 1;
-                return Ok(crate::message::encode_fault(&XrpcError::Overloaded {
-                    retry_after_ms: self.hint_ms,
-                }));
-            }
-            Ok("<env><response/></env>".to_string())
-        }
-    }
-
-    /// The wire attempt decodes a fault envelope into its typed error and
-    /// really sleeps the wait the loop hands it.
-    #[test]
-    fn the_wire_attempt_waits_out_a_server_hint_on_the_wall_clock() {
-        // base backoff of 1ms would retry almost immediately; the server's
-        // 80ms hint must dominate the wait
-        let policy = RetryPolicy {
-            max_attempts: 3,
-            base_backoff: Duration::from_millis(1),
-            max_backoff: Duration::from_millis(4),
-            deadline: Duration::from_secs(5),
-        };
-        let transport =
-            HintingTransport { shed_remaining: std::sync::Mutex::new(1), hint_ms: 80 };
-        let mut attempt =
-            WireAttempt { transport: &transport, request: "<env><request/></env>", seed: 7 };
-        let t0 = Instant::now();
-        let out = walk(&mut attempt, &call(policy), "p", healthy(&["p"]), None);
-        let elapsed = t0.elapsed();
-        assert!(out.outcome.is_ok(), "{:?}", out.outcome);
-        assert_eq!((out.retries, out.observations[0].failed_attempts), (1, 1));
-        assert!(
-            elapsed >= Duration::from_millis(80),
-            "retried before the hinted wait: {elapsed:?}"
-        );
-        assert!(out.window >= Duration::from_millis(80) && out.window <= elapsed);
     }
 }

@@ -12,43 +12,42 @@
 //!   the Figure-8 metric categories, the typed [`XrpcError`] failure
 //!   taxonomy and the deterministic [`FaultPlan`] fault schedule;
 //! * [`health`] — the peer health scoreboard: EWMA latency, circuit
-//!   breakers on the simulated clock, and seeded selection helpers behind
-//!   the replica failover ladder;
-//! * `frontend` — the one query front end both coordinators share: text
-//!   or module → cache key → LRU plan cache → parse · decompose · replica
-//!   resolution · lowering to plan IR ([`PreparedQuery`]);
+//!   breakers on the clock its owner advances, and seeded selection
+//!   helpers behind the replica failover ladder;
+//! * `frontend` — the query front end: text or module → cache key → LRU
+//!   plan cache → parse · decompose · replica resolution · lowering to
+//!   plan IR ([`PreparedQuery`]);
 //! * `ladder` — how a logical call survives failure, once: the one retry
 //!   loop ([`RetryPolicy`]: backoff, server hints, deadline) and the one
 //!   failover walk over admitted replicas (busy-switch wait, hedging), both
 //!   driven through the `Attempt` seam — one attempt at one host, timed on
-//!   its own clock — that the simulated and the socket coordinator fill in;
-//! * [`exec`] — the [`Federation`] of peers, the `RemoteHandler` /
+//!   its own clock — that the coordinator's two carriers fill in;
+//! * [`exec`] — the one coordinator, [`Federation`], over either carrier:
+//!   simulated peers in this process ([`Federation::new`]) or live daemons
+//!   behind a [`Transport`] ([`Federation::over`]); the `RemoteHandler` /
 //!   `DocResolver` implementations (including Bulk RPC and data-shipping
-//!   document fetches), the two fault-injecting simulated attempts the
-//!   ladder drives, graceful degradation, and canonical result
-//!   serialization;
-//! * `scatter` — the transport-independent core of a scatter round (group
+//!   document fetches), the three attempts the ladder drives (two
+//!   fault-injecting simulated ones, one on the wire), graceful
+//!   degradation, and canonical result serialization;
+//! * `scatter` — the carrier-independent core of a scatter round (group
 //!   slots by destination, one scoped worker per destination, typed
-//!   `xrpc:panic` rows, slot-order gather) both coordinators fan out through;
+//!   `xrpc:panic` rows, slot-order gather);
 //! * [`sched`] — the coordinator-side concurrency layer: admission
 //!   control with bounded per-tenant run queues, weighted fair queuing,
 //!   deadline propagation, and the deterministic multi-tenant
 //!   [`WorkloadEngine`] that drives saturation benchmarks on the
 //!   simulated clock;
-//! * [`trace`] — deterministic distributed tracing on the simulated
-//!   clock: per-query span trees (front end, failover rungs, RPC
+//! * [`trace`] — distributed tracing on the run's clock (simulated:
+//!   deterministic; wire: measured): per-query span trees (front end, failover rungs, RPC
 //!   attempts, scatter rounds, peer evaluations, queue residency),
 //!   exact-percentile latency histograms, and JSON / Chrome
 //!   `trace_event` export that replays byte-identically from a seed;
 //! * [`transport`] — the [`Transport`] seam over the envelope protocol
 //!   (one exchange = one reply envelope), the length-prefixed socket
-//!   framing with typed corruption errors and whole-read deadlines, and
-//!   the wall-clock attempt the ladder drives over real sockets;
+//!   framing with typed corruption errors and whole-read deadlines;
 //! * [`tcp`] — the real-socket side: [`TcpTransport`] (pooled
-//!   connections, per-attempt deadlines) and [`SocketFederation`], the
-//!   coordinator that drives a multi-process localhost federation
-//!   through the same failover ladder discipline and the same concurrent
-//!   scatter rounds;
+//!   connections, per-attempt deadlines), plus [`SocketFederation`], a
+//!   compatibility face over [`Federation::over`];
 //! * [`server`] — the `xqd serve` daemon: [`PeerServer`] listening for
 //!   length-prefixed envelopes with read/write/idle deadlines, bounded
 //!   in-flight admission with honest `retry-after-ms`, typed faults for

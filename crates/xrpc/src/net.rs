@@ -558,6 +558,10 @@ pub struct Metrics {
     pub peak_queue_depth: u64,
     /// End-to-end wall-clock time of the run.
     pub total: Duration,
+    /// Whole documents data-shipped to the coordinator. A plain field, not
+    /// one of [`Metrics::counters`]: the replay-contract array stays as it
+    /// is.
+    pub doc_fetches: u64,
 }
 
 impl Metrics {
@@ -619,6 +623,7 @@ impl Metrics {
         // a high-water mark accumulates by max, not by sum
         self.peak_queue_depth = self.peak_queue_depth.max(other.peak_queue_depth);
         self.total += other.total;
+        self.doc_fetches += other.doc_fetches;
     }
 
     /// The counter-valued fields (everything deterministic under a fixed

@@ -1,12 +1,11 @@
-//! The transport-independent core of a scatter round.
+//! The carrier-independent core of a scatter round.
 //!
-//! Both coordinators — the simulated [`crate::exec::Federation`] and the
-//! socket [`crate::tcp::SocketFederation`] — fan a round of independent
-//! `execute at` calls out the same way: slots grouped by destination, one
-//! scoped worker per distinct destination running its slots in call order
-//! (a peer serves one request at a time per connection/slot, so more
-//! workers per destination would only queue), joined in group order, rows
-//! handed back in slot order. What a "delivery" is — a simulated failover
+//! The coordinator ([`crate::exec::Federation`]) fans a round of independent
+//! `execute at` calls out the same way over simulated peers and over
+//! sockets: slots grouped by destination, one scoped worker per distinct
+//! destination running its slots in call order (a peer serves one request
+//! at a time per connection/slot, so more workers per destination would
+//! only queue), joined in group order, rows handed back in slot order. What a "delivery" is — a simulated failover
 //! ladder over peer slots, or a wall-clock ladder over sockets — is the
 //! caller's closure; what happens to the rows afterwards (accounting,
 //! health observations, decoding into the coordinator store) is the

@@ -15,17 +15,11 @@
 //! (`xrpc:transport-corrupt`), never a panic and never an allocation sized
 //! by an untrusted length field. A read deadline covers a whole read
 //! (`DeadlineReader`), so neither end can be held by a trickling peer.
-//!
-//! Last, the wall-clock side of the [`crate::ladder`] seam lives here:
-//! `WireAttempt`, one exchange timed with `Instant`, waiting by sleeping.
 
 use std::io::{IoSlice, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-use crate::health::seeded_fraction;
-use crate::ladder::{Attempt, AttemptId, Attempted};
-use crate::message::reply_or_fault;
 use crate::net::XrpcError;
 
 /// Hard cap on a frame's declared payload length. A peer declaring more is
@@ -225,37 +219,6 @@ pub trait Transport: Send + Sync {
     /// Ships `request` to `peer` and returns the reply envelope, spending
     /// at most `budget` wall clock on this one attempt.
     fn exchange(&self, peer: &str, request: &str, budget: Duration) -> Result<String, XrpcError>;
-}
-
-/// The wall-clock [`Attempt`]: one envelope exchange through a
-/// [`Transport`], timed with [`Instant`]; a fault envelope is decoded into
-/// the typed error it carries, and waiting is a genuine `thread::sleep`.
-/// The server does its own slot queuing, so `slot_wait` has no meaning on
-/// this side of the wire.
-pub(crate) struct WireAttempt<'a> {
-    pub transport: &'a dyn Transport,
-    pub request: &'a str,
-    /// Jitter seed: backoff phases are a pure function of
-    /// `(seed, lane, rung, host, failures)`, so same-peer retries across a
-    /// run do not share them.
-    pub seed: u64,
-}
-
-impl Attempt for WireAttempt<'_> {
-    fn attempt(&mut self, host: &str, _: AttemptId, budget: Duration, _: Duration) -> Attempted {
-        let started = Instant::now();
-        let result = self.transport.exchange(host, self.request, budget).and_then(reply_or_fault);
-        Attempted { spent: started.elapsed(), result, fault: None, ok_arg: None }
-    }
-
-    fn jitter(&self, host: &str, id: AttemptId) -> f64 {
-        let stream = self.seed ^ id.lane.rotate_left(17) ^ u64::from(id.rung);
-        seeded_fraction(stream, host, u64::from(id.failed) + 1)
-    }
-
-    fn pause(&mut self, wait: Duration) {
-        std::thread::sleep(wait);
-    }
 }
 
 #[cfg(test)]

@@ -28,11 +28,15 @@
 //!   `parallel_scatter` on and off, a failing slot is reported in call
 //!   order, two slots for one peer share its one connection in call order;
 //! * a pooled connection the daemon closed at its idle timeout costs one
-//!   transparent reconnect — no retry, no mark against the peer's health.
+//!   transparent reconnect — no retry, no mark against the peer's health;
+//! * a run over sockets is a full [`Federation`] run: the metric registry
+//!   counts the bytes and exchanges that really crossed the wire (and, for
+//!   function shipping, the bytes the simulated run bills), and a trace has
+//!   the simulated trace's shape on a measured clock.
 
 use std::collections::BTreeMap;
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -566,24 +570,32 @@ fn sim_fed() -> Federation {
 struct RecordingTransport {
     inner: TcpTransport,
     sent: Mutex<BTreeMap<String, Vec<String>>>,
+    /// Request plus reply bytes over all exchanges.
+    bytes: AtomicU64,
 }
 
 impl Transport for RecordingTransport {
     fn exchange(&self, peer: &str, request: &str, budget: Duration) -> Result<String, XrpcError> {
         self.sent.lock().unwrap().entry(peer.to_string()).or_default().push(request.to_string());
-        self.inner.exchange(peer, request, budget)
+        let reply = self.inner.exchange(peer, request, budget)?;
+        self.bytes.fetch_add((request.len() + reply.len()) as u64, Ordering::SeqCst);
+        Ok(reply)
     }
+}
+
+fn recording_transport(servers: &[&PeerServer]) -> Arc<RecordingTransport> {
+    let inner = TcpTransport::new();
+    for s in servers {
+        inner.register(s.name(), &s.addr().to_string());
+    }
+    Arc::new(RecordingTransport { inner, sent: Mutex::new(BTreeMap::new()), bytes: AtomicU64::new(0) })
 }
 
 fn recording_fed(
     servers: &[&PeerServer],
     parallel_scatter: bool,
 ) -> (SocketFederation, Arc<RecordingTransport>) {
-    let inner = TcpTransport::new();
-    for s in servers {
-        inner.register(s.name(), &s.addr().to_string());
-    }
-    let transport = Arc::new(RecordingTransport { inner, sent: Mutex::new(BTreeMap::new()) });
+    let transport = recording_transport(servers);
     let mut fed = SocketFederation::new(Arc::<RecordingTransport>::clone(&transport));
     fed.set_exec_options(ExecOptions {
         parallel_scatter,
@@ -791,27 +803,29 @@ impl Transport for FlakyTransport {
     }
 }
 
-fn flaky_fed(
+fn flaky_transport(
     servers: &[&PeerServer],
     flaky: &[&'static str],
     rate: f64,
     menu: &[Flake],
     seed: u64,
-) -> (SocketFederation, Arc<FlakyTransport>) {
+) -> Arc<FlakyTransport> {
     let inner = TcpTransport::new();
     for s in servers {
         inner.register(s.name(), &s.addr().to_string());
     }
-    let transport = Arc::new(FlakyTransport {
+    Arc::new(FlakyTransport {
         inner,
         flaky: flaky.to_vec(),
         rate,
         menu: menu.to_vec(),
         rng: Mutex::new(xqd_prng::Rng::seed_from_u64(seed)),
         injected: Mutex::new(Injected::default()),
-    });
-    let mut fed = SocketFederation::new(Arc::<FlakyTransport>::clone(&transport));
-    fed.set_exec_options(ExecOptions {
+    })
+}
+
+fn flaky_options(seed: u64) -> ExecOptions {
+    ExecOptions {
         retry: RetryPolicy {
             max_attempts: FLAKY_ATTEMPTS,
             base_backoff: Duration::from_millis(1),
@@ -823,7 +837,19 @@ fn flaky_fed(
         breaker: xqd_xrpc::BreakerPolicy { threshold: 0, ..Default::default() },
         replica_seed: seed,
         ..ExecOptions::default()
-    });
+    }
+}
+
+fn flaky_fed(
+    servers: &[&PeerServer],
+    flaky: &[&'static str],
+    rate: f64,
+    menu: &[Flake],
+    seed: u64,
+) -> (SocketFederation, Arc<FlakyTransport>) {
+    let transport = flaky_transport(servers, flaky, rate, menu, seed);
+    let mut fed = SocketFederation::new(Arc::<FlakyTransport>::clone(&transport));
+    fed.set_exec_options(flaky_options(seed));
     (fed, transport)
 }
 
@@ -910,4 +936,145 @@ fn flaky_primary_with_a_replica_never_fails_a_run() {
     // the replica seed varies with the run seed, so the primary leads the
     // ladder in some runs and never gets dialed in others
     assert!(retried > 10 && failed_over > 10, "{retried} retries / {failed_over} failovers");
+}
+
+// ---------------------------------------------------------------------------
+// one coordinator: the registry and the trace of a run over sockets
+// ---------------------------------------------------------------------------
+
+/// The registry over sockets is the wire, not an estimate: `message_bytes`
+/// is what the recorder saw cross, which for function shipping is also what
+/// the simulated run of the same query bills (same envelopes); a document
+/// fetch is one transfer, an RPC exchange two; a repeated text is a
+/// plan-cache hit.
+#[test]
+fn the_registry_over_sockets_counts_what_crossed_the_wire() {
+    let mut sim = sim_fed();
+    let p1 = daemon("P1", ServerConfig::default());
+    let p2 = daemon("P2", ServerConfig::default());
+    // function shipping under each wire semantics (by value the join ships
+    // its documents instead, so it stands in only for the other two)
+    for (query, strategy) in [
+        (SCATTER_SHAPES[0], Strategy::ByValue),
+        (SCATTER_SHAPES[0], Strategy::ByFragment),
+        (JOIN_QUERY, Strategy::ByFragment),
+        (JOIN_QUERY, Strategy::ByProjection),
+    ] {
+        let wire = recording_transport(&[&p1, &p2]);
+        let mut fed = Federation::over(Arc::<RecordingTransport>::clone(&wire));
+        let m = fed.run(query, strategy).expect("tcp run").metrics;
+        let exchanges = wire.sent.lock().unwrap().values().map(Vec::len).sum::<usize>() as u64;
+        assert_eq!(m.message_bytes, wire.bytes.load(Ordering::SeqCst), "{strategy:?}");
+        assert_eq!((m.document_bytes, m.doc_fetches), (0, 0), "{strategy:?}");
+        assert_eq!(m.transfers, 2 * exchanges, "{strategy:?}");
+        let simulated = sim.run(query, strategy).expect("simulated run").metrics;
+        assert_eq!(m.message_bytes, simulated.message_bytes, "{strategy:?}");
+        // transfers, remote calls, scatter rounds
+        assert_eq!(m.counters()[2..5], simulated.counters()[2..5], "{strategy:?}");
+        assert_eq!(m.join_keys_shipped, simulated.join_keys_shipped, "{strategy:?}");
+        assert_eq!((m.plan_cache_hits, m.plan_cache_misses), (0, 1));
+        let again = fed.run(query, strategy).expect("warm tcp run").metrics;
+        assert_eq!((again.plan_cache_hits, again.plans_compiled), (1, 0), "{strategy:?}");
+        assert_eq!(again.message_bytes, m.message_bytes, "{strategy:?}");
+    }
+
+    let wire = recording_transport(&[&p1, &p2]);
+    let mut fed = Federation::over(Arc::<RecordingTransport>::clone(&wire));
+    let shipped = fed.run(JOIN_QUERY, Strategy::DataShipping).expect("data shipping over tcp");
+    let m = shipped.metrics;
+    assert_eq!(shipped.result, sim.run(JOIN_QUERY, Strategy::DataShipping).unwrap().result);
+    assert_eq!(m.message_bytes + m.document_bytes, wire.bytes.load(Ordering::SeqCst));
+    assert!(m.document_bytes > (PEOPLE.len() + ORDERS.len()) as u64);
+    assert_eq!((m.transfers, m.doc_fetches, m.remote_calls), (2, 2, 0));
+}
+
+/// What the flaky wire injected is what the registry reports — the facade's
+/// `retries` / `failovers` fields are these counters.
+#[test]
+fn the_registry_over_a_flaky_wire_counts_what_was_injected() {
+    let p1 = daemon("P1", ServerConfig::default());
+    let p2 = daemon("P2", ServerConfig::default());
+    let mut p3 = PeerServer::bind("P3", "127.0.0.1:0", ServerConfig::default()).unwrap();
+    p3.load_replica("xrpc://P1/people.xml", PEOPLE).unwrap();
+    p3.start();
+    let menu = [Flake::Lost, Flake::Shed, Flake::Panic];
+    let (mut retried, mut failed_over) = (0, 0);
+    for seed in 0..FLAKY_SEEDS {
+        let wire = flaky_transport(&[&p1, &p2, &p3], &["P1"], 0.75, &menu, seed);
+        let mut fed = Federation::over(Arc::<FlakyTransport>::clone(&wire));
+        fed.set_exec_options(flaky_options(seed));
+        fed.register_replica("xrpc://P1/people.xml", "P3");
+        let m = fed.run(JOIN_QUERY, Strategy::ByFragment).expect("a replica stands").metrics;
+        let injected = wire.injected.lock().unwrap();
+        assert_eq!(m.named().get("retries"), Some(injected.retryable), "seed {seed}");
+        assert_eq!(m.named().get("replica_failovers"), Some(injected.panics), "seed {seed}");
+        assert_eq!((m.fallbacks, m.hedges, m.breaker_trips), (0, 0, 0), "seed {seed}");
+        retried += m.retries;
+        failed_over += m.replica_failovers;
+    }
+    assert!(retried > 0 && failed_over > 0, "{retried} retries / {failed_over} failovers");
+}
+
+/// A trace with every clock reading zeroed: names, nesting and arguments.
+fn shape(trace: &xqd_xrpc::Trace) -> Vec<xqd_xrpc::Span> {
+    let unclocked = |s: &xqd_xrpc::Span| xqd_xrpc::Span { start_ns: 0, dur_ns: 0, ..s.clone() };
+    trace.spans.iter().map(unclocked).collect()
+}
+
+/// A trace over sockets has the simulated trace's shape — same spans, same
+/// nesting, same arguments — on a measured clock.
+#[test]
+fn a_trace_over_sockets_has_the_simulated_traces_shape() {
+    let traced = ExecOptions { trace: true, ..ExecOptions::default() };
+    let mut sim = sim_fed();
+    sim.set_exec_options(traced);
+    let p1 = daemon("P1", ServerConfig::default());
+    let p2 = daemon("P2", ServerConfig::default());
+    let tcp = || {
+        let transport = Arc::new(TcpTransport::new());
+        transport.register("P1", &p1.addr().to_string());
+        transport.register("P2", &p2.addr().to_string());
+        Federation::over(transport)
+    };
+
+    assert!(tcp().run(SCATTER_SHAPES[0], Strategy::ByValue).unwrap().trace.is_none(), "not asked for");
+    let mut fed = tcp();
+    fed.set_exec_options(traced);
+    let trace = fed.run(SCATTER_SHAPES[0], Strategy::ByValue).unwrap().trace.expect("asked for");
+    let simulated = sim.run(SCATTER_SHAPES[0], Strategy::ByValue).unwrap().trace.unwrap();
+    assert_eq!(shape(&trace), shape(&simulated));
+    assert_eq!(trace.trace_id, simulated.trace_id);
+    let rounds: Vec<_> = trace.named("scatter.round").collect();
+    assert_eq!(rounds.len(), 1);
+    let ladders: Vec<_> = trace.children_of(rounds[0].id).collect();
+    assert_eq!(ladders.iter().map(|l| l.name).collect::<Vec<_>>(), ["rpc.ladder"; 2]);
+    for ladder in ladders {
+        let rungs: Vec<_> = trace.children_of(ladder.id).collect();
+        assert_eq!(rungs.iter().map(|r| r.name).collect::<Vec<_>>(), ["rpc.rung"]);
+        let attempts: Vec<_> = trace.children_of(rungs[0].id).collect();
+        assert_eq!(attempts.iter().map(|a| a.name).collect::<Vec<_>>(), ["rpc.attempt"]);
+        assert!(attempts[0].args.contains(&("outcome", "ok".to_string())));
+        assert!(attempts[0].dur_ns > 0 && attempts[0].dur_ns <= rounds[0].dur_ns, "measured");
+    }
+
+    let shipped = fed.run(JOIN_QUERY, Strategy::DataShipping).unwrap().trace.unwrap();
+    let simulated = sim.run(JOIN_QUERY, Strategy::DataShipping).unwrap().trace.unwrap();
+    assert_eq!(shape(&shipped), shape(&simulated));
+    let fetch = shipped.named("doc.fetch").next().expect("a data-shipping run fetches");
+    let rung = shipped.children_of(fetch.id).next().expect("doc.rung");
+    let attempt = shipped.children_of(rung.id).next().expect("doc.attempt");
+    assert_eq!((fetch.parent, rung.name, attempt.name), (xqd_xrpc::ROOT_SPAN, "doc.rung", "doc.attempt"));
+
+    // every replay the retry loop decided is one backoff span
+    let mut retried = 0;
+    for seed in 0..8 {
+        let wire = flaky_transport(&[&p1, &p2], &["P1", "P2"], 0.5, &[Flake::Lost, Flake::Shed], seed);
+        let mut fed = Federation::over(wire);
+        fed.set_exec_options(ExecOptions { trace: true, ..flaky_options(seed) });
+        let out = fed.run(JOIN_QUERY, Strategy::ByProjection).expect("retryable flakes only");
+        let backoffs = out.trace.unwrap().named("rpc.backoff").count() as u64;
+        assert_eq!(backoffs, out.metrics.retries, "seed {seed}");
+        retried += backoffs;
+    }
+    assert!(retried > 0, "no seed injected a retry");
 }

@@ -8,7 +8,8 @@
 //! 1. **equivalence** — a federated value join across two live daemons
 //!    must return byte-identical canonical results to the in-process
 //!    simulated federation, under all three strategies, both through the
-//!    library coordinator and through the `xqd run --connect` CLI;
+//!    library coordinator and through the `xqd run --connect` CLI (which
+//!    also writes its trace when the harness is given `--trace-out FILE`);
 //! 2. **kill, no replica** — `kill -9` one daemon while a worker hammers
 //!    the federation with queries: every outcome before, during and after
 //!    the kill is identical-or-typed, and the dead peer surfaces as a
@@ -252,13 +253,15 @@ fn main() {
         std::process::exit(2);
     });
 
-    let out_path = {
-        let args: Vec<String> = std::env::args().collect();
-        args.iter()
-            .position(|a| a == "--out")
-            .and_then(|i| args.get(i + 1))
-            .cloned()
+    let args: Vec<String> = std::env::args().collect();
+    let arg_after = |flag: &str| {
+        args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).cloned()
     };
+    let out_path = arg_after("--out");
+    // `--trace-out FILE` is handed to the CLI client of phase 1, which then
+    // writes the trace of its run over the sockets there
+    let cli_trace: Vec<String> =
+        arg_after("--trace-out").map(|f| vec!["--trace-out".to_string(), f]).unwrap_or_default();
 
     let bin = xqd_binary();
     let dir = std::env::temp_dir().join(format!("xqd_crash_{}", std::process::id()));
@@ -307,6 +310,7 @@ fn main() {
             "--connect", &format!("P2={}", p2.addr),
             "--strategy", "projection",
         ])
+        .args(&cli_trace)
         .output()
         .expect("running the CLI client");
     let cli_lines: Vec<String> =

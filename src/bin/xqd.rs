@@ -16,11 +16,12 @@
 use std::io::BufRead as _;
 use std::io::Write as _;
 use std::process::ExitCode;
+use std::sync::Arc;
 use std::time::Duration;
 
 use xqd::{
     BreakerPolicy, ExecOptions, FaultPlan, Federation, NetworkModel, PeerServer, RetryPolicy,
-    ServerConfig, SocketFederation, Strategy, TenantSpec, WorkloadConfig, WorkloadEngine,
+    ServerConfig, Strategy, TcpTransport, TenantSpec, WorkloadConfig, WorkloadEngine,
 };
 
 fn main() -> ExitCode {
@@ -66,7 +67,11 @@ OPTIONS:
   --peer NAME:DOC=FILE     load FILE as document DOC on peer NAME (repeatable)
   --connect NAME=ADDR      federate with a live peer daemon at ADDR instead of
                            simulating it (repeatable; switches `xqd run` to the
-                           multi-process TCP transport — same results, real wire)
+                           multi-process TCP transport — same coordinator, same
+                           results, metrics and traces, on the real wire and the
+                           wall clock). The flags that configure the simulation
+                           (--peer, --replicas, --network, --fault-seed,
+                           --fault-rate, --hedge-ms) are rejected alongside it
   --serves HOST=URI        record that daemon HOST serves a bit-identical replica
                            of canonical document URI (repeatable; socket mode)
   --strategy S             ship | value | fragment | projection | all
@@ -145,6 +150,7 @@ struct RunOptions {
     peers: Vec<(String, String, String)>, // (peer, doc, file)
     connects: Vec<(String, String)>,      // (peer, addr) — socket mode
     serves: Vec<(String, String)>,        // (host, canonical uri) — socket mode
+    simulated_only: Vec<&'static str>,    // flags given that only configure the simulation
     strategies: Vec<Strategy>,
     network: NetworkModel,
     metrics: bool,
@@ -187,6 +193,7 @@ fn parse_run_options(args: &[String]) -> Result<RunOptions, String> {
         peers: Vec::new(),
         connects: Vec::new(),
         serves: Vec::new(),
+        simulated_only: Vec::new(),
         strategies: vec![Strategy::ByProjection],
         network: NetworkModel::lan(),
         metrics: false,
@@ -215,8 +222,13 @@ fn parse_run_options(args: &[String]) -> Result<RunOptions, String> {
             .and_then(|s| s.parse().ok())
             .ok_or_else(|| format!("{flag} requires a number"))
     }
+    const SIMULATED_ONLY: [&str; 6] =
+        ["--peer", "--replicas", "--network", "--fault-seed", "--fault-rate", "--hedge-ms"];
     let mut i = 0;
     while i < args.len() {
+        if let Some(flag) = SIMULATED_ONLY.iter().find(|f| **f == args[i]) {
+            opts.simulated_only.push(flag);
+        }
         match args[i].as_str() {
             "-e" => {
                 let q = args.get(i + 1).ok_or("-e requires a query argument")?;
@@ -423,12 +435,18 @@ fn cmd_run(args: &[String], explain_only: bool) -> ExitCode {
         return ExitCode::FAILURE;
     };
 
-    if !opts.connects.is_empty() {
+    let wire = !opts.connects.is_empty();
+    if wire {
         if explain_only {
             eprintln!("error: --connect is an execution mode; use `xqd run`");
             return ExitCode::FAILURE;
         }
-        return cmd_run_socket(&opts, &query);
+        if let Some(flag) = opts.simulated_only.first() {
+            eprintln!(
+                "error: {flag} configures the simulated federation and means nothing with --connect"
+            );
+            return ExitCode::FAILURE;
+        }
     }
 
     if explain_only && !opts.analyze {
@@ -499,42 +517,14 @@ fn cmd_run(args: &[String], explain_only: bool) -> ExitCode {
 
     let explain_analyze = explain_only && opts.analyze;
     for strategy in &opts.strategies {
-        let mut fed = Federation::new(opts.network);
-        fed.set_exec_options(ExecOptions {
-            semijoin: opts.semijoin,
-            plan_cache_size: opts.plan_cache_size,
-            trace: opts.trace_out.is_some() || opts.analyze,
-            profile: opts.analyze,
-            ..ExecOptions::default()
-        });
-        fed.set_retry_policy(opts.retry);
-        fed.set_hedge(opts.hedge);
-        fed.set_breaker_policy(opts.breaker);
-        if let Some(seed) = opts.fault_seed {
-            fed.set_fault_plan(Some(FaultPlan::uniform(seed, opts.fault_rate)));
-            fed.set_replica_seed(seed);
-        }
-        for (peer, doc, file) in &opts.peers {
-            let xml = match std::fs::read_to_string(file) {
-                Ok(x) => x,
-                Err(e) => {
-                    eprintln!("cannot read {file:?}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            if let Err(e) = fed.load_document(peer, doc, &xml) {
-                eprintln!("loading {doc} on {peer}: {e}");
+        let traced = opts.trace_out.is_some() || opts.analyze;
+        let mut fed = match build_federation(&opts, traced, opts.analyze) {
+            Ok(fed) => fed,
+            Err(e) => {
+                eprintln!("{e}");
                 return ExitCode::FAILURE;
             }
-        }
-        for (primary, alts) in &opts.replicas {
-            for alt in alts {
-                if let Err(e) = fed.replicate_peer(primary, alt) {
-                    eprintln!("replicating {primary} onto {alt}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
+        };
         match fed.run(&query, *strategy) {
             Ok(out) => {
                 if opts.strategies.len() > 1 {
@@ -546,7 +536,7 @@ fn cmd_run(args: &[String], explain_only: bool) -> ExitCode {
                     }
                 }
                 if opts.analyze {
-                    print_analysis(&out);
+                    print_analysis(&out, if wire { "measured" } else { "simulated" });
                 }
                 if let Some(path) = &opts.trace_out {
                     let path = if opts.strategies.len() > 1 {
@@ -574,7 +564,9 @@ fn cmd_run(args: &[String], explain_only: bool) -> ExitCode {
                         m.transfers,
                         m.remote_calls,
                         m.network,
-                        m.total + m.network,
+                        // simulated wire time comes on top of the measured
+                        // CPU; measured wire time is already inside it
+                        if wire { m.total } else { m.total + m.network },
                     );
                     eprintln!(
                         "# {}: {} plans compiled, plan cache {} hits / {} misses",
@@ -602,7 +594,7 @@ fn cmd_run(args: &[String], explain_only: bool) -> ExitCode {
                             m.fallbacks,
                         );
                     }
-                    if !opts.replicas.is_empty() || opts.hedge.is_some() {
+                    if !opts.replicas.is_empty() || !opts.serves.is_empty() || opts.hedge.is_some() {
                         eprintln!(
                             "# {}: {} replica failovers, {} hedges ({} won), \
                              {} breaker trips, {} probes",
@@ -630,50 +622,51 @@ fn cmd_run(args: &[String], explain_only: bool) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Socket mode: the same query against live peer daemons over TCP. The
-/// result lines are printed exactly like simulated runs, so the two modes
-/// diff byte for byte on stdout.
-fn cmd_run_socket(opts: &RunOptions, query: &str) -> ExitCode {
-    let (mut fed, transport) = SocketFederation::over_tcp();
+/// The federation `opts` describes, configured and loaded: live daemons
+/// behind a TCP transport when `--connect` named any, simulated peers with
+/// their documents and replicas otherwise — one coordinator either way, so
+/// every execution flag means the same thing in both modes.
+fn build_federation(opts: &RunOptions, trace: bool, profile: bool) -> Result<Federation, String> {
+    let wire = !opts.connects.is_empty();
+    let mut fed = if wire {
+        let transport = Arc::new(TcpTransport::new());
+        for (peer, addr) in &opts.connects {
+            transport.register(peer, addr);
+        }
+        Federation::over(transport)
+    } else {
+        Federation::new(opts.network)
+    };
+    fed.set_exec_options(ExecOptions {
+        semijoin: opts.semijoin,
+        plan_cache_size: opts.plan_cache_size,
+        trace,
+        profile,
+        retry: opts.retry,
+        hedge: opts.hedge,
+        breaker: opts.breaker,
+        fault: opts.fault_seed.map(|seed| FaultPlan::uniform(seed, opts.fault_rate)),
+        replica_seed: if wire { opts.seed } else { opts.fault_seed.unwrap_or(0) },
+        ..ExecOptions::default()
+    });
     for (peer, addr) in &opts.connects {
-        transport.register(peer, addr);
         fed.set_peer_address(peer, addr);
     }
     for (host, uri) in &opts.serves {
         fed.register_replica(uri, host);
     }
-    fed.set_exec_options(ExecOptions {
-        semijoin: opts.semijoin,
-        replica_seed: opts.seed,
-        ..ExecOptions::default()
-    });
-    fed.set_retry_policy(opts.retry);
-    for strategy in &opts.strategies {
-        match fed.run(query, *strategy) {
-            Ok(out) => {
-                if opts.strategies.len() > 1 {
-                    println!("=== {} ===", strategy.name());
-                }
-                for item in &out.result {
-                    println!("{item}");
-                }
-                if opts.metrics {
-                    eprintln!(
-                        "# {}: {} remote calls, {} failovers, {} retries (tcp)",
-                        strategy.name(),
-                        out.remote_calls,
-                        out.failovers,
-                        out.retries,
-                    );
-                }
-            }
-            Err(e) => {
-                eprintln!("error under {}: {e}", strategy.name());
-                return ExitCode::FAILURE;
-            }
+    for (peer, doc, file) in &opts.peers {
+        let xml =
+            std::fs::read_to_string(file).map_err(|e| format!("cannot read {file:?}: {e}"))?;
+        fed.load_document(peer, doc, &xml).map_err(|e| format!("loading {doc} on {peer}: {e}"))?;
+    }
+    for (primary, alts) in &opts.replicas {
+        for alt in alts {
+            fed.replicate_peer(primary, alt)
+                .map_err(|e| format!("replicating {primary} onto {alt}: {e}"))?;
         }
     }
-    ExitCode::SUCCESS
+    Ok(fed)
 }
 
 /// `xqd serve`: one peer daemon. Prints a READY line (the sleep-free
@@ -823,8 +816,8 @@ fn write_trace(trace: &xqd::Trace, path: &str, chrome: bool) -> Result<(), Strin
 }
 
 /// `explain --analyze` output: the per-operator plan profile plus the
-/// span-level attribution of the run's simulated wall time.
-fn print_analysis(out: &xqd::RunOutcome) {
+/// span-level attribution of the run's wall time on its `clock`.
+fn print_analysis(out: &xqd::RunOutcome, clock: &str) {
     if let (Some(prepared), Some(profile)) = (&out.compiled, &out.profile) {
         println!("{}", prepared.plan.dump_analyze(profile));
     }
@@ -844,7 +837,7 @@ fn print_analysis(out: &xqd::RunOutcome) {
     rows.sort_by(|a, b| b.2.cmp(&a.2).then(a.0.cmp(b.0)));
     let total = trace.total_ns.max(1);
     println!(
-        "trace {:#018x}: total simulated {:?}, span coverage {:.1}%",
+        "trace {:#018x}: total {clock} {:?}, span coverage {:.1}%",
         trace.trace_id,
         Duration::from_nanos(trace.total_ns),
         trace.coverage() * 100.0,
@@ -873,10 +866,15 @@ fn cmd_workload(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let Some(query) = opts.query else {
+    let Some(query) = opts.query.clone() else {
         eprintln!("error: no query given (use -e QUERY or a query file)\n{USAGE}");
         return ExitCode::FAILURE;
     };
+    if !opts.connects.is_empty() {
+        // the workload engine schedules on the simulated clock
+        eprintln!("error: --connect is for `xqd run`; a workload runs on the simulated federation");
+        return ExitCode::FAILURE;
+    }
     let strategy = opts.strategies[0];
 
     if opts.fault_seed.is_some() {
@@ -893,40 +891,13 @@ fn cmd_workload(args: &[String]) -> ExitCode {
         }));
     }
 
-    let mut fed = Federation::new(opts.network);
-    fed.set_exec_options(ExecOptions {
-        semijoin: opts.semijoin,
-        plan_cache_size: opts.plan_cache_size,
-        ..ExecOptions::default()
-    });
-    fed.set_retry_policy(opts.retry);
-    fed.set_hedge(opts.hedge);
-    fed.set_breaker_policy(opts.breaker);
-    if let Some(seed) = opts.fault_seed {
-        fed.set_fault_plan(Some(FaultPlan::uniform(seed, opts.fault_rate)));
-        fed.set_replica_seed(seed);
-    }
-    for (peer, doc, file) in &opts.peers {
-        let xml = match std::fs::read_to_string(file) {
-            Ok(x) => x,
-            Err(e) => {
-                eprintln!("cannot read {file:?}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if let Err(e) = fed.load_document(peer, doc, &xml) {
-            eprintln!("loading {doc} on {peer}: {e}");
+    let mut fed = match build_federation(&opts, false, false) {
+        Ok(fed) => fed,
+        Err(e) => {
+            eprintln!("{e}");
             return ExitCode::FAILURE;
         }
-    }
-    for (primary, alts) in &opts.replicas {
-        for alt in alts {
-            if let Err(e) = fed.replicate_peer(primary, alt) {
-                eprintln!("replicating {primary} onto {alt}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+    };
 
     // N tenants splitting the offered load evenly, all running the query;
     // weights come from --fair-weights (cycled), `off` degrades to FIFO

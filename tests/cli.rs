@@ -108,3 +108,21 @@ fn query_error_reported() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("nowhere"));
 }
+
+/// Flags that only configure the simulated federation are refused next to
+/// `--connect`, by name, before anything is dialed (port 1 refuses: getting
+/// that far would report a connect error instead).
+#[test]
+fn connect_rejects_the_flags_of_the_simulation_by_name() {
+    for (flag, value) in [("--hedge-ms", "5"), ("--fault-seed", "1")] {
+        let out = xqd()
+            .args(["run", "-e", "count(doc(\"xrpc://P/d.xml\")//x)"])
+            .args(["--connect", "P=127.0.0.1:1", flag, value])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{flag} was accepted: {stderr}");
+        assert!(stderr.contains(flag), "{flag} not named: {stderr}");
+        assert!(!stderr.contains("127.0.0.1:1"), "{flag}: a connection was attempted: {stderr}");
+    }
+}
