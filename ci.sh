@@ -54,6 +54,39 @@ if grep -q 'identical": false' target/BENCH_joins.ci.json; then
     exit 1
 fi
 
+echo "== value join probes its key column (a count, not a timing) =="
+# The paper's Section VII join, closed at the coordinator under data
+# shipping: the compiled plan must evaluate the loop-invariant key column
+# `$t/attribute::id` at most twice (first sight, then the sight that builds
+# the probe table) while the `for $e` body still runs once per auction, and
+# the listing must mark the comparison's memoisable operands.
+# `profile_calls <regex>` reads calls= of the first op line matching <regex>
+# in the EXPLAIN ANALYZE listing (an op line, then its counters line).
+profile_calls() {
+    awk -v pat="$1" '
+        hit { if (match($0, /calls=[0-9]+/)) print substr($0, RSTART + 6, RLENGTH - 6); exit }
+        $0 ~ pat { hit = 1 }
+    ' target/ci_join_profile.out
+}
+target/release/xqd gen-xmark --bytes 30000 \
+    --people target/ci_join_people.xml --auctions target/ci_join_auctions.xml > /dev/null
+# the query text has one home: xqd_bench::BENCHMARK_QUERY
+awk '/^pub const BENCHMARK_QUERY/ { on = 1; next } /^"#;/ { on = 0 } on' \
+    crates/bench/src/lib.rs > target/ci_join.xq
+target/release/xqd explain target/ci_join.xq --analyze --strategy data-shipping \
+    --peer peer1:xmk.xml=target/ci_join_people.xml \
+    --peer peer2:xmk.auctions.xml=target/ci_join_auctions.xml > target/ci_join_profile.out
+auctions=$(grep -o '<open_auction ' target/ci_join_auctions.xml | wc -l)
+key_calls=$(profile_calls ': path @[0-9]+ / attribute::id ')
+body=$(awk '/: for \$e in / { sub(/.* return @/, ""); print $1; exit }' target/ci_join_profile.out)
+body_calls=$(profile_calls "^ *$body: ")
+if ! [ "$auctions" -ge 20 ] || ! [ "$key_calls" -le 2 ] || [ "$body_calls" != "$auctions" ]; then
+    echo "value join: key column evaluated '$key_calls' times (want <= 2)," \
+         "for \$e body '$body_calls' times (want $auctions)" >&2
+    exit 1
+fi
+grep -q ': cmp @[0-9]* = @[0-9]* memo(@' target/ci_join_profile.out
+
 echo "== throughput bench smoke (small N, offline) =="
 # Small-scale run of the multi-tenant saturation sweep into a scratch path
 # (the committed BENCH_throughput.json is the full-scale artifact). The

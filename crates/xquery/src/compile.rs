@@ -21,7 +21,11 @@
 //!   unfolded so the error surfaces at the same point, with the same
 //!   message, as under the interpreter),
 //! * the scatter-round / Bulk-RPC shapes detected once, here, and recorded
-//!   per op (the shape detectors live in this module).
+//!   per op (the shape detectors live in this module),
+//! * the comparison operands whose value depends only on their free
+//!   variables' bindings recorded ([`MemoOperand`]), so a value join probes
+//!   a per-run table instead of re-evaluating and nested-looping its
+//!   loop-invariant side.
 //!
 //! The compiled engine drives the *same* [`Evaluator`] state — environment,
 //! context stack, scratch buffers, builtins — so the two engines cannot
@@ -160,6 +164,20 @@ pub struct PlanSemijoin {
     pub consumer_peer: Option<String>,
 }
 
+/// A general-comparison operand whose value is a pure function of its free
+/// variables' bindings: built only from `VarRef`, `Const`, predicate-free
+/// `Path` steps over those, and one-argument `data` / `string` (atomization
+/// and string value of immutable nodes). No context item, constructor,
+/// `Execute` or other call. The evaluator keeps a probe table for it while
+/// those bindings stay the very same sequences. Recorded only when the other
+/// operand is not a constant (see `Compiler::memo_operand`).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MemoOperand {
+    pub operand: OpRef,
+    /// Every variable the operand reads (it binds none, so all are free).
+    pub free: Vec<SymId>,
+}
+
 /// One instruction of the flat plan. Operands are [`OpRef`] indices into
 /// the owning [`Plan::ops`] arena.
 #[derive(Debug, Clone)]
@@ -181,7 +199,9 @@ pub enum Op {
     LetScatter { binds: Vec<(SymId, OpRef)>, tail: OpRef },
     If { cond: OpRef, then: OpRef, els: OpRef },
     Typeswitch { input: OpRef, cases: Vec<PlanCase>, default_var: SymId, default: OpRef },
-    Comparison { op: CompOp, lhs: OpRef, rhs: OpRef, scatter: bool },
+    /// `memo[i]` indexes [`Plan::memos`] when operand `i` (lhs, rhs) is
+    /// memoisable; see [`MemoOperand`].
+    Comparison { op: CompOp, lhs: OpRef, rhs: OpRef, scatter: bool, memo: [Option<u32>; 2] },
     NodeComparison { op: NodeCompOp, lhs: OpRef, rhs: OpRef, scatter: bool },
     NodeSet { op: NodeSetOp, lhs: OpRef, rhs: OpRef, scatter: bool },
     Arith { op: ArithOp, lhs: OpRef, rhs: OpRef, scatter: bool },
@@ -219,6 +239,9 @@ pub struct Plan {
     pub semijoins: Vec<PlanSemijoin>,
     /// Number of non-trivial subexpressions pre-evaluated at compile time.
     pub consts_folded: u32,
+    /// Memoisable comparison operands, indexed by [`Op::Comparison`]'s
+    /// `memo`; the per-run probe tables are kept in the same order.
+    pub memos: Vec<MemoOperand>,
 }
 
 impl Plan {
@@ -234,8 +257,11 @@ impl Plan {
     /// plans, bit-identical to `ev.eval(&body)` on the source expression —
     /// results and errors.
     pub fn eval(&self, ev: &mut Evaluator<'_>) -> EvalResult {
-        let mut nc = NameCache::new(self.syms.len());
-        ev.eval_op(self, &mut nc, self.root)
+        let mut run = PlanRun {
+            names: NameCache::new(self.syms.len()),
+            memos: self.memos.iter().map(|_| MemoState::default()).collect(),
+        };
+        ev.eval_op(self, &mut run, self.root)
     }
 
     /// Attaches decomposer routing metadata (builder style).
@@ -353,11 +379,19 @@ impl Plan {
                     self.sym(*default_var)
                 )
             }
-            Op::Comparison { op, lhs, rhs, scatter } => format!(
-                "cmp @{lhs} {} @{rhs}{}",
-                op.symbol(),
-                if *scatter { " scatter" } else { "" }
-            ),
+            Op::Comparison { op, lhs, rhs, scatter, memo } => {
+                let mut s = format!(
+                    "cmp @{lhs} {} @{rhs}{}",
+                    op.symbol(),
+                    if *scatter { " scatter" } else { "" }
+                );
+                let memoised: Vec<OpRef> =
+                    memo.iter().flatten().map(|&m| self.memos[m as usize].operand).collect();
+                if !memoised.is_empty() {
+                    s.push_str(&format!(" memo({})", Self::dump_refs(&memoised)));
+                }
+                s
+            }
             Op::NodeComparison { op, lhs, rhs, scatter } => format!(
                 "node-cmp @{lhs} {} @{rhs}{}",
                 op.symbol(),
@@ -739,6 +773,7 @@ struct Compiler<'c> {
     use_indexes: bool,
     static_ctx: StaticContext,
     consts_folded: u32,
+    memos: Vec<MemoOperand>,
 }
 
 impl<'c> Compiler<'c> {
@@ -834,7 +869,8 @@ impl<'c> Compiler<'c> {
                 let scatter = binary_scatter(lhs, rhs);
                 let lhs = self.compile(lhs);
                 let rhs = self.compile(rhs);
-                self.push(Op::Comparison { op: *op, lhs, rhs, scatter })
+                let memo = [self.memo_operand(lhs, rhs), self.memo_operand(rhs, lhs)];
+                self.push(Op::Comparison { op: *op, lhs, rhs, scatter, memo })
             }
             Expr::NodeComparison { op, lhs, rhs } => {
                 let scatter = binary_scatter(lhs, rhs);
@@ -897,6 +933,50 @@ impl<'c> Compiler<'c> {
                 self.push(Op::Or(l, r))
             }
             Expr::Execute { .. } => self.compile_execute(e),
+        }
+    }
+
+    /// Records `operand` in [`Plan::memos`] if it is memoisable (the rule
+    /// is [`MemoOperand`]'s) and worth tracking: not against a constant
+    /// `other` side (`age < 40` — were this operand invariant the whole
+    /// comparison would be, and hoisting that is not a join's business;
+    /// the common case is a varying operand that would pay for the
+    /// tracking every time), and not a constant too short to ever get a
+    /// table (evaluating it is already one `Arc` clone).
+    fn memo_operand(&mut self, operand: OpRef, other: OpRef) -> Option<u32> {
+        let short = matches!(&self.ops[operand as usize], Op::Const(s) if s.len() < MEMO_MIN_ITEMS);
+        if short || matches!(self.ops[other as usize], Op::Const(_)) {
+            return None;
+        }
+        let mut free = Vec::new();
+        if !self.memoisable(operand, &mut free) {
+            return None;
+        }
+        self.memos.push(MemoOperand { operand, free });
+        Some((self.memos.len() - 1) as u32)
+    }
+
+    fn memoisable(&self, op: OpRef, free: &mut Vec<SymId>) -> bool {
+        match &self.ops[op as usize] {
+            Op::Const(_) => true,
+            Op::VarRef(v) => {
+                if !free.contains(v) {
+                    free.push(*v);
+                }
+                true
+            }
+            Op::Path { start: Some(start), steps } => {
+                steps.iter().all(|s| s.preds.is_empty()) && self.memoisable(*start, free)
+            }
+            // builtins dispatch before user functions, so these two names
+            // with one argument are always fn:data / fn:string
+            Op::FunCall { name, args, .. } => {
+                let name = &self.syms[*name as usize];
+                matches!(name.strip_prefix("fn:").unwrap_or(name), "data" | "string")
+                    && args.len() == 1
+                    && self.memoisable(args[0], free)
+            }
+            _ => false,
         }
     }
 
@@ -1065,6 +1145,7 @@ pub fn compile_module(
         use_indexes,
         static_ctx: static_ctx.clone(),
         consts_folded: 0,
+        memos: Vec::new(),
     };
     let mut funcs = Vec::with_capacity(functions.len());
     for f in functions {
@@ -1084,6 +1165,7 @@ pub fn compile_module(
         routes: Vec::new(),
         semijoins: Vec::new(),
         consts_folded: c.consts_folded,
+        memos: c.memos,
     }
 }
 
@@ -1118,6 +1200,44 @@ impl NameCache {
     }
 }
 
+/// Below this many items an invariant operand gets no probe table: a nested
+/// loop over a handful of atoms costs about what hashing the probe does.
+const MEMO_MIN_ITEMS: usize = 8;
+
+/// Run state of one memoisable comparison operand ([`MemoOperand`]). The
+/// key is the *identity* of its free variables' bindings — `Arc::ptr_eq` on
+/// the bound sequences, which `key` holds clones of, so an address cannot be
+/// reused while it is the key. Documents are immutable once attached, so
+/// the same bindings yield the same value. A different key simply replaces
+/// the table, which is why nested loops, shadowing and recursion need no
+/// scope tracking: whatever binding is visible *now* is what is compared.
+#[derive(Default)]
+struct MemoState {
+    /// A binding for every free variable; `None` until the operand's first
+    /// evaluation in this run, or when one of them was unbound.
+    key: Option<Vec<Sequence>>,
+    /// Built the second time `key` is seen, so an operand whose bindings
+    /// change every evaluation (the varying side) never pays for one.
+    /// Handed out by `Arc`: the other operand may re-enter this comparison
+    /// (a recursive user function) and re-key the state under the caller.
+    table: Option<Arc<ProbeTable>>,
+}
+
+/// Everything one [`Plan::eval`] keeps between ops. Per run, not on the
+/// [`Evaluator`] — that outlives a plan, and `memos` is indexed by plan.
+struct PlanRun {
+    names: NameCache,
+    /// Parallel to [`Plan::memos`].
+    memos: Vec<MemoState>,
+}
+
+/// A comparison operand as [`Evaluator::memo_operand`] hands it back.
+enum Operand {
+    Fresh(Sequence),
+    /// The run's probe table stands for it.
+    Table(Arc<ProbeTable>),
+}
+
 /// The compiled engine reuses the interpreter's `Evaluator` state wholesale
 /// (environment, context stack, scratch buffers, hooks); every local arm
 /// below mirrors the corresponding `Evaluator::eval` arm op-for-op so
@@ -1126,12 +1246,12 @@ impl<'a> Evaluator<'a> {
     /// Single dispatch point of the compiled engine. When a [`ProfileHook`]
     /// is attached, wraps the real dispatch with per-op accounting — one
     /// branch and no other work on unprofiled runs.
-    fn eval_op(&mut self, plan: &Plan, nc: &mut NameCache, op: OpRef) -> EvalResult {
+    fn eval_op(&mut self, plan: &Plan, run: &mut PlanRun, op: OpRef) -> EvalResult {
         let Some(hook) = self.profile.clone() else {
-            return self.eval_op_inner(plan, nc, op);
+            return self.eval_op_inner(plan, run, op);
         };
         hook.data.borrow_mut().enter(op as usize, hook.clock.load(Ordering::SeqCst));
-        let result = self.eval_op_inner(plan, nc, op);
+        let result = self.eval_op_inner(plan, run, op);
         hook.data.borrow_mut().exit(
             op as usize,
             hook.clock.load(Ordering::SeqCst),
@@ -1140,7 +1260,7 @@ impl<'a> Evaluator<'a> {
         result
     }
 
-    fn eval_op_inner(&mut self, plan: &Plan, nc: &mut NameCache, op: OpRef) -> EvalResult {
+    fn eval_op_inner(&mut self, plan: &Plan, run: &mut PlanRun, op: OpRef) -> EvalResult {
         match plan.op(op) {
             Op::Const(seq) => Ok(seq.clone()),
             Op::VarRef(v) => self.lookup(plan.sym(*v)),
@@ -1148,35 +1268,45 @@ impl<'a> Evaluator<'a> {
             Op::Seq { items, scatter } => {
                 if self.remote.is_some() {
                     if let Some(idxs) = scatter {
-                        return self.eval_sequence_scatter_plan(plan, nc, items, idxs);
+                        return self.eval_sequence_scatter_plan(plan, run, items, idxs);
                     }
                 }
                 let mut out = Vec::new();
                 for &x in items {
-                    out.extend(self.eval_op(plan, nc, x)?);
+                    out.extend(self.eval_op(plan, run, x)?);
                 }
                 Ok(out.into())
             }
             Op::For { var, seq, ret, bulk } => {
-                let input = self.eval_op(plan, nc, *seq)?;
+                let input = self.eval_op(plan, run, *seq)?;
                 if self.remote.is_some() {
                     if let Some(b) = bulk {
-                        return self.eval_bulk_for_plan(plan, nc, *var, input, b);
+                        return self.eval_bulk_for_plan(plan, run, *var, input, b);
                     }
                 }
+                // one binding for the whole loop, its value overwritten per
+                // item; the body leaves the environment as it found it
+                let slot = self.env.len();
+                self.env.push((plan.sym(*var).to_string(), Sequence::new()));
                 let mut out = Vec::new();
+                let mut outcome = Ok(());
                 for item in input.iter() {
-                    self.env.push((plan.sym(*var).to_string(), Sequence::unit(item.clone())));
-                    let r = self.eval_op(plan, nc, *ret);
-                    self.env.pop();
-                    out.extend(r?);
+                    self.env[slot].1 = Sequence::unit(item.clone());
+                    match self.eval_op(plan, run, *ret) {
+                        Ok(r) => out.extend(r),
+                        Err(e) => {
+                            outcome = Err(e);
+                            break;
+                        }
+                    }
                 }
-                Ok(out.into())
+                self.env.pop();
+                outcome.map(|()| out.into())
             }
             Op::Let { var, value, ret } => {
-                let v = self.eval_op(plan, nc, *value)?;
+                let v = self.eval_op(plan, run, *value)?;
                 self.env.push((plan.sym(*var).to_string(), v));
-                let r = self.eval_op(plan, nc, *ret);
+                let r = self.eval_op(plan, run, *ret);
                 self.env.pop();
                 r
             }
@@ -1193,7 +1323,7 @@ impl<'a> Evaluator<'a> {
                     for ((var, _), seq) in binds.iter().zip(gathered) {
                         self.env.push((plan.sym(*var).to_string(), seq));
                     }
-                    let r = self.eval_op(plan, nc, *tail);
+                    let r = self.eval_op(plan, run, *tail);
                     for _ in 0..binds.len() {
                         self.env.pop();
                     }
@@ -1204,7 +1334,7 @@ impl<'a> Evaluator<'a> {
                 let mut pushed = 0usize;
                 let mut err = None;
                 for (var, exec) in binds {
-                    match self.eval_op(plan, nc, *exec) {
+                    match self.eval_op(plan, run, *exec) {
                         Ok(v) => {
                             self.env.push((plan.sym(*var).to_string(), v));
                             pushed += 1;
@@ -1217,7 +1347,7 @@ impl<'a> Evaluator<'a> {
                 }
                 let r = match err {
                     Some(e) => Err(e),
-                    None => self.eval_op(plan, nc, *tail),
+                    None => self.eval_op(plan, run, *tail),
                 };
                 for _ in 0..pushed {
                     self.env.pop();
@@ -1225,35 +1355,40 @@ impl<'a> Evaluator<'a> {
                 r
             }
             Op::If { cond, then, els } => {
-                let c = self.eval_op(plan, nc, *cond)?;
+                let c = self.eval_op(plan, run, *cond)?;
                 if effective_boolean_value(&c)? {
-                    self.eval_op(plan, nc, *then)
+                    self.eval_op(plan, run, *then)
                 } else {
-                    self.eval_op(plan, nc, *els)
+                    self.eval_op(plan, run, *els)
                 }
             }
             Op::Typeswitch { input, cases, default_var, default } => {
-                let v = self.eval_op(plan, nc, *input)?;
+                let v = self.eval_op(plan, run, *input)?;
                 for case in cases {
                     if matches_seq_type(self.store, &v, &case.seq_type) {
                         self.env.push((plan.sym(case.var).to_string(), v));
-                        let r = self.eval_op(plan, nc, case.body);
+                        let r = self.eval_op(plan, run, case.body);
                         self.env.pop();
                         return r;
                     }
                 }
                 self.env.push((plan.sym(*default_var).to_string(), v));
-                let r = self.eval_op(plan, nc, *default);
+                let r = self.eval_op(plan, run, *default);
                 self.env.pop();
                 r
             }
-            Op::Comparison { op, lhs, rhs, scatter } => {
-                let (l, r) = self.eval_operand_pair_plan(plan, nc, *lhs, *rhs, *scatter)?;
+            Op::Comparison { op, lhs, rhs, memo, .. } if memo.iter().any(Option::is_some) => {
+                // a memoisable operand is never an `Execute`, so there is
+                // no scatter round to give up here
+                self.eval_comparison_memo(plan, run, *op, [*lhs, *rhs], *memo)
+            }
+            Op::Comparison { op, lhs, rhs, scatter, .. } => {
+                let (l, r) = self.eval_operand_pair_plan(plan, run, *lhs, *rhs, *scatter)?;
                 let b = general_compare(self.store, *op, &l, &r)?;
                 Ok(Sequence::unit(Item::Atom(Atomic::Bool(b))))
             }
             Op::NodeComparison { op, lhs, rhs, scatter } => {
-                let (l, r) = self.eval_operand_pair_plan(plan, nc, *lhs, *rhs, *scatter)?;
+                let (l, r) = self.eval_operand_pair_plan(plan, run, *lhs, *rhs, *scatter)?;
                 if l.is_empty() || r.is_empty() {
                     return Ok(Sequence::new());
                 }
@@ -1267,7 +1402,7 @@ impl<'a> Evaluator<'a> {
                 Ok(Sequence::unit(Item::Atom(Atomic::Bool(b))))
             }
             Op::NodeSet { op, lhs, rhs, scatter } => {
-                let (l, r) = self.eval_operand_pair_plan(plan, nc, *lhs, *rhs, *scatter)?;
+                let (l, r) = self.eval_operand_pair_plan(plan, run, *lhs, *rhs, *scatter)?;
                 let (mut l, mut r) = (l.into_vec(), r.into_vec());
                 sort_document_order(&mut l)?;
                 sort_document_order(&mut r)?;
@@ -1303,7 +1438,7 @@ impl<'a> Evaluator<'a> {
                 Ok(out.into())
             }
             Op::Arith { op, lhs, rhs, scatter } => {
-                let (l, r) = self.eval_operand_pair_plan(plan, nc, *lhs, *rhs, *scatter)?;
+                let (l, r) = self.eval_operand_pair_plan(plan, run, *lhs, *rhs, *scatter)?;
                 if l.is_empty() || r.is_empty() {
                     return Ok(Sequence::new());
                 }
@@ -1341,41 +1476,104 @@ impl<'a> Evaluator<'a> {
                     Atomic::Dbl(result)
                 })))
             }
-            Op::OrderBy { input, specs } => self.eval_order_by_plan(plan, nc, *input, specs),
-            Op::Construct(c) => self.eval_constructor_plan(plan, nc, c),
-            Op::Path { start, steps } => self.eval_path_plan(plan, nc, *start, steps),
+            Op::OrderBy { input, specs } => self.eval_order_by_plan(plan, run, *input, specs),
+            Op::Construct(c) => self.eval_constructor_plan(plan, run, c),
+            Op::Path { start, steps } => self.eval_path_plan(plan, run, *start, steps),
             Op::Filter { input, pred } => {
-                let input = self.eval_op(plan, nc, *input)?;
-                Ok(self.apply_predicate_plan(plan, nc, &input, *pred)?.into())
+                let input = self.eval_op(plan, run, *input)?;
+                Ok(self.apply_predicate_plan(plan, run, &input, *pred)?.into())
             }
-            Op::FunCall { name, args, user } => self.eval_funcall_plan(plan, nc, *name, args, *user),
+            Op::FunCall { name, args, user } => {
+                self.eval_funcall_plan(plan, run, *name, args, *user)
+            }
             Op::And(l, r) => {
-                let lv = self.eval_op(plan, nc, *l)?;
+                let lv = self.eval_op(plan, run, *l)?;
                 if !effective_boolean_value(&lv)? {
                     return Ok(Sequence::unit(Item::Atom(Atomic::Bool(false))));
                 }
-                let rv = self.eval_op(plan, nc, *r)?;
+                let rv = self.eval_op(plan, run, *r)?;
                 Ok(Sequence::unit(Item::Atom(Atomic::Bool(effective_boolean_value(&rv)?))))
             }
             Op::Or(l, r) => {
-                let lv = self.eval_op(plan, nc, *l)?;
+                let lv = self.eval_op(plan, run, *l)?;
                 if effective_boolean_value(&lv)? {
                     return Ok(Sequence::unit(Item::Atom(Atomic::Bool(true))));
                 }
-                let rv = self.eval_op(plan, nc, *r)?;
+                let rv = self.eval_op(plan, run, *r)?;
                 Ok(Sequence::unit(Item::Atom(Atomic::Bool(effective_boolean_value(&rv)?))))
             }
-            Op::Execute(pe) => self.eval_execute_plan(plan, nc, pe),
+            Op::Execute(pe) => self.eval_execute_plan(plan, run, pe),
         }
+    }
+
+    /// A general comparison with a memoisable operand. Out of line on
+    /// purpose: inlined, its locals widen every `eval_op_inner` frame and
+    /// deep recursion overflows the 2 MiB test stacks in debug builds.
+    #[inline(never)]
+    fn eval_comparison_memo(
+        &mut self,
+        plan: &Plan,
+        run: &mut PlanRun,
+        op: CompOp,
+        operands: [OpRef; 2],
+        memo: [Option<u32>; 2],
+    ) -> EvalResult {
+        // lhs before rhs, as the reference evaluates them
+        let l = self.memo_operand(plan, run, operands[0], memo[0])?;
+        let r = self.memo_operand(plan, run, operands[1], memo[1])?;
+        let b = match (&l, &r) {
+            (Operand::Fresh(l), Operand::Fresh(r)) => general_compare(self.store, op, l, r)?,
+            (Operand::Table(t), Operand::Fresh(r)) => t.compare(self.store, op, true, r)?,
+            (Operand::Fresh(l), Operand::Table(t)) => t.compare(self.store, op, false, l)?,
+            (Operand::Table(l), Operand::Table(r)) => {
+                l.compare(self.store, op, true, r.operand())?
+            }
+        };
+        Ok(Sequence::unit(Item::Atom(Atomic::Bool(b))))
+    }
+
+    /// Evaluates one comparison operand, or stands the run's probe table in
+    /// for it. The table is built here, lazily, on the second evaluation
+    /// under the same bindings — never ahead of the comparison, so nothing
+    /// is evaluated that the reference would not evaluate.
+    fn memo_operand(
+        &mut self,
+        plan: &Plan,
+        run: &mut PlanRun,
+        operand: OpRef,
+        memo: Option<u32>,
+    ) -> EvalResult<Operand> {
+        let Some(m) = memo else {
+            return Ok(Operand::Fresh(self.eval_op(plan, run, operand)?));
+        };
+        let free = &plan.memos[m as usize].free;
+        let state = &mut run.memos[m as usize];
+        let bound = |v: &SymId| self.binding(plan.sym(*v));
+        let is_key = |(v, k): (&SymId, &Sequence)| bound(v).is_some_and(|b| b.same_allocation(k));
+        let same = state.key.as_ref().is_some_and(|key| free.iter().zip(key).all(is_key));
+        if !same {
+            state.table = None;
+            // an unbound variable leaves no key; the evaluation below raises
+            state.key = free.iter().map(|v| bound(v).cloned()).collect();
+        } else if let Some(table) = &state.table {
+            return Ok(Operand::Table(table.clone()));
+        }
+        let value = self.eval_op(plan, run, operand)?;
+        if !same || value.len() < MEMO_MIN_ITEMS {
+            return Ok(Operand::Fresh(value));
+        }
+        let table = Arc::new(ProbeTable::build(self.store, value));
+        run.memos[m as usize].table = Some(table.clone());
+        Ok(Operand::Table(table))
     }
 
     fn eval_execute_plan(
         &mut self,
         plan: &Plan,
-        nc: &mut NameCache,
+        run: &mut PlanRun,
         pe: &PlanExec,
     ) -> EvalResult {
-        let peer_seq = self.eval_op(plan, nc, pe.peer)?;
+        let peer_seq = self.eval_op(plan, run, pe.peer)?;
         let peer_uri = match peer_seq.as_slice() {
             [item] => string_value(self.store, item),
             _ => return Err(EvalError::new("execute at peer must be a single item")),
@@ -1421,7 +1619,7 @@ impl<'a> Evaluator<'a> {
     fn eval_sequence_scatter_plan(
         &mut self,
         plan: &Plan,
-        nc: &mut NameCache,
+        run: &mut PlanRun,
         items: &[OpRef],
         idxs: &[usize],
     ) -> EvalResult {
@@ -1439,7 +1637,7 @@ impl<'a> Evaluator<'a> {
         for (i, &x) in items.iter().enumerate() {
             match by_idx[i].take() {
                 Some(seq) => out.extend(seq),
-                None => out.extend(self.eval_op(plan, nc, x)?),
+                None => out.extend(self.eval_op(plan, run, x)?),
             }
         }
         Ok(out.into())
@@ -1451,7 +1649,7 @@ impl<'a> Evaluator<'a> {
     fn eval_operand_pair_plan(
         &mut self,
         plan: &Plan,
-        nc: &mut NameCache,
+        run: &mut PlanRun,
         lhs: OpRef,
         rhs: OpRef,
         scatter: bool,
@@ -1468,7 +1666,7 @@ impl<'a> Evaluator<'a> {
             let l = gathered.pop().expect("two results for two calls");
             return Ok((l, r));
         }
-        Ok((self.eval_op(plan, nc, lhs)?, self.eval_op(plan, nc, rhs)?))
+        Ok((self.eval_op(plan, run, lhs)?, self.eval_op(plan, run, rhs)?))
     }
 
     /// One Bulk RPC for the whole loop: every iteration binds its lets and
@@ -1477,7 +1675,7 @@ impl<'a> Evaluator<'a> {
     fn eval_bulk_for_plan(
         &mut self,
         plan: &Plan,
-        nc: &mut NameCache,
+        run: &mut PlanRun,
         var: SymId,
         input: Sequence,
         b: &PlanBulk,
@@ -1492,7 +1690,7 @@ impl<'a> Evaluator<'a> {
             let mut pushed = 1usize;
             let mut bound: EvalResult<Vec<(String, Sequence)>> = Ok(Vec::new());
             for (lv, lval) in &b.lets {
-                match self.eval_op(plan, nc, *lval) {
+                match self.eval_op(plan, run, *lval) {
                     Ok(v) => {
                         self.env.push((plan.sym(*lv).to_string(), v));
                         pushed += 1;
@@ -1538,17 +1736,17 @@ impl<'a> Evaluator<'a> {
     fn eval_order_by_plan(
         &mut self,
         plan: &Plan,
-        nc: &mut NameCache,
+        run: &mut PlanRun,
         input: OpRef,
         specs: &[PlanOrderSpec],
     ) -> EvalResult {
-        let items = self.eval_op(plan, nc, input)?;
+        let items = self.eval_op(plan, run, input)?;
         let mut keyed: Vec<(Vec<Option<Atomic>>, usize, Item)> = Vec::with_capacity(items.len());
         for (i, item) in items.into_iter().enumerate() {
             let mut keys = Vec::with_capacity(specs.len());
             self.context.push(item.clone());
             for spec in specs {
-                let k = self.eval_op(plan, nc, spec.key);
+                let k = self.eval_op(plan, run, spec.key);
                 match k {
                     Ok(seq) => {
                         let atoms = atomize(self.store, &seq);
@@ -1579,14 +1777,14 @@ impl<'a> Evaluator<'a> {
     fn eval_constructor_plan(
         &mut self,
         plan: &Plan,
-        nc: &mut NameCache,
+        run: &mut PlanRun,
         c: &PlanConstructor,
     ) -> EvalResult {
         use xqd_xml::DocBuilder;
         match c {
             PlanConstructor::Element { name, content } => {
-                let name = self.constructor_name_plan(plan, nc, name)?;
-                let content = self.eval_op(plan, nc, *content)?;
+                let name = self.constructor_name_plan(plan, run, name)?;
+                let content = self.eval_op(plan, run, *content)?;
                 let mut b = DocBuilder::new(None);
                 b.start_element(&name);
                 self.append_content(&mut b, &content)?;
@@ -1595,14 +1793,14 @@ impl<'a> Evaluator<'a> {
                 Ok(Sequence::unit(Item::Node(NodeId::new(doc, 1))))
             }
             PlanConstructor::Document { content } => {
-                let content = self.eval_op(plan, nc, *content)?;
+                let content = self.eval_op(plan, run, *content)?;
                 let mut b = DocBuilder::new(None);
                 self.append_content(&mut b, &content)?;
                 let doc = self.store.attach(b.finish());
                 Ok(Sequence::unit(Item::Node(NodeId::new(doc, 0))))
             }
             PlanConstructor::Text { content } => {
-                let content = self.eval_op(plan, nc, *content)?;
+                let content = self.eval_op(plan, run, *content)?;
                 if content.is_empty() {
                     return Ok(Sequence::new());
                 }
@@ -1617,8 +1815,8 @@ impl<'a> Evaluator<'a> {
                 Ok(Sequence::unit(Item::Node(NodeId::new(doc, 1))))
             }
             PlanConstructor::Attribute { name, content } => {
-                let name = self.constructor_name_plan(plan, nc, name)?;
-                let content = self.eval_op(plan, nc, *content)?;
+                let name = self.constructor_name_plan(plan, run, name)?;
+                let content = self.eval_op(plan, run, *content)?;
                 let value = content
                     .iter()
                     .map(|i| string_value(self.store, i))
@@ -1637,13 +1835,13 @@ impl<'a> Evaluator<'a> {
     fn constructor_name_plan(
         &mut self,
         plan: &Plan,
-        nc: &mut NameCache,
+        run: &mut PlanRun,
         name: &PlanName,
     ) -> EvalResult<String> {
         match name {
             PlanName::Static(n) => Ok(n.clone()),
             PlanName::Computed(e) => {
-                let v = self.eval_op(plan, nc, *e)?;
+                let v = self.eval_op(plan, run, *e)?;
                 match v.as_slice() {
                     [item] => Ok(string_value(self.store, item)),
                     _ => Err(EvalError::new("computed constructor name must be a single item")),
@@ -1655,12 +1853,12 @@ impl<'a> Evaluator<'a> {
     fn eval_path_plan(
         &mut self,
         plan: &Plan,
-        nc: &mut NameCache,
+        run: &mut PlanRun,
         start: Option<OpRef>,
         steps: &[PlanStep],
     ) -> EvalResult {
         let mut current: Sequence = match start {
-            Some(op) => self.eval_op(plan, nc, op)?,
+            Some(op) => self.eval_op(plan, run, op)?,
             None => {
                 // leading "/": root of the context item's document
                 let ctx = self.context_item()?;
@@ -1681,7 +1879,7 @@ impl<'a> Evaluator<'a> {
                 if current.iter().any(|i| matches!(i, Item::Atom(_))) {
                     return Err(EvalError::new("axis step applied to an atomic value"));
                 }
-                current = match nc.resolve(&plan.syms, self.store, sym) {
+                current = match run.names.resolve(&plan.syms, self.store, sym) {
                     // QName not interned in this store: matches nothing
                     None => Sequence::new(),
                     Some(id) => self.staircase_named(&current, step.axis, id)?,
@@ -1696,7 +1894,7 @@ impl<'a> Evaluator<'a> {
                         return Err(EvalError::new("axis step applied to an atomic value"))
                     }
                 };
-                let candidates = self.step_candidates_plan(plan, nc, node, step)?;
+                let candidates = self.step_candidates_plan(plan, run, node, step)?;
                 result.extend(candidates);
             }
             sort_document_order(&mut result)?;
@@ -1711,12 +1909,13 @@ impl<'a> Evaluator<'a> {
     fn step_candidates_plan(
         &mut self,
         plan: &Plan,
-        nc: &mut NameCache,
+        run: &mut PlanRun,
         node: NodeId,
         step: &PlanStep,
     ) -> EvalResult<Vec<Item>> {
         let test = match step.test {
-            PlanTest::Named(s) => nc
+            PlanTest::Named(s) => run
+                .names
                 .resolve(&plan.syms, self.store, s)
                 .map(NodeTest::Name)
                 .unwrap_or(NodeTest::UnknownName),
@@ -1741,7 +1940,7 @@ impl<'a> Evaluator<'a> {
         self.scratch = reached;
         let mut filtered = raw;
         for &pred in &step.preds {
-            filtered = self.apply_predicate_plan(plan, nc, &filtered, pred)?;
+            filtered = self.apply_predicate_plan(plan, run, &filtered, pred)?;
         }
         Ok(filtered)
     }
@@ -1750,14 +1949,14 @@ impl<'a> Evaluator<'a> {
     fn apply_predicate_plan(
         &mut self,
         plan: &Plan,
-        nc: &mut NameCache,
+        run: &mut PlanRun,
         input: &[Item],
         pred: OpRef,
     ) -> EvalResult<Vec<Item>> {
         let mut out = Vec::new();
         for (i, item) in input.iter().enumerate() {
             self.context.push(item.clone());
-            let v = self.eval_op(plan, nc, pred);
+            let v = self.eval_op(plan, run, pred);
             self.context.pop();
             let v = v?;
             let keep = match v.as_slice() {
@@ -1780,14 +1979,14 @@ impl<'a> Evaluator<'a> {
     fn eval_funcall_plan(
         &mut self,
         plan: &Plan,
-        nc: &mut NameCache,
+        run: &mut PlanRun,
         name: SymId,
         args: &[OpRef],
         user: Option<u32>,
     ) -> EvalResult {
         let mut arg_values = Vec::with_capacity(args.len());
         for &a in args {
-            arg_values.push(self.eval_op(plan, nc, a)?);
+            arg_values.push(self.eval_op(plan, run, a)?);
         }
         let name = plan.sym(name);
         if let Some(result) = builtins::eval_builtin(self, name, &arg_values)? {
@@ -1813,7 +2012,7 @@ impl<'a> Evaluator<'a> {
             self.env.push((plan.sym(p).to_string(), v));
         }
         self.call_depth += 1;
-        let result = self.eval_op(plan, nc, func.body);
+        let result = self.eval_op(plan, run, func.body);
         self.call_depth -= 1;
         self.env = saved_env;
         self.context = saved_ctx;

@@ -204,12 +204,14 @@ impl<'a> Evaluator<'a> {
         self.env.push((name.to_string(), value));
     }
 
+    /// The innermost visible binding of `$name`, if any.
+    pub(crate) fn binding(&self, name: &str) -> Option<&Sequence> {
+        self.env.iter().rev().find(|(n, _)| n == name).map(|(_, v)| v)
+    }
+
     pub(crate) fn lookup(&self, name: &str) -> EvalResult<Sequence> {
-        self.env
-            .iter()
-            .rev()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v.clone())
+        self.binding(name)
+            .cloned()
             .ok_or_else(|| EvalError::new(format!("unbound variable ${name}")))
     }
 

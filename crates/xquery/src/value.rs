@@ -1,6 +1,8 @@
 //! XDM values: items, sequences, atomization, effective boolean value,
 //! comparison semantics and `fn:deep-equal`.
 
+use std::borrow::{Borrow, Cow};
+use std::collections::HashSet;
 use std::fmt;
 use std::sync::Arc;
 
@@ -44,6 +46,12 @@ impl Sequence {
 
     pub fn iter(&self) -> std::slice::Iter<'_, Item> {
         self.0.iter()
+    }
+
+    /// Is `other` a handle on this very allocation? Sequences are immutable,
+    /// so two handles on one allocation hold the same items for good.
+    pub(crate) fn same_allocation(&self, other: &Sequence) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
     }
 
     /// Owned copy of the items (always clones).
@@ -271,6 +279,40 @@ pub fn compare_atomics(op: CompOp, l: &Atomic, r: &Atomic) -> EvalResult<bool> {
     })
 }
 
+/// Atomizes one item without copying what is already an atom: an atom is
+/// lent, only a node's string value is built.
+fn atom_of<'a>(store: &Store, item: &'a Item) -> Cow<'a, Atomic> {
+    match item {
+        Item::Atom(a) => Cow::Borrowed(a),
+        Item::Node(_) => Cow::Owned(atomize_item(store, item)),
+    }
+}
+
+fn is_stringy(a: &Atomic) -> Option<&str> {
+    match a {
+        Atomic::Str(s) | Atomic::Untyped(s) => Some(s),
+        _ => None,
+    }
+}
+
+/// The one place that orders the pairs of a general comparison: left atoms
+/// outermost, right atoms innermost, stopping at the first hit or the first
+/// cast error. The left side is an iterator so a hit stops its atomization.
+fn any_pair<'a, R: Borrow<Atomic>>(
+    op: CompOp,
+    lhs: impl Iterator<Item = Cow<'a, Atomic>>,
+    rhs: &[R],
+) -> EvalResult<bool> {
+    for a in lhs {
+        for b in rhs {
+            if compare_atomics(op, &a, b.borrow())? {
+                return Ok(true);
+            }
+        }
+    }
+    Ok(false)
+}
+
 /// General comparison: existential over the atomized operand sequences.
 pub fn general_compare(
     store: &Store,
@@ -278,16 +320,74 @@ pub fn general_compare(
     lhs: &[Item],
     rhs: &[Item],
 ) -> EvalResult<bool> {
-    let l = atomize(store, lhs);
-    let r = atomize(store, rhs);
-    for a in &l {
-        for b in &r {
-            if compare_atomics(op, a, b)? {
+    if lhs.is_empty() {
+        return Ok(false);
+    }
+    let r: Vec<Cow<'_, Atomic>> = rhs.iter().map(|i| atom_of(store, i)).collect();
+    any_pair(op, lhs.iter().map(|i| atom_of(store, i)), &r)
+}
+
+/// One operand of a general comparison, evaluated and atomized once so that
+/// later evaluations of the comparison atomize only the other side. When
+/// every atom is `Str`/`Untyped` it also holds their strings as a hash set:
+/// `=` against an all-string other side is then string equality — no cast,
+/// cannot raise — and a probe answers it. Every other case runs
+/// [`any_pair`] over the kept atoms, so the first hit and the first cast
+/// error are [`general_compare`]'s.
+pub(crate) struct ProbeTable {
+    operand: Sequence,
+    atoms: Vec<Atomic>,
+    strings: Option<HashSet<String>>,
+}
+
+impl ProbeTable {
+    pub(crate) fn build(store: &Store, operand: Sequence) -> ProbeTable {
+        let atoms = atomize(store, &operand);
+        let strings = atoms.iter().map(|a| is_stringy(a).map(str::to_string)).collect();
+        ProbeTable { operand, atoms, strings }
+    }
+
+    /// The sequence the table was built from.
+    pub(crate) fn operand(&self) -> &[Item] {
+        &self.operand
+    }
+
+    /// `general_compare(store, op, table, other)` when `table_is_lhs`, else
+    /// `general_compare(store, op, other, table)`.
+    pub(crate) fn compare(
+        &self,
+        store: &Store,
+        op: CompOp,
+        table_is_lhs: bool,
+        other: &[Item],
+    ) -> EvalResult<bool> {
+        let strings = if op == CompOp::Eq { self.strings.as_ref() } else { None };
+        if table_is_lhs {
+            // the table is the outer loop: the hash path needs the whole
+            // inner side to be strings, or an earlier table atom could have
+            // raised against a later non-string one
+            let r: Vec<Cow<'_, Atomic>> = other.iter().map(|i| atom_of(store, i)).collect();
+            if let Some(set) = strings {
+                if let Some(r) = r.iter().map(|b| is_stringy(b)).collect::<Option<Vec<&str>>>() {
+                    return Ok(r.iter().any(|s| set.contains(*s)));
+                }
+            }
+            return any_pair(op, self.atoms.iter().map(Cow::Borrowed), &r);
+        }
+        // the table is the inner loop: each outer atom is on its own, a
+        // string one probes, any other one walks the atoms in order
+        for item in other {
+            let a = atom_of(store, item);
+            let hit = match (strings, is_stringy(&a)) {
+                (Some(set), Some(s)) => set.contains(s),
+                _ => any_pair(op, std::iter::once(a), &self.atoms)?,
+            };
+            if hit {
                 return Ok(true);
             }
         }
+        Ok(false)
     }
-    Ok(false)
 }
 
 /// Sorts a node sequence into document order and removes duplicates.
@@ -452,6 +552,77 @@ mod tests {
         assert!(general_compare(&store, CompOp::Lt, &lhs, &rhs).unwrap());
         assert!(!general_compare(&store, CompOp::Gt, &lhs, &rhs).unwrap());
         assert!(!general_compare(&store, CompOp::Eq, &[], &rhs).unwrap());
+    }
+
+    /// The probe is the nested loop, errors included: for every operand
+    /// pair, op, and choice of memoised side, `ProbeTable::compare` returns
+    /// exactly what `general_compare` returns — `Ok` value or `Err` message.
+    #[test]
+    fn probe_table_equals_general_compare() {
+        const TEXTS: [&str; 9] = ["7", "07", " 7 ", "true", "", "x", "1", "0", "7.0"];
+        let mut store = Store::new();
+        let xml: String = TEXTS.iter().map(|t| format!("<v>{t}</v>")).collect();
+        let d = parse_document(&mut store, &format!("<r>{xml}</r>"), None).unwrap();
+        let nodes: Vec<Item> = {
+            let doc = store.doc(d);
+            doc.children(1).map(|c| Item::Node(NodeId::new(d, c))).collect()
+        };
+        assert_eq!(nodes.len(), TEXTS.len());
+        let text = |rng: &mut xqd_prng::Rng| TEXTS[rng.gen_range_usize(0..TEXTS.len())].to_string();
+        let item = |rng: &mut xqd_prng::Rng, kinds: u64| match rng.gen_range(0..kinds) {
+            0 => Item::Atom(Atomic::Str(text(rng))),
+            1 => Item::Atom(Atomic::Untyped(text(rng))),
+            2 => nodes[rng.gen_range_usize(0..nodes.len())].clone(),
+            3 => Item::Atom(Atomic::Int(rng.gen_range(0..9) as i64 - 1)),
+            4 => Item::Atom(Atomic::Dbl(rng.choose(&[f64::NAN, -0.0, 0.0, 7.0, 1.5]))),
+            _ => Item::Atom(Atomic::Bool(rng.gen_bool(0.5))),
+        };
+        let ops = [CompOp::Eq, CompOp::Ne, CompOp::Lt, CompOp::Le, CompOp::Gt, CompOp::Ge];
+        let mut rng = xqd_prng::Rng::seed_from_u64(20);
+        let (mut hits, mut errors, mut hashed) = (0, 0, 0);
+        for _ in 0..6000 {
+            // half the operands are string-only, so the hash path is taken
+            // often; the other half mix every type, so it must be refused
+            let operand = |rng: &mut xqd_prng::Rng| -> Vec<Item> {
+                let kinds = if rng.gen_bool(0.5) { 3 } else { 6 };
+                (0..rng.gen_range_usize(0..13)).map(|_| item(rng, kinds)).collect()
+            };
+            let (l, r) = (operand(&mut rng), operand(&mut rng));
+            let (lt, rt) = (
+                ProbeTable::build(&store, l.clone().into()),
+                ProbeTable::build(&store, r.clone().into()),
+            );
+            hashed += usize::from(lt.strings.is_some() && rt.strings.is_some());
+            for op in ops {
+                let want = general_compare(&store, op, &l, &r);
+                assert_eq!(lt.compare(&store, op, true, &r), want, "{l:?} {op:?} {r:?}, lhs memo");
+                assert_eq!(rt.compare(&store, op, false, &l), want, "{l:?} {op:?} {r:?}, rhs memo");
+                hits += usize::from(want == Ok(true));
+                errors += usize::from(want.is_err());
+            }
+        }
+        // the generator reaches every outcome, not one corner of the space
+        assert!(hits > 1000 && errors > 1000 && hashed > 1000, "{hits} {errors} {hashed}");
+    }
+
+    /// A table holding a number is not a string table: `"07" = 7` stays
+    /// numeric (true) and `"07" = "7"` stays textual (false).
+    #[test]
+    fn probe_table_never_hashes_a_mixed_operand() {
+        let store = Store::new();
+        let untyped = |s: &str| Item::Atom(Atomic::Untyped(s.into()));
+        let seven = Item::Atom(Atomic::Int(7));
+        let mixed = ProbeTable::build(&store, vec![untyped("x"), seven.clone()].into());
+        assert!(mixed.strings.is_none());
+        // "x" = "07" is false, then 7 = "07" casts: numeric equality
+        assert_eq!(mixed.compare(&store, CompOp::Eq, true, &[untyped("07")]), Ok(true));
+        let strings = ProbeTable::build(&store, vec![untyped("07")].into());
+        assert!(strings.strings.is_some());
+        let seven = [seven];
+        assert_eq!(strings.compare(&store, CompOp::Eq, false, &seven), Ok(true));
+        assert_eq!(strings.compare(&store, CompOp::Eq, true, &seven), Ok(true));
+        assert_eq!(strings.compare(&store, CompOp::Eq, false, &[untyped("7")]), Ok(false));
+        assert_eq!(strings.compare(&store, CompOp::Eq, true, &[untyped("7")]), Ok(false));
     }
 
     #[test]

@@ -175,6 +175,38 @@ fn bulk_workers_preserve_results_and_bytes() {
 }
 
 #[test]
+fn bulk_workers_keep_their_own_probe_tables() {
+    // a Bulk RPC whose body is a value join against a key column that
+    // depends on the call's parameter: every call (and every snapshot
+    // worker) runs the shared plan with run state of its own, so each call
+    // counts against its own keys — 8, 9, … 13 matches, not the first call's
+    let mut xml = String::from("<site>");
+    for i in 0..20 {
+        xml.push_str(&format!("<item id=\"k{i}\"><v>{i}</v></item>"));
+    }
+    xml.push_str("</site>");
+    let q = r#"for $n in (8, 9, 10, 11, 12, 13)
+               return execute at { "p2" } params ($n := $n) {
+                   let $keys := subsequence(doc("d.xml")//item, 1, $n)
+                   return count(for $i in doc("d.xml")//item
+                                return if ($i/v = $keys/v) then $i else ())
+               }"#;
+    for workers in [1, 4] {
+        let mut f = Federation::new(NetworkModel::lan());
+        f.load_document("p1", "d.xml", "<site/>").unwrap();
+        f.load_document("p2", "d.xml", &xml).unwrap();
+        f.set_exec_options(ExecOptions { bulk_workers: workers, ..ExecOptions::default() });
+        let out = f.run(q, Strategy::ByValue).unwrap();
+        assert_eq!(
+            out.result,
+            vec!["atom:8", "atom:9", "atom:10", "atom:11", "atom:12", "atom:13"],
+            "bulk_workers={workers}"
+        );
+        assert_eq!(out.metrics.transfers, 2, "one Bulk RPC carries the six calls");
+    }
+}
+
+#[test]
 fn unknown_peer_in_scatter_round_is_an_error() {
     let q = r#"(count(doc("xrpc://p1/d.xml")//item),
                 count(doc("xrpc://nowhere/d.xml")//item))"#;
