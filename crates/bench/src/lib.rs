@@ -1,15 +1,22 @@
 //! # xqd-bench — the Section VII experiment harness
 //!
-//! One function per figure of the paper's evaluation; the `experiments`
-//! example binary and the `*_bench` examples drive these, so the printed
-//! series and the committed BENCH_*.json files come from the same code.
+//! One function per figure of the paper's evaluation, driven by the
+//! `experiments` example, and five sweeps — scaleout, paths, plans, joins,
+//! throughput — driven by the `bench` example. Each sweep's point type
+//! describes itself once (`row()`), each sweep has one `*_verdict` holding
+//! the conditions CI gates on, and [`report`] turns both into the committed
+//! `BENCH*.json` documents.
 //!
 //! Sizes are scaled down from the paper's 10–160 MB per document (see
 //! DESIGN.md): the reproduction target is the *shape* of each figure — who
 //! wins, by what factor, and how the series scale — not 2009 wall-clock
 //! numbers.
 
+pub mod report;
+
 use std::time::{Duration, Instant};
+
+use report::{Report, Row, Value};
 
 use xqd_core::Strategy;
 use xqd_xmark::{document_pair, people_document, XmarkConfig};
@@ -41,6 +48,29 @@ pub fn setup_federation(bytes_per_doc: usize, seed: u64) -> Federation {
     fed.load_document("peer1", "xmk.xml", &people).expect("people doc");
     fed.load_document("peer2", "xmk.auctions.xml", &auctions).expect("auctions doc");
     fed
+}
+
+/// The gate shared by the verdicts: the sweep measured something, and every
+/// named flag of every point's row is `true`. A failing point is named by
+/// its first column.
+fn require_flags<P>(
+    bench: &str,
+    points: &[P],
+    row: fn(&P) -> Row,
+    flags: &[&str],
+) -> Result<(), String> {
+    if points.is_empty() {
+        return Err(format!("{bench}: no points measured"));
+    }
+    for row in points.iter().map(row) {
+        for flag in flags {
+            if !row.iter().any(|(key, value)| key == flag && *value == Value::Bool(true)) {
+                let (key, label) = &row[0];
+                return Err(format!("{bench} point {key}={label}: {flag} is not true"));
+            }
+        }
+    }
+    Ok(())
 }
 
 /// One measured benchmark point.
@@ -242,24 +272,20 @@ impl ScaleoutPoint {
             / self.parallel.wall_clock_overlapped().as_secs_f64()
     }
 
-    /// One JSON object for the BENCH trajectory (hand-rolled: the workspace
-    /// is std-only).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"peers\": {}, \"speedup\": {:.3}, \
-             \"wall_clock_sequential_us\": {}, \"wall_clock_parallel_us\": {}, \
-             \"message_bytes\": {}, \"transfers\": {}, \"remote_calls\": {}, \
-             \"results_identical\": {}, \"bytes_identical\": {}}}",
-            self.peers,
-            self.speedup(),
-            self.sequential.wall_clock_serialized().as_micros(),
-            self.parallel.wall_clock_overlapped().as_micros(),
-            self.parallel.message_bytes,
-            self.parallel.transfers,
-            self.parallel.remote_calls,
-            self.parallel_result == self.sequential_result,
-            self.parallel.message_bytes == self.sequential.message_bytes,
-        )
+    /// The `BENCH.json` point.
+    pub fn row(&self) -> Row {
+        let (par, seq) = (&self.parallel, &self.sequential);
+        vec![
+            ("peers", self.peers.into()),
+            ("speedup", Value::Float(self.speedup(), 3)),
+            ("wall_clock_sequential_us", seq.wall_clock_serialized().as_micros().into()),
+            ("wall_clock_parallel_us", par.wall_clock_overlapped().as_micros().into()),
+            ("message_bytes", par.message_bytes.into()),
+            ("transfers", par.transfers.into()),
+            ("remote_calls", par.remote_calls.into()),
+            ("results_identical", (self.parallel_result == self.sequential_result).into()),
+            ("bytes_identical", (par.message_bytes == seq.message_bytes).into()),
+        ]
     }
 }
 
@@ -272,7 +298,7 @@ pub fn scaleout_point(peers: usize, bytes_per_peer: usize) -> ScaleoutPoint {
     let par_out = par.run(&query, Strategy::ByValue).expect("parallel run");
 
     let mut seq = scaleout_federation(peers, bytes_per_peer, NetworkModel::wan());
-    seq.set_exec_options(ExecOptions { parallel_scatter: false, bulk_workers: 1, ..ExecOptions::default() });
+    seq.set_exec_options(ExecOptions { parallel_scatter: false, ..ExecOptions::default() });
     let seq_out = seq.run(&query, Strategy::ByValue).expect("sequential run");
 
     ScaleoutPoint {
@@ -289,15 +315,23 @@ pub fn scaleout(max_peers: usize, bytes_per_peer: usize) -> Vec<ScaleoutPoint> {
     (1..=max_peers).map(|p| scaleout_point(p, bytes_per_peer)).collect()
 }
 
-/// The BENCH json trajectory document for a scale-out sweep.
-pub fn scaleout_json(points: &[ScaleoutPoint]) -> String {
-    let entries: Vec<String> = points.iter().map(|p| format!("    {}", p.to_json())).collect();
-    format!(
-        "{{\n  \"bench\": \"scaleout\",\n  \"model\": \"wan\",\n  \
-         \"query\": \"per-peer person aggregate, one scatter round\",\n  \
-         \"points\": [\n{}\n  ]\n}}\n",
-        entries.join(",\n")
-    )
+/// Fanning out must change when messages cross the wire, never what they
+/// carry or what comes back.
+pub fn scaleout_verdict(points: &[ScaleoutPoint]) -> Result<(), String> {
+    require_flags("scaleout", points, ScaleoutPoint::row, &["results_identical", "bytes_identical"])
+}
+
+/// The `BENCH.json` report of a scale-out sweep.
+pub fn scaleout_report(points: &[ScaleoutPoint]) -> Report {
+    Report {
+        header: vec![
+            ("bench", "scaleout".into()),
+            ("model", "wan".into()),
+            ("query", "per-peer person aggregate, one scatter round".into()),
+        ],
+        points: points.iter().map(ScaleoutPoint::row).collect(),
+        verdict: scaleout_verdict(points),
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -345,19 +379,16 @@ impl PathsPoint {
         self.scan_us as f64 / (self.indexed_us.max(1)) as f64
     }
 
-    /// One JSON object for the BENCH_paths trajectory (hand-rolled: the
-    /// workspace is std-only).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"query\": \"{}\", \"doc_bytes\": {}, \"scan_us\": {}, \
-             \"indexed_us\": {}, \"speedup\": {:.3}, \"results_identical\": {}}}",
-            self.query,
-            self.doc_bytes,
-            self.scan_us,
-            self.indexed_us,
-            self.speedup(),
-            self.results_identical,
-        )
+    /// The `BENCH_paths.json` point.
+    pub fn row(&self) -> Row {
+        vec![
+            ("query", self.query.into()),
+            ("doc_bytes", self.doc_bytes.into()),
+            ("scan_us", self.scan_us.into()),
+            ("indexed_us", self.indexed_us.into()),
+            ("speedup", Value::Float(self.speedup(), 3)),
+            ("results_identical", self.results_identical.into()),
+        ]
     }
 }
 
@@ -407,15 +438,21 @@ pub fn paths_sweep(scales: &[usize], iters: usize) -> Vec<PathsPoint> {
     scales.iter().flat_map(|&s| paths_points_at(s, 42, iters)).collect()
 }
 
-/// The BENCH_paths json document for a sweep.
-pub fn paths_json(points: &[PathsPoint]) -> String {
-    let entries: Vec<String> = points.iter().map(|p| format!("    {}", p.to_json())).collect();
-    format!(
-        "{{\n  \"bench\": \"paths\",\n  \
-         \"query_set\": \"descendant-heavy XMark path steps, indexed vs scan\",\n  \
-         \"points\": [\n{}\n  ]\n}}\n",
-        entries.join(",\n")
-    )
+/// Every indexed evaluation must return what the scan returns.
+pub fn paths_verdict(points: &[PathsPoint]) -> Result<(), String> {
+    require_flags("paths", points, PathsPoint::row, &["results_identical"])
+}
+
+/// The `BENCH_paths.json` report of a sweep.
+pub fn paths_report(points: &[PathsPoint]) -> Report {
+    Report {
+        header: vec![
+            ("bench", "paths".into()),
+            ("query_set", "descendant-heavy XMark path steps, indexed vs scan".into()),
+        ],
+        points: points.iter().map(PathsPoint::row).collect(),
+        verdict: paths_verdict(points),
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -483,13 +520,6 @@ impl PlansPoint {
         self.warm_plans_per_sec / self.off_plans_per_sec.max(f64::MIN_POSITIVE)
     }
 
-    /// Tracing overhead as a fraction of the untraced run (0 when the
-    /// traced run was not slower).
-    pub fn trace_overhead_frac(&self) -> f64 {
-        let base = self.compiled_us.max(1) as f64;
-        (self.traced_us.saturating_sub(self.compiled_us)) as f64 / base
-    }
-
     /// The CI overhead budget: the traced run stays within 3% of the
     /// untraced run, with a 150µs absolute floor absorbing host timer
     /// noise on the sub-millisecond smoke points.
@@ -498,25 +528,19 @@ impl PlansPoint {
         self.traced_us <= self.compiled_us + budget
     }
 
-    /// One JSON object for the BENCH_plans trajectory (hand-rolled: the
-    /// workspace is std-only).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"query\": \"{}\", \"off_plans_per_sec\": {:.1}, \
-             \"cold_plans_per_sec\": {:.1}, \"warm_plans_per_sec\": {:.1}, \
-             \"warm_speedup\": {:.3}, \"compiled_us\": {}, \
-             \"traced_us\": {}, \"trace_overhead_ok\": {}, \
-             \"results_identical\": {}}}",
-            self.query,
-            self.off_plans_per_sec,
-            self.cold_plans_per_sec,
-            self.warm_plans_per_sec,
-            self.warm_speedup(),
-            self.compiled_us,
-            self.traced_us,
-            self.trace_overhead_ok(),
-            self.results_identical,
-        )
+    /// The `BENCH_plans.json` point.
+    pub fn row(&self) -> Row {
+        vec![
+            ("query", self.query.into()),
+            ("off_plans_per_sec", Value::Float(self.off_plans_per_sec, 1)),
+            ("cold_plans_per_sec", Value::Float(self.cold_plans_per_sec, 1)),
+            ("warm_plans_per_sec", Value::Float(self.warm_plans_per_sec, 1)),
+            ("warm_speedup", Value::Float(self.warm_speedup(), 3)),
+            ("compiled_us", self.compiled_us.into()),
+            ("traced_us", self.traced_us.into()),
+            ("trace_overhead_ok", self.trace_overhead_ok().into()),
+            ("results_identical", self.results_identical.into()),
+        ]
     }
 }
 
@@ -605,16 +629,23 @@ pub fn plans_sweep(bytes_per_doc: usize, strategy: Strategy, iters: usize) -> Ve
         .collect()
 }
 
-/// The BENCH_plans json document for a sweep.
-pub fn plans_json(points: &[PlansPoint], strategy: Strategy) -> String {
-    let entries: Vec<String> = points.iter().map(|p| format!("    {}", p.to_json())).collect();
-    format!(
-        "{{\n  \"bench\": \"plans\",\n  \"strategy\": \"{}\",\n  \
-         \"workload\": \"repeated federated queries, plan cache off / cold / warm\",\n  \
-         \"points\": [\n{}\n  ]\n}}\n",
-        strategy.name(),
-        entries.join(",\n")
-    )
+/// A replayed cached plan must return what a fresh front end returns, and
+/// a traced run must stay within the tracing overhead budget.
+pub fn plans_verdict(points: &[PlansPoint]) -> Result<(), String> {
+    require_flags("plans", points, PlansPoint::row, &["results_identical", "trace_overhead_ok"])
+}
+
+/// The `BENCH_plans.json` report of a sweep run under `strategy`.
+pub fn plans_report(points: &[PlansPoint], strategy: Strategy) -> Report {
+    Report {
+        header: vec![
+            ("bench", "plans".into()),
+            ("strategy", strategy.name().into()),
+            ("workload", "repeated federated queries, plan cache off / cold / warm".into()),
+        ],
+        points: points.iter().map(PlansPoint::row).collect(),
+        verdict: plans_verdict(points),
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -685,31 +716,23 @@ impl JoinsPoint {
         self.baseline_bytes as f64 / self.semijoin_bytes.max(1) as f64
     }
 
-    /// One JSON object for the BENCH_joins trajectory (hand-rolled: the
-    /// workspace is std-only).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"doc_bytes\": {}, \"total_doc_bytes\": {}, \
-             \"baseline_strategy\": \"{}\", \"baseline_bytes\": {}, \
-             \"baseline_wall_us\": {}, \
-             \"semijoin_strategy\": \"{}\", \"semijoin_bytes\": {}, \
-             \"semijoin_wall_us\": {}, \"byte_reduction\": {:.3}, \
-             \"semijoins\": {}, \"join_keys_shipped\": {}, \
-             \"join_bytes_saved\": {}, \"results_identical\": {}}}",
-            self.bytes_per_doc,
-            self.total_doc_bytes,
-            self.baseline_strategy,
-            self.baseline_bytes,
-            self.baseline_wall_us,
-            self.semijoin_strategy,
-            self.semijoin_bytes,
-            self.semijoin_wall_us,
-            self.reduction(),
-            self.semijoins,
-            self.join_keys_shipped,
-            self.join_bytes_saved,
-            self.results_identical,
-        )
+    /// The `BENCH_joins.json` point.
+    pub fn row(&self) -> Row {
+        vec![
+            ("doc_bytes", self.bytes_per_doc.into()),
+            ("total_doc_bytes", self.total_doc_bytes.into()),
+            ("baseline_strategy", self.baseline_strategy.into()),
+            ("baseline_bytes", self.baseline_bytes.into()),
+            ("baseline_wall_us", self.baseline_wall_us.into()),
+            ("semijoin_strategy", self.semijoin_strategy.into()),
+            ("semijoin_bytes", self.semijoin_bytes.into()),
+            ("semijoin_wall_us", self.semijoin_wall_us.into()),
+            ("byte_reduction", Value::Float(self.reduction(), 3)),
+            ("semijoins", self.semijoins.into()),
+            ("join_keys_shipped", self.join_keys_shipped.into()),
+            ("join_bytes_saved", self.join_bytes_saved.into()),
+            ("results_identical", self.results_identical.into()),
+        ]
     }
 }
 
@@ -779,15 +802,25 @@ pub fn joins_sweep(scales: &[usize]) -> Vec<JoinsPoint> {
     scales.iter().map(|&s| joins_point(s, 42)).collect()
 }
 
-/// The BENCH_joins json document for a sweep.
-pub fn joins_json(points: &[JoinsPoint]) -> String {
-    let entries: Vec<String> = points.iter().map(|p| format!("    {}", p.to_json())).collect();
-    format!(
-        "{{\n  \"bench\": \"joins\",\n  \
-         \"query\": \"XMark person/auction equi-join, semi-join key shipping vs the strategy ladder\",\n  \
-         \"points\": [\n{}\n  ]\n}}\n",
-        entries.join(",\n")
-    )
+/// The semi-join must return what the existing ladder returns.
+pub fn joins_verdict(points: &[JoinsPoint]) -> Result<(), String> {
+    require_flags("joins", points, JoinsPoint::row, &["results_identical"])
+}
+
+/// The `BENCH_joins.json` report of a sweep.
+pub fn joins_report(points: &[JoinsPoint]) -> Report {
+    Report {
+        header: vec![
+            ("bench", "joins".into()),
+            (
+                "query",
+                "XMark person/auction equi-join, semi-join key shipping vs the strategy ladder"
+                    .into(),
+            ),
+        ],
+        points: points.iter().map(JoinsPoint::row).collect(),
+        verdict: joins_verdict(points),
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -859,31 +892,24 @@ pub struct ThroughputPoint {
 }
 
 impl ThroughputPoint {
-    /// One JSON object for the BENCH_throughput trajectory (hand-rolled:
-    /// the workspace is std-only).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"load_factor\": {:.2}, \"offered_qps\": {:.1}, \"goodput_qps\": {:.1}, \
-             \"arrivals\": {}, \"completed\": {}, \"shed\": {}, \
-             \"deadline_cancelled\": {}, \"errored\": {}, \
-             \"p50_us\": {}, \"p95_us\": {}, \"p99_us\": {}, \
-             \"peak_queue_depth\": {}, \
-             \"results_identical\": {}, \"all_errors_typed\": {}}}",
-            self.load_factor,
-            self.offered_qps,
-            self.goodput_qps,
-            self.arrivals,
-            self.completed,
-            self.shed,
-            self.deadline_cancelled,
-            self.errored,
-            self.p50_us,
-            self.p95_us,
-            self.p99_us,
-            self.peak_queue_depth,
-            self.results_identical,
-            self.all_errors_typed,
-        )
+    /// The `BENCH_throughput.json` point.
+    pub fn row(&self) -> Row {
+        vec![
+            ("load_factor", Value::Float(self.load_factor, 2)),
+            ("offered_qps", Value::Float(self.offered_qps, 1)),
+            ("goodput_qps", Value::Float(self.goodput_qps, 1)),
+            ("arrivals", self.arrivals.into()),
+            ("completed", self.completed.into()),
+            ("shed", self.shed.into()),
+            ("deadline_cancelled", self.deadline_cancelled.into()),
+            ("errored", self.errored.into()),
+            ("p50_us", self.p50_us.into()),
+            ("p95_us", self.p95_us.into()),
+            ("p99_us", self.p99_us.into()),
+            ("peak_queue_depth", self.peak_queue_depth.into()),
+            ("results_identical", self.results_identical.into()),
+            ("all_errors_typed", self.all_errors_typed.into()),
+        ]
     }
 }
 
@@ -931,34 +957,62 @@ pub fn throughput_sweep(
         .collect()
 }
 
-/// The BENCH_throughput json document for a sweep. The summary reports the
-/// flat-top check: goodput at the highest offered load (≥ 2x capacity in
-/// the default sweep) must stay within 10% of the peak — shed, don't
-/// thrash.
-pub fn throughput_json(points: &[ThroughputPoint]) -> String {
+/// The summary entries of a throughput sweep — `peak_goodput_qps`,
+/// `goodput_at_max_load_qps`, `flat_top`, `total_shed`. The flat-top check:
+/// goodput at the highest offered load (≥ 2x capacity in the default sweep)
+/// must stay within 10% of the peak — shed, don't thrash.
+fn throughput_summary(points: &[ThroughputPoint]) -> (f64, f64, bool, u64) {
     let peak = points.iter().map(|p| p.goodput_qps).fold(0.0_f64, f64::max);
     let at_max_load = points
         .iter()
         .max_by(|a, b| a.load_factor.total_cmp(&b.load_factor))
         .map(|p| p.goodput_qps)
         .unwrap_or(0.0);
-    let flat_top = at_max_load >= peak * 0.9;
-    let total_shed: u64 = points.iter().map(|p| p.shed).sum();
-    let entries: Vec<String> = points.iter().map(|p| format!("    {}", p.to_json())).collect();
-    format!(
-        "{{\n  \"bench\": \"throughput\",\n  \
-         \"workload\": \"3 tenants (weights 4/1/1), seeded Poisson arrivals, WFQ + admission control\",\n  \
-         \"peak_goodput_qps\": {:.1},\n  \
-         \"goodput_at_max_load_qps\": {:.1},\n  \
-         \"flat_top\": {},\n  \
-         \"total_shed\": {},\n  \
-         \"points\": [\n{}\n  ]\n}}\n",
-        peak,
-        at_max_load,
-        flat_top,
-        total_shed,
-        entries.join(",\n")
-    )
+    (peak, at_max_load, at_max_load >= peak * 0.9, points.iter().map(|p| p.shed).sum())
+}
+
+/// Every completed result is bit-identical to serial execution and every
+/// other query carries a typed error; past saturation goodput stays flat,
+/// and the shed path fired (a zero `total_shed` means admission control
+/// never engaged).
+pub fn throughput_verdict(points: &[ThroughputPoint]) -> Result<(), String> {
+    let flags = ["results_identical", "all_errors_typed"];
+    require_flags("throughput", points, ThroughputPoint::row, &flags)?;
+    let (peak, at_max_load, flat_top, total_shed) = throughput_summary(points);
+    let max_load = points.iter().map(|p| p.load_factor).fold(0.0_f64, f64::max);
+    if !flat_top {
+        return Err(format!(
+            "throughput point load_factor={max_load:.2}: flat_top is false — goodput \
+             {at_max_load:.1} q/s fell below 90% of the peak {peak:.1} q/s"
+        ));
+    }
+    if total_shed == 0 {
+        return Err(format!(
+            "throughput point load_factor={max_load:.2}: total_shed is 0 — the sweep never shed"
+        ));
+    }
+    Ok(())
+}
+
+/// The `BENCH_throughput.json` report of a sweep.
+pub fn throughput_report(points: &[ThroughputPoint]) -> Report {
+    let (peak, at_max_load, flat_top, total_shed) = throughput_summary(points);
+    Report {
+        header: vec![
+            ("bench", "throughput".into()),
+            (
+                "workload",
+                "3 tenants (weights 4/1/1), seeded Poisson arrivals, WFQ + admission control"
+                    .into(),
+            ),
+            ("peak_goodput_qps", Value::Float(peak, 1)),
+            ("goodput_at_max_load_qps", Value::Float(at_max_load, 1)),
+            ("flat_top", flat_top.into()),
+            ("total_shed", total_shed.into()),
+        ],
+        points: points.iter().map(ThroughputPoint::row).collect(),
+        verdict: throughput_verdict(points),
+    }
 }
 
 #[cfg(test)]
@@ -1009,28 +1063,34 @@ mod tests {
         );
     }
 
-    #[test]
-    fn scaleout_json_is_well_formed() {
-        let points = scaleout(2, 4_000);
-        let json = scaleout_json(&points);
-        assert!(json.contains("\"bench\": \"scaleout\""));
-        assert!(json.contains("\"peers\": 1"));
-        assert!(json.contains("\"peers\": 2"));
-        assert!(json.contains("\"results_identical\": true"));
-        assert!(json.contains("\"bytes_identical\": true"));
+    /// `verdict` must fail, and its message must carry every `needle`.
+    fn assert_fails(verdict: Result<(), String>, needles: &[&str]) {
+        let msg = verdict.expect_err("a tampered point must fail the verdict");
+        for needle in needles {
+            assert!(msg.contains(needle), "verdict message lacks {needle:?}: {msg}");
+        }
     }
 
     #[test]
-    fn paths_results_identical_and_json_well_formed() {
-        let points = paths_points_at(20_000, 9, 2);
+    fn scaleout_verdict_gates_results_and_bytes() {
+        let points = scaleout(2, 4_000);
+        assert_eq!(scaleout_verdict(&points), Ok(()));
+        assert!(scaleout_verdict(&[]).is_err(), "an empty sweep proves nothing");
+        let mut wrong_result = points.clone();
+        wrong_result[1].parallel_result.push("atom:0".to_string());
+        assert_fails(scaleout_verdict(&wrong_result), &["peers=2", "results_identical"]);
+        let mut wrong_bytes = points;
+        wrong_bytes[0].sequential.message_bytes += 1;
+        assert_fails(scaleout_verdict(&wrong_bytes), &["peers=1", "bytes_identical"]);
+    }
+
+    #[test]
+    fn paths_verdict_gates_indexed_against_scan() {
+        let mut points = paths_points_at(20_000, 9, 2);
         assert_eq!(points.len(), PATHS_QUERIES.len());
-        for p in &points {
-            assert!(p.results_identical, "{}: indexed and scan results differ", p.query);
-        }
-        let json = paths_json(&points);
-        assert!(json.contains("\"bench\": \"paths\""));
-        assert!(json.contains("\"results_identical\": true"));
-        assert!(!json.contains("\"results_identical\": false"));
+        assert_eq!(paths_verdict(&points), Ok(()));
+        points[2].results_identical = false;
+        assert_fails(paths_verdict(&points), &[PATHS_QUERIES[2].0, "results_identical"]);
     }
 
     #[test]
@@ -1048,15 +1108,16 @@ mod tests {
     }
 
     #[test]
-    fn plans_json_is_well_formed() {
-        let points: Vec<PlansPoint> = PLANS_QUERIES[..2]
+    fn plans_verdict_gates_replay_parity_and_trace_overhead() {
+        let mut points: Vec<PlansPoint> = PLANS_QUERIES[..2]
             .iter()
             .map(|&(label, query)| plans_point(label, query, 4_000, Strategy::ByValue, 3))
             .collect();
-        let json = plans_json(&points, Strategy::ByValue);
-        assert!(json.contains("\"bench\": \"plans\""));
-        assert!(json.contains("\"results_identical\": true"));
-        assert!(!json.contains("false"));
+        assert_eq!(plans_verdict(&points), Ok(()));
+        points[1].traced_us = points[1].compiled_us * 2 + 151;
+        assert_fails(plans_verdict(&points), &[PLANS_QUERIES[1].0, "trace_overhead_ok"]);
+        points[0].results_identical = false;
+        assert_fails(plans_verdict(&points), &[PLANS_QUERIES[0].0, "results_identical"]);
     }
 
     #[test]
@@ -1075,29 +1136,37 @@ mod tests {
     }
 
     #[test]
-    fn joins_json_is_well_formed() {
-        let points = joins_sweep(&[8_000, 30_000]);
-        let json = joins_json(&points);
-        assert!(json.contains("\"bench\": \"joins\""));
-        assert!(json.contains("\"results_identical\": true"));
-        assert!(!json.contains("identical\": false"));
+    fn joins_verdict_gates_semijoin_against_the_ladder() {
+        let mut points = joins_sweep(&[8_000, 30_000]);
+        assert_eq!(joins_verdict(&points), Ok(()));
+        points[1].results_identical = false;
+        assert_fails(joins_verdict(&points), &["doc_bytes=30000", "results_identical"]);
     }
 
     #[test]
-    fn throughput_sheds_past_saturation_with_flat_goodput() {
+    fn throughput_verdict_gates_shedding_flat_goodput_and_typed_errors() {
         let points = throughput_sweep(4_000, &[1.0, 2.0], 150);
-        let json = throughput_json(&points);
-        assert!(json.contains("\"bench\": \"throughput\""));
-        assert!(json.contains("\"flat_top\": true"), "goodput collapsed past saturation:\n{json}");
-        assert!(!json.contains("\"results_identical\": false"), "{json}");
-        assert!(!json.contains("\"all_errors_typed\": false"), "{json}");
-        let at_2x = points.iter().find(|p| p.load_factor == 2.0).unwrap();
+        assert_eq!(throughput_verdict(&points), Ok(()), "goodput collapsed past saturation?");
+        let at_2x = &points[1];
         assert!(at_2x.shed > 0, "2x load must trip admission control: {at_2x:?}");
         assert_eq!(
             at_2x.completed + at_2x.shed + at_2x.deadline_cancelled + at_2x.errored,
             at_2x.arrivals,
             "every arrival must be accounted for"
         );
+
+        let mut diverged = points.clone();
+        diverged[0].results_identical = false;
+        assert_fails(throughput_verdict(&diverged), &["load_factor=1.00", "results_identical"]);
+        let mut untyped = points.clone();
+        untyped[1].all_errors_typed = false;
+        assert_fails(throughput_verdict(&untyped), &["load_factor=2.00", "all_errors_typed"]);
+        let mut collapsed = points.clone();
+        collapsed[1].goodput_qps = collapsed[0].goodput_qps * 0.5;
+        assert_fails(throughput_verdict(&collapsed), &["load_factor=2.00", "flat_top"]);
+        let mut never_shed = points;
+        never_shed.iter_mut().for_each(|p| p.shed = 0);
+        assert_fails(throughput_verdict(&never_shed), &["load_factor=2.00", "total_shed"]);
     }
 
     #[test]

@@ -288,8 +288,6 @@ impl Document {
 }
 
 /// The document store of one peer: a shared name table plus the documents.
-/// `Clone` produces an independent snapshot — used by the parallel Bulk-RPC
-/// executor to give each worker a read-only copy with identical node ranks.
 #[derive(Debug, Clone)]
 pub struct Store {
     pub names: NameTable,

@@ -38,13 +38,6 @@
 //! the overlapped cost of a round is the slowest peer's chain (see
 //! [`Metrics::network_overlapped`]).
 //!
-//! Within one Bulk RPC the remote side can also split the decoded call list
-//! across workers over cloned snapshots of the post-shred store
-//! ([`ExecOptions::bulk_workers`]); snapshots share the base store's
-//! document ranks, so results gathered from workers are valid node ids in
-//! the base store as long as the body attaches no new documents — which a
-//! syntactic safety gate guarantees before the split.
-//!
 //! # Failure semantics
 //!
 //! Every remote interaction — Bulk RPC, scatter rounds, document fetches —
@@ -90,7 +83,7 @@ use crate::message::{
     encode_doc_response, encode_fault, encode_request, encode_response, payload_kind,
     reply_or_fault, WireSemantics,
 };
-use crate::net::{Fault, FaultPlan, Metrics, NetworkModel, XrpcError};
+use crate::net::{as_ns, Fault, FaultPlan, Metrics, MetricsSink, NetworkModel, XrpcError};
 use crate::scatter::{fan_out, group_by_peer};
 use crate::trace::{SpanBuilder, Trace, Tracer, ROOT_SPAN};
 use crate::transport::Transport;
@@ -126,9 +119,6 @@ pub struct ExecOptions {
     /// Off = the same calls run in a sequential loop (identical results and
     /// byte counts; `network_overlapped` then equals `network`).
     pub parallel_scatter: bool,
-    /// Workers splitting the call list of one Bulk RPC on the remote side.
-    /// `1` (default) keeps remote evaluation single-threaded.
-    pub bulk_workers: usize,
     /// Answer eligible axis steps from per-document name indexes (staircase
     /// join) on every evaluator in the federation — coordinator and peers.
     /// Off = arena scans; results and message bytes are bit-identical either
@@ -183,7 +173,6 @@ impl Default for ExecOptions {
     fn default() -> Self {
         ExecOptions {
             parallel_scatter: true,
-            bulk_workers: 1,
             use_indexes: true,
             retry: RetryPolicy::default(),
             fault: None,
@@ -195,126 +184,6 @@ impl Default for ExecOptions {
             peer_queue_depth: 32,
             trace: false,
             profile: false,
-        }
-    }
-}
-
-/// Metric accumulators shared across worker threads. Durations are
-/// nanosecond counters; [`MetricsSink::snapshot`] converts back.
-#[derive(Default)]
-struct MetricsSink {
-    message_bytes: AtomicU64,
-    document_bytes: AtomicU64,
-    transfers: AtomicU64,
-    remote_calls: AtomicU64,
-    scatter_rounds: AtomicU64,
-    retries: AtomicU64,
-    faults_injected: AtomicU64,
-    fallbacks: AtomicU64,
-    hedges: AtomicU64,
-    hedge_wins: AtomicU64,
-    breaker_trips: AtomicU64,
-    breaker_probes: AtomicU64,
-    replica_failovers: AtomicU64,
-    plans_compiled: AtomicU64,
-    plan_cache_hits: AtomicU64,
-    plan_cache_misses: AtomicU64,
-    semijoins: AtomicU64,
-    join_keys_shipped: AtomicU64,
-    join_bytes_saved: AtomicU64,
-    shred_ns: AtomicU64,
-    serialize_ns: AtomicU64,
-    remote_exec_ns: AtomicU64,
-    network_ns: AtomicU64,
-    network_overlapped_ns: AtomicU64,
-    doc_fetches: AtomicU64,
-}
-
-fn as_ns(d: Duration) -> u64 {
-    d.as_nanos().min(u128::from(u64::MAX)) as u64
-}
-
-impl MetricsSink {
-    fn reset(&self) {
-        for cell in [
-            &self.message_bytes,
-            &self.document_bytes,
-            &self.transfers,
-            &self.remote_calls,
-            &self.scatter_rounds,
-            &self.retries,
-            &self.faults_injected,
-            &self.fallbacks,
-            &self.hedges,
-            &self.hedge_wins,
-            &self.breaker_trips,
-            &self.breaker_probes,
-            &self.replica_failovers,
-            &self.plans_compiled,
-            &self.plan_cache_hits,
-            &self.plan_cache_misses,
-            &self.semijoins,
-            &self.join_keys_shipped,
-            &self.join_bytes_saved,
-            &self.shred_ns,
-            &self.serialize_ns,
-            &self.remote_exec_ns,
-            &self.network_ns,
-            &self.network_overlapped_ns,
-            &self.doc_fetches,
-        ] {
-            cell.store(0, Ordering::Relaxed);
-        }
-    }
-
-    fn snapshot(&self) -> Metrics {
-        Metrics {
-            message_bytes: self.message_bytes.load(Ordering::Relaxed),
-            document_bytes: self.document_bytes.load(Ordering::Relaxed),
-            transfers: self.transfers.load(Ordering::Relaxed),
-            remote_calls: self.remote_calls.load(Ordering::Relaxed),
-            scatter_rounds: self.scatter_rounds.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
-            faults_injected: self.faults_injected.load(Ordering::Relaxed),
-            fallbacks: self.fallbacks.load(Ordering::Relaxed),
-            hedges: self.hedges.load(Ordering::Relaxed),
-            hedge_wins: self.hedge_wins.load(Ordering::Relaxed),
-            breaker_trips: self.breaker_trips.load(Ordering::Relaxed),
-            breaker_probes: self.breaker_probes.load(Ordering::Relaxed),
-            replica_failovers: self.replica_failovers.load(Ordering::Relaxed),
-            plans_compiled: self.plans_compiled.load(Ordering::Relaxed),
-            plan_cache_hits: self.plan_cache_hits.load(Ordering::Relaxed),
-            plan_cache_misses: self.plan_cache_misses.load(Ordering::Relaxed),
-            semijoins: self.semijoins.load(Ordering::Relaxed),
-            join_keys_shipped: self.join_keys_shipped.load(Ordering::Relaxed),
-            join_bytes_saved: self.join_bytes_saved.load(Ordering::Relaxed),
-            // scheduler-level counters: filled in by the workload engine's
-            // deterministic accounting, never by per-call code paths (whose
-            // wait events depend on thread interleaving and would break the
-            // chaos suite's counter replay contract)
-            queued: 0,
-            shed: 0,
-            deadline_cancelled: 0,
-            peak_queue_depth: 0,
-            shred: Duration::from_nanos(self.shred_ns.load(Ordering::Relaxed)),
-            serialize: Duration::from_nanos(self.serialize_ns.load(Ordering::Relaxed)),
-            remote_exec: Duration::from_nanos(self.remote_exec_ns.load(Ordering::Relaxed)),
-            network: Duration::from_nanos(self.network_ns.load(Ordering::Relaxed)),
-            network_overlapped: Duration::from_nanos(
-                self.network_overlapped_ns.load(Ordering::Relaxed),
-            ),
-            total: Duration::ZERO,
-            doc_fetches: self.doc_fetches.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Accounts the `<keyset>` payloads of one wire leg, mirroring the
-    /// adjacent `message_bytes` charge: every (re)transmission recounts.
-    fn charge_keysets(&self, message: &str) {
-        if message.contains("<keyset ") {
-            let (keys, saved) = crate::message::keyset_stats(message);
-            self.join_keys_shipped.fetch_add(keys, Ordering::Relaxed);
-            self.join_bytes_saved.fetch_add(saved, Ordering::Relaxed);
         }
     }
 }
@@ -481,8 +350,8 @@ impl FedCore {
     /// its counters.
     fn charge_ladder(&self, ladder: &LadderOutcome) {
         let sink = &self.metrics;
-        sink.network_ns.fetch_add(as_ns(ladder.serialized), Ordering::Relaxed);
-        sink.network_overlapped_ns.fetch_add(as_ns(ladder.window), Ordering::Relaxed);
+        sink.network.fetch_add(as_ns(ladder.serialized), Ordering::Relaxed);
+        sink.network_overlapped.fetch_add(as_ns(ladder.window), Ordering::Relaxed);
         self.charge_ladder_counters(ladder);
     }
 
@@ -664,7 +533,7 @@ impl Federation {
         self.core.frontend.clear();
     }
 
-    /// Switches execution modes (scatter parallelism, bulk workers) for
+    /// Switches execution modes (scatter parallelism, indexes, …) for
     /// subsequent runs, and re-arms the health board with the new breaker
     /// policy (what a wire federation's board, which no run resets, would
     /// otherwise never learn).
@@ -1200,7 +1069,7 @@ impl DocResolver for FedLink {
             let t0 = Instant::now();
             let d = xqd_xml::parse_document(store, &xml, Some(uri))
                 .map_err(|e| EvalError::new(format!("shredding {uri}: {e}")))?;
-            sink.shred_ns.fetch_add(as_ns(t0.elapsed()), Ordering::Relaxed);
+            sink.shred.fetch_add(as_ns(t0.elapsed()), Ordering::Relaxed);
             return Ok(d);
         }
         // a plain name on a peer refers to that peer's own document (the
@@ -1335,7 +1204,7 @@ impl Attempt for DocAttempt<'_> {
                     code: "xrpc:document-not-found".to_string(),
                     message: format!("document not found on {fhost}: {name}"),
                 });
-            sink.serialize_ns.fetch_add(as_ns(t0.elapsed()), Ordering::Relaxed);
+            sink.serialize.fetch_add(as_ns(t0.elapsed()), Ordering::Relaxed);
             core.put_peer(peer_obj);
             let xml = match found {
                 Ok(x) => x,
@@ -1383,63 +1252,44 @@ impl Attempt for DocAttempt<'_> {
     fn pause(&mut self, _: Duration) {}
 }
 
-/// Evaluates one decoded call against `store` (binding its parameters) and
-/// returns the raw result sequence.
-fn eval_one_call(
+/// Compiles a shipped body and evaluates it once per decoded call against
+/// `store`, as `peer` (the coordinator is the empty name). The one place a
+/// shipped body becomes a plan — on the peer that was asked and on the
+/// coordinator standing in for it. Every call runs the shared plan with run
+/// state of its own.
+///
+/// Peers compile per request — the request is the unit of determinism under
+/// concurrent scatter/hedged delivery, so these compiles are kept off the
+/// plan counters and out of the coordinator's cache.
+fn eval_shipped(
     core: &Arc<FedCore>,
     peer: &str,
     store: &mut Store,
-    plan: &xqd_xquery::Plan,
+    module: &QueryModule,
     static_ctx: &StaticContext,
-    params: &[(String, Sequence)],
-) -> EvalResult<Sequence> {
-    let mut resolver = FedLink { core: Arc::clone(core), peer: peer.to_string() };
-    let mut nested = FedLink { core: Arc::clone(core), peer: peer.to_string() };
-    // the plan carries its own compiled functions
-    let mut ev = Evaluator::new(store, &[], &mut resolver)
-        .with_remote(&mut nested)
-        .with_static_context(static_ctx.clone())
-        .with_indexes(plan.use_indexes);
-    for (name, value) in params {
-        ev.bind(name, value.clone());
-    }
-    plan.eval(&mut ev)
-}
-
-/// Syntactic gate for splitting a Bulk RPC call list across store
-/// snapshots: the body (and every function it may call) must not attach
-/// documents to the store — no constructors, no nested `execute at`, and
-/// every `fn:doc` argument is a literal resolving on this peer.
-fn body_snapshot_safe(module: &QueryModule, peer: &str) -> bool {
-    fn expr_safe(e: &Expr, peer: &str) -> bool {
-        match e {
-            Expr::Execute { .. } => false,
-            Expr::Construct(_) => false,
-            Expr::FunCall { name, args } if name == "doc" || name == "fn:doc" => {
-                match args.as_slice() {
-                    [Expr::Literal(a)] => {
-                        let uri = a.to_lexical();
-                        !uri.contains("://")
-                            || uri.strip_prefix("xrpc://").is_some_and(|rest| {
-                                rest.split_once('/').is_some_and(|(host, _)| host == peer)
-                            })
-                    }
-                    _ => false,
-                }
-            }
-            other => {
-                let mut safe = true;
-                xqd_xquery::normalize::map_children_infallible(other, &mut |c| {
-                    if safe && !expr_safe(c, peer) {
-                        safe = false;
-                    }
-                    c.clone()
-                });
-                safe
-            }
+    calls: &[Vec<(String, Sequence)>],
+) -> EvalResult<Vec<Sequence>> {
+    let plan = xqd_xquery::compile_module(
+        &module.functions,
+        &module.body,
+        core.options().use_indexes,
+        static_ctx,
+    );
+    let mut results = Vec::with_capacity(calls.len());
+    for params in calls {
+        let mut resolver = FedLink { core: Arc::clone(core), peer: peer.to_string() };
+        let mut nested = FedLink { core: Arc::clone(core), peer: peer.to_string() };
+        // the plan carries its own compiled functions
+        let mut ev = Evaluator::new(store, &[], &mut resolver)
+            .with_remote(&mut nested)
+            .with_static_context(static_ctx.clone())
+            .with_indexes(plan.use_indexes);
+        for (name, value) in params {
+            ev.bind(name, value.clone());
         }
+        results.push(plan.eval(&mut ev)?);
     }
-    expr_safe(&module.body, peer) && module.functions.iter().all(|f| expr_safe(&f.body, peer))
+    Ok(results)
 }
 
 /// Remote-side handling of one request message against `store` (the target
@@ -1476,36 +1326,15 @@ fn process_request_in(
 ) -> EvalResult<String> {
     let t0 = Instant::now();
     let decoded = decode_request(store, request)?;
-    core.metrics.shred_ns.fetch_add(as_ns(t0.elapsed()), Ordering::Relaxed);
+    core.metrics.shred.fetch_add(as_ns(t0.elapsed()), Ordering::Relaxed);
 
     let module = parse_query(&decoded.query)
         .map_err(|e| EvalError::new(format!("remote parse error: {e}")))?;
 
-    let options = core.options();
-    // Peers compile per request — the request is the unit of determinism
-    // under concurrent scatter/hedged delivery, so peer-side compiles are
-    // kept off the plan counters and out of the coordinator's cache.
-    let plan = xqd_xquery::compile_module(
-        &module.functions,
-        &module.body,
-        options.use_indexes,
-        &decoded.static_ctx,
-    );
     let t_exec = Instant::now();
-    let results = if options.bulk_workers > 1
-        && decoded.calls.len() > 1
-        && body_snapshot_safe(&module, peer)
-    {
-        eval_calls_parallel(core, peer, store, &plan, &decoded.static_ctx, &decoded.calls, options.bulk_workers)?
-    } else {
-        let mut results = Vec::with_capacity(decoded.calls.len());
-        for params in &decoded.calls {
-            results.push(eval_one_call(core, peer, store, &plan, &decoded.static_ctx, params)?);
-        }
-        results
-    };
+    let results = eval_shipped(core, peer, store, &module, &decoded.static_ctx, &decoded.calls)?;
     core.metrics
-        .remote_exec_ns
+        .remote_exec
         .fetch_add(as_ns(t_exec.elapsed()), Ordering::Relaxed);
 
     let t_ser = Instant::now();
@@ -1516,94 +1345,9 @@ fn process_request_in(
         decoded.result_spec.as_ref(),
     )?;
     core.metrics
-        .serialize_ns
+        .serialize
         .fetch_add(as_ns(t_ser.elapsed()), Ordering::Relaxed);
     Ok(response)
-}
-
-/// Splits the call list of one Bulk RPC into contiguous chunks evaluated on
-/// cloned store snapshots by scoped worker threads. Snapshots preserve the
-/// base store's document ranks, so gathered node ids stay valid in the base
-/// store — guarded both syntactically ([`body_snapshot_safe`]) and at
-/// runtime (a worker whose snapshot grew is discarded and its chunk re-run
-/// sequentially against the base store).
-fn eval_calls_parallel(
-    core: &Arc<FedCore>,
-    peer: &str,
-    store: &mut Store,
-    plan: &xqd_xquery::Plan,
-    static_ctx: &StaticContext,
-    calls: &[Vec<(String, Sequence)>],
-    workers: usize,
-) -> EvalResult<Vec<Sequence>> {
-    let n = calls.len();
-    let workers = workers.min(n);
-    let chunk_len = n.div_ceil(workers);
-    let base_docs = store.docs().count();
-
-    let mut chunk_results: Vec<(std::ops::Range<usize>, bool, Vec<EvalResult<Sequence>>)> =
-        Vec::with_capacity(workers);
-    std::thread::scope(|s| {
-        let mut handles = Vec::with_capacity(workers);
-        for w in 0..workers {
-            let range = (w * chunk_len)..(((w + 1) * chunk_len).min(n));
-            if range.is_empty() {
-                continue;
-            }
-            let mut snapshot = store.clone();
-            let core = Arc::clone(core);
-            let r = range.clone();
-            handles.push((
-                range,
-                s.spawn(move || {
-                    let out: Vec<EvalResult<Sequence>> = r
-                        .map(|ci| {
-                            eval_one_call(&core, peer, &mut snapshot, plan, static_ctx, &calls[ci])
-                        })
-                        .collect();
-                    let clean = snapshot.docs().count() == base_docs;
-                    (clean, out)
-                }),
-            ));
-        }
-        for (range, handle) in handles {
-            match handle.join() {
-                Ok((clean, out)) => chunk_results.push((range, clean, out)),
-                Err(payload) => {
-                    // a poisoned bulk worker fails its calls with a typed
-                    // remote fault instead of killing the peer; marked
-                    // clean so the panicking chunk is NOT re-run against
-                    // the base store on this thread
-                    let err = EvalError::from(XrpcError::RemoteFault {
-                        peer: peer.to_string(),
-                        code: "xrpc:panic".to_string(),
-                        message: format!(
-                            "bulk worker panicked: {}",
-                            panic_message(payload.as_ref())
-                        ),
-                    });
-                    let out = range.clone().map(|_| Err(err.clone())).collect();
-                    chunk_results.push((range, true, out));
-                }
-            }
-        }
-    });
-
-    let mut results: Vec<Sequence> = Vec::with_capacity(n);
-    for (range, clean, out) in chunk_results {
-        if clean {
-            for r in out {
-                results.push(r?);
-            }
-        } else {
-            // the snapshot diverged (body attached documents despite the
-            // gate): discard and recompute this chunk against the base store
-            for ci in range {
-                results.push(eval_one_call(core, peer, store, plan, static_ctx, &calls[ci])?);
-            }
-        }
-    }
-    Ok(results)
 }
 
 /// Largest index `<= pos` that is a char boundary of `s`, so truncation
@@ -1983,32 +1727,22 @@ fn fallback_local(
 ) -> EvalResult<Option<Vec<Sequence>>> {
     let Ok(module) = parse_query(body_src) else { return Ok(None) };
     let Some(module) = degrade_module(&module, peer) else { return Ok(None) };
-    let plan = xqd_xquery::compile_module(
-        &module.functions,
-        &module.body,
-        core.options().use_indexes,
-        static_ctx,
-    );
-    let mut results = Vec::with_capacity(calls.len());
-    for params in calls {
-        // evaluated as the coordinator (empty peer name), so the rewritten
-        // `xrpc://` document URIs data-ship through the resolver
-        let seq = eval_one_call(core, "", local, &plan, static_ctx, params).map_err(|e| {
-            if e.code.is_some() {
-                e
-            } else {
-                // keep the "typed error or correct answer" invariant: a
-                // dynamic error during degraded evaluation is the same
-                // fault the peer would have reported
-                EvalError::from(XrpcError::RemoteFault {
-                    peer: peer.to_string(),
-                    code: "err:dynamic".to_string(),
-                    message: e.message,
-                })
-            }
-        })?;
-        results.push(seq);
-    }
+    // evaluated as the coordinator (empty peer name), so the rewritten
+    // `xrpc://` document URIs data-ship through the resolver
+    let results = eval_shipped(core, "", local, &module, static_ctx, calls).map_err(|e| {
+        if e.code.is_some() {
+            e
+        } else {
+            // keep the "typed error or correct answer" invariant: a
+            // dynamic error during degraded evaluation is the same
+            // fault the peer would have reported
+            EvalError::from(XrpcError::RemoteFault {
+                peer: peer.to_string(),
+                code: "err:dynamic".to_string(),
+                message: e.message,
+            })
+        }
+    })?;
     let response = encode_response(local, wire, &results, projection.map(|p| &p.result))?;
     let decoded = decode_response(local, &response)?;
     core.metrics.fallbacks.fetch_add(1, Ordering::Relaxed);
@@ -2036,7 +1770,7 @@ impl FedLink {
             projection.map(|p| &p.result),
         )?;
         let sink = &self.core.metrics;
-        sink.serialize_ns.fetch_add(as_ns(t0.elapsed()), Ordering::Relaxed);
+        sink.serialize.fetch_add(as_ns(t0.elapsed()), Ordering::Relaxed);
         sink.remote_calls.fetch_add(calls.len() as u64, Ordering::Relaxed);
         Ok(request)
     }
@@ -2086,7 +1820,7 @@ impl FedLink {
         };
         let t0 = Instant::now();
         let sequences = decode_response(local, &response)?;
-        self.core.metrics.shred_ns.fetch_add(as_ns(t0.elapsed()), Ordering::Relaxed);
+        self.core.metrics.shred.fetch_add(as_ns(t0.elapsed()), Ordering::Relaxed);
         if sequences.len() != calls.len() {
             return Err(EvalError::new(format!(
                 "response carries {} sequences for {} calls",
@@ -2239,8 +1973,8 @@ impl RemoteHandler for FedLink {
             serialized_sum += serialized;
             slowest_chain = slowest_chain.max(window);
         }
-        sink.network_ns.fetch_add(as_ns(serialized_sum), Ordering::Relaxed);
-        sink.network_overlapped_ns
+        sink.network.fetch_add(as_ns(serialized_sum), Ordering::Relaxed);
+        sink.network_overlapped
             .fetch_add(as_ns(slowest_chain), Ordering::Relaxed);
         sink.scatter_rounds.fetch_add(1, Ordering::Relaxed);
         for row in &rows {

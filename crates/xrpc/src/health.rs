@@ -37,6 +37,8 @@
 use std::collections::BTreeMap;
 use std::time::Duration;
 
+use crate::net::as_ns;
+
 /// Public three-valued breaker state (the derived view; see module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BreakerState {
@@ -130,10 +132,6 @@ pub struct Observation {
     pub chain: Duration,
     /// Was this rung a half-open probe?
     pub probe: bool,
-}
-
-fn as_ns(d: Duration) -> u64 {
-    d.as_nanos().min(u128::from(u64::MAX)) as u64
 }
 
 /// The federation's availability scoreboard. See the module docs for the

@@ -21,6 +21,7 @@
 //!   chaos suite builds on.
 
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use xqd_prng::Rng;
@@ -474,94 +475,220 @@ impl NetworkModel {
     }
 }
 
-/// Per-run accounting, matching the Figure 8 breakdown categories.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Metrics {
-    /// Bytes of XRPC request/response messages.
-    pub message_bytes: u64,
-    /// Bytes of whole documents fetched (data shipping).
-    pub document_bytes: u64,
-    /// Network round trips (messages + document fetches).
-    pub transfers: u64,
-    /// Remote function invocations carried (Bulk RPC counts every call).
-    pub remote_calls: u64,
-    /// Scatter-gather rounds executed (calls to distinct peers fanned out
-    /// concurrently count as one round).
-    pub scatter_rounds: u64,
-    /// Time parsing/shredding received XML (messages and fetched docs).
-    pub shred: Duration,
-    /// Time serializing messages and documents.
-    pub serialize: Duration,
-    /// Time evaluating shipped bodies on remote peers.
-    pub remote_exec: Duration,
-    /// Simulated wire time, **serialized**: the sum over every transfer, as
-    /// if messages crossed the wire one at a time. Exact regardless of
-    /// execution mode — byte counts and per-transfer costs are identical
-    /// between sequential and scatter-gather execution.
-    pub network: Duration,
-    /// Simulated wire time under **overlapping transfers**: within one
-    /// scatter round the wall clock advances by the *slowest* peer's
-    /// request→execute→response chain, not the sum over peers. Outside
-    /// scatter rounds this accrues identically to `network`, so for a fully
-    /// sequential run `network_overlapped == network`.
-    pub network_overlapped: Duration,
-    /// Call attempts replayed after a retryable transport failure.
-    pub retries: u64,
-    /// Faults the [`FaultPlan`] injected into this run.
-    pub faults_injected: u64,
-    /// Calls answered by graceful degradation (document fetched, body
-    /// evaluated locally) after retries were exhausted.
-    pub fallbacks: u64,
-    /// Hedged secondary attempts dispatched to an alternate replica.
-    pub hedges: u64,
-    /// Hedged attempts whose response arrived before the primary's.
-    pub hedge_wins: u64,
-    /// Circuit-breaker transitions into `Open` (threshold reached, or a
-    /// half-open probe failed).
-    pub breaker_trips: u64,
-    /// Half-open probe calls admitted through a cooled-down breaker.
-    pub breaker_probes: u64,
-    /// Ladder rungs dispatched to a replica after the preferred peer
-    /// failed or was rejected by its breaker.
-    pub replica_failovers: u64,
-    /// Queries lowered to a fresh plan IR this run (coordinator-side
-    /// cache misses and compile-on-the-fly runs; peer-side compiles are
-    /// excluded to keep the counter deterministic under concurrency).
-    pub plans_compiled: u64,
-    /// Coordinator plan-cache hits.
-    pub plan_cache_hits: u64,
-    /// Coordinator plan-cache misses.
-    pub plan_cache_misses: u64,
-    /// Semi-join edges the decomposer routed this run: producer calls whose
-    /// results were reduced to deduplicated, sorted join keys before
-    /// crossing the wire.
-    pub semijoins: u64,
-    /// Join-key atoms shipped inside compact `<keyset>` payloads (wire
-    /// level: retried attempts recount, like `message_bytes`).
-    pub join_keys_shipped: u64,
-    /// Bytes the compact keyset encoding saved versus spelling the same
-    /// atoms out as individual `<atom>` items.
-    pub join_bytes_saved: u64,
-    /// Queries that had to wait in the scheduler's bounded run queue
-    /// before a worker slot freed (admitted-then-queued; queries dispatched
-    /// on arrival do not count).
-    pub queued: u64,
-    /// Queries rejected by admission control with a typed
-    /// [`XrpcError::Overloaded`] because the bounded run queue was full.
-    pub shed: u64,
-    /// Queued queries cancelled with a typed timeout because their
-    /// deadline could no longer be met, *before* they consumed a worker
-    /// slot.
-    pub deadline_cancelled: u64,
-    /// High-water mark of the scheduler's run-queue depth (all tenants
-    /// combined). Accumulates by `max`, not by sum.
-    pub peak_queue_depth: u64,
-    /// End-to-end wall-clock time of the run.
-    pub total: Duration,
-    /// Whole documents data-shipped to the coordinator. A plain field, not
-    /// one of [`Metrics::counters`]: the replay-contract array stays as it
-    /// is.
-    pub doc_fetches: u64,
+/// How one row of the contract group accumulates in [`Metrics::add`].
+macro_rules! merge {
+    (sum, $into:expr, $from:expr) => {
+        $into += $from
+    };
+    // a high-water mark accumulates by max, not by sum
+    (max, $into:expr, $from:expr) => {
+        $into = $into.max($from)
+    };
+}
+
+/// The one table of per-run accounting: a row is a public field of
+/// [`Metrics`] and an atomic cell of [`MetricsSink`], and from the rows come
+/// [`Metrics::add`], [`Metrics::counters`], [`METRIC_NAMES`] and the typed
+/// accessors of [`MetricsSnapshot`] — a new counter is one new row.
+///
+/// - `contract`: the deterministic counters, in replay-contract order
+///   (appending is fine; reordering or renaming breaks the contract and is
+///   pinned by `metric_names_pin_the_replay_contract` below). A `sum` row
+///   accumulates by addition, a `max` row is a high-water mark.
+/// - `counters`: counters kept out of the contract array.
+/// - `durations`: measured or simulated times, never part of the contract;
+///   the sink holds them as nanosecond counters.
+macro_rules! metrics_table {
+    (
+        contract { $( $(#[$cdoc:meta])* $merge:ident $c:ident, )* }
+        counters { $( $(#[$pdoc:meta])* $p:ident, )* }
+        durations { $( $(#[$ddoc:meta])* $d:ident, )* }
+    ) => {
+        /// Per-run accounting, matching the Figure 8 breakdown categories.
+        #[derive(Debug, Clone, Copy, Default)]
+        pub struct Metrics {
+            $( $(#[$cdoc])* pub $c: u64, )*
+            $( $(#[$pdoc])* pub $p: u64, )*
+            $( $(#[$ddoc])* pub $d: Duration, )*
+        }
+
+        impl Metrics {
+            pub fn add(&mut self, other: &Metrics) {
+                $( merge!($merge, self.$c, other.$c); )*
+                $( self.$p += other.$p; )*
+                $( self.$d += other.$d; )*
+            }
+
+            /// The counter-valued fields (everything deterministic under a
+            /// fixed seed and fault plan — measured durations are excluded).
+            /// The retry determinism suite compares these across repeated
+            /// runs.
+            pub fn counters(&self) -> [u64; METRIC_NAMES.len()] {
+                [ $( self.$c, )* ]
+            }
+        }
+
+        /// Stable names of the [`Metrics::counters`] array, index-aligned:
+        /// the name at position `i` describes `counters()[i]`.
+        pub const METRIC_NAMES: [&str; [ $( stringify!($c), )* ].len()] =
+            [ $( stringify!($c), )* ];
+
+        /// Position of each contract row in [`Metrics::counters`].
+        #[allow(non_camel_case_types)]
+        enum Slot { $( $c, )* }
+
+        impl MetricsSnapshot {
+            $(
+                #[doc = concat!("The `", stringify!($c), "` counter.")]
+                pub fn $c(&self) -> u64 {
+                    self.counters[Slot::$c as usize]
+                }
+            )*
+        }
+
+        /// Metric accumulators shared across worker threads, one cell per
+        /// table row; durations are nanosecond counters ([`as_ns`]), which
+        /// [`MetricsSink::snapshot`] converts back. The scheduler rows
+        /// (`queued` … `peak_queue_depth`) and `total` stay zero here: they
+        /// are filled in by the workload engine's deterministic accounting
+        /// and by the run itself, never by per-call code paths (whose wait
+        /// events depend on thread interleaving and would break the chaos
+        /// suite's counter replay contract).
+        #[derive(Default)]
+        pub(crate) struct MetricsSink {
+            $( pub(crate) $c: AtomicU64, )*
+            $( pub(crate) $p: AtomicU64, )*
+            $( pub(crate) $d: AtomicU64, )*
+        }
+
+        impl MetricsSink {
+            pub(crate) fn reset(&self) {
+                for cell in [ $( &self.$c, )* $( &self.$p, )* $( &self.$d, )* ] {
+                    cell.store(0, Ordering::Relaxed);
+                }
+            }
+
+            pub(crate) fn snapshot(&self) -> Metrics {
+                Metrics {
+                    $( $c: self.$c.load(Ordering::Relaxed), )*
+                    $( $p: self.$p.load(Ordering::Relaxed), )*
+                    $( $d: Duration::from_nanos(self.$d.load(Ordering::Relaxed)), )*
+                }
+            }
+        }
+    };
+}
+
+metrics_table! {
+    contract {
+        /// Bytes of XRPC request/response messages.
+        sum message_bytes,
+        /// Bytes of whole documents fetched (data shipping).
+        sum document_bytes,
+        /// Network round trips (messages + document fetches).
+        sum transfers,
+        /// Remote function invocations carried (Bulk RPC counts every call).
+        sum remote_calls,
+        /// Scatter-gather rounds executed (calls to distinct peers fanned out
+        /// concurrently count as one round).
+        sum scatter_rounds,
+        /// Call attempts replayed after a retryable transport failure.
+        sum retries,
+        /// Faults the [`FaultPlan`] injected into this run.
+        sum faults_injected,
+        /// Calls answered by graceful degradation (document fetched, body
+        /// evaluated locally) after retries were exhausted.
+        sum fallbacks,
+        /// Hedged secondary attempts dispatched to an alternate replica.
+        sum hedges,
+        /// Hedged attempts whose response arrived before the primary's.
+        sum hedge_wins,
+        /// Circuit-breaker transitions into `Open` (threshold reached, or a
+        /// half-open probe failed).
+        sum breaker_trips,
+        /// Half-open probe calls admitted through a cooled-down breaker.
+        sum breaker_probes,
+        /// Ladder rungs dispatched to a replica after the preferred peer
+        /// failed or was rejected by its breaker.
+        sum replica_failovers,
+        /// Queries lowered to a fresh plan IR this run (coordinator-side
+        /// cache misses and compile-on-the-fly runs; peer-side compiles are
+        /// excluded to keep the counter deterministic under concurrency).
+        sum plans_compiled,
+        /// Coordinator plan-cache hits.
+        sum plan_cache_hits,
+        /// Coordinator plan-cache misses.
+        sum plan_cache_misses,
+        /// Semi-join edges the decomposer routed this run: producer calls whose
+        /// results were reduced to deduplicated, sorted join keys before
+        /// crossing the wire.
+        sum semijoins,
+        /// Join-key atoms shipped inside compact `<keyset>` payloads (wire
+        /// level: retried attempts recount, like `message_bytes`).
+        sum join_keys_shipped,
+        /// Bytes the compact keyset encoding saved versus spelling the same
+        /// atoms out as individual `<atom>` items.
+        sum join_bytes_saved,
+        /// Queries that had to wait in the scheduler's bounded run queue
+        /// before a worker slot freed (admitted-then-queued; queries dispatched
+        /// on arrival do not count).
+        sum queued,
+        /// Queries rejected by admission control with a typed
+        /// [`XrpcError::Overloaded`] because the bounded run queue was full.
+        sum shed,
+        /// Queued queries cancelled with a typed timeout because their
+        /// deadline could no longer be met, *before* they consumed a worker
+        /// slot.
+        sum deadline_cancelled,
+        /// High-water mark of the scheduler's run-queue depth (all tenants
+        /// combined). Accumulates by `max`, not by sum.
+        max peak_queue_depth,
+    }
+    counters {
+        /// Whole documents data-shipped to the coordinator. A plain field, not
+        /// one of [`Metrics::counters`]: the replay-contract array stays as it
+        /// is.
+        doc_fetches,
+    }
+    durations {
+        /// Time parsing/shredding received XML (messages and fetched docs).
+        shred,
+        /// Time serializing messages and documents.
+        serialize,
+        /// Time evaluating shipped bodies on remote peers.
+        remote_exec,
+        /// Simulated wire time, **serialized**: the sum over every transfer, as
+        /// if messages crossed the wire one at a time. Exact regardless of
+        /// execution mode — byte counts and per-transfer costs are identical
+        /// between sequential and scatter-gather execution.
+        network,
+        /// Simulated wire time under **overlapping transfers**: within one
+        /// scatter round the wall clock advances by the *slowest* peer's
+        /// request→execute→response chain, not the sum over peers. Outside
+        /// scatter rounds this accrues identically to `network`, so for a fully
+        /// sequential run `network_overlapped == network`.
+        network_overlapped,
+        /// End-to-end wall-clock time of the run.
+        total,
+    }
+}
+
+/// Whole nanoseconds of `d`, saturating — how durations are kept in atomic
+/// cells, on the health board and in spans.
+pub(crate) fn as_ns(d: Duration) -> u64 {
+    d.as_nanos().min(u128::from(u64::MAX)) as u64
+}
+
+impl MetricsSink {
+    /// Accounts the `<keyset>` payloads of one wire leg, mirroring the
+    /// adjacent `message_bytes` charge: every (re)transmission recounts.
+    pub(crate) fn charge_keysets(&self, message: &str) {
+        if message.contains("<keyset ") {
+            let (keys, saved) = crate::message::keyset_stats(message);
+            self.join_keys_shipped.fetch_add(keys, Ordering::Relaxed);
+            self.join_bytes_saved.fetch_add(saved, Ordering::Relaxed);
+        }
+    }
 }
 
 impl Metrics {
@@ -592,107 +719,12 @@ impl Metrics {
         self.total + self.network_overlapped
     }
 
-    pub fn add(&mut self, other: &Metrics) {
-        self.message_bytes += other.message_bytes;
-        self.document_bytes += other.document_bytes;
-        self.transfers += other.transfers;
-        self.remote_calls += other.remote_calls;
-        self.scatter_rounds += other.scatter_rounds;
-        self.shred += other.shred;
-        self.serialize += other.serialize;
-        self.remote_exec += other.remote_exec;
-        self.network += other.network;
-        self.network_overlapped += other.network_overlapped;
-        self.retries += other.retries;
-        self.faults_injected += other.faults_injected;
-        self.fallbacks += other.fallbacks;
-        self.hedges += other.hedges;
-        self.hedge_wins += other.hedge_wins;
-        self.breaker_trips += other.breaker_trips;
-        self.breaker_probes += other.breaker_probes;
-        self.replica_failovers += other.replica_failovers;
-        self.plans_compiled += other.plans_compiled;
-        self.plan_cache_hits += other.plan_cache_hits;
-        self.plan_cache_misses += other.plan_cache_misses;
-        self.semijoins += other.semijoins;
-        self.join_keys_shipped += other.join_keys_shipped;
-        self.join_bytes_saved += other.join_bytes_saved;
-        self.queued += other.queued;
-        self.shed += other.shed;
-        self.deadline_cancelled += other.deadline_cancelled;
-        // a high-water mark accumulates by max, not by sum
-        self.peak_queue_depth = self.peak_queue_depth.max(other.peak_queue_depth);
-        self.total += other.total;
-        self.doc_fetches += other.doc_fetches;
-    }
-
-    /// The counter-valued fields (everything deterministic under a fixed
-    /// seed and fault plan — measured durations are excluded). The retry
-    /// determinism suite compares these across repeated runs.
-    pub fn counters(&self) -> [u64; 23] {
-        [
-            self.message_bytes,
-            self.document_bytes,
-            self.transfers,
-            self.remote_calls,
-            self.scatter_rounds,
-            self.retries,
-            self.faults_injected,
-            self.fallbacks,
-            self.hedges,
-            self.hedge_wins,
-            self.breaker_trips,
-            self.breaker_probes,
-            self.replica_failovers,
-            self.plans_compiled,
-            self.plan_cache_hits,
-            self.plan_cache_misses,
-            self.semijoins,
-            self.join_keys_shipped,
-            self.join_bytes_saved,
-            self.queued,
-            self.shed,
-            self.deadline_cancelled,
-            self.peak_queue_depth,
-        ]
-    }
-
     /// The same counters as a named snapshot — the readable view over the
     /// replay-contract array.
     pub fn named(&self) -> MetricsSnapshot {
         MetricsSnapshot::from_counters(self.counters())
     }
 }
-
-/// Stable names of the [`Metrics::counters`] array, index-aligned: the
-/// name at position `i` describes `counters()[i]`. Appending is fine;
-/// reordering or renaming breaks the replay contract and is pinned by
-/// `metric_names_pin_the_replay_contract` below.
-pub const METRIC_NAMES: [&str; 23] = [
-    "message_bytes",
-    "document_bytes",
-    "transfers",
-    "remote_calls",
-    "scatter_rounds",
-    "retries",
-    "faults_injected",
-    "fallbacks",
-    "hedges",
-    "hedge_wins",
-    "breaker_trips",
-    "breaker_probes",
-    "replica_failovers",
-    "plans_compiled",
-    "plan_cache_hits",
-    "plan_cache_misses",
-    "semijoins",
-    "join_keys_shipped",
-    "join_bytes_saved",
-    "queued",
-    "shed",
-    "deadline_cancelled",
-    "peak_queue_depth",
-];
 
 /// A named view over the deterministic counter array: every counter is
 /// reachable by a stable string name (`get`, `iter`) or a typed accessor,
@@ -701,27 +733,16 @@ pub const METRIC_NAMES: [&str; 23] = [
 /// aid, not a new format.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MetricsSnapshot {
-    counters: [u64; 23],
-}
-
-macro_rules! snapshot_accessors {
-    ($($idx:expr => $name:ident),* $(,)?) => {
-        $(
-            #[doc = concat!("`counters()[", stringify!($idx), "]`.")]
-            pub fn $name(&self) -> u64 {
-                self.counters[$idx]
-            }
-        )*
-    };
+    counters: [u64; METRIC_NAMES.len()],
 }
 
 impl MetricsSnapshot {
-    pub fn from_counters(counters: [u64; 23]) -> MetricsSnapshot {
+    pub fn from_counters(counters: [u64; METRIC_NAMES.len()]) -> MetricsSnapshot {
         MetricsSnapshot { counters }
     }
 
     /// The underlying replay-contract array, unchanged.
-    pub fn counters(&self) -> [u64; 23] {
+    pub fn counters(&self) -> [u64; METRIC_NAMES.len()] {
         self.counters
     }
 
@@ -738,33 +759,7 @@ impl MetricsSnapshot {
     /// The plan-compilation trio `[plans_compiled, plan_cache_hits,
     /// plan_cache_misses]`.
     pub fn plan_cache(&self) -> [u64; 3] {
-        [self.counters[13], self.counters[14], self.counters[15]]
-    }
-
-    snapshot_accessors! {
-        0 => message_bytes,
-        1 => document_bytes,
-        2 => transfers,
-        3 => remote_calls,
-        4 => scatter_rounds,
-        5 => retries,
-        6 => faults_injected,
-        7 => fallbacks,
-        8 => hedges,
-        9 => hedge_wins,
-        10 => breaker_trips,
-        11 => breaker_probes,
-        12 => replica_failovers,
-        13 => plans_compiled,
-        14 => plan_cache_hits,
-        15 => plan_cache_misses,
-        16 => semijoins,
-        17 => join_keys_shipped,
-        18 => join_bytes_saved,
-        19 => queued,
-        20 => shed,
-        21 => deadline_cancelled,
-        22 => peak_queue_depth,
+        [self.plans_compiled(), self.plan_cache_hits(), self.plan_cache_misses()]
     }
 }
 

@@ -55,7 +55,7 @@ use xqd_prng::Rng;
 use xqd_xquery::value::{EvalError, EvalResult};
 
 use crate::exec::Federation;
-use crate::net::{FaultPlan, Metrics, XrpcError};
+use crate::net::{FaultPlan, Metrics, XrpcError, METRIC_NAMES};
 use crate::trace::{SpanBuilder, Trace, Tracer, ROOT_SPAN};
 
 /// One simulated tenant: a name, a fair-queuing weight, an offered arrival
@@ -213,7 +213,7 @@ impl WorkloadReport {
 
     /// The deterministic fields the replay-determinism suite compares:
     /// scheduler buckets, per-query fates and the metric counters.
-    pub fn replay_signature(&self) -> (u64, u64, u64, u64, [u64; 23]) {
+    pub fn replay_signature(&self) -> (u64, u64, u64, u64, [u64; METRIC_NAMES.len()]) {
         (
             self.completed,
             self.shed,

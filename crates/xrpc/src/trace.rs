@@ -33,12 +33,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+use crate::net::as_ns;
+
 /// Span id of the root span every [`Tracer`] pre-creates at construction.
 pub const ROOT_SPAN: u64 = 1;
-
-fn as_ns(d: Duration) -> u64 {
-    d.as_nanos().min(u128::from(u64::MAX)) as u64
-}
 
 // ---------------------------------------------------------------------------
 // spans
@@ -371,7 +369,8 @@ impl Trace {
     }
 }
 
-fn escape_json(s: &str, out: &mut String) {
+/// Appends `s` to `out` escaped for the inside of a JSON string literal.
+pub fn escape_json(s: &str, out: &mut String) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),

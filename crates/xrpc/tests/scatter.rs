@@ -38,7 +38,7 @@ const SCATTER_Q: &str = r#"(count(doc("xrpc://p1/d.xml")//item),
                             count(doc("xrpc://p3/d.xml")//item))"#;
 
 fn seq_opts() -> ExecOptions {
-    ExecOptions { parallel_scatter: false, bulk_workers: 1, ..ExecOptions::default() }
+    ExecOptions { parallel_scatter: false, ..ExecOptions::default() }
 }
 
 #[test]
@@ -154,32 +154,11 @@ fn scatter_round_including_own_peer_falls_back_to_sequential() {
 }
 
 #[test]
-fn bulk_workers_preserve_results_and_bytes() {
-    // Q2 shape: a Bulk RPC carrying one call per outer tuple; splitting the
-    // call list across snapshot workers must be invisible
-    let q = r#"for $x in doc("xrpc://p1/d.xml")//item
-               where $x/v = doc("xrpc://p2/d.xml")//item/v
-               return $x/@id"#;
-    let mut base = fed3(NetworkModel::lan());
-    base.set_exec_options(ExecOptions { parallel_scatter: true, bulk_workers: 1, ..ExecOptions::default() });
-    let mut par = fed3(NetworkModel::lan());
-    par.set_exec_options(ExecOptions { parallel_scatter: true, bulk_workers: 4, ..ExecOptions::default() });
-    for strategy in [Strategy::ByValue, Strategy::ByFragment, Strategy::ByProjection] {
-        let a = base.run(q, strategy).unwrap();
-        let b = par.run(q, strategy).unwrap();
-        assert_eq!(a.result, b.result, "{strategy:?} results diverge");
-        assert_eq!(a.metrics.message_bytes, b.metrics.message_bytes, "{strategy:?}");
-        assert_eq!(a.metrics.transfers, b.metrics.transfers);
-        assert_eq!(a.metrics.remote_calls, b.metrics.remote_calls);
-    }
-}
-
-#[test]
-fn bulk_workers_keep_their_own_probe_tables() {
+fn calls_of_one_bulk_rpc_keep_their_own_probe_tables() {
     // a Bulk RPC whose body is a value join against a key column that
-    // depends on the call's parameter: every call (and every snapshot
-    // worker) runs the shared plan with run state of its own, so each call
-    // counts against its own keys — 8, 9, … 13 matches, not the first call's
+    // depends on the call's parameter: every call runs the shared plan with
+    // run state of its own, so each call counts against its own keys —
+    // 8, 9, … 13 matches, not the first call's
     let mut xml = String::from("<site>");
     for i in 0..20 {
         xml.push_str(&format!("<item id=\"k{i}\"><v>{i}</v></item>"));
@@ -191,19 +170,15 @@ fn bulk_workers_keep_their_own_probe_tables() {
                    return count(for $i in doc("d.xml")//item
                                 return if ($i/v = $keys/v) then $i else ())
                }"#;
-    for workers in [1, 4] {
-        let mut f = Federation::new(NetworkModel::lan());
-        f.load_document("p1", "d.xml", "<site/>").unwrap();
-        f.load_document("p2", "d.xml", &xml).unwrap();
-        f.set_exec_options(ExecOptions { bulk_workers: workers, ..ExecOptions::default() });
-        let out = f.run(q, Strategy::ByValue).unwrap();
-        assert_eq!(
-            out.result,
-            vec!["atom:8", "atom:9", "atom:10", "atom:11", "atom:12", "atom:13"],
-            "bulk_workers={workers}"
-        );
-        assert_eq!(out.metrics.transfers, 2, "one Bulk RPC carries the six calls");
-    }
+    let mut f = Federation::new(NetworkModel::lan());
+    f.load_document("p1", "d.xml", "<site/>").unwrap();
+    f.load_document("p2", "d.xml", &xml).unwrap();
+    let out = f.run(q, Strategy::ByValue).unwrap();
+    assert_eq!(
+        out.result,
+        vec!["atom:8", "atom:9", "atom:10", "atom:11", "atom:12", "atom:13"]
+    );
+    assert_eq!(out.metrics.transfers, 2, "one Bulk RPC carries the six calls");
 }
 
 #[test]
