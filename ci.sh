@@ -175,6 +175,10 @@ done
 # message counts are exact per seed, so they are gated exactly. A PR that
 # changes the wire format or the number of messages a plan sends updates
 # these constants in the same diff and says why.
+# bulk_ship 1420504 -> 1099000: the doc envelope embeds the shipped document
+# instead of carrying it as escaped text (1.3x), so the workload moves its two
+# documents plus 2 doc-requests and 2 fixed envelopes; no message was added or
+# removed, and the three function-shipping rows did not move.
 expect_smoke() {
     got=$(smoke_metric "$1" "$2" "$3")
     if [ "$got" != "$4" ]; then
@@ -185,7 +189,7 @@ expect_smoke() {
 #            workload       wire bytes   exchanges calls fetches
 for row in "point_lookup    4929.5000    1 1 0" \
            "xmark_semijoin  35803.0000   2 2 0" \
-           "bulk_ship       1420504.0000 2 0 2" \
+           "bulk_ship       1099000.0000 2 0 2" \
            "scatter_fanout  1156.0000    2 2 0"; do
     # shellcheck disable=SC2086  # the row is split into fields on purpose
     set -- $row
@@ -225,6 +229,26 @@ if [ "$walk_files" != "crates/xrpc/src/exec.rs crates/xrpc/src/ladder.rs " ]; th
 fi
 if grep -n 'Mutex<Scoreboard>\|Evaluator::new\|AtomicU64' crates/xrpc/src/tcp.rs >&2; then
     echo "tcp.rs holds coordinator state again" >&2
+    exit 1
+fi
+
+echo "== every envelope is opened once (structural) =="
+# What kind of envelope a byte string is, is decided by the five prefixes
+# named in crates/xrpc/src/message.rs: a whole-message scan for an element
+# name, a scratch parse of a doc reply, or a second copy of the peer-side
+# document lookup means a double grew back.
+if grep -n 'contains("<fault\|contains("<doc-request' crates/xrpc/src/*.rs >&2; then
+    echo "an envelope is classified by scanning it (message.rs names the prefixes)" >&2
+    exit 1
+fi
+if awk '/^pub fn decode_doc_response/ { on = 1 } on && /^}/ { exit } on' crates/xrpc/src/message.rs \
+        | grep -n 'Store::new()' >&2; then
+    echo "decode_doc_response parses the envelope again (it strips a fixed header and trailer)" >&2
+    exit 1
+fi
+not_found=$(grep -c '"xrpc:document-not-found"' crates/xrpc/src/exec.rs || true)
+if [ "$not_found" != 1 ]; then
+    echo "exec.rs holds $not_found document servers (Peer::serialize_document is the one)" >&2
     exit 1
 fi
 

@@ -111,11 +111,6 @@ pub fn fig8_breakdown(bytes_per_doc: usize) -> Vec<Point> {
     Strategy::ALL.iter().map(|&st| run_point(bytes_per_doc, st)).collect()
 }
 
-/// Figure 9 — total execution time per strategy across sizes.
-pub fn fig9_scaling(sizes: &[usize]) -> Vec<(usize, Vec<Point>)> {
-    fig7_bandwidth(sizes)
-}
-
 /// One Figure 10/11 measurement: projected sizes and projection times for
 /// compile-time vs runtime projection over one people document.
 #[derive(Debug, Clone)]
@@ -209,11 +204,6 @@ pub fn fig10_11_projection_with_threshold(
         compile_time_cost,
         runtime_cost,
     }
-}
-
-/// Human-readable strategy column order used in all printed tables.
-pub fn strategy_label(s: Strategy) -> &'static str {
-    s.name()
 }
 
 // ---------------------------------------------------------------------------

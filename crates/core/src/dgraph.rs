@@ -11,8 +11,6 @@
 //! XRPCExpr insertion (Section III-B) are performed on the graph, then the
 //! rewritten query is extracted back for execution.
 
-use std::collections::HashMap;
-
 use xqd_xml::Axis;
 use xqd_xquery::ast::{
     CaseClause, Constructor, ElemName, ExecProjection, Expr, NameTest, OrderSpec, SeqType, Step,
@@ -624,17 +622,6 @@ impl DGraph {
             }
         }
     }
-}
-
-/// Var-name → vertex map of all `Var` vertices (diagnostics).
-pub fn var_vertices(g: &DGraph) -> HashMap<String, Vec<VertexId>> {
-    let mut out: HashMap<String, Vec<VertexId>> = HashMap::new();
-    for id in g.ids() {
-        if let Rule::Var(name) = &g.vertex(id).rule {
-            out.entry(name.clone()).or_default().push(id);
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -57,11 +57,6 @@ impl Rng {
         self.gen_range(range.start as u64..range.end as u64) as usize
     }
 
-    /// Uniform `u32` in `lo..hi`.
-    pub fn gen_range_u32(&mut self, range: std::ops::Range<u32>) -> u32 {
-        self.gen_range(range.start as u64..range.end as u64) as u32
-    }
-
     /// Bernoulli trial with probability `p` of returning `true`.
     pub fn gen_bool(&mut self, p: f64) -> bool {
         debug_assert!((0.0..=1.0).contains(&p));

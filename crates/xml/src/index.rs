@@ -60,16 +60,6 @@ impl NameIndex {
     pub fn attributes(&self, name: NameId) -> &[u32] {
         self.attributes.get(&name).map_or(&[], Vec::as_slice)
     }
-
-    /// Number of distinct element names indexed.
-    pub fn element_name_count(&self) -> usize {
-        self.elements.len()
-    }
-
-    /// Number of distinct attribute names indexed.
-    pub fn attribute_name_count(&self) -> usize {
-        self.attributes.len()
-    }
 }
 
 /// Sub-slice of the sorted `list` with ranks in `[lo, hi]`.

@@ -15,15 +15,9 @@
 //!
 //! The traversal is the paper's two-cursor merge over the preorder arena:
 //! skipping an unrelated subtree is a single `subtree_end + 1` jump.
-//!
-//! The module also hosts the **compile-time projection baseline**
-//! ([`eval_simple_path`] + the same keep-set machinery) used by the
-//! Figure 10/11 reproduction, and the schema-aware variant sketched at the
-//! end of Section VI-B.
 
 use std::collections::HashSet;
 
-use crate::axes::{axis_nodes, node_test_matches, Axis, NodeTest};
 use crate::name::NameTable;
 use crate::store::{DocBuilder, Document, NodeKind};
 
@@ -266,113 +260,6 @@ pub fn project_document(
     (builder, projection)
 }
 
-/// Schema hints for the schema-aware variant of Section VI-B: elements or
-/// attributes with these names are mandatory (`minOccurs >= 1`) and must not
-/// be projected away when their parent is kept.
-#[derive(Debug, Clone, Default)]
-pub struct SchemaHints {
-    pub required: HashSet<String>,
-}
-
-impl SchemaHints {
-    pub fn new<I: IntoIterator<Item = S>, S: Into<String>>(names: I) -> Self {
-        SchemaHints { required: names.into_iter().map(Into::into).collect() }
-    }
-}
-
-/// Schema-aware projection: after Algorithm 1, re-adds (with their subtrees)
-/// any required-named attribute or child element of every kept element.
-pub fn compute_projection_schema_aware(
-    doc: &Document,
-    names: &NameTable,
-    input: &ProjectionInput,
-    hints: &SchemaHints,
-) -> Projection {
-    let mut kept = keep_set(doc, input);
-    let snapshot = kept.clone();
-    let mut extra: Vec<u32> = Vec::new();
-    for &k in &snapshot {
-        if doc.kind(k) != NodeKind::Element {
-            continue;
-        }
-        for a in doc.attributes(k) {
-            if hints.required.contains(names.resolve(doc.name(a))) {
-                extra.push(a);
-            }
-        }
-        for c in doc.children(k) {
-            if doc.kind(c) == NodeKind::Element
-                && hints.required.contains(names.resolve(doc.name(c)))
-            {
-                extra.extend(c..=doc.subtree_end(c));
-            }
-        }
-    }
-    kept.extend(extra);
-    kept.sort_unstable();
-    kept.dedup();
-    trim_lca(doc, &mut kept, input);
-    let stats = ProjectionStats { kept_nodes: kept.len(), total_nodes: doc.len() };
-    Projection { kept, stats }
-}
-
-/// One step of a *simple path* (Table V grammar, minus the built-in function
-/// suffixes which the caller expands): an axis plus a structural node test.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SimpleStep {
-    pub axis: Axis,
-    pub test: SimpleTest,
-}
-
-/// Node tests expressible in projection paths.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SimpleTest {
-    Name(String),
-    Wildcard,
-    AnyNode,
-    Text,
-}
-
-/// Evaluates a predicate-free simple path from `start` nodes, producing a
-/// document-order, duplicate-free node set. This is the "normal XPath
-/// evaluation capabilities" the runtime projection borrows from the engine,
-/// and the whole evaluation machinery the *compile-time* baseline is allowed
-/// to use (absolute paths, no predicates — hence its overestimation).
-pub fn eval_simple_path(
-    doc: &Document,
-    names: &NameTable,
-    start: &[u32],
-    steps: &[SimpleStep],
-) -> Vec<u32> {
-    let mut cur: Vec<u32> = start.to_vec();
-    cur.sort_unstable();
-    cur.dedup();
-    for step in steps {
-        let test = match &step.test {
-            SimpleTest::Name(n) => {
-                names.get(n).map(NodeTest::Name).unwrap_or(NodeTest::UnknownName)
-            }
-            SimpleTest::Wildcard => NodeTest::Wildcard,
-            SimpleTest::AnyNode => NodeTest::AnyKind,
-            SimpleTest::Text => NodeTest::Text,
-        };
-        let mut next = Vec::new();
-        for &n in &cur {
-            let mut reached = Vec::new();
-            axis_nodes(doc, n, step.axis, &mut reached);
-            for r in reached {
-                if node_test_matches(doc, r, step.axis, &test) {
-                    next.push(r);
-                }
-            }
-        }
-        next.sort_unstable();
-        next.dedup();
-        cur = next;
-    }
-    cur
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -488,46 +375,6 @@ mod tests {
         let (builder, _) = project_document(s.doc(d), &s.names, &input, None);
         let d2 = s.attach(builder);
         assert_eq!(serialize_document(s.doc(d2), &s.names), "<r><p/><q/></r>");
-    }
-
-    #[test]
-    fn schema_aware_keeps_required_children() {
-        let mut s = Store::new();
-        let d = parse_document(&mut s, "<r big=\"payload\"><p/><q/></r>", None).unwrap();
-        let input = ProjectionInput::new(vec![3], vec![]); // used = {p}
-        let hints = SchemaHints::new(["big", "q"]);
-        let projection = compute_projection_schema_aware(s.doc(d), &s.names, &input, &hints);
-        // r kept as connector; @big and q re-added by schema hints
-        assert_eq!(projection.kept, vec![1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn simple_path_descendant_then_child() {
-        let mut s = Store::new();
-        let d = figure6_doc(&mut s);
-        let doc = s.doc(d);
-        let steps = [
-            SimpleStep { axis: Axis::Descendant, test: SimpleTest::Name("k".into()) },
-            SimpleStep { axis: Axis::Child, test: SimpleTest::Wildcard },
-        ];
-        assert_eq!(eval_simple_path(doc, &s.names, &[0], &steps), vec![12, 13]);
-    }
-
-    #[test]
-    fn simple_path_reverse_axis() {
-        let mut s = Store::new();
-        let d = figure6_doc(&mut s);
-        let doc = s.doc(d);
-        let steps = [SimpleStep { axis: Axis::Parent, test: SimpleTest::Name("b".into()) }];
-        assert_eq!(eval_simple_path(doc, &s.names, &[11, 9], &steps), vec![2]);
-    }
-
-    #[test]
-    fn simple_path_unknown_name_is_empty() {
-        let mut s = Store::new();
-        let d = figure6_doc(&mut s);
-        let steps = [SimpleStep { axis: Axis::Child, test: SimpleTest::Name("zzz".into()) }];
-        assert!(eval_simple_path(s.doc(d), &s.names, &[0], &steps).is_empty());
     }
 
     #[test]

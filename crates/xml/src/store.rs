@@ -275,12 +275,6 @@ impl Document {
         })
     }
 
-    /// Serialized size heuristic used by tests; real byte counts come from
-    /// the serializer.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// The cached name index, if [`Store::ensure_name_index`] has run.
     pub fn name_index(&self) -> Option<&NameIndex> {
         self.name_index.as_ref()

@@ -793,33 +793,6 @@ fn print_paren(e: &Expr, out: &mut String) {
     }
 }
 
-/// Serializes a whole module (function declarations + body).
-pub fn print_module(m: &QueryModule, out: &mut String) {
-    for f in &m.functions {
-        out.push_str("declare function ");
-        out.push_str(&f.name);
-        out.push('(');
-        for (i, (p, t)) in f.params.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push('$');
-            out.push_str(p);
-            if let Some(t) = t {
-                out.push_str(&format!(" as {t}"));
-            }
-        }
-        out.push(')');
-        if let Some(t) = &f.return_type {
-            out.push_str(&format!(" as {t}"));
-        }
-        out.push_str(" { ");
-        print_expr(&f.body, out);
-        out.push_str(" };\n");
-    }
-    print_expr(&m.body, out);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -110,6 +110,24 @@ impl Peer {
             .map_err(|e| EvalError::new(format!("loading {doc_name}: {e}")))?;
         Ok(())
     }
+
+    /// The one document server — data shipping on either carrier and
+    /// replication all ask here: the document `uri` names, looked up under
+    /// that URI and then under the plain name it may have been loaded as,
+    /// serialized; a typed `xrpc:document-not-found` fault otherwise.
+    pub fn serialize_document(&self, uri: &str) -> Result<String, XrpcError> {
+        let name = xqd_core::uris::split_xrpc_uri(uri).map_or(uri, |(_, name)| name);
+        let doc = self
+            .store
+            .doc_by_uri(uri)
+            .or_else(|| self.store.doc_by_uri(name))
+            .ok_or_else(|| XrpcError::RemoteFault {
+                peer: self.name.clone(),
+                code: "xrpc:document-not-found".to_string(),
+                message: format!("document not found on {}: {name}", self.name),
+            })?;
+        Ok(xqd_xml::serialize_document(self.store.doc(doc), &self.store.names))
+    }
 }
 
 /// Execution-mode switches (see [`Federation::set_exec_options`]).
@@ -623,20 +641,11 @@ impl Federation {
     ) -> Result<(), EvalError> {
         let canonical = format!("xrpc://{primary}/{doc_name}");
         let mut peers = self.core.peers.lock().unwrap();
-        let xml = {
-            let p = peers
-                .get(primary)
-                .and_then(|slot| slot.peer.as_ref())
-                .ok_or_else(|| EvalError::new(format!("unknown or busy peer: {primary}")))?;
-            let d = p
-                .store
-                .doc_by_uri(&canonical)
-                .or_else(|| p.store.doc_by_uri(doc_name))
-                .ok_or_else(|| {
-                    EvalError::new(format!("document not found on {primary}: {doc_name}"))
-                })?;
-            xqd_xml::serialize_document(p.store.doc(d), &p.store.names)
-        };
+        let xml = peers
+            .get(primary)
+            .and_then(|slot| slot.peer.as_ref())
+            .ok_or_else(|| EvalError::new(format!("unknown or busy peer: {primary}")))?
+            .serialize_document(&canonical)?;
         let entry = peers
             .entry(replica.to_string())
             .or_insert_with(|| PeerSlot::ready(Peer::new(replica)));
@@ -967,33 +976,17 @@ pub struct SimTransport {
 
 impl Transport for SimTransport {
     fn exchange(&self, peer: &str, request: &str, budget: Duration) -> Result<String, XrpcError> {
-        // Doc-request envelopes serve the data-shipping path: look the
-        // document up under its canonical URI, falling back to the plain
-        // name it was loaded under.
-        if let Some(uri) = decode_doc_request(request) {
-            let p = self.core.take_peer(peer, budget)?;
-            let found = p.store.doc_by_uri(&uri).or_else(|| {
-                xqd_core::uris::split_xrpc_uri(&uri)
-                    .and_then(|(_, name)| p.store.doc_by_uri(name))
-            });
-            let reply = match found {
-                Some(id) => encode_doc_response(
-                    &uri,
-                    &xqd_xml::serialize_document(p.store.doc(id), &p.store.names),
-                ),
-                None => encode_fault(&XrpcError::RemoteFault {
-                    peer: peer.to_string(),
-                    code: "xrpc:document-not-found".to_string(),
-                    message: format!("document not found on {peer}: {uri}"),
-                }),
-            };
-            self.core.put_peer(p);
-            return Ok(reply);
-        }
         let mut p = self.core.take_peer(peer, budget)?;
-        let outcome = run_remote(peer, request, false, &mut |req| {
-            process_request(&self.core, peer, &mut p.store, req)
-        });
+        let outcome = match decode_doc_request(request) {
+            // a doc-request envelope serves the data-shipping path
+            Some(uri) => Ok(match p.serialize_document(&uri) {
+                Ok(xml) => encode_doc_response(&uri, &xml),
+                Err(not_found) => encode_fault(&not_found),
+            }),
+            None => run_remote(peer, request, false, &mut |req| {
+                process_request(&self.core, peer, &mut p.store, req)
+            }),
+        };
         self.core.put_peer(p);
         outcome
     }
@@ -1192,18 +1185,7 @@ impl Attempt for DocAttempt<'_> {
                 Err(e) => break 'attempt (Duration::ZERO, Err(e)),
             };
             let t0 = Instant::now();
-            let found = peer_obj
-                .store
-                .doc_by_uri(uri)
-                .or_else(|| peer_obj.store.doc_by_uri(name))
-                .map(|d| {
-                    xqd_xml::serialize_document(peer_obj.store.doc(d), &peer_obj.store.names)
-                })
-                .ok_or_else(|| XrpcError::RemoteFault {
-                    peer: fhost.to_string(),
-                    code: "xrpc:document-not-found".to_string(),
-                    message: format!("document not found on {fhost}: {name}"),
-                });
+            let found = peer_obj.serialize_document(uri);
             sink.serialize.fetch_add(as_ns(t0.elapsed()), Ordering::Relaxed);
             core.put_peer(peer_obj);
             let xml = match found {
@@ -1503,7 +1485,7 @@ impl Attempt for RpcAttempt<'_> {
             (spent, reply_or_fault(response))
         };
         let ok_arg = match &result {
-            Ok(r) if wire.trace => Some(("payload", crate::message::payload_kind(r).to_string())),
+            Ok(r) if wire.trace => Some(("payload", payload_kind(r).to_string())),
             _ => None,
         };
         Attempted { spent, result, fault, ok_arg }
@@ -1647,7 +1629,7 @@ fn call_with_failover(
 /// URI so the coordinator's resolver data-ships it. Returns `None` when
 /// the body is ineligible for degradation — nested `execute at`, computed
 /// document URIs, or URIs on foreign schemes.
-fn degrade_module(module: &QueryModule, peer: &str) -> Option<QueryModule> {
+fn degrade_module(body: &Expr, peer: &str) -> Option<QueryModule> {
     fn rewrite(e: &Expr, peer: &str, ok: &mut bool) -> Expr {
         match e {
             Expr::Execute { .. } => {
@@ -1686,21 +1668,8 @@ fn degrade_module(module: &QueryModule, peer: &str) -> Option<QueryModule> {
         }
     }
     let mut ok = true;
-    let body = rewrite(&module.body, peer, &mut ok);
-    let functions = module
-        .functions
-        .iter()
-        .map(|f| {
-            let mut nf = f.clone();
-            nf.body = rewrite(&f.body, peer, &mut ok);
-            nf
-        })
-        .collect();
-    if ok {
-        Some(QueryModule { functions, body })
-    } else {
-        None
-    }
+    let body = rewrite(body, peer, &mut ok);
+    ok.then_some(QueryModule { functions: Vec::new(), body })
 }
 
 /// Graceful degradation: when a peer cannot *answer* (down, corrupt link,
@@ -1720,13 +1689,12 @@ fn fallback_local(
     local: &mut Store,
     static_ctx: &StaticContext,
     peer: &str,
-    body_src: &str,
+    body: &Expr,
     calls: &[Vec<(String, Sequence)>],
     projection: Option<&ExecProjection>,
     wire: WireSemantics,
 ) -> EvalResult<Option<Vec<Sequence>>> {
-    let Ok(module) = parse_query(body_src) else { return Ok(None) };
-    let Some(module) = degrade_module(&module, peer) else { return Ok(None) };
+    let Some(module) = degrade_module(body, peer) else { return Ok(None) };
     // evaluated as the coordinator (empty peer name), so the rewritten
     // `xrpc://` document URIs data-ship through the resolver
     let results = eval_shipped(core, "", local, &module, static_ctx, calls).map_err(|e| {
@@ -1799,7 +1767,7 @@ impl FedLink {
                         local,
                         static_ctx,
                         peer,
-                        &body.to_string(),
+                        body,
                         calls,
                         projection,
                         self.core.wire(),
@@ -2115,7 +2083,7 @@ mod tests {
                         .unwrap();
                 for _ in 0..200 {
                     let reply = transport.exchange("p", &request, Duration::from_secs(5)).unwrap();
-                    assert_eq!(reply.contains("<fault "), body.contains("div 0"), "{body}: {reply}");
+                    assert_eq!(payload_kind(&reply) == "fault", body.contains("div 0"), "{body}: {reply}");
                 }
                 assert_eq!(doc_count(), before, "{wire:?}: store grew serving {body}");
             }

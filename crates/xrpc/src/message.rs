@@ -22,7 +22,17 @@
 //!              base-uri=".." document-uri="..">content</copy>     (by-value)
 //!      | <element fragid=".." nodeid=".."/>                       (by-fragment/-projection)
 //!      | <attribute fragid=".." nodeid=".." name=".."/>
+//!
+//! <env><response semantics="..">fragments? <call-result><sequence>…</sequence></call-result>*</response></env>
+//! <env><fault code=".." peer=".." retry-after-ms=".."?><message>…</message></fault></env>
+//! <env><doc-request uri=".."/></env>                                  (data shipping over a transport)
+//! <env><doc uri="..">…the serialized document, embedded as is…</doc></env>
 //! ```
+//!
+//! What kind of envelope a byte string is, is decided by its **prefix** —
+//! the five the encoders emit, named once below — never by scanning or
+//! parsing the message: element names inside shipped data cannot be
+//! mistaken for an envelope, and a consumer opens a message at most once.
 
 use xqd_xml::project::{compute_projection, build_projected, Projection, ProjectionInput};
 use xqd_xml::serialize::{escape_attr, escape_text, serialize_node_into};
@@ -171,6 +181,19 @@ fn build_projected_codec(
     NodeCodec::Projected(frags)
 }
 
+/// Opens one `<fragment>` with its class-2 context properties (Problem 5).
+fn open_fragment(uri: &Option<String>, base_uri: &Option<String>, out: &mut String) {
+    out.push_str("<fragment");
+    for (attr, value) in [(" uri=\"", uri), (" base-uri=\"", base_uri)] {
+        if let Some(v) = value {
+            out.push_str(attr);
+            escape_attr(v, out);
+            out.push('"');
+        }
+    }
+    out.push('>');
+}
+
 fn write_fragments(store: &Store, codec: &NodeCodec, out: &mut String) {
     match codec {
         NodeCodec::Value => {}
@@ -181,18 +204,7 @@ fn write_fragments(store: &Store, codec: &NodeCodec, out: &mut String) {
             out.push_str("<fragments>");
             for &(d, r) in &plan.roots {
                 let doc = store.doc(d);
-                out.push_str("<fragment");
-                if let Some(u) = &doc.uri {
-                    out.push_str(" uri=\"");
-                    escape_attr(u, out);
-                    out.push('"');
-                }
-                if let Some(b) = &doc.base_uri {
-                    out.push_str(" base-uri=\"");
-                    escape_attr(b, out);
-                    out.push('"');
-                }
-                out.push('>');
+                open_fragment(&doc.uri, &doc.base_uri, out);
                 if doc.kind(r) == NodeKind::Document {
                     for c in doc.children(r) {
                         serialize_node_into(doc, &store.names, c, out);
@@ -210,18 +222,7 @@ fn write_fragments(store: &Store, codec: &NodeCodec, out: &mut String) {
             }
             out.push_str("<fragments>");
             for f in frags {
-                out.push_str("<fragment");
-                if let Some(u) = &f.uri {
-                    out.push_str(" uri=\"");
-                    escape_attr(u, out);
-                    out.push('"');
-                }
-                if let Some(b) = &f.base_uri {
-                    out.push_str(" base-uri=\"");
-                    escape_attr(b, out);
-                    out.push('"');
-                }
-                out.push('>');
+                open_fragment(&f.uri, &f.base_uri, out);
                 out.push_str(&f.serialized);
                 out.push_str("</fragment>");
             }
@@ -409,27 +410,36 @@ fn unescape_text(s: &str) -> String {
         .replace("\u{0}gt", ">")
 }
 
-/// Wire-level accounting for the `<keyset>` blocks of an encoded message:
-/// `(keys, bytes_saved)` where `keys` counts the atoms carried in key-set
-/// form and `bytes_saved` is the exact byte difference against the per-item
-/// `<atom>` encoding of the same keys. Feeds the `join_keys_shipped` /
-/// `join_bytes_saved` metrics; a message without key sets reports `(0, 0)`.
+/// The five envelope prefixes the encoders emit — the classification
+/// contract of the wire format. Every consumer that needs to know what kind
+/// of message it holds tests one of these; none scans or parses for it.
+const REQUEST: &str = "<env><request";
+const RESPONSE: &str = "<env><response";
+const FAULT: &str = "<env><fault ";
+const DOC_REQUEST: &str = "<env><doc-request ";
+const DOC: &str = "<env><doc ";
+
 /// Coarse classification of a wire message by its envelope prefix — used
 /// as a deterministic trace-span annotation (`"request"` / `"response"` /
-/// `"fault"`), with `"data"` covering raw document payloads from the
-/// data-shipping path and anything mangled in flight.
+/// `"fault"`), with `"data"` covering the data-shipping path's document
+/// payloads and envelopes and anything mangled in flight.
 pub fn payload_kind(message: &str) -> &'static str {
-    if message.starts_with("<env><request") {
+    if message.starts_with(REQUEST) {
         "request"
-    } else if message.starts_with("<env><response") {
+    } else if message.starts_with(RESPONSE) {
         "response"
-    } else if message.starts_with("<env><fault") {
+    } else if message.starts_with(FAULT) {
         "fault"
     } else {
         "data"
     }
 }
 
+/// Wire-level accounting for the `<keyset>` blocks of an encoded message:
+/// `(keys, bytes_saved)` where `keys` counts the atoms carried in key-set
+/// form and `bytes_saved` is the exact byte difference against the per-item
+/// `<atom>` encoding of the same keys. Feeds the `join_keys_shipped` /
+/// `join_bytes_saved` metrics; a message without key sets reports `(0, 0)`.
 pub fn keyset_stats(message: &str) -> (u64, u64) {
     let mut keys = 0u64;
     let mut saved = 0u64;
@@ -629,7 +639,8 @@ pub fn encode_request(
         }
     };
     let mut out = String::with_capacity(1024);
-    out.push_str("<env><request semantics=\"");
+    out.push_str(REQUEST);
+    out.push_str(" semantics=\"");
     out.push_str(semantics.tag());
     out.push_str("\" static-base-uri=\"");
     escape_attr(&static_ctx.base_uri, &mut out);
@@ -690,7 +701,8 @@ pub fn encode_response(
         }
     };
     let mut out = String::with_capacity(1024);
-    out.push_str("<env><response semantics=\"");
+    out.push_str(RESPONSE);
+    out.push_str(" semantics=\"");
     out.push_str(semantics.tag());
     out.push_str("\">");
     write_fragments(store, &codec, &mut out);
@@ -715,7 +727,8 @@ pub fn encode_response(
 /// like any other message.
 pub fn encode_fault(err: &XrpcError) -> String {
     let mut out = String::with_capacity(128);
-    out.push_str("<env><fault code=\"");
+    out.push_str(FAULT);
+    out.push_str("code=\"");
     escape_attr(&err.code(), &mut out);
     out.push_str("\" peer=\"");
     escape_attr(err.peer(), &mut out);
@@ -739,18 +752,27 @@ pub fn encode_fault(err: &XrpcError) -> String {
 /// non-fault messages *and* for byte streams too mangled to parse — the
 /// caller treats those as transport corruption.
 pub fn decode_fault(message: &str) -> Option<XrpcError> {
+    if !message.starts_with(FAULT) {
+        return None;
+    }
     let mut scratch = Store::new();
     let doc = xqd_xml::parse_document(&mut scratch, message, None).ok()?;
     let fault = find_child(&scratch, NodeId::new(doc, 0), "env")
         .and_then(|env| find_child(&scratch, env, "fault"))?;
-    let code = attr(&scratch, fault, "code")?;
-    let peer = attr(&scratch, fault, "peer").unwrap_or_default();
-    let msg = find_child(&scratch, fault, "message")
-        .map(|m| scratch.doc(m.doc).string_value(m.idx))
+    fault_from(&scratch, fault)
+}
+
+/// The one reader of a parsed `<fault>` element: the typed error with its
+/// retry-after hint restored. `None` when the element names no code.
+fn fault_from(store: &Store, fault: NodeId) -> Option<XrpcError> {
+    let code = attr(store, fault, "code")?;
+    let peer = attr(store, fault, "peer").unwrap_or_default();
+    let msg = find_child(store, fault, "message")
+        .map(|m| store.doc(m.doc).string_value(m.idx))
         .unwrap_or_default();
     let mut err = XrpcError::from_code(&code, &peer, &msg);
     // retry-after hints ride along as an optional attribute
-    if let Some(ms) = attr(&scratch, fault, "retry-after-ms").and_then(|v| v.parse::<u64>().ok()) {
+    if let Some(ms) = attr(store, fault, "retry-after-ms").and_then(|v| v.parse::<u64>().ok()) {
         match &mut err {
             XrpcError::BreakerOpen { retry_after, .. }
             | XrpcError::PeerBusy { retry_after, .. } => {
@@ -764,16 +786,12 @@ pub fn decode_fault(message: &str) -> Option<XrpcError> {
 }
 
 /// A reply envelope as the caller sees it: a wire-encoded fault decodes
-/// back into its typed error (normal replies have an `env/response` or
-/// `env/doc` child, never `env/fault`, so this cannot misfire on result
-/// data); anything else is the reply.
+/// back into its typed error; anything else is the reply.
 pub(crate) fn reply_or_fault(reply: String) -> Result<String, XrpcError> {
-    if reply.contains("<fault ") {
-        if let Some(e) = decode_fault(&reply) {
-            return Err(e);
-        }
+    match decode_fault(&reply) {
+        Some(e) => Err(e),
+        None => Ok(reply),
     }
-    Ok(reply)
 }
 
 /// Encodes a whole-document fetch request (the data-shipping path over a
@@ -781,17 +799,18 @@ pub(crate) fn reply_or_fault(reply: String) -> Result<String, XrpcError> {
 /// directly and never needs one of these on the wire).
 pub fn encode_doc_request(uri: &str) -> String {
     let mut out = String::with_capacity(64 + uri.len());
-    out.push_str("<env><doc-request uri=\"");
+    out.push_str(DOC_REQUEST);
+    out.push_str("uri=\"");
     escape_attr(uri, &mut out);
     out.push_str("\"/></env>");
     out
 }
 
 /// Decodes a doc-request envelope, returning the requested URI. `None` for
-/// any other message shape (the cheap `contains` gate keeps ordinary
-/// requests off the parse path).
+/// any other message shape (the prefix gate keeps ordinary requests off the
+/// parse path).
 pub fn decode_doc_request(message: &str) -> Option<String> {
-    if !message.contains("<doc-request") {
+    if !message.starts_with(DOC_REQUEST) {
         return None;
     }
     let mut scratch = Store::new();
@@ -801,28 +820,33 @@ pub fn decode_doc_request(message: &str) -> Option<String> {
     attr(&scratch, req, "uri")
 }
 
+/// What follows the embedded document in a doc reply envelope.
+const DOC_CLOSE: &str = "</doc></env>";
+
 /// Encodes a fetched document as a reply envelope. The serialized document
-/// travels as escaped text so the envelope stays parseable regardless of
-/// the payload's own markup.
+/// is embedded as is: the serializer's output is always well-formed, so the
+/// envelope stays so, and a document costs its own bytes plus a constant.
 pub fn encode_doc_response(uri: &str, xml: &str) -> String {
     let mut out = String::with_capacity(64 + uri.len() + xml.len());
-    out.push_str("<env><doc uri=\"");
+    out.push_str(DOC);
+    out.push_str("uri=\"");
     escape_attr(uri, &mut out);
     out.push_str("\">");
-    escape_text(xml, &mut out);
-    out.push_str("</doc></env>");
+    out.push_str(xml);
+    out.push_str(DOC_CLOSE);
     out
 }
 
-/// Decodes a doc reply envelope back into the document's XML text. Returns
-/// `None` for non-doc messages and unparseable bytes — the caller treats
-/// those as transport corruption (after checking [`decode_fault`] first).
+/// Opens a doc reply envelope: strips the fixed header and trailer and
+/// hands back the document's XML text untouched, for the caller to shred —
+/// the only parse it gets. Returns `None` for non-doc messages and for
+/// envelopes cut short — the caller treats those as transport corruption
+/// (after checking [`decode_fault`] first).
 pub fn decode_doc_response(message: &str) -> Option<String> {
-    let mut scratch = Store::new();
-    let doc = xqd_xml::parse_document(&mut scratch, message, None).ok()?;
-    let d = find_child(&scratch, NodeId::new(doc, 0), "env")
-        .and_then(|env| find_child(&scratch, env, "doc"))?;
-    Some(scratch.doc(d.doc).string_value(d.idx))
+    let rest = message.strip_prefix(DOC)?.strip_prefix("uri=\"")?;
+    // an escaped attribute value holds no quote, so the first one ends it
+    let (_, rest) = rest.split_once("\">")?;
+    Some(rest.strip_suffix(DOC_CLOSE)?.to_string())
 }
 
 /// A decoded request, with all node values shredded into the receiving
@@ -920,13 +944,9 @@ fn decode_response_inner(store: &mut Store, message: &str) -> EvalResult<Vec<Seq
         .map_err(|e| EvalError::new(format!("malformed response message: {e}")))?;
     let env = find_child(store, NodeId::new(msg_doc, 0), "env");
     if let Some(fault) = env.and_then(|env| find_child(store, env, "fault")) {
-        let code = attr(store, fault, "code")
+        let err = fault_from(store, fault)
             .ok_or_else(|| EvalError::new("fault response lacks code"))?;
-        let peer = attr(store, fault, "peer").unwrap_or_default();
-        let msg = find_child(store, fault, "message")
-            .map(|m| store.doc(m.doc).string_value(m.idx))
-            .unwrap_or_default();
-        return Err(XrpcError::from_code(&code, &peer, &msg).into());
+        return Err(err.into());
     }
     let root = env
         .and_then(|env| find_child(store, env, "response"))
@@ -1438,6 +1458,30 @@ mod tests {
         let wire = encode_fault(&shed);
         assert!(wire.contains("retry-after-ms=\"210\""), "{wire}");
         assert_eq!(decode_fault(&wire), Some(shed));
+    }
+
+    /// One fault reader: the hint `decode_fault` restores is the hint a
+    /// fault read through `decode_response` reports.
+    #[test]
+    fn faults_read_through_decode_response_keep_their_retry_after() {
+        use std::time::Duration;
+        let peer = || "p1".to_string();
+        for f in [
+            XrpcError::PeerBusy {
+                peer: peer(),
+                detail: "slot held".into(),
+                retry_after: Duration::from_millis(60),
+            },
+            XrpcError::BreakerOpen { peer: peer(), retry_after: Duration::from_millis(375) },
+            XrpcError::Overloaded { retry_after_ms: 210 },
+        ] {
+            let wire = encode_fault(&f);
+            let typed = decode_fault(&wire).expect("fault parses");
+            assert_eq!(typed.retry_after(), f.retry_after(), "{wire}");
+            let err = decode_response(&mut Store::new(), &wire).unwrap_err();
+            assert_eq!(err.code.as_deref(), Some(f.code().as_str()), "{wire}");
+            assert_eq!(err.message, typed.to_string(), "{wire}");
+        }
     }
 
     #[test]

@@ -51,11 +51,6 @@ pub enum FrameError {
 }
 
 impl FrameError {
-    /// True for the clean between-frames close (normal connection end).
-    pub fn is_clean_close(&self) -> bool {
-        matches!(self, FrameError::Closed)
-    }
-
     /// True when the failure was a read deadline expiring.
     pub fn timed_out(&self) -> bool {
         matches!(self, FrameError::Io { timed_out: true, .. })

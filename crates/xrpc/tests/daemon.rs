@@ -30,9 +30,10 @@
 //! * a pooled connection the daemon closed at its idle timeout costs one
 //!   transparent reconnect — no retry, no mark against the peer's health;
 //! * a run over sockets is a full [`Federation`] run: the metric registry
-//!   counts the bytes and exchanges that really crossed the wire (and, for
-//!   function shipping, the bytes the simulated run bills), and a trace has
-//!   the simulated trace's shape on a measured clock.
+//!   counts the bytes and exchanges that really crossed the wire (for
+//!   function shipping the bytes the simulated run bills, for data shipping
+//!   those plus one fixed envelope per fetch), and a trace has the simulated
+//!   trace's shape on a measured clock.
 
 use std::collections::BTreeMap;
 use std::net::TcpStream;
@@ -982,10 +983,18 @@ fn the_registry_over_sockets_counts_what_crossed_the_wire() {
     let mut fed = Federation::over(Arc::<RecordingTransport>::clone(&wire));
     let shipped = fed.run(JOIN_QUERY, Strategy::DataShipping).expect("data shipping over tcp");
     let m = shipped.metrics;
-    assert_eq!(shipped.result, sim.run(JOIN_QUERY, Strategy::DataShipping).unwrap().result);
+    let simulated = sim.run(JOIN_QUERY, Strategy::DataShipping).expect("simulated data shipping");
+    assert_eq!(shipped.result, simulated.result);
     assert_eq!(m.message_bytes + m.document_bytes, wire.bytes.load(Ordering::SeqCst));
-    assert!(m.document_bytes > (PEOPLE.len() + ORDERS.len()) as u64);
     assert_eq!((m.transfers, m.doc_fetches, m.remote_calls), (2, 2, 0));
+    // Fig. 7's byte count does not depend on the carrier: the wire moves the
+    // documents the simulation bills, each inside one fixed-size envelope
+    // (neither URI needs escaping)
+    let envelopes: usize = ["xrpc://P1/people.xml", "xrpc://P2/orders.xml"]
+        .iter()
+        .map(|uri| "<env><doc uri=\"\"></doc></env>".len() + uri.len())
+        .sum();
+    assert_eq!(m.document_bytes - simulated.metrics.document_bytes, envelopes as u64);
 }
 
 /// What the flaky wire injected is what the registry reports — the facade's

@@ -10,6 +10,11 @@
 //! EOF and invalid UTF-8 must all surface as typed
 //! `xrpc:transport-corrupt` — never a panic, and never an allocation
 //! sized by an untrusted length field.
+//!
+//! The third part covers the doc envelope of the data-shipping path, which
+//! embeds the shipped document as is: whatever the document's own markup
+//! looks like and wherever the envelope is cut, the coordinator ends up with
+//! the document bit for bit or an error — never a different document.
 
 use xqd_prng::Rng;
 use xqd_xml::Store;
@@ -29,7 +34,8 @@ use std::io::Cursor;
 use std::time::Duration;
 
 use xqd_xrpc::{
-    decode_fault, decode_request, decode_response, encode_fault, encode_request, encode_response,
+    decode_doc_request, decode_doc_response, decode_fault, decode_request, decode_response,
+    encode_doc_request, encode_doc_response, encode_fault, encode_request, encode_response,
     read_frame, write_frame, FrameError, WireSemantics, XrpcError, MAX_FRAME_LEN,
 };
 
@@ -76,6 +82,8 @@ fn valid_messages() -> Vec<String> {
         peer: "p".to_string(),
         detail: "detail with <angle> & \"quotes\"".to_string(),
     }));
+    messages.push(encode_doc_request(DOC_URI));
+    messages.extend(HOSTILE_DOCUMENTS.map(|document| encode_doc_response(DOC_URI, document)));
     messages
 }
 
@@ -96,6 +104,8 @@ fn decode_all(mutant: &str) -> bool {
     let mut store = Store::new();
     accepted |= decode_response(&mut store, mutant).is_ok();
     accepted |= decode_fault(mutant).is_some();
+    accepted |= decode_doc_request(mutant).is_some();
+    accepted |= open_doc_reply(mutant).is_ok();
     accepted
 }
 
@@ -292,5 +302,88 @@ fn degenerate_inputs_never_panic_the_decoders() {
         "<env><fault code=\"xrpc:timeout\" peer=\"p\"><message>m</message></fault></env> trailing",
     ] {
         decode_all(mutant);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// doc envelopes: the shipped document is embedded, not escaped
+// ---------------------------------------------------------------------------
+
+/// A URI that needs every attribute escape.
+const DOC_URI: &str = "xrpc://p/a \"q\" & <d>.xml";
+
+/// Well-formed documents whose own markup looks like envelope vocabulary:
+/// the closing bytes of a doc envelope inside a comment, a PI and (escaped)
+/// text, root elements named like envelope children, a nested envelope.
+const HOSTILE_DOCUMENTS: [&str; 6] = [
+    "<a id=\"1\"><b><c>text &amp; more</c></b><b/></a>",
+    "<a><!--</doc></env>--><?pi </doc></env>?><b>&lt;/doc&gt;&lt;/env&gt;</b></a>",
+    "<fault code=\"xrpc:timeout\" peer=\"p\"><message>not a fault</message></fault>",
+    "<doc-request uri=\"xrpc://p/other.xml\"/>",
+    "<env><doc uri=\"nested\"><x/></doc></env>",
+    "<a q=\"&quot;&gt;\">é–ü \"&gt; tail</a>",
+];
+
+/// What the coordinator makes of a doc reply: the envelope is opened, then
+/// the document is shredded and — to compare bit for bit — serialized back.
+/// A reply that is no doc envelope is `xrpc:transport-corrupt` to the
+/// caller; one whose content does not shred is a shredding error.
+fn open_doc_reply(reply: &str) -> Result<String, String> {
+    let xml = decode_doc_response(reply).ok_or("xrpc:transport-corrupt")?;
+    let mut store = Store::new();
+    let doc = xqd_xml::parse_document(&mut store, &xml, Some(DOC_URI))
+        .map_err(|e| format!("shredding: {e}"))?;
+    Ok(xqd_xml::serialize_document(store.doc(doc), &store.names))
+}
+
+#[test]
+fn doc_envelopes_carry_any_document_bit_for_bit_at_a_constant_cost() {
+    let mut escaped_uri = String::new();
+    xqd_xml::serialize::escape_attr(DOC_URI, &mut escaped_uri);
+    let envelope = "<env><doc uri=\"\"></doc></env>".len() + escaped_uri.len();
+    for document in HOSTILE_DOCUMENTS {
+        let reply = encode_doc_response(DOC_URI, document);
+        assert_eq!(reply.len(), document.len() + envelope, "{reply}");
+        assert_eq!(decode_doc_response(&reply).as_deref(), Some(document));
+        assert_eq!(open_doc_reply(&reply).as_deref(), Ok(document));
+        // classified by its prefix, whatever the document holds
+        assert!(decode_fault(&reply).is_none(), "{reply}");
+        assert!(decode_doc_request(&reply).is_none(), "{reply}");
+        // and the envelope is itself well-formed XML
+        xqd_xml::parse_document(&mut Store::new(), &reply, None).expect("well-formed envelope");
+    }
+    let request = encode_doc_request(DOC_URI);
+    assert_eq!(decode_doc_request(&request).as_deref(), Some(DOC_URI));
+    assert!(decode_doc_response(&request).is_none());
+}
+
+/// Every cut — inside the header, the `uri` attribute, the document, the
+/// trailer — is an error or, never, another document.
+#[test]
+fn truncated_doc_envelopes_never_yield_a_different_document() {
+    for document in HOSTILE_DOCUMENTS {
+        let reply = encode_doc_response(DOC_URI, document);
+        for cut in (0..reply.len()).filter(|&c| reply.is_char_boundary(c)) {
+            if let Ok(got) = open_doc_reply(&reply[..cut]) {
+                panic!("cut at byte {cut} of {reply:?} read as the document {got:?}");
+            }
+        }
+        // the trailer gone altogether, and bytes after it
+        let unclosed = reply.strip_suffix("</doc></env>").unwrap();
+        assert!(open_doc_reply(unclosed).is_err(), "{unclosed}");
+        assert!(open_doc_reply(&format!("{reply} trailing")).is_err());
+    }
+}
+
+/// A peer still speaking the escaped-text format is refused when its
+/// content is shredded — it is not read as a document made of one text.
+#[test]
+fn old_format_doc_replies_fail_to_shred() {
+    for document in HOSTILE_DOCUMENTS {
+        let mut old = String::from("<env><doc uri=\"xrpc://p/d.xml\">");
+        xqd_xml::serialize::escape_text(document, &mut old);
+        old.push_str("</doc></env>");
+        let err = open_doc_reply(&old).expect_err("old-format reply accepted");
+        assert!(err.starts_with("shredding: "), "{err}");
     }
 }
