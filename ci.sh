@@ -252,6 +252,26 @@ if [ "$not_found" != 1 ]; then
     exit 1
 fi
 
+echo "== the shredder copies runs (structural) =="
+# crates/xml parses a &str it never re-validates, finds delimiters with
+# str::find, escapes by copying the runs between special bytes, and keeps
+# node values as spans into one text arena per document. A UTF-8
+# re-validation, a byte-window search, a char-at-a-time escaper or a boxed
+# value per node means the per-character kernel grew back.
+if grep -n 'from_utf8\|windows(' crates/xml/src/parser.rs >&2; then
+    echo "parser.rs re-validates UTF-8 or searches byte windows (slice the &str, use str::find)" >&2
+    exit 1
+fi
+if awk '/^(pub )?fn escape(_text|_attr)?\(/ { on = 1 } on && /^}/ { on = 0 } on' crates/xml/src/serialize.rs \
+        | grep -n '\.chars()' >&2; then
+    echo "escape_text / escape_attr push one char at a time (copy the runs between special bytes)" >&2
+    exit 1
+fi
+if grep -n 'Option<Box<str>>' crates/xml/src/store.rs >&2; then
+    echo "store.rs boxes node values again (they are spans into the document's text arena)" >&2
+    exit 1
+fi
+
 echo "== one bench emitter, one report writer, no dead option (structural) =="
 # The five sweeps share examples/bench.rs and crates/bench/src/report.rs; a
 # second emitter or a hand-written JSON formatter beside the point types

@@ -3,6 +3,12 @@
 //! All documents in a [`crate::Store`] share one `NameTable`, so a node test
 //! (`child::person`) is a single integer comparison regardless of which
 //! document the context node lives in.
+//!
+//! The table keeps `HashMap`'s default, keyed SipHash on purpose. The
+//! shredder interns every element and attribute name of every message a
+//! daemon receives, so the keys come from hostile wire input: a fast
+//! unkeyed hasher would let a peer pick names that all collide and make
+//! each lookup linear. Do not swap it for a faster one.
 
 use std::collections::HashMap;
 

@@ -5,6 +5,13 @@
 //! instructions, CDATA sections, the five predefined entities and numeric
 //! character references. Namespace declarations are kept as plain
 //! attributes; QNames are stored verbatim (prefix included).
+//!
+//! The input is a `&str`, and every delimiter is ASCII, so the parser
+//! slices it without re-validating UTF-8. It copies runs, not characters:
+//! the next `<`, `&`, quote or section end is found with `str::find`, and
+//! each run between them is copied once, straight into the document's
+//! text arena, where consecutive runs of text, CDATA and references
+//! become one text node.
 
 use std::fmt;
 
@@ -26,7 +33,9 @@ impl fmt::Display for ParseError {
 impl std::error::Error for ParseError {}
 
 struct Parser<'a> {
-    input: &'a [u8],
+    input: &'a str,
+    /// Always on a character boundary: it only ever moves past ASCII
+    /// delimiters, found runs and names (which end at an ASCII byte).
     pos: usize,
 }
 
@@ -36,11 +45,15 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.input.get(self.pos).copied()
+        self.input.as_bytes().get(self.pos).copied()
+    }
+
+    fn rest(&self) -> &'a str {
+        &self.input[self.pos..]
     }
 
     fn starts_with(&self, s: &str) -> bool {
-        self.input[self.pos..].starts_with(s.as_bytes())
+        self.rest().starts_with(s)
     }
 
     fn bump(&mut self, n: usize) {
@@ -63,13 +76,11 @@ impl<'a> Parser<'a> {
     }
 
     fn read_until(&mut self, marker: &str) -> Result<&'a str, ParseError> {
-        let rest = &self.input[self.pos..];
-        match rest.windows(marker.len()).position(|w| w == marker.as_bytes()) {
+        let rest = self.rest();
+        match rest.find(marker) {
             Some(i) => {
-                let s = std::str::from_utf8(&rest[..i])
-                    .map_err(|_| ParseError { offset: self.pos, message: "invalid UTF-8".into() })?;
                 self.pos += i + marker.len();
-                Ok(s)
+                Ok(&rest[..i])
             }
             None => self.err(format!("unterminated section, expected {marker:?}")),
         }
@@ -92,58 +103,7 @@ impl<'a> Parser<'a> {
         while matches!(self.peek(), Some(b) if Self::is_name_char(b)) {
             self.pos += 1;
         }
-        std::str::from_utf8(&self.input[start..self.pos])
-            .map_err(|_| ParseError { offset: start, message: "invalid UTF-8 in name".into() })
-    }
-
-    /// Decodes entity and character references in `raw` into `out`.
-    fn decode_text(&self, raw: &str, raw_offset: usize, out: &mut String) -> Result<(), ParseError> {
-        let bytes = raw.as_bytes();
-        let mut i = 0;
-        while i < bytes.len() {
-            if bytes[i] == b'&' {
-                let rest = &raw[i..];
-                let semi = rest.find(';').ok_or(ParseError {
-                    offset: raw_offset + i,
-                    message: "unterminated entity reference".into(),
-                })?;
-                let ent = &rest[1..semi];
-                match ent {
-                    "amp" => out.push('&'),
-                    "lt" => out.push('<'),
-                    "gt" => out.push('>'),
-                    "quot" => out.push('"'),
-                    "apos" => out.push('\''),
-                    _ if ent.starts_with("#x") || ent.starts_with("#X") => {
-                        let cp = u32::from_str_radix(&ent[2..], 16).ok().and_then(char::from_u32);
-                        out.push(cp.ok_or(ParseError {
-                            offset: raw_offset + i,
-                            message: format!("bad character reference &{ent};"),
-                        })?);
-                    }
-                    _ if ent.starts_with('#') => {
-                        let cp = ent[1..].parse::<u32>().ok().and_then(char::from_u32);
-                        out.push(cp.ok_or(ParseError {
-                            offset: raw_offset + i,
-                            message: format!("bad character reference &{ent};"),
-                        })?);
-                    }
-                    _ => {
-                        return Err(ParseError {
-                            offset: raw_offset + i,
-                            message: format!("unknown entity &{ent};"),
-                        })
-                    }
-                }
-                i += semi + 1;
-            } else {
-                // copy a full UTF-8 scalar
-                let ch_len = utf8_len(bytes[i]);
-                out.push_str(&raw[i..i + ch_len]);
-                i += ch_len;
-            }
-        }
-        Ok(())
+        Ok(&self.input[start..self.pos])
     }
 
     fn parse_misc(&mut self, b: &mut DocBuilder) -> Result<bool, ParseError> {
@@ -208,21 +168,23 @@ impl<'a> Parser<'a> {
                     self.expect("=")?;
                     self.skip_ws();
                     let quote = match self.peek() {
-                        Some(q @ (b'"' | b'\'')) => q,
+                        Some(b'"') => "\"",
+                        Some(b'\'') => "'",
                         _ => return self.err("expected quoted attribute value"),
                     };
                     self.bump(1);
                     let raw_start = self.pos;
-                    let raw = self.read_until(if quote == b'"' { "\"" } else { "'" })?;
-                    let mut value = String::with_capacity(raw.len());
-                    self.decode_text(raw, raw_start, &mut value)?;
-                    b.attribute(attr_name, &value);
+                    let raw = self.read_until(quote)?;
+                    let from = b.text_arena().len();
+                    decode_text(raw, raw_start, b.text_arena())?;
+                    b.attribute_since(attr_name, from);
                 }
                 None => return self.err("unterminated start tag"),
             }
         }
-        // content
-        let mut text = String::new();
+        // content: text runs, CDATA and references accumulate at the tail
+        // of the text arena until other markup ends the text node
+        let mut run = b.text_arena().len();
         loop {
             match self.peek() {
                 None => return self.err(format!("unterminated element <{name}>")),
@@ -230,13 +192,10 @@ impl<'a> Parser<'a> {
                     if self.starts_with("<![CDATA[") {
                         self.bump(9);
                         let body = self.read_until("]]>")?;
-                        text.push_str(body);
+                        b.text_arena().push_str(body);
                         continue;
                     }
-                    if !text.is_empty() {
-                        b.text(&text);
-                        text.clear();
-                    }
+                    b.text_since(run);
                     if self.starts_with("</") {
                         self.bump(2);
                         let close = self.read_name()?;
@@ -248,38 +207,61 @@ impl<'a> Parser<'a> {
                         b.end_element();
                         return Ok(());
                     }
-                    if self.parse_misc(b)? {
-                        continue;
+                    if !self.parse_misc(b)? {
+                        self.parse_element(b)?;
                     }
-                    self.parse_element(b)?;
+                    run = b.text_arena().len();
                 }
                 Some(_) => {
                     let start = self.pos;
-                    while !matches!(self.peek(), Some(b'<') | None) {
-                        self.pos += 1;
-                    }
-                    let raw = std::str::from_utf8(&self.input[start..self.pos]).map_err(|_| {
-                        ParseError { offset: start, message: "invalid UTF-8 in text".into() }
-                    })?;
-                    self.decode_text(raw, start, &mut text)?;
+                    self.pos += self.rest().find('<').unwrap_or(self.input.len() - start);
+                    decode_text(&self.input[start..self.pos], start, b.text_arena())?;
                 }
             }
         }
     }
 }
 
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7f => 1,
-        0xc0..=0xdf => 2,
-        0xe0..=0xef => 3,
-        _ => 4,
+/// Appends `raw` (found at byte `raw_offset` of the input) to `out` with
+/// its entity and character references decoded: each run between two
+/// references is copied whole.
+fn decode_text(raw: &str, raw_offset: usize, out: &mut String) -> Result<(), ParseError> {
+    let mut rest = raw;
+    while let Some(amp) = rest.find('&') {
+        out.push_str(&rest[..amp]);
+        let offset = raw_offset + (raw.len() - rest.len()) + amp;
+        let error = |message: String| ParseError { offset, message };
+        let reference = &rest[amp..];
+        let semi = reference
+            .find(';')
+            .ok_or_else(|| error("unterminated entity reference".into()))?;
+        let ent = &reference[1..semi];
+        let bad_char = || error(format!("bad character reference &{ent};"));
+        match ent {
+            "amp" => out.push('&'),
+            "lt" => out.push('<'),
+            "gt" => out.push('>'),
+            "quot" => out.push('"'),
+            "apos" => out.push('\''),
+            _ if ent.starts_with("#x") || ent.starts_with("#X") => {
+                let cp = u32::from_str_radix(&ent[2..], 16).ok().and_then(char::from_u32);
+                out.push(cp.ok_or_else(bad_char)?);
+            }
+            _ if ent.starts_with('#') => {
+                let cp = ent[1..].parse::<u32>().ok().and_then(char::from_u32);
+                out.push(cp.ok_or_else(bad_char)?);
+            }
+            _ => return Err(error(format!("unknown entity &{ent};"))),
+        }
+        rest = &reference[semi + 1..];
     }
+    out.push_str(rest);
+    Ok(())
 }
 
 /// Parses `input` into a [`DocBuilder`] (not yet attached to a store).
 pub fn parse_to_builder(input: &str, uri: Option<&str>) -> Result<DocBuilder, ParseError> {
-    let mut p = Parser { input: input.as_bytes(), pos: 0 };
+    let mut p = Parser { input, pos: 0 };
     let mut b = DocBuilder::new(uri);
     p.skip_ws();
     // prolog + misc

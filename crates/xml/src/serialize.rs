@@ -10,27 +10,38 @@ use crate::store::{Document, NodeKind};
 
 /// Escapes text content (`&`, `<`, `>`).
 pub fn escape_text(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            _ => out.push(c),
-        }
-    }
+    escape(s, out, |b| match b {
+        b'&' => Some("&amp;"),
+        b'<' => Some("&lt;"),
+        b'>' => Some("&gt;"),
+        _ => None,
+    });
 }
 
 /// Escapes attribute values (also `"`).
 pub fn escape_attr(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            _ => out.push(c),
+    escape(s, out, |b| match b {
+        b'&' => Some("&amp;"),
+        b'<' => Some("&lt;"),
+        b'>' => Some("&gt;"),
+        b'"' => Some("&quot;"),
+        _ => None,
+    });
+}
+
+/// Copies `s` to `out` with every byte `entity` names replaced: the runs
+/// between two such bytes are copied whole. The special bytes are ASCII,
+/// so every cut falls on a character boundary.
+fn escape(s: &str, out: &mut String, entity: impl Fn(u8) -> Option<&'static str>) {
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if let Some(e) = entity(b) {
+            out.push_str(&s[run..i]);
+            out.push_str(e);
+            run = i + 1;
         }
     }
+    out.push_str(&s[run..]);
 }
 
 /// Serializes the subtree rooted at `idx` into `out`.

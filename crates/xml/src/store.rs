@@ -13,6 +13,11 @@
 //! Attribute nodes are stored contiguously right after their owner element
 //! (matching the XDM document-order rule "attributes follow their element and
 //! precede its children"); the child/descendant axes skip them.
+//!
+//! Node values live in one text arena per document: a record holds the
+//! `start..end` byte span of its value, so shredding a document allocates
+//! two growing buffers, not one box per text or attribute node, and
+//! releasing it frees those two.
 
 use std::collections::HashMap;
 
@@ -57,7 +62,7 @@ pub enum NodeKind {
 
 const NO_PARENT: u32 = u32::MAX;
 
-/// One arena slot. 24 bytes of fixed fields plus an optional text payload.
+/// One arena slot: 24 bytes, no heap payload.
 #[derive(Debug, Clone)]
 pub(crate) struct NodeRecord {
     pub kind: NodeKind,
@@ -66,8 +71,15 @@ pub(crate) struct NodeRecord {
     /// Preorder rank of the last node in this node's subtree (inclusive).
     /// Leaves (and attributes) have `subtree_end == own index`.
     pub subtree_end: u32,
-    /// Text content for text/comment/PI nodes and attribute values.
-    pub value: Option<Box<str>>,
+    /// Byte span in the document's text arena of the value of a
+    /// text/comment/PI node or an attribute; empty for the rest.
+    pub start: u32,
+    pub end: u32,
+}
+
+/// Converts a text arena offset to a span bound.
+fn span_bound(offset: usize) -> u32 {
+    u32::try_from(offset).expect("a document's text arena exceeds 4 GiB")
 }
 
 /// Extra per-node metadata attached by XRPC when a fragment is shredded from
@@ -83,6 +95,8 @@ pub struct NodeMeta {
 #[derive(Debug, Clone)]
 pub struct Document {
     pub(crate) nodes: Vec<NodeRecord>,
+    /// Every node value, back to back; records index it by span.
+    text: String,
     /// `fn:document-uri` of the document; `None` for constructed fragments.
     pub uri: Option<String>,
     /// Static base URI; defaults to `uri`.
@@ -113,8 +127,18 @@ impl Document {
         self.nodes[idx as usize].name
     }
 
+    /// The value of a text/comment/PI/attribute node; `None` for element
+    /// and document nodes.
     pub fn value(&self, idx: u32) -> Option<&str> {
-        self.nodes[idx as usize].value.as_deref()
+        let rec = &self.nodes[idx as usize];
+        match rec.kind {
+            NodeKind::Document | NodeKind::Element => None,
+            _ => Some(self.span(rec)),
+        }
+    }
+
+    fn span(&self, rec: &NodeRecord) -> &str {
+        &self.text[rec.start as usize..rec.end as usize]
     }
 
     pub fn parent(&self, idx: u32) -> Option<u32> {
@@ -225,7 +249,7 @@ impl Document {
         let rec = &self.nodes[idx as usize];
         match rec.kind {
             NodeKind::Text | NodeKind::Comment | NodeKind::Pi | NodeKind::Attribute => {
-                rec.value.as_deref().unwrap_or("").to_string()
+                self.span(rec).to_string()
             }
             NodeKind::Document | NodeKind::Element => {
                 let mut out = String::new();
@@ -234,9 +258,7 @@ impl Document {
                 while i <= end {
                     let r = &self.nodes[i as usize];
                     if r.kind == NodeKind::Text {
-                        if let Some(v) = &r.value {
-                            out.push_str(v);
-                        }
+                        out.push_str(self.span(r));
                     }
                     if r.kind == NodeKind::Attribute {
                         // attributes do not contribute to element string value
@@ -268,7 +290,7 @@ impl Document {
         let idref = names.get("idref");
         self.nodes.iter().enumerate().filter_map(move |(i, rec)| {
             if rec.kind == NodeKind::Attribute && Some(rec.name) == idref {
-                Some((i as u32, rec.value.as_deref().unwrap_or("")))
+                Some((i as u32, self.span(rec)))
             } else {
                 None
             }
@@ -323,7 +345,7 @@ impl Store {
     /// Attaches a finished builder, interning its local names into the
     /// store-wide table. Returns the new document's id.
     pub fn attach(&mut self, builder: DocBuilder) -> DocId {
-        let DocBuilder { mut nodes, local_names, uri, base_uri, open, .. } = builder;
+        let DocBuilder { mut nodes, text, local_names, uri, base_uri, open, .. } = builder;
         assert!(open.len() <= 1, "attach() called with unclosed elements");
         // Remap local name ids to store-wide ids.
         let remap: Vec<NameId> =
@@ -338,14 +360,20 @@ impl Store {
         if let Some(id_name) = id_name {
             for rec in &nodes {
                 if rec.kind == NodeKind::Attribute && rec.name == id_name {
-                    if let Some(v) = &rec.value {
-                        id_map.entry(v.clone()).or_insert(rec.parent);
-                    }
+                    let value = &text[rec.start as usize..rec.end as usize];
+                    id_map.entry(value.into()).or_insert(rec.parent);
                 }
             }
         }
-        let doc =
-            Document { nodes, uri: uri.clone(), base_uri, id_map, meta: HashMap::new(), name_index: None };
+        let doc = Document {
+            nodes,
+            text,
+            uri: uri.clone(),
+            base_uri,
+            id_map,
+            meta: HashMap::new(),
+            name_index: None,
+        };
         let id = DocId(self.docs.len() as u32);
         self.docs.push(doc);
         if let Some(u) = uri {
@@ -453,6 +481,8 @@ impl<'a> NodeRef<'a> {
 #[derive(Debug)]
 pub struct DocBuilder {
     nodes: Vec<NodeRecord>,
+    /// The document's text arena: each value is appended once, here.
+    text: String,
     local_names: NameTable,
     /// Stack of open element indices.
     open: Vec<u32>,
@@ -467,6 +497,7 @@ impl DocBuilder {
     pub fn new(uri: Option<&str>) -> Self {
         let mut b = DocBuilder {
             nodes: Vec::new(),
+            text: String::new(),
             local_names: NameTable::new(),
             open: Vec::new(),
             uri: uri.map(str::to_string),
@@ -478,7 +509,8 @@ impl DocBuilder {
             name: NameId::NONE,
             parent: NO_PARENT,
             subtree_end: 0,
-            value: None,
+            start: 0,
+            end: 0,
         });
         b.open.push(0);
         b
@@ -488,9 +520,14 @@ impl DocBuilder {
         self.base_uri = Some(base.to_string());
     }
 
-    fn push(&mut self, rec: NodeRecord) -> u32 {
+    /// Appends a record under the innermost open node whose value is the
+    /// text arena from `from` to its end. Its `subtree_end` is its own
+    /// index until [`DocBuilder::end_element`] closes it.
+    fn push(&mut self, kind: NodeKind, name: NameId, from: usize) -> u32 {
         let idx = self.nodes.len() as u32;
-        self.nodes.push(rec);
+        let parent = self.parent_idx();
+        let (start, end) = (span_bound(from), span_bound(self.text.len()));
+        self.nodes.push(NodeRecord { kind, name, parent, subtree_end: idx, start, end });
         idx
     }
 
@@ -498,17 +535,17 @@ impl DocBuilder {
         *self.open.last().expect("builder has no open node")
     }
 
+    /// The text arena, for the parser to decode a value into in place; the
+    /// tail it writes becomes a node through [`DocBuilder::text_since`] or
+    /// [`DocBuilder::attribute_since`].
+    pub(crate) fn text_arena(&mut self) -> &mut String {
+        &mut self.text
+    }
+
     /// Opens an element.
     pub fn start_element(&mut self, name: &str) -> u32 {
         let name = self.local_names.intern(name);
-        let parent = self.parent_idx();
-        let idx = self.push(NodeRecord {
-            kind: NodeKind::Element,
-            name,
-            parent,
-            subtree_end: 0,
-            value: None,
-        });
+        let idx = self.push(NodeKind::Element, name, self.text.len());
         self.open.push(idx);
         self.attrs_open = true;
         idx
@@ -517,68 +554,51 @@ impl DocBuilder {
     /// Adds an attribute to the innermost open element. Must precede any
     /// child content, preserving the preorder attribute-block invariant.
     pub fn attribute(&mut self, name: &str, value: &str) -> u32 {
+        let from = self.text.len();
+        self.text.push_str(value);
+        self.attribute_since(name, from)
+    }
+
+    /// [`DocBuilder::attribute`] whose value is the text arena from `from`.
+    pub(crate) fn attribute_since(&mut self, name: &str, from: usize) -> u32 {
         assert!(
             self.attrs_open,
             "attribute() must be called before child content of the element"
         );
         let name = self.local_names.intern(name);
-        let parent = self.parent_idx();
-        let idx = self.push(NodeRecord {
-            kind: NodeKind::Attribute,
-            name,
-            parent,
-            subtree_end: 0,
-            value: Some(value.into()),
-        });
-        self.nodes[idx as usize].subtree_end = idx;
-        idx
+        self.push(NodeKind::Attribute, name, from)
     }
 
     /// Appends a text node (empty strings are dropped, per XDM).
     pub fn text(&mut self, value: &str) -> Option<u32> {
-        if value.is_empty() {
+        let from = self.text.len();
+        self.text.push_str(value);
+        self.text_since(from)
+    }
+
+    /// [`DocBuilder::text`] whose value is the text arena from `from`.
+    pub(crate) fn text_since(&mut self, from: usize) -> Option<u32> {
+        if self.text.len() == from {
             return None;
         }
         self.attrs_open = false;
-        let parent = self.parent_idx();
-        let idx = self.push(NodeRecord {
-            kind: NodeKind::Text,
-            name: NameId::NONE,
-            parent,
-            subtree_end: 0,
-            value: Some(value.into()),
-        });
-        self.nodes[idx as usize].subtree_end = idx;
-        Some(idx)
+        Some(self.push(NodeKind::Text, NameId::NONE, from))
     }
 
     pub fn comment(&mut self, value: &str) -> u32 {
-        self.attrs_open = false;
-        let parent = self.parent_idx();
-        let idx = self.push(NodeRecord {
-            kind: NodeKind::Comment,
-            name: NameId::NONE,
-            parent,
-            subtree_end: 0,
-            value: Some(value.into()),
-        });
-        self.nodes[idx as usize].subtree_end = idx;
-        idx
+        self.leaf(NodeKind::Comment, NameId::NONE, value)
     }
 
     pub fn pi(&mut self, target: &str, value: &str) -> u32 {
-        self.attrs_open = false;
         let name = self.local_names.intern(target);
-        let parent = self.parent_idx();
-        let idx = self.push(NodeRecord {
-            kind: NodeKind::Pi,
-            name,
-            parent,
-            subtree_end: 0,
-            value: Some(value.into()),
-        });
-        self.nodes[idx as usize].subtree_end = idx;
-        idx
+        self.leaf(NodeKind::Pi, name, value)
+    }
+
+    fn leaf(&mut self, kind: NodeKind, name: NameId, value: &str) -> u32 {
+        self.attrs_open = false;
+        let from = self.text.len();
+        self.text.push_str(value);
+        self.push(kind, name, from)
     }
 
     /// Closes the innermost element, fixing its `subtree_end`.
@@ -817,6 +837,57 @@ mod tests {
         assert_eq!(n.attribute("id"), Some("1"));
         assert_eq!(n.attribute("missing"), None);
         assert_eq!(n.name(), "b");
+    }
+
+    #[test]
+    fn node_record_is_24_bytes() {
+        assert!(std::mem::size_of::<NodeRecord>() <= 24);
+    }
+
+    #[test]
+    fn value_is_none_only_for_element_and_document_nodes() {
+        let mut store = Store::new();
+        let d = build_into(&mut store, None, |b| {
+            b.start_element("a");
+            b.attribute("k", "v");
+            b.comment("");
+            b.pi("p", "");
+            b.text("t");
+            b.end_element();
+        });
+        let doc = store.doc(d);
+        let values: Vec<Option<&str>> = (0..doc.len() as u32).map(|i| doc.value(i)).collect();
+        assert_eq!(values, vec![None, None, Some("v"), Some(""), Some(""), Some("t")]);
+        let d = crate::parser::parse_document(&mut store, "<r a=\"\"/>", None).unwrap();
+        assert_eq!(store.doc(d).value(2), Some(""), "a=\"\" is an empty value, not none");
+    }
+
+    #[test]
+    fn copies_keep_their_values_after_the_source_is_truncated() {
+        let mut src = Store::new();
+        let d = sample(&mut src);
+        let cloned = src.doc(d).clone();
+        let mut copies = Store::new();
+        let mut b = DocBuilder::new(None);
+        b.start_element("wrap");
+        b.copy_subtree(src.doc(d), &src.names, 2);
+        b.end_element();
+        let copy = copies.attach(b.finish());
+        src.truncate_docs(0);
+        // reuse the freed memory before reading the copies back
+        sample(&mut src);
+        build_into(&mut src, None, |b| {
+            b.start_element("x");
+            b.text("clobber clobber clobber");
+            b.end_element();
+        });
+        assert_eq!(cloned.value(3), Some("1"));
+        assert_eq!(cloned.string_value(0), "t");
+        let copy = copies.doc(copy);
+        // wrap > b(@id) > c, text
+        assert_eq!(copy.value(3), Some("1"));
+        assert_eq!(copy.string_value(1), "t");
+        assert_eq!(copy.element_by_id("1"), Some(2));
     }
 
     #[test]
