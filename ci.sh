@@ -291,4 +291,32 @@ if grep -rn 'bulk_workers' crates src tests examples >&2; then
     exit 1
 fi
 
+echo "== overload is decided once per side (structural) =="
+# The workload engine starts every job through one `dispatch` (no macro or
+# inline copy of it, so each scheduler span is built in one place), a
+# peer slot's callers are bounded by the daemon's in-flight gate alone (no
+# second wait-queue bound under it), and the seeded rendezvous hash lives
+# in xqd_core::replicas only.
+if grep -rn 'peer_queue_depth' crates src >&2; then
+    echo "ExecOptions::peer_queue_depth is back (ServerConfig::max_inflight is the one bound)" >&2
+    exit 1
+fi
+if grep -n 'macro_rules!' crates/xrpc/src/sched.rs >&2; then
+    echo "sched.rs holds a macro again (Scheduler::dispatch is the one dispatch path)" >&2
+    exit 1
+fi
+for span in sched.queued sched.run sched.cancelled sched.shed; do
+    # counted outside the module's tests, which look spans up by name
+    n=$(awk '/^#\[cfg\(test\)\]/ { exit } { print }' crates/xrpc/src/sched.rs | grep -c "\"$span\"" || true)
+    if [ "$n" != 1 ]; then
+        echo "sched.rs builds \"$span\" in $n places (want 1)" >&2
+        exit 1
+    fi
+done
+mix=$(grep -rn 'fn mix_score' crates --include='*.rs' | wc -l)
+if [ "$mix" != 1 ]; then
+    echo "fn mix_score is defined $mix times under crates/ (xqd_core::replicas is its home)" >&2
+    exit 1
+fi
+
 echo "== ci OK =="

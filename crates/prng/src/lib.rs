@@ -9,6 +9,12 @@
 //! The API mirrors the subset of `rand` the workspace used: `gen_range`
 //! over half-open integer ranges, `gen_bool`, and slice helpers.
 
+/// Uniform `f64` in `[0, 1)` from the top 53 bits of `bits` — the same
+/// construction `rand` uses for f64 sampling; every value is exact.
+pub fn unit_f64(bits: u64) -> f64 {
+    (bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+}
+
 /// SplitMix64 generator (Steele, Lea & Flood, OOPSLA 2014).
 #[derive(Debug, Clone)]
 pub struct Rng {
@@ -60,9 +66,7 @@ impl Rng {
     /// Bernoulli trial with probability `p` of returning `true`.
     pub fn gen_bool(&mut self, p: f64) -> bool {
         debug_assert!((0.0..=1.0).contains(&p));
-        // 53 significant bits, same construction rand uses for f64 sampling
-        let unit = (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-        unit < p
+        unit_f64(self.next_u64()) < p
     }
 
     /// Uniformly chosen element of a non-empty slice, by value.
@@ -104,6 +108,13 @@ mod tests {
             seen[(v - 5) as usize] = true;
         }
         assert!(seen.iter().all(|&s| s), "1000 draws must cover a width-10 range");
+    }
+
+    #[test]
+    fn gen_bool_stream_is_pinned() {
+        let mut r = Rng::seed_from_u64(2024);
+        let flips: String = (0..24).map(|_| if r.gen_bool(0.3) { '1' } else { '0' }).collect();
+        assert_eq!(flips, "011100101000001000000010");
     }
 
     #[test]

@@ -171,12 +171,6 @@ pub struct ExecOptions {
     /// sorted keys decide it exactly like the raw sequence — which the
     /// join-equivalence suite asserts. Part of the plan-cache key.
     pub semijoin: bool,
-    /// Bound on the number of callers allowed to wait on one peer slot's
-    /// condvar at a time. A caller arriving at a busy slot whose wait queue
-    /// is already full is rejected immediately with a typed
-    /// [`XrpcError::PeerBusy`] carrying a retry-after hint (backpressure)
-    /// instead of piling up behind the condvar. `0` disables the bound.
-    pub peer_queue_depth: usize,
     /// Collect a deterministic span trace of the run on the simulated
     /// clock (see [`crate::trace`]). Off (the default) allocates nothing
     /// on the hot path; the returned [`RunOutcome::trace`] is then `None`.
@@ -199,26 +193,9 @@ impl Default for ExecOptions {
             replica_seed: 0,
             plan_cache_size: 64,
             semijoin: true,
-            peer_queue_depth: 32,
             trace: false,
             profile: false,
         }
-    }
-}
-
-/// One peer's slot plus its bounded wait queue. The peer is `None` while
-/// taken by an executing call; `waiters` counts the callers currently
-/// blocked on the condvar for this slot, so arrivals beyond
-/// [`ExecOptions::peer_queue_depth`] can be rejected with backpressure
-/// instead of queuing without bound.
-struct PeerSlot {
-    peer: Option<Peer>,
-    waiters: u32,
-}
-
-impl PeerSlot {
-    fn ready(peer: Peer) -> Self {
-        PeerSlot { peer: Some(peer), waiters: 0 }
     }
 }
 
@@ -246,9 +223,10 @@ enum Carrier {
 
 struct FedCore {
     carrier: Carrier,
-    /// Peer slots: see [`PeerSlot`]. A federation over a [`Transport`] has
-    /// none — its peers are the daemons.
-    peers: Mutex<HashMap<String, PeerSlot>>,
+    /// Peer slots, each `None` while an executing call holds its peer (see
+    /// [`FedCore::take_peer`]). A federation over a [`Transport`] has none —
+    /// its peers are the daemons.
+    peers: Mutex<HashMap<String, Option<Peer>>>,
     /// Signalled whenever a peer is returned to its slot.
     peers_returned: Condvar,
     /// Link model the simulated attempts bill; the wire measures instead.
@@ -397,43 +375,25 @@ impl FedCore {
 
     /// Takes `name`'s peer out of its slot, waiting up to `wait` — which
     /// every caller bounds by its *remaining* deadline budget — while
-    /// another call holds it. The per-slot wait queue is bounded by
-    /// [`ExecOptions::peer_queue_depth`]: a caller arriving beyond the
-    /// bound is rejected immediately (backpressure) instead of piling up
-    /// behind the condvar. Both rejection paths return a typed
-    /// [`XrpcError::PeerBusy`] with an honest retry-after hint. An unknown
-    /// peer fails immediately — and is distinguished from a busy one, so
-    /// callers can retry the latter but not the former.
+    /// another call holds it. The one rejection is a wait that expired: a
+    /// typed [`XrpcError::PeerBusy`] with an honest retry-after hint. How
+    /// many callers may wait is bounded above the slot — by a daemon's
+    /// in-flight gate ([`crate::ServerConfig::max_inflight`]), or by the
+    /// scatter workers of a simulated run. An unknown peer fails
+    /// immediately — and is distinguished from a busy one, so callers can
+    /// retry the latter but not the former.
     fn take_peer(&self, name: &str, wait: Duration) -> Result<Peer, XrpcError> {
-        let max_waiters = self.options().peer_queue_depth;
+        let deadline = Instant::now() + wait;
         let mut peers = self.peers.lock().unwrap();
-        {
+        loop {
             let Some(slot) = peers.get_mut(name) else {
                 return Err(XrpcError::UnknownPeer { peer: name.to_string() });
             };
-            if let Some(p) = slot.peer.take() {
+            if let Some(p) = slot.take() {
                 return Ok(p);
             }
-            if max_waiters > 0 && slot.waiters as usize >= max_waiters {
-                let waiting = slot.waiters;
-                drop(peers);
-                return Err(XrpcError::PeerBusy {
-                    peer: name.to_string(),
-                    detail: format!(
-                        "wait queue full ({waiting} callers already queued on the slot)"
-                    ),
-                    retry_after: self.busy_retry_hint(name),
-                });
-            }
-            slot.waiters += 1;
-        }
-        let deadline = Instant::now() + wait;
-        loop {
             let remaining = deadline.saturating_duration_since(Instant::now());
             if remaining.is_zero() {
-                if let Some(slot) = peers.get_mut(name) {
-                    slot.waiters -= 1;
-                }
                 drop(peers);
                 return Err(XrpcError::PeerBusy {
                     peer: name.to_string(),
@@ -441,28 +401,12 @@ impl FedCore {
                     retry_after: self.busy_retry_hint(name),
                 });
             }
-            let (guard, _timeout) = self.peers_returned.wait_timeout(peers, remaining).unwrap();
-            peers = guard;
-            match peers.get_mut(name) {
-                None => return Err(XrpcError::UnknownPeer { peer: name.to_string() }),
-                Some(slot) => {
-                    if let Some(p) = slot.peer.take() {
-                        slot.waiters -= 1;
-                        return Ok(p);
-                    }
-                }
-            }
+            peers = self.peers_returned.wait_timeout(peers, remaining).unwrap().0;
         }
     }
 
     fn put_peer(&self, peer: Peer) {
-        let mut peers = self.peers.lock().unwrap();
-        // preserve the slot's waiter count — only the peer comes back
-        let slot = peers
-            .entry(peer.name.clone())
-            .or_insert_with(|| PeerSlot { peer: None, waiters: 0 });
-        slot.peer = Some(peer);
-        drop(peers);
+        self.peers.lock().unwrap().insert(peer.name.clone(), Some(peer));
         self.peers_returned.notify_all();
     }
 }
@@ -640,27 +584,16 @@ impl Federation {
         replica: &str,
     ) -> Result<(), EvalError> {
         let canonical = format!("xrpc://{primary}/{doc_name}");
-        let mut peers = self.core.peers.lock().unwrap();
-        let xml = peers
+        let xml = self
+            .core
+            .peers
+            .lock()
+            .unwrap()
             .get(primary)
-            .and_then(|slot| slot.peer.as_ref())
+            .and_then(Option::as_ref)
             .ok_or_else(|| EvalError::new(format!("unknown or busy peer: {primary}")))?
             .serialize_document(&canonical)?;
-        let entry = peers
-            .entry(replica.to_string())
-            .or_insert_with(|| PeerSlot::ready(Peer::new(replica)));
-        let rp = entry
-            .peer
-            .as_mut()
-            .ok_or_else(|| EvalError::new(format!("peer {replica} is busy")))?;
-        if rp.store.doc_by_uri(&canonical).is_none() {
-            xqd_xml::parse_document(&mut rp.store, &xml, Some(&canonical))
-                .map_err(|e| EvalError::new(format!("replicating {canonical}: {e}")))?;
-        }
-        drop(peers);
-        self.core.catalog.lock().unwrap().register(&canonical, replica);
-        self.core.frontend.topology_changed();
-        Ok(())
+        self.load_replica_copy(replica, &canonical, &xml)
     }
 
     /// Replicates every canonically-registered document of `primary` onto
@@ -672,7 +605,7 @@ impl Federation {
             let peers = self.core.peers.lock().unwrap();
             let p = peers
                 .get(primary)
-                .and_then(|slot| slot.peer.as_ref())
+                .and_then(Option::as_ref)
                 .ok_or_else(|| EvalError::new(format!("unknown or busy peer: {primary}")))?;
             let prefix = format!("xrpc://{primary}/");
             p.store
@@ -697,22 +630,16 @@ impl Federation {
 
     /// Adds an empty peer.
     pub fn add_peer(&mut self, name: &str) {
-        self.core
-            .peers
-            .lock()
-            .unwrap()
-            .insert(name.to_string(), PeerSlot::ready(Peer::new(name)));
+        self.core.peers.lock().unwrap().insert(name.to_string(), Some(Peer::new(name)));
         self.core.frontend.topology_changed();
     }
 
     /// Loads `xml` as document `doc_name` on `peer` (added if absent).
     pub fn load_document(&mut self, peer: &str, doc_name: &str, xml: &str) -> Result<(), EvalError> {
         let mut peers = self.core.peers.lock().unwrap();
-        let entry = peers
+        peers
             .entry(peer.to_string())
-            .or_insert_with(|| PeerSlot::ready(Peer::new(peer)));
-        entry
-            .peer
+            .or_insert_with(|| Some(Peer::new(peer)))
             .as_mut()
             .ok_or_else(|| EvalError::new(format!("peer {peer} is busy")))?
             .load_document(doc_name, xml)?;
@@ -722,11 +649,11 @@ impl Federation {
     }
 
     /// Loads `xml` on `peer` under an explicit foreign **canonical** URI —
-    /// a replica copy of another primary's document, arriving from outside
-    /// the federation (a daemon's CLI-provided file rather than a live
-    /// primary; [`Federation::replicate_document`] covers the in-process
-    /// case). The placement is recorded in the catalog so plain-name and
-    /// failover resolution can elect this host.
+    /// a replica copy of another primary's document, whether it arrives from
+    /// outside the federation (a daemon's CLI-provided file) or from a live
+    /// primary ([`Federation::replicate_document`]). The placement is
+    /// recorded in the catalog so plain-name and failover resolution can
+    /// elect this host.
     pub fn load_replica_copy(
         &mut self,
         peer: &str,
@@ -734,11 +661,9 @@ impl Federation {
         xml: &str,
     ) -> Result<(), EvalError> {
         let mut peers = self.core.peers.lock().unwrap();
-        let entry = peers
+        let p = peers
             .entry(peer.to_string())
-            .or_insert_with(|| PeerSlot::ready(Peer::new(peer)));
-        let p = entry
-            .peer
+            .or_insert_with(|| Some(Peer::new(peer)))
             .as_mut()
             .ok_or_else(|| EvalError::new(format!("peer {peer} is busy")))?;
         if p.store.doc_by_uri(canonical_uri).is_none() {
@@ -952,7 +877,7 @@ impl Federation {
     pub fn total_document_bytes(&self) -> u64 {
         let peers = self.core.peers.lock().unwrap();
         let mut total = 0u64;
-        for peer in peers.values().filter_map(|slot| slot.peer.as_ref()) {
+        for peer in peers.values().flatten() {
             for (_, doc) in peer.store.docs() {
                 if doc.uri.is_some() {
                     total += xqd_xml::serialize_document(doc, &peer.store.names).len() as u64;
@@ -965,11 +890,11 @@ impl Federation {
 
 /// The simulated federation seen through the [`Transport`] seam: every
 /// exchange is one envelope round-trip against a real peer slot, using the
-/// same codecs and the same slot discipline (bounded wait queue, typed
-/// `PeerBusy`) as the in-process execution paths. No fault plan applies
-/// here — the chaos oracle stays attached to the simulated *run* paths —
-/// so a reply either round-trips faithfully or fails for a real reason
-/// (unknown peer, slot contention within `budget`).
+/// same codecs and the same slot discipline (a wait bounded by `budget`,
+/// then a typed `PeerBusy`) as the in-process execution paths. No fault
+/// plan applies here — the chaos oracle stays attached to the simulated
+/// *run* paths — so a reply either round-trips faithfully or fails for a
+/// real reason (unknown peer, slot contention within `budget`).
 pub struct SimTransport {
     core: Arc<FedCore>,
 }
@@ -2064,7 +1989,7 @@ mod tests {
     #[test]
     fn served_requests_leave_the_peer_store_as_they_found_it() {
         let f = federation();
-        let doc_count = || f.core.peers.lock().unwrap()["p"].peer.as_ref().unwrap().store.doc_count();
+        let doc_count = || f.core.peers.lock().unwrap()["p"].as_ref().unwrap().store.doc_count();
         let before = doc_count();
         let mut caller = Store::new();
         let shipped = xqd_xml::parse_document(&mut caller, "<x><y/><y/></x>", None).unwrap();
@@ -2111,45 +2036,34 @@ mod tests {
         f.core.put_peer(held);
     }
 
+    /// A held slot's callers wait out their own budgets and nothing else:
+    /// the daemon's in-flight gate is the one bound on how many there are.
     #[test]
-    fn full_wait_queue_is_rejected_immediately_with_backpressure() {
+    fn every_waiter_on_a_held_slot_is_served_in_turn() {
         let f = federation();
-        let mut options = f.exec_options();
-        options.peer_queue_depth = 1;
-        *f.core.options.lock().unwrap() = options;
         let held = f.core.take_peer("p", Duration::from_millis(5)).unwrap();
-        // fill the single waiter seat from another thread
-        let core = Arc::clone(&f.core);
-        let waiter =
-            std::thread::spawn(move || core.take_peer("p", Duration::from_millis(300)));
-        while f.core.peers.lock().unwrap()["p"].waiters == 0 {
-            std::thread::yield_now();
+        let waiters: Vec<_> = (0..40)
+            .map(|_| {
+                let core = Arc::clone(&f.core);
+                std::thread::spawn(move || {
+                    let peer = core.take_peer("p", Duration::from_secs(30))?;
+                    let served = Instant::now();
+                    core.put_peer(peer);
+                    Ok::<_, XrpcError>(served)
+                })
+            })
+            .collect();
+        // the assertions hold under any interleaving; the pause lets the
+        // waiters pile up on the condvar, which a per-slot bound would reject
+        std::thread::sleep(Duration::from_millis(200));
+        let returned = Instant::now();
+        f.core.put_peer(held);
+        for waiter in waiters {
+            let served = waiter.join().unwrap();
+            let served = served.unwrap_or_else(|e| panic!("a waiter was rejected: {e}"));
+            assert!(served >= returned, "a waiter was served while the slot was held");
         }
-        // the next caller must bounce instantly instead of queueing
-        let t = Instant::now();
-        let err = f.core.take_peer("p", Duration::from_secs(30)).unwrap_err();
-        assert!(t.elapsed() < Duration::from_millis(250), "rejection was not immediate");
-        assert_eq!(err.code(), "xrpc:peer-busy");
-        assert!(format!("{err}").contains("wait queue full"), "{err}");
-        assert!(err.retry_after().unwrap() > Duration::ZERO);
-        // returning the peer hands it to the queued waiter
-        f.core.put_peer(held);
-        let woken = waiter.join().unwrap().expect("queued waiter should get the slot");
-        f.core.put_peer(woken);
-    }
-
-    #[test]
-    fn depth_zero_disables_the_waiter_bound() {
-        let f = federation();
-        let mut options = f.exec_options();
-        options.peer_queue_depth = 0;
-        *f.core.options.lock().unwrap() = options;
-        let held = f.core.take_peer("p", Duration::from_millis(5)).unwrap();
-        // with the bound off, an extra caller queues (and times out) rather
-        // than being rejected up front
-        let err = f.core.take_peer("p", Duration::from_millis(10)).unwrap_err();
-        assert!(format!("{err}").contains("slot still held"), "{err}");
-        f.core.put_peer(held);
+        assert!(f.core.take_peer("p", Duration::ZERO).is_ok(), "the slot was not returned");
     }
 
     // ---- the wire carrier, proven without a socket ----

@@ -37,6 +37,9 @@
 use std::collections::BTreeMap;
 use std::time::Duration;
 
+use xqd_core::replicas::mix_score;
+use xqd_prng::unit_f64;
+
 use crate::net::as_ns;
 
 /// Public three-valued breaker state (the derived view; see module docs).
@@ -270,28 +273,11 @@ impl Scoreboard {
 // seeded selection helpers
 // ---------------------------------------------------------------------------
 
-/// FNV-1a over a name, SplitMix-style mixed with `seed` and `salt` —
-/// the same construction [`crate::FaultPlan`] uses for its per-attempt
-/// streams. Used for rendezvous-style replica selection and hedge-delay
-/// jitter, so both are pure functions of `(seed, name, salt)`.
-pub fn mix_score(seed: u64, name: &str, salt: u64) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    let mut z = seed
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(h)
-        .wrapping_add(salt.wrapping_mul(0xBF58_476D_1CE4_E5B9));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Deterministic jitter fraction in `[0, 1)` for `(seed, name, salt)`.
+/// Deterministic jitter fraction in `[0, 1)` for `(seed, name, salt)`:
+/// the rendezvous score ([`mix_score`]) as a unit float, so hedge-delay
+/// jitter is a pure function of its inputs like replica selection is.
 pub fn seeded_fraction(seed: u64, name: &str, salt: u64) -> f64 {
-    (mix_score(seed, name, salt) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    unit_f64(mix_score(seed, name, salt))
 }
 
 #[cfg(test)]

@@ -1443,7 +1443,7 @@ mod tests {
         use std::time::Duration;
         let busy = XrpcError::PeerBusy {
             peer: "p2".into(),
-            detail: "wait queue full".into(),
+            detail: "slot still held after 25ms".into(),
             retry_after: Duration::from_millis(60),
         };
         let wire = encode_fault(&busy);

@@ -24,7 +24,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use xqd_prng::Rng;
+use xqd_prng::{unit_f64, Rng};
 use xqd_xquery::value::EvalError;
 
 // ---------------------------------------------------------------------------
@@ -41,9 +41,9 @@ pub enum XrpcError {
     /// amount of waiting makes an unconfigured peer appear.
     UnknownPeer { peer: String },
     /// The peer exists but could not be engaged (slot held past the
-    /// deadline, its bounded wait queue was full, or the fault plan
-    /// declared it down). Retryable after `retry_after` — an honest hint
-    /// derived from the peer's observed service time where one is known.
+    /// deadline, or the fault plan declared it down). Retryable after
+    /// `retry_after` — an honest hint derived from the peer's observed
+    /// service time where one is known.
     PeerBusy { peer: String, detail: String, retry_after: Duration },
     /// The call did not complete within its per-call deadline (hang, or
     /// injected latency pushing the chain past the budget).
@@ -412,7 +412,7 @@ impl FaultPlan {
             return None;
         }
         let mut rng = self.stream(peer, seq);
-        let draw = (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+        let draw = unit_f64(rng.next_u64());
         let mut acc = 0.0;
         for (fault, p) in Fault::ALL.iter().zip(self.probs()) {
             acc += p;
@@ -428,7 +428,7 @@ impl FaultPlan {
     pub fn jitter(&self, peer: &str, seq: u64) -> f64 {
         let mut rng = self.stream(peer, seq);
         rng.next_u64(); // skip the fault draw
-        (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        unit_f64(rng.next_u64())
     }
 
     /// Deterministic mangling position in `[0, len)` for truncation or
@@ -775,6 +775,48 @@ mod tests {
         assert!(t2 > t1);
         // 1 MB at 125 MB/s = 8 ms + latency
         assert!((t1.as_secs_f64() - 0.0081).abs() < 0.0005, "{t1:?}");
+    }
+
+    /// The seeded streams behind replica selection, hedge jitter and fault
+    /// injection, pinned to exact values: every replay contract built on
+    /// them (traces, metrics, workload schedules) moves if one of these does.
+    #[test]
+    fn seeded_streams_are_pinned() {
+        use crate::health::seeded_fraction;
+        use xqd_core::replicas::mix_score;
+        let inputs = [(0, "", 0), (7, "a", 3), (42, "peer1", 9), (u64::MAX, "replica-b", 1 << 40)];
+        let scores: Vec<u64> = inputs.iter().map(|&(s, n, t)| mix_score(s, n, t)).collect();
+        assert_eq!(
+            scores,
+            [
+                17665956581633026203,
+                17190147588532467282,
+                13854165639774852697,
+                13180694593978149995
+            ]
+        );
+        let fractions: Vec<u64> =
+            inputs.iter().map(|&(s, n, t)| seeded_fraction(s, n, t).to_bits()).collect();
+        assert_eq!(
+            fractions,
+            [4606801174907401917, 4606568846297489534, 4604939948861572730, 4604611105577492309]
+        );
+        let plan = FaultPlan::uniform(7, 0.6);
+        let decided: Vec<&str> =
+            (0..16).map(|seq| plan.decide("p", seq).map_or("-", Fault::name)).collect();
+        assert_eq!(
+            decided.join(" "),
+            "peer-down - remote-panic peer-down truncate-response truncate-response \
+             corrupt-response peer-down truncate-response peer-down truncate-request - - \
+             corrupt-response truncate-response peer-down"
+        );
+        let jitter: Vec<u64> = (0..4).map(|seq| plan.jitter("peer2", seq).to_bits()).collect();
+        assert_eq!(
+            jitter,
+            [4605752570145219306, 4601071504195015786, 4580011355843127936, 4601096859239126360]
+        );
+        let mangled: Vec<usize> = (0..6).map(|seq| plan.mangle_position("p", seq, 1000)).collect();
+        assert_eq!(mangled, [501, 845, 442, 203, 266, 921]);
     }
 
     #[test]

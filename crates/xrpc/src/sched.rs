@@ -51,11 +51,11 @@ use std::collections::HashMap;
 use std::time::Duration;
 
 use xqd_core::Strategy;
-use xqd_prng::Rng;
+use xqd_prng::{unit_f64, Rng};
 use xqd_xquery::value::{EvalError, EvalResult};
 
 use crate::exec::Federation;
-use crate::net::{FaultPlan, Metrics, XrpcError, METRIC_NAMES};
+use crate::net::{as_ns, FaultPlan, Metrics, XrpcError, METRIC_NAMES};
 use crate::trace::{SpanBuilder, Trace, Tracer, ROOT_SPAN};
 
 /// One simulated tenant: a name, a fair-queuing weight, an offered arrival
@@ -234,8 +234,7 @@ fn mix_seed(seed: u64, salt: u64) -> u64 {
 
 /// Exponential inter-arrival gap for a Poisson process of rate `qps`.
 fn exp_gap(rng: &mut Rng, qps: f64) -> Duration {
-    let u = (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-    let secs = -(1.0 - u).ln() / qps;
+    let secs = -(1.0 - unit_f64(rng.next_u64())).ln() / qps;
     Duration::from_secs_f64(secs.clamp(0.0, 3600.0))
 }
 
@@ -249,6 +248,7 @@ fn percentile(sorted: &[Duration], p: f64) -> Duration {
 }
 
 /// One queued (or about-to-be-dispatched) query.
+#[derive(Clone, Copy)]
 struct Job {
     seq: u64,
     tenant: usize,
@@ -265,6 +265,19 @@ struct Job {
 /// weights keeps precision).
 const WFQ_UNIT: u128 = 1 << 20;
 
+/// Runs `f` with the federation's fault plan in hand, then restores the
+/// exec options `f` rewrote (the baseline pass clears the fault plan, the
+/// per-query rotation reseeds it).
+fn with_options_restored<T>(
+    fed: &mut Federation,
+    f: impl FnOnce(&mut Federation, Option<FaultPlan>) -> T,
+) -> T {
+    let saved = fed.exec_options();
+    let result = f(fed, saved.fault);
+    fed.set_exec_options(saved);
+    result
+}
+
 /// The multi-tenant workload engine. See the module docs for the model.
 pub struct WorkloadEngine;
 
@@ -273,10 +286,7 @@ impl WorkloadEngine {
     /// report. The federation's exec options (including any fault plan)
     /// are restored afterwards.
     pub fn run(fed: &mut Federation, config: &WorkloadConfig) -> EvalResult<WorkloadReport> {
-        let saved = fed.exec_options();
-        let result = Self::run_inner(fed, config, saved.fault, None);
-        fed.set_exec_options(saved);
-        result
+        with_options_restored(fed, |fed, fault| Self::run_inner(fed, config, fault, None))
     }
 
     /// Like [`WorkloadEngine::run`], but also records a scheduler trace on
@@ -290,16 +300,15 @@ impl WorkloadEngine {
         fed: &mut Federation,
         config: &WorkloadConfig,
     ) -> EvalResult<(WorkloadReport, Trace)> {
-        let saved = fed.exec_options();
         let trace_id = Rng::seed_from_u64(mix_seed(config.seed, 0)).next_u64();
         let tracer = Tracer::new(trace_id, "workload", "sched");
         tracer.root_arg("tenants", config.tenants.len().to_string());
         tracer.root_arg("workers", config.workers.to_string());
         tracer.root_arg("fair", config.fair.to_string());
-        let result = Self::run_inner(fed, config, saved.fault, Some(&tracer));
-        fed.set_exec_options(saved);
-        let report = result?;
-        tracer.advance_to(report.sim_duration.as_nanos().min(u128::from(u64::MAX)) as u64);
+        let report = with_options_restored(fed, |fed, fault| {
+            Self::run_inner(fed, config, fault, Some(&tracer))
+        })?;
+        tracer.advance_to(as_ns(report.sim_duration));
         Ok((report, tracer.finish()))
     }
 
@@ -307,10 +316,7 @@ impl WorkloadEngine {
     /// mean fault-free service time of the workload's templates. The bench
     /// sweep positions its offered-load points relative to this.
     pub fn capacity_qps(fed: &mut Federation, config: &WorkloadConfig) -> EvalResult<f64> {
-        let saved = fed.exec_options();
-        let baselines = Self::baselines(fed, config);
-        fed.set_exec_options(saved);
-        let baselines = baselines?;
+        let baselines = with_options_restored(fed, |fed, _| Self::baselines(fed, config))?;
         let mean: f64 = baselines.values().map(|(_, s)| s.as_secs_f64()).sum::<f64>()
             / baselines.len().max(1) as f64;
         if mean <= 0.0 {
@@ -350,7 +356,6 @@ impl WorkloadEngine {
         fault: Option<FaultPlan>,
         tracer: Option<&Tracer>,
     ) -> EvalResult<WorkloadReport> {
-        let ns = |d: Duration| d.as_nanos().min(u128::from(u64::MAX)) as u64;
         if config.tenants.is_empty() || config.workers == 0 {
             return Err(EvalError::new(
                 "workload needs at least one tenant and one worker".to_string(),
@@ -383,433 +388,289 @@ impl WorkloadEngine {
 
         // ---- seeded arrival processes, merged into one deterministic
         // ---- timeline (ties broken by tenant order, then sequence)
-        struct Arrival {
-            time: Duration,
-            tenant: usize,
-            template: usize,
-        }
-        let mut arrivals: Vec<Arrival> = Vec::new();
+        let mut arrivals: Vec<(Duration, usize, usize)> = Vec::new();
         for (ti, tenant) in config.tenants.iter().enumerate() {
             if tenant.offered_qps <= 0.0 {
                 continue;
             }
             let mut rng = Rng::seed_from_u64(mix_seed(config.seed, ti as u64 + 1));
             let mut t = Duration::ZERO;
-            let mut n = 0usize;
-            loop {
+            for n in 0.. {
                 t += exp_gap(&mut rng, tenant.offered_qps);
                 if t >= config.duration {
                     break;
                 }
-                arrivals.push(Arrival {
-                    time: t,
-                    tenant: ti,
-                    template: template_idx[tenant.queries[n % tenant.queries.len()].as_str()],
-                });
-                n += 1;
+                let query = tenant.queries[n % tenant.queries.len()].as_str();
+                arrivals.push((t, ti, template_idx[query]));
             }
         }
-        arrivals.sort_by_key(|a| (a.time, a.tenant));
+        arrivals.sort_by_key(|&(time, tenant, _)| (time, tenant));
 
-        // ---- scheduler state ----
+        // ---- the event loop: admit each arrival in timeline order, then
+        // ---- drive the backlog to completion once the window closes
         let tenants_n = config.tenants.len();
-        let mut workers: Vec<Duration> = vec![Duration::ZERO; config.workers];
-        let mut pending: Vec<Job> = Vec::new();
-        let mut tenant_queued: Vec<usize> = vec![0; tenants_n];
-        let mut tenant_finish_tag: Vec<u128> = vec![0; tenants_n];
-        let mut virtual_time: u128 = 0;
-        let mut peak_depth: u64 = 0;
-
-        let mut agg = Metrics::default();
-        let mut outcomes: Vec<(u64, QueryOutcome)> = Vec::new();
-        let mut latencies: Vec<Duration> = Vec::new();
-        let mut tenant_lat: Vec<Vec<Duration>> = vec![Vec::new(); tenants_n];
-        let mut sim_end = Duration::ZERO;
-        let mut results_identical = true;
-        let mut all_errors_typed = true;
-
-        let earliest = |workers: &[Duration]| -> (usize, Duration) {
-            let mut wi = 0;
-            for (i, w) in workers.iter().enumerate() {
-                if *w < workers[wi] {
-                    wi = i;
-                }
-            }
-            (wi, workers[wi])
+        let mut sched = Scheduler {
+            fed,
+            config,
+            tracer,
+            fault,
+            templates,
+            baselines,
+            estimates,
+            mean_service,
+            workers: vec![Duration::ZERO; config.workers],
+            pending: Vec::new(),
+            tenant_queued: vec![0; tenants_n],
+            tenant_finish_tag: vec![0; tenants_n],
+            virtual_time: 0,
+            peak_depth: 0,
+            agg: Metrics::default(),
+            outcomes: Vec::new(),
+            latencies: Vec::new(),
+            tenant_lat: vec![Vec::new(); tenants_n],
+            sim_end: Duration::ZERO,
+            results_identical: true,
+            all_errors_typed: true,
         };
-
-        // dispatch one job for real; returns (finish time, outcome row)
-        let execute = |fed: &mut Federation,
-                           job: &Job,
-                           start: Duration,
-                           agg: &mut Metrics,
-                           results_identical: &mut bool,
-                           all_errors_typed: &mut bool|
-         -> (Duration, QueryOutcome) {
-            // rotate the fault seed per query so faults vary across the
-            // workload while each query's schedule stays a pure function
-            // of (workload seed, job sequence)
-            if let Some(plan) = fault {
-                fed.set_fault_plan(Some(FaultPlan {
-                    seed: mix_seed(plan.seed, job.seq + 1),
-                    ..plan
-                }));
-            }
-            let query = &templates[job.template];
-            let run = fed.run(query, config.strategy);
-            match run {
-                Ok(out) => {
-                    let service = out.metrics.network_overlapped + config.service_overhead;
-                    let finish = start + service;
-                    let matched = out.result == baselines[query].0;
-                    if !matched {
-                        *results_identical = false;
-                    }
-                    agg.add(&out.metrics);
-                    (
-                        finish,
-                        QueryOutcome {
-                            tenant: job.tenant,
-                            arrival: job.arrival,
-                            finish,
-                            kind: OutcomeKind::Completed,
-                            error_code: None,
-                            matched_baseline: matched,
-                        },
-                    )
-                }
-                Err(e) => {
-                    // the failed run still consumed the slot for its chain
-                    let partial = fed.metrics();
-                    let service = partial.network_overlapped + config.service_overhead;
-                    let finish = start + service;
-                    if e.code.is_none() {
-                        *all_errors_typed = false;
-                    }
-                    agg.add(&partial);
-                    (
-                        finish,
-                        QueryOutcome {
-                            tenant: job.tenant,
-                            arrival: job.arrival,
-                            finish,
-                            kind: OutcomeKind::Errored,
-                            error_code: e.code.clone(),
-                            matched_baseline: false,
-                        },
-                    )
-                }
-            }
-        };
-
-        // picks the next queued job: smallest WFQ finish tag (fair) or
-        // smallest sequence number (global FIFO)
-        let pick = |pending: &[Job], fair: bool| -> usize {
-            let mut best = 0;
-            for (i, job) in pending.iter().enumerate() {
-                let better = if fair {
-                    (job.finish_tag, job.seq) < (pending[best].finish_tag, pending[best].seq)
-                } else {
-                    job.seq < pending[best].seq
-                };
-                if better {
-                    best = i;
-                }
-            }
-            best
-        };
-
-        // drains the run queue onto workers that free up to `until`
-        macro_rules! drain {
-            ($until:expr) => {
-                while !pending.is_empty() {
-                    let (wi, free) = earliest(&workers);
-                    if free > $until {
-                        break;
-                    }
-                    let ji = pick(&pending, config.fair);
-                    let job = pending.remove(ji);
-                    tenant_queued[job.tenant] -= 1;
-                    virtual_time = virtual_time.max(job.start_tag);
-                    let start = free.max(job.arrival);
-                    // deadline propagation: cancel before consuming the
-                    // slot when the deadline is no longer reachable
-                    if start + estimates[job.template] > job.deadline {
-                        agg.deadline_cancelled += 1;
-                        sim_end = sim_end.max(start);
-                        if let Some(t) = tracer {
-                            t.submit(
-                                ns(job.arrival),
-                                ROOT_SPAN,
-                                SpanBuilder::new("sched.queued", "sched")
-                                    .lasting(start.saturating_sub(job.arrival))
-                                    .arg("tenant", config.tenants[job.tenant].name.as_str())
-                                    .arg("seq", job.seq.to_string()),
-                            );
-                            t.submit(
-                                ns(start),
-                                ROOT_SPAN,
-                                SpanBuilder::new("sched.cancelled", "sched")
-                                    .arg("tenant", config.tenants[job.tenant].name.as_str())
-                                    .arg("seq", job.seq.to_string())
-                                    .arg("error", "xrpc:timeout"),
-                            );
-                        }
-                        outcomes.push((
-                            job.seq,
-                            QueryOutcome {
-                                tenant: job.tenant,
-                                arrival: job.arrival,
-                                finish: start,
-                                kind: OutcomeKind::DeadlineCancelled,
-                                error_code: Some("xrpc:timeout".to_string()),
-                                matched_baseline: false,
-                            },
-                        ));
-                        continue;
-                    }
-                    let (finish, row) = execute(
-                        fed,
-                        &job,
-                        start,
-                        &mut agg,
-                        &mut results_identical,
-                        &mut all_errors_typed,
-                    );
-                    workers[wi] = finish;
-                    sim_end = sim_end.max(finish);
-                    if row.kind == OutcomeKind::Completed {
-                        let lat = finish.saturating_sub(job.arrival);
-                        latencies.push(lat);
-                        tenant_lat[job.tenant].push(lat);
-                    }
-                    if let Some(t) = tracer {
-                        t.submit(
-                            ns(job.arrival),
-                            ROOT_SPAN,
-                            SpanBuilder::new("sched.queued", "sched")
-                                .lasting(start.saturating_sub(job.arrival))
-                                .arg("tenant", config.tenants[job.tenant].name.as_str())
-                                .arg("seq", job.seq.to_string()),
-                        );
-                        t.submit(
-                            ns(start),
-                            ROOT_SPAN,
-                            SpanBuilder::new("sched.run", "sched")
-                                .lasting(finish.saturating_sub(start))
-                                .arg("tenant", config.tenants[job.tenant].name.as_str())
-                                .arg("seq", job.seq.to_string())
-                                .arg("worker", wi.to_string())
-                                .arg(
-                                    "outcome",
-                                    row.error_code.clone().unwrap_or_else(|| "completed".into()),
-                                ),
-                        );
-                    }
-                    outcomes.push((job.seq, row));
-                }
-            };
-        }
-
-        // ---- the event loop: admit each arrival in timeline order ----
-        for (seq, a) in arrivals.iter().enumerate() {
-            let seq = seq as u64;
-            drain!(a.time);
-            let deadline = a.time + config.deadline;
-            let (wi, free) = earliest(&workers);
-            if pending.is_empty() && free <= a.time {
-                // a slot is idle and nothing is ahead: dispatch immediately
-                let job = Job {
-                    seq,
-                    tenant: a.tenant,
-                    template: a.template,
-                    arrival: a.time,
-                    deadline,
-                    start_tag: 0,
-                    finish_tag: 0,
-                };
-                if a.time + estimates[a.template] > deadline {
-                    agg.deadline_cancelled += 1;
-                    sim_end = sim_end.max(a.time);
-                    if let Some(t) = tracer {
-                        t.submit(
-                            ns(a.time),
-                            ROOT_SPAN,
-                            SpanBuilder::new("sched.cancelled", "sched")
-                                .arg("tenant", config.tenants[a.tenant].name.as_str())
-                                .arg("seq", seq.to_string())
-                                .arg("error", "xrpc:timeout"),
-                        );
-                    }
-                    outcomes.push((
-                        seq,
-                        QueryOutcome {
-                            tenant: a.tenant,
-                            arrival: a.time,
-                            finish: a.time,
-                            kind: OutcomeKind::DeadlineCancelled,
-                            error_code: Some("xrpc:timeout".to_string()),
-                            matched_baseline: false,
-                        },
-                    ));
-                    continue;
-                }
-                let (finish, row) = execute(
-                    fed,
-                    &job,
-                    a.time,
-                    &mut agg,
-                    &mut results_identical,
-                    &mut all_errors_typed,
-                );
-                workers[wi] = finish;
-                sim_end = sim_end.max(finish);
-                if row.kind == OutcomeKind::Completed {
-                    let lat = finish.saturating_sub(a.time);
-                    latencies.push(lat);
-                    tenant_lat[a.tenant].push(lat);
-                }
-                if let Some(t) = tracer {
-                    t.submit(
-                        ns(a.time),
-                        ROOT_SPAN,
-                        SpanBuilder::new("sched.run", "sched")
-                            .lasting(finish.saturating_sub(a.time))
-                            .arg("tenant", config.tenants[a.tenant].name.as_str())
-                            .arg("seq", seq.to_string())
-                            .arg("worker", wi.to_string())
-                            .arg(
-                                "outcome",
-                                row.error_code.clone().unwrap_or_else(|| "completed".into()),
-                            ),
-                    );
-                }
-                outcomes.push((seq, row));
-                continue;
-            }
-            if tenant_queued[a.tenant] >= config.queue_depth {
-                // admission control: the tenant's bounded run queue is
-                // full — shed with an honest resubmission estimate (time
-                // until a slot frees plus the backlog's drain time)
-                agg.shed += 1;
-                let slot_wait = free.saturating_sub(a.time);
-                let backlog = mean_service.mul_f64(
-                    (pending.len() + 1) as f64 / config.workers as f64,
-                );
-                let hint = (slot_wait + backlog).max(Duration::from_millis(1));
-                let err = XrpcError::Overloaded {
-                    retry_after_ms: hint.as_millis().min(u128::from(u64::MAX)) as u64,
-                };
-                sim_end = sim_end.max(a.time);
-                if let Some(t) = tracer {
-                    t.submit(
-                        ns(a.time),
-                        ROOT_SPAN,
-                        SpanBuilder::new("sched.shed", "sched")
-                            .arg("tenant", config.tenants[a.tenant].name.as_str())
-                            .arg("seq", seq.to_string())
-                            .arg("retry_after_ms", hint.as_millis().to_string()),
-                    );
-                }
-                outcomes.push((
-                    seq,
-                    QueryOutcome {
-                        tenant: a.tenant,
-                        arrival: a.time,
-                        finish: a.time,
-                        kind: OutcomeKind::Shed,
-                        error_code: Some(err.code()),
-                        matched_baseline: false,
-                    },
-                ));
-                continue;
-            }
-            // enqueue under WFQ virtual time
-            agg.queued += 1;
-            let weight = u128::from(config.tenants[a.tenant].weight.max(1));
-            let start_tag = virtual_time.max(tenant_finish_tag[a.tenant]);
-            let finish_tag = start_tag + WFQ_UNIT / weight;
-            tenant_finish_tag[a.tenant] = finish_tag;
-            tenant_queued[a.tenant] += 1;
-            pending.push(Job {
-                seq,
-                tenant: a.tenant,
-                template: a.template,
-                arrival: a.time,
-                deadline,
-                start_tag,
-                finish_tag,
+        for (seq, &(arrival, tenant, template)) in arrivals.iter().enumerate() {
+            sched.arrive(Job {
+                seq: seq as u64,
+                tenant,
+                template,
+                arrival,
+                deadline: arrival + config.deadline,
+                start_tag: 0,
+                finish_tag: 0,
             });
-            peak_depth = peak_depth.max(pending.len() as u64);
         }
-        // arrival window closed: drive the backlog to completion
-        drain!(Duration::MAX);
+        sched.drain(Duration::MAX);
+        Ok(sched.report())
+    }
+}
 
-        // ---- the report ----
-        outcomes.sort_by_key(|(seq, _)| *seq);
-        let outcomes: Vec<QueryOutcome> = outcomes.into_iter().map(|(_, o)| o).collect();
-        let arrivals_n = outcomes.len() as u64;
-        let mut completed = 0u64;
-        let mut errored = 0u64;
-        for o in &outcomes {
-            match o.kind {
-                OutcomeKind::Completed => completed += 1,
-                OutcomeKind::Errored => errored += 1,
-                _ => {}
+/// One engine run in progress: the executor slots, the per-tenant run
+/// queues under WFQ virtual time, and everything recorded so far.
+struct Scheduler<'a> {
+    fed: &'a mut Federation,
+    config: &'a WorkloadConfig,
+    tracer: Option<&'a Tracer>,
+    /// The installed fault plan, reseeded per query.
+    fault: Option<FaultPlan>,
+    templates: Vec<String>,
+    baselines: HashMap<String, (Vec<String>, Duration)>,
+    /// Baseline service estimate per template.
+    estimates: Vec<Duration>,
+    mean_service: Duration,
+    /// When each executor slot frees up.
+    workers: Vec<Duration>,
+    pending: Vec<Job>,
+    tenant_queued: Vec<usize>,
+    tenant_finish_tag: Vec<u128>,
+    virtual_time: u128,
+    peak_depth: u64,
+    agg: Metrics,
+    /// `(seq, outcome)` in decision order.
+    outcomes: Vec<(u64, QueryOutcome)>,
+    latencies: Vec<Duration>,
+    tenant_lat: Vec<Vec<Duration>>,
+    sim_end: Duration,
+    results_identical: bool,
+    all_errors_typed: bool,
+}
+
+impl Scheduler<'_> {
+    /// The slot that frees up first (the lowest index on a tie) and when.
+    fn earliest(&self) -> (usize, Duration) {
+        self.workers.iter().copied().enumerate().min_by_key(|&(_, free)| free).unwrap()
+    }
+
+    /// One arrival, after the queue has drained up to it: dispatched at
+    /// once when a slot is idle and nothing is queued ahead, shed when its
+    /// tenant's run queue is full, queued otherwise.
+    fn arrive(&mut self, mut job: Job) {
+        self.drain(job.arrival);
+        let (worker, free) = self.earliest();
+        if self.pending.is_empty() && free <= job.arrival {
+            self.dispatch(job, worker, job.arrival, false);
+        } else if self.tenant_queued[job.tenant] >= self.config.queue_depth {
+            // admission control: shed with an honest resubmission estimate
+            // (time until a slot frees plus the backlog's drain time)
+            self.agg.shed += 1;
+            let backlog = self
+                .mean_service
+                .mul_f64((self.pending.len() + 1) as f64 / self.config.workers as f64);
+            let hint = (free.saturating_sub(job.arrival) + backlog).max(Duration::from_millis(1));
+            let err = XrpcError::Overloaded {
+                retry_after_ms: hint.as_millis().min(u128::from(u64::MAX)) as u64,
+            };
+            self.sim_end = self.sim_end.max(job.arrival);
+            if let Some(t) = self.tracer {
+                let span = self.span("sched.shed", &job);
+                let span = span.arg("retry_after_ms", hint.as_millis().to_string());
+                t.submit(as_ns(job.arrival), ROOT_SPAN, span);
             }
+            self.record(job, job.arrival, OutcomeKind::Shed, Some(err.code()), false);
+        } else {
+            // enqueue under WFQ virtual time
+            self.agg.queued += 1;
+            let weight = u128::from(self.config.tenants[job.tenant].weight.max(1));
+            job.start_tag = self.virtual_time.max(self.tenant_finish_tag[job.tenant]);
+            job.finish_tag = job.start_tag + WFQ_UNIT / weight;
+            self.tenant_finish_tag[job.tenant] = job.finish_tag;
+            self.tenant_queued[job.tenant] += 1;
+            self.pending.push(job);
+            self.peak_depth = self.peak_depth.max(self.pending.len() as u64);
         }
-        agg.peak_queue_depth = peak_depth;
-        latencies.sort();
-        let sim_duration = sim_end.max(config.duration);
-        let goodput_qps = completed as f64 / sim_duration.as_secs_f64().max(1e-9);
+    }
+
+    /// Dispatches queued jobs onto the slots that free up by `until`:
+    /// smallest WFQ finish tag first, or arrival order when unfair.
+    fn drain(&mut self, until: Duration) {
+        while !self.pending.is_empty() {
+            let (worker, free) = self.earliest();
+            if free > until {
+                break;
+            }
+            let fair = self.config.fair;
+            let key = |job: &Job| (if fair { job.finish_tag } else { 0 }, job.seq);
+            let next = (0..self.pending.len()).min_by_key(|&i| key(&self.pending[i])).unwrap();
+            let job = self.pending.remove(next);
+            self.tenant_queued[job.tenant] -= 1;
+            self.virtual_time = self.virtual_time.max(job.start_tag);
+            let start = free.max(job.arrival);
+            self.dispatch(job, worker, start, true);
+        }
+    }
+
+    /// Starts `job` on `worker` at `start`. Deadline propagation first: a
+    /// job that can no longer finish in time is cancelled before it takes
+    /// the slot. Otherwise it runs for real and holds the slot for its
+    /// service time. Only a job that `waited` has queue residency to trace.
+    fn dispatch(&mut self, job: Job, worker: usize, start: Duration, waited: bool) {
+        if let (Some(t), true) = (self.tracer, waited) {
+            let span = self.span("sched.queued", &job).lasting(start.saturating_sub(job.arrival));
+            t.submit(as_ns(job.arrival), ROOT_SPAN, span);
+        }
+        if start + self.estimates[job.template] > job.deadline {
+            self.agg.deadline_cancelled += 1;
+            self.sim_end = self.sim_end.max(start);
+            if let Some(t) = self.tracer {
+                let span = self.span("sched.cancelled", &job);
+                t.submit(as_ns(start), ROOT_SPAN, span.arg("error", "xrpc:timeout"));
+            }
+            let code = Some("xrpc:timeout".to_string());
+            return self.record(job, start, OutcomeKind::DeadlineCancelled, code, false);
+        }
+        // rotate the fault seed per query so faults vary across the
+        // workload while each query's schedule stays a pure function of
+        // (workload seed, job sequence)
+        if let Some(plan) = self.fault {
+            let seed = mix_seed(plan.seed, job.seq + 1);
+            self.fed.set_fault_plan(Some(FaultPlan { seed, ..plan }));
+        }
+        let query = &self.templates[job.template];
+        let (metrics, kind, code, matched) = match self.fed.run(query, self.config.strategy) {
+            Ok(out) => {
+                let matched = out.result == self.baselines[query].0;
+                self.results_identical &= matched;
+                (out.metrics, OutcomeKind::Completed, None, matched)
+            }
+            // the failed run still consumed the slot for its chain
+            Err(e) => {
+                self.all_errors_typed &= e.code.is_some();
+                (self.fed.metrics(), OutcomeKind::Errored, e.code, false)
+            }
+        };
+        let finish = start + (metrics.network_overlapped + self.config.service_overhead);
+        self.agg.add(&metrics);
+        self.workers[worker] = finish;
+        self.sim_end = self.sim_end.max(finish);
+        if kind == OutcomeKind::Completed {
+            let latency = finish.saturating_sub(job.arrival);
+            self.latencies.push(latency);
+            self.tenant_lat[job.tenant].push(latency);
+        }
+        if let Some(t) = self.tracer {
+            let outcome = code.clone().unwrap_or_else(|| "completed".into());
+            let span = self.span("sched.run", &job).lasting(finish.saturating_sub(start));
+            let span = span.arg("worker", worker.to_string()).arg("outcome", outcome);
+            t.submit(as_ns(start), ROOT_SPAN, span);
+        }
+        self.record(job, finish, kind, code, matched);
+    }
+
+    /// A scheduler span about `job`, tagged with its tenant and sequence.
+    fn span(&self, name: &'static str, job: &Job) -> SpanBuilder {
+        SpanBuilder::new(name, "sched")
+            .arg("tenant", self.config.tenants[job.tenant].name.as_str())
+            .arg("seq", job.seq.to_string())
+    }
+
+    /// Records how `job` ended.
+    fn record(
+        &mut self,
+        job: Job,
+        finish: Duration,
+        kind: OutcomeKind,
+        error_code: Option<String>,
+        matched_baseline: bool,
+    ) {
+        let (tenant, arrival) = (job.tenant, job.arrival);
+        let outcome = QueryOutcome { tenant, arrival, finish, kind, error_code, matched_baseline };
+        self.outcomes.push((job.seq, outcome));
+    }
+
+    /// The audited report: fates in arrival order, tallies, percentiles.
+    fn report(mut self) -> WorkloadReport {
+        let config = self.config;
+        self.outcomes.sort_by_key(|(seq, _)| *seq);
+        let outcomes: Vec<QueryOutcome> = self.outcomes.into_iter().map(|(_, o)| o).collect();
+        let count = |tenant: Option<usize>, kind: OutcomeKind| {
+            let of_tenant = |o: &&QueryOutcome| tenant.is_none_or(|t| o.tenant == t);
+            outcomes.iter().filter(of_tenant).filter(|o| o.kind == kind).count() as u64
+        };
+        let completed = count(None, OutcomeKind::Completed);
+        self.agg.peak_queue_depth = self.peak_depth;
+        self.latencies.sort();
+        let sim_duration = self.sim_end.max(config.duration);
         let per_tenant = config
             .tenants
             .iter()
+            .zip(&mut self.tenant_lat)
             .enumerate()
-            .map(|(ti, t)| {
-                let mut lats = tenant_lat[ti].clone();
+            .map(|(ti, (t, lats))| {
                 lats.sort();
-                let mut row = TenantReport {
+                TenantReport {
                     name: t.name.clone(),
-                    arrivals: 0,
-                    completed: 0,
-                    shed: 0,
-                    deadline_cancelled: 0,
-                    errored: 0,
-                    p50: percentile(&lats, 0.50),
-                    p95: percentile(&lats, 0.95),
-                    p99: percentile(&lats, 0.99),
-                };
-                for o in outcomes.iter().filter(|o| o.tenant == ti) {
-                    row.arrivals += 1;
-                    match o.kind {
-                        OutcomeKind::Completed => row.completed += 1,
-                        OutcomeKind::Shed => row.shed += 1,
-                        OutcomeKind::DeadlineCancelled => row.deadline_cancelled += 1,
-                        OutcomeKind::Errored => row.errored += 1,
-                    }
+                    arrivals: outcomes.iter().filter(|o| o.tenant == ti).count() as u64,
+                    completed: count(Some(ti), OutcomeKind::Completed),
+                    shed: count(Some(ti), OutcomeKind::Shed),
+                    deadline_cancelled: count(Some(ti), OutcomeKind::DeadlineCancelled),
+                    errored: count(Some(ti), OutcomeKind::Errored),
+                    p50: percentile(lats, 0.50),
+                    p95: percentile(lats, 0.95),
+                    p99: percentile(lats, 0.99),
                 }
-                row
             })
             .collect();
-        Ok(WorkloadReport {
-            arrivals: arrivals_n,
+        WorkloadReport {
+            arrivals: outcomes.len() as u64,
             completed,
-            shed: agg.shed,
-            deadline_cancelled: agg.deadline_cancelled,
-            errored,
+            shed: self.agg.shed,
+            deadline_cancelled: self.agg.deadline_cancelled,
+            errored: count(None, OutcomeKind::Errored),
             sim_duration,
-            goodput_qps,
+            goodput_qps: completed as f64 / sim_duration.as_secs_f64().max(1e-9),
             offered_qps: config.offered_qps(),
-            p50: percentile(&latencies, 0.50),
-            p95: percentile(&latencies, 0.95),
-            p99: percentile(&latencies, 0.99),
+            p50: percentile(&self.latencies, 0.50),
+            p95: percentile(&self.latencies, 0.95),
+            p99: percentile(&self.latencies, 0.99),
             per_tenant,
-            results_identical,
-            all_errors_typed,
-            metrics: agg,
+            results_identical: self.results_identical,
+            all_errors_typed: self.all_errors_typed,
+            metrics: self.agg,
             outcomes,
-        })
+        }
     }
 }
 
@@ -902,6 +763,70 @@ mod tests {
             assert_eq!(a.kind, b.kind);
             assert_eq!(a.finish, b.finish);
         }
+    }
+
+    /// FNV-1a, the digest the pinned schedule below is compared by.
+    fn digest(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01B3)
+        })
+    }
+
+    /// One seeded two-tenant schedule through every path an arrival can
+    /// take — dispatched at once to run or to be cancelled, queued to run
+    /// or to be cancelled, shed, and failed under injected faults — pinned
+    /// to its exact trace bytes, per-arrival fates and counters.
+    #[test]
+    fn workload_schedule_is_pinned() {
+        let mut fed = federation();
+        // service estimates 100 µs (local), ~305 µs (one call) and ~512 µs
+        // (a dependent join over two peers) against a 400 µs deadline, so
+        // the join is cancelled even when a worker is idle
+        let queries = vec![
+            "count((1, 2, 3))".to_string(),
+            "count(doc(\"xrpc://emp/people.xml\")//name)".to_string(),
+            "for $n in doc(\"xrpc://emp/people.xml\")//name \
+             return doc(\"xrpc://hr/depts.xml\")//dept[@name = $n]"
+                .to_string(),
+        ];
+        let mut config = WorkloadConfig::new(vec![
+            TenantSpec::new("a", 2, 2500.0, queries.clone()),
+            TenantSpec::new("b", 1, 2500.0, queries),
+        ]);
+        config.seed = 11;
+        config.duration = Duration::from_millis(20);
+        config.workers = 1;
+        config.queue_depth = 2;
+        config.deadline = Duration::from_micros(400);
+        config.service_overhead = Duration::from_micros(100);
+        fed.set_fault_plan(Some(FaultPlan { p_peer_down: 0.5, ..FaultPlan::none(5) }));
+        fed.set_retry_policy(crate::RetryPolicy {
+            max_attempts: 2,
+            base_backoff: Duration::from_micros(50),
+            max_backoff: Duration::from_micros(100),
+            deadline: Duration::from_micros(600),
+        });
+        let (report, trace) = WorkloadEngine::run_traced(&mut fed, &config).unwrap();
+        let queued: std::collections::HashSet<&str> =
+            trace.named("sched.queued").map(|s| s.args[1].1.as_str()).collect();
+        let split = |name| {
+            let (waited, at_once): (Vec<&crate::trace::Span>, _) =
+                trace.named(name).partition(|s| queued.contains(s.args[1].1.as_str()));
+            (at_once.len(), waited.len())
+        };
+        let (run_at_once, run_queued) = split("sched.run");
+        let (cancelled_at_once, cancelled_queued) = split("sched.cancelled");
+        assert_eq!((run_at_once, run_queued, cancelled_at_once, cancelled_queued), (23, 12, 9, 32));
+        assert_eq!((report.shed, report.errored), (22, 2));
+        let fates: Vec<(OutcomeKind, Duration)> =
+            report.outcomes.iter().map(|o| (o.kind, o.finish)).collect();
+        assert_eq!(digest(format!("{fates:?}").as_bytes()), 0x894b_856e_574c_1f17);
+        assert_eq!(digest(trace.to_json().as_bytes()), 0x175b_c4e9_88a5_74e9);
+        assert_eq!(
+            format!("{:?}", report.replay_signature()),
+            "(33, 22, 41, 2, [7951, 315, 28, 15, 0, 9, 9, 5, 0, 0, 0, 0, 0, 0, 35, 0, 0, 0, 0, \
+             44, 22, 41, 4])"
+        );
     }
 
     #[test]

@@ -13,12 +13,13 @@
 //!   close), a read deadline mid-frame and a write deadline on replies
 //!   (typed fault, then close: the stream is desynced), and a per-request
 //!   evaluation deadline (typed `xrpc:timeout` fault);
-//! * **bounded in-flight work** — requests beyond
-//!   [`ServerConfig::max_inflight`] are shed immediately with a typed
-//!   `xrpc:overloaded` fault carrying an honest `retry-after-ms` derived
-//!   from the observed service-time EWMA (the admission-control discipline,
-//!   now over a real wire), and connections beyond
-//!   [`ServerConfig::max_connections`] are refused the same way;
+//! * **bounded in-flight work** — [`ServerConfig::max_inflight`] is the one
+//!   bound on the daemon's queue: admitted requests wait for the peer slot
+//!   within their own deadlines, requests beyond it are shed immediately
+//!   with a typed `xrpc:overloaded` fault carrying an honest
+//!   `retry-after-ms` derived from the observed service-time EWMA (the
+//!   admission-control discipline, now over a real wire), and connections
+//!   beyond [`ServerConfig::max_connections`] are refused the same way;
 //! * **malformed input never kills a connection it can still use** — a
 //!   well-framed but undecodable payload is answered with a typed fault
 //!   envelope and the connection stays open; only frame-level desync
@@ -52,10 +53,11 @@ pub struct ServerConfig {
     /// Concurrent connections accepted; arrivals beyond it are refused
     /// with a typed `xrpc:overloaded` fault.
     pub max_connections: usize,
-    /// Concurrent requests evaluated across all connections; arrivals
-    /// beyond it are shed immediately with `xrpc:overloaded` plus an
-    /// honest `retry-after-ms` (no queueing — the bounded wait happens in
-    /// the peer-slot queue underneath, not at admission).
+    /// Concurrent requests admitted across all connections, and with it the
+    /// one bound on the daemon's queue: admitted requests wait their turn
+    /// for the peer slot (each within its own deadline), arrivals beyond
+    /// the bound are shed immediately with `xrpc:overloaded` plus an honest
+    /// `retry-after-ms`.
     pub max_inflight: usize,
     /// Mid-frame read deadline: a peer that started a frame must finish
     /// sending it within this window.
@@ -176,7 +178,6 @@ impl Shared {
     /// [`SLOT_POLL`], and expiry produces a typed `xrpc:timeout` fault.
     fn execute(&self, request: &str) -> String {
         let started = Instant::now();
-        let t0 = Instant::now();
         loop {
             let deadline_left = self.config.request_deadline.saturating_sub(started.elapsed());
             let (budget, deadline) = match self.drain_remaining() {
@@ -186,24 +187,14 @@ impl Shared {
             if budget.is_zero() {
                 return encode_fault(&XrpcError::Timeout { peer: self.name.clone(), deadline });
             }
-            let chunk = budget.min(SLOT_POLL);
-            let attempt = Instant::now();
-            match self.transport.exchange(&self.name, request, chunk) {
+            match self.transport.exchange(&self.name, request, budget.min(SLOT_POLL)) {
                 Ok(reply) => {
-                    self.note_service(t0.elapsed());
+                    self.note_service(started.elapsed());
                     return reply;
                 }
-                // the slot is held by another request: re-check drain and
-                // deadline, then wait again. A rejection that came back
-                // instantly (bounded wait queue full) must not spin — hold
-                // the rest of the chunk before re-entering the queue.
-                Err(XrpcError::PeerBusy { .. }) => {
-                    let spent = attempt.elapsed();
-                    if spent < chunk {
-                        std::thread::sleep(chunk - spent);
-                    }
-                    continue;
-                }
+                // the slot stayed held by another request for the whole
+                // chunk: re-check drain and deadline, then wait again
+                Err(XrpcError::PeerBusy { .. }) => continue,
                 Err(e) => return encode_fault(&e),
             }
         }
@@ -368,8 +359,8 @@ impl PeerServer {
         self.fed.load_replica_copy(&name, canonical_uri, xml)
     }
 
-    /// Execution options for the peer's evaluator (indexes, bulk workers,
-    /// slot queue depth).
+    /// Execution options for the peer's evaluator (indexes, plan cache,
+    /// semi-joins).
     pub fn set_exec_options(&mut self, options: ExecOptions) {
         self.fed.set_exec_options(options);
     }

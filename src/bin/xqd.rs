@@ -187,6 +187,24 @@ fn parse_strategy(s: &str) -> Option<Vec<Strategy>> {
     })
 }
 
+/// The numeric value of the flag at `args[i]`.
+fn num_arg<T: std::str::FromStr>(args: &[String], i: usize, flag: &str) -> Result<T, String> {
+    args.get(i + 1).and_then(|s| s.parse().ok()).ok_or_else(|| format!("{flag} requires a number"))
+}
+
+/// Injected worker panics are captured and surfaced as typed errors; keeps
+/// their default-hook noise out of the CLI output.
+fn hide_injected_panics() {
+    let default_hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        let injected =
+            info.payload().downcast_ref::<String>().is_some_and(|s| s.contains("injected fault"));
+        if !injected {
+            default_hook(info);
+        }
+    }));
+}
+
 fn parse_run_options(args: &[String]) -> Result<RunOptions, String> {
     let mut opts = RunOptions {
         query: None,
@@ -217,11 +235,6 @@ fn parse_run_options(args: &[String]) -> Result<RunOptions, String> {
         query_deadline: Duration::from_millis(200),
         seed: 1,
     };
-    fn num_arg<T: std::str::FromStr>(args: &[String], i: usize, flag: &str) -> Result<T, String> {
-        args.get(i + 1)
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| format!("{flag} requires a number"))
-    }
     const SIMULATED_ONLY: [&str; 6] =
         ["--peer", "--replicas", "--network", "--fault-seed", "--fault-rate", "--hedge-ms"];
     let mut i = 0;
@@ -500,19 +513,7 @@ fn cmd_run(args: &[String], explain_only: bool) -> ExitCode {
     }
 
     if opts.fault_seed.is_some() {
-        // injected worker panics are captured and surfaced as typed errors;
-        // keep their default-hook noise out of the CLI output
-        let default_hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let injected = info
-                .payload()
-                .downcast_ref::<String>()
-                .map(|s| s.contains("injected fault"))
-                .unwrap_or(false);
-            if !injected {
-                default_hook(info);
-            }
-        }));
+        hide_injected_panics();
     }
 
     let explain_analyze = explain_only && opts.analyze;
@@ -680,11 +681,6 @@ fn cmd_serve(args: &[String]) -> ExitCode {
     let mut docs: Vec<(String, String)> = Vec::new();
     let mut replica_docs: Vec<(String, String)> = Vec::new();
     let mut config = ServerConfig::default();
-    fn num_arg<T: std::str::FromStr>(args: &[String], i: usize, flag: &str) -> Result<T, String> {
-        args.get(i + 1)
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| format!("{flag} requires a number"))
-    }
     let mut i = 0;
     while i < args.len() {
         let step = match args[i].as_str() {
@@ -878,17 +874,7 @@ fn cmd_workload(args: &[String]) -> ExitCode {
     let strategy = opts.strategies[0];
 
     if opts.fault_seed.is_some() {
-        let default_hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let injected = info
-                .payload()
-                .downcast_ref::<String>()
-                .map(|s| s.contains("injected fault"))
-                .unwrap_or(false);
-            if !injected {
-                default_hook(info);
-            }
-        }));
+        hide_injected_panics();
     }
 
     let mut fed = match build_federation(&opts, false, false) {
