@@ -319,4 +319,35 @@ if [ "$mix" != 1 ]; then
     exit 1
 fi
 
+echo "== the AST is walked one way (structural) =="
+# Which children an expression has, in which order, and which variables it
+# binds over each, is said once in crates/xquery/src/ast.rs
+# (`Expr::for_each_child` beside `map_children`). A hand-written child list,
+# a per-pass scope rule, a clone-to-read walk or decomposer metadata on the
+# plan means a copy grew back; FNV-1a lives in xqd-prng alone.
+if grep -rnE 'fn (collect_children|count_uses|uses_var|binds_name|normalize_children|is_downward_only)\b' \
+        crates --include='*.rs' >&2; then
+    echo "a second child list or scope rule is back (Expr::for_each_child is the one)" >&2
+    exit 1
+fi
+map_files=$(grep -rl 'fn map_children' crates --include='*.rs' | tr '\n' ' ')
+if [ "$map_files" != "crates/xquery/src/ast.rs " ]; then
+    echo "fn map_children defined outside ast.rs: $map_files" >&2
+    exit 1
+fi
+if grep -rn 'PlanRoute\|PlanSemijoin' crates src examples --include='*.rs' >&2; then
+    echo "the plan carries decomposer metadata again (the Decomposition holds it)" >&2
+    exit 1
+fi
+fnv=0
+for f in crates/*/src/*.rs; do
+    # counted outside each file's tests, which pin hashes by hand
+    n=$(awk '/^#\[cfg\(test\)\]/ { exit } { print }' "$f" | grep -c '0xcbf2_9ce4_8422_2325' || true)
+    fnv=$((fnv + n))
+done
+if [ "$fnv" != 1 ]; then
+    echo "the FNV-1a offset basis appears $fnv times in non-test code (xqd_prng::fnv1a is the one)" >&2
+    exit 1
+fi
+
 echo "== ci OK =="

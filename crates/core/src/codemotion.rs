@@ -13,9 +13,8 @@
 
 use std::collections::HashSet;
 
-use xqd_xml::Axis;
-use xqd_xquery::ast::{Expr, XrpcParam};
-use xqd_xquery::normalize::map_children_infallible;
+use xqd_xquery::ast::{map_children_infallible, Expr, Step, XrpcParam};
+use xqd_xquery::normalize::occurs_free;
 
 /// Applies distributed code motion to every `Execute` in the expression.
 pub fn distributed_code_motion(e: &Expr) -> Expr {
@@ -40,7 +39,7 @@ fn rewrite(e: &Expr, counter: &mut u32) -> Expr {
     // drop original parameters no longer referenced
     let kept: Vec<XrpcParam> = params
         .iter()
-        .filter(|p| uses_var(&new_body, &p.var))
+        .filter(|p| occurs_free(&new_body, &p.var))
         .cloned()
         .collect();
 
@@ -155,31 +154,21 @@ fn is_atomizing_builtin(name: &str) -> bool {
     )
 }
 
-/// A candidate is a predicate-free path of downward axis steps whose start
-/// is a parameter reference — the d-point shape that is safe to move under
-/// pass-by-value.
+/// A candidate is a d-point-shaped path ([`is_downward_run`]) whose start
+/// is a parameter reference — safe to move under pass-by-value.
 fn is_movable(e: &Expr, params: &HashSet<&str>) -> bool {
     match e {
         Expr::Path { start: Some(start), steps } => {
-            !steps.is_empty()
-                && steps
-                    .iter()
-                    .all(|s| s.predicates.is_empty() && is_downward_only(s.axis))
+            is_downward_run(steps)
                 && matches!(start.as_ref(), Expr::VarRef(v) if params.contains(v.as_str()))
         }
         _ => false,
     }
 }
 
-fn is_downward_only(axis: Axis) -> bool {
-    matches!(
-        axis,
-        Axis::Child | Axis::Attribute | Axis::Descendant | Axis::DescendantOrSelf | Axis::SelfAxis
-    )
-}
-
-fn uses_var(e: &Expr, var: &str) -> bool {
-    xqd_xquery::free_vars(e).contains(var)
+/// The d-point shape: a non-empty, predicate-free run of downward steps.
+pub(crate) fn is_downward_run(steps: &[Step]) -> bool {
+    !steps.is_empty() && steps.iter().all(|s| s.predicates.is_empty() && s.axis.is_downward())
 }
 
 #[cfg(test)]

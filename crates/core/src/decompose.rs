@@ -345,7 +345,7 @@ fn call_dependencies(e: &Expr) -> Vec<Vec<usize>> {
             }
             other => {
                 let mut acc = vec![];
-                normalize_children(other, &mut |c| {
+                other.for_each_child(&mut |c, _| {
                     let d = visit(c, env, next, out);
                     acc = union(std::mem::take(&mut acc), &d);
                 });
@@ -363,13 +363,6 @@ fn call_dependencies(e: &Expr) -> Vec<Vec<usize>> {
                 env.remove(var);
             }
         }
-    }
-
-    fn normalize_children(e: &Expr, f: &mut impl FnMut(&Expr)) {
-        xqd_xquery::normalize::map_children_infallible(e, &mut |c| {
-            f(c);
-            c.clone()
-        });
     }
 
     let mut out = Vec::new();

@@ -11,8 +11,10 @@
 //! semantics-preserving). Sinking stops when it would capture the binding's
 //! free variables under a shadowing binder.
 
-use xqd_xquery::ast::{Expr, OrderSpec, Step};
-use xqd_xquery::normalize::{free_vars, map_children_infallible};
+use std::collections::HashSet;
+
+use xqd_xquery::ast::{map_children_infallible, Expr};
+use xqd_xquery::normalize::{free_vars, occurs_free};
 
 /// Applies let-motion to the whole expression, bottom-up, repeatedly until
 /// a fixpoint (a sunk let may enable sinking an outer one).
@@ -36,62 +38,20 @@ fn sink_all(e: &Expr) -> Expr {
     rebuilt
 }
 
-/// Counts free occurrences of `$var` in `e` (stopping at shadowing binds).
-fn count_uses(e: &Expr, var: &str) -> usize {
-    match e {
-        Expr::VarRef(v) => usize::from(v == var),
-        Expr::For { var: v, seq, ret } | Expr::Let { var: v, value: seq, ret } => {
-            count_uses(seq, var) + if v == var { 0 } else { count_uses(ret, var) }
-        }
-        Expr::Typeswitch { input, cases, default_var, default } => {
-            let mut n = count_uses(input, var);
-            for c in cases {
-                if c.var != var {
-                    n += count_uses(&c.body, var);
-                }
-            }
-            if default_var != var {
-                n += count_uses(default, var);
-            }
-            n
-        }
-        Expr::Execute { peer, params, body, .. } => {
-            let mut n = count_uses(peer, var);
-            n += params.iter().filter(|p| p.outer == var).count();
-            if !params.iter().any(|p| p.var == var) {
-                n += count_uses(body, var);
-            }
-            n
-        }
-        other => {
-            let mut n = 0;
-            for_each_child(other, &mut |c| n += count_uses(c, var));
-            n
-        }
-    }
-}
-
-fn for_each_child(e: &Expr, f: &mut impl FnMut(&Expr)) {
-    // reuse map_children to enumerate; cheap because we only read
-    let _ = map_children_infallible(e, &mut |c| {
-        f(c);
-        c.clone()
-    });
-}
-
 /// Sinks one binding into `ret` as deep as possible.
 fn sink_let(var: &str, value: &Expr, ret: &Expr) -> Expr {
-    match count_uses(ret, var) {
-        0 => ret.clone(),
-        _ => sink_into(var, value, ret),
+    if occurs_free(ret, var) {
+        sink_into(var, value, ret, &free_vars(value))
+    } else {
+        ret.clone()
     }
 }
 
-/// Places `let $var := value` just above the LCA of all uses within `e`.
-fn sink_into(var: &str, value: &Expr, e: &Expr) -> Expr {
+/// Places `let $var := value` just above the LCA of all uses within `e`;
+/// `fv` holds the free variables of `value`.
+fn sink_into(var: &str, value: &Expr, e: &Expr, fv: &HashSet<String>) -> Expr {
     // if exactly one direct child subtree contains all the uses, descend —
     // unless that crossing would capture a free variable of `value`
-    let fv = free_vars(value);
     let wrap = |e: &Expr| Expr::Let {
         var: var.to_string(),
         value: value.clone().boxed(),
@@ -105,23 +65,26 @@ fn sink_into(var: &str, value: &Expr, e: &Expr) -> Expr {
         }
     }
 
-    let children = direct_children(e);
-    let mut holder: Option<usize> = None;
-    for (i, c) in children.iter().enumerate() {
-        if count_uses(c, var) > 0 {
-            if holder.is_some() {
-                return wrap(e); // uses split across children: stop here
-            }
-            holder = Some(i);
+    let mut holder = None;
+    let mut split = false;
+    let mut idx = 0;
+    e.for_each_child(&mut |c, binders| {
+        if occurs_free(c, var) {
+            split |= holder.is_some();
+            holder = Some((idx, c, binders));
         }
+        idx += 1;
+    });
+    if split {
+        return wrap(e); // uses split across children: stop here
     }
-    let Some(idx) = holder else {
+    let Some((idx, child, binders)) = holder else {
         return wrap(e); // uses live in non-child positions (e.g. Execute params)
     };
 
     // capture check: descending below a binder that binds one of value's
     // free variables (or rebinds $var itself) would change meaning
-    if binds_any(e, idx, &fv) || binds_name(e, idx, var) {
+    if binders.iter().any(|b| b == var || fv.contains(b)) {
         return wrap(e);
     }
     // evaluation-count check: never sink into a per-iteration or remotely
@@ -131,25 +94,12 @@ fn sink_into(var: &str, value: &Expr, e: &Expr) -> Expr {
         return wrap(e);
     }
 
-    replace_child(e, idx, &sink_into(var, value, &children[idx]))
-}
-
-/// The direct sub-expressions of `e`, in a stable order matching
-/// [`replace_child`].
-fn direct_children(e: &Expr) -> Vec<Expr> {
-    let mut out = Vec::new();
-    for_each_child(e, &mut |c| out.push(c.clone()));
-    out
-}
-
-/// Does descending into child `idx` of `e` cross a binder for any name in
-/// `names`?
-fn binds_any(e: &Expr, idx: usize, names: &std::collections::HashSet<String>) -> bool {
-    names.iter().any(|n| binds_name(e, idx, n))
+    replace_child(e, idx, &sink_into(var, value, child, fv))
 }
 
 /// Positions evaluated more than once (per item/candidate) or on a remote
 /// peer: sinking a binding there would change evaluation count or site.
+/// `idx` counts children in [`Expr::for_each_child`] order.
 fn blocks_descent(e: &Expr, idx: usize) -> bool {
     match e {
         Expr::For { .. } => idx == 1,               // loop body
@@ -165,28 +115,6 @@ fn blocks_descent(e: &Expr, idx: usize) -> bool {
     }
 }
 
-fn binds_name(e: &Expr, idx: usize, name: &str) -> bool {
-    match e {
-        // child 0 is the binding value (not in scope), child 1 the body
-        Expr::For { var, .. } | Expr::Let { var, .. } => idx == 1 && var == name,
-        Expr::Typeswitch { cases, default_var, .. } => {
-            // children: input, case bodies…, default
-            if idx == 0 {
-                false
-            } else if idx <= cases.len() {
-                cases[idx - 1].var == name
-            } else {
-                default_var == name
-            }
-        }
-        Expr::Execute { params, .. } => {
-            // children: peer, body
-            idx == 1 && params.iter().any(|p| p.var == name)
-        }
-        _ => false,
-    }
-}
-
 /// Rebuilds `e` with child `idx` replaced.
 fn replace_child(e: &Expr, idx: usize, new_child: &Expr) -> Expr {
     let mut i = 0usize;
@@ -196,11 +124,6 @@ fn replace_child(e: &Expr, idx: usize, new_child: &Expr) -> Expr {
         out
     })
 }
-
-/// Suppress an unused-import false positive: `Step`/`OrderSpec` appear only
-/// in documentation cross-references.
-#[allow(dead_code)]
-fn _doc_refs(_: &Step, _: &OrderSpec) {}
 
 #[cfg(test)]
 mod tests {

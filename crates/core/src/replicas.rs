@@ -137,14 +137,9 @@ impl ReplicaCatalog {
 /// its per-attempt streams, so selection is seeded, deterministic, and
 /// uncorrelated between nearby seeds.
 pub fn mix_score(seed: u64, name: &str, salt: u64) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
     let mut z = seed
         .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(h)
+        .wrapping_add(xqd_prng::fnv1a(name.as_bytes()))
         .wrapping_add(salt.wrapping_mul(0xBF58_476D_1CE4_E5B9));
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

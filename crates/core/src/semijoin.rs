@@ -35,9 +35,9 @@
 
 use std::collections::HashSet;
 
-use xqd_xml::Axis;
-use xqd_xquery::ast::{Expr, Step};
-use xqd_xquery::normalize::map_children_infallible;
+use xqd_xquery::ast::{map_children_infallible, Expr, Step};
+
+use crate::codemotion::is_downward_run;
 
 /// One detected (and applied) semi-join rewrite, before the surrounding
 /// decomposition resolves call indices: the producer binding's variable and
@@ -137,21 +137,6 @@ fn is_data(name: &str) -> bool {
     name == "data" || name == "fn:data"
 }
 
-fn downward_only(steps: &[Step]) -> bool {
-    !steps.is_empty()
-        && steps.iter().all(|s| {
-            s.predicates.is_empty()
-                && matches!(
-                    s.axis,
-                    Axis::Child
-                        | Axis::Attribute
-                        | Axis::Descendant
-                        | Axis::DescendantOrSelf
-                        | Axis::SelfAxis
-                )
-        })
-}
-
 /// Conservative key-use analysis for one producer binding. Succeeds only
 /// when every reachable use of the producer variable (or of a variable
 /// derived from it) is one of:
@@ -212,7 +197,7 @@ impl Scan {
         match e {
             Expr::Path { start: Some(start), steps } => match start.as_ref() {
                 Expr::VarRef(v)
-                    if self.producer.as_deref() == Some(v) && downward_only(steps) =>
+                    if self.producer.as_deref() == Some(v) && is_downward_run(steps) =>
                 {
                     Some(KeyVal::Column(steps.clone()))
                 }
@@ -246,7 +231,6 @@ impl Scan {
                     self.ok = false;
                 }
             }
-            Expr::Literal(_) | Expr::Empty | Expr::ContextItem => {}
             Expr::Comparison { lhs, rhs, .. } => {
                 self.operand(lhs);
                 self.operand(rhs);
@@ -275,29 +259,6 @@ impl Scan {
                 }
                 self.scan(ret);
             }
-            Expr::For { var, seq, ret } => {
-                self.scan(seq);
-                if self.tracked(var) {
-                    self.ok = false;
-                    return;
-                }
-                self.scan(ret);
-            }
-            Expr::Typeswitch { input, cases, default_var, default } => {
-                self.scan(input);
-                for c in cases {
-                    if self.tracked(&c.var) {
-                        self.ok = false;
-                        return;
-                    }
-                    self.scan(&c.body);
-                }
-                if self.tracked(default_var) {
-                    self.ok = false;
-                    return;
-                }
-                self.scan(default);
-            }
             Expr::Execute { peer, params, body, .. } => {
                 self.scan(peer);
                 let mut body_keys = HashSet::new();
@@ -322,12 +283,13 @@ impl Scan {
                 self.steps = sub.steps;
                 self.ok &= sub.ok;
             }
-            other => {
-                map_children_infallible(other, &mut |c| {
-                    self.scan(c);
-                    c.clone()
-                });
-            }
+            // a child under a binder that shadows a tracked name rejects
+            other => other.for_each_child(&mut |c, binders| {
+                if binders.iter().any(|v| self.tracked(v)) {
+                    self.ok = false;
+                }
+                self.scan(c);
+            }),
         }
     }
 }

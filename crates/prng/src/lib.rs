@@ -15,6 +15,14 @@ pub fn unit_f64(bits: u64) -> f64 {
     (bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
+/// 64-bit FNV-1a of `bytes`: the seeded hash behind peer-targeted faults,
+/// rendezvous replica scores and the normalizer's generated variable names.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
 /// SplitMix64 generator (Steele, Lea & Flood, OOPSLA 2014).
 #[derive(Debug, Clone)]
 pub struct Rng {
@@ -78,6 +86,13 @@ impl Rng {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv1a_matches_the_reference_vectors() {
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+    }
 
     #[test]
     fn deterministic_per_seed() {

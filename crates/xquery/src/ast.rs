@@ -440,71 +440,234 @@ impl Expr {
     /// Visits this expression and all sub-expressions, pre-order.
     pub fn walk<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
         f(self);
+        self.for_each_child(&mut |c, _| c.walk(f));
+    }
+
+    /// Visits the direct sub-expressions, in the order [`map_children`]
+    /// rebuilds them, each with the variables this node binds over it.
+    /// This is the one statement of the AST's child order and binder scope:
+    /// `for`/`let` bind their variable over `ret`, a typeswitch clause (and
+    /// the default) its variable over its body, and `execute at` its
+    /// parameters over the shipped body. Other positions bind nothing.
+    pub fn for_each_child<'a>(&'a self, f: &mut impl FnMut(&'a Expr, Binders<'a>)) {
+        let mut free = |e: &'a Expr| f(e, Binders::None);
         match self {
             Expr::Literal(_) | Expr::Empty | Expr::VarRef(_) | Expr::ContextItem => {}
-            Expr::Sequence(es) => es.iter().for_each(|e| e.walk(f)),
-            Expr::For { seq, ret, .. } => {
-                seq.walk(f);
-                ret.walk(f);
-            }
-            Expr::Let { value, ret, .. } => {
-                value.walk(f);
-                ret.walk(f);
+            Expr::Sequence(es) | Expr::FunCall { args: es, .. } => es.iter().for_each(free),
+            Expr::For { var, seq: value, ret } | Expr::Let { var, value, ret } => {
+                free(value);
+                f(ret, Binders::One(var));
             }
             Expr::If { cond, then, els } => {
-                cond.walk(f);
-                then.walk(f);
-                els.walk(f);
+                free(cond);
+                free(then);
+                free(els);
             }
-            Expr::Typeswitch { input, cases, default, .. } => {
-                input.walk(f);
-                cases.iter().for_each(|c| c.body.walk(f));
-                default.walk(f);
+            Expr::Typeswitch { input, cases, default_var, default } => {
+                free(input);
+                cases.iter().for_each(|c| f(&c.body, Binders::One(&c.var)));
+                f(default, Binders::One(default_var));
             }
             Expr::Comparison { lhs, rhs, .. }
             | Expr::NodeComparison { lhs, rhs, .. }
             | Expr::NodeSet { lhs, rhs, .. }
-            | Expr::Arith { lhs, rhs, .. } => {
-                lhs.walk(f);
-                rhs.walk(f);
+            | Expr::Arith { lhs, rhs, .. }
+            | Expr::Filter { input: lhs, predicate: rhs }
+            | Expr::And(lhs, rhs)
+            | Expr::Or(lhs, rhs) => {
+                free(lhs);
+                free(rhs);
             }
             Expr::OrderBy { input, specs } => {
-                input.walk(f);
-                specs.iter().for_each(|s| s.key.walk(f));
+                free(input);
+                specs.iter().for_each(|s| free(&s.key));
             }
             Expr::Construct(c) => match c {
-                Constructor::Document { content } | Constructor::Text { content } => {
-                    content.walk(f)
-                }
+                Constructor::Document { content } | Constructor::Text { content } => free(content),
                 Constructor::Element { name, content }
                 | Constructor::Attribute { name, content } => {
                     if let ElemName::Computed(e) = name {
-                        e.walk(f);
+                        free(e);
                     }
-                    content.walk(f);
+                    free(content);
                 }
             },
             Expr::Path { start, steps } => {
-                if let Some(s) = start {
-                    s.walk(f);
-                }
-                steps.iter().for_each(|st| st.predicates.iter().for_each(|p| p.walk(f)));
+                start.iter().for_each(|s| free(s));
+                steps.iter().flat_map(|st| &st.predicates).for_each(free);
             }
-            Expr::Filter { input, predicate } => {
-                input.walk(f);
-                predicate.walk(f);
-            }
-            Expr::FunCall { args, .. } => args.iter().for_each(|a| a.walk(f)),
-            Expr::And(l, r) | Expr::Or(l, r) => {
-                l.walk(f);
-                r.walk(f);
-            }
-            Expr::Execute { peer, body, .. } => {
-                peer.walk(f);
-                body.walk(f);
+            Expr::Execute { peer, params, body, .. } => {
+                free(peer);
+                f(body, Binders::Params(params));
             }
         }
     }
+}
+
+/// The variables an expression binds over one of its children (see
+/// [`Expr::for_each_child`]).
+#[derive(Debug, Clone, Copy)]
+pub enum Binders<'a> {
+    None,
+    /// A `for` / `let` / typeswitch-clause variable.
+    One(&'a str),
+    /// The parameters of an `execute at`, visible inside its body.
+    Params(&'a [XrpcParam]),
+}
+
+impl<'a> Binders<'a> {
+    pub fn iter(self) -> impl Iterator<Item = &'a str> {
+        let (one, params) = match self {
+            Binders::None => (None, &[][..]),
+            Binders::One(v) => (Some(v), &[][..]),
+            Binders::Params(ps) => (None, ps),
+        };
+        one.into_iter().chain(params.iter().map(|p| p.var.as_str()))
+    }
+
+    /// Does this binding shadow `name` inside the child?
+    pub fn contains(self, name: &str) -> bool {
+        self.iter().any(|v| v == name)
+    }
+}
+
+/// Rebuilds `e` with every direct child mapped through `f`, in the order
+/// [`Expr::for_each_child`] visits them.
+pub fn map_children<E>(
+    e: &Expr,
+    f: &mut impl FnMut(&Expr) -> Result<Expr, E>,
+) -> Result<Expr, E> {
+    Ok(match e {
+        Expr::Literal(_) | Expr::Empty | Expr::VarRef(_) | Expr::ContextItem => e.clone(),
+        Expr::Sequence(es) => {
+            Expr::Sequence(es.iter().map(&mut *f).collect::<Result<_, _>>()?)
+        }
+        Expr::For { var, seq, ret } => Expr::For {
+            var: var.clone(),
+            seq: f(seq)?.boxed(),
+            ret: f(ret)?.boxed(),
+        },
+        Expr::Let { var, value, ret } => Expr::Let {
+            var: var.clone(),
+            value: f(value)?.boxed(),
+            ret: f(ret)?.boxed(),
+        },
+        Expr::If { cond, then, els } => Expr::If {
+            cond: f(cond)?.boxed(),
+            then: f(then)?.boxed(),
+            els: f(els)?.boxed(),
+        },
+        Expr::Typeswitch { input, cases, default_var, default } => Expr::Typeswitch {
+            input: f(input)?.boxed(),
+            cases: cases
+                .iter()
+                .map(|c| {
+                    Ok(CaseClause {
+                        var: c.var.clone(),
+                        seq_type: c.seq_type.clone(),
+                        body: f(&c.body)?,
+                    })
+                })
+                .collect::<Result<_, E>>()?,
+            default_var: default_var.clone(),
+            default: f(default)?.boxed(),
+        },
+        Expr::Comparison { op, lhs, rhs } => Expr::Comparison {
+            op: *op,
+            lhs: f(lhs)?.boxed(),
+            rhs: f(rhs)?.boxed(),
+        },
+        Expr::NodeComparison { op, lhs, rhs } => Expr::NodeComparison {
+            op: *op,
+            lhs: f(lhs)?.boxed(),
+            rhs: f(rhs)?.boxed(),
+        },
+        Expr::OrderBy { input, specs } => Expr::OrderBy {
+            input: f(input)?.boxed(),
+            specs: specs
+                .iter()
+                .map(|s| Ok(OrderSpec { key: f(&s.key)?, descending: s.descending }))
+                .collect::<Result<_, E>>()?,
+        },
+        Expr::NodeSet { op, lhs, rhs } => Expr::NodeSet {
+            op: *op,
+            lhs: f(lhs)?.boxed(),
+            rhs: f(rhs)?.boxed(),
+        },
+        Expr::Construct(c) => Expr::Construct(match c {
+            Constructor::Document { content } => {
+                Constructor::Document { content: f(content)?.boxed() }
+            }
+            Constructor::Text { content } => Constructor::Text { content: f(content)?.boxed() },
+            Constructor::Element { name, content } => Constructor::Element {
+                name: map_elem_name(name, f)?,
+                content: f(content)?.boxed(),
+            },
+            Constructor::Attribute { name, content } => Constructor::Attribute {
+                name: map_elem_name(name, f)?,
+                content: f(content)?.boxed(),
+            },
+        }),
+        Expr::Path { start, steps } => Expr::Path {
+            start: match start {
+                Some(s) => Some(f(s)?.boxed()),
+                None => None,
+            },
+            steps: steps
+                .iter()
+                .map(|st| {
+                    Ok(Step {
+                        axis: st.axis,
+                        test: st.test.clone(),
+                        predicates: st
+                            .predicates
+                            .iter()
+                            .map(&mut *f)
+                            .collect::<Result<_, E>>()?,
+                    })
+                })
+                .collect::<Result<_, E>>()?,
+        },
+        Expr::Filter { input, predicate } => Expr::Filter {
+            input: f(input)?.boxed(),
+            predicate: f(predicate)?.boxed(),
+        },
+        Expr::FunCall { name, args } => Expr::FunCall {
+            name: name.clone(),
+            args: args.iter().map(&mut *f).collect::<Result<_, _>>()?,
+        },
+        Expr::And(l, r) => Expr::And(f(l)?.boxed(), f(r)?.boxed()),
+        Expr::Or(l, r) => Expr::Or(f(l)?.boxed(), f(r)?.boxed()),
+        Expr::Arith { op, lhs, rhs } => Expr::Arith {
+            op: *op,
+            lhs: f(lhs)?.boxed(),
+            rhs: f(rhs)?.boxed(),
+        },
+        Expr::Execute { peer, params, body, projection } => Expr::Execute {
+            peer: f(peer)?.boxed(),
+            params: params.clone(),
+            body: f(body)?.boxed(),
+            projection: projection.clone(),
+        },
+    })
+}
+
+/// Infallible variant of [`map_children`].
+pub fn map_children_infallible(e: &Expr, f: &mut impl FnMut(&Expr) -> Expr) -> Expr {
+    match map_children(e, &mut |c| Ok::<_, std::convert::Infallible>(f(c))) {
+        Ok(out) => out,
+        Err(never) => match never {},
+    }
+}
+
+fn map_elem_name<E>(
+    n: &ElemName,
+    f: &mut impl FnMut(&Expr) -> Result<Expr, E>,
+) -> Result<ElemName, E> {
+    Ok(match n {
+        ElemName::Static(s) => ElemName::Static(s.clone()),
+        ElemName::Computed(e) => ElemName::Computed(f(e)?.boxed()),
+    })
 }
 
 // ---------------------------------------------------------------------------

@@ -141,29 +141,6 @@ pub struct PlanFunc {
     pub body: OpRef,
 }
 
-/// Decomposer routing metadata recorded in the plan: one entry per remote
-/// call site with its replica candidates, resolved once at plan-build time
-/// instead of rediscovered per run.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PlanRoute {
-    pub peer: String,
-    pub replicas: Vec<String>,
-}
-
-/// Semi-join metadata recorded in the plan by the distributed executor:
-/// one entry per producer call rewritten to harvest a distinct sorted key
-/// column, with the peer the resulting key filter is shipped to.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PlanSemijoin {
-    /// Variable bound to the key-harvest call.
-    pub var: String,
-    /// The key column the producer extracts (e.g. `child::id`).
-    pub key_path: String,
-    pub producer_peer: String,
-    /// `None` when the join closes at the coordinator.
-    pub consumer_peer: Option<String>,
-}
-
 /// A general-comparison operand whose value is a pure function of its free
 /// variables' bindings: built only from `VarRef`, `Const`, predicate-free
 /// `Path` steps over those, and one-argument `data` / `string` (atomization
@@ -228,15 +205,6 @@ pub struct Plan {
     /// Index strategy the plan was compiled for (the per-step decisions in
     /// [`PlanStep::indexed`] were made under this toggle).
     pub use_indexes: bool,
-    /// Scatter-round sizes statically detectable in the body — the same
-    /// predicate the runtime applies, recorded for explain output.
-    pub scatter_rounds: Vec<usize>,
-    /// Remote call sites with replica candidates, filled in by the
-    /// distributed executor when it plans a decomposed query.
-    pub routes: Vec<PlanRoute>,
-    /// Semi-join edges baked into the plan's call bodies, recorded by the
-    /// distributed executor for explain/metrics.
-    pub semijoins: Vec<PlanSemijoin>,
     /// Number of non-trivial subexpressions pre-evaluated at compile time.
     pub consts_folded: u32,
     /// Memoisable comparison operands, indexed by [`Op::Comparison`]'s
@@ -264,18 +232,6 @@ impl Plan {
         ev.eval_op(self, &mut run, self.root)
     }
 
-    /// Attaches decomposer routing metadata (builder style).
-    pub fn with_routes(mut self, routes: Vec<PlanRoute>) -> Self {
-        self.routes = routes;
-        self
-    }
-
-    /// Attaches semi-join metadata (builder style).
-    pub fn with_semijoins(mut self, semijoins: Vec<PlanSemijoin>) -> Self {
-        self.semijoins = semijoins;
-        self
-    }
-
     /// Human-readable op listing (explain output): header, functions,
     /// one line per op with the chosen axis strategy per path step.
     pub fn dump(&self) -> String {
@@ -288,25 +244,6 @@ impl Plan {
             self.consts_folded,
             if self.use_indexes { "on" } else { "off" },
         ));
-        if !self.scatter_rounds.is_empty() {
-            out.push_str(&format!("scatter rounds: {:?}\n", self.scatter_rounds));
-        }
-        for r in &self.routes {
-            if r.replicas.is_empty() {
-                out.push_str(&format!("route: {}\n", r.peer));
-            } else {
-                out.push_str(&format!("route: {} replicas[{}]\n", r.peer, r.replicas.join(", ")));
-            }
-        }
-        for s in &self.semijoins {
-            out.push_str(&format!(
-                "semijoin: ${} keys {} from {} -> {}\n",
-                s.var,
-                s.key_path,
-                s.producer_peer,
-                s.consumer_peer.as_deref().unwrap_or("(coordinator)"),
-            ));
-        }
         for f in &self.funcs {
             let params: Vec<String> =
                 f.params.iter().map(|&p| format!("${}", self.sym(p))).collect();
@@ -726,7 +663,8 @@ fn let_scatter(e: &Expr) -> Option<LetScatterChain<'_>> {
 
 /// Sizes of every scatter round statically detectable in `e` — the same
 /// predicates the compiler bakes into the plan, exposed so the decomposer
-/// can tag plans whose XRPC calls will fan out (explain output, tests).
+/// can record on a `Decomposition` which XRPC calls will fan out (explain
+/// output, tests).
 pub fn scatter_rounds(e: &Expr) -> Vec<usize> {
     fn walk(e: &Expr, out: &mut Vec<usize>) {
         if let Expr::Sequence(es) = e {
@@ -755,10 +693,7 @@ pub fn scatter_rounds(e: &Expr) -> Vec<usize> {
                 return;
             }
         }
-        crate::normalize::map_children_infallible(e, &mut |c| {
-            walk(c, out);
-            c.clone()
-        });
+        e.for_each_child(&mut |c, _| walk(c, out));
     }
     let mut out = Vec::new();
     walk(e, &mut out);
@@ -1161,9 +1096,6 @@ pub fn compile_module(
         funcs,
         syms: c.syms,
         use_indexes,
-        scatter_rounds: scatter_rounds(body),
-        routes: Vec::new(),
-        semijoins: Vec::new(),
         consts_folded: c.consts_folded,
         memos: c.memos,
     }
@@ -2210,7 +2142,6 @@ mod tests {
                  return ($a, $b)";
         let module = parse_query(q).unwrap();
         let plan = compile_query(&module, true, &StaticContext::default());
-        assert_eq!(plan.scatter_rounds, vec![2]);
         assert!(
             plan.ops.iter().any(|op| matches!(op, Op::LetScatter { binds, .. } if binds.len() == 2)),
             "let-chain compiles to a scatter op:\n{}",

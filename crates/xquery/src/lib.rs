@@ -34,8 +34,8 @@ pub mod value;
 
 pub use ast::{Atomic, Expr, FunctionDef, QueryModule, XrpcParam};
 pub use compile::{
-    compile_module, compile_query, scatter_rounds, Op, OpProfile, OpRef, Plan, PlanRoute,
-    PlanSemijoin, PlanStep, ProfileHook, SymId,
+    compile_module, compile_query, scatter_rounds, Op, OpProfile, OpRef, Plan, PlanStep,
+    ProfileHook, SymId,
 };
 pub use eval::{
     eval_query, eval_query_with_indexes, DocResolver, Evaluator, LocalResolver, RemoteHandler,

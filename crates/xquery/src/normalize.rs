@@ -105,11 +105,7 @@ fn is_positional(pred: &Expr) -> bool {
 
 fn fresh_filter_var(pred: &Expr) -> String {
     // derive a stable name from the predicate's pointer-free shape
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in format!("{pred:?}").bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
+    let h = xqd_prng::fnv1a(format!("{pred:?}").as_bytes());
     format!("flt_{:x}", h & 0xffff_ffff)
 }
 
@@ -138,316 +134,65 @@ pub fn substitute_context(e: &Expr, var: &str) -> Expr {
 /// Hygienic variable rename: `$from` → `$to`, stopping at shadowing
 /// rebindings of `$from`.
 pub fn rename_var(e: &Expr, from: &str, to: &str) -> Expr {
-    match e {
-        Expr::VarRef(v) if v == from => Expr::VarRef(to.to_string()),
-        Expr::For { var, seq, ret } => Expr::For {
-            var: var.clone(),
-            seq: rename_var(seq, from, to).boxed(),
-            ret: if var == from { ret.clone() } else { rename_var(ret, from, to).boxed() },
-        },
-        Expr::Let { var, value, ret } => Expr::Let {
-            var: var.clone(),
-            value: rename_var(value, from, to).boxed(),
-            ret: if var == from { ret.clone() } else { rename_var(ret, from, to).boxed() },
-        },
-        Expr::Typeswitch { input, cases, default_var, default } => Expr::Typeswitch {
-            input: rename_var(input, from, to).boxed(),
-            cases: cases
-                .iter()
-                .map(|c| CaseClause {
-                    var: c.var.clone(),
-                    seq_type: c.seq_type.clone(),
-                    body: if c.var == from { c.body.clone() } else { rename_var(&c.body, from, to) },
-                })
-                .collect(),
-            default_var: default_var.clone(),
-            default: if default_var == from {
-                default.clone()
-            } else {
-                rename_var(default, from, to).boxed()
-            },
-        },
-        Expr::Execute { peer, params, body, projection } => {
-            let new_params: Vec<XrpcParam> = params
-                .iter()
-                .map(|p| XrpcParam {
-                    var: p.var.clone(),
-                    outer: if p.outer == from { to.to_string() } else { p.outer.clone() },
-                })
-                .collect();
-            // params shadow inside the body
-            let body_shadowed = params.iter().any(|p| p.var == from);
-            Expr::Execute {
-                peer: rename_var(peer, from, to).boxed(),
-                params: new_params,
-                body: if body_shadowed { body.clone() } else { rename_var(body, from, to).boxed() },
-                projection: projection.clone(),
-            }
-        }
-        other => map_children_infallible(other, &mut |c| rename_var(c, from, to)),
+    if matches!(e, Expr::VarRef(v) if v == from) {
+        return Expr::VarRef(to.to_string());
     }
+    let mut shadowed = Vec::new();
+    e.for_each_child(&mut |_, binders| shadowed.push(binders.contains(from)));
+    let mut shadowed = shadowed.into_iter();
+    let mut out = map_children_infallible(e, &mut |c| {
+        if shadowed.next() == Some(true) {
+            c.clone()
+        } else {
+            rename_var(c, from, to)
+        }
+    });
+    // shipped parameters read their outer variables in this scope
+    if let Expr::Execute { params, .. } = &mut out {
+        for p in params.iter_mut().filter(|p| p.outer == from) {
+            p.outer = to.to_string();
+        }
+    }
+    out
 }
 
 /// Free variables of an expression (referenced but not bound within).
 pub fn free_vars(e: &Expr) -> HashSet<String> {
     let mut out = HashSet::new();
-    collect_free(e, &mut Vec::new(), &mut out);
+    for_each_free(e, &mut Vec::new(), &mut |v| {
+        out.insert(v.to_string());
+    });
     out
 }
 
-fn collect_free(e: &Expr, bound: &mut Vec<String>, out: &mut HashSet<String>) {
+/// Is `$var` free in `e` (referenced, or shipped as a parameter, outside
+/// any rebinding of it)?
+pub fn occurs_free(e: &Expr, var: &str) -> bool {
+    let mut found = false;
+    for_each_free(e, &mut Vec::new(), &mut |v| found |= v == var);
+    found
+}
+
+/// Calls `f` on every free variable occurrence in `e`: a `VarRef`, or an
+/// `execute at` parameter's outer variable, not bound by an enclosing
+/// binder inside `e` (`bound`).
+fn for_each_free<'a>(e: &'a Expr, bound: &mut Vec<&'a str>, f: &mut impl FnMut(&'a str)) {
+    let mut visit = |v: &'a str, bound: &[&str]| {
+        if !bound.contains(&v) {
+            f(v);
+        }
+    };
     match e {
-        Expr::VarRef(v) => {
-            if !bound.iter().any(|b| b == v) {
-                out.insert(v.clone());
-            }
-        }
-        Expr::For { var, seq, ret } => {
-            collect_free(seq, bound, out);
-            bound.push(var.clone());
-            collect_free(ret, bound, out);
-            bound.pop();
-        }
-        Expr::Let { var, value, ret } => {
-            collect_free(value, bound, out);
-            bound.push(var.clone());
-            collect_free(ret, bound, out);
-            bound.pop();
-        }
-        Expr::Typeswitch { input, cases, default_var, default } => {
-            collect_free(input, bound, out);
-            for c in cases {
-                bound.push(c.var.clone());
-                collect_free(&c.body, bound, out);
-                bound.pop();
-            }
-            bound.push(default_var.clone());
-            collect_free(default, bound, out);
-            bound.pop();
-        }
-        Expr::Execute { peer, params, body, .. } => {
-            collect_free(peer, bound, out);
-            for p in params {
-                if !bound.iter().any(|b| b == &p.outer) {
-                    out.insert(p.outer.clone());
-                }
-            }
-            let mut inner: Vec<String> = params.iter().map(|p| p.var.clone()).collect();
-            let n = inner.len();
-            bound.append(&mut inner);
-            collect_free(body, bound, out);
-            bound.truncate(bound.len() - n);
-        }
-        other => {
-            let mut kids: Vec<&Expr> = Vec::new();
-            collect_children(other, &mut kids);
-            for k in kids {
-                collect_free(k, bound, out);
-            }
-        }
+        Expr::VarRef(v) => visit(v, bound),
+        Expr::Execute { params, .. } => params.iter().for_each(|p| visit(&p.outer, bound)),
+        _ => {}
     }
-}
-
-/// Collects the direct sub-expressions of `e` (no binder handling).
-fn collect_children<'a>(e: &'a Expr, out: &mut Vec<&'a Expr>) {
-    match e {
-        Expr::Literal(_) | Expr::Empty | Expr::VarRef(_) | Expr::ContextItem => {}
-        Expr::Sequence(es) => out.extend(es.iter()),
-        Expr::For { seq, ret, .. } => {
-            out.push(seq);
-            out.push(ret);
-        }
-        Expr::Let { value, ret, .. } => {
-            out.push(value);
-            out.push(ret);
-        }
-        Expr::If { cond, then, els } => {
-            out.push(cond);
-            out.push(then);
-            out.push(els);
-        }
-        Expr::Typeswitch { input, cases, default, .. } => {
-            out.push(input);
-            out.extend(cases.iter().map(|c| &c.body));
-            out.push(default);
-        }
-        Expr::Comparison { lhs, rhs, .. }
-        | Expr::NodeComparison { lhs, rhs, .. }
-        | Expr::NodeSet { lhs, rhs, .. }
-        | Expr::Arith { lhs, rhs, .. } => {
-            out.push(lhs);
-            out.push(rhs);
-        }
-        Expr::OrderBy { input, specs } => {
-            out.push(input);
-            out.extend(specs.iter().map(|s| &s.key));
-        }
-        Expr::Construct(c) => match c {
-            Constructor::Document { content } | Constructor::Text { content } => out.push(content),
-            Constructor::Element { name, content } | Constructor::Attribute { name, content } => {
-                if let ElemName::Computed(e) = name {
-                    out.push(e);
-                }
-                out.push(content);
-            }
-        },
-        Expr::Path { start, steps } => {
-            if let Some(s) = start {
-                out.push(s);
-            }
-            for st in steps {
-                out.extend(st.predicates.iter());
-            }
-        }
-        Expr::Filter { input, predicate } => {
-            out.push(input);
-            out.push(predicate);
-        }
-        Expr::FunCall { args, .. } => out.extend(args.iter()),
-        Expr::And(l, r) | Expr::Or(l, r) => {
-            out.push(l);
-            out.push(r);
-        }
-        Expr::Execute { peer, body, .. } => {
-            out.push(peer);
-            out.push(body);
-        }
-    }
-}
-
-/// Rebuilds `e` with every direct child mapped through `f` (fallible).
-pub fn map_children(
-    e: &Expr,
-    f: &mut impl FnMut(&Expr) -> Result<Expr, EvalError>,
-) -> Result<Expr, EvalError> {
-    Ok(match e {
-        Expr::Literal(_) | Expr::Empty | Expr::VarRef(_) | Expr::ContextItem => e.clone(),
-        Expr::Sequence(es) => {
-            Expr::Sequence(es.iter().map(&mut *f).collect::<Result<_, _>>()?)
-        }
-        Expr::For { var, seq, ret } => Expr::For {
-            var: var.clone(),
-            seq: f(seq)?.boxed(),
-            ret: f(ret)?.boxed(),
-        },
-        Expr::Let { var, value, ret } => Expr::Let {
-            var: var.clone(),
-            value: f(value)?.boxed(),
-            ret: f(ret)?.boxed(),
-        },
-        Expr::If { cond, then, els } => Expr::If {
-            cond: f(cond)?.boxed(),
-            then: f(then)?.boxed(),
-            els: f(els)?.boxed(),
-        },
-        Expr::Typeswitch { input, cases, default_var, default } => Expr::Typeswitch {
-            input: f(input)?.boxed(),
-            cases: cases
-                .iter()
-                .map(|c| {
-                    Ok(CaseClause {
-                        var: c.var.clone(),
-                        seq_type: c.seq_type.clone(),
-                        body: f(&c.body)?,
-                    })
-                })
-                .collect::<Result<_, EvalError>>()?,
-            default_var: default_var.clone(),
-            default: f(default)?.boxed(),
-        },
-        Expr::Comparison { op, lhs, rhs } => Expr::Comparison {
-            op: *op,
-            lhs: f(lhs)?.boxed(),
-            rhs: f(rhs)?.boxed(),
-        },
-        Expr::NodeComparison { op, lhs, rhs } => Expr::NodeComparison {
-            op: *op,
-            lhs: f(lhs)?.boxed(),
-            rhs: f(rhs)?.boxed(),
-        },
-        Expr::OrderBy { input, specs } => Expr::OrderBy {
-            input: f(input)?.boxed(),
-            specs: specs
-                .iter()
-                .map(|s| Ok(OrderSpec { key: f(&s.key)?, descending: s.descending }))
-                .collect::<Result<_, EvalError>>()?,
-        },
-        Expr::NodeSet { op, lhs, rhs } => Expr::NodeSet {
-            op: *op,
-            lhs: f(lhs)?.boxed(),
-            rhs: f(rhs)?.boxed(),
-        },
-        Expr::Construct(c) => Expr::Construct(match c {
-            Constructor::Document { content } => {
-                Constructor::Document { content: f(content)?.boxed() }
-            }
-            Constructor::Text { content } => Constructor::Text { content: f(content)?.boxed() },
-            Constructor::Element { name, content } => Constructor::Element {
-                name: map_elem_name(name, f)?,
-                content: f(content)?.boxed(),
-            },
-            Constructor::Attribute { name, content } => Constructor::Attribute {
-                name: map_elem_name(name, f)?,
-                content: f(content)?.boxed(),
-            },
-        }),
-        Expr::Path { start, steps } => Expr::Path {
-            start: match start {
-                Some(s) => Some(f(s)?.boxed()),
-                None => None,
-            },
-            steps: steps
-                .iter()
-                .map(|st| {
-                    Ok(Step {
-                        axis: st.axis,
-                        test: st.test.clone(),
-                        predicates: st
-                            .predicates
-                            .iter()
-                            .map(&mut *f)
-                            .collect::<Result<_, EvalError>>()?,
-                    })
-                })
-                .collect::<Result<_, EvalError>>()?,
-        },
-        Expr::Filter { input, predicate } => Expr::Filter {
-            input: f(input)?.boxed(),
-            predicate: f(predicate)?.boxed(),
-        },
-        Expr::FunCall { name, args } => Expr::FunCall {
-            name: name.clone(),
-            args: args.iter().map(&mut *f).collect::<Result<_, _>>()?,
-        },
-        Expr::And(l, r) => Expr::And(f(l)?.boxed(), f(r)?.boxed()),
-        Expr::Or(l, r) => Expr::Or(f(l)?.boxed(), f(r)?.boxed()),
-        Expr::Arith { op, lhs, rhs } => Expr::Arith {
-            op: *op,
-            lhs: f(lhs)?.boxed(),
-            rhs: f(rhs)?.boxed(),
-        },
-        Expr::Execute { peer, params, body, projection } => Expr::Execute {
-            peer: f(peer)?.boxed(),
-            params: params.clone(),
-            body: f(body)?.boxed(),
-            projection: projection.clone(),
-        },
-    })
-}
-
-/// Infallible variant of [`map_children`].
-pub fn map_children_infallible(e: &Expr, f: &mut impl FnMut(&Expr) -> Expr) -> Expr {
-    map_children(e, &mut |c| Ok(f(c))).expect("infallible mapping cannot fail")
-}
-
-fn map_elem_name(
-    n: &ElemName,
-    f: &mut impl FnMut(&Expr) -> Result<Expr, EvalError>,
-) -> Result<ElemName, EvalError> {
-    Ok(match n {
-        ElemName::Static(s) => ElemName::Static(s.clone()),
-        ElemName::Computed(e) => ElemName::Computed(f(e)?.boxed()),
-    })
+    e.for_each_child(&mut |c, binders| {
+        let n = bound.len();
+        bound.extend(binders.iter());
+        for_each_free(c, bound, f);
+        bound.truncate(n);
+    });
 }
 
 #[cfg(test)]

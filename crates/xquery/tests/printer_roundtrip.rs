@@ -92,7 +92,7 @@ fn arb_query(rng: &mut Rng, depth: u32) -> String {
 /// nested path spines (`(E/a)/b` ≡ `E/a/b` — the printer always emits the
 /// flat form).
 fn canon(e: &Expr) -> Expr {
-    let rebuilt = xqd_xquery::normalize::map_children_infallible(e, &mut canon);
+    let rebuilt = xqd_xquery::ast::map_children_infallible(e, &mut canon);
     match rebuilt {
         Expr::Execute { peer, params, body, .. } => Expr::Execute {
             peer,
@@ -111,8 +111,53 @@ fn canon(e: &Expr) -> Expr {
     }
 }
 
+/// FNV-1a, folded over successive byte strings.
+fn fnv(mut h: u64, bytes: &[u8]) -> u64 {
+    for b in bytes {
+        h ^= u64::from(*b);
+        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    h
+}
+
+/// What the scope rules of the AST decide for one expression: the variant
+/// sequence `walk` visits pre-order, the sorted free variables, and the
+/// printed `rename_var(e, name, "z")` for every name the generator binds or
+/// references.
+fn scope_facts(e: &Expr) -> String {
+    let mut out = String::new();
+    e.walk(&mut |x| {
+        let dbg = format!("{x:?}");
+        out.extend(dbg.chars().take_while(|c| c.is_alphanumeric()));
+        out.push(' ');
+    });
+    let mut free: Vec<String> = xqd_xquery::free_vars(e).into_iter().collect();
+    free.sort();
+    out.push_str(&format!("\nfree {free:?}\n"));
+    for name in ["v", "x", "y", "n", "d", "q", "outer"] {
+        out.push_str(&format!("{name} -> {}\n", xqd_xquery::rename_var(e, name, "z")));
+    }
+    out
+}
+
+/// `for_each_child` reads the children `map_children` rebuilds, in the
+/// same order, at every node of `e`.
+fn assert_one_child_order(e: &Expr) {
+    e.walk(&mut |x| {
+        let mut read: Vec<*const Expr> = Vec::new();
+        x.for_each_child(&mut |c, _| read.push(c));
+        let mut rebuilt: Vec<*const Expr> = Vec::new();
+        xqd_xquery::ast::map_children_infallible(x, &mut |c| {
+            rebuilt.push(c);
+            c.clone()
+        });
+        assert_eq!(read, rebuilt, "child order differs at {x}");
+    });
+}
+
 #[test]
 fn print_parse_roundtrip() {
+    let mut scope_digest = 0xcbf2_9ce4_8422_2325u64;
     for case in 0..192u64 {
         let mut rng = Rng::seed_from_u64(0x5052_494E_5400 ^ case.wrapping_mul(0x9E37_79B9));
         let q = arb_query(&mut rng, 0);
@@ -129,5 +174,11 @@ fn print_parse_roundtrip() {
         );
         // printing is idempotent
         assert_eq!(reparsed.to_string(), printed);
+        scope_digest = fnv(scope_digest, scope_facts(&parsed).as_bytes());
+        assert_one_child_order(&parsed);
     }
+    // walk order, free variables and hygienic renaming are pinned across
+    // all 192 cases: a change to the AST's child order or binder scope
+    // moves this digest
+    assert_eq!(scope_digest, 2399479948400497073);
 }

@@ -1586,7 +1586,7 @@ fn degrade_module(body: &Expr, peer: &str) -> Option<QueryModule> {
                 }
             }
             other => {
-                xqd_xquery::normalize::map_children_infallible(other, &mut |c| {
+                xqd_xquery::ast::map_children_infallible(other, &mut |c| {
                     rewrite(c, peer, ok)
                 })
             }

@@ -184,30 +184,13 @@ impl FrontEnd {
         observe(FrontEndEvent::Parsed { chars: query.len() });
         let mut decomposition = xqd_core::decompose_with(&module, *strategy, decompose)?;
         decomposition.resolve_replicas(&catalog.lock().unwrap(), exec.replica_seed);
-        let routes = decomposition
-            .calls
-            .iter()
-            .map(|c| xqd_xquery::PlanRoute { peer: c.peer.clone(), replicas: c.replicas.clone() })
-            .collect();
-        let semijoins = decomposition
-            .semijoins
-            .iter()
-            .map(|e| xqd_xquery::PlanSemijoin {
-                var: e.var.clone(),
-                key_path: e.key_path.clone(),
-                producer_peer: e.producer_peer.clone(),
-                consumer_peer: e.consumer_peer.clone(),
-            })
-            .collect();
         // the decomposer inlined user functions; the body is the whole query
         let plan = xqd_xquery::compile_module(
             &[],
             &decomposition.rewritten,
             exec.use_indexes,
             static_ctx,
-        )
-        .with_routes(routes)
-        .with_semijoins(semijoins);
+        );
         observe(FrontEndEvent::Compiled {
             remote_calls: decomposition.calls.len(),
             semijoins: decomposition.semijoins.len(),

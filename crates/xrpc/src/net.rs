@@ -371,12 +371,7 @@ impl FaultPlan {
 
     /// FNV-1a hash of a peer name — the key used by [`FaultPlan::target`].
     pub fn peer_hash(peer: &str) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in peer.as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        h
+        xqd_prng::fnv1a(peer.as_bytes())
     }
 
     /// Restricts this plan to a single peer: faults are injected only into
@@ -817,6 +812,12 @@ mod tests {
         );
         let mangled: Vec<usize> = (0..6).map(|seq| plan.mangle_position("p", seq, 1000)).collect();
         assert_eq!(mangled, [501, 845, 442, 203, 266, 921]);
+        let hashes: Vec<u64> =
+            ["", "p", "peer2", "replica-b"].iter().map(|p| FaultPlan::peer_hash(p)).collect();
+        assert_eq!(
+            hashes,
+            [14695981039346656037, 12638205892253321583, 14775630349765712129, 16572760467382043156]
+        );
     }
 
     #[test]

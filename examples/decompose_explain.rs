@@ -14,7 +14,6 @@
 use xqd::core::dgraph::build_dgraph;
 use xqd::core::letmotion::let_motion;
 use xqd::{compile_module, decompose, decompose_with, parse_query, DecomposeOptions, StaticContext, Strategy};
-use xqd::xquery::PlanRoute;
 
 const Q2: &str = r#"
 (let $s := doc("xrpc://A/students.xml")/people/person,
@@ -67,16 +66,21 @@ fn main() {
         }
 
         // the flat plan IR the executor lowers the rewritten query to (the
-        // coordinator caches this per query text + static context)
-        let routes = d
-            .calls
-            .iter()
-            .map(|c| PlanRoute { peer: c.peer.clone(), replicas: c.replicas.clone() })
-            .collect();
-        let plan = compile_module(&[], &d.rewritten, true, &StaticContext::default())
-            .with_routes(routes);
+        // coordinator caches this per query text + static context), after
+        // its header the decomposition's scatter rounds and call routes
+        let plan = compile_module(&[], &d.rewritten, true, &StaticContext::default());
+        let dump = plan.dump();
+        let (header, ops) = dump.split_once('\n').expect("dump has a header line");
         println!("--- compiled plan IR:");
-        for line in plan.dump().lines() {
+        println!("  {header}");
+        if !d.scatter_rounds.is_empty() {
+            println!("  scatter rounds: {:?}", d.scatter_rounds);
+        }
+        // (no replica catalog here, so every route is its canonical peer)
+        for c in &d.calls {
+            println!("  route: {}", c.peer);
+        }
+        for line in ops.lines() {
             println!("  {line}");
         }
 
