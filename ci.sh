@@ -350,4 +350,27 @@ if [ "$fnv" != 1 ]; then
     exit 1
 fi
 
+echo "== a shipped node is addressed one way (structural) =="
+# By-fragment and by-projection ship one `<fragments>` preamble addressed
+# through one table, `wire::Fragment`, on both ends of the wire: the sender
+# looks a node up in it, the receiver resolves `(fragid, nodeid)` against it
+# with checked indexing. A per-codec locate function, a rank scan, a third
+# codec variant or an unchecked subtraction from a received fragid means a
+# copy grew back.
+if grep -rnE 'fn (nodeid_in_range|node_at_nodeid|locate_projected|projected_nodeid)\b|struct ProjectedFragment\b' \
+        crates --include='*.rs' >&2; then
+    echo "a second way to address a shipped node is back (wire::Fragment is the one table)" >&2
+    exit 1
+fi
+variants=$(awk '/^enum NodeCodec/ { on = 1; next } on && /^}/ { exit } on' crates/xrpc/src/message.rs \
+    | grep -cE '^    [A-Z][A-Za-z]*([ ,{(]|$)' || true)
+if [ "$variants" != 2 ]; then
+    echo "enum NodeCodec has $variants variants (want 2: Value | Fragments)" >&2
+    exit 1
+fi
+if grep -n 'as usize - 1' crates/xrpc/src/message.rs >&2; then
+    echo "message.rs subtracts from a received value unchecked (checked_sub, then index)" >&2
+    exit 1
+fi
+
 echo "== ci OK =="

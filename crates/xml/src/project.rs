@@ -11,7 +11,10 @@
 //! * all ancestors of kept nodes are kept (so reverse axes keep working),
 //! * finally the top-most chain of single-child connector nodes not in
 //!   `U ∪ R` is trimmed, leaving the lowest common ancestor as the projected
-//!   root (lines 24–27 of Algorithm 1).
+//!   root (lines 24–27 of Algorithm 1);
+//! * one deviation: two kept text siblings with nothing kept between them
+//!   keep the source node that separates them, alone — the receiver must
+//!   parse the nodes the sender counted, not one merged text.
 //!
 //! The traversal is the paper's two-cursor merge over the preorder arena:
 //! skipping an unrelated subtree is a single `subtree_end + 1` jump.
@@ -192,10 +195,33 @@ fn nearest_kept_ancestor(doc: &Document, kept: &[u32], idx: u32) -> Option<u32> 
     None
 }
 
+/// Two kept text siblings with nothing kept between them would serialize as
+/// one run, which the receiver parses as one text node, so the node
+/// separating them in the source is kept too, alone (no attributes, no
+/// descendants). A text node has no descendants: that node is the one
+/// right after the first text.
+fn separate_texts(doc: &Document, kept: &mut Vec<u32>) {
+    let separators: Vec<u32> = kept
+        .windows(2)
+        .filter(|w| {
+            doc.kind(w[0]) == NodeKind::Text
+                && doc.kind(w[1]) == NodeKind::Text
+                && doc.parent(w[0]) == doc.parent(w[1])
+                && w[0] + 1 < w[1]
+        })
+        .map(|w| w[0] + 1)
+        .collect();
+    if !separators.is_empty() {
+        kept.extend(separators);
+        kept.sort_unstable();
+    }
+}
+
 /// Runs Algorithm 1 end-to-end, returning the kept-set description.
 pub fn compute_projection(doc: &Document, input: &ProjectionInput) -> Projection {
     let mut kept = keep_set(doc, input);
     trim_lca(doc, &mut kept, input);
+    separate_texts(doc, &mut kept);
     let stats = ProjectionStats { kept_nodes: kept.len(), total_nodes: doc.len() };
     Projection { kept, stats }
 }
@@ -375,6 +401,18 @@ mod tests {
         let (builder, _) = project_document(s.doc(d), &s.names, &input, None);
         let d2 = s.attach(builder);
         assert_eq!(serialize_document(s.doc(d2), &s.names), "<r><p/><q/></r>");
+    }
+
+    #[test]
+    fn kept_text_siblings_keep_their_separator_alone() {
+        let mut s = Store::new();
+        let d = parse_document(&mut s, "<a>x<b k=\"v\"><i/></b>y<c/></a>", None).unwrap();
+        // 0=doc 1=a 2="x" 3=b 4=@k 5=i 6="y" 7=c — return both texts
+        let input = ProjectionInput::new(vec![], vec![2, 6]);
+        let (builder, projection) = project_document(s.doc(d), &s.names, &input, None);
+        assert_eq!(projection.kept, vec![1, 2, 3, 6]);
+        let d2 = s.attach(builder);
+        assert_eq!(serialize_document(s.doc(d2), &s.names), "<a>x<b/>y</a>");
     }
 
     #[test]

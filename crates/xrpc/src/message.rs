@@ -34,15 +34,17 @@
 //! parsing the message: element names inside shipped data cannot be
 //! mistaken for an envelope, and a consumer opens a message at most once.
 
-use xqd_xml::project::{compute_projection, build_projected, Projection, ProjectionInput};
-use xqd_xml::serialize::{escape_attr, escape_text, serialize_node_into};
+use std::fmt::Write;
+
+use xqd_xml::project::{build_projected, compute_projection, ProjectionInput};
+use xqd_xml::serialize::{escape_attr, escape_text, serialize_node, serialize_node_into};
 use xqd_xml::{DocBuilder, DocId, NodeId, NodeKind, NodeMeta, Store};
 use xqd_xquery::ast::{Atomic, PathSpec};
 use xqd_xquery::eval::StaticContext;
 use xqd_xquery::value::{EvalError, EvalResult, Item, Sequence};
 
 use crate::net::XrpcError;
-use crate::wire::{eval_rel_paths, node_at_nodeid, parse_rel_path, FragmentPlan};
+use crate::wire::{eval_rel_paths, fragment_roots, locate, parse_rel_path, Fragment};
 
 /// Message-level passing semantics (the codec in use).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,55 +86,58 @@ impl WireSemantics {
 /// How a message carries its node-valued items.
 enum NodeCodec {
     Value,
-    /// Shared fragments preamble over the original documents.
-    Fragment(FragmentPlan),
-    /// Per-document runtime projections: `(source doc, projected doc
-    /// serialization, projection)` in fragid order.
-    Projected(Vec<ProjectedFragment>),
+    /// The `<fragments>` preamble: by-fragment and by-projection differ only
+    /// in which nodes each fragment holds. `table[i]` addresses the nodes
+    /// of `fragid` i + 1, `xml[i]` is its serialized content.
+    Fragments {
+        table: Vec<Fragment>,
+        xml: Vec<String>,
+    },
 }
 
-struct ProjectedFragment {
-    source: DocId,
-    serialized: String,
-    uri: Option<String>,
-    base_uri: Option<String>,
-    projection: Projection,
+/// A shipped sequence with the path spec it travels under (by-projection
+/// only; `None` ships whole subtrees).
+type Group<'a> = (&'a Sequence, Option<&'a PathSpec>);
+
+/// The node items of `seq`, in sequence order.
+fn node_items(seq: &Sequence) -> Vec<NodeId> {
+    seq.iter()
+        .filter_map(|i| match i {
+            Item::Node(n) => Some(*n),
+            Item::Atom(_) => None,
+        })
+        .collect()
 }
 
-/// All node items of a set of sequences.
-fn collect_nodes(seqs: &[&Sequence]) -> Vec<NodeId> {
-    let mut out = Vec::new();
-    for seq in seqs {
-        for item in seq.iter() {
-            if let Item::Node(n) = item {
-                out.push(*n);
-            }
+/// The codec the node items of `groups` travel in under `semantics`.
+fn node_codec(store: &Store, semantics: WireSemantics, groups: &[Group]) -> NodeCodec {
+    let (table, xml) = match semantics {
+        WireSemantics::Value => return NodeCodec::Value,
+        WireSemantics::Fragment => {
+            let nodes: Vec<NodeId> = groups.iter().flat_map(|(seq, _)| node_items(seq)).collect();
+            fragment_roots(store, &nodes)
+                .into_iter()
+                .map(|(d, r)| {
+                    let xml = serialize_node(store.doc(d), &store.names, r);
+                    (Fragment::subtree(store, d, r), xml)
+                })
+                .unzip()
         }
-    }
-    out.sort_unstable();
-    out.dedup();
-    out
+        WireSemantics::Projection => by_projection(store, groups),
+    };
+    NodeCodec::Fragments { table, xml }
 }
 
-/// Builds the projection-based codec: per document, run Algorithm 1 on the
-/// union of used/returned node sets derived from the per-sequence path
-/// specs, then serialize the projected document as the fragment.
-fn build_projected_codec(
-    store: &Store,
-    groups: &[(&Sequence, Option<&PathSpec>)],
-) -> NodeCodec {
+/// Pass-by-projection: per document, run Algorithm 1 on the union of the
+/// used/returned node sets derived from the per-sequence path specs; the
+/// projected document is the document's one fragment.
+fn by_projection(store: &Store, groups: &[Group]) -> (Vec<Fragment>, Vec<String>) {
     use std::collections::BTreeMap;
     // per-doc used/returned sets
     let mut used: BTreeMap<DocId, Vec<u32>> = BTreeMap::new();
     let mut returned: BTreeMap<DocId, Vec<u32>> = BTreeMap::new();
     for (seq, spec) in groups {
-        let nodes: Vec<NodeId> = seq
-            .iter()
-            .filter_map(|i| match i {
-                Item::Node(n) => Some(*n),
-                Item::Atom(_) => None,
-            })
-            .collect();
+        let nodes = node_items(seq);
         match spec {
             Some(spec) if !spec.returned.iter().any(|r| r.0.is_empty()) => {
                 // the items themselves are always referenced → used
@@ -157,132 +162,48 @@ fn build_projected_codec(
     let mut docs: Vec<DocId> = used.keys().chain(returned.keys()).copied().collect();
     docs.sort_unstable();
     docs.dedup();
-    let mut frags = Vec::new();
-    for d in docs {
-        let doc = store.doc(d);
-        let input = ProjectionInput::new(
-            used.remove(&d).unwrap_or_default(),
-            returned.remove(&d).unwrap_or_default(),
-        );
-        let projection = compute_projection(doc, &input);
-        let builder = build_projected(doc, &store.names, &projection, None);
-        // serialize via a scratch store (the builder is standalone)
-        let mut scratch = Store::new();
-        let pd = scratch.attach(builder);
-        let serialized = xqd_xml::serialize_document(scratch.doc(pd), &scratch.names);
-        frags.push(ProjectedFragment {
-            source: d,
-            serialized,
-            uri: doc.uri.clone(),
-            base_uri: doc.base_uri.clone(),
-            projection,
-        });
-    }
-    NodeCodec::Projected(frags)
+    docs.into_iter()
+        .map(|d| {
+            let doc = store.doc(d);
+            let input = ProjectionInput::new(
+                used.remove(&d).unwrap_or_default(),
+                returned.remove(&d).unwrap_or_default(),
+            );
+            let projection = compute_projection(doc, &input);
+            let builder = build_projected(doc, &store.names, &projection, None);
+            // serialize via a scratch store (the builder is standalone)
+            let mut scratch = Store::new();
+            let pd = scratch.attach(builder);
+            let xml = xqd_xml::serialize_document(scratch.doc(pd), &scratch.names);
+            // kept[i] is projected node i + 1, so the kept nodes address it
+            (Fragment::of(store, d, projection.kept), xml)
+        })
+        .unzip()
 }
 
-/// Opens one `<fragment>` with its class-2 context properties (Problem 5).
-fn open_fragment(uri: &Option<String>, base_uri: &Option<String>, out: &mut String) {
-    out.push_str("<fragment");
-    for (attr, value) in [(" uri=\"", uri), (" base-uri=\"", base_uri)] {
-        if let Some(v) = value {
-            out.push_str(attr);
-            escape_attr(v, out);
-            out.push('"');
-        }
-    }
-    out.push('>');
-}
-
+/// Writes the `<fragments>` preamble, each `<fragment>` with its class-2
+/// context properties (Problem 5).
 fn write_fragments(store: &Store, codec: &NodeCodec, out: &mut String) {
-    match codec {
-        NodeCodec::Value => {}
-        NodeCodec::Fragment(plan) => {
-            if plan.roots.is_empty() {
-                return;
-            }
-            out.push_str("<fragments>");
-            for &(d, r) in &plan.roots {
-                let doc = store.doc(d);
-                open_fragment(&doc.uri, &doc.base_uri, out);
-                if doc.kind(r) == NodeKind::Document {
-                    for c in doc.children(r) {
-                        serialize_node_into(doc, &store.names, c, out);
-                    }
-                } else {
-                    serialize_node_into(doc, &store.names, r, out);
-                }
-                out.push_str("</fragment>");
-            }
-            out.push_str("</fragments>");
-        }
-        NodeCodec::Projected(frags) => {
-            if frags.is_empty() {
-                return;
-            }
-            out.push_str("<fragments>");
-            for f in frags {
-                open_fragment(&f.uri, &f.base_uri, out);
-                out.push_str(&f.serialized);
-                out.push_str("</fragment>");
-            }
-            out.push_str("</fragments>");
-        }
+    let NodeCodec::Fragments { table, xml } = codec else { return };
+    if table.is_empty() {
+        return;
     }
-}
-
-/// Locates a node under the projected codec: `(fragid, nodeid)`.
-fn locate_projected(
-    store: &Store,
-    frags: &[ProjectedFragment],
-    node: NodeId,
-) -> Option<(u32, u32, Option<String>)> {
-    let doc = store.doc(node.doc);
-    let (target, attr_name) = if doc.kind(node.idx) == NodeKind::Attribute {
-        (
-            doc.parent(node.idx)?,
-            Some(store.names.resolve(doc.name(node.idx)).to_string()),
-        )
-    } else {
-        (node.idx, None)
-    };
-    for (i, f) in frags.iter().enumerate() {
-        if f.source != node.doc {
-            continue;
-        }
-        if doc.kind(target) == NodeKind::Document {
-            // the projected output's own document node stands in for the
-            // source document node (`nodeid 0` convention)
-            return Some((i as u32 + 1, 0, attr_name));
-        }
-        let dst = f.projection.projected_index(target)?;
-        // nodeid relative to the projected document's content: we compute it
-        // on the projected doc via a scratch parse-free rank over kept nodes
-        let nodeid = projected_nodeid(store, f, dst)?;
-        return Some((i as u32 + 1, nodeid, attr_name));
-    }
-    None
-}
-
-/// 1-based rank among non-attribute nodes of the projected document for
-/// projected index `dst` (index 0 is the projected document node).
-fn projected_nodeid(store: &Store, f: &ProjectedFragment, dst: u32) -> Option<u32> {
-    // kept[i] ↦ projected index i+1; rank = count of non-attribute kept
-    // nodes with projected index <= dst
-    let src_doc = store.doc(f.source);
-    let mut rank = 0u32;
-    for (i, &src) in f.projection.kept.iter().enumerate() {
-        if src_doc.kind(src) != NodeKind::Attribute {
-            rank += 1;
-        }
-        if (i as u32 + 1) == dst {
-            if src_doc.kind(src) == NodeKind::Attribute {
-                return None;
+    out.push_str("<fragments>");
+    for (f, xml) in table.iter().zip(xml) {
+        let doc = store.doc(f.doc);
+        out.push_str("<fragment");
+        for (attr, value) in [(" uri=\"", &doc.uri), (" base-uri=\"", &doc.base_uri)] {
+            if let Some(v) = value {
+                out.push_str(attr);
+                escape_attr(v, out);
+                out.push('"');
             }
-            return Some(rank);
         }
+        out.push('>');
+        out.push_str(xml);
+        out.push_str("</fragment>");
     }
-    None
+    out.push_str("</fragments>");
 }
 
 fn atom_type_tag(a: &Atomic) -> &'static str {
@@ -529,34 +450,18 @@ fn write_item(store: &Store, codec: &NodeCodec, item: &Item, out: &mut String) -
                     out.push_str("</copy>");
                     Ok(())
                 }
-                NodeCodec::Fragment(plan) => {
-                    let (fragid, nodeid) = plan.locate(store, *n).ok_or_else(|| {
-                        EvalError::new("internal: shipped node missing from fragment plan")
+                NodeCodec::Fragments { table, .. } => {
+                    let (fragid, nodeid) = locate(table, store, *n).ok_or_else(|| {
+                        EvalError::new("internal: shipped node missing from its fragments")
                     })?;
                     if doc.kind(n.idx) == NodeKind::Attribute {
-                        out.push_str(&format!(
-                            "<attribute fragid=\"{fragid}\" nodeid=\"{nodeid}\" name=\"{}\"/>",
-                            store.names.resolve(doc.name(n.idx))
-                        ));
-                    } else {
-                        out.push_str(&format!(
-                            "<element fragid=\"{fragid}\" nodeid=\"{nodeid}\"/>"
-                        ));
-                    }
-                    Ok(())
-                }
-                NodeCodec::Projected(frags) => {
-                    let (fragid, nodeid, attr) =
-                        locate_projected(store, frags, *n).ok_or_else(|| {
-                            EvalError::new("internal: shipped node missing from projection")
-                        })?;
-                    match attr {
-                        Some(name) => out.push_str(&format!(
+                        let name = store.names.resolve(doc.name(n.idx));
+                        let _ = write!(
+                            out,
                             "<attribute fragid=\"{fragid}\" nodeid=\"{nodeid}\" name=\"{name}\"/>"
-                        )),
-                        None => out.push_str(&format!(
-                            "<element fragid=\"{fragid}\" nodeid=\"{nodeid}\"/>"
-                        )),
+                        );
+                    } else {
+                        let _ = write!(out, "<element fragid=\"{fragid}\" nodeid=\"{nodeid}\"/>");
                     }
                     Ok(())
                 }
@@ -619,25 +524,13 @@ pub fn encode_request(
     param_specs: Option<&[PathSpec]>,
     result_spec: Option<&PathSpec>,
 ) -> EvalResult<String> {
-    let codec = match semantics {
-        WireSemantics::Value => NodeCodec::Value,
-        WireSemantics::Fragment => {
-            let seqs: Vec<&Sequence> =
-                calls.iter().flat_map(|c| c.iter().map(|(_, s)| s)).collect();
-            NodeCodec::Fragment(FragmentPlan::new(store, &collect_nodes(&seqs)))
-        }
-        WireSemantics::Projection => {
-            let groups: Vec<(&Sequence, Option<&PathSpec>)> = calls
-                .iter()
-                .flat_map(|c| {
-                    c.iter()
-                        .enumerate()
-                        .map(|(j, (_, s))| (s, param_specs.and_then(|ps| ps.get(j))))
-                })
-                .collect();
-            build_projected_codec(store, &groups)
-        }
-    };
+    let groups: Vec<Group> = calls
+        .iter()
+        .flat_map(|c| {
+            c.iter().enumerate().map(|(j, (_, s))| (s, param_specs.and_then(|ps| ps.get(j))))
+        })
+        .collect();
+    let codec = node_codec(store, semantics, &groups);
     let mut out = String::with_capacity(1024);
     out.push_str(REQUEST);
     out.push_str(" semantics=\"");
@@ -688,18 +581,8 @@ pub fn encode_response(
     results: &[Sequence],
     result_spec: Option<&PathSpec>,
 ) -> EvalResult<String> {
-    let codec = match semantics {
-        WireSemantics::Value => NodeCodec::Value,
-        WireSemantics::Fragment => {
-            let seqs: Vec<&Sequence> = results.iter().collect();
-            NodeCodec::Fragment(FragmentPlan::new(store, &collect_nodes(&seqs)))
-        }
-        WireSemantics::Projection => {
-            let groups: Vec<(&Sequence, Option<&PathSpec>)> =
-                results.iter().map(|s| (s, result_spec)).collect();
-            build_projected_codec(store, &groups)
-        }
-    };
+    let groups: Vec<Group> = results.iter().map(|s| (s, result_spec)).collect();
+    let codec = node_codec(store, semantics, &groups);
     let mut out = String::with_capacity(1024);
     out.push_str(RESPONSE);
     out.push_str(" semantics=\"");
@@ -962,8 +845,9 @@ fn decode_response_inner(store: &mut Store, message: &str) -> EvalResult<Vec<Seq
 }
 
 /// Copies each `<fragment>`'s content into a fresh document of `store`,
-/// recording class-2 context metadata.
-fn shred_fragments(store: &mut Store, root: NodeId) -> EvalResult<Vec<DocId>> {
+/// recording class-2 context metadata, and builds the table references
+/// into it resolve against.
+fn shred_fragments(store: &mut Store, root: NodeId) -> EvalResult<Vec<Fragment>> {
     let mut out = Vec::new();
     let frags: Vec<NodeId> = match find_child(store, root, "fragments") {
         Some(fs) => children_named(store, fs, "fragment"),
@@ -990,7 +874,7 @@ fn shred_fragments(store: &mut Store, root: NodeId) -> EvalResult<Vec<DocId>> {
                 .meta
                 .insert(0, NodeMeta { base_uri: base.clone(), document_uri: Some(u) });
         }
-        out.push(new_doc);
+        out.push(Fragment::subtree(store, new_doc, 0));
     }
     Ok(out)
 }
@@ -998,7 +882,7 @@ fn shred_fragments(store: &mut Store, root: NodeId) -> EvalResult<Vec<DocId>> {
 fn decode_sequence(
     store: &mut Store,
     seq_el: NodeId,
-    fragments: &[DocId],
+    fragments: &[Fragment],
 ) -> EvalResult<Sequence> {
     #[derive(Debug)]
     enum Raw {
@@ -1064,17 +948,14 @@ fn decode_sequence(
         match raw {
             Raw::Atom(a) => out.push(Item::Atom(a)),
             Raw::Ref { fragid, nodeid, attr: attr_name } => {
-                let frag_doc = *fragments.get(fragid as usize - 1).ok_or_else(|| {
-                    EvalError::new(format!("fragid {fragid} out of range"))
-                })?;
-                let doc = store.doc(frag_doc);
-                let target = if nodeid == 0 {
-                    0
-                } else {
-                    node_at_nodeid(doc, 1, doc.len() as u32 - 1, nodeid).ok_or_else(|| {
-                        EvalError::new(format!("nodeid {nodeid} out of range"))
-                    })?
-                };
+                let frag = fragid
+                    .checked_sub(1)
+                    .and_then(|i| fragments.get(i as usize))
+                    .ok_or_else(|| EvalError::new(format!("fragid {fragid} out of range")))?;
+                let target = frag
+                    .node(nodeid)
+                    .ok_or_else(|| EvalError::new(format!("nodeid {nodeid} out of range")))?;
+                let doc = store.doc(frag.doc);
                 let node = match attr_name {
                     None => target,
                     Some(name) => {
@@ -1086,7 +967,7 @@ fn decode_sequence(
                             })?
                     }
                 };
-                out.push(Item::Node(NodeId::new(frag_doc, node)));
+                out.push(Item::Node(NodeId::new(frag.doc, node)));
             }
             Raw::Copy { kind, name, base, duri, idx } => {
                 // each by-value copy becomes its own fragment document —
@@ -1196,6 +1077,162 @@ mod tests {
         )
         .unwrap();
         (s, d)
+    }
+
+    /// One decoded sequence per line, each item in a form that survives a
+    /// change of the receiving store's document ids: atoms by type and
+    /// lexical form, nodes by (document ordinal in first-seen order, index,
+    /// kind, serialization, class-2 metadata).
+    fn canonical(store: &Store, seqs: &[&Sequence]) -> String {
+        let mut docs: Vec<DocId> = Vec::new();
+        let mut out = String::new();
+        for seq in seqs {
+            for item in seq.iter() {
+                match item {
+                    Item::Atom(a) => {
+                        out.push_str(&format!("{}:{} ", atom_type_tag(a), a.to_lexical()))
+                    }
+                    Item::Node(n) => {
+                        let ord = docs.iter().position(|&d| d == n.doc).unwrap_or_else(|| {
+                            docs.push(n.doc);
+                            docs.len() - 1
+                        });
+                        let doc = store.doc(n.doc);
+                        let meta = doc.meta.get(&n.idx);
+                        out.push_str(&format!(
+                            "d{ord}@{} {:?} {} {:?} {:?} ",
+                            n.idx,
+                            doc.kind(n.idx),
+                            xqd_xml::serialize_node(doc, &store.names, n.idx),
+                            meta.and_then(|m| m.base_uri.as_deref()),
+                            meta.and_then(|m| m.document_uri.as_deref()),
+                        ));
+                    }
+                }
+            }
+            out.push('\n');
+        }
+        out
+    }
+
+    /// The wire format, pinned: every request and response of a corpus
+    /// covering the shapes of Sections V–VI, under all three semantics, is
+    /// hashed byte for byte, and so is what each decodes to.
+    #[test]
+    fn encoded_messages_are_pinned() {
+        use crate::wire::parse_rel_path;
+        let mut store = Store::new();
+        // 0=doc 1=r 2=p 3=@id 4=q 5="hello" 6=big 7="payload" 8=z
+        let a = xqd_xml::parse_document(
+            &mut store,
+            "<r><p id=\"1\"><q>hello</q><big>payload</big></p><z/></r>",
+            Some("r.xml"),
+        )
+        .unwrap();
+        // 0=doc 1=s 2=pi 3=comment 4="text" 5=t 6=@a
+        let b = xqd_xml::parse_document(
+            &mut store,
+            "<s><?pi data?><!--note-->text<t a=\"v\"/></s>",
+            Some("s.xml"),
+        )
+        .unwrap();
+        let nodes = |list: &[(DocId, u32)]| -> Sequence {
+            list.iter().map(|&(d, i)| Item::Node(NodeId::new(d, i))).collect::<Vec<_>>().into()
+        };
+        let spec = |used: &[&str], returned: &[&str]| PathSpec {
+            used: used.iter().map(|p| parse_rel_path(p).unwrap()).collect(),
+            returned: returned.iter().map(|p| parse_rel_path(p).unwrap()).collect(),
+        };
+        let one = |seq: Sequence| vec![vec![("x".to_string(), seq)]];
+        // (calls, param specs, result spec)
+        type Case = (Vec<Vec<(String, Sequence)>>, Option<Vec<PathSpec>>, Option<PathSpec>);
+        let cases: Vec<Case> = vec![
+            // Example 5.1: a node and its ancestor, then a descendant of both
+            (one(nodes(&[(a, 2), (a, 1), (a, 4)])), None, None),
+            // several roots in one document, roots in two documents
+            (one(nodes(&[(a, 4), (a, 8), (b, 5), (b, 3)])), None, None),
+            // an attribute item and a document-node item
+            (one(nodes(&[(a, 3), (b, 0)])), None, None),
+            // every node kind, beside atoms
+            (
+                one([(a, 0), (a, 1), (a, 3), (a, 5), (b, 2), (b, 3), (b, 4), (b, 6)]
+                    .iter()
+                    .map(|&(d, i)| Item::Node(NodeId::new(d, i)))
+                    .chain([Item::Atom(Atomic::Int(7)), Item::Atom(Atomic::Str("s".into()))])
+                    .collect::<Vec<_>>()
+                    .into()),
+                None,
+                None,
+            ),
+            // Bulk RPC: three calls of two parameters
+            (
+                (0..3u32)
+                    .map(|i| {
+                        vec![
+                            ("n".to_string(), nodes(&[(a, 2 + 2 * i)])),
+                            ("k".to_string(), vec![Item::Atom(Atomic::Int(i64::from(i)))].into()),
+                        ]
+                    })
+                    .collect(),
+                None,
+                None,
+            ),
+            // by-projection: a used/returned spec, a whole-value spec, no spec
+            (
+                vec![vec![
+                    ("u".to_string(), nodes(&[(a, 2)])),
+                    ("w".to_string(), nodes(&[(b, 5)])),
+                    ("n".to_string(), nodes(&[(a, 8)])),
+                ]],
+                Some(vec![
+                    spec(
+                        &["child::q", "child::q/descendant-or-self::text()", "attribute::id"],
+                        &["child::big"],
+                    ),
+                    spec(&[], &["self::node()"]),
+                ]),
+                Some(spec(&["child::p/attribute::id"], &["child::z"])),
+            ),
+            (one(nodes(&[(a, 1), (b, 1)])), None, Some(spec(&[], &["self::node()"]))),
+        ];
+        let mut wire = Vec::new();
+        let mut decoded = String::new();
+        for semantics in [WireSemantics::Value, WireSemantics::Fragment, WireSemantics::Projection]
+        {
+            for (calls, param_specs, result_spec) in &cases {
+                let request = encode_request(
+                    &store,
+                    semantics,
+                    &ctx(),
+                    "$x",
+                    calls,
+                    param_specs.as_deref(),
+                    result_spec.as_ref(),
+                )
+                .unwrap();
+                let results: Vec<Sequence> =
+                    calls.iter().flat_map(|c| c.iter().map(|(_, s)| s.clone())).collect();
+                let response =
+                    encode_response(&store, semantics, &results, result_spec.as_ref()).unwrap();
+                let mut remote = Store::new();
+                let req = decode_request(&mut remote, &request).unwrap();
+                let seqs: Vec<&Sequence> =
+                    req.calls.iter().flat_map(|c| c.iter().map(|(_, s)| s)).collect();
+                decoded.push_str(&canonical(&remote, &seqs));
+                let mut local = Store::new();
+                let resp = decode_response(&mut local, &response).unwrap();
+                decoded.push_str(&canonical(&local, &resp.iter().collect::<Vec<_>>()));
+                wire.extend_from_slice(request.as_bytes());
+                wire.extend_from_slice(response.as_bytes());
+            }
+        }
+        assert_eq!(wire.len(), 24_554, "wire bytes");
+        assert_eq!(xqd_prng::fnv1a(&wire), 7_615_877_312_136_390_994, "wire digest");
+        assert_eq!(
+            xqd_prng::fnv1a(decoded.as_bytes()),
+            8_481_644_432_397_370_713,
+            "decoded items:\n{decoded}"
+        );
     }
 
     #[test]

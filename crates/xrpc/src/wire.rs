@@ -1,130 +1,115 @@
-//! Wire-level building blocks shared by the three message codecs:
+//! Wire-level building blocks of the message codecs:
 //!
-//! * `fragid`/`nodeid` arithmetic — the paper addresses a shipped node as
+//! * `fragid`/`nodeid` addressing — the paper addresses a shipped node as
 //!   `$msg//fragment[$fragid]/descendant::node()[$nodeid]`, i.e. the
 //!   1-based rank among **non-attribute** nodes of the fragment (footnote 2:
 //!   `descendant::node()` does not return attributes; attribute references
-//!   carry the owner's `nodeid` plus the attribute name);
-//! * fragment planning for pass-by-fragment — deduplicate overlapping
+//!   carry the owner's `nodeid` plus the attribute name). Both ends hold the
+//!   same [`Fragment`] table: the sender looks nodes up in it, the receiver
+//!   resolves references against it;
+//! * fragment roots for pass-by-fragment — deduplicate overlapping
 //!   shipped nodes into top-level subtree roots, sorted in document order;
 //! * evaluation of relative projection paths (`Urel`/`Rrel`) on
 //!   materialized context sequences, including the `root()` / `id()` /
 //!   `idref()` markers of the Table V grammar.
 
 use xqd_xml::axes::{axis_nodes, node_test_matches, NodeTest};
-use xqd_xml::{DocId, Document, NodeId, NodeKind, Store};
+use xqd_xml::{DocId, NodeId, NodeKind, Store};
 use xqd_xquery::ast::{NameTest, RelPath, RelStep};
 
-/// 1-based rank of `target` among non-attribute nodes in `[start, end]`
-/// (preorder). Returns `None` when `target` is outside the range or is an
-/// attribute.
-pub fn nodeid_in_range(doc: &Document, start: u32, end: u32, target: u32) -> Option<u32> {
-    if target >= doc.len() as u32 {
-        return None;
-    }
-    if target < start || target > end || doc.kind(target) == NodeKind::Attribute {
-        return None;
-    }
-    let mut rank = 0u32;
-    for i in start..=target {
-        if doc.kind(i) != NodeKind::Attribute {
-            rank += 1;
-        }
-    }
-    Some(rank)
+/// One `<fragment>` of a message as both ends of the wire address it: the
+/// document its nodes live in (the source document on the sender, the
+/// shredded fragment on the receiver) and its non-attribute nodes in
+/// document order. A node's `nodeid` is its position + 1; `nodeid 0` is
+/// the document node.
+#[derive(Debug)]
+pub(crate) struct Fragment {
+    pub(crate) doc: DocId,
+    nodes: Vec<u32>,
 }
 
-/// Inverse of [`nodeid_in_range`]. Total for arbitrary (possibly hostile)
-/// `start`/`end`/`nodeid` inputs: out-of-range references from a mangled
-/// message yield `None`, never an out-of-bounds access.
-pub fn node_at_nodeid(doc: &Document, start: u32, end: u32, nodeid: u32) -> Option<u32> {
-    let last = (doc.len() as u32).checked_sub(1)?;
-    let mut rank = 0u32;
-    for i in start..=end.min(last) {
-        if doc.kind(i) != NodeKind::Attribute {
-            rank += 1;
-            if rank == nodeid {
-                return Some(i);
-            }
+impl Fragment {
+    /// The fragment of `nodes` (sorted) of document `doc`, attributes
+    /// skipped.
+    pub(crate) fn of(store: &Store, doc: DocId, nodes: impl IntoIterator<Item = u32>) -> Fragment {
+        let d = store.doc(doc);
+        let nodes = nodes.into_iter().filter(|&i| d.kind(i) != NodeKind::Attribute).collect();
+        Fragment { doc, nodes }
+    }
+
+    /// The fragment of the subtree rooted at `root`. A document root ships
+    /// its children: the root itself is `nodeid 0`.
+    pub(crate) fn subtree(store: &Store, doc: DocId, root: u32) -> Fragment {
+        let d = store.doc(doc);
+        let first = if d.kind(root) == NodeKind::Document { root + 1 } else { root };
+        Fragment::of(store, doc, first..=d.subtree_end(root))
+    }
+
+    /// The `nodeid` of non-attribute node `idx`, if the fragment holds it.
+    pub(crate) fn nodeid(&self, idx: u32) -> Option<u32> {
+        self.nodes.binary_search(&idx).ok().map(|i| i as u32 + 1)
+    }
+
+    /// The node a `nodeid` names — total for any (possibly hostile) value.
+    pub(crate) fn node(&self, nodeid: u32) -> Option<u32> {
+        match nodeid.checked_sub(1) {
+            None => Some(0),
+            Some(i) => self.nodes.get(i as usize).copied(),
         }
     }
-    None
 }
 
-/// Fragment plan for pass-by-fragment: per source document (in `DocId`
-/// order), the top-level subtree roots to serialize — overlapping shipped
-/// nodes reuse their ancestor's fragment, in document order, which is
-/// exactly what preserves identity, order and ancestry (Section V).
-#[derive(Debug, Clone, Default)]
-pub struct FragmentPlan {
-    /// `(doc, root)` pairs; index + 1 = `fragid`.
-    pub roots: Vec<(DocId, u32)>,
+/// Locates a shipped node in `fragments` (sorted by document, then in
+/// document order): `(fragid, nodeid)`, both 1-based except the document
+/// node, which is `nodeid 0` of the first fragment of its document. An
+/// attribute resolves to its owner (the caller adds the attribute name).
+pub(crate) fn locate(fragments: &[Fragment], store: &Store, node: NodeId) -> Option<(u32, u32)> {
+    let doc = store.doc(node.doc);
+    let target = match doc.kind(node.idx) {
+        NodeKind::Attribute => doc.parent(node.idx)?,
+        _ => node.idx,
+    };
+    let first = fragments.partition_point(|f| f.doc < node.doc);
+    let same_doc = &fragments[first..fragments.partition_point(|f| f.doc <= node.doc)];
+    if doc.kind(target) == NodeKind::Document {
+        return (!same_doc.is_empty()).then_some((first as u32 + 1, 0));
+    }
+    // the last fragment of the document that starts at or before `target`
+    let i = same_doc.partition_point(|f| f.nodes.first().is_none_or(|&n| n <= target));
+    let nodeid = same_doc.get(i.checked_sub(1)?)?.nodeid(target)?;
+    Some(((first + i) as u32, nodeid))
 }
 
-impl FragmentPlan {
-    /// Builds the plan for a set of shipped nodes. Attribute nodes are
-    /// promoted to their owner element (an attribute cannot stand alone in
-    /// serialized XML; the owner's subtree covers it).
-    pub fn new(store: &Store, nodes: &[NodeId]) -> FragmentPlan {
-        let mut normalized: Vec<NodeId> = nodes
-            .iter()
-            .map(|n| {
-                let doc = store.doc(n.doc);
-                if doc.kind(n.idx) == NodeKind::Attribute {
-                    NodeId::new(n.doc, doc.parent(n.idx).expect("attribute has owner"))
-                } else {
-                    *n
-                }
-            })
-            .collect();
-        normalized.sort_unstable();
-        normalized.dedup();
-        let mut roots: Vec<(DocId, u32)> = Vec::new();
-        for n in normalized {
-            let covered = roots.iter().any(|&(d, r)| {
-                d == n.doc && {
-                    let doc = store.doc(d);
-                    r == n.idx || doc.is_ancestor(r, n.idx)
-                }
-            });
-            if !covered {
-                roots.push((n.doc, n.idx));
+/// The top-level subtree roots pass-by-fragment ships for a set of nodes,
+/// in document order per source document (in `DocId` order): overlapping
+/// shipped nodes reuse their ancestor's fragment, which is exactly what
+/// preserves identity, order and ancestry (Section V). Attribute nodes are
+/// promoted to their owner element (an attribute cannot stand alone in
+/// serialized XML; the owner's subtree covers it).
+pub(crate) fn fragment_roots(store: &Store, nodes: &[NodeId]) -> Vec<(DocId, u32)> {
+    let mut normalized: Vec<NodeId> = nodes
+        .iter()
+        .map(|n| {
+            let doc = store.doc(n.doc);
+            if doc.kind(n.idx) == NodeKind::Attribute {
+                NodeId::new(n.doc, doc.parent(n.idx).expect("attribute has owner"))
+            } else {
+                *n
             }
+        })
+        .collect();
+    normalized.sort_unstable();
+    normalized.dedup();
+    let mut roots: Vec<(DocId, u32)> = Vec::new();
+    for n in normalized {
+        // sorted input: only the last root can cover `n`
+        let covered =
+            roots.last().is_some_and(|&(d, r)| d == n.doc && store.doc(d).is_ancestor(r, n.idx));
+        if !covered {
+            roots.push((n.doc, n.idx));
         }
-        FragmentPlan { roots }
     }
-
-    /// Locates `node` in the plan: `(fragid, nodeid)`, both 1-based.
-    /// Document-node fragments use the convention `nodeid == 0` for the
-    /// document node itself. Attributes resolve to their owner's nodeid
-    /// (the caller adds the attribute name).
-    pub fn locate(&self, store: &Store, node: NodeId) -> Option<(u32, u32)> {
-        let doc = store.doc(node.doc);
-        let target = if doc.kind(node.idx) == NodeKind::Attribute {
-            doc.parent(node.idx)?
-        } else {
-            node.idx
-        };
-        for (i, &(d, r)) in self.roots.iter().enumerate() {
-            if d != node.doc {
-                continue;
-            }
-            if r == target || doc.is_ancestor(r, target) {
-                let fragid = i as u32 + 1;
-                if doc.kind(r) == NodeKind::Document {
-                    // fragment is the whole document: ranks start below it
-                    if target == r {
-                        return Some((fragid, 0));
-                    }
-                    let nodeid = nodeid_in_range(doc, r + 1, doc.subtree_end(r), target)?;
-                    return Some((fragid, nodeid));
-                }
-                let nodeid = nodeid_in_range(doc, r, doc.subtree_end(r), target)?;
-                return Some((fragid, nodeid));
-            }
-        }
-        None
-    }
+    roots
 }
 
 /// Evaluates a set of relative projection paths on a materialized context
@@ -210,13 +195,8 @@ fn eval_rel_step(store: &Store, context: &[NodeId], step: &RelStep) -> Vec<NodeI
     out
 }
 
-/// Serializes a relative path to its message text (`used-path` /
-/// `returned-path` content) — the inverse of [`parse_rel_path`].
-pub fn rel_path_text(p: &RelPath) -> String {
-    p.to_string()
-}
-
-/// Parses a relative path from its message text.
+/// Parses a relative path from its message text (`used-path` /
+/// `returned-path` content) — the inverse of `RelPath`'s `Display`.
 pub fn parse_rel_path(s: &str) -> Option<RelPath> {
     let s = s.trim();
     if s.is_empty() || s == "self::node()" {
@@ -257,18 +237,25 @@ mod tests {
         parse_document(store, "<a><b id=\"1\"><c/>t</b><d><e/></d></a>", Some("f.xml")).unwrap()
     }
 
+    /// The fragments pass-by-fragment ships for `nodes`.
+    fn by_fragment(store: &Store, nodes: &[NodeId]) -> (Vec<(DocId, u32)>, Vec<Fragment>) {
+        let roots = fragment_roots(store, nodes);
+        let table = roots.iter().map(|&(d, r)| Fragment::subtree(store, d, r)).collect();
+        (roots, table)
+    }
+
     #[test]
     fn nodeid_skips_attributes() {
         let mut s = Store::new();
         let d = fixture(&mut s);
-        let doc = s.doc(d);
         // fragment rooted at <b> (idx 2): ranks are b=1, c=2, text=3 (@id skipped)
-        assert_eq!(nodeid_in_range(doc, 2, doc.subtree_end(2), 2), Some(1));
-        assert_eq!(nodeid_in_range(doc, 2, doc.subtree_end(2), 4), Some(2));
-        assert_eq!(nodeid_in_range(doc, 2, doc.subtree_end(2), 5), Some(3));
-        assert_eq!(nodeid_in_range(doc, 2, doc.subtree_end(2), 3), None, "attribute");
-        assert_eq!(node_at_nodeid(doc, 2, doc.subtree_end(2), 2), Some(4));
-        assert_eq!(node_at_nodeid(doc, 2, doc.subtree_end(2), 9), None);
+        let f = Fragment::subtree(&s, d, 2);
+        assert_eq!(f.nodeid(2), Some(1));
+        assert_eq!(f.nodeid(4), Some(2));
+        assert_eq!(f.nodeid(5), Some(3));
+        assert_eq!(f.nodeid(3), None, "attribute");
+        assert_eq!(f.node(2), Some(4));
+        assert_eq!(f.node(9), None);
     }
 
     #[test]
@@ -279,21 +266,21 @@ mod tests {
         let d = fixture(&mut s);
         let bc = NodeId::new(d, 2); // <b>
         let abc = NodeId::new(d, 1); // <a>, ancestor of <b>
-        let plan = FragmentPlan::new(&s, &[bc, abc]);
-        assert_eq!(plan.roots, vec![(d, 1)], "one fragment: the ancestor");
-        assert_eq!(plan.locate(&s, abc), Some((1, 1)));
-        assert_eq!(plan.locate(&s, bc), Some((1, 2)));
+        let (roots, table) = by_fragment(&s, &[bc, abc]);
+        assert_eq!(roots, vec![(d, 1)], "one fragment: the ancestor");
+        assert_eq!(locate(&table, &s, abc), Some((1, 1)));
+        assert_eq!(locate(&table, &s, bc), Some((1, 2)));
     }
 
     #[test]
     fn fragment_plan_orders_by_document_order() {
         let mut s = Store::new();
         let d = fixture(&mut s);
-        let plan = FragmentPlan::new(&s, &[NodeId::new(d, 6), NodeId::new(d, 2)]);
-        assert_eq!(plan.roots, vec![(d, 2), (d, 6)]);
-        assert_eq!(plan.locate(&s, NodeId::new(d, 2)), Some((1, 1)));
-        assert_eq!(plan.locate(&s, NodeId::new(d, 6)), Some((2, 1)));
-        assert_eq!(plan.locate(&s, NodeId::new(d, 7)), Some((2, 2)));
+        let (roots, table) = by_fragment(&s, &[NodeId::new(d, 6), NodeId::new(d, 2)]);
+        assert_eq!(roots, vec![(d, 2), (d, 6)]);
+        assert_eq!(locate(&table, &s, NodeId::new(d, 2)), Some((1, 1)));
+        assert_eq!(locate(&table, &s, NodeId::new(d, 6)), Some((2, 1)));
+        assert_eq!(locate(&table, &s, NodeId::new(d, 7)), Some((2, 2)));
     }
 
     #[test]
@@ -301,18 +288,18 @@ mod tests {
         let mut s = Store::new();
         let d = fixture(&mut s);
         let attr = NodeId::new(d, 3);
-        let plan = FragmentPlan::new(&s, &[attr]);
-        assert_eq!(plan.roots, vec![(d, 2)], "owner element shipped");
-        assert_eq!(plan.locate(&s, attr), Some((1, 1)), "owner's nodeid");
+        let (roots, table) = by_fragment(&s, &[attr]);
+        assert_eq!(roots, vec![(d, 2)], "owner element shipped");
+        assert_eq!(locate(&table, &s, attr), Some((1, 1)), "owner's nodeid");
     }
 
     #[test]
     fn document_node_fragment_uses_nodeid_zero() {
         let mut s = Store::new();
         let d = fixture(&mut s);
-        let plan = FragmentPlan::new(&s, &[NodeId::new(d, 0)]);
-        assert_eq!(plan.locate(&s, NodeId::new(d, 0)), Some((1, 0)));
-        assert_eq!(plan.locate(&s, NodeId::new(d, 1)), Some((1, 1)));
+        let (_, table) = by_fragment(&s, &[NodeId::new(d, 0)]);
+        assert_eq!(locate(&table, &s, NodeId::new(d, 0)), Some((1, 0)));
+        assert_eq!(locate(&table, &s, NodeId::new(d, 1)), Some((1, 1)));
     }
 
     #[test]
@@ -326,7 +313,7 @@ mod tests {
             "self::node()",
         ] {
             let p = parse_rel_path(text).unwrap();
-            let back = rel_path_text(&p);
+            let back = p.to_string();
             assert_eq!(parse_rel_path(&back).unwrap(), p, "{text}");
         }
         assert!(parse_rel_path("bogus").is_none());

@@ -11,7 +11,11 @@
 //! `xrpc:transport-corrupt` — never a panic, and never an allocation
 //! sized by an untrusted length field.
 //!
-//! The third part covers the doc envelope of the data-shipping path, which
+//! Node references are checked against the receiver's fragment table: one
+//! the table does not hold (`fragid 0`, an id past the end, an attribute
+//! its owner lacks) is typed corruption, never a panic.
+//!
+//! The last part covers the doc envelope of the data-shipping path, which
 //! embeds the shipped document as is: whatever the document's own markup
 //! looks like and wherever the envelope is cut, the coordinator ends up with
 //! the document bit for bit or an error — never a different document.
@@ -20,7 +24,7 @@ use xqd_prng::Rng;
 use xqd_xml::Store;
 use xqd_xquery::eval::{DocResolver, Evaluator, StaticContext};
 use xqd_xquery::parse_query;
-use xqd_xquery::value::{EvalError, EvalResult, Sequence};
+use xqd_xquery::value::{EvalError, EvalResult, Item, Sequence};
 
 /// Resolver serving only documents already shredded into the store.
 struct LocalDocs;
@@ -303,6 +307,73 @@ fn degenerate_inputs_never_panic_the_decoders() {
     ] {
         decode_all(mutant);
     }
+}
+
+// ---------------------------------------------------------------------------
+// node references: checked against the receiver's fragment table
+// ---------------------------------------------------------------------------
+
+/// One fragment holding `<a id="1"><b/></a>`: nodeid 0 is the fragment's
+/// document node, 1 is `<a>`, 2 is `<b>` (the attribute takes no nodeid).
+const ONE_FRAGMENT: &str =
+    "<fragments><fragment uri=\"xrpc://p/d.xml\"><a id=\"1\"><b/></a></fragment></fragments>";
+
+/// A request and a response carrying `fragments` and one reference item.
+fn referencing(fragments: &str, reference: &str) -> [String; 2] {
+    [
+        format!(
+            "<env><request semantics=\"fragment\" static-base-uri=\"\" default-collation=\"\" \
+             current-dateTime=\"\"><query>$x</query>{fragments}<call><param name=\"x\">\
+             <sequence>{reference}</sequence></param></call></request></env>"
+        ),
+        format!(
+            "<env><response semantics=\"fragment\">{fragments}<call-result>\
+             <sequence>{reference}</sequence></call-result></response></env>"
+        ),
+    ]
+}
+
+/// Every reference the table does not hold is typed corruption through
+/// both decoders — never a panic, never a node the sender did not name.
+#[test]
+fn hostile_references_are_typed_corruption() {
+    for (fragments, reference) in [
+        (ONE_FRAGMENT, "<element fragid=\"0\" nodeid=\"1\"/>"),
+        (ONE_FRAGMENT, "<element fragid=\"2\" nodeid=\"1\"/>"),
+        (ONE_FRAGMENT, "<element fragid=\"1\" nodeid=\"3\"/>"),
+        (ONE_FRAGMENT, "<element fragid=\"1\" nodeid=\"4294967295\"/>"),
+        (ONE_FRAGMENT, "<attribute fragid=\"1\" nodeid=\"1\" name=\"missing\"/>"),
+        (ONE_FRAGMENT, "<attribute fragid=\"1\" nodeid=\"2\" name=\"id\"/>"),
+        ("", "<element fragid=\"1\" nodeid=\"1\"/>"),
+        ("", "<element fragid=\"0\" nodeid=\"0\"/>"),
+    ] {
+        let [request, response] = referencing(fragments, reference);
+        let err = decode_request(&mut Store::new(), &request).unwrap_err();
+        assert_eq!(err.code.as_deref(), Some("xrpc:transport-corrupt"), "{request}: {err}");
+        let err = decode_response(&mut Store::new(), &response).unwrap_err();
+        assert_eq!(err.code.as_deref(), Some("xrpc:transport-corrupt"), "{response}: {err}");
+    }
+    // the references the table does hold resolve, in both directions
+    for (reference, expected) in [
+        ("<element fragid=\"1\" nodeid=\"0\"/>", "<a id=\"1\"><b/></a>"),
+        ("<element fragid=\"1\" nodeid=\"1\"/>", "<a id=\"1\"><b/></a>"),
+        ("<element fragid=\"1\" nodeid=\"2\"/>", "<b/>"),
+        ("<attribute fragid=\"1\" nodeid=\"1\" name=\"id\"/>", "id=\"1\""),
+    ] {
+        let [request, response] = referencing(ONE_FRAGMENT, reference);
+        let mut store = Store::new();
+        let decoded = decode_request(&mut store, &request).unwrap();
+        assert_eq!(serialized(&store, &decoded.calls[0][0].1), expected, "{reference}");
+        let mut store = Store::new();
+        let decoded = decode_response(&mut store, &response).unwrap();
+        assert_eq!(serialized(&store, &decoded[0]), expected, "{reference}");
+    }
+}
+
+/// The one node of `seq`, serialized.
+fn serialized(store: &Store, seq: &Sequence) -> String {
+    let [Item::Node(n)] = &seq[..] else { panic!("one node expected") };
+    xqd_xml::serialize_node(store.doc(n.doc), &store.names, n.idx)
 }
 
 // ---------------------------------------------------------------------------

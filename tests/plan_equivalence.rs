@@ -27,10 +27,14 @@ const DOC_B: &str = "<enrolls>\
     <exam id=\"Cy\"><grade>9</grade></exam>\
     <exam id=\"Zed\"><grade>4</grade></exam>\
     </enrolls>";
+/// Mixed content: text between element siblings, which by-projection must
+/// not merge into one text node when it drops the element between them.
+const DOC_D: &str = "<a>x<b/>y<c/></a>";
 
 /// Fixture queries spanning the compiled surface: plain remote paths,
 /// filters with folded constants, cross-peer joins, scatter over two
-/// peers, node-set operators, reverse axes and aggregation.
+/// peers, node-set operators, reverse axes, aggregation, and the text
+/// nodes of mixed content.
 const QUERIES: &[&str] = &[
     "count(doc(\"xrpc://peer1/a.xml\")//person)",
     "doc(\"xrpc://peer1/a.xml\")//person[age < 10 + 20]/name",
@@ -45,12 +49,15 @@ const QUERIES: &[&str] = &[
     "count(doc(\"xrpc://peer1/a.xml\")//name union doc(\"xrpc://peer1/a.xml\")//tutor)",
     "count((doc(\"xrpc://peer1/a.xml\")//age)/parent::person)",
     "sum(for $g in doc(\"xrpc://peer2/b.xml\")//grade return $g)",
+    "let $d := doc(\"xrpc://peer1/d.xml\") return ($d/a/text())[1]",
+    "let $t := doc(\"xrpc://peer1/d.xml\")/a/text() return (count($t), $t)",
 ];
 
 fn federation() -> Federation {
     let mut f = Federation::new(NetworkModel::lan());
     f.load_document("peer1", "a.xml", DOC_A).unwrap();
     f.load_document("peer2", "b.xml", DOC_B).unwrap();
+    f.load_document("peer1", "d.xml", DOC_D).unwrap();
     f
 }
 
@@ -60,6 +67,7 @@ fn local_reference(query: &str) -> Vec<String> {
     let mut store = Store::new();
     xqd::xml::parse_document(&mut store, DOC_A, Some("xrpc://peer1/a.xml")).unwrap();
     xqd::xml::parse_document(&mut store, DOC_B, Some("xrpc://peer2/b.xml")).unwrap();
+    xqd::xml::parse_document(&mut store, DOC_D, Some("xrpc://peer1/d.xml")).unwrap();
     let module = parse_query(query).unwrap();
     let result = eval_query(&mut store, &module).unwrap();
     result.iter().map(|i| canonical_item(&store, i)).collect()

@@ -3,6 +3,8 @@
 //!
 //! * projection invariants — every used/returned node survives, returned
 //!   subtrees are complete, ancestors connect, the output never grows;
+//! * over mixed content, the projected document reparses to its kept
+//!   nodes — no two texts merge where an element was projected away;
 //! * **projection preserves query answers**: for random documents, random
 //!   downward queries and the used/returned sets they induce, evaluating
 //!   the remaining consumer steps on the projected document gives the same
@@ -36,6 +38,28 @@ fn arb_doc(rng: &mut Rng) -> String {
         for _ in 0..rng.gen_range(0..3) {
             node(rng, depth + 1, out);
         }
+        out.push_str(&format!("</{name}>"));
+    }
+    let mut body = String::new();
+    node(rng, 0, &mut body);
+    format!("<root>{body}</root>")
+}
+
+/// Mixed content: every element holds text between its element children,
+/// so projecting an element away can leave two texts side by side.
+fn arb_mixed_doc(rng: &mut Rng) -> String {
+    fn node(rng: &mut Rng, depth: u32, out: &mut String) {
+        if depth >= 3 || rng.gen_bool(0.3) {
+            out.push_str(rng.choose(&["<b/>", "<c k=\"v\"/>", "<!--m-->", "<?pi d?>"]));
+            return;
+        }
+        let name = rng.choose(&["p", "q"]);
+        out.push_str(&format!("<{name}>"));
+        for _ in 0..rng.gen_range(1..4) {
+            out.push_str(rng.choose(&["x", "y z", "&amp;"]));
+            node(rng, depth + 1, out);
+        }
+        out.push_str(rng.choose(&["t", "u"]));
         out.push_str(&format!("</{name}>"));
     }
     let mut body = String::new();
@@ -122,6 +146,37 @@ fn projection_invariants() {
             let pd2 = parse_document(&mut store3, &text, None);
             assert!(pd2.is_ok(), "projected output must reparse: {text}");
         }
+    }
+}
+
+/// The receiver parses what the sender counted: over mixed content, the
+/// serialized projected document — parsed inside a wrapper element, as the
+/// receiver parses it inside `<fragment>` — has exactly `kept.len() + 1`
+/// nodes below its document node (the wrapper standing for the projected
+/// document node, then one node per kept node, of the kept node's kind).
+#[test]
+fn projected_mixed_content_reparses_to_the_kept_nodes() {
+    for case in 0..CASES {
+        let mut rng = case_rng(0x50_52_4F_4A_35, case);
+        let xml = arb_mixed_doc(&mut rng);
+        let (s1, s2) = (rng.next_u64() | 1, rng.next_u64() | 1);
+        let mut store = Store::new();
+        let d = parse_document(&mut store, &xml, None).unwrap();
+        let doc = store.doc(d);
+        let (used, returned) = pick_nodes(doc.len() as u32, (s1, s2));
+        let input = ProjectionInput::new(used, returned);
+        let (builder, projection) = project_document(doc, &store.names, &input, None);
+        let mut scratch = Store::new();
+        let pd = scratch.attach(builder);
+        let text = serialize_document(scratch.doc(pd), &scratch.names);
+        let mut received = Store::new();
+        let rd =
+            parse_document(&mut received, &format!("<fragment>{text}</fragment>"), None).unwrap();
+        let rdoc = received.doc(rd);
+        assert_eq!(rdoc.len() - 1, projection.kept.len() + 1, "{xml} projected to {text}");
+        let kinds: Vec<NodeKind> = (2..rdoc.len() as u32).map(|i| rdoc.kind(i)).collect();
+        let kept: Vec<NodeKind> = projection.kept.iter().map(|&k| doc.kind(k)).collect();
+        assert_eq!(kinds, kept, "{xml} projected to {text}");
     }
 }
 
