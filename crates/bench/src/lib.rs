@@ -352,21 +352,22 @@ pub const PATHS_QUERIES: &[(&str, &str)] = &[
 ];
 
 /// One `paths` measurement: a single query at a single document scale,
-/// evaluated with the staircase-join fast path off (`scan`) and on
-/// (`indexed`) over the *same* store, so node identities are comparable.
+/// compiled and run by the plan engine with the staircase-join fast path
+/// off (`scan`) and on (`indexed`) over the *same* store, so node
+/// identities are comparable. Times are µs, read at ns resolution.
 #[derive(Debug, Clone)]
 pub struct PathsPoint {
     pub query: &'static str,
     pub doc_bytes: usize,
-    pub scan_us: u128,
-    pub indexed_us: u128,
+    pub scan_us: f64,
+    pub indexed_us: f64,
     pub results_identical: bool,
 }
 
 impl PathsPoint {
     /// Scan time over indexed time (>1 means the index wins).
     pub fn speedup(&self) -> f64 {
-        self.scan_us as f64 / (self.indexed_us.max(1)) as f64
+        self.scan_us / self.indexed_us.max(0.001)
     }
 
     /// The `BENCH_paths.json` point.
@@ -374,8 +375,8 @@ impl PathsPoint {
         vec![
             ("query", self.query.into()),
             ("doc_bytes", self.doc_bytes.into()),
-            ("scan_us", self.scan_us.into()),
-            ("indexed_us", self.indexed_us.into()),
+            ("scan_us", Value::Float(self.scan_us, 3)),
+            ("indexed_us", Value::Float(self.indexed_us, 3)),
             ("speedup", Value::Float(self.speedup(), 3)),
             ("results_identical", self.results_identical.into()),
         ]
@@ -383,10 +384,11 @@ impl PathsPoint {
 }
 
 /// Runs every [`PATHS_QUERIES`] entry at one document scale, taking the
-/// minimum of `iters` timed runs per mode (one untimed warmup run per mode
-/// first, so lazy name-index construction is not charged to any iteration).
+/// minimum of `iters` timed plan evaluations per mode (one plan compiled
+/// per mode, one untimed warmup run first, so neither compilation nor lazy
+/// name-index construction is charged to any iteration).
 pub fn paths_points_at(target_bytes: usize, seed: u64, iters: usize) -> Vec<PathsPoint> {
-    use xqd_xquery::{eval_query_with_indexes, parse_query};
+    use xqd_xquery::{compile_query, parse_query, Evaluator, LocalResolver, StaticContext};
 
     let cfg = XmarkConfig::with_target_bytes(target_bytes, seed);
     let xml = people_document(&cfg);
@@ -398,14 +400,19 @@ pub fn paths_points_at(target_bytes: usize, seed: u64, iters: usize) -> Vec<Path
     for &(label, query) in PATHS_QUERIES {
         let module = parse_query(query).expect("paths query parses");
         let mut time_mode = |use_indexes: bool| {
-            let warmup = eval_query_with_indexes(&mut store, &module, use_indexes)
-                .expect("paths query evaluates");
-            let mut best = u128::MAX;
+            let plan = compile_query(&module, use_indexes, &StaticContext::default());
+            let mut run = || {
+                let mut resolver = LocalResolver;
+                let mut ev = Evaluator::new(&mut store, &module.functions, &mut resolver)
+                    .with_indexes(use_indexes);
+                plan.eval(&mut ev).expect("paths query evaluates")
+            };
+            let warmup = run();
+            let mut best = f64::MAX;
             for _ in 0..iters.max(1) {
                 let t = Instant::now();
-                let out = eval_query_with_indexes(&mut store, &module, use_indexes)
-                    .expect("paths query evaluates");
-                best = best.min(t.elapsed().as_micros());
+                let out = run();
+                best = best.min(t.elapsed().as_nanos() as f64 / 1e3);
                 assert_eq!(out, warmup, "{label}: unstable result across runs");
             }
             (warmup, best)

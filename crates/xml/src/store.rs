@@ -272,6 +272,25 @@ impl Document {
         }
     }
 
+    /// [`Document::string_value`] without building it, when it is one span
+    /// of the text arena: a text, attribute, comment or PI node, or an
+    /// element or document with at most one text descendant (`""` with
+    /// none). `None` when the value is the concatenation of two or more.
+    pub fn string_value_span(&self, idx: u32) -> Option<&str> {
+        let rec = &self.nodes[idx as usize];
+        if !matches!(rec.kind, NodeKind::Document | NodeKind::Element) {
+            return Some(self.span(rec));
+        }
+        let mut texts = self.nodes[idx as usize + 1..=rec.subtree_end as usize]
+            .iter()
+            .filter(|r| r.kind == NodeKind::Text);
+        match (texts.next(), texts.next()) {
+            (None, _) => Some(""),
+            (Some(text), None) => Some(self.span(text)),
+            (Some(_), Some(_)) => None,
+        }
+    }
+
     /// Element owning an `id="…"` attribute with the given value, if any.
     pub fn element_by_id(&self, id: &str) -> Option<u32> {
         self.id_map.get(id).copied()
@@ -760,6 +779,36 @@ mod tests {
         assert_eq!(doc.string_value(2), "t");
         assert_eq!(doc.string_value(3), "1");
         assert_eq!(doc.string_value(4), "");
+    }
+
+    /// Over every node of every kind: a span is the string value, and there
+    /// is no span exactly when two or more text nodes make the value up.
+    #[test]
+    fn string_value_span_is_the_string_value_or_none() {
+        let mut store = Store::new();
+        let xml = "<r a=\"x\"><e/><t> 7 </t><m>1<c/>2</m><n><c>3</c></n><k><!--9--></k>\
+                   <!--c--><?p v?><o><i><j>d</j></i>e<i/></o>tail</r>";
+        let d = crate::parse_document(&mut store, xml, None).unwrap();
+        let doc = store.doc(d);
+        let mut spans = 0;
+        for idx in 0..doc.len() as u32 {
+            let texts = match doc.kind(idx) {
+                NodeKind::Document | NodeKind::Element => (idx + 1..=doc.subtree_end(idx))
+                    .filter(|&i| doc.kind(i) == NodeKind::Text)
+                    .count(),
+                _ => 0,
+            };
+            match doc.string_value_span(idx) {
+                Some(s) => {
+                    assert_eq!(s, doc.string_value(idx), "node {idx}");
+                    assert!(texts < 2, "node {idx} has {texts} texts");
+                    spans += 1;
+                }
+                None => assert!(texts >= 2, "node {idx} has {texts} texts"),
+            }
+        }
+        // r, the document, m and o are concatenations; every other node a span
+        assert_eq!(doc.len() - spans, 4);
     }
 
     #[test]

@@ -1205,7 +1205,7 @@ impl<'a> Evaluator<'a> {
                 }
                 let mut out = Vec::new();
                 for &x in items {
-                    out.extend(self.eval_op(plan, run, x)?);
+                    self.eval_op(plan, run, x)?.append_to(&mut out);
                 }
                 Ok(out.into())
             }
@@ -1216,16 +1216,17 @@ impl<'a> Evaluator<'a> {
                         return self.eval_bulk_for_plan(plan, run, *var, input, b);
                     }
                 }
-                // one binding for the whole loop, its value overwritten per
-                // item; the body leaves the environment as it found it
+                // one binding for the whole loop, its value rebound in place
+                // per item unless something still holds it (a memo key);
+                // the body leaves the environment as it found it
                 let slot = self.env.len();
                 self.env.push((plan.sym(*var).to_string(), Sequence::new()));
                 let mut out = Vec::new();
                 let mut outcome = Ok(());
                 for item in input.iter() {
-                    self.env[slot].1 = Sequence::unit(item.clone());
+                    self.env[slot].1.set_unit(item.clone());
                     match self.eval_op(plan, run, *ret) {
-                        Ok(r) => out.extend(r),
+                        Ok(r) => r.append_to(&mut out),
                         Err(e) => {
                             outcome = Err(e);
                             break;
@@ -1317,7 +1318,7 @@ impl<'a> Evaluator<'a> {
             Op::Comparison { op, lhs, rhs, scatter, .. } => {
                 let (l, r) = self.eval_operand_pair_plan(plan, run, *lhs, *rhs, *scatter)?;
                 let b = general_compare(self.store, *op, &l, &r)?;
-                Ok(Sequence::unit(Item::Atom(Atomic::Bool(b))))
+                Ok(Sequence::boolean(b))
             }
             Op::NodeComparison { op, lhs, rhs, scatter } => {
                 let (l, r) = self.eval_operand_pair_plan(plan, run, *lhs, *rhs, *scatter)?;
@@ -1331,7 +1332,7 @@ impl<'a> Evaluator<'a> {
                     NodeCompOp::Before => ln < rn,
                     NodeCompOp::After => ln > rn,
                 };
-                Ok(Sequence::unit(Item::Atom(Atomic::Bool(b))))
+                Ok(Sequence::boolean(b))
             }
             Op::NodeSet { op, lhs, rhs, scatter } => {
                 let (l, r) = self.eval_operand_pair_plan(plan, run, *lhs, *rhs, *scatter)?;
@@ -1421,18 +1422,18 @@ impl<'a> Evaluator<'a> {
             Op::And(l, r) => {
                 let lv = self.eval_op(plan, run, *l)?;
                 if !effective_boolean_value(&lv)? {
-                    return Ok(Sequence::unit(Item::Atom(Atomic::Bool(false))));
+                    return Ok(Sequence::boolean(false));
                 }
                 let rv = self.eval_op(plan, run, *r)?;
-                Ok(Sequence::unit(Item::Atom(Atomic::Bool(effective_boolean_value(&rv)?))))
+                Ok(Sequence::boolean(effective_boolean_value(&rv)?))
             }
             Op::Or(l, r) => {
                 let lv = self.eval_op(plan, run, *l)?;
                 if effective_boolean_value(&lv)? {
-                    return Ok(Sequence::unit(Item::Atom(Atomic::Bool(true))));
+                    return Ok(Sequence::boolean(true));
                 }
                 let rv = self.eval_op(plan, run, *r)?;
-                Ok(Sequence::unit(Item::Atom(Atomic::Bool(effective_boolean_value(&rv)?))))
+                Ok(Sequence::boolean(effective_boolean_value(&rv)?))
             }
             Op::Execute(pe) => self.eval_execute_plan(plan, run, pe),
         }
@@ -1461,7 +1462,7 @@ impl<'a> Evaluator<'a> {
                 l.compare(self.store, op, true, r.operand())?
             }
         };
-        Ok(Sequence::unit(Item::Atom(Atomic::Bool(b))))
+        Ok(Sequence::boolean(b))
     }
 
     /// Evaluates one comparison operand, or stands the run's probe table in
@@ -1568,8 +1569,8 @@ impl<'a> Evaluator<'a> {
         let mut out = Vec::new();
         for (i, &x) in items.iter().enumerate() {
             match by_idx[i].take() {
-                Some(seq) => out.extend(seq),
-                None => out.extend(self.eval_op(plan, run, x)?),
+                Some(seq) => seq.append_to(&mut out),
+                None => self.eval_op(plan, run, x)?.append_to(&mut out),
             }
         }
         Ok(out.into())
@@ -2034,6 +2035,33 @@ mod tests {
                 compiled.unwrap_err(),
                 "error divergence on {q}"
             );
+        }
+    }
+
+    /// An untyped value casts to `xs:double` only from the XSD lexical
+    /// space: `Infinity` and `inf` are Rust spellings, not XSD ones, and
+    /// raise exactly as `abc` does; `INF`, `-INF` and `NaN` are XSD's.
+    #[test]
+    fn untyped_to_double_accepts_only_the_xsd_spellings() {
+        let doc = "<r><a>Infinity</a><a>inf</a><a>abc</a><a> -INF </a><a>NaN</a></r>";
+        let cases = [
+            ("doc(\"d.xml\")/r/a[1] > 40", "Err(cannot cast Untyped(\"Infinity\") to number)"),
+            ("doc(\"d.xml\")/r/a[2] < 40", "Err(cannot cast Untyped(\"inf\") to number)"),
+            ("doc(\"d.xml\")/r/a[3] < 40", "Err(cannot cast Untyped(\"abc\") to number)"),
+            ("number(\"infinity\")", "Ok([Atom(Dbl(NaN))])"),
+            ("40 > doc(\"d.xml\")/r/a[4]", "Ok([Atom(Bool(true))])"),
+            ("doc(\"d.xml\")/r/a[5] != 40", "Ok([Atom(Bool(false))])"),
+            ("number(\"+INF\") = number(\"1e400\")", "Ok([Atom(Bool(true))])"),
+        ];
+        for (q, want) in cases {
+            let (interp, compiled) = run_both(q, doc, true);
+            for got in [interp, compiled] {
+                let got = match got {
+                    Ok(seq) => format!("Ok({seq:?})"),
+                    Err(e) => format!("Err({})", e.message),
+                };
+                assert_eq!(got, want, "{q}");
+            }
         }
     }
 

@@ -555,6 +555,17 @@ impl<'a> Evaluator<'a> {
         axis: Axis,
         name_id: xqd_xml::name::NameId,
     ) -> EvalResult<Sequence> {
+        if let [Item::Node(n)] = current.as_slice() {
+            // one context: each kernel's output is already in document
+            // order and duplicate-free, so there is nothing to bucket or sort
+            let mut ranks = std::mem::take(&mut self.scratch);
+            ranks.clear();
+            self.staircase_in_doc(n.doc, &[n.idx], axis, name_id, &mut ranks);
+            let out = ranks.iter().map(|&r| Item::Node(NodeId::new(n.doc, r))).collect();
+            ranks.clear();
+            self.scratch = ranks;
+            return Ok(out);
+        }
         let mut by_doc: Vec<(DocId, Vec<u32>)> = Vec::new();
         for item in current.iter() {
             let Item::Node(n) = item else { unreachable!() };
@@ -568,27 +579,36 @@ impl<'a> Evaluator<'a> {
         for (doc_id, mut ctxs) in by_doc {
             ctxs.sort_unstable();
             ctxs.dedup();
-            self.store.ensure_name_index(doc_id);
-            let doc = self.store.doc(doc_id);
-            let ix = doc.name_index().expect("ensure_name_index just built it");
             ranks.clear();
-            match axis {
-                Axis::Descendant => {
-                    index::descendants_named(doc, ix, &ctxs, name_id, false, &mut ranks)
-                }
-                Axis::DescendantOrSelf => {
-                    index::descendants_named(doc, ix, &ctxs, name_id, true, &mut ranks)
-                }
-                Axis::Child => index::children_named(doc, ix, &ctxs, name_id, &mut ranks),
-                Axis::Attribute => index::attributes_named(doc, ix, &ctxs, name_id, &mut ranks),
-                _ => unreachable!("indexed_step gates the axis"),
-            }
+            self.staircase_in_doc(doc_id, &ctxs, axis, name_id, &mut ranks);
             out.extend(ranks.iter().map(|&r| Item::Node(NodeId::new(doc_id, r))));
         }
         ranks.clear();
         self.scratch = ranks;
         sort_document_order(&mut out)?;
         Ok(out.into())
+    }
+
+    /// Runs the index kernel of `axis` over the sorted, duplicate-free
+    /// contexts `ctxs` of one document, appending ranks to `ranks`.
+    fn staircase_in_doc(
+        &mut self,
+        doc_id: DocId,
+        ctxs: &[u32],
+        axis: Axis,
+        name_id: xqd_xml::name::NameId,
+        ranks: &mut Vec<u32>,
+    ) {
+        self.store.ensure_name_index(doc_id);
+        let doc = self.store.doc(doc_id);
+        let ix = doc.name_index().expect("ensure_name_index just built it");
+        match axis {
+            Axis::Descendant => index::descendants_named(doc, ix, ctxs, name_id, false, ranks),
+            Axis::DescendantOrSelf => index::descendants_named(doc, ix, ctxs, name_id, true, ranks),
+            Axis::Child => index::children_named(doc, ix, ctxs, name_id, ranks),
+            Axis::Attribute => index::attributes_named(doc, ix, ctxs, name_id, ranks),
+            _ => unreachable!("indexed_step gates the axis"),
+        }
     }
 
     /// Applies one step (axis + test + predicates) to one context node.

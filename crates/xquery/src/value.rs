@@ -25,7 +25,8 @@ pub enum Item {
 /// cross threads in the parallel Bulk-RPC executor. Sequences are
 /// copy-on-write: construction sites build a plain `Vec<Item>` and convert
 /// once via `From`, and the rare mutating consumers go through
-/// [`Sequence::to_vec`] / [`Sequence::into_vec`].
+/// [`Sequence::to_vec`] / [`Sequence::into_vec`]. The one in-place write,
+/// [`Sequence::set_unit`], happens only on a handle nothing else shares.
 #[derive(Clone, Default)]
 pub struct Sequence(Arc<Vec<Item>>);
 
@@ -40,6 +41,17 @@ impl Sequence {
         Sequence(Arc::new(vec![item]))
     }
 
+    /// The singleton `true` or `false`: a handle on one of two sequences
+    /// kept per thread, so a comparison's result costs a reference count,
+    /// not an allocation (and no count is shared between threads).
+    pub fn boolean(b: bool) -> Self {
+        thread_local! {
+            static BOOLEANS: [Sequence; 2] =
+                [false, true].map(|b| Sequence::unit(Item::Atom(Atomic::Bool(b))));
+        }
+        BOOLEANS.with(|both| both[usize::from(b)].clone())
+    }
+
     pub fn as_slice(&self) -> &[Item] {
         &self.0
     }
@@ -52,6 +64,30 @@ impl Sequence {
     /// so two handles on one allocation hold the same items for good.
     pub(crate) fn same_allocation(&self, other: &Sequence) -> bool {
         Arc::ptr_eq(&self.0, &other.0)
+    }
+
+    /// Rebinds this handle to the singleton `item`. When no other handle
+    /// shares the allocation it is overwritten in place — a FLWOR slot
+    /// rebinding per item pays nothing — otherwise a fresh one is made, so
+    /// a holder of the old handle (a memo key) still sees the old items.
+    pub fn set_unit(&mut self, item: Item) {
+        match Arc::get_mut(&mut self.0) {
+            Some(items) => {
+                items.clear();
+                items.push(item);
+            }
+            None => *self = Sequence::unit(item),
+        }
+    }
+
+    /// Appends the items to `out`: moved when this is the only handle,
+    /// cloned one by one when shared — never a copy of the whole `Vec`
+    /// first, which is what consuming a shared handle by value costs.
+    pub fn append_to(self, out: &mut Vec<Item>) {
+        match Arc::try_unwrap(self.0) {
+            Ok(mut items) => out.append(&mut items),
+            Err(shared) => out.extend(shared.iter().cloned()),
+        }
     }
 
     /// Owned copy of the items (always clones).
@@ -205,9 +241,30 @@ pub fn to_number(a: &Atomic) -> Option<f64> {
     match a {
         Atomic::Int(i) => Some(*i as f64),
         Atomic::Dbl(d) => Some(*d),
-        Atomic::Str(s) | Atomic::Untyped(s) => s.trim().parse::<f64>().ok(),
+        Atomic::Str(s) | Atomic::Untyped(s) => parse_xs_double(s),
         Atomic::Bool(b) => Some(if *b { 1.0 } else { 0.0 }),
     }
+}
+
+/// Casts a string to `xs:double`: surrounding whitespace is dropped, then
+/// the text must be in the XSD lexical space — the decimal / exponent forms,
+/// `INF`, `+INF`, `-INF` or `NaN`. Rust's `f64` grammar is exactly those
+/// decimal forms plus `inf` / `infinity` / `nan` in any case, every one of
+/// which holds a letter other than `e`, so a text of digits, signs, `.`
+/// and `e`/`E` is handed to it and anything else is refused.
+pub fn parse_xs_double(s: &str) -> Option<f64> {
+    let s = s.trim();
+    match s {
+        "INF" | "+INF" => Some(f64::INFINITY),
+        "-INF" => Some(f64::NEG_INFINITY),
+        "NaN" => Some(f64::NAN),
+        _ if s.bytes().all(|b| b.is_ascii_digit() || b"+-.eE".contains(&b)) => s.parse().ok(),
+        _ => None,
+    }
+}
+
+fn cannot_cast_to_number(a: &Atomic) -> EvalError {
+    EvalError::new(format!("cannot cast {a:?} to number"))
 }
 
 /// Effective boolean value (XPath 2.0 §2.4.3).
@@ -236,10 +293,8 @@ pub fn compare_atomics(op: CompOp, l: &Atomic, r: &Atomic) -> EvalResult<bool> {
             to_number(l).unwrap().partial_cmp(&to_number(r).unwrap())
         }
         (Untyped(_), Int(_) | Dbl(_)) | (Int(_) | Dbl(_), Untyped(_)) => {
-            let a = to_number(l)
-                .ok_or_else(|| EvalError::new(format!("cannot cast {l:?} to number")))?;
-            let b = to_number(r)
-                .ok_or_else(|| EvalError::new(format!("cannot cast {r:?} to number")))?;
+            let a = to_number(l).ok_or_else(|| cannot_cast_to_number(l))?;
+            let b = to_number(r).ok_or_else(|| cannot_cast_to_number(r))?;
             a.partial_cmp(&b)
         }
         (Bool(a), Bool(b)) => a.partial_cmp(b),
@@ -266,17 +321,52 @@ pub fn compare_atomics(op: CompOp, l: &Atomic, r: &Atomic) -> EvalResult<bool> {
             return Err(EvalError::new("cannot compare xs:boolean with a number"))
         }
     };
+    Ok(holds(op, ord))
+}
+
+/// Whether `op` holds for an operand pair that orders as `ord`; `None` is
+/// an unordered (NaN) pair, for which every comparison is false.
+fn holds(op: CompOp, ord: Option<std::cmp::Ordering>) -> bool {
+    use std::cmp::Ordering::*;
     let Some(ord) = ord else {
-        return Ok(false); // NaN comparisons are false
+        return false;
     };
-    Ok(match op {
-        CompOp::Eq => ord == std::cmp::Ordering::Equal,
-        CompOp::Ne => ord != std::cmp::Ordering::Equal,
-        CompOp::Lt => ord == std::cmp::Ordering::Less,
-        CompOp::Le => ord != std::cmp::Ordering::Greater,
-        CompOp::Gt => ord == std::cmp::Ordering::Greater,
-        CompOp::Ge => ord != std::cmp::Ordering::Less,
-    })
+    match op {
+        CompOp::Eq => ord == Equal,
+        CompOp::Ne => ord != Equal,
+        CompOp::Lt => ord == Less,
+        CompOp::Le => ord != Greater,
+        CompOp::Gt => ord == Greater,
+        CompOp::Ge => ord != Less,
+    }
+}
+
+/// `compare_atomics` of `item` atomized against the atom `b`, `item` on the
+/// left when `item_is_lhs`. A node against a number reads the node's string
+/// value where it lies when it is one span of the text arena and casts it
+/// with [`parse_xs_double`], as `to_number` would the atomized copy; only
+/// a failed cast builds the copy, for the error text.
+fn compare_item_atom(
+    store: &Store,
+    op: CompOp,
+    item: &Item,
+    b: &Atomic,
+    item_is_lhs: bool,
+) -> EvalResult<bool> {
+    if let (Item::Node(n), Atomic::Int(_) | Atomic::Dbl(_)) = (item, b) {
+        if let Some(text) = store.doc(n.doc).string_value_span(n.idx) {
+            let a = parse_xs_double(text)
+                .ok_or_else(|| cannot_cast_to_number(&Atomic::Untyped(text.to_string())))?;
+            let b = to_number(b).expect("a numeric atom");
+            return Ok(holds(op, if item_is_lhs { a.partial_cmp(&b) } else { b.partial_cmp(&a) }));
+        }
+    }
+    let a = atom_of(store, item);
+    if item_is_lhs {
+        compare_atomics(op, &a, b)
+    } else {
+        compare_atomics(op, b, &a)
+    }
 }
 
 /// Atomizes one item without copying what is already an atom: an atom is
@@ -323,8 +413,26 @@ pub fn general_compare(
     if lhs.is_empty() {
         return Ok(false);
     }
-    let r: Vec<Cow<'_, Atomic>> = rhs.iter().map(|i| atom_of(store, i)).collect();
-    any_pair(op, lhs.iter().map(|i| atom_of(store, i)), &r)
+    // a single-item side is atomized at most once and held without a `Vec`
+    match (lhs, rhs) {
+        (_, [Item::Atom(b)]) => {
+            for a in lhs {
+                if compare_item_atom(store, op, a, b, true)? {
+                    return Ok(true);
+                }
+            }
+            Ok(false)
+        }
+        ([Item::Atom(a)], [b]) => compare_item_atom(store, op, b, a, false),
+        (_, [b]) => {
+            let b = atom_of(store, b);
+            any_pair(op, lhs.iter().map(|i| atom_of(store, i)), std::slice::from_ref(&b))
+        }
+        _ => {
+            let r: Vec<Cow<'_, Atomic>> = rhs.iter().map(|i| atom_of(store, i)).collect();
+            any_pair(op, lhs.iter().map(|i| atom_of(store, i)), &r)
+        }
+    }
 }
 
 /// One operand of a general comparison, evaluated and atomized once so that
@@ -552,6 +660,75 @@ mod tests {
         assert!(general_compare(&store, CompOp::Lt, &lhs, &rhs).unwrap());
         assert!(!general_compare(&store, CompOp::Gt, &lhs, &rhs).unwrap());
         assert!(!general_compare(&store, CompOp::Eq, &[], &rhs).unwrap());
+    }
+
+    /// The in-place node-against-number route is the route it skips: for
+    /// every node of a fixture (spans, concatenations, casts that fail,
+    /// overflow, a comment-only element, an attribute), every operator and a
+    /// number on either side, the result or error text is
+    /// `compare_atomics` over the atomized node.
+    #[test]
+    fn node_against_number_equals_atomize_then_compare() {
+        let mut store = Store::new();
+        let xml = "<r><e/><v> 7 </v><v>NaN</v><v>INF</v><v>1e400</v><v>-0</v><v>inf</v>\
+                   <b>1<c/>2</b><k><!--9--></k><w a=\"3\"/></r>";
+        let d = parse_document(&mut store, xml, None).unwrap();
+        let numbers = [
+            Atomic::Int(7),
+            Atomic::Int(0),
+            Atomic::Int(12),
+            Atomic::Dbl(7.0),
+            Atomic::Dbl(f64::INFINITY),
+            Atomic::Dbl(f64::NAN),
+            Atomic::Dbl(-0.0),
+        ];
+        let ops = [CompOp::Eq, CompOp::Ne, CompOp::Lt, CompOp::Le, CompOp::Gt, CompOp::Ge];
+        let (mut hits, mut errors) = (0, 0);
+        for idx in 0..store.doc(d).len() as u32 {
+            let node = Item::Node(NodeId::new(d, idx));
+            let atom = atomize_item(&store, &node);
+            for num in &numbers {
+                for op in ops {
+                    let (node, num) = (std::slice::from_ref(&node), [Item::Atom(num.clone())]);
+                    let Item::Atom(n) = &num[0] else { unreachable!() };
+                    for node_is_lhs in [true, false] {
+                        let (want, got) = if node_is_lhs {
+                            (compare_atomics(op, &atom, n), general_compare(&store, op, node, &num))
+                        } else {
+                            (compare_atomics(op, n, &atom), general_compare(&store, op, &num, node))
+                        };
+                        assert_eq!(got, want, "{atom:?} {op:?} {n:?}, node lhs {node_is_lhs}");
+                        let inner = compare_item_atom(&store, op, &node[0], n, node_is_lhs);
+                        assert_eq!(inner, want);
+                        hits += usize::from(got == Ok(true));
+                        errors += usize::from(got.is_err());
+                    }
+                }
+            }
+        }
+        assert!(hits > 50 && errors > 50, "{hits} {errors}");
+    }
+
+    #[test]
+    fn xs_double_lexical_space() {
+        for (text, want) in [
+            ("1", Some(1.0)),
+            (" -1.5e2 ", Some(-150.0)),
+            (".5", Some(0.5)),
+            ("5.", Some(5.0)),
+            ("+7E-1", Some(0.7)),
+            ("INF", Some(f64::INFINITY)),
+            ("+INF", Some(f64::INFINITY)),
+            ("-INF", Some(f64::NEG_INFINITY)),
+        ] {
+            assert_eq!(parse_xs_double(text), want, "{text:?}");
+        }
+        assert!(parse_xs_double("NaN").unwrap().is_nan());
+        for text in ["", " ", "inf", "Infinity", "infinity", "-inf", "nan", "NAN", "-NaN", "e5", ".",
+            "1e", "0x10", "1_000", "abc"]
+        {
+            assert_eq!(parse_xs_double(text), None, "{text:?}");
+        }
     }
 
     /// The probe is the nested loop, errors included: for every operand

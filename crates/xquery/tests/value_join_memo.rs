@@ -192,6 +192,24 @@ fn nested_loops_rebuild_the_table_per_outer_binding() {
     }
 }
 
+/// (c, continued) The memo's free variable is the `for` variable being
+/// rebound, here around a step predicate. The loop rebinds `$o` in place only
+/// when nothing else holds its value, and the memo key holds it, so every
+/// item is a new key — `o1` coming back after `o3` gets a table of its own.
+#[test]
+fn the_rebound_loop_variable_is_a_new_key_per_item() {
+    let q = r#"for $o in (doc("d.xml")//o, doc("d.xml")//o[@id = "o1"])
+               return count(doc("d.xml")/r/i[@k = $o/item/@k])"#;
+    for idx in [true, false] {
+        let ran = run(q, idx);
+        assert_eq!(
+            format!("{:?}", ran.result),
+            "Ok([Atom(Int(10)), Atom(Int(12)), Atom(Int(5)), Atom(Int(10))])"
+        );
+        assert_eq!(ran.path_calls("o", "k"), 8, "twice per $o, not once per candidate");
+    }
+}
+
 /// (d) A recursive function comparing against its own parameter: the
 /// recursive call sits in the middle of the caller's loop and takes over
 /// the comparison's table; the caller's next item must see its own `$ks`.
