@@ -4,6 +4,13 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# ci.sh leaves the checkout as it found it: its last step compares the
+# tracked-file state with this one (skipped outside a git checkout).
+tracked_state() {
+    git status --porcelain --untracked-files=no 2> /dev/null || echo "not a git checkout"
+}
+tracked_at_start=$(tracked_state)
+
 echo "== build (release, offline) =="
 cargo build --release --offline
 
@@ -137,7 +144,13 @@ echo "== wirebench smoke (real sockets; correctness only, no timing gate) =="
 # in-process Federation::run, on any retry, failover, shed request or
 # orphaned daemon, and on an unclean drain. Timing is printed, never
 # gated: identical code swings 10-20% on this host (wirebench/AA.md).
+# The smoke's cargo build may rewrite wirebench/Cargo.lock: put back the
+# bytes it found, whether or not the smoke passes.
+cp wirebench/Cargo.lock target/ci_wirebench.lock
+trap 'cp target/ci_wirebench.lock wirebench/Cargo.lock' EXIT
 bash wirebench/run.sh > target/ci_wirebench.out
+cp target/ci_wirebench.lock wirebench/Cargo.lock
+trap - EXIT
 grep -q '"correct": true' target/ci_wirebench.out
 if grep -q '"correct": false' target/ci_wirebench.out; then
     echo "wirebench: a workload returned a wrong or failed reply" >&2
@@ -370,6 +383,13 @@ if [ "$variants" != 2 ]; then
 fi
 if grep -n 'as usize - 1' crates/xrpc/src/message.rs >&2; then
     echo "message.rs subtracts from a received value unchecked (checked_sub, then index)" >&2
+    exit 1
+fi
+
+echo "== the checkout is as ci.sh found it =="
+if [ "$(tracked_state)" != "$tracked_at_start" ]; then
+    echo "ci.sh changed tracked files:" >&2
+    diff <(echo "$tracked_at_start") <(tracked_state) >&2 || true
     exit 1
 fi
 

@@ -20,8 +20,9 @@ use report::{Report, Row, Value};
 
 use xqd_core::Strategy;
 use xqd_xmark::{document_pair, people_document, XmarkConfig};
-use xqd_xml::project::{compute_projection, build_projected, ProjectionInput};
-use xqd_xml::{serialize_document, Store};
+use xqd_xml::project::{compute_projection, ProjectionInput};
+use xqd_xml::serialize::serialize_nodes_into;
+use xqd_xml::Store;
 use xqd_xrpc::{
     ExecOptions, Federation, Metrics, NetworkModel, TenantSpec, WorkloadConfig, WorkloadEngine,
 };
@@ -129,7 +130,8 @@ pub struct ProjectionPoint {
 /// their `age` descendants (used). Runtime projection starts from the
 /// materialized, *filtered* context — only persons whose age passes the
 /// predicate — and is therefore more precise by roughly the predicate's
-/// selectivity.
+/// selectivity. Each cost is project + write: Algorithm 1, then its kept
+/// set written straight to text, as by-projection writes it on the wire.
 pub fn fig10_11_projection(doc_bytes: usize, seed: u64) -> ProjectionPoint {
     fig10_11_projection_with_threshold(doc_bytes, seed, 40)
 }
@@ -166,10 +168,8 @@ pub fn fig10_11_projection_with_threshold(
     let t0 = Instant::now();
     let ct_input = ProjectionInput::new(ages.clone(), persons.clone());
     let ct = compute_projection(doc, &ct_input);
-    let ct_builder = build_projected(doc, &store.names, &ct, None);
-    let mut scratch = Store::new();
-    let ct_doc = scratch.attach(ct_builder);
-    let ct_xml = serialize_document(scratch.doc(ct_doc), &scratch.names);
+    let mut ct_xml = String::new();
+    serialize_nodes_into(doc, &store.names, ct.kept.iter().copied(), &mut ct_xml);
     let compile_time_cost = t0.elapsed();
 
     // runtime: evaluate the predicate first, keep only matching persons
@@ -191,10 +191,8 @@ pub fn fig10_11_projection_with_threshold(
         .collect();
     let rt_input = ProjectionInput::new(vec![], filtered);
     let rt = compute_projection(doc, &rt_input);
-    let rt_builder = build_projected(doc, &store.names, &rt, None);
-    let mut scratch2 = Store::new();
-    let rt_doc = scratch2.attach(rt_builder);
-    let rt_xml = serialize_document(scratch2.doc(rt_doc), &scratch2.names);
+    let mut rt_xml = String::new();
+    serialize_nodes_into(doc, &store.names, rt.kept.iter().copied(), &mut rt_xml);
     let runtime_cost = t1.elapsed();
 
     ProjectionPoint {
@@ -1030,6 +1028,21 @@ mod tests {
         }
     }
 
+    /// Fig. 8's "local exec" is the in-process time the other categories do
+    /// not account for. Under the WAN model the simulated network bill
+    /// exceeds the whole in-process run, which used to be subtracted too
+    /// and read 0 for every strategy.
+    #[test]
+    fn fig8_local_exec_is_the_in_process_residual() {
+        let (people, auctions) = document_pair(&XmarkConfig::with_target_bytes(40_000, 42));
+        let mut fed = Federation::new(NetworkModel::wan());
+        fed.load_document("peer1", "xmk.xml", &people).unwrap();
+        fed.load_document("peer2", "xmk.auctions.xml", &auctions).unwrap();
+        let m = fed.run(BENCHMARK_QUERY, Strategy::DataShipping).unwrap().metrics;
+        assert!(m.local_exec() > Duration::ZERO, "{m:?}");
+        assert_eq!(m.local_exec() + m.shred + m.serialize + m.remote_exec, m.total, "{m:?}");
+    }
+
     #[test]
     fn fig7_ordering_holds() {
         // data-shipping > by-value > by-fragment ≥ by-projection in bytes
@@ -1176,5 +1189,10 @@ mod tests {
             p.compile_time_bytes
         );
         assert!(p.compile_time_bytes < p.doc_bytes);
+        // the byte columns are the projection's: pinned exactly, so a change
+        // in how the kept set is written cannot move them
+        assert_eq!((p.compile_time_bytes, p.runtime_bytes), (36_666, 13_716), "at 60 KB");
+        let p = fig10_11_projection(150_000, 42);
+        assert_eq!((p.compile_time_bytes, p.runtime_bytes), (91_793, 35_812), "at 150 KB");
     }
 }

@@ -32,6 +32,12 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Deepest element nesting the parser accepts. Every envelope a daemon
+/// receives is parsed here, and what reads a document afterwards may
+/// recurse on its depth, so a deeper document is a [`ParseError`], never a
+/// stack overflow later. Shipped documents nest ~12 levels (XMark).
+const MAX_NESTING: usize = 1024;
+
 struct Parser<'a> {
     input: &'a str,
     /// Always on a character boundary: it only ever moves past ASCII
@@ -146,21 +152,79 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Parses the root element and everything inside it. The open elements
+    /// are a stack of names, not a recursion, and [`MAX_NESTING`] bounds it.
     fn parse_element(&mut self, b: &mut DocBuilder) -> Result<(), ParseError> {
-        self.expect("<")?;
-        let name = self.read_name()?;
-        b.start_element(name);
+        let mut open: Vec<&'a str> = Vec::new();
+        loop {
+            if open.len() == MAX_NESTING {
+                return self.err(format!("element nested deeper than {MAX_NESTING} levels"));
+            }
+            self.expect("<")?;
+            let name = self.read_name()?;
+            b.start_element(name);
+            if self.parse_attributes(b)? {
+                open.push(name);
+            } else {
+                b.end_element();
+            }
+            // content up to the next start tag: text runs, CDATA and
+            // references accumulate at the tail of the text arena until
+            // other markup ends the text node
+            let mut run = b.text_arena().len();
+            while let Some(&name) = open.last() {
+                match self.peek() {
+                    None => return self.err(format!("unterminated element <{name}>")),
+                    Some(b'<') => {
+                        if self.starts_with("<![CDATA[") {
+                            self.bump(9);
+                            let body = self.read_until("]]>")?;
+                            b.text_arena().push_str(body);
+                            continue;
+                        }
+                        b.text_since(run);
+                        if self.starts_with("</") {
+                            self.bump(2);
+                            let close = self.read_name()?;
+                            if close != name {
+                                return self
+                                    .err(format!("mismatched close tag </{close}>, open <{name}>"));
+                            }
+                            self.skip_ws();
+                            self.expect(">")?;
+                            b.end_element();
+                            open.pop();
+                        } else if !self.parse_misc(b)? {
+                            break;
+                        }
+                        run = b.text_arena().len();
+                    }
+                    Some(_) => {
+                        let start = self.pos;
+                        self.pos += self.rest().find('<').unwrap_or(self.input.len() - start);
+                        decode_text(&self.input[start..self.pos], start, b.text_arena())?;
+                    }
+                }
+            }
+            if open.is_empty() {
+                return Ok(());
+            }
+        }
+    }
+
+    /// Parses the attributes of a start tag up to its end: `true` for `>`,
+    /// `false` for an element closed by `/>`.
+    fn parse_attributes(&mut self, b: &mut DocBuilder) -> Result<bool, ParseError> {
         loop {
             self.skip_ws();
             match self.peek() {
                 Some(b'/') => {
                     self.expect("/>")?;
-                    b.end_element();
-                    return Ok(());
+                    return Ok(false);
                 }
                 Some(b'>') => {
                     self.bump(1);
-                    break;
+                    return Ok(true);
                 }
                 Some(_) => {
                     let attr_name = self.read_name()?;
@@ -180,43 +244,6 @@ impl<'a> Parser<'a> {
                     b.attribute_since(attr_name, from);
                 }
                 None => return self.err("unterminated start tag"),
-            }
-        }
-        // content: text runs, CDATA and references accumulate at the tail
-        // of the text arena until other markup ends the text node
-        let mut run = b.text_arena().len();
-        loop {
-            match self.peek() {
-                None => return self.err(format!("unterminated element <{name}>")),
-                Some(b'<') => {
-                    if self.starts_with("<![CDATA[") {
-                        self.bump(9);
-                        let body = self.read_until("]]>")?;
-                        b.text_arena().push_str(body);
-                        continue;
-                    }
-                    b.text_since(run);
-                    if self.starts_with("</") {
-                        self.bump(2);
-                        let close = self.read_name()?;
-                        if close != name {
-                            return self.err(format!("mismatched close tag </{close}>, open <{name}>"));
-                        }
-                        self.skip_ws();
-                        self.expect(">")?;
-                        b.end_element();
-                        return Ok(());
-                    }
-                    if !self.parse_misc(b)? {
-                        self.parse_element(b)?;
-                    }
-                    run = b.text_arena().len();
-                }
-                Some(_) => {
-                    let start = self.pos;
-                    self.pos += self.rest().find('<').unwrap_or(self.input.len() - start);
-                    decode_text(&self.input[start..self.pos], start, b.text_arena())?;
-                }
             }
         }
     }

@@ -22,6 +22,7 @@
 use std::collections::HashSet;
 
 use crate::name::NameTable;
+use crate::serialize::write_nodes;
 use crate::store::{DocBuilder, Document, NodeKind};
 
 /// The two node sets driving a projection.
@@ -85,7 +86,6 @@ impl Projection {
 /// 0) may appear and is handled like any returned/used node.
 fn keep_set(doc: &Document, input: &ProjectionInput) -> Vec<u32> {
     // projection nodes P ← U ∪ R, sorted on document order (line 1)
-    let used: HashSet<u32> = input.used.iter().copied().collect();
     let returned: HashSet<u32> = input.returned.iter().copied().collect();
     let mut p: Vec<u32> = input.used.iter().chain(&input.returned).copied().collect();
     p.sort_unstable();
@@ -125,7 +125,6 @@ fn keep_set(doc: &Document, input: &ProjectionInput) -> Vec<u32> {
             cur = doc.subtree_end(cur) + 1;
         }
     }
-    let _ = used;
     kept
 }
 
@@ -138,11 +137,7 @@ fn keep_set(doc: &Document, input: &ProjectionInput) -> Vec<u32> {
 fn trim_lca(doc: &Document, kept: &mut Vec<u32>, input: &ProjectionInput) {
     let p: HashSet<u32> =
         input.used.iter().chain(&input.returned).copied().collect();
-    loop {
-        if kept.is_empty() {
-            return;
-        }
-        let cur = kept[0];
+    while let Some(&cur) = kept.first() {
         // the source document node never survives: the projected output's
         // own document node plays its role (references to it use the
         // `nodeid 0` convention), even when it is itself a projection node
@@ -173,14 +168,10 @@ fn trim_lca(doc: &Document, kept: &mut Vec<u32>, input: &ProjectionInput) {
             }
         }
         // an attribute cannot stand alone: its owner element must survive
-        if attr_child && doc.kind(cur) != NodeKind::Document {
+        if attr_child || kept_children != 1 {
             return;
         }
-        if kept_children == 1 || doc.kind(cur) == NodeKind::Document {
-            kept.remove(0);
-        } else {
-            return;
-        }
+        kept.remove(0);
     }
 }
 
@@ -228,8 +219,8 @@ pub fn compute_projection(doc: &Document, input: &ProjectionInput) -> Projection
 
 /// Materializes a projection as a new standalone document builder.
 ///
-/// Kept nodes are emitted in preorder with parents rewired to the nearest
-/// kept ancestor, so `kept[i]` becomes projected node `i + 1` — the mapping
+/// Kept nodes are written in preorder under their nearest kept ancestor, so
+/// `kept[i]` becomes projected node `i + 1` — the mapping
 /// [`Projection::projected_index`] relies on.
 pub fn build_projected(
     doc: &Document,
@@ -238,39 +229,7 @@ pub fn build_projected(
     uri: Option<&str>,
 ) -> DocBuilder {
     let mut b = DocBuilder::new(uri);
-    // Stack of open source elements (mirrors builder nesting).
-    let mut open: Vec<u32> = Vec::new();
-    for &k in &projection.kept {
-        while let Some(&top) = open.last() {
-            if doc.is_ancestor(top, k) {
-                break;
-            }
-            b.end_element();
-            open.pop();
-        }
-        match doc.kind(k) {
-            NodeKind::Element => {
-                b.start_element(names.resolve(doc.name(k)));
-                open.push(k);
-            }
-            NodeKind::Attribute => {
-                b.attribute(names.resolve(doc.name(k)), doc.value(k).unwrap_or(""));
-            }
-            NodeKind::Text => {
-                b.text(doc.value(k).unwrap_or(""));
-            }
-            NodeKind::Comment => {
-                b.comment(doc.value(k).unwrap_or(""));
-            }
-            NodeKind::Pi => {
-                b.pi(names.resolve(doc.name(k)), doc.value(k).unwrap_or(""));
-            }
-            NodeKind::Document => { /* never kept after trim */ }
-        }
-    }
-    while open.pop().is_some() {
-        b.end_element();
-    }
+    write_nodes(doc, names, projection.kept.iter().copied(), &mut b);
     b.finish()
 }
 

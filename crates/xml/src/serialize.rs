@@ -1,4 +1,5 @@
-//! XML serializer.
+//! XML serializer, and the one preorder walk over a node set that both
+//! serializing and copying ([`DocBuilder::copy_subtree`]) are calls of.
 //!
 //! Produces compact (no indentation) XML so serialize ∘ parse is the
 //! identity on our data model — the property the XRPC message roundtrip and
@@ -6,42 +7,165 @@
 //! bandwidth numbers reported in the Figure 7 / Figure 10 reproductions.
 
 use crate::name::NameTable;
-use crate::store::{Document, NodeKind};
+use crate::store::{DocBuilder, Document, NodeKind};
 
 /// Escapes text content (`&`, `<`, `>`).
 pub fn escape_text(s: &str, out: &mut String) {
-    escape(s, out, |b| match b {
-        b'&' => Some("&amp;"),
-        b'<' => Some("&lt;"),
-        b'>' => Some("&gt;"),
-        _ => None,
-    });
+    escape(s, out, false);
 }
 
 /// Escapes attribute values (also `"`).
 pub fn escape_attr(s: &str, out: &mut String) {
-    escape(s, out, |b| match b {
-        b'&' => Some("&amp;"),
-        b'<' => Some("&lt;"),
-        b'>' => Some("&gt;"),
-        b'"' => Some("&quot;"),
-        _ => None,
-    });
+    escape(s, out, true);
 }
 
-/// Copies `s` to `out` with every byte `entity` names replaced: the runs
-/// between two such bytes are copied whole. The special bytes are ASCII,
-/// so every cut falls on a character boundary.
-fn escape(s: &str, out: &mut String, entity: impl Fn(u8) -> Option<&'static str>) {
+/// Copies `s` to `out` with `&`, `<`, `>` (and `"` when `quote`) replaced
+/// by their entities: the runs between two such bytes are copied whole.
+/// The special bytes are ASCII, so every cut falls on a character boundary.
+fn escape(s: &str, out: &mut String, quote: bool) {
     let mut run = 0;
     for (i, b) in s.bytes().enumerate() {
-        if let Some(e) = entity(b) {
-            out.push_str(&s[run..i]);
-            out.push_str(e);
-            run = i + 1;
-        }
+        let entity = match b {
+            b'&' => "&amp;",
+            b'<' => "&lt;",
+            b'>' => "&gt;",
+            b'"' if quote => "&quot;",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        out.push_str(entity);
+        run = i + 1;
     }
     out.push_str(&s[run..]);
+}
+
+/// What [`write_nodes`] drives: a [`DocBuilder`] copying the nodes, or an
+/// [`XmlWriter`] serializing them.
+pub(crate) trait NodeSink {
+    /// Opens an element, or writes a node of any other non-document kind.
+    fn node(&mut self, kind: NodeKind, name: &str, value: &str);
+    fn end_element(&mut self, name: &str);
+}
+
+/// The one preorder walk over a node set: `nodes` in document order, each
+/// written under its nearest ancestor in the set (an open-element stack),
+/// the document node transparent. A whole subtree is the range
+/// `root..=subtree_end`; Algorithm 1's kept set is another such set.
+pub(crate) fn write_nodes(
+    doc: &Document,
+    names: &NameTable,
+    nodes: impl IntoIterator<Item = u32>,
+    sink: &mut impl NodeSink,
+) {
+    let mut open: Vec<u32> = Vec::new();
+    for k in nodes {
+        while let Some(&top) = open.last() {
+            if doc.is_ancestor(top, k) {
+                break;
+            }
+            sink.end_element(names.resolve(doc.name(top)));
+            open.pop();
+        }
+        let kind = doc.kind(k);
+        if kind != NodeKind::Document {
+            sink.node(kind, names.resolve(doc.name(k)), doc.value(k).unwrap_or(""));
+        }
+        if kind == NodeKind::Element {
+            open.push(k);
+        }
+    }
+    while let Some(top) = open.pop() {
+        sink.end_element(names.resolve(doc.name(top)));
+    }
+}
+
+impl NodeSink for DocBuilder {
+    fn node(&mut self, kind: NodeKind, name: &str, value: &str) {
+        match kind {
+            NodeKind::Element => _ = self.start_element(name),
+            NodeKind::Attribute => _ = self.attribute(name, value),
+            NodeKind::Text => _ = self.text(value),
+            NodeKind::Comment => _ = self.comment(value),
+            NodeKind::Pi => _ = self.pi(name, value),
+            NodeKind::Document => {}
+        }
+    }
+
+    fn end_element(&mut self, _name: &str) {
+        DocBuilder::end_element(self);
+    }
+}
+
+/// Compact XML text: a start tag stays open for attributes until content
+/// follows, and an element that gets none is written `<a/>`. An attribute
+/// outside any element is written `name="value"`.
+struct XmlWriter<'a> {
+    out: &'a mut String,
+    tag_open: bool,
+}
+
+impl NodeSink for XmlWriter<'_> {
+    fn node(&mut self, kind: NodeKind, name: &str, value: &str) {
+        let out = &mut *self.out;
+        if kind == NodeKind::Attribute {
+            if self.tag_open {
+                out.push(' ');
+            }
+            out.push_str(name);
+            out.push_str("=\"");
+            escape_attr(value, out);
+            out.push('"');
+            return;
+        }
+        if std::mem::take(&mut self.tag_open) {
+            out.push('>');
+        }
+        match kind {
+            NodeKind::Element => {
+                out.push('<');
+                out.push_str(name);
+                self.tag_open = true;
+            }
+            NodeKind::Text => escape_text(value, out),
+            NodeKind::Comment => {
+                out.push_str("<!--");
+                out.push_str(value);
+                out.push_str("-->");
+            }
+            NodeKind::Pi => {
+                out.push_str("<?");
+                out.push_str(name);
+                if !value.is_empty() {
+                    out.push(' ');
+                    out.push_str(value);
+                }
+                out.push_str("?>");
+            }
+            NodeKind::Attribute | NodeKind::Document => {}
+        }
+    }
+
+    fn end_element(&mut self, name: &str) {
+        if std::mem::take(&mut self.tag_open) {
+            self.out.push_str("/>");
+        } else {
+            self.out.push_str("</");
+            self.out.push_str(name);
+            self.out.push('>');
+        }
+    }
+}
+
+/// Serializes `nodes` of `doc` (in document order) into `out`, each under
+/// its nearest ancestor in the set — for Algorithm 1's kept set, the
+/// projected document's text.
+pub fn serialize_nodes_into(
+    doc: &Document,
+    names: &NameTable,
+    nodes: impl IntoIterator<Item = u32>,
+    out: &mut String,
+) {
+    write_nodes(doc, names, nodes, &mut XmlWriter { out, tag_open: false });
 }
 
 /// Serializes the subtree rooted at `idx` into `out`.
@@ -50,58 +174,7 @@ fn escape(s: &str, out: &mut String, entity: impl Fn(u8) -> Option<&'static str>
 /// attribute node on its own serializes as `name="value"` (used only in
 /// diagnostics — attributes inside elements are emitted by their element).
 pub fn serialize_node_into(doc: &Document, names: &NameTable, idx: u32, out: &mut String) {
-    match doc.kind(idx) {
-        NodeKind::Document => {
-            for c in doc.children(idx) {
-                serialize_node_into(doc, names, c, out);
-            }
-        }
-        NodeKind::Element => {
-            let name = names.resolve(doc.name(idx));
-            out.push('<');
-            out.push_str(name);
-            for a in doc.attributes(idx) {
-                out.push(' ');
-                out.push_str(names.resolve(doc.name(a)));
-                out.push_str("=\"");
-                escape_attr(doc.value(a).unwrap_or(""), out);
-                out.push('"');
-            }
-            if doc.first_child(idx).is_none() {
-                out.push_str("/>");
-            } else {
-                out.push('>');
-                for c in doc.children(idx) {
-                    serialize_node_into(doc, names, c, out);
-                }
-                out.push_str("</");
-                out.push_str(name);
-                out.push('>');
-            }
-        }
-        NodeKind::Attribute => {
-            out.push_str(names.resolve(doc.name(idx)));
-            out.push_str("=\"");
-            escape_attr(doc.value(idx).unwrap_or(""), out);
-            out.push('"');
-        }
-        NodeKind::Text => escape_text(doc.value(idx).unwrap_or(""), out),
-        NodeKind::Comment => {
-            out.push_str("<!--");
-            out.push_str(doc.value(idx).unwrap_or(""));
-            out.push_str("-->");
-        }
-        NodeKind::Pi => {
-            out.push_str("<?");
-            out.push_str(names.resolve(doc.name(idx)));
-            let v = doc.value(idx).unwrap_or("");
-            if !v.is_empty() {
-                out.push(' ');
-                out.push_str(v);
-            }
-            out.push_str("?>");
-        }
-    }
+    serialize_nodes_into(doc, names, idx..=doc.subtree_end(idx), out);
 }
 
 /// Serializes the subtree rooted at `idx` to a fresh string.

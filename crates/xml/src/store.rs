@@ -23,6 +23,7 @@ use std::collections::HashMap;
 
 use crate::index::NameIndex;
 use crate::name::{NameId, NameTable};
+use crate::serialize::write_nodes;
 
 /// Identifier of a document within a [`Store`].
 ///
@@ -155,34 +156,12 @@ impl Document {
         anc < desc && desc <= self.subtree_end(anc)
     }
 
-    /// First *attribute* of an element, if any.
-    pub fn first_attribute(&self, idx: u32) -> Option<u32> {
-        let next = idx + 1;
-        if (next as usize) < self.nodes.len()
-            && self.nodes[next as usize].parent == idx
-            && self.nodes[next as usize].kind == NodeKind::Attribute
-        {
-            Some(next)
-        } else {
-            None
-        }
-    }
-
-    /// Iterates the attributes of `idx` (empty for non-elements).
+    /// Iterates the attributes of `idx` (empty for non-elements): the
+    /// attribute block right after it.
     pub fn attributes(&self, idx: u32) -> impl Iterator<Item = u32> + '_ {
-        let mut cur = self.first_attribute(idx);
-        std::iter::from_fn(move || {
-            let a = cur?;
-            let next = a + 1;
-            cur = if (next as usize) < self.nodes.len()
-                && self.nodes[next as usize].parent == idx
-                && self.nodes[next as usize].kind == NodeKind::Attribute
-            {
-                Some(next)
-            } else {
-                None
-            };
-            Some(a)
+        (idx + 1..self.nodes.len() as u32).take_while(move |&a| {
+            let rec = &self.nodes[a as usize];
+            rec.parent == idx && rec.kind == NodeKind::Attribute
         })
     }
 
@@ -636,41 +615,7 @@ impl DocBuilder {
     /// semantics). Attribute nodes are copied as attributes of the current
     /// element.
     pub fn copy_subtree(&mut self, src: &Document, src_names: &NameTable, src_idx: u32) {
-        match src.kind(src_idx) {
-            NodeKind::Document => {
-                for c in src.children(src_idx) {
-                    self.copy_subtree(src, src_names, c);
-                }
-            }
-            NodeKind::Element => {
-                self.start_element(src_names.resolve(src.name(src_idx)));
-                for a in src.attributes(src_idx) {
-                    self.attribute(
-                        src_names.resolve(src.name(a)),
-                        src.value(a).unwrap_or(""),
-                    );
-                }
-                for c in src.children(src_idx) {
-                    self.copy_subtree(src, src_names, c);
-                }
-                self.end_element();
-            }
-            NodeKind::Attribute => {
-                self.attribute(
-                    src_names.resolve(src.name(src_idx)),
-                    src.value(src_idx).unwrap_or(""),
-                );
-            }
-            NodeKind::Text => {
-                self.text(src.value(src_idx).unwrap_or(""));
-            }
-            NodeKind::Comment => {
-                self.comment(src.value(src_idx).unwrap_or(""));
-            }
-            NodeKind::Pi => {
-                self.pi(src_names.resolve(src.name(src_idx)), src.value(src_idx).unwrap_or(""));
-            }
-        }
+        write_nodes(src, src_names, src_idx..=src.subtree_end(src_idx), self);
     }
 
     /// Finalizes the document-node `subtree_end`. Called by [`Store::attach`].

@@ -5,7 +5,9 @@
 
 use xqd_prng::Rng;
 use xqd_xml::axes::{axis_nodes, Axis};
-use xqd_xml::{parse_document, serialize_document, NodeKind, Store};
+use xqd_xml::project::{build_projected, compute_projection, ProjectionInput};
+use xqd_xml::serialize::serialize_nodes_into;
+use xqd_xml::{parse_document, serialize_document, serialize_node, DocBuilder, NodeKind, Store};
 
 /// Random well-formed XML: element names from a small alphabet, attributes,
 /// text with characters that exercise escaping, and the markup the shredder
@@ -103,6 +105,76 @@ fn serialize_parse_fixpoint() {
         // and the two stores agree structurally
         assert_eq!(s1.doc(d1).len(), s2.doc(d2).len());
         assert_eq!(s1.doc(d1).string_value(0), s2.doc(d2).string_value(0));
+    });
+}
+
+/// Copying an element into a fresh builder and serializing the copy writes
+/// the bytes the serializer writes for that element in place.
+#[test]
+fn copy_subtree_serializes_like_the_source() {
+    for_each_case(|xml| {
+        let mut s = Store::new();
+        let d = parse_document(&mut s, xml, None).unwrap();
+        let doc = s.doc(d);
+        for i in (0..doc.len() as u32).filter(|&i| doc.kind(i) == NodeKind::Element) {
+            let mut b = DocBuilder::new(None);
+            b.copy_subtree(doc, &s.names, i);
+            let mut copy = Store::new();
+            let c = copy.attach(b.finish());
+            assert_eq!(
+                serialize_document(copy.doc(c), &copy.names),
+                serialize_node(doc, &s.names, i),
+                "element {i} of {xml}"
+            );
+        }
+    });
+}
+
+/// Algorithm 1's kept set, written as text, is the projected document: for
+/// seeded random (used, returned) sets — eight per document — the text
+/// equals the serialization of `build_projected`'s document, and parsed
+/// back inside a wrapper element (as the receiver parses a `<fragment>`)
+/// it holds exactly the kept nodes, in order, with their kinds, names and
+/// values: no two kept texts merge where a node was projected away.
+#[test]
+fn written_projection_parses_back_to_the_kept_nodes() {
+    let mut case = 0u64;
+    for_each_case(|xml| {
+        case += 1;
+        let mut rng = Rng::seed_from_u64(0x5052_4F4A ^ case.wrapping_mul(0x9E37_79B9));
+        let mut s = Store::new();
+        let d = parse_document(&mut s, xml, None).unwrap();
+        let doc = s.doc(d);
+        for _ in 0..8 {
+            let (mut used, mut returned) = (Vec::new(), Vec::new());
+            for i in 1..doc.len() as u32 {
+                if rng.gen_bool(0.2) {
+                    used.push(i);
+                } else if rng.gen_bool(0.1) {
+                    returned.push(i);
+                }
+            }
+            let projection = compute_projection(doc, &ProjectionInput::new(used, returned));
+
+            let mut text = String::new();
+            serialize_nodes_into(doc, &s.names, projection.kept.iter().copied(), &mut text);
+            let mut built = Store::new();
+            let b = built.attach(build_projected(doc, &s.names, &projection, None));
+            assert_eq!(text, serialize_document(built.doc(b), &built.names), "{xml}");
+
+            let mut received = Store::new();
+            let r = parse_document(&mut received, &format!("<w>{text}</w>"), None).unwrap();
+            let rdoc = received.doc(r);
+            assert_eq!(rdoc.len(), projection.kept.len() + 2, "{xml} projected to {text}");
+            for (i, &k) in projection.kept.iter().enumerate() {
+                let j = i as u32 + 2;
+                assert_eq!(
+                    (rdoc.kind(j), received.names.resolve(rdoc.name(j)), rdoc.value(j)),
+                    (doc.kind(k), s.names.resolve(doc.name(k)), doc.value(k)),
+                    "kept node {k} of {xml} projected to {text}"
+                );
+            }
+        }
     });
 }
 
@@ -308,4 +380,18 @@ fn parse_errors_are_pinned() {
         assert_eq!((err.offset, err.message.as_str()), (offset, message), "{xml:?}");
         assert_eq!(s.doc_count(), 0, "a rejected document is not attached");
     }
+}
+
+/// Nesting is bounded: a 100 000-deep document is a typed error at the
+/// first element past the bound, not a stack overflow, and a document at
+/// the bound parses.
+#[test]
+fn deep_nesting_is_a_typed_error() {
+    let deep = |levels: usize| format!("{}{}", "<a>".repeat(levels), "</a>".repeat(levels));
+    let mut s = Store::new();
+    let err = parse_document(&mut s, &deep(100_000), None).unwrap_err();
+    assert_eq!((err.offset, err.message.as_str()), (3 * 1024, "element nested deeper than 1024 levels"));
+    assert_eq!(s.doc_count(), 0);
+    let d = parse_document(&mut s, &deep(1024), None).unwrap();
+    assert_eq!(s.doc(d).len(), 1025);
 }

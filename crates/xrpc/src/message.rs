@@ -24,7 +24,7 @@
 //!      | <attribute fragid=".." nodeid=".." name=".."/>
 //!
 //! <env><response semantics="..">fragments? <call-result><sequence>…</sequence></call-result>*</response></env>
-//! <env><fault code=".." peer=".." retry-after-ms=".."?><message>…</message></fault></env>
+//! <env><fault code=".." peer=".." retry-after-ms=".."? deadline-ms=".."?><message>…</message></fault></env>
 //! <env><doc-request uri=".."/></env>                                  (data shipping over a transport)
 //! <env><doc uri="..">…the serialized document, embedded as is…</doc></env>
 //! ```
@@ -36,8 +36,10 @@
 
 use std::fmt::Write;
 
-use xqd_xml::project::{build_projected, compute_projection, ProjectionInput};
-use xqd_xml::serialize::{escape_attr, escape_text, serialize_node, serialize_node_into};
+use xqd_xml::project::{compute_projection, ProjectionInput};
+use xqd_xml::serialize::{
+    escape_attr, escape_text, serialize_node, serialize_node_into, serialize_nodes_into,
+};
 use xqd_xml::{DocBuilder, DocId, NodeId, NodeKind, NodeMeta, Store};
 use xqd_xquery::ast::{Atomic, PathSpec};
 use xqd_xquery::eval::StaticContext;
@@ -130,7 +132,8 @@ fn node_codec(store: &Store, semantics: WireSemantics, groups: &[Group]) -> Node
 
 /// Pass-by-projection: per document, run Algorithm 1 on the union of the
 /// used/returned node sets derived from the per-sequence path specs; the
-/// projected document is the document's one fragment.
+/// projected document is the document's one fragment, its kept set written
+/// straight to text.
 fn by_projection(store: &Store, groups: &[Group]) -> (Vec<Fragment>, Vec<String>) {
     use std::collections::BTreeMap;
     // per-doc used/returned sets
@@ -170,11 +173,8 @@ fn by_projection(store: &Store, groups: &[Group]) -> (Vec<Fragment>, Vec<String>
                 returned.remove(&d).unwrap_or_default(),
             );
             let projection = compute_projection(doc, &input);
-            let builder = build_projected(doc, &store.names, &projection, None);
-            // serialize via a scratch store (the builder is standalone)
-            let mut scratch = Store::new();
-            let pd = scratch.attach(builder);
-            let xml = xqd_xml::serialize_document(scratch.doc(pd), &scratch.names);
+            let mut xml = String::new();
+            serialize_nodes_into(doc, &store.names, projection.kept.iter().copied(), &mut xml);
             // kept[i] is projected node i + 1, so the kept nodes address it
             (Fragment::of(store, d, projection.kept), xml)
         })
@@ -439,12 +439,9 @@ fn write_item(store: &Store, codec: &NodeCodec, item: &Item, out: &mut String) -
                     }
                     out.push('>');
                     match doc.kind(n.idx) {
-                        NodeKind::Document => {
-                            for c in doc.children(n.idx) {
-                                serialize_node_into(doc, &store.names, c, out);
-                            }
+                        NodeKind::Document | NodeKind::Element => {
+                            serialize_node_into(doc, &store.names, n.idx, out)
                         }
-                        NodeKind::Element => serialize_node_into(doc, &store.names, n.idx, out),
                         _ => escape_text(doc.value(n.idx).unwrap_or(""), out),
                     }
                     out.push_str("</copy>");
@@ -625,6 +622,10 @@ pub fn encode_fault(err: &XrpcError) -> String {
         out.push_str("\" retry-after-ms=\"");
         out.push_str(&ms.to_string());
     }
+    if let XrpcError::Timeout { deadline, .. } = err {
+        out.push_str("\" deadline-ms=\"");
+        out.push_str(&deadline.as_millis().to_string());
+    }
     out.push_str("\"><message>");
     escape_text(&err.to_string(), &mut out);
     out.push_str("</message></fault></env>");
@@ -646,7 +647,8 @@ pub fn decode_fault(message: &str) -> Option<XrpcError> {
 }
 
 /// The one reader of a parsed `<fault>` element: the typed error with its
-/// retry-after hint restored. `None` when the element names no code.
+/// retry-after hint and a timeout's deadline restored. `None` when the
+/// element names no code.
 fn fault_from(store: &Store, fault: NodeId) -> Option<XrpcError> {
     let code = attr(store, fault, "code")?;
     let peer = attr(store, fault, "peer").unwrap_or_default();
@@ -663,6 +665,11 @@ fn fault_from(store: &Store, fault: NodeId) -> Option<XrpcError> {
             }
             XrpcError::Overloaded { retry_after_ms } => *retry_after_ms = ms,
             _ => {}
+        }
+    }
+    if let XrpcError::Timeout { deadline, .. } = &mut err {
+        if let Some(ms) = attr(store, fault, "deadline-ms").and_then(|v| v.parse::<u64>().ok()) {
+            *deadline = std::time::Duration::from_millis(ms);
         }
     }
     Some(err)
@@ -860,12 +867,9 @@ fn shred_fragments(store: &mut Store, root: NodeId) -> EvalResult<Vec<Fragment>>
         if let Some(bu) = &base {
             b.set_base_uri(bu);
         }
-        {
-            let doc = store.doc(f.doc);
-            let kids: Vec<u32> = doc.children(f.idx).collect();
-            for c in kids {
-                b.copy_subtree(doc, &store.names, c);
-            }
+        let doc = store.doc(f.doc);
+        for c in doc.children(f.idx) {
+            b.copy_subtree(doc, &store.names, c);
         }
         let new_doc = store.attach(b.finish());
         if let Some(u) = uri {
@@ -988,8 +992,7 @@ fn decode_sequence(
                             result_idx = 1;
                         }
                         "document" => {
-                            let kids: Vec<u32> = doc.children(idx).collect();
-                            for c in kids {
+                            for c in doc.children(idx) {
                                 b.copy_subtree(doc, &store.names, c);
                             }
                             result_idx = 0;
@@ -1456,6 +1459,10 @@ mod tests {
             let back = decode_fault(&wire).expect("fault parses");
             assert_eq!(back.code(), f.code(), "{wire}");
             assert_eq!(back.peer(), f.peer(), "{wire}");
+            // a timeout keeps its deadline: "timed out after 250ms", not 0ns
+            if let XrpcError::Timeout { .. } = f {
+                assert_eq!(&back, f, "{wire}");
+            }
             // ... and decode_response surfaces it as the typed error
             let mut s = Store::new();
             let err = decode_response(&mut s, &wire).unwrap_err();

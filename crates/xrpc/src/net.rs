@@ -692,14 +692,14 @@ impl Metrics {
         self.message_bytes + self.document_bytes
     }
 
-    /// The Figure 8 "local exec" residual: everything not attributed to a
-    /// specific category.
+    /// The Figure 8 "local exec" residual: the in-process time not
+    /// attributed to a specific category. The network bill is simulated,
+    /// not part of `total`, so it is not subtracted.
     pub fn local_exec(&self) -> Duration {
         self.total
             .saturating_sub(self.shred)
             .saturating_sub(self.serialize)
             .saturating_sub(self.remote_exec)
-            .saturating_sub(self.network)
     }
 
     /// Simulated end-to-end time with transfers paid one after another:
@@ -836,7 +836,8 @@ mod tests {
             network: Duration::from_millis(15),
             ..Default::default()
         };
-        assert_eq!(m.local_exec(), Duration::from_millis(25));
+        // the simulated network bill is not in-process time
+        assert_eq!(m.local_exec(), Duration::from_millis(40));
         // never negative
         let m2 = Metrics { total: Duration::from_millis(1), shred: Duration::from_millis(10), ..Default::default() };
         assert_eq!(m2.local_exec(), Duration::ZERO);

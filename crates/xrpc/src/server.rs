@@ -12,7 +12,9 @@
 //! * **deadlines everywhere** — an idle timeout between frames (quiet
 //!   close), a read deadline mid-frame and a write deadline on replies
 //!   (typed fault, then close: the stream is desynced), and a per-request
-//!   evaluation deadline (typed `xrpc:timeout` fault);
+//!   deadline on the wait for the peer slot (typed `xrpc:timeout` fault).
+//!   There is no evaluation deadline: once a request holds the slot, its
+//!   evaluation runs to completion (ROADMAP item 3);
 //! * **bounded in-flight work** — [`ServerConfig::max_inflight`] is the one
 //!   bound on the daemon's queue: admitted requests wait for the peer slot
 //!   within their own deadlines, requests beyond it are shed immediately
@@ -67,8 +69,9 @@ pub struct ServerConfig {
     /// Between-frames deadline: a connection with no traffic for this long
     /// is quietly closed.
     pub idle_timeout: Duration,
-    /// Per-request evaluation budget; on expiry the client gets a typed
-    /// `xrpc:timeout` fault.
+    /// How long a request may wait for the peer slot; on expiry the client
+    /// gets a typed `xrpc:timeout` fault. It bounds only the wait: an
+    /// evaluation that has started runs to completion (ROADMAP item 3).
     pub request_deadline: Duration,
     /// How long [`PeerServer::drain`] waits for in-flight requests before
     /// cancelling them.

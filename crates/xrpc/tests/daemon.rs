@@ -221,6 +221,29 @@ fn hostile_deep_query_gets_typed_fault_and_daemon_keeps_serving() {
     assert!(decode_doc_response(&reply).is_some(), "next request failed: {reply}");
 }
 
+/// A 140 kB frame of 20 000 nested elements used to overflow the worker
+/// thread's stack in the XML parser and abort the whole daemon; it must be
+/// a typed fault, and the connection must serve the next request.
+#[test]
+fn hostile_deep_envelope_gets_typed_fault_and_daemon_keeps_serving() {
+    let p1 = daemon("P1", ServerConfig::default());
+    let mut stream = TcpStream::connect(p1.addr()).unwrap();
+
+    let deep = format!("{}{}", "<a>".repeat(20_000), "</a>".repeat(20_000));
+    let request = format!(
+        "<env><request semantics=\"value\"><query>1</query><call><param name=\"x\">\
+         <sequence>{deep}</sequence></param></call></request></env>"
+    );
+    let reply = raw_exchange(&mut stream, &request).expect("fault frame");
+    let fault = decode_fault(&reply).expect("typed fault for the hostile envelope");
+    assert_eq!(fault.code(), "xrpc:transport-corrupt", "{fault}");
+    assert!(fault.to_string().contains("nested deeper"), "{fault}");
+
+    let reply = raw_exchange(&mut stream, &encode_doc_request("xrpc://P1/people.xml"))
+        .expect("daemon must survive the hostile envelope");
+    assert!(decode_doc_response(&reply).is_some(), "next request failed: {reply}");
+}
+
 #[test]
 fn mid_frame_eof_gets_typed_fault_then_close() {
     let p1 = daemon("P1", ServerConfig::default());

@@ -370,6 +370,22 @@ fn hostile_references_are_typed_corruption() {
     }
 }
 
+/// An envelope nesting far past the XML parser's depth bound is typed
+/// corruption through both decoders; it used to overflow the decoding
+/// thread's stack and abort the process.
+#[test]
+fn deeply_nested_envelopes_are_typed_corruption() {
+    let deep = format!("{}{}", "<a>".repeat(100_000), "</a>".repeat(100_000));
+    let fragments = format!("<fragments><fragment>{deep}</fragment></fragments>");
+    let [request, response] = referencing(&fragments, "<element fragid=\"1\" nodeid=\"1\"/>");
+    let err = decode_request(&mut Store::new(), &request).unwrap_err();
+    assert_eq!(err.code.as_deref(), Some("xrpc:transport-corrupt"), "{err}");
+    assert!(err.message.contains("nested deeper than 1024 levels"), "{err}");
+    let err = decode_response(&mut Store::new(), &response).unwrap_err();
+    assert_eq!(err.code.as_deref(), Some("xrpc:transport-corrupt"), "{err}");
+    assert!(err.message.contains("nested deeper than 1024 levels"), "{err}");
+}
+
 /// The one node of `seq`, serialized.
 fn serialized(store: &Store, seq: &Sequence) -> String {
     let [Item::Node(n)] = &seq[..] else { panic!("one node expected") };

@@ -139,8 +139,10 @@ SERVE OPTIONS (xqd serve):
                            typed fault (default 64)
   --idle-timeout-ms N      quiet-close connections idle this long (default
                            300000)
-  --request-deadline-ms N  per-request evaluation budget; expiry answers a
-                           typed xrpc:timeout fault (default 10000)
+  --request-deadline-ms N  how long a request may wait for the peer slot;
+                           expiry answers a typed xrpc:timeout fault. An
+                           evaluation that has started is not stopped
+                           (default 10000)
   --drain-deadline-ms N    how long a drain lets in-flight work finish
                            before cancelling it (default 5000)
 ";
