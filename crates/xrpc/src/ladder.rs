@@ -349,9 +349,14 @@ fn retry(
         }
         chain += wait;
         if chain >= policy.deadline {
+            // still `Cancelled` (retryability and failover read the
+            // variant), but naming the failure the deadline cut short
             let cancelled = XrpcError::Cancelled {
                 peer: host.to_string(),
-                reason: format!("retry budget exhausted after {failed} failed attempt(s)"),
+                reason: format!(
+                    "deadline {:?} spent after {failed} failed attempt(s); last: {e}",
+                    policy.deadline
+                ),
             };
             return Rung { chain, failed, retries, result: Err(cancelled), spans };
         }
@@ -776,6 +781,23 @@ mod tests {
         assert_eq!(out.outcome.unwrap(), "b");
         assert!(script.pauses.is_empty());
         assert_eq!(script.hosts_dialed(), ["a", "b"]);
+    }
+
+    /// The cancellation a deadline forces between retries names the
+    /// deadline and the failure that used it up, not a bare count.
+    #[test]
+    fn a_deadline_spent_between_retries_names_the_last_failure() {
+        let deadline = 300 * MS;
+        let late = || (150 * MS, Err(XrpcError::Timeout { peer: "p".into(), deadline: 150 * MS }));
+        let mut script = Script::default().host("p", [late(), late()]);
+        let out = walk(&mut script, &call(policy(3, deadline)), "p", healthy(&["p"]), None);
+        // 150 + 5 (backoff) + 150 + 10 (backoff) crosses 300 ms
+        assert_eq!(script.pauses, [5 * MS]);
+        let err = out.outcome.unwrap_err();
+        assert_eq!(err.code(), "xrpc:cancelled");
+        let message = err.to_string();
+        assert!(message.contains("deadline 300ms spent after 2 failed attempt(s)"), "{message}");
+        assert!(message.contains("last: call to peer p timed out after 150ms"), "{message}");
     }
 
     #[test]

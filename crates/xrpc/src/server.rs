@@ -32,9 +32,16 @@
 //!   cancels them with `xrpc:timeout` within the drain deadline, then
 //!   force-closes every connection and joins its threads, bounded — the
 //!   daemon can always exit.
+//!
+//! The accept loop blocks in `accept()`, so a new connection is served the
+//! moment it arrives. Drain wakes it with a connection of its own to the
+//! listener's port (loopback for an unspecified bind address); the loop
+//! checks the stop flag before anything else on every connection it takes.
+//! Only a failing `accept` (e.g. `EMFILE`) sleeps, briefly, so the loop
+//! cannot spin on an error.
 
-use std::io::Write as _;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::io::{BufRead as _, Write as _};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -46,7 +53,7 @@ use crate::exec::{ExecOptions, Federation, Peer, SimTransport};
 use crate::message::encode_fault;
 use crate::net::{NetworkModel, XrpcError};
 use crate::transport::{
-    read_payload, read_prefix, write_frame, DeadlineReader, FrameError, Transport, MAX_FRAME_LEN,
+    frame_reader, read_payload, read_prefix, write_frame, FrameError, Transport, MAX_FRAME_LEN,
 };
 
 /// Deadlines and bounds of one peer daemon.
@@ -108,7 +115,8 @@ pub struct DrainReport {
     /// Wall clock the drain took.
     pub elapsed: Duration,
     /// True when every request and connection wound down inside the
-    /// deadline — the clean-exit criterion the crash harness asserts.
+    /// deadline and the accept loop stopped — the clean-exit criterion the
+    /// crash harness asserts.
     pub clean: bool,
 }
 
@@ -117,9 +125,12 @@ pub struct DrainReport {
 /// request's budget.
 const SLOT_POLL: Duration = Duration::from_millis(25);
 
-/// Accept-loop poll interval (the listener is non-blocking so the loop
-/// can observe the drain flag).
-const ACCEPT_POLL: Duration = Duration::from_millis(10);
+/// How long the accept loop backs off after `accept` itself fails (e.g.
+/// out of descriptors) — the one sleep on the accept path.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(10);
+
+/// Bound on drain's wake connection to its own listener.
+const WAKE_CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Default `retry-after-ms` when no service time has been observed yet.
 const COLD_RETRY_HINT_MS: u64 = 25;
@@ -235,23 +246,30 @@ fn refuse(mut stream: TcpStream, config: &ServerConfig, fault: &XrpcError) {
 }
 
 /// One connection's frame loop. Returns when the connection ends, for any
-/// reason; cleanup (counters, registry) happens in the caller wrapper.
-fn serve_conn(shared: &Shared, stream: &mut TcpStream) {
+/// reason; cleanup (counters, registry) happens in the caller wrapper. The
+/// connection reads through one buffer for its whole life.
+fn serve_conn(shared: &Shared, stream: &TcpStream) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
+    let mut writer = stream;
+    // every frame below sets the deadline its reads run under
+    let mut reader = frame_reader(stream, Instant::now());
     loop {
-        // between frames: idle deadline
-        let _ = stream.set_read_timeout(Some(shared.config.idle_timeout));
-        let declared = match read_prefix(stream) {
-            Ok(None) => return, // clean close by the client
-            Ok(Some(d)) => d,
-            Err(e) if e.timed_out() => return, // idle: quiet close
-            Err(_) => return, // reset/desync with no frame started
-        };
+        // between frames: the idle deadline, until the next frame's first
+        // byte arrives (it may already be buffered)
+        reader.get_mut().within(shared.config.idle_timeout);
+        match reader.fill_buf() {
+            Ok([]) => return, // clean close by the client
+            Ok(_) => {}
+            Err(_) => return, // idle: quiet close; or a reset
+        }
         // mid-frame: the sender must finish within the read deadline —
-        // the whole payload, not each read of it
-        let mut rest = DeadlineReader::new(stream, Instant::now() + shared.config.read_timeout);
-        let payload = match read_payload(&mut rest, declared, shared.config.max_frame_len) {
+        // the whole frame, not each read of it
+        reader.get_mut().by(Instant::now() + shared.config.read_timeout);
+        let Ok(Some(declared)) = read_prefix(&mut reader) else {
+            return; // the length prefix itself was cut or stalled
+        };
+        let payload = match read_payload(&mut reader, declared, shared.config.max_frame_len) {
             Ok(p) => p,
             Err(e) => {
                 // frame-level desync: answer with a typed fault (the write
@@ -264,7 +282,7 @@ fn serve_conn(shared: &Shared, stream: &mut TcpStream) {
                     },
                     other => other.into_xrpc(&shared.name, shared.config.read_timeout),
                 };
-                let _ = write_frame(stream, &encode_fault(&fault));
+                let _ = write_frame(&mut writer, &encode_fault(&fault));
                 return;
             }
         };
@@ -280,7 +298,7 @@ fn serve_conn(shared: &Shared, stream: &mut TcpStream) {
             shared.shed.fetch_add(1, Ordering::Relaxed);
             encode_fault(&XrpcError::Overloaded { retry_after_ms: shared.retry_hint_ms() })
         };
-        let wrote = write_frame(stream, &reply).is_ok();
+        let wrote = write_frame(&mut writer, &reply).is_ok();
         if admitted {
             shared.served.fetch_add(1, Ordering::Relaxed);
             shared.release_inflight();
@@ -412,9 +430,10 @@ impl PeerServer {
     /// Graceful shutdown: stop accepting (refusing new connections with a
     /// typed fault meanwhile), wait for in-flight requests to finish or
     /// cancel at the drain deadline (`xrpc:timeout` faults), force-close
-    /// every connection, stop the accept loop and join it. Bounded: always
-    /// returns, with [`DrainReport::clean`] telling whether the wind-down
-    /// beat its deadlines.
+    /// every connection, wake the accept loop with a connection to its own
+    /// port and join it. Bounded: always returns, with
+    /// [`DrainReport::clean`] telling whether the wind-down beat its
+    /// deadlines.
     pub fn drain(&mut self) -> DrainReport {
         let t0 = Instant::now();
         self.shared.draining.store(true, Ordering::SeqCst);
@@ -441,10 +460,21 @@ impl PeerServer {
         for (_, c) in self.shared.conns.lock().unwrap().drain() {
             let _ = c.shutdown(Shutdown::Both);
         }
+        // stop the accept loop: it is blocked in `accept`, so hand it a
+        // connection to return with. If that cannot be made, leave the
+        // thread behind rather than wait on it — never a hang.
         self.shared.stopped.store(true, Ordering::SeqCst);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
+        let woken = match self.accept.take() {
+            Some(h) => {
+                let woken =
+                    TcpStream::connect_timeout(&wake_addr(self.addr), WAKE_CONNECT_TIMEOUT).is_ok();
+                if woken {
+                    let _ = h.join();
+                }
+                woken
+            }
+            None => true,
+        };
         // bounded wait for connection threads to observe the shutdown
         let conn_deadline = Instant::now() + Duration::from_secs(2);
         let mut conns = self.shared.conn_count.lock().unwrap();
@@ -463,20 +493,17 @@ impl PeerServer {
             shed: self.shed(),
             cancelled_inflight,
             elapsed: t0.elapsed(),
-            clean: cancelled_inflight == 0 && lingering == 0,
+            clean: woken && cancelled_inflight == 0 && lingering == 0,
         }
     }
 }
 
 fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    let _ = listener.set_nonblocking(true);
     loop {
-        if shared.stopped.load(Ordering::SeqCst) {
-            return;
-        }
         match listener.accept() {
+            // drain's wake connection, or a client arriving after it: done
+            Ok(_) if shared.stopped.load(Ordering::SeqCst) => return,
             Ok((stream, _)) => {
-                let _ = stream.set_nonblocking(false);
                 if shared.draining() {
                     refuse(
                         stream,
@@ -502,12 +529,23 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
                 }
                 spawn_conn(shared, stream);
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
+            Err(_) if shared.stopped.load(Ordering::SeqCst) => return,
+            Err(_) => std::thread::sleep(ACCEPT_ERROR_BACKOFF),
         }
     }
+}
+
+/// Where drain connects to wake its own blocked accept loop: the bound
+/// address, with an unspecified IP (`0.0.0.0`, `::`) replaced by loopback.
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    let mut addr = bound;
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
 }
 
 fn spawn_conn(shared: &Arc<Shared>, stream: TcpStream) {
@@ -518,8 +556,7 @@ fn spawn_conn(shared: &Arc<Shared>, stream: TcpStream) {
     }
     let shared = Arc::clone(shared);
     std::thread::spawn(move || {
-        let mut stream = stream;
-        serve_conn(&shared, &mut stream);
+        serve_conn(&shared, &stream);
         let _ = stream.shutdown(Shutdown::Both);
         shared.conns.lock().unwrap().remove(&id);
         let mut conns = shared.conn_count.lock().unwrap();

@@ -34,7 +34,7 @@ use crate::health::BreakerState;
 use crate::ladder::RetryPolicy;
 use crate::net::XrpcError;
 use crate::transport::{
-    read_payload, read_prefix, write_frame, DeadlineReader, FrameError, Transport, MAX_FRAME_LEN,
+    frame_reader, read_payload, read_prefix, write_frame, FrameError, Transport, MAX_FRAME_LEN,
 };
 
 /// How long a fresh connection attempt may take before it counts as a
@@ -117,8 +117,9 @@ impl TcpTransport {
     }
 
     /// One request frame out and one reply frame back on `stream`, inside
-    /// what is left of `budget`. A healthy exchange returns the connection
-    /// to the pool.
+    /// what is left of `budget`, read through one buffer. A healthy
+    /// exchange that leaves no byte unread returns the connection to the
+    /// pool.
     fn round_trip(
         &self,
         peer: &str,
@@ -142,7 +143,7 @@ impl TcpTransport {
         })?;
         // the reply — prefix and payload, however many reads they take —
         // gets what is left of the budget once, not once per read
-        let mut reader = DeadlineReader::new(&stream, started + budget);
+        let mut reader = frame_reader(&stream, started + budget);
         let declared = match read_prefix(&mut reader) {
             Ok(Some(declared)) => declared,
             Ok(None) => {
@@ -157,7 +158,12 @@ impl TcpTransport {
         };
         let reply = read_payload(&mut reader, declared, self.max_frame_len)
             .map_err(|fe| RoundTripError::Typed(fe.into_xrpc(peer, budget)))?;
-        self.pool.lock().unwrap().insert(peer.to_string(), stream);
+        // bytes past the reply belong to no request: the stream is out of
+        // step, so it is dropped instead of pooled
+        if reader.buffer().is_empty() {
+            drop(reader);
+            self.pool.lock().unwrap().insert(peer.to_string(), stream);
+        }
         Ok(reply)
     }
 }

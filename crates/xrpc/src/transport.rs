@@ -14,9 +14,11 @@
 //! and every one of them maps to a *typed* error
 //! (`xrpc:transport-corrupt`), never a panic and never an allocation sized
 //! by an untrusted length field. A read deadline covers a whole read
-//! (`DeadlineReader`), so neither end can be held by a trickling peer.
+//! (`DeadlineReader`), so neither end can be held by a trickling peer, and
+//! both ends read through one buffer (`FrameReader`), so a frame that
+//! arrives in one `recv` is read with one.
 
-use std::io::{IoSlice, Read, Write};
+use std::io::{BufReader, IoSlice, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
@@ -166,32 +168,86 @@ pub fn read_payload(
         .map_err(|e| FrameError::Utf8 { valid_up_to: e.utf8_error().valid_up_to() })
 }
 
-/// A socket read under one deadline for the whole read, however many
-/// `recv`s it takes: the socket timeout is re-armed with what is left
-/// before each one, so a peer trickling bytes just inside a per-`recv`
-/// timeout cannot hold the reader past `deadline`. At zero the read fails
-/// with `TimedOut`, which [`FrameError::timed_out`] reports like any other
-/// expired read deadline.
-pub(crate) struct DeadlineReader<'a> {
-    stream: &'a TcpStream,
-    deadline: Instant,
+/// A byte source whose reads can be given a timeout: a socket, or a test
+/// double that counts what it is asked to do.
+pub(crate) trait TimedRead: Read {
+    fn set_timeout(&mut self, timeout: Duration) -> std::io::Result<()>;
 }
 
-impl<'a> DeadlineReader<'a> {
-    pub(crate) fn new(stream: &'a TcpStream, deadline: Instant) -> Self {
-        DeadlineReader { stream, deadline }
+impl TimedRead for &TcpStream {
+    fn set_timeout(&mut self, timeout: Duration) -> std::io::Result<()> {
+        self.set_read_timeout(Some(timeout))
     }
 }
 
-impl Read for DeadlineReader<'_> {
+/// When the reads of a [`DeadlineReader`] must be done.
+#[derive(Clone, Copy)]
+enum Due {
+    /// Each read within this long: the wait between frames.
+    Within(Duration),
+    /// Every read by this instant, however many it takes.
+    By(Instant),
+}
+
+/// A socket read under a deadline: either a fixed timeout per read, or
+/// one deadline for the whole read, however many `recv`s it takes — the
+/// socket timeout is then armed with what is left before each one, so a
+/// peer trickling bytes just inside a per-`recv` timeout cannot hold the
+/// reader past the deadline. At zero the read fails with `TimedOut`, which
+/// [`FrameError::timed_out`] reports like any other expired read deadline.
+/// The socket is armed only when a read reaches it, and not at all when it
+/// already holds the timeout wanted.
+pub(crate) struct DeadlineReader<S> {
+    source: S,
+    due: Due,
+    armed: Option<Duration>,
+}
+
+impl<S: TimedRead> DeadlineReader<S> {
+    /// Reads from here on wait at most `timeout` each.
+    pub(crate) fn within(&mut self, timeout: Duration) {
+        self.due = Due::Within(timeout);
+    }
+
+    /// Reads from here on finish by `deadline`, all of them together.
+    pub(crate) fn by(&mut self, deadline: Instant) {
+        self.due = Due::By(deadline);
+    }
+}
+
+impl<S: TimedRead> Read for DeadlineReader<S> {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let left = self.deadline.saturating_duration_since(Instant::now());
-        if left.is_zero() {
+        let timeout = match self.due {
+            Due::Within(timeout) => timeout,
+            Due::By(deadline) => deadline.saturating_duration_since(Instant::now()),
+        };
+        if timeout.is_zero() {
             return Err(std::io::ErrorKind::TimedOut.into());
         }
-        self.stream.set_read_timeout(Some(left))?;
-        self.stream.read(buf)
+        if self.armed != Some(timeout) {
+            self.source.set_timeout(timeout)?;
+            self.armed = Some(timeout);
+        }
+        self.source.read(buf)
     }
+}
+
+/// Room for a frame that arrives in one `recv`: a small frame — prefix and
+/// payload, e.g. a 4.4 kB point-lookup reply — costs one read, and a larger
+/// payload bypasses the buffer for whatever it does not hold.
+const FRAME_BUF_LEN: usize = 8 * 1024;
+
+/// The buffered frame reader both ends of the socket use: `read_prefix` and
+/// `read_payload` over it take the bytes one `recv` brought, and what it
+/// still holds after a frame is the start of the next one.
+pub(crate) type FrameReader<S> = BufReader<DeadlineReader<S>>;
+
+/// A [`FrameReader`] over `source` whose reads finish by `deadline`.
+pub(crate) fn frame_reader<S: TimedRead>(source: S, deadline: Instant) -> FrameReader<S> {
+    BufReader::with_capacity(
+        FRAME_BUF_LEN,
+        DeadlineReader { source, due: Due::By(deadline), armed: None },
+    )
 }
 
 /// Reads one whole frame: prefix plus payload. `Ok(None)` is a clean
@@ -289,6 +345,102 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A source whose bytes have all arrived, like a socket after the
+    /// sender's one write: a read takes as much as it asks for. Counts the
+    /// reads and the timeout arms it is asked for.
+    struct CountingReader {
+        bytes: Cursor<Vec<u8>>,
+        reads: usize,
+        arms: usize,
+    }
+
+    impl Read for CountingReader {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.reads += 1;
+            self.bytes.read(buf)
+        }
+    }
+
+    impl TimedRead for &mut CountingReader {
+        fn set_timeout(&mut self, _: Duration) -> std::io::Result<()> {
+            self.arms += 1;
+            Ok(())
+        }
+    }
+
+    fn counting(frames: &[&str]) -> CountingReader {
+        let mut bytes = Vec::new();
+        for frame in frames {
+            write_frame(&mut bytes, frame).unwrap();
+        }
+        CountingReader { bytes: Cursor::new(bytes), reads: 0, arms: 0 }
+    }
+
+    /// A frame the size of a point-lookup reply (4 455 bytes of payload)
+    /// costs one read and one timeout arm through the frame reader; read
+    /// straight off the source, prefix and payload are two reads.
+    #[test]
+    fn a_small_frame_is_one_read_through_the_frame_reader() {
+        let payload = "x".repeat(4455);
+        let mut source = counting(&[&payload]);
+        let mut reader = frame_reader(&mut source, Instant::now() + Duration::from_secs(5));
+        assert_eq!(read_frame(&mut reader, MAX_FRAME_LEN).unwrap(), Some(payload.clone()));
+        assert!(reader.buffer().is_empty());
+        drop(reader);
+        assert_eq!((source.reads, source.arms), (1, 1));
+
+        let mut source = counting(&[&payload]);
+        assert_eq!(read_frame(&mut source, MAX_FRAME_LEN).unwrap(), Some(payload));
+        assert_eq!(source.reads, 2);
+    }
+
+    /// Frames that arrive together are read with one `recv`: the second
+    /// is served from the buffer, and a fixed between-frames timeout is
+    /// armed once, not once per frame.
+    #[test]
+    fn buffered_frames_cost_no_further_reads_or_arms() {
+        let mut source = counting(&["first", "second"]);
+        let mut reader = frame_reader(&mut source, Instant::now());
+        reader.get_mut().within(Duration::from_secs(5));
+        assert_eq!(read_frame(&mut reader, MAX_FRAME_LEN).unwrap().as_deref(), Some("first"));
+        assert!(!reader.buffer().is_empty(), "the second frame is already buffered");
+        assert_eq!(read_frame(&mut reader, MAX_FRAME_LEN).unwrap().as_deref(), Some("second"));
+        assert!(read_frame(&mut reader, MAX_FRAME_LEN).unwrap().is_none());
+        drop(reader);
+        // two recvs: the frames, then the close
+        assert_eq!((source.reads, source.arms), (2, 1));
+    }
+
+    /// A payload larger than the buffer arrives whole, the part past the
+    /// buffer read straight into the payload — in no more reads than
+    /// without the buffer.
+    #[test]
+    fn a_frame_larger_than_the_buffer_is_read_whole() {
+        let payload = "y".repeat(3 * FRAME_BUF_LEN + 17);
+        let mut source = counting(&[&payload]);
+        let mut reader = frame_reader(&mut source, Instant::now() + Duration::from_secs(5));
+        assert_eq!(read_frame(&mut reader, MAX_FRAME_LEN).unwrap().as_ref(), Some(&payload));
+        assert!(reader.buffer().is_empty());
+        drop(reader);
+
+        let mut direct = counting(&[&payload]);
+        assert_eq!(read_frame(&mut direct, MAX_FRAME_LEN).unwrap(), Some(payload));
+        let (buffered, unbuffered) = (source.reads, direct.reads);
+        assert!(buffered <= unbuffered, "{buffered} reads, {unbuffered} without the buffer");
+    }
+
+    /// A deadline already past fails the read as a timeout without
+    /// touching the source.
+    #[test]
+    fn a_spent_deadline_times_out_before_reading() {
+        let mut source = counting(&["late"]);
+        let mut reader = frame_reader(&mut source, Instant::now());
+        let err = read_frame(&mut reader, MAX_FRAME_LEN).unwrap_err();
+        assert!(err.timed_out(), "{err:?}");
+        drop(reader);
+        assert_eq!((source.reads, source.arms), (0, 0));
     }
 
     #[test]

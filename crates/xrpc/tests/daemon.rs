@@ -21,6 +21,8 @@
 //! * drain cancels in-flight work with `xrpc:timeout` inside the drain
 //!   deadline, refuses new connections with a typed fault meanwhile, and
 //!   always reaches a bounded clean exit;
+//! * the accept loop blocks instead of polling: a fresh connection is
+//!   served at once, and drain wakes the blocked loop;
 //! * a dead (or drained) peer yields a typed error — or, with a replica
 //!   registered, the identical result via failover;
 //! * scatter rounds fan out over the sockets with nothing observable
@@ -171,6 +173,24 @@ fn doc_request_over_raw_socket_ships_the_document() {
         .expect("doc reply frame");
     let xml = decode_doc_response(&reply).expect("doc envelope");
     assert!(xml.contains("person"), "shipped document lost content: {xml}");
+}
+
+/// The accept loop blocks in `accept`: a new connection is served the
+/// moment it arrives, not at the loop's next poll. Twenty requests, each
+/// on a connection of its own, take a few milliseconds in all; a loop
+/// polling every 10 ms would hold them over 180 ms.
+#[test]
+fn fresh_connections_are_accepted_without_a_poll() {
+    let p1 = daemon("P1", ServerConfig::default());
+    let request = encode_doc_request("xrpc://P1/people.xml");
+    let t0 = Instant::now();
+    for _ in 0..20 {
+        let mut stream = TcpStream::connect(p1.addr()).unwrap();
+        let reply = raw_exchange(&mut stream, &request).expect("doc reply frame");
+        assert!(decode_doc_response(&reply).is_some(), "{reply}");
+    }
+    let took = t0.elapsed();
+    assert!(took < Duration::from_millis(100), "20 fresh connections took {took:?}");
 }
 
 // ---------------------------------------------------------------------------
@@ -482,6 +502,23 @@ fn idle_drain_is_clean_and_immediate() {
     assert!(report.clean, "{report:?}");
     assert_eq!(report.served, 1);
     assert!(report.elapsed < Duration::from_secs(3), "idle drain took {:?}", report.elapsed);
+}
+
+/// Drain wakes an accept loop that is blocked with nothing to accept —
+/// also when the daemon listens on every interface, where the wake
+/// connection goes to loopback — and the port is free again right after.
+#[test]
+fn drain_wakes_a_blocked_accept() {
+    for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let mut server = PeerServer::bind("P1", bind, ServerConfig::default()).unwrap();
+        server.start();
+        let addr = server.addr();
+        let report = server.drain();
+        assert!(report.clean, "{bind}: {report:?}");
+        assert!(report.elapsed < Duration::from_secs(1), "{bind}: drain took {:?}", report.elapsed);
+        std::net::TcpListener::bind(addr)
+            .unwrap_or_else(|e| panic!("{bind}: port {} still held after drain: {e}", addr.port()));
+    }
 }
 
 // ---------------------------------------------------------------------------
