@@ -249,7 +249,13 @@ echo "== every envelope is opened once (structural) =="
 # What kind of envelope a byte string is, is decided by the five prefixes
 # named in crates/xrpc/src/message.rs: a whole-message scan for an element
 # name, a scratch parse of a doc reply, or a second copy of the peer-side
-# document lookup means a double grew back.
+# document lookup means a double grew back. An opened envelope is read one
+# way: outside its tests, message.rs reads attributes only through its one
+# strict reader (`impl Attrs`, where a leftover attribute is a typed fault)
+# and finds children with crates/xml's `NodeRef::child_element(s)`. An
+# `attr` / `find_child` / `children_named` helper, or an `.attribute(` /
+# `.attributes(` read outside the reader (a DocBuilder write, `b.attribute(`,
+# is no read), means the silent ad-hoc reads grew back.
 if grep -n 'contains("<fault\|contains("<doc-request' crates/xrpc/src/*.rs >&2; then
     echo "an envelope is classified by scanning it (message.rs names the prefixes)" >&2
     exit 1
@@ -257,6 +263,16 @@ fi
 if awk '/^pub fn decode_doc_response/ { on = 1 } on && /^}/ { exit } on' crates/xrpc/src/message.rs \
         | grep -n 'Store::new()' >&2; then
     echo "decode_doc_response parses the envelope again (it strips a fixed header and trailer)" >&2
+    exit 1
+fi
+message_code=$(awk '/^#\[cfg\(test\)\]/ { exit } { print }' crates/xrpc/src/message.rs)
+if grep -nE 'fn (attr|find_child|children_named)\(' <<<"$message_code" >&2; then
+    echo "message.rs has a private attribute or child helper again (Attrs; NodeRef::child_element)" >&2
+    exit 1
+fi
+if awk '/^impl<.a> Attrs<.a> \{/ { on = 1 } !on { print } on && /^}/ { on = 0 }' <<<"$message_code" \
+        | grep -n '\.attributes\?(' | grep -v '\bb\.attribute(' >&2; then
+    echo "message.rs reads an attribute outside its one reader (impl Attrs)" >&2
     exit 1
 fi
 not_found=$(grep -c '"xrpc:document-not-found"' crates/xrpc/src/exec.rs || true)

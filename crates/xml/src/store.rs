@@ -456,17 +456,25 @@ impl<'a> NodeRef<'a> {
 
     /// Value of a named attribute, if present.
     pub fn attribute(&self, name: &str) -> Option<&'a str> {
+        self.attribute_node(name).and_then(|a| a.doc().value(a.id.idx))
+    }
+
+    /// The named attribute node, if present.
+    pub fn attribute_node(&self, name: &str) -> Option<NodeRef<'a>> {
         let name_id = self.store.names.get(name)?;
-        let doc = self.doc();
-        doc.attributes(self.id.idx)
-            .find(|&a| doc.name(a) == name_id)
-            .and_then(|a| doc.value(a))
+        self.attributes().find(|a| a.name_id() == name_id)
     }
 
     /// First child element with the given name.
     pub fn child_element(&self, name: &str) -> Option<NodeRef<'a>> {
-        let name_id = self.store.names.get(name)?;
-        self.children().find(|c| c.kind() == NodeKind::Element && c.name_id() == name_id)
+        self.child_elements(name).next()
+    }
+
+    /// Child elements with the given name, in document order.
+    pub fn child_elements(&self, name: &str) -> impl Iterator<Item = NodeRef<'a>> + 'a {
+        let name_id = self.store.names.get(name);
+        self.children()
+            .filter(move |c| c.kind() == NodeKind::Element && Some(c.name_id()) == name_id)
     }
 }
 
@@ -554,17 +562,20 @@ impl DocBuilder {
     pub fn attribute(&mut self, name: &str, value: &str) -> u32 {
         let from = self.text.len();
         self.text.push_str(value);
-        self.attribute_since(name, from)
+        self.attribute_since(name, from);
+        self.nodes.len() as u32 - 1
     }
 
-    /// [`DocBuilder::attribute`] whose value is the text arena from `from`.
-    pub(crate) fn attribute_since(&mut self, name: &str, from: usize) -> u32 {
+    /// [`DocBuilder::attribute`] whose value is the text arena from `from`;
+    /// returns the interned name, for the parser's uniqueness check.
+    pub(crate) fn attribute_since(&mut self, name: &str, from: usize) -> NameId {
         assert!(
             self.attrs_open,
             "attribute() must be called before child content of the element"
         );
         let name = self.local_names.intern(name);
-        self.push(NodeKind::Attribute, name, from)
+        self.push(NodeKind::Attribute, name, from);
+        name
     }
 
     /// Appends a text node (empty strings are dropped, per XDM).

@@ -18,6 +18,7 @@
 //! </request></env>
 //!
 //! items: <atom type="…">lexical</atom>
+//!      | <keyset type="…" n="…">front-coded lexicals</keyset>   (a same-typed atom run)
 //!      | <copy kind="element|document|attribute|text|comment|pi" name=".."
 //!              base-uri=".." document-uri="..">content</copy>     (by-value)
 //!      | <element fragid=".." nodeid=".."/>                       (by-fragment/-projection)
@@ -33,6 +34,15 @@
 //! the five the encoders emit, named once below — never by scanning or
 //! parsing the message: element names inside shipped data cannot be
 //! mistaken for an envelope, and a consumer opens a message at most once.
+//!
+//! An opened envelope is **read strictly**: every attribute of every
+//! vocabulary element above is taken once, through one reader (`Attrs`),
+//! and a leftover — an attribute outside the vocabulary, `<env>` included —
+//! is a typed `xrpc:transport-corrupt` naming the element and the
+//! attribute; so is a missing required one or a number that does not
+//! parse. The parser has already rejected duplicate attribute names. Data
+//! shipped inside `<copy>` / `<fragment>` and the text of `<query>` are
+//! not envelope; unknown child elements are ignored.
 
 use std::fmt::Write;
 
@@ -40,7 +50,7 @@ use xqd_xml::project::{compute_projection, ProjectionInput};
 use xqd_xml::serialize::{
     escape_attr, escape_text, serialize_node, serialize_node_into, serialize_nodes_into,
 };
-use xqd_xml::{DocBuilder, DocId, NodeId, NodeKind, NodeMeta, Store};
+use xqd_xml::{DocBuilder, DocId, NodeId, NodeKind, NodeMeta, NodeRef, Store};
 use xqd_xquery::ast::{Atomic, PathSpec};
 use xqd_xquery::eval::StaticContext;
 use xqd_xquery::value::{EvalError, EvalResult, Item, Sequence};
@@ -279,12 +289,14 @@ fn atom_from_lexical(ty: &str, lex: String) -> EvalResult<Atomic> {
     })
 }
 
-/// Parses a front-coded `<keyset>` payload back into its lexical keys.
+/// Parses a front-coded `<keyset>` payload back into its lexical keys. The
+/// header's count `n` is checked at the end, never reserved: a count off
+/// the wire sizes no allocation.
 fn parse_keyset_payload(payload: &str, n: usize) -> EvalResult<Vec<String>> {
     let chars: Vec<char> = payload.chars().collect();
     let mut pos = 0usize;
     let mut prev: Vec<char> = Vec::new();
-    let mut keys = Vec::with_capacity(n);
+    let mut keys = Vec::new();
     let read_count = |pos: &mut usize| -> EvalResult<usize> {
         let start = *pos;
         while *pos < chars.len() && chars[*pos].is_ascii_digit() {
@@ -304,7 +316,7 @@ fn parse_keyset_payload(payload: &str, n: usize) -> EvalResult<Vec<String>> {
     while pos < chars.len() {
         let shared = read_count(&mut pos)?;
         let suffix = read_count(&mut pos)?;
-        if shared > prev.len() || pos + suffix > chars.len() {
+        if shared > prev.len() || suffix > chars.len() - pos {
             return Err(EvalError::new("malformed keyset payload"));
         }
         let mut key: Vec<char> = prev[..shared].to_vec();
@@ -633,7 +645,7 @@ pub fn encode_fault(err: &XrpcError) -> String {
 }
 
 /// Decodes a fault response, if `message` is one. Returns `None` for
-/// non-fault messages *and* for byte streams too mangled to parse — the
+/// non-fault messages *and* for byte streams too mangled to read — the
 /// caller treats those as transport corruption.
 pub fn decode_fault(message: &str) -> Option<XrpcError> {
     if !message.starts_with(FAULT) {
@@ -641,23 +653,26 @@ pub fn decode_fault(message: &str) -> Option<XrpcError> {
     }
     let mut scratch = Store::new();
     let doc = xqd_xml::parse_document(&mut scratch, message, None).ok()?;
-    let fault = find_child(&scratch, NodeId::new(doc, 0), "env")
-        .and_then(|env| find_child(&scratch, env, "fault"))?;
-    fault_from(&scratch, fault)
+    fault_from(open_env(&scratch, doc).ok()?.child_element("fault")?).ok()
 }
 
 /// The one reader of a parsed `<fault>` element: the typed error with its
-/// retry-after hint and a timeout's deadline restored. `None` when the
-/// element names no code.
-fn fault_from(store: &Store, fault: NodeId) -> Option<XrpcError> {
-    let code = attr(store, fault, "code")?;
-    let peer = attr(store, fault, "peer").unwrap_or_default();
-    let msg = find_child(store, fault, "message")
-        .map(|m| store.doc(m.doc).string_value(m.idx))
-        .unwrap_or_default();
-    let mut err = XrpcError::from_code(&code, &peer, &msg);
+/// retry-after hint and a timeout's deadline restored. A fault without a
+/// code, or with a hint that is no number, is corrupt.
+fn fault_from(fault: NodeRef) -> EvalResult<XrpcError> {
+    let mut a = Attrs::open(fault);
+    let code = a.req("code")?;
+    let peer = a.take("peer").unwrap_or_default();
+    let retry_after_ms = a.read("retry-after-ms", |v| v.parse::<u64>().ok())?;
+    let deadline_ms = a.read("deadline-ms", |v| v.parse::<u64>().ok())?;
+    a.close()?;
+    let msg = match fault.child_element("message") {
+        Some(m) => bare(m)?.string_value(),
+        None => String::new(),
+    };
+    let mut err = XrpcError::from_code(code, peer, &msg);
     // retry-after hints ride along as an optional attribute
-    if let Some(ms) = attr(store, fault, "retry-after-ms").and_then(|v| v.parse::<u64>().ok()) {
+    if let Some(ms) = retry_after_ms {
         match &mut err {
             XrpcError::BreakerOpen { retry_after, .. }
             | XrpcError::PeerBusy { retry_after, .. } => {
@@ -667,12 +682,10 @@ fn fault_from(store: &Store, fault: NodeId) -> Option<XrpcError> {
             _ => {}
         }
     }
-    if let XrpcError::Timeout { deadline, .. } = &mut err {
-        if let Some(ms) = attr(store, fault, "deadline-ms").and_then(|v| v.parse::<u64>().ok()) {
-            *deadline = std::time::Duration::from_millis(ms);
-        }
+    if let (XrpcError::Timeout { deadline, .. }, Some(ms)) = (&mut err, deadline_ms) {
+        *deadline = std::time::Duration::from_millis(ms);
     }
-    Some(err)
+    Ok(err)
 }
 
 /// A reply envelope as the caller sees it: a wire-encoded fault decodes
@@ -705,9 +718,9 @@ pub fn decode_doc_request(message: &str) -> Option<String> {
     }
     let mut scratch = Store::new();
     let doc = xqd_xml::parse_document(&mut scratch, message, None).ok()?;
-    let req = find_child(&scratch, NodeId::new(doc, 0), "env")
-        .and_then(|env| find_child(&scratch, env, "doc-request"))?;
-    attr(&scratch, req, "uri")
+    let mut a = Attrs::open(open_env(&scratch, doc).ok()?.child_element("doc-request")?);
+    let uri = a.take("uri")?.to_string();
+    a.close().ok().map(|()| uri)
 }
 
 /// What follows the embedded document in a doc reply envelope.
@@ -729,13 +742,15 @@ pub fn encode_doc_response(uri: &str, xml: &str) -> String {
 
 /// Opens a doc reply envelope: strips the fixed header and trailer and
 /// hands back the document's XML text untouched, for the caller to shred —
-/// the only parse it gets. Returns `None` for non-doc messages and for
-/// envelopes cut short — the caller treats those as transport corruption
-/// (after checking [`decode_fault`] first).
+/// the only parse it gets. Returns `None` for non-doc messages, for
+/// envelopes cut short and for a `<doc>` carrying more than its `uri` —
+/// the caller treats those as transport corruption (after checking
+/// [`decode_fault`] first).
 pub fn decode_doc_response(message: &str) -> Option<String> {
     let rest = message.strip_prefix(DOC)?.strip_prefix("uri=\"")?;
-    // an escaped attribute value holds no quote, so the first one ends it
-    let (_, rest) = rest.split_once("\">")?;
+    // an escaped attribute value holds no quote, so the first one ends it,
+    // and the start tag ends right after: `uri` is `<doc>`'s one attribute
+    let rest = rest[rest.find('"')? + 1..].strip_prefix('>')?;
     Some(rest.strip_suffix(DOC_CLOSE)?.to_string())
 }
 
@@ -772,51 +787,48 @@ fn tag_corrupt(e: EvalError) -> EvalError {
 fn decode_request_inner(store: &mut Store, message: &str) -> EvalResult<DecodedRequest> {
     let msg_doc = xqd_xml::parse_document(store, message, None)
         .map_err(|e| EvalError::new(format!("malformed request message: {e}")))?;
-    let root = find_child(store, NodeId::new(msg_doc, 0), "env")
-        .and_then(|env| find_child(store, env, "request"))
-        .ok_or_else(|| EvalError::new("request message lacks env/request"))?;
-    let semantics = attr(store, root, "semantics")
-        .and_then(|s| WireSemantics::from_tag(&s))
-        .ok_or_else(|| EvalError::new("request lacks semantics attribute"))?;
-    let static_ctx = StaticContext {
-        base_uri: attr(store, root, "static-base-uri").unwrap_or_default(),
-        default_collation: attr(store, root, "default-collation").unwrap_or_default(),
-        current_datetime: attr(store, root, "current-dateTime").unwrap_or_default(),
-    };
-    let query = find_child(store, root, "query")
-        .map(|q| store.doc(q.doc).string_value(q.idx))
-        .ok_or_else(|| EvalError::new("request lacks query"))?;
-
-    let result_spec = find_child(store, root, "response-paths").map(|rp| {
-        let mut spec = PathSpec::default();
-        for c in children_named(store, rp, "used-path") {
-            if let Some(p) = parse_rel_path(&store.doc(c.doc).string_value(c.idx)) {
-                spec.used.push(p);
-            }
-        }
-        for c in children_named(store, rp, "returned-path") {
-            if let Some(p) = parse_rel_path(&store.doc(c.doc).string_value(c.idx)) {
-                spec.returned.push(p);
-            }
-        }
-        spec
-    });
-
+    let root = child(open_env(store, msg_doc)?, "request")?.id;
     let fragment_docs = shred_fragments(store, root)?;
-
+    let root = store.node(root);
+    let mut a = Attrs::open(root);
+    let semantics = a.read("semantics", WireSemantics::from_tag)?;
+    let semantics = semantics.ok_or_else(|| a.fault("semantics", "is missing"))?;
+    let mut text = |name| a.take(name).unwrap_or_default().to_string();
+    let static_ctx = StaticContext {
+        base_uri: text("static-base-uri"),
+        default_collation: text("default-collation"),
+        current_datetime: text("current-dateTime"),
+    };
+    a.close()?;
+    let query = bare(child(root, "query")?)?.string_value();
+    let result_spec = match root.child_element("response-paths") {
+        None => None,
+        Some(rp) => {
+            let (rp, mut spec) = (bare(rp)?, PathSpec::default());
+            let paths = [("used-path", &mut spec.used), ("returned-path", &mut spec.returned)];
+            for (name, paths) in paths {
+                for p in rp.child_elements(name) {
+                    paths.extend(parse_rel_path(&bare(p)?.string_value()));
+                }
+            }
+            Some(spec)
+        }
+    };
     let mut calls = Vec::new();
-    for call in children_named(store, root, "call") {
+    for call in root.child_elements("call") {
         let mut params = Vec::new();
-        for param in children_named(store, call, "param") {
-            let name = attr(store, param, "name")
-                .ok_or_else(|| EvalError::new("param lacks name"))?;
-            let seq_el = find_child(store, param, "sequence")
-                .ok_or_else(|| EvalError::new("param lacks sequence"))?;
-            let seq = decode_sequence(store, seq_el, &fragment_docs)?;
-            params.push((name, seq));
+        for param in bare(call)?.child_elements("param") {
+            let mut a = Attrs::open(param);
+            let name = a.req("name")?.to_string();
+            a.close()?;
+            params.push((name, read_sequence(child(param, "sequence")?, &fragment_docs)?));
         }
         calls.push(params);
     }
+    let calls = calls
+        .into_iter()
+        .map(|params| params.into_iter().map(|(n, raws)| (n, attach_all(store, raws))).collect())
+        .collect();
     Ok(DecodedRequest { semantics, static_ctx, query, calls, result_spec })
 }
 
@@ -832,126 +844,84 @@ pub fn decode_response(store: &mut Store, message: &str) -> EvalResult<Vec<Seque
 fn decode_response_inner(store: &mut Store, message: &str) -> EvalResult<Vec<Sequence>> {
     let msg_doc = xqd_xml::parse_document(store, message, None)
         .map_err(|e| EvalError::new(format!("malformed response message: {e}")))?;
-    let env = find_child(store, NodeId::new(msg_doc, 0), "env");
-    if let Some(fault) = env.and_then(|env| find_child(store, env, "fault")) {
-        let err = fault_from(store, fault)
-            .ok_or_else(|| EvalError::new("fault response lacks code"))?;
-        return Err(err.into());
+    let env = open_env(store, msg_doc)?;
+    if let Some(fault) = env.child_element("fault") {
+        return Err(fault_from(fault)?.into());
     }
-    let root = env
-        .and_then(|env| find_child(store, env, "response"))
-        .ok_or_else(|| EvalError::new("response message lacks env/response"))?;
+    let root = child(env, "response")?;
+    let mut a = Attrs::open(root);
+    a.read("semantics", WireSemantics::from_tag)?;
+    a.close()?;
+    let root = root.id;
     let fragment_docs = shred_fragments(store, root)?;
-    let mut out = Vec::new();
-    for cr in children_named(store, root, "call-result") {
-        let seq_el = find_child(store, cr, "sequence")
-            .ok_or_else(|| EvalError::new("call-result lacks sequence"))?;
-        out.push(decode_sequence(store, seq_el, &fragment_docs)?);
-    }
-    Ok(out)
+    let results = store
+        .node(root)
+        .child_elements("call-result")
+        .map(|cr| read_sequence(child(bare(cr)?, "sequence")?, &fragment_docs))
+        .collect::<EvalResult<Vec<_>>>()?;
+    Ok(results.into_iter().map(|raws| attach_all(store, raws)).collect())
 }
 
 /// Copies each `<fragment>`'s content into a fresh document of `store`,
 /// recording class-2 context metadata, and builds the table references
 /// into it resolve against.
 fn shred_fragments(store: &mut Store, root: NodeId) -> EvalResult<Vec<Fragment>> {
-    let mut out = Vec::new();
-    let frags: Vec<NodeId> = match find_child(store, root, "fragments") {
-        Some(fs) => children_named(store, fs, "fragment"),
-        None => return Ok(out),
-    };
-    for f in frags {
-        let uri = attr(store, f, "uri");
-        let base = attr(store, f, "base-uri");
-        let mut b = DocBuilder::new(None);
-        if let Some(bu) = &base {
-            b.set_base_uri(bu);
+    let mut built = Vec::new();
+    if let Some(fragments) = store.node(root).child_element("fragments") {
+        for f in bare(fragments)?.child_elements("fragment") {
+            let mut a = Attrs::open(f);
+            let (uri, base) = (a.take("uri"), a.take("base-uri"));
+            a.close()?;
+            let mut b = DocBuilder::new(None);
+            if let Some(bu) = base {
+                b.set_base_uri(bu);
+            }
+            for c in f.children() {
+                b.copy_subtree(f.doc(), &store.names, c.id.idx);
+            }
+            let meta = uri.map(|u| NodeMeta {
+                base_uri: base.map(str::to_string),
+                document_uri: Some(u.to_string()),
+            });
+            built.push((b, meta));
         }
-        let doc = store.doc(f.doc);
-        for c in doc.children(f.idx) {
-            b.copy_subtree(doc, &store.names, c);
-        }
-        let new_doc = store.attach(b.finish());
-        if let Some(u) = uri {
-            store
-                .doc_mut(new_doc)
-                .meta
-                .insert(0, NodeMeta { base_uri: base.clone(), document_uri: Some(u) });
-        }
-        out.push(Fragment::subtree(store, new_doc, 0));
     }
-    Ok(out)
+    Ok(built
+        .into_iter()
+        .map(|(b, meta)| {
+            let doc = attach(store, b, 0, meta);
+            Fragment::subtree(store, doc, 0)
+        })
+        .collect())
 }
 
-fn decode_sequence(
-    store: &mut Store,
-    seq_el: NodeId,
-    fragments: &[Fragment],
-) -> EvalResult<Sequence> {
-    #[derive(Debug)]
-    enum Raw {
-        Atom(Atomic),
-        Ref { fragid: u32, nodeid: u32, attr: Option<String> },
-        Copy { kind: String, name: Option<String>, base: Option<String>, duri: Option<String>, idx: u32 },
-    }
-    let mut raws = Vec::new();
-    {
-        let doc = store.doc(seq_el.doc);
-        for c in doc.children(seq_el.idx) {
-            if doc.kind(c) != NodeKind::Element {
-                continue;
-            }
-            let name = store.names.resolve(doc.name(c));
-            let n = NodeId::new(seq_el.doc, c);
-            match name {
-                "atom" => {
-                    let ty = attr(store, n, "type").unwrap_or_default();
-                    let lex = doc.string_value(c);
-                    raws.push(Raw::Atom(atom_from_lexical(&ty, lex)?));
-                }
-                "keyset" => {
-                    let ty = attr(store, n, "type").unwrap_or_default();
-                    let count: usize = attr(store, n, "n")
-                        .and_then(|s| s.parse().ok())
-                        .ok_or_else(|| EvalError::new("keyset lacks count"))?;
-                    let payload = doc.string_value(c);
-                    for lex in parse_keyset_payload(&payload, count)? {
-                        raws.push(Raw::Atom(atom_from_lexical(&ty, lex)?));
-                    }
-                }
-                "element" | "attribute" => {
-                    let fragid: u32 = attr(store, n, "fragid")
-                        .and_then(|s| s.parse().ok())
-                        .ok_or_else(|| EvalError::new("ref lacks fragid"))?;
-                    let nodeid: u32 = attr(store, n, "nodeid")
-                        .and_then(|s| s.parse().ok())
-                        .ok_or_else(|| EvalError::new("ref lacks nodeid"))?;
-                    let attr_name =
-                        if name == "attribute" { attr(store, n, "name") } else { None };
-                    raws.push(Raw::Ref { fragid, nodeid, attr: attr_name });
-                }
-                "copy" => {
-                    raws.push(Raw::Copy {
-                        kind: attr(store, n, "kind").unwrap_or_default(),
-                        name: attr(store, n, "name"),
-                        base: attr(store, n, "base-uri"),
-                        duri: attr(store, n, "document-uri"),
-                        idx: c,
-                    });
-                }
-                other => {
-                    return Err(EvalError::new(format!("unknown sequence item <{other}>")))
-                }
-            }
-        }
-    }
+/// An item read off a `<sequence>`: a by-value copy is built while the
+/// message is read and attached to the store afterwards.
+enum Raw {
+    Item(Item),
+    Copy(Box<(DocBuilder, u32, Option<NodeMeta>)>),
+}
 
-    let msg_doc_id = seq_el.doc;
-    let mut out: Vec<Item> = Vec::new();
-    for raw in raws {
-        match raw {
-            Raw::Atom(a) => out.push(Item::Atom(a)),
-            Raw::Ref { fragid, nodeid, attr: attr_name } => {
+/// Reads the items of a `<sequence>` element, resolving references against
+/// the message's fragment table.
+fn read_sequence(seq: NodeRef, fragments: &[Fragment]) -> EvalResult<Vec<Raw>> {
+    let names = &seq.store.names;
+    let mut raws = Vec::new();
+    for el in bare(seq)?.children().filter(|c| c.kind() == NodeKind::Element) {
+        let mut a = Attrs::open(el);
+        match el.name() {
+            "atom" => {
+                let ty = a.take("type").unwrap_or_default();
+                raws.push(Raw::Item(Item::Atom(atom_from_lexical(ty, el.string_value())?)));
+            }
+            "keyset" => {
+                let ty = a.take("type").unwrap_or_default();
+                for lex in parse_keyset_payload(&el.string_value(), a.num("n")?)? {
+                    raws.push(Raw::Item(Item::Atom(atom_from_lexical(ty, lex)?)));
+                }
+            }
+            kind @ ("element" | "attribute") => {
+                let (fragid, nodeid): (u32, u32) = (a.num("fragid")?, a.num("nodeid")?);
                 let frag = fragid
                     .checked_sub(1)
                     .and_then(|i| fragments.get(i as usize))
@@ -959,107 +929,179 @@ fn decode_sequence(
                 let target = frag
                     .node(nodeid)
                     .ok_or_else(|| EvalError::new(format!("nodeid {nodeid} out of range")))?;
-                let doc = store.doc(frag.doc);
-                let node = match attr_name {
-                    None => target,
-                    Some(name) => {
-                        let name_id = store.names.get(&name);
-                        doc.attributes(target)
-                            .find(|&a| Some(doc.name(a)) == name_id)
-                            .ok_or_else(|| {
-                                EvalError::new(format!("attribute {name} not found on ref"))
-                            })?
-                    }
-                };
-                out.push(Item::Node(NodeId::new(frag.doc, node)));
+                let mut node = seq.store.node(NodeId::new(frag.doc, target));
+                if kind == "attribute" {
+                    let name = a.req("name")?;
+                    node = node.attribute_node(name).ok_or_else(|| {
+                        EvalError::new(format!("attribute {name} not found on ref"))
+                    })?;
+                }
+                raws.push(Raw::Item(Item::Node(node.id)));
             }
-            Raw::Copy { kind, name, base, duri, idx } => {
+            "copy" => {
+                let kind = a.req("kind")?;
+                let name = a.take("name");
+                let base = a.take("base-uri");
+                let duri = a.take("document-uri");
                 // each by-value copy becomes its own fragment document —
                 // this separation is precisely what loses identity/order
                 let mut b = DocBuilder::new(None);
-                if let Some(bu) = &base {
+                if let Some(bu) = base {
                     b.set_base_uri(bu);
                 }
-                let result_idx: u32;
-                {
-                    let doc = store.doc(msg_doc_id);
-                    match kind.as_str() {
-                        "element" => {
-                            let child = doc.first_child(idx).ok_or_else(|| {
-                                EvalError::new("element copy has no content")
-                            })?;
-                            b.copy_subtree(doc, &store.names, child);
-                            result_idx = 1;
-                        }
-                        "document" => {
-                            for c in doc.children(idx) {
-                                b.copy_subtree(doc, &store.names, c);
-                            }
-                            result_idx = 0;
-                        }
-                        "attribute" => {
-                            b.start_element("attribute-holder");
-                            b.attribute(
-                                name.as_deref().unwrap_or("value"),
-                                &doc.string_value(idx),
-                            );
-                            b.end_element();
-                            result_idx = 2;
-                        }
-                        "text" => {
-                            b.text(&doc.string_value(idx));
-                            result_idx = 1;
-                        }
-                        "comment" => {
-                            b.comment(&doc.string_value(idx));
-                            result_idx = 1;
-                        }
-                        "pi" => {
-                            b.pi(name.as_deref().unwrap_or("pi"), &doc.string_value(idx));
-                            result_idx = 1;
-                        }
-                        other => {
-                            return Err(EvalError::new(format!("unknown copy kind {other:?}")))
-                        }
+                let (doc, idx) = (el.doc(), el.id.idx);
+                let result_idx = match kind {
+                    "element" => {
+                        let child = doc
+                            .first_child(idx)
+                            .ok_or_else(|| EvalError::new("element copy has no content"))?;
+                        b.copy_subtree(doc, names, child);
+                        1
                     }
-                }
-                let new_doc = store.attach(b.finish());
-                if duri.is_some() || base.is_some() {
-                    store.doc_mut(new_doc).meta.insert(
-                        result_idx,
-                        NodeMeta { base_uri: base, document_uri: duri },
-                    );
-                }
-                out.push(Item::Node(NodeId::new(new_doc, result_idx)));
+                    "document" => {
+                        for c in doc.children(idx) {
+                            b.copy_subtree(doc, names, c);
+                        }
+                        0
+                    }
+                    "attribute" => {
+                        b.start_element("attribute-holder");
+                        b.attribute(name.unwrap_or("value"), &el.string_value());
+                        b.end_element();
+                        2
+                    }
+                    "text" => {
+                        b.text(&el.string_value())
+                            .ok_or_else(|| EvalError::new("text copy is empty"))?;
+                        1
+                    }
+                    "comment" => {
+                        b.comment(&el.string_value());
+                        1
+                    }
+                    "pi" => {
+                        b.pi(name.unwrap_or("pi"), &el.string_value());
+                        1
+                    }
+                    other => {
+                        return Err(EvalError::new(format!("unknown copy kind {other:?}")))
+                    }
+                };
+                let meta = (base.is_some() || duri.is_some()).then(|| NodeMeta {
+                    base_uri: base.map(str::to_string),
+                    document_uri: duri.map(str::to_string),
+                });
+                raws.push(Raw::Copy(Box::new((b, result_idx, meta))));
             }
+            other => return Err(EvalError::new(format!("unknown sequence item <{other}>"))),
         }
+        a.close()?;
     }
-    Ok(out.into())
+    Ok(raws)
 }
 
-// -- tiny DOM helpers over the parsed message ------------------------------
-
-fn find_child(store: &Store, parent: NodeId, name: &str) -> Option<NodeId> {
-    let name_id = store.names.get(name)?;
-    let doc = store.doc(parent.doc);
-    doc.children(parent.idx)
-        .find(|&c| doc.kind(c) == NodeKind::Element && doc.name(c) == name_id)
-        .map(|c| NodeId::new(parent.doc, c))
+/// Attaches a built document to `store`, with class-2 metadata on node `idx`.
+fn attach(store: &mut Store, b: DocBuilder, idx: u32, meta: Option<NodeMeta>) -> DocId {
+    let doc = store.attach(b.finish());
+    if let Some(meta) = meta {
+        store.doc_mut(doc).meta.insert(idx, meta);
+    }
+    doc
 }
 
-fn children_named(store: &Store, parent: NodeId, name: &str) -> Vec<NodeId> {
-    let Some(name_id) = store.names.get(name) else {
-        return vec![];
-    };
-    let doc = store.doc(parent.doc);
-    doc.children(parent.idx)
-        .filter(|&c| doc.kind(c) == NodeKind::Element && doc.name(c) == name_id)
-        .map(|c| NodeId::new(parent.doc, c))
+/// The sequence of read items, their copies attached in item order.
+fn attach_all(store: &mut Store, raws: Vec<Raw>) -> Sequence {
+    raws.into_iter()
+        .map(|raw| match raw {
+            Raw::Item(item) => item,
+            Raw::Copy(copy) => {
+                let (b, idx, meta) = *copy;
+                Item::Node(NodeId::new(attach(store, b, idx, meta), idx))
+            }
+        })
         .collect()
 }
 
-fn attr(store: &Store, node: NodeId, name: &str) -> Option<String> {
-    store.node(node).attribute(name).map(str::to_string)
+// -- the envelope reader ---------------------------------------------------
+
+/// The attributes of one envelope element, read strictly: each is handed
+/// out at most once, as a borrow into the store, and [`Attrs::close`]
+/// faults on the first one nobody took, naming it and the element. The
+/// parser has already rejected duplicates, so this is the one place that
+/// decides what an envelope element may carry.
+struct Attrs<'a> {
+    el: NodeRef<'a>,
+    /// Bit `i`: the element's `i`-th attribute was handed out. No envelope
+    /// element carries more than four, so `take` looks at the first 64 and
+    /// `close` counts any later one as left over.
+    taken: u64,
+}
+
+impl<'a> Attrs<'a> {
+    fn open(el: NodeRef<'a>) -> Self {
+        Attrs { el, taken: 0 }
+    }
+
+    /// Attribute `name`, if the element carries it.
+    fn take(&mut self, name: &str) -> Option<&'a str> {
+        let (doc, names) = (self.el.doc(), &self.el.store.names);
+        let (i, a) = doc.attributes(self.el.id.idx).take(64).enumerate().find(|&(i, a)| {
+            self.taken >> i & 1 == 0 && names.resolve(doc.name(a)) == name
+        })?;
+        self.taken |= 1 << i;
+        doc.value(a)
+    }
+
+    /// Attribute `name`, which the element must carry.
+    fn req(&mut self, name: &str) -> EvalResult<&'a str> {
+        self.take(name).ok_or_else(|| self.fault(name, "is missing"))
+    }
+
+    /// Attribute `name` read by `f`, if the element carries it; a value `f`
+    /// rejects is a fault naming it.
+    fn read<T>(&mut self, name: &str, f: impl FnOnce(&str) -> Option<T>) -> EvalResult<Option<T>> {
+        let Some(v) = self.take(name) else { return Ok(None) };
+        f(v).map(Some).ok_or_else(|| self.fault(name, &format!("is malformed: {v:?}")))
+    }
+
+    /// Numeric attribute `name`, which the element must carry.
+    fn num<T: std::str::FromStr>(&mut self, name: &str) -> EvalResult<T> {
+        self.read(name, |v| v.parse().ok())?.ok_or_else(|| self.fault(name, "is missing"))
+    }
+
+    /// Closes the element: an attribute nobody took is a fault.
+    fn close(self) -> EvalResult<()> {
+        let doc = self.el.doc();
+        let mut attrs = doc.attributes(self.el.id.idx).enumerate();
+        match attrs.find(|&(i, _)| i >= 64 || self.taken >> i & 1 == 0) {
+            None => Ok(()),
+            Some((_, a)) => {
+                Err(self.fault(self.el.store.names.resolve(doc.name(a)), "is not expected"))
+            }
+        }
+    }
+
+    fn fault(&self, attr: &str, what: &str) -> EvalError {
+        EvalError::new(format!("<{}> attribute {attr} {what}", self.el.name()))
+    }
+}
+
+/// `el`, a vocabulary element that carries no attribute.
+fn bare(el: NodeRef) -> EvalResult<NodeRef> {
+    Attrs::open(el).close().map(|()| el)
+}
+
+/// `parent`'s first child element `name`, which must be there.
+fn child<'a>(parent: NodeRef<'a>, name: &str) -> EvalResult<NodeRef<'a>> {
+    parent
+        .child_element(name)
+        .ok_or_else(|| EvalError::new(format!("<{}> lacks <{name}>", parent.name())))
+}
+
+/// The `<env>` element of a parsed message.
+fn open_env(store: &Store, doc: DocId) -> EvalResult<NodeRef<'_>> {
+    let env = store.node(NodeId::new(doc, 0)).child_element("env");
+    bare(env.ok_or_else(|| EvalError::new("message lacks <env>"))?)
 }
 
 #[cfg(test)]
@@ -1429,6 +1471,10 @@ mod tests {
                    <element fragid=\"3\" nodeid=\"1\"/>\
                    </sequence></param></call></request></env>";
         assert!(decode_request(&mut s, msg).is_err());
+        // an empty text copy would name a node its document lacks
+        let msg = "<env><response><call-result><sequence><copy kind=\"text\"></copy>\
+                   </sequence></call-result></response></env>";
+        assert!(decode_response(&mut s, msg).is_err());
     }
 
     #[test]
@@ -1528,6 +1574,28 @@ mod tests {
         }
     }
 
+    /// A hint that is no number is corruption naming the attribute, not a
+    /// zero wait the caller retries on at once.
+    #[test]
+    fn malformed_fault_hints_are_corrupt() {
+        use std::time::Duration;
+        for (fault, attr) in [
+            (XrpcError::Overloaded { retry_after_ms: 80 }, "retry-after-ms=\"80\""),
+            (
+                XrpcError::Timeout { peer: "p1".into(), deadline: Duration::from_millis(250) },
+                "deadline-ms=\"250\"",
+            ),
+        ] {
+            let wire = encode_fault(&fault);
+            let (name, _) = attr.split_once('=').unwrap();
+            let wire = wire.replace(attr, &format!("{name}=\"soon\""));
+            assert_eq!(decode_fault(&wire), None, "{wire}");
+            let err = decode_response(&mut Store::new(), &wire).unwrap_err();
+            assert!(err.has_code("xrpc:transport-corrupt"), "{wire} → {err}");
+            assert!(err.message.contains(&format!("<fault> attribute {name}")), "{err}");
+        }
+    }
+
     #[test]
     fn non_fault_messages_decode_as_none_fault() {
         assert!(decode_fault("<env><response semantics=\"value\"/></env>").is_none());
@@ -1621,7 +1689,8 @@ mod tests {
     #[test]
     fn corrupt_keysets_are_rejected() {
         let mut s = Store::new();
-        for payload in ["0:2:ab", "junk", "0:9:ab", "5:1:x0:1:y"] {
+        // the last suffix length overflowed `pos + suffix` (a debug panic)
+        for payload in ["0:2:ab", "junk", "0:9:ab", "5:1:x0:1:y", "0:18446744073709551615:x"] {
             let msg = format!(
                 "<env><response semantics=\"value\"><call-result><sequence>\
                  <keyset type=\"string\" n=\"2\">{payload}</keyset>\

@@ -19,6 +19,11 @@
 //! embeds the shipped document as is: whatever the document's own markup
 //! looks like and wherever the envelope is cut, the coordinator ends up with
 //! the document bit for bit or an error — never a different document.
+//!
+//! The end holds the decoders to reading envelopes strictly: an attribute
+//! outside the vocabulary on any element they open, a version on `<env>`,
+//! a malformed number, a duplicate attribute or a hostile `<keyset>` count
+//! is typed corruption naming what it found — never a silent skip.
 
 use xqd_prng::Rng;
 use xqd_xml::Store;
@@ -37,6 +42,9 @@ impl DocResolver for LocalDocs {
 use std::io::Cursor;
 use std::time::Duration;
 
+use xqd_xquery::ast::{Atomic, PathSpec};
+use xqd_xrpc::message::keyset_stats;
+use xqd_xrpc::wire::parse_rel_path;
 use xqd_xrpc::{
     decode_doc_request, decode_doc_response, decode_fault, decode_request, decode_response,
     encode_doc_request, encode_doc_response, encode_fault, encode_request, encode_response,
@@ -472,5 +480,168 @@ fn old_format_doc_replies_fail_to_shred() {
         old.push_str("</doc></env>");
         let err = open_doc_reply(&old).expect_err("old-format reply accepted");
         assert!(err.starts_with("shredding: "), "{err}");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// envelopes are read strictly: every attribute taken once, no leftover
+// ---------------------------------------------------------------------------
+
+/// A key-set header's count sizes no allocation: a count near `usize::MAX`
+/// (once a capacity-overflow panic) or in the trillions (once an abort on
+/// a failed 24 TB reservation) is typed corruption through both decoders,
+/// and `keyset_stats` skips the block without counting it.
+#[test]
+fn hostile_keyset_counts_are_typed_corruption() {
+    for n in ["18446744073709551615", "1000000000000"] {
+        let keyset = format!("<keyset type=\"string\" n=\"{n}\">0:1:a0:1:b</keyset>");
+        let [request, response] = referencing("", &keyset);
+        let err = decode_request(&mut Store::new(), &request).unwrap_err();
+        assert_eq!(err.code.as_deref(), Some("xrpc:transport-corrupt"), "{request}: {err}");
+        let err = decode_response(&mut Store::new(), &response).unwrap_err();
+        assert_eq!(err.code.as_deref(), Some("xrpc:transport-corrupt"), "{response}: {err}");
+        assert_eq!(keyset_stats(&request), (0, 0), "{request}");
+        assert_eq!(keyset_stats(&response), (0, 0), "{response}");
+    }
+}
+
+/// XML forbids a repeated attribute name on one start tag: on an envelope
+/// element it is typed corruption, not a silent first-one-wins read.
+#[test]
+fn duplicate_envelope_attributes_are_typed_corruption() {
+    let [request, response] = referencing(ONE_FRAGMENT, "<element fragid=\"1\" nodeid=\"1\"/>");
+    for (message, from, to) in [
+        (&request, "semantics=\"fragment\"", "semantics=\"fragment\" semantics=\"value\""),
+        (&request, "name=\"x\"", "name=\"x\" name=\"y\""),
+        (&response, "nodeid=\"1\"", "nodeid=\"1\" nodeid=\"2\""),
+    ] {
+        let mutant = message.replacen(from, to, 1);
+        let err = if mutant.starts_with("<env><request") {
+            decode_request(&mut Store::new(), &mutant).unwrap_err()
+        } else {
+            decode_response(&mut Store::new(), &mutant).unwrap_err()
+        };
+        assert_eq!(err.code.as_deref(), Some("xrpc:transport-corrupt"), "{mutant}: {err}");
+        let (name, _) = from.split_once('=').unwrap();
+        assert!(err.message.contains(&format!("duplicate attribute {name}")), "{err}");
+    }
+}
+
+/// One valid envelope of every shape the encoders emit, each holding the
+/// elements the decoders open: by-value items (`<atom>`, `<keyset>`,
+/// `<copy>`) with `<response-paths>`, by-fragment references (`<element>`,
+/// `<attribute>`) with `<fragments>`, a fault with each optional hint, and
+/// the doc request and reply.
+fn every_envelope() -> Vec<String> {
+    let (store, nodes) = fixture();
+    let atoms: Vec<Item> = (0..8).map(|i| Item::Atom(Atomic::Int(i))).collect();
+    let mixed: Sequence =
+        [Item::Atom(Atomic::Str("s".into())), nodes[0].clone()].into_iter().chain(atoms).collect();
+    let a = xqd_xml::NodeId::new(xqd_xml::DocId(0), 2); // the `id` attribute of <a>
+    let refs: Sequence = vec![nodes[0].clone(), Item::Node(a)].into();
+    let spec = PathSpec {
+        used: vec![parse_rel_path("child::c").unwrap()],
+        returned: vec![parse_rel_path("child::b").unwrap()],
+    };
+    let mut envelopes = Vec::new();
+    for (semantics, seq) in [(WireSemantics::Value, &mixed), (WireSemantics::Fragment, &refs)] {
+        let calls = vec![vec![("x".to_string(), seq.clone())]];
+        let ctx = StaticContext::default();
+        envelopes.push(
+            encode_request(&store, semantics, &ctx, "$x", &calls, None, Some(&spec)).unwrap(),
+        );
+        let results = std::slice::from_ref(seq);
+        envelopes.push(encode_response(&store, semantics, results, None).unwrap());
+    }
+    envelopes.push(encode_fault(&XrpcError::Overloaded { retry_after_ms: 80 }));
+    envelopes.push(encode_fault(&XrpcError::Timeout {
+        peer: "p".into(),
+        deadline: Duration::from_millis(250),
+    }));
+    envelopes.push(encode_doc_request(DOC_URI));
+    envelopes.push(encode_doc_response(DOC_URI, HOSTILE_DOCUMENTS[0]));
+    envelopes
+}
+
+/// What each decoder makes of `message`: `Ok(())` for accepted, else the
+/// error text. The decoder is chosen by the envelope's element; the three
+/// that answer `Option` have no text to give.
+fn decode_as_sent(message: &str) -> Result<(), String> {
+    let typed = |r: EvalResult<()>| {
+        r.map_err(|e| match e.code.as_deref() {
+            Some("xrpc:transport-corrupt") => e.message,
+            _ => panic!("untyped or mistyped: {e}"),
+        })
+    };
+    let none = |accepted: bool| if accepted { Ok(()) } else { Err(String::new()) };
+    if message.contains("<request") {
+        typed(decode_request(&mut Store::new(), message).map(drop))
+    } else if message.contains("<fault") && decode_fault(message).is_some() {
+        Ok(())
+    } else if message.contains("<response") || message.contains("<fault") {
+        typed(decode_response(&mut Store::new(), message).map(drop))
+    } else if message.contains("<doc-request") {
+        none(decode_doc_request(message).is_some())
+    } else {
+        none(decode_doc_response(message).is_some())
+    }
+}
+
+/// `message` with ` attr` added to the first start tag of `element`.
+fn with_attribute(message: &str, element: &str, attr: &str) -> Option<String> {
+    let open = format!("<{element}");
+    let (at, _) = message.match_indices(&open).find(|&(i, _)| {
+        matches!(message.as_bytes().get(i + open.len()), Some(b' ' | b'>' | b'/'))
+    })?;
+    let at = at + open.len();
+    Some(format!("{} {attr}{}", &message[..at], &message[at..]))
+}
+
+/// Table-driven: every element the decoders open, given one attribute
+/// outside the vocabulary — and `<env>` given a version — is typed
+/// corruption naming the element and the attribute (`None` from the three
+/// `Option` decoders). Malformed numbers are corruption naming the
+/// attribute. Every unmodified envelope decodes with nothing left over.
+#[test]
+fn unknown_and_malformed_attributes_are_typed_corruption() {
+    let envelopes = every_envelope();
+    for envelope in &envelopes {
+        assert_eq!(decode_as_sent(envelope), Ok(()), "{envelope}");
+    }
+    let elements = [
+        "env", "request", "query", "response-paths", "used-path", "returned-path", "fragments",
+        "fragment", "call", "param", "sequence", "atom", "keyset", "copy", "element",
+        "attribute", "response", "call-result", "fault", "message", "doc-request", "doc",
+    ];
+    let unknown = elements.map(|element| (element, "unit=\"kg\""));
+    for (element, attr) in unknown.into_iter().chain([("env", "v=\"2\"")]) {
+        let name = attr.split_once('=').unwrap().0;
+        let mut seen = 0;
+        for envelope in &envelopes {
+            let Some(mutant) = with_attribute(envelope, element, attr) else { continue };
+            seen += 1;
+            match decode_as_sent(&mutant) {
+                Ok(()) => panic!("accepted: {mutant}"),
+                // the three `Option` decoders, and the `<doc>` header
+                Err(text) if text.is_empty() => {}
+                Err(text) => assert!(
+                    text.contains(&format!("<{element}> attribute {name}")),
+                    "{mutant} → {text}"
+                ),
+            }
+        }
+        assert!(seen > 0, "no envelope holds <{element}>");
+    }
+    for (from, to, name) in [
+        ("fragid=\"1\"", "fragid=\"one\"", "fragid"),
+        ("nodeid=\"", "nodeid=\"-", "nodeid"),
+        ("n=\"8\"", "n=\"eight\"", "n"),
+        ("deadline-ms=\"250\"", "deadline-ms=\"soon\"", "deadline-ms"),
+        ("retry-after-ms=\"80\"", "retry-after-ms=\"\"", "retry-after-ms"),
+    ] {
+        let envelope = envelopes.iter().find(|e| e.contains(from)).expect(from);
+        let mutant = envelope.replacen(from, to, 1);
+        let text = decode_as_sent(&mutant).expect_err(&mutant);
+        assert!(text.contains(&format!("attribute {name} is malformed")), "{mutant} → {text}");
     }
 }
