@@ -402,6 +402,43 @@ if grep -n 'as usize - 1' crates/xrpc/src/message.rs >&2; then
     exit 1
 fi
 
+echo "== one engine ships (structural) =="
+# Only the plan IR engine runs outside tests: coordinators, peers,
+# `eval_query` and the constant folder all run `Plan::eval`. The tree-walker
+# in crates/xquery/src/reference.rs is the scan-only reference the
+# differential suites compare against, and the operator bodies both engines
+# need are written once, in crates/xquery/src/eval.rs. An index path or
+# toggle on the walker, a call of `reference_eval` outside tests, a `_plan`
+# mirror in compile.rs or a second copy of a shared body means the second
+# engine grew back.
+nontest_code() {
+    # "file:line: text" of each non-comment line before a file's tests
+    for f in $(find crates/*/src src -name '*.rs' | sort); do
+        awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit } !/^[[:space:]]*\/\// { print f ":" FNR ": " $0 }' "$f"
+    done
+}
+if grep -rnwE 'with_indexes|eval_query_with_indexes|fn indexed_step|fn indexed_named_step' \
+        crates src tests examples --include='*.rs' >&2; then
+    echo "the walker's index path or toggle is back (a plan fixes its index choice when compiled)" >&2
+    exit 1
+fi
+if nontest_code | grep -w 'reference_eval' | grep -vE \
+        '^crates/xquery/src/(reference\.rs:[0-9]+: pub fn reference_eval\(|lib\.rs:[0-9]+: pub use reference::reference_eval;)' >&2; then
+    echo "non-test code runs the reference walker (Plan::eval is the engine that ships)" >&2
+    exit 1
+fi
+if nontest_code | grep -E '^crates/xquery/src/compile\.rs:[0-9]+: .*fn [a-z_]+_plan[(<]' >&2; then
+    echo "compile.rs mirrors a walker method again (call the shared body in eval.rs)" >&2
+    exit 1
+fi
+for body in 'arithmetic on a multi-item sequence' 'computed constructor name must be a single item'; do
+    n=$(nontest_code | grep -c "$body" || true)
+    if [ "$n" != 1 ]; then
+        echo "\"$body\" appears $n times in non-test code (want 1: the shared body in eval.rs)" >&2
+        exit 1
+    fi
+done
+
 echo "== the checkout is as ci.sh found it =="
 if [ "$(tracked_state)" != "$tracked_at_start" ]; then
     echo "ci.sh changed tracked files:" >&2

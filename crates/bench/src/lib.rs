@@ -401,8 +401,7 @@ pub fn paths_points_at(target_bytes: usize, seed: u64, iters: usize) -> Vec<Path
             let plan = compile_query(&module, use_indexes, &StaticContext::default());
             let mut run = || {
                 let mut resolver = LocalResolver;
-                let mut ev = Evaluator::new(&mut store, &module.functions, &mut resolver)
-                    .with_indexes(use_indexes);
+                let mut ev = Evaluator::new(&mut store, &module.functions, &mut resolver);
                 plan.eval(&mut ev).expect("paths query evaluates")
             };
             let warmup = run();

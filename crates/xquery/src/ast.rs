@@ -166,20 +166,22 @@ impl Step {
     }
 }
 
-/// Node constructors (XCore rule 19).
+/// Node constructors (XCore rule 19). `X` is the operand: a subexpression
+/// in the AST, an op index in a compiled plan, so both engines construct
+/// through one `Evaluator::construct`.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Constructor {
-    Document { content: Box<Expr> },
-    Text { content: Box<Expr> },
-    Element { name: ElemName, content: Box<Expr> },
-    Attribute { name: ElemName, content: Box<Expr> },
+pub enum Constructor<X = Box<Expr>> {
+    Document { content: X },
+    Text { content: X },
+    Element { name: ElemName<X>, content: X },
+    Attribute { name: ElemName<X>, content: X },
 }
 
 /// Static or computed constructor name.
 #[derive(Debug, Clone, PartialEq)]
-pub enum ElemName {
+pub enum ElemName<X = Box<Expr>> {
     Static(String),
-    Computed(Box<Expr>),
+    Computed(X),
 }
 
 /// A `typeswitch` case clause (XCore rule 11).
@@ -250,10 +252,11 @@ impl fmt::Display for SeqType {
 }
 
 /// One `order by` specification (XCore rule 16): a key expression evaluated
-/// with each input item as context item, plus a direction.
+/// with each input item as context item, plus a direction. `X` is the key
+/// operand, as for [`Constructor`].
 #[derive(Debug, Clone, PartialEq)]
-pub struct OrderSpec {
-    pub key: Expr,
+pub struct OrderSpec<X = Expr> {
+    pub key: X,
     pub descending: bool,
 }
 

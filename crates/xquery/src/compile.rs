@@ -1,14 +1,11 @@
 //! AST → flat plan IR compiler and the compiled-plan evaluator.
 //!
-//! The plan IR is the one engine that executes queries in production —
-//! coordinators and peers alike — and the only one that ever drives a
-//! [`crate::eval::RemoteHandler`]. The tree-walk interpreter
-//! ([`crate::eval`]) re-derives everything per run (QName lookups,
-//! indexed-vs-scan step choices, even constant subexpressions) and is kept
-//! as the local reference semantics the tests compare against. This module
-//! lowers a (normalized or surface) module once into a flat arena of
-//! [`Op`]s — children are `u32` operand indices instead of `Box`es — with
-//! those decisions baked in:
+//! The plan IR is the one engine that executes queries outside tests —
+//! coordinators, peers, [`crate::eval_query`] and the constant folder alike
+//! — and the only one that ever drives a [`crate::eval::RemoteHandler`].
+//! This module lowers a (normalized or surface) module once into a flat
+//! arena of [`Op`]s — children are `u32` operand indices instead of
+//! `Box`es — with these decisions baked in:
 //!
 //! * names interned into a plan-local symbol table, resolved to the
 //!   executing store's [`xqd_xml::NameId`]s through a per-run [`NameCache`]
@@ -16,10 +13,10 @@
 //!   because constructors can intern names mid-run),
 //! * indexed-vs-scan selection per axis step, including the
 //!   `descendant-or-self::node()/child::n` fusion for `//n`,
-//! * constant subexpressions pre-evaluated (only when they evaluate
-//!   cleanly: a subexpression that would raise a dynamic error is lowered
-//!   unfolded so the error surfaces at the same point, with the same
-//!   message, as under the interpreter),
+//! * constant subexpressions pre-evaluated by compiling them without
+//!   folding and running that plan (only when they evaluate cleanly: a
+//!   subexpression that would raise a dynamic error is lowered unfolded so
+//!   the error surfaces at run time, with the same message),
 //! * the scatter-round / Bulk-RPC shapes detected once, here, and recorded
 //!   per op (the shape detectors live in this module),
 //! * the comparison operands whose value depends only on their free
@@ -27,12 +24,15 @@
 //!   a per-run table instead of re-evaluating and nested-looping its
 //!   loop-invariant side.
 //!
-//! The compiled engine drives the *same* [`Evaluator`] state — environment,
-//! context stack, scratch buffers, builtins — so the two engines cannot
-//! diverge in book-keeping. On local (`Execute`-free) queries `Plan::eval`
-//! is bit-identical to interpreting the source expression, results and
-//! errors both, which the unit tests below and the plan-equivalence suite
-//! in the workspace root assert.
+//! The engine runs on the [`Evaluator`] state and calls the operator bodies
+//! of [`crate::eval`] — arithmetic, constructors, `order by`, predicates,
+//! function calls, the axis scan — which the scan-only reference walker
+//! ([`crate::reference_eval`]) calls too. What the two engines do not share
+//! is what this module adds: index use, folding, memo probes, the
+//! scatter / bulk shapes and name caching. On local (`Execute`-free)
+//! queries `Plan::eval` is bit-identical to the reference, results and
+//! errors both, which the unit tests below and the differential suites in
+//! the workspace root assert.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -41,14 +41,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use xqd_xml::axes::{axis_nodes, node_test_matches, NodeTest};
-use xqd_xml::{Axis, NameId, NodeId, Store};
+use xqd_xml::axes::NodeTest;
+use xqd_xml::{index, Axis, DocId, NameId, NodeId, Store};
 
 use crate::ast::*;
-use crate::builtins;
 use crate::eval::{
-    compare_order_keys, matches_seq_type, single_node, Evaluator, LocalResolver, ScatterCall,
-    StaticContext, MAX_CALL_DEPTH,
+    arith, matches_seq_type, node_compare, node_set, Evaluator, LocalResolver, ScatterCall,
+    StaticContext,
 };
 use crate::value::*;
 
@@ -82,32 +81,11 @@ pub struct PlanStep {
     pub fused: bool,
 }
 
-/// Static or computed constructor name.
-#[derive(Debug, Clone)]
-pub enum PlanName {
-    Static(String),
-    Computed(OpRef),
-}
-
-#[derive(Debug, Clone)]
-pub enum PlanConstructor {
-    Document { content: OpRef },
-    Text { content: OpRef },
-    Element { name: PlanName, content: OpRef },
-    Attribute { name: PlanName, content: OpRef },
-}
-
 #[derive(Debug, Clone)]
 pub struct PlanCase {
     pub var: SymId,
     pub seq_type: SeqType,
     pub body: OpRef,
-}
-
-#[derive(Debug, Clone)]
-pub struct PlanOrderSpec {
-    pub key: OpRef,
-    pub descending: bool,
 }
 
 /// A compiled `execute at`. The body ships over the wire as XQuery source
@@ -182,12 +160,12 @@ pub enum Op {
     NodeComparison { op: NodeCompOp, lhs: OpRef, rhs: OpRef, scatter: bool },
     NodeSet { op: NodeSetOp, lhs: OpRef, rhs: OpRef, scatter: bool },
     Arith { op: ArithOp, lhs: OpRef, rhs: OpRef, scatter: bool },
-    OrderBy { input: OpRef, specs: Vec<PlanOrderSpec> },
-    Construct(PlanConstructor),
+    OrderBy { input: OpRef, specs: Vec<OrderSpec<OpRef>> },
+    Construct(Constructor<OpRef>),
     Path { start: Option<OpRef>, steps: Vec<PlanStep> },
     Filter { input: OpRef, pred: OpRef },
     /// `user` is the pre-resolved index into [`Plan::funcs`]; builtins
-    /// still dispatch first at runtime, exactly like the interpreter.
+    /// still dispatch first at runtime, as in the reference walker.
     FunCall { name: SymId, args: Vec<OpRef>, user: Option<u32> },
     And(OpRef, OpRef),
     Or(OpRef, OpRef),
@@ -222,8 +200,8 @@ impl Plan {
     }
 
     /// Executes the plan with the given evaluator. On `Execute`-free
-    /// plans, bit-identical to `ev.eval(&body)` on the source expression —
-    /// results and errors.
+    /// plans, bit-identical to [`crate::reference_eval`] on the source
+    /// module — results and errors.
     pub fn eval(&self, ev: &mut Evaluator<'_>) -> EvalResult {
         let mut run = PlanRun {
             names: NameCache::new(self.syms.len()),
@@ -352,12 +330,12 @@ impl Plan {
                 format!("order-by @{input} [{}]", ss.join(", "))
             }
             Op::Construct(c) => match c {
-                PlanConstructor::Document { content } => format!("document {{ @{content} }}"),
-                PlanConstructor::Text { content } => format!("text {{ @{content} }}"),
-                PlanConstructor::Element { name, content } => {
+                Constructor::Document { content } => format!("document {{ @{content} }}"),
+                Constructor::Text { content } => format!("text {{ @{content} }}"),
+                Constructor::Element { name, content } => {
                     format!("element {} {{ @{content} }}", self.dump_name(name))
                 }
-                PlanConstructor::Attribute { name, content } => {
+                Constructor::Attribute { name, content } => {
                     format!("attribute {} {{ @{content} }}", self.dump_name(name))
                 }
             },
@@ -414,10 +392,10 @@ impl Plan {
         }
     }
 
-    fn dump_name(&self, n: &PlanName) -> String {
+    fn dump_name(&self, n: &ElemName<OpRef>) -> String {
         match n {
-            PlanName::Static(s) => s.clone(),
-            PlanName::Computed(r) => format!("{{ @{r} }}"),
+            ElemName::Static(s) => s.clone(),
+            ElemName::Computed(r) => format!("{{ @{r} }}"),
         }
     }
 
@@ -706,7 +684,10 @@ struct Compiler<'c> {
     sym_ids: HashMap<String, SymId>,
     functions: &'c [FunctionDef],
     use_indexes: bool,
-    static_ctx: StaticContext,
+    static_ctx: &'c StaticContext,
+    /// Pre-evaluate constant subexpressions; off only in the compiler that
+    /// [`Compiler::try_fold`] runs the constant through.
+    fold: bool,
     consts_folded: u32,
     memos: Vec<MemoOperand>,
 }
@@ -727,19 +708,20 @@ impl<'c> Compiler<'c> {
         (self.ops.len() - 1) as OpRef
     }
 
-    /// Pre-evaluates a constant subexpression with a throwaway evaluator
-    /// under the compile-time static context. Only an `Ok` result folds:
-    /// erroring expressions (`1 div 0`) are lowered unfolded so the error
-    /// surfaces at runtime exactly where the interpreter raises it.
+    /// Pre-evaluates a constant subexpression: compiles it without folding
+    /// and runs that plan on a throwaway store under the compile-time
+    /// static context. Only an `Ok` result folds: erroring expressions
+    /// (`1 div 0`) are lowered unfolded so the error surfaces at run time.
     fn try_fold(&mut self, e: &Expr) -> Option<Sequence> {
-        if !is_const(e) {
+        if !self.fold || !is_const(e) {
             return None;
         }
+        let plan = lower(&[], e, self.use_indexes, self.static_ctx, false);
         let mut store = Store::new();
         let mut resolver = LocalResolver;
         let mut ev = Evaluator::new(&mut store, &[], &mut resolver)
             .with_static_context(self.static_ctx.clone());
-        let folded = ev.eval(e).ok()?;
+        let folded = plan.eval(&mut ev).ok()?;
         // const expressions cannot construct nodes, but keep the invariant
         // explicit: a NodeId would dangle outside the throwaway store
         if folded.iter().any(|i| matches!(i, Item::Node(_))) {
@@ -830,7 +812,7 @@ impl<'c> Compiler<'c> {
                 let mut pspecs = Vec::with_capacity(specs.len());
                 for s in specs {
                     let key = self.compile(&s.key);
-                    pspecs.push(PlanOrderSpec { key, descending: s.descending });
+                    pspecs.push(OrderSpec { key, descending: s.descending });
                 }
                 self.push(Op::OrderBy { input, specs: pspecs })
             }
@@ -977,36 +959,33 @@ impl<'c> Compiler<'c> {
         })))
     }
 
-    fn compile_constructor(&mut self, c: &Constructor) -> PlanConstructor {
+    fn compile_constructor(&mut self, c: &Constructor) -> Constructor<OpRef> {
         match c {
             Constructor::Document { content } => {
-                PlanConstructor::Document { content: self.compile(content) }
+                Constructor::Document { content: self.compile(content) }
             }
-            Constructor::Text { content } => {
-                PlanConstructor::Text { content: self.compile(content) }
-            }
+            Constructor::Text { content } => Constructor::Text { content: self.compile(content) },
             Constructor::Element { name, content } => {
                 let name = self.compile_elem_name(name);
-                PlanConstructor::Element { name, content: self.compile(content) }
+                Constructor::Element { name, content: self.compile(content) }
             }
             Constructor::Attribute { name, content } => {
                 let name = self.compile_elem_name(name);
-                PlanConstructor::Attribute { name, content: self.compile(content) }
+                Constructor::Attribute { name, content: self.compile(content) }
             }
         }
     }
 
-    fn compile_elem_name(&mut self, n: &ElemName) -> PlanName {
+    fn compile_elem_name(&mut self, n: &ElemName) -> ElemName<OpRef> {
         match n {
-            ElemName::Static(s) => PlanName::Static(s.clone()),
-            ElemName::Computed(e) => PlanName::Computed(self.compile(e)),
+            ElemName::Static(s) => ElemName::Static(s.clone()),
+            ElemName::Computed(e) => ElemName::Computed(self.compile(e)),
         }
     }
 
     /// Lowers the steps of a path, baking the indexed-vs-scan choice per
     /// step and collapsing the `//n` expansion into one indexed
-    /// `descendant::n` — the same two decisions `Evaluator::eval_path`
-    /// makes per evaluation.
+    /// `descendant::n`.
     fn compile_steps(&mut self, steps: &[Step]) -> Vec<PlanStep> {
         let mut out = Vec::with_capacity(steps.len());
         let mut i = 0;
@@ -1072,13 +1051,26 @@ pub fn compile_module(
     use_indexes: bool,
     static_ctx: &StaticContext,
 ) -> Plan {
+    lower(functions, body, use_indexes, static_ctx, true)
+}
+
+/// [`compile_module`] with constant folding on or off: off only for the
+/// plan [`Compiler::try_fold`] evaluates a constant with.
+fn lower(
+    functions: &[FunctionDef],
+    body: &Expr,
+    use_indexes: bool,
+    static_ctx: &StaticContext,
+    fold: bool,
+) -> Plan {
     let mut c = Compiler {
         ops: Vec::new(),
         syms: Vec::new(),
         sym_ids: HashMap::new(),
         functions,
         use_indexes,
-        static_ctx: static_ctx.clone(),
+        static_ctx,
+        fold,
         consts_folded: 0,
         memos: Vec::new(),
     };
@@ -1113,8 +1105,8 @@ pub fn compile_query(module: &QueryModule, use_indexes: bool, static_ctx: &Stati
 /// Per-run cache mapping plan symbols to the executing store's interned
 /// [`NameId`]s. A hit is cached for the rest of the run (interned ids are
 /// immutable), but a miss is re-probed on every use: node constructors can
-/// intern new names mid-run, exactly as the interpreter observes when it
-/// re-resolves QNames per step.
+/// intern new names mid-run, exactly as the reference walker observes when
+/// it re-resolves QNames per step.
 struct NameCache(Vec<Option<NameId>>);
 
 impl NameCache {
@@ -1170,10 +1162,10 @@ enum Operand {
     Table(Arc<ProbeTable>),
 }
 
-/// The compiled engine reuses the interpreter's `Evaluator` state wholesale
-/// (environment, context stack, scratch buffers, hooks); every local arm
-/// below mirrors the corresponding `Evaluator::eval` arm op-for-op so
-/// results and errors stay bit-identical to the reference semantics.
+/// The plan engine runs on the shared [`Evaluator`] state (environment,
+/// context stack, scratch buffers, hooks) and calls the operator bodies of
+/// [`crate::eval`] that the reference walker calls too; what is its own is
+/// the op dispatch, index use, memo probes and the scatter / bulk shapes.
 impl<'a> Evaluator<'a> {
     /// Single dispatch point of the compiled engine. When a [`ProfileHook`]
     /// is attached, wraps the real dispatch with per-op accounting — one
@@ -1200,7 +1192,7 @@ impl<'a> Evaluator<'a> {
             Op::Seq { items, scatter } => {
                 if self.remote.is_some() {
                     if let Some(idxs) = scatter {
-                        return self.eval_sequence_scatter_plan(plan, run, items, idxs);
+                        return self.eval_sequence_scatter(plan, run, items, idxs);
                     }
                 }
                 let mut out = Vec::new();
@@ -1213,7 +1205,7 @@ impl<'a> Evaluator<'a> {
                 let input = self.eval_op(plan, run, *seq)?;
                 if self.remote.is_some() {
                     if let Some(b) = bulk {
-                        return self.eval_bulk_for_plan(plan, run, *var, input, b);
+                        return self.eval_bulk_for(plan, run, *var, input, b);
                     }
                 }
                 // one binding for the whole loop, its value rebound in place
@@ -1247,7 +1239,7 @@ impl<'a> Evaluator<'a> {
                 if self.remote.is_some() {
                     let mut calls = Vec::with_capacity(binds.len());
                     for (_, exec) in binds {
-                        calls.push(self.bind_scatter_call_plan(plan, *exec)?);
+                        calls.push(self.bind_scatter_call(plan, *exec)?);
                     }
                     let handler =
                         self.remote.as_mut().expect("scatter path requires a handler");
@@ -1316,108 +1308,38 @@ impl<'a> Evaluator<'a> {
                 self.eval_comparison_memo(plan, run, *op, [*lhs, *rhs], *memo)
             }
             Op::Comparison { op, lhs, rhs, scatter, .. } => {
-                let (l, r) = self.eval_operand_pair_plan(plan, run, *lhs, *rhs, *scatter)?;
+                let (l, r) = self.eval_operand_pair(plan, run, *lhs, *rhs, *scatter)?;
                 let b = general_compare(self.store, *op, &l, &r)?;
                 Ok(Sequence::boolean(b))
             }
             Op::NodeComparison { op, lhs, rhs, scatter } => {
-                let (l, r) = self.eval_operand_pair_plan(plan, run, *lhs, *rhs, *scatter)?;
-                if l.is_empty() || r.is_empty() {
-                    return Ok(Sequence::new());
-                }
-                let ln = single_node(&l, "node comparison")?;
-                let rn = single_node(&r, "node comparison")?;
-                let b = match op {
-                    NodeCompOp::Is => ln == rn,
-                    NodeCompOp::Before => ln < rn,
-                    NodeCompOp::After => ln > rn,
-                };
-                Ok(Sequence::boolean(b))
+                let (l, r) = self.eval_operand_pair(plan, run, *lhs, *rhs, *scatter)?;
+                node_compare(*op, &l, &r)
             }
             Op::NodeSet { op, lhs, rhs, scatter } => {
-                let (l, r) = self.eval_operand_pair_plan(plan, run, *lhs, *rhs, *scatter)?;
-                let (mut l, mut r) = (l.into_vec(), r.into_vec());
-                sort_document_order(&mut l)?;
-                sort_document_order(&mut r)?;
-                let rset: std::collections::HashSet<NodeId> = r
-                    .iter()
-                    .map(|i| match i {
-                        Item::Node(n) => *n,
-                        Item::Atom(_) => unreachable!(),
-                    })
-                    .collect();
-                let mut out = Vec::new();
-                match op {
-                    NodeSetOp::Union => {
-                        out = l;
-                        out.extend(r);
-                        sort_document_order(&mut out)?;
-                    }
-                    NodeSetOp::Intersect => {
-                        for i in l {
-                            if matches!(&i, Item::Node(n) if rset.contains(n)) {
-                                out.push(i);
-                            }
-                        }
-                    }
-                    NodeSetOp::Except => {
-                        for i in l {
-                            if matches!(&i, Item::Node(n) if !rset.contains(n)) {
-                                out.push(i);
-                            }
-                        }
-                    }
-                }
-                Ok(out.into())
+                let (l, r) = self.eval_operand_pair(plan, run, *lhs, *rhs, *scatter)?;
+                node_set(*op, l, r)
             }
             Op::Arith { op, lhs, rhs, scatter } => {
-                let (l, r) = self.eval_operand_pair_plan(plan, run, *lhs, *rhs, *scatter)?;
-                if l.is_empty() || r.is_empty() {
-                    return Ok(Sequence::new());
-                }
-                let la = atomize(self.store, &l);
-                let ra = atomize(self.store, &r);
-                if la.len() != 1 || ra.len() != 1 {
-                    return Err(EvalError::new("arithmetic on a multi-item sequence"));
-                }
-                let a = to_number(&la[0])
-                    .ok_or_else(|| EvalError::new("left operand is not numeric"))?;
-                let b = to_number(&ra[0])
-                    .ok_or_else(|| EvalError::new("right operand is not numeric"))?;
-                let result = match op {
-                    ArithOp::Add => a + b,
-                    ArithOp::Sub => a - b,
-                    ArithOp::Mul => a * b,
-                    ArithOp::Div => {
-                        if b == 0.0 {
-                            return Err(EvalError::new("division by zero"));
-                        }
-                        a / b
-                    }
-                    ArithOp::Mod => {
-                        if b == 0.0 {
-                            return Err(EvalError::new("modulo by zero"));
-                        }
-                        a % b
-                    }
-                };
-                let int_inputs = matches!((&la[0], &ra[0]), (Atomic::Int(_), Atomic::Int(_)))
-                    && *op != ArithOp::Div;
-                Ok(Sequence::unit(Item::Atom(if int_inputs && result.fract() == 0.0 {
-                    Atomic::Int(result as i64)
-                } else {
-                    Atomic::Dbl(result)
-                })))
+                let (l, r) = self.eval_operand_pair(plan, run, *lhs, *rhs, *scatter)?;
+                arith(self.store, *op, &l, &r)
             }
-            Op::OrderBy { input, specs } => self.eval_order_by_plan(plan, run, *input, specs),
-            Op::Construct(c) => self.eval_constructor_plan(plan, run, c),
-            Op::Path { start, steps } => self.eval_path_plan(plan, run, *start, steps),
+            Op::OrderBy { input, specs } => {
+                let items = self.eval_op(plan, run, *input)?;
+                self.order_by(items, specs, |ev, &key| ev.eval_op(plan, run, key))
+            }
+            Op::Construct(c) => self.construct(c, |ev, &x| ev.eval_op(plan, run, x)),
+            Op::Path { start, steps } => self.eval_path(plan, run, *start, steps),
             Op::Filter { input, pred } => {
                 let input = self.eval_op(plan, run, *input)?;
-                Ok(self.apply_predicate_plan(plan, run, &input, *pred)?.into())
+                Ok(self.apply_predicate(&input, pred, |ev, &p| ev.eval_op(plan, run, p))?.into())
             }
             Op::FunCall { name, args, user } => {
-                self.eval_funcall_plan(plan, run, *name, args, *user)
+                let user = user.map(|i| {
+                    let f = &plan.funcs[i as usize];
+                    (f.params.iter().map(|&p| plan.sym(p)), &f.body)
+                });
+                self.call(plan.sym(*name), args, user, |ev, &x| ev.eval_op(plan, run, x))
             }
             Op::And(l, r) => {
                 let lv = self.eval_op(plan, run, *l)?;
@@ -1435,7 +1357,7 @@ impl<'a> Evaluator<'a> {
                 let rv = self.eval_op(plan, run, *r)?;
                 Ok(Sequence::boolean(effective_boolean_value(&rv)?))
             }
-            Op::Execute(pe) => self.eval_execute_plan(plan, run, pe),
+            Op::Execute(pe) => self.eval_execute(plan, run, pe),
         }
     }
 
@@ -1500,7 +1422,7 @@ impl<'a> Evaluator<'a> {
         Ok(Operand::Table(table))
     }
 
-    fn eval_execute_plan(
+    fn eval_execute(
         &mut self,
         plan: &Plan,
         run: &mut PlanRun,
@@ -1532,7 +1454,7 @@ impl<'a> Evaluator<'a> {
 
     /// Binds the parameters of one compiled `Op::Execute` from the current
     /// environment into a [`ScatterCall`].
-    fn bind_scatter_call_plan<'p>(
+    fn bind_scatter_call<'p>(
         &self,
         plan: &'p Plan,
         exec: OpRef,
@@ -1549,7 +1471,7 @@ impl<'a> Evaluator<'a> {
         Ok(ScatterCall { peer, params: bound, body: &pe.body, projection: pe.projection.as_deref() })
     }
 
-    fn eval_sequence_scatter_plan(
+    fn eval_sequence_scatter(
         &mut self,
         plan: &Plan,
         run: &mut PlanRun,
@@ -1558,7 +1480,7 @@ impl<'a> Evaluator<'a> {
     ) -> EvalResult {
         let mut calls = Vec::with_capacity(idxs.len());
         for &i in idxs {
-            calls.push(self.bind_scatter_call_plan(plan, items[i])?);
+            calls.push(self.bind_scatter_call(plan, items[i])?);
         }
         let handler = self.remote.as_mut().expect("scatter path requires a handler");
         let gathered = handler.execute_scatter(self.store, &self.static_ctx, &calls)?;
@@ -1579,7 +1501,7 @@ impl<'a> Evaluator<'a> {
     /// Evaluates the two operands of a binary op, fanning them out as a
     /// two-call scatter round when the compile-time flag is set and a remote
     /// handler is attached.
-    fn eval_operand_pair_plan(
+    fn eval_operand_pair(
         &mut self,
         plan: &Plan,
         run: &mut PlanRun,
@@ -1590,8 +1512,8 @@ impl<'a> Evaluator<'a> {
         let fan_out = scatter && self.remote.is_some();
         if fan_out {
             let calls = vec![
-                self.bind_scatter_call_plan(plan, lhs)?,
-                self.bind_scatter_call_plan(plan, rhs)?,
+                self.bind_scatter_call(plan, lhs)?,
+                self.bind_scatter_call(plan, rhs)?,
             ];
             let handler = self.remote.as_mut().expect("scatter path requires a handler");
             let mut gathered = handler.execute_scatter(self.store, &self.static_ctx, &calls)?;
@@ -1605,7 +1527,7 @@ impl<'a> Evaluator<'a> {
     /// One Bulk RPC for the whole loop: every iteration binds its lets and
     /// parameters (unwinding the environment on error) before anything is
     /// sent.
-    fn eval_bulk_for_plan(
+    fn eval_bulk_for(
         &mut self,
         plan: &Plan,
         run: &mut PlanRun,
@@ -1666,124 +1588,7 @@ impl<'a> Evaluator<'a> {
         Ok(results.into_iter().flatten().collect())
     }
 
-    fn eval_order_by_plan(
-        &mut self,
-        plan: &Plan,
-        run: &mut PlanRun,
-        input: OpRef,
-        specs: &[PlanOrderSpec],
-    ) -> EvalResult {
-        let items = self.eval_op(plan, run, input)?;
-        let mut keyed: Vec<(Vec<Option<Atomic>>, usize, Item)> = Vec::with_capacity(items.len());
-        for (i, item) in items.into_iter().enumerate() {
-            let mut keys = Vec::with_capacity(specs.len());
-            self.context.push(item.clone());
-            for spec in specs {
-                let k = self.eval_op(plan, run, spec.key);
-                match k {
-                    Ok(seq) => {
-                        let atoms = atomize(self.store, &seq);
-                        keys.push(atoms.into_iter().next());
-                    }
-                    Err(e) => {
-                        self.context.pop();
-                        return Err(e);
-                    }
-                }
-            }
-            self.context.pop();
-            keyed.push((keys, i, item));
-        }
-        keyed.sort_by(|(ka, ia, _), (kb, ib, _)| {
-            for (idx, spec) in specs.iter().enumerate() {
-                let ord = compare_order_keys(&ka[idx], &kb[idx]);
-                let ord = if spec.descending { ord.reverse() } else { ord };
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
-                }
-            }
-            ia.cmp(ib) // stable
-        });
-        Ok(keyed.into_iter().map(|(_, _, item)| item).collect())
-    }
-
-    fn eval_constructor_plan(
-        &mut self,
-        plan: &Plan,
-        run: &mut PlanRun,
-        c: &PlanConstructor,
-    ) -> EvalResult {
-        use xqd_xml::DocBuilder;
-        match c {
-            PlanConstructor::Element { name, content } => {
-                let name = self.constructor_name_plan(plan, run, name)?;
-                let content = self.eval_op(plan, run, *content)?;
-                let mut b = DocBuilder::new(None);
-                b.start_element(&name);
-                self.append_content(&mut b, &content)?;
-                b.end_element();
-                let doc = self.store.attach(b.finish());
-                Ok(Sequence::unit(Item::Node(NodeId::new(doc, 1))))
-            }
-            PlanConstructor::Document { content } => {
-                let content = self.eval_op(plan, run, *content)?;
-                let mut b = DocBuilder::new(None);
-                self.append_content(&mut b, &content)?;
-                let doc = self.store.attach(b.finish());
-                Ok(Sequence::unit(Item::Node(NodeId::new(doc, 0))))
-            }
-            PlanConstructor::Text { content } => {
-                let content = self.eval_op(plan, run, *content)?;
-                if content.is_empty() {
-                    return Ok(Sequence::new());
-                }
-                let text = content
-                    .iter()
-                    .map(|i| string_value(self.store, i))
-                    .collect::<Vec<_>>()
-                    .join(" ");
-                let mut b = DocBuilder::new(None);
-                b.text(&text);
-                let doc = self.store.attach(b.finish());
-                Ok(Sequence::unit(Item::Node(NodeId::new(doc, 1))))
-            }
-            PlanConstructor::Attribute { name, content } => {
-                let name = self.constructor_name_plan(plan, run, name)?;
-                let content = self.eval_op(plan, run, *content)?;
-                let value = content
-                    .iter()
-                    .map(|i| string_value(self.store, i))
-                    .collect::<Vec<_>>()
-                    .join(" ");
-                let mut b = DocBuilder::new(None);
-                b.start_element("attribute-holder");
-                b.attribute(&name, &value);
-                b.end_element();
-                let doc = self.store.attach(b.finish());
-                Ok(Sequence::unit(Item::Node(NodeId::new(doc, 2))))
-            }
-        }
-    }
-
-    fn constructor_name_plan(
-        &mut self,
-        plan: &Plan,
-        run: &mut PlanRun,
-        name: &PlanName,
-    ) -> EvalResult<String> {
-        match name {
-            PlanName::Static(n) => Ok(n.clone()),
-            PlanName::Computed(e) => {
-                let v = self.eval_op(plan, run, *e)?;
-                match v.as_slice() {
-                    [item] => Ok(string_value(self.store, item)),
-                    _ => Err(EvalError::new("computed constructor name must be a single item")),
-                }
-            }
-        }
-    }
-
-    fn eval_path_plan(
+    fn eval_path(
         &mut self,
         plan: &Plan,
         run: &mut PlanRun,
@@ -1821,13 +1626,27 @@ impl<'a> Evaluator<'a> {
             }
             let mut result: Vec<Item> = Vec::new();
             for item in current.iter() {
-                let node = match item {
-                    Item::Node(n) => *n,
-                    Item::Atom(_) => {
-                        return Err(EvalError::new("axis step applied to an atomic value"))
-                    }
+                let Item::Node(node) = *item else {
+                    return Err(EvalError::new("axis step applied to an atomic value"));
                 };
-                let candidates = self.step_candidates_plan(plan, run, node, step)?;
+                // re-resolved per context node (through the cache): a
+                // predicate may construct, and so intern, this step's name
+                let test = match step.test {
+                    PlanTest::Named(s) => run
+                        .names
+                        .resolve(&plan.syms, self.store, s)
+                        .map(NodeTest::Name)
+                        .unwrap_or(NodeTest::UnknownName),
+                    PlanTest::Wildcard => NodeTest::Wildcard,
+                    PlanTest::AnyKind => NodeTest::AnyKind,
+                    PlanTest::Text => NodeTest::Text,
+                    PlanTest::Comment => NodeTest::Comment,
+                };
+                let mut candidates = self.axis_scan(node, step.axis, &test);
+                for pred in &step.preds {
+                    candidates =
+                        self.apply_predicate(&candidates, pred, |ev, &p| ev.eval_op(plan, run, p))?;
+                }
                 result.extend(candidates);
             }
             sort_document_order(&mut result)?;
@@ -1836,120 +1655,66 @@ impl<'a> Evaluator<'a> {
         Ok(current)
     }
 
-    /// Mirror of `step_candidates`: the node test is re-resolved per
-    /// context node (through the cache) because constructors can intern
-    /// names mid-step, exactly as the interpreter observes.
-    fn step_candidates_plan(
-        &mut self,
-        plan: &Plan,
-        run: &mut PlanRun,
-        node: NodeId,
-        step: &PlanStep,
-    ) -> EvalResult<Vec<Item>> {
-        let test = match step.test {
-            PlanTest::Named(s) => run
-                .names
-                .resolve(&plan.syms, self.store, s)
-                .map(NodeTest::Name)
-                .unwrap_or(NodeTest::UnknownName),
-            PlanTest::Wildcard => NodeTest::Wildcard,
-            PlanTest::AnyKind => NodeTest::AnyKind,
-            PlanTest::Text => NodeTest::Text,
-            PlanTest::Comment => NodeTest::Comment,
-        };
-        let mut raw = Vec::new();
-        let mut reached = std::mem::take(&mut self.scratch);
-        reached.clear();
-        {
-            let doc = self.store.doc(node.doc);
-            axis_nodes(doc, node.idx, step.axis, &mut reached);
-            for &r in &reached {
-                if node_test_matches(doc, r, step.axis, &test) {
-                    raw.push(Item::Node(NodeId::new(node.doc, r)));
-                }
+    /// Answers an indexed `axis::name` step over the whole context sequence
+    /// from the per-document name indexes: contexts are grouped by
+    /// document, sorted and deduplicated, then resolved with staircase
+    /// interval lookups; the final cross-document `sort_document_order`
+    /// matches the scan's post-step normalization exactly.
+    fn staircase_named(&mut self, current: &Sequence, axis: Axis, name_id: NameId) -> EvalResult {
+        if let [Item::Node(n)] = current.as_slice() {
+            // one context: each kernel's output is already in document
+            // order and duplicate-free, so there is nothing to bucket or sort
+            let mut ranks = std::mem::take(&mut self.scratch);
+            ranks.clear();
+            self.staircase_in_doc(n.doc, &[n.idx], axis, name_id, &mut ranks);
+            let out = ranks.iter().map(|&r| Item::Node(NodeId::new(n.doc, r))).collect();
+            ranks.clear();
+            self.scratch = ranks;
+            return Ok(out);
+        }
+        let mut by_doc: Vec<(DocId, Vec<u32>)> = Vec::new();
+        for item in current.iter() {
+            let Item::Node(n) = item else { unreachable!("the caller rejects atomic contexts") };
+            match by_doc.iter_mut().find(|(d, _)| *d == n.doc) {
+                Some((_, ranks)) => ranks.push(n.idx),
+                None => by_doc.push((n.doc, vec![n.idx])),
             }
         }
-        reached.clear();
-        self.scratch = reached;
-        let mut filtered = raw;
-        for &pred in &step.preds {
-            filtered = self.apply_predicate_plan(plan, run, &filtered, pred)?;
+        let mut out: Vec<Item> = Vec::new();
+        let mut ranks = std::mem::take(&mut self.scratch);
+        for (doc_id, mut ctxs) in by_doc {
+            ctxs.sort_unstable();
+            ctxs.dedup();
+            ranks.clear();
+            self.staircase_in_doc(doc_id, &ctxs, axis, name_id, &mut ranks);
+            out.extend(ranks.iter().map(|&r| Item::Node(NodeId::new(doc_id, r))));
         }
-        Ok(filtered)
+        ranks.clear();
+        self.scratch = ranks;
+        sort_document_order(&mut out)?;
+        Ok(out.into())
     }
 
-    /// Mirror of `apply_predicate`: numeric → positional, else EBV.
-    fn apply_predicate_plan(
+    /// Runs the index kernel of `axis` over the sorted, duplicate-free
+    /// contexts `ctxs` of one document, appending ranks to `ranks`.
+    fn staircase_in_doc(
         &mut self,
-        plan: &Plan,
-        run: &mut PlanRun,
-        input: &[Item],
-        pred: OpRef,
-    ) -> EvalResult<Vec<Item>> {
-        let mut out = Vec::new();
-        for (i, item) in input.iter().enumerate() {
-            self.context.push(item.clone());
-            let v = self.eval_op(plan, run, pred);
-            self.context.pop();
-            let v = v?;
-            let keep = match v.as_slice() {
-                [Item::Atom(a @ (Atomic::Int(_) | Atomic::Dbl(_)))] => {
-                    let pos = to_number(a).unwrap();
-                    (i + 1) as f64 == pos
-                }
-                _ => effective_boolean_value(&v)?,
-            };
-            if keep {
-                out.push(item.clone());
-            }
+        doc_id: DocId,
+        ctxs: &[u32],
+        axis: Axis,
+        name_id: NameId,
+        ranks: &mut Vec<u32>,
+    ) {
+        self.store.ensure_name_index(doc_id);
+        let doc = self.store.doc(doc_id);
+        let ix = doc.name_index().expect("ensure_name_index just built it");
+        match axis {
+            Axis::Descendant => index::descendants_named(doc, ix, ctxs, name_id, false, ranks),
+            Axis::DescendantOrSelf => index::descendants_named(doc, ix, ctxs, name_id, true, ranks),
+            Axis::Child => index::children_named(doc, ix, ctxs, name_id, ranks),
+            Axis::Attribute => index::attributes_named(doc, ix, ctxs, name_id, ranks),
+            _ => unreachable!("compile_steps gates the indexed axes"),
         }
-        Ok(out)
-    }
-
-    /// Mirror of `eval_funcall`: builtins dispatch first (by name string),
-    /// then the pre-resolved user function with the identical arity, depth
-    /// and scoping discipline.
-    fn eval_funcall_plan(
-        &mut self,
-        plan: &Plan,
-        run: &mut PlanRun,
-        name: SymId,
-        args: &[OpRef],
-        user: Option<u32>,
-    ) -> EvalResult {
-        let mut arg_values = Vec::with_capacity(args.len());
-        for &a in args {
-            arg_values.push(self.eval_op(plan, run, a)?);
-        }
-        let name = plan.sym(name);
-        if let Some(result) = builtins::eval_builtin(self, name, &arg_values)? {
-            return Ok(result);
-        }
-        let func = user
-            .map(|i| &plan.funcs[i as usize])
-            .ok_or_else(|| EvalError::new(format!("unknown function {name}()")))?;
-        if func.params.len() != arg_values.len() {
-            return Err(EvalError::new(format!(
-                "{name}() expects {} arguments, got {}",
-                func.params.len(),
-                arg_values.len()
-            )));
-        }
-        if self.call_depth >= MAX_CALL_DEPTH {
-            return Err(EvalError::new(format!("call depth exceeded in {name}()")));
-        }
-        // function bodies see only their parameters (fresh scope)
-        let saved_env = std::mem::take(&mut self.env);
-        let saved_ctx = std::mem::take(&mut self.context);
-        for (&p, v) in func.params.iter().zip(arg_values) {
-            self.env.push((plan.sym(p).to_string(), v));
-        }
-        self.call_depth += 1;
-        let result = self.eval_op(plan, run, func.body);
-        self.call_depth -= 1;
-        self.env = saved_env;
-        self.context = saved_ctx;
-        result
     }
 }
 
@@ -1964,20 +1729,19 @@ mod tests {
         s
     }
 
-    /// Interpreter vs compiled plan over the same document, both engines'
-    /// results (or errors) returned for comparison.
+    /// Reference walker vs compiled plan over the same document, both
+    /// engines' results (or errors) returned for comparison.
     fn run_both(src: &str, doc: &str, use_indexes: bool) -> (EvalResult, EvalResult) {
         let module = parse_query(src).unwrap();
         let interp = {
             let mut s = store_with(doc);
-            crate::eval::eval_query_with_indexes(&mut s, &module, use_indexes)
+            crate::reference_eval(&mut s, &module)
         };
         let compiled = {
             let mut s = store_with(doc);
             let plan = compile_query(&module, use_indexes, &StaticContext::default());
             let mut resolver = LocalResolver;
-            let mut ev = Evaluator::new(&mut s, &module.functions, &mut resolver)
-                .with_indexes(use_indexes);
+            let mut ev = Evaluator::new(&mut s, &module.functions, &mut resolver);
             plan.eval(&mut ev)
         };
         (interp, compiled)

@@ -30,6 +30,7 @@ pub mod eval;
 pub mod lexer;
 pub mod normalize;
 pub mod parser;
+mod reference;
 pub mod value;
 
 pub use ast::{Atomic, Expr, FunctionDef, QueryModule, XrpcParam};
@@ -38,11 +39,11 @@ pub use compile::{
     ProfileHook, SymId,
 };
 pub use eval::{
-    eval_query, eval_query_with_indexes, DocResolver, Evaluator, LocalResolver, RemoteHandler,
-    ScatterCall, StaticContext,
+    eval_query, DocResolver, Evaluator, LocalResolver, RemoteHandler, ScatterCall, StaticContext,
 };
 pub use normalize::{free_vars, inline_functions, lower_filters, normalize, rename_var};
 pub use parser::{parse_expr_str, parse_query, ParseError};
+pub use reference::reference_eval;
 pub use value::{
     deep_equal, effective_boolean_value, EvalError, EvalResult, Item, Sequence,
 };

@@ -5,7 +5,7 @@
 
 use xqd_xml::{parse_document, serialize_node, NodeKind, Store};
 use xqd_xquery::value::string_value;
-use xqd_xquery::{eval_query, parse_query, Atomic, Item};
+use xqd_xquery::{eval_query, parse_query, reference_eval, Atomic, EvalResult, Item, QueryModule};
 
 fn fixture() -> Store {
     let mut s = Store::new();
@@ -27,9 +27,19 @@ fn fixture() -> Store {
     s
 }
 
+/// Runs `m` through the reference walker (on a copy of `store`) and the
+/// shipped plan engine (on `store` itself), asserts that the two agree on
+/// the result or the error, and returns the plan engine's.
+fn eval_both(store: &mut Store, m: &QueryModule) -> EvalResult {
+    let reference = reference_eval(&mut store.clone(), m);
+    let shipped = eval_query(store, m);
+    assert_eq!(format!("{reference:?}"), format!("{shipped:?}"), "engines diverged on {m:?}");
+    shipped
+}
+
 fn run(store: &mut Store, q: &str) -> Vec<Item> {
     let m = parse_query(q).unwrap_or_else(|e| panic!("parse {q:?}: {e}"));
-    eval_query(store, &m).unwrap_or_else(|e| panic!("eval {q:?}: {e}")).into_vec()
+    eval_both(store, &m).unwrap_or_else(|e| panic!("eval {q:?}: {e}")).into_vec()
 }
 
 fn run_strings(store: &mut Store, q: &str) -> Vec<String> {
@@ -357,7 +367,7 @@ fn function_scope_is_isolated() {
         "declare function f() as xs:integer { $leak }; let $leak := 1 return f()",
     )
     .unwrap();
-    assert!(eval_query(&mut s, &m).is_err(), "function bodies must not see caller scope");
+    assert!(eval_both(&mut s, &m).is_err(), "function bodies must not see caller scope");
 }
 
 #[test]
@@ -458,21 +468,21 @@ fn builtin_name_functions() {
 fn unknown_function_errors() {
     let mut s = fixture();
     let m = parse_query("nosuchfn(1)").unwrap();
-    assert!(eval_query(&mut s, &m).is_err());
+    assert!(eval_both(&mut s, &m).is_err());
 }
 
 #[test]
 fn unbound_variable_errors() {
     let mut s = fixture();
     let m = parse_query("$nope").unwrap();
-    assert!(eval_query(&mut s, &m).is_err());
+    assert!(eval_both(&mut s, &m).is_err());
 }
 
 #[test]
 fn execute_without_handler_errors() {
     let mut s = fixture();
     let m = parse_query("execute at { \"peer1\" } params () { 1 }").unwrap();
-    let err = eval_query(&mut s, &m).unwrap_err();
+    let err = eval_both(&mut s, &m).unwrap_err();
     assert!(err.message.contains("no remote handler"), "{err}");
 }
 
@@ -555,7 +565,7 @@ fn empty_sequence_propagation() {
 fn division_by_zero_errors() {
     let mut s = fixture();
     let m = parse_query("1 div 0").unwrap();
-    assert!(eval_query(&mut s, &m).is_err());
+    assert!(eval_both(&mut s, &m).is_err());
 }
 
 #[test]
@@ -625,4 +635,79 @@ fn builtin_string_functions_extended() {
         atoms(&r),
         vec![Atomic::Dbl(2.5), Atomic::Dbl(2.0), Atomic::Dbl(3.0), Atomic::Dbl(3.0)]
     );
+}
+
+/// `order by` sorts in one total order: empty keys, then NaN, then the
+/// numeric keys by value, then the other keys by text. 400 mixed keys in two
+/// shuffles of the same document must sort to the same key sequence, in
+/// that order, without the sort giving up on an inconsistent comparison.
+#[test]
+fn order_by_mixed_keys_is_a_total_order() {
+    let mut keys: Vec<Option<String>> = Vec::new();
+    keys.extend((0..40).map(|_| None));
+    keys.extend((0..120).map(|_| Some("NaN".to_string())));
+    keys.extend((0..160).map(|i| Some(format!("{}", i * 7 - 500))));
+    keys.extend((0..80).map(|i| Some(format!("t{i:03}"))));
+    let mut want_asc: Vec<String> = Vec::new();
+    want_asc.extend((0..40).map(|_| String::new()));
+    want_asc.extend((0..120).map(|_| "NaN".to_string()));
+    want_asc.extend((0..160).map(|i| format!("{}", i * 7 - 500)));
+    want_asc.extend((0..80).map(|i| format!("t{i:03}")));
+    let want_desc: Vec<String> = want_asc.iter().rev().cloned().collect();
+
+    for seed in [1u64, 2] {
+        let mut rng = xqd_prng::Rng::seed_from_u64(seed);
+        let mut order = keys.clone();
+        for i in (1..order.len()).rev() {
+            order.swap(i, rng.gen_range_usize(0..i + 1));
+        }
+        let mut xml = String::from("<r>");
+        for k in &order {
+            match k {
+                Some(k) => xml.push_str(&format!("<i k=\"{k}\"/>")),
+                None => xml.push_str("<i/>"),
+            }
+        }
+        xml.push_str("</r>");
+        let mut s = Store::new();
+        parse_document(&mut s, &xml, Some("o.xml")).unwrap();
+        for (dir, want) in [("ascending", &want_asc), ("descending", &want_desc)] {
+            let q = format!(
+                "for $i in doc(\"o.xml\")/r/i order by $i/@k {dir} return string($i/@k)"
+            );
+            assert_eq!(&run_strings(&mut s, &q), want, "{dir}, shuffle {seed}");
+        }
+    }
+}
+
+/// `+ - * mod` on two integers compute in `i64`, exactly; an overflow is
+/// `err:FOAR0002`. `div` and a double operand still compute in `f64`.
+#[test]
+fn integer_arithmetic_is_exact() {
+    let mut s = fixture();
+    let exact = [
+        ("9007199254740993 + 0", 9007199254740993),
+        ("9007199254740993 mod 2", 1),
+        ("9007199254740993 - 1", 9007199254740992),
+        ("3037000499 * 3037000499", 9223372030926249001),
+        ("-7 mod 3", -1),
+        ("(-9223372036854775807 - 1) mod -1", 0),
+        ("-9223372036854775807 - 1", i64::MIN),
+    ];
+    for (q, want) in exact {
+        assert_eq!(atoms(&run(&mut s, q)), vec![Atomic::Int(want)], "{q}");
+    }
+    for q in [
+        "9223372036854775807 + 1",
+        "-9223372036854775807 - 2",
+        "4611686018427387904 * 2",
+        "for $x in (1, 9223372036854775807) return $x + 1",
+    ] {
+        let m = parse_query(q).unwrap();
+        let err = eval_both(&mut s, &m).unwrap_err();
+        assert!(err.has_code("err:FOAR0002"), "{q}: {err}");
+    }
+    assert_eq!(atoms(&run(&mut s, "7 div 2")), vec![Atomic::Dbl(3.5)]);
+    let mixed = run(&mut s, "9007199254740993 + 0.0");
+    assert_eq!(atoms(&mixed), vec![Atomic::Dbl(9007199254740992.0)]);
 }

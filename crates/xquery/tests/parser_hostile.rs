@@ -14,7 +14,7 @@
 
 use xqd_prng::Rng;
 use xqd_xml::Store;
-use xqd_xquery::{compile_query, eval_query, parse_query, StaticContext};
+use xqd_xquery::{compile_query, parse_query, reference_eval, StaticContext};
 
 const LEVELS: usize = 100_000;
 
@@ -91,7 +91,7 @@ fn nesting_at_the_bound_still_runs_end_to_end() {
     ];
     for query in shapes {
         let module = parse_query(&query).unwrap_or_else(|e| panic!("{e}: {:.60}", query));
-        let reference = eval_query(&mut Store::new(), &module).expect("reference evaluation");
+        let reference = reference_eval(&mut Store::new(), &module).expect("reference evaluation");
         let plan = compile_query(&module, true, &StaticContext::default());
         let mut store = Store::new();
         let mut resolver = xqd_xquery::LocalResolver;

@@ -16,7 +16,7 @@ use std::sync::Arc;
 use xqd_xml::Store;
 use xqd_xquery::compile::PlanTest;
 use xqd_xquery::{
-    compile_query, eval_query_with_indexes, parse_query, EvalResult, Evaluator, LocalResolver, Op,
+    compile_query, parse_query, reference_eval, EvalResult, Evaluator, LocalResolver, Op,
     OpProfile, OpRef, Plan, ProfileHook, StaticContext,
 };
 
@@ -67,7 +67,7 @@ struct Ran {
 /// error), and returns the plan run with its per-op profile.
 fn run(src: &str, use_indexes: bool) -> Ran {
     let module = parse_query(src).unwrap();
-    let reference = eval_query_with_indexes(&mut store(), &module, use_indexes);
+    let reference = reference_eval(&mut store(), &module);
     let plan = compile_query(&module, use_indexes, &StaticContext::default());
     let hook = ProfileHook {
         data: Rc::new(RefCell::new(OpProfile::new(plan.ops.len()))),
@@ -77,7 +77,6 @@ fn run(src: &str, use_indexes: bool) -> Ran {
         let mut s = store();
         let mut resolver = LocalResolver;
         let mut ev = Evaluator::new(&mut s, &module.functions, &mut resolver)
-            .with_indexes(use_indexes)
             .with_profile(hook.clone());
         plan.eval(&mut ev)
     };

@@ -819,8 +819,7 @@ impl Federation {
         let mut handler = FedLink { core: Arc::clone(&self.core), peer: String::new() };
         let mut ev = Evaluator::new(&mut local, &[], &mut link)
             .with_remote(&mut handler)
-            .with_static_context(static_ctx)
-            .with_indexes(exec_options.use_indexes);
+            .with_static_context(static_ctx);
         if let Some(h) = &hook {
             ev = ev.with_profile(h.clone());
         }
@@ -1189,8 +1188,7 @@ fn eval_shipped(
         // the plan carries its own compiled functions
         let mut ev = Evaluator::new(store, &[], &mut resolver)
             .with_remote(&mut nested)
-            .with_static_context(static_ctx.clone())
-            .with_indexes(plan.use_indexes);
+            .with_static_context(static_ctx.clone());
         for (name, value) in params {
             ev.bind(name, value.clone());
         }

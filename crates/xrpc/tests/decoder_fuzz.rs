@@ -27,18 +27,9 @@
 
 use xqd_prng::Rng;
 use xqd_xml::Store;
-use xqd_xquery::eval::{DocResolver, Evaluator, StaticContext};
-use xqd_xquery::parse_query;
-use xqd_xquery::value::{EvalError, EvalResult, Item, Sequence};
-
-/// Resolver serving only documents already shredded into the store.
-struct LocalDocs;
-
-impl DocResolver for LocalDocs {
-    fn resolve(&mut self, store: &mut Store, uri: &str) -> EvalResult<xqd_xml::DocId> {
-        store.doc_by_uri(uri).ok_or_else(|| EvalError::new(format!("no document {uri}")))
-    }
-}
+use xqd_xquery::eval::StaticContext;
+use xqd_xquery::value::{EvalResult, Item, Sequence};
+use xqd_xquery::{parse_query, reference_eval};
 use std::io::Cursor;
 use std::time::Duration;
 
@@ -65,9 +56,7 @@ fn fixture() -> (Store, Sequence) {
     )
     .unwrap();
     let module = parse_query("doc(\"xrpc://p/d.xml\")//b").unwrap();
-    let functions = Vec::new();
-    let mut resolver = LocalDocs;
-    let seq = Evaluator::new(&mut store, &functions, &mut resolver).eval(&module.body).unwrap();
+    let seq = reference_eval(&mut store, &module).unwrap();
     (store, seq)
 }
 

@@ -1,10 +1,13 @@
 //! The indexed path-step engine must be a pure optimization: with
 //! `ExecOptions::use_indexes` toggled, every query must produce bit-identical
-//! results *and* bit-identical wire traffic under all strategies, and plain
-//! local evaluation must agree on every axis/name combination over random
-//! documents. Randomized with the in-tree deterministic PRNG.
+//! results *and* bit-identical wire traffic under all strategies, and the
+//! compiled plan, indexes on and off, must agree with the scan-only
+//! reference walker on every axis/name combination over random documents.
+//! Randomized with the in-tree deterministic PRNG.
 
-use xqd::xquery::{eval_query_with_indexes, parse_query};
+use xqd::xquery::{
+    compile_query, parse_query, reference_eval, Evaluator, LocalResolver, StaticContext,
+};
 use xqd::{ExecOptions, Federation, NetworkModel, Strategy};
 use xqd_prng::Rng;
 
@@ -73,7 +76,9 @@ fn wide_doc(fanout: usize) -> String {
 
 /// Every XPath axis the parser accepts, stepped from every node of the
 /// document, for every name in the alphabet (plus a name the document never
-/// uses and one the store never interned).
+/// uses and one the store never interned), through the plan compiled with
+/// indexes on (staircase steps, `//n` fused) and off, against the
+/// reference walker's scan.
 #[test]
 fn every_axis_name_combination_matches_scan() {
     const AXES: &[&str] = &[
@@ -104,12 +109,17 @@ fn every_axis_name_combination_matches_scan() {
                     "doc(\"t.xml\")/descendant-or-self::node()/{axis}::{name}"
                 );
                 let module = parse_query(&query).unwrap();
-                let scan = eval_query_with_indexes(&mut store, &module, false).unwrap();
-                let indexed = eval_query_with_indexes(&mut store, &module, true).unwrap();
-                assert_eq!(
-                    scan, indexed,
-                    "{axis}::{name} diverged (case {case})\ndoc={xml}"
-                );
+                let scan = reference_eval(&mut store, &module).unwrap();
+                for use_indexes in [true, false] {
+                    let plan = compile_query(&module, use_indexes, &StaticContext::default());
+                    let mut resolver = LocalResolver;
+                    let mut ev = Evaluator::new(&mut store, &module.functions, &mut resolver);
+                    let compiled = plan.eval(&mut ev).unwrap();
+                    assert_eq!(
+                        scan, compiled,
+                        "{axis}::{name} diverged (indexes={use_indexes}, case {case})\ndoc={xml}"
+                    );
+                }
             }
         }
     }

@@ -12,9 +12,10 @@
 use std::time::Duration;
 
 use xqd::xml::Store;
+use xqd::xquery::reference_eval;
 use xqd::xrpc::canonical_item;
 use xqd::{
-    eval_query, parse_query, rendezvous_order, ExecOptions, FaultPlan, Federation, NetworkModel,
+    parse_query, rendezvous_order, ExecOptions, FaultPlan, Federation, NetworkModel,
     Strategy,
 };
 
@@ -78,7 +79,7 @@ fn local_reference() -> Vec<String> {
     xqd::xml::parse_document(&mut store, DOC_A, Some("xrpc://A/students.xml")).unwrap();
     xqd::xml::parse_document(&mut store, DOC_B, Some("xrpc://B/course42.xml")).unwrap();
     let module = parse_query(JOIN_QUERY).unwrap();
-    let result = eval_query(&mut store, &module).unwrap();
+    let result = reference_eval(&mut store, &module).unwrap();
     result.iter().map(|i| canonical_item(&store, i)).collect()
 }
 

@@ -12,9 +12,10 @@
 //! distinct static contexts or catalog generations.
 
 use xqd::xml::Store;
+use xqd::xquery::reference_eval;
 use xqd::xrpc::canonical_item;
 use xqd::{
-    eval_query, parse_query, ExecOptions, Federation, NetworkModel, StaticContext, Strategy,
+    parse_query, ExecOptions, Federation, NetworkModel, StaticContext, Strategy,
 };
 
 const DOC_A: &str = "<people>\
@@ -69,7 +70,7 @@ fn local_reference(query: &str) -> Vec<String> {
     xqd::xml::parse_document(&mut store, DOC_B, Some("xrpc://peer2/b.xml")).unwrap();
     xqd::xml::parse_document(&mut store, DOC_D, Some("xrpc://peer1/d.xml")).unwrap();
     let module = parse_query(query).unwrap();
-    let result = eval_query(&mut store, &module).unwrap();
+    let result = reference_eval(&mut store, &module).unwrap();
     result.iter().map(|i| canonical_item(&store, i)).collect()
 }
 
