@@ -410,7 +410,11 @@ echo "== one engine ships (structural) =="
 # need are written once, in crates/xquery/src/eval.rs. An index path or
 # toggle on the walker, a call of `reference_eval` outside tests, a `_plan`
 # mirror in compile.rs or a second copy of a shared body means the second
-# engine grew back.
+# engine grew back. Within the engine a scatter round is one op: a
+# sequence's items, a binary operator's operands and a let-chain all lower
+# to `Op::Scatter`, and a lone call is a Bulk RPC of one, so a per-shape
+# scatter path or field in compile.rs, or a per-call method on
+# `RemoteHandler`, is a second path too.
 nontest_code() {
     # "file:line: text" of each non-comment line before a file's tests
     for f in $(find crates/*/src src -name '*.rs' | sort); do
@@ -429,6 +433,14 @@ if nontest_code | grep -w 'reference_eval' | grep -vE \
 fi
 if nontest_code | grep -E '^crates/xquery/src/compile\.rs:[0-9]+: .*fn [a-z_]+_plan[(<]' >&2; then
     echo "compile.rs mirrors a walker method again (call the shared body in eval.rs)" >&2
+    exit 1
+fi
+if nontest_code | grep -E '^crates/xquery/src/compile\.rs:[0-9]+: .*(LetScatter|binary_scatter|eval_sequence_scatter|eval_operand_pair|\bscatter:)' >&2; then
+    echo "compile.rs has a per-shape scatter path again (every round lowers to Op::Scatter)" >&2
+    exit 1
+fi
+if awk '/trait RemoteHandler/,/^}/' crates/xquery/src/eval.rs | grep 'fn execute(' >&2; then
+    echo "RemoteHandler declares a per-call execute again (a lone call is a Bulk RPC of one)" >&2
     exit 1
 fi
 for body in 'arithmetic on a multi-item sequence' 'computed constructor name must be a single item'; do

@@ -33,6 +33,8 @@ impl Atomic {
             Atomic::Dbl(d) => {
                 if d.fract() == 0.0 && d.is_finite() && d.abs() < 1e15 {
                     format!("{}", *d as i64)
+                } else if d.is_infinite() {
+                    (if *d > 0.0 { "INF" } else { "-INF" }).to_string()
                 } else {
                     format!("{d}")
                 }
@@ -703,11 +705,14 @@ pub fn print_expr(e: &Expr, out: &mut String) {
                 out.push('"');
             }
             Atomic::Int(i) => out.push_str(&i.to_string()),
+            // an overflowing literal is how the parser makes +∞
+            Atomic::Dbl(d) if d.is_infinite() => {
+                out.push_str(if *d > 0.0 { "1e400" } else { "-1e400" })
+            }
             Atomic::Dbl(d) => {
                 let s = format!("{d}");
                 out.push_str(&s);
-                if !s.contains('.') && !s.contains('e') && !s.contains("inf") && !s.contains("NaN")
-                {
+                if !s.contains('.') && !s.contains('e') && !s.contains("NaN") {
                     out.push_str(".0");
                 }
             }

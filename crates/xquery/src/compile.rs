@@ -17,8 +17,10 @@
 //!   folding and running that plan (only when they evaluate cleanly: a
 //!   subexpression that would raise a dynamic error is lowered unfolded so
 //!   the error surfaces at run time, with the same message),
-//! * the scatter-round / Bulk-RPC shapes detected once, here, and recorded
-//!   per op (the shape detectors live in this module),
+//! * every scatter round — a sequence's items, a binary operator's
+//!   operands or a let-chain — lowered to one [`Op::Scatter`], and the
+//!   Bulk-RPC shape recorded on [`Op::For`] (the shape detectors live in
+//!   this module),
 //! * the comparison operands whose value depends only on their free
 //!   variables' bindings recorded ([`MemoOperand`]), so a value join probes
 //!   a per-run table instead of re-evaluating and nested-looping its
@@ -46,8 +48,8 @@ use xqd_xml::{index, Axis, DocId, NameId, NodeId, Store};
 
 use crate::ast::*;
 use crate::eval::{
-    arith, matches_seq_type, node_compare, node_set, Evaluator, LocalResolver, ScatterCall,
-    StaticContext,
+    arith, matches_seq_type, no_remote_handler, node_compare, node_set, Evaluator, LocalResolver,
+    ScatterCall, StaticContext,
 };
 use crate::value::*;
 
@@ -142,24 +144,24 @@ pub enum Op {
     Const(Sequence),
     VarRef(SymId),
     ContextItem,
-    /// `scatter` lists the element indices forming a scatter round
-    /// (≥2 `Execute`s at ≥2 distinct literal peers).
-    Seq { items: Vec<OpRef>, scatter: Option<Vec<usize>> },
+    Seq(Vec<OpRef>),
     /// `bulk` is the compile-time Bulk-RPC shape of the return clause.
     For { var: SymId, seq: OpRef, ret: OpRef, bulk: Option<PlanBulk> },
     Let { var: SymId, value: OpRef, ret: OpRef },
-    /// A `let`-chain of independent remote calls to ≥2 distinct peers:
-    /// one scatter round, bound in order. Falls back to the sequential
-    /// chain when no remote handler is attached.
-    LetScatter { binds: Vec<(SymId, OpRef)>, tail: OpRef },
+    /// One scatter round: independent `Execute`s at ≥2 distinct literal
+    /// peers, sent out together and bound in order before `body` runs. A
+    /// let-chain binds its own variables; the calls of a sequence's items
+    /// or of a binary operator's operands are bound to `#`-names (see
+    /// `Compiler::compile_operator`) that `body` reads back as `VarRef`s.
+    Scatter { binds: Vec<(SymId, OpRef)>, body: OpRef },
     If { cond: OpRef, then: OpRef, els: OpRef },
     Typeswitch { input: OpRef, cases: Vec<PlanCase>, default_var: SymId, default: OpRef },
     /// `memo[i]` indexes [`Plan::memos`] when operand `i` (lhs, rhs) is
     /// memoisable; see [`MemoOperand`].
-    Comparison { op: CompOp, lhs: OpRef, rhs: OpRef, scatter: bool, memo: [Option<u32>; 2] },
-    NodeComparison { op: NodeCompOp, lhs: OpRef, rhs: OpRef, scatter: bool },
-    NodeSet { op: NodeSetOp, lhs: OpRef, rhs: OpRef, scatter: bool },
-    Arith { op: ArithOp, lhs: OpRef, rhs: OpRef, scatter: bool },
+    Comparison { op: CompOp, lhs: OpRef, rhs: OpRef, memo: [Option<u32>; 2] },
+    NodeComparison { op: NodeCompOp, lhs: OpRef, rhs: OpRef },
+    NodeSet { op: NodeSetOp, lhs: OpRef, rhs: OpRef },
+    Arith { op: ArithOp, lhs: OpRef, rhs: OpRef },
     OrderBy { input: OpRef, specs: Vec<OrderSpec<OpRef>> },
     Construct(Constructor<OpRef>),
     Path { start: Option<OpRef>, steps: Vec<PlanStep> },
@@ -258,13 +260,7 @@ impl Plan {
             Op::Const(seq) => format!("const {seq:?}"),
             Op::VarRef(v) => format!("var ${}", self.sym(*v)),
             Op::ContextItem => "context-item".into(),
-            Op::Seq { items, scatter } => {
-                let mut s = format!("seq [{}]", Self::dump_refs(items));
-                if let Some(idxs) = scatter {
-                    s.push_str(&format!(" scatter{idxs:?}"));
-                }
-                s
-            }
+            Op::Seq(items) => format!("seq [{}]", Self::dump_refs(items)),
             Op::For { var, seq, ret, bulk } => {
                 let mut s = format!("for ${} in @{seq} return @{ret}", self.sym(*var));
                 if let Some(b) = bulk {
@@ -275,12 +271,12 @@ impl Plan {
             Op::Let { var, value, ret } => {
                 format!("let ${} := @{value} return @{ret}", self.sym(*var))
             }
-            Op::LetScatter { binds, tail } => {
+            Op::Scatter { binds, body } => {
                 let bs: Vec<String> = binds
                     .iter()
                     .map(|(v, e)| format!("${} := @{e}", self.sym(*v)))
                     .collect();
-                format!("let-scatter [{}] return @{tail}", bs.join(", "))
+                format!("scatter [{}] return @{body}", bs.join(", "))
             }
             Op::If { cond, then, els } => format!("if @{cond} then @{then} else @{els}"),
             Op::Typeswitch { input, cases, default_var, default } => {
@@ -294,12 +290,8 @@ impl Plan {
                     self.sym(*default_var)
                 )
             }
-            Op::Comparison { op, lhs, rhs, scatter, memo } => {
-                let mut s = format!(
-                    "cmp @{lhs} {} @{rhs}{}",
-                    op.symbol(),
-                    if *scatter { " scatter" } else { "" }
-                );
+            Op::Comparison { op, lhs, rhs, memo } => {
+                let mut s = format!("cmp @{lhs} {} @{rhs}", op.symbol());
                 let memoised: Vec<OpRef> =
                     memo.iter().flatten().map(|&m| self.memos[m as usize].operand).collect();
                 if !memoised.is_empty() {
@@ -307,21 +299,11 @@ impl Plan {
                 }
                 s
             }
-            Op::NodeComparison { op, lhs, rhs, scatter } => format!(
-                "node-cmp @{lhs} {} @{rhs}{}",
-                op.symbol(),
-                if *scatter { " scatter" } else { "" }
-            ),
-            Op::NodeSet { op, lhs, rhs, scatter } => format!(
-                "node-set @{lhs} {} @{rhs}{}",
-                op.keyword(),
-                if *scatter { " scatter" } else { "" }
-            ),
-            Op::Arith { op, lhs, rhs, scatter } => format!(
-                "arith @{lhs} {} @{rhs}{}",
-                op.symbol(),
-                if *scatter { " scatter" } else { "" }
-            ),
+            Op::NodeComparison { op, lhs, rhs } => {
+                format!("node-cmp @{lhs} {} @{rhs}", op.symbol())
+            }
+            Op::NodeSet { op, lhs, rhs } => format!("node-set @{lhs} {} @{rhs}", op.keyword()),
+            Op::Arith { op, lhs, rhs } => format!("arith @{lhs} {} @{rhs}", op.symbol()),
             Op::OrderBy { input, specs } => {
                 let ss: Vec<String> = specs
                     .iter()
@@ -561,18 +543,43 @@ fn is_bulk_shape(ret: &Expr) -> bool {
     while let Expr::Let { ret, .. } = cur {
         cur = ret;
     }
-    scatter_exec_peer(cur).is_some()
+    literal_exec_peer(cur).is_some()
 }
 
-/// Returns the element indices of a `Sequence` that form a scatter round:
-/// `Execute` expressions with a literal peer. Engages only when at least two
-/// such calls target at least two distinct peers — otherwise there is
-/// nothing to overlap.
-fn sequence_scatter(es: &[Expr]) -> Option<Vec<usize>> {
+/// The literal peer of an `Execute`, if any: only such a call may join a
+/// scatter round or a Bulk RPC, whose destinations are fixed before it runs.
+fn literal_exec_peer(e: &Expr) -> Option<String> {
+    if let Expr::Execute { peer, .. } = e {
+        if let Expr::Literal(a) = peer.as_ref() {
+            return Some(a.to_lexical());
+        }
+    }
+    None
+}
+
+/// The operands of a sequence or a binary operator: every one of them is
+/// evaluated, so the calls among them may go out together ahead of the
+/// rest — the shapes `scaleout`-style aggregates and distributed code
+/// motion (`execute(…) ⊕ execute(…)`) leave behind.
+fn operator_operands(e: &Expr) -> Option<Vec<&Expr>> {
+    match e {
+        Expr::Sequence(es) => Some(es.iter().collect()),
+        Expr::Comparison { lhs, rhs, .. }
+        | Expr::NodeComparison { lhs, rhs, .. }
+        | Expr::NodeSet { lhs, rhs, .. }
+        | Expr::Arith { lhs, rhs, .. } => Some(vec![lhs, rhs]),
+        _ => None,
+    }
+}
+
+/// The positions of the operands that form a scatter round: the `Execute`s
+/// at a literal peer. Engages only when at least two such calls target at
+/// least two distinct peers — otherwise there is nothing to overlap.
+fn operand_round(operands: &[&Expr]) -> Option<Vec<usize>> {
     let mut idxs = Vec::new();
     let mut peers = Vec::new();
-    for (i, e) in es.iter().enumerate() {
-        if let Some(p) = scatter_exec_peer(e) {
+    for (i, e) in operands.iter().enumerate() {
+        if let Some(p) = literal_exec_peer(e) {
             idxs.push(i);
             if !peers.contains(&p) {
                 peers.push(p);
@@ -582,38 +589,17 @@ fn sequence_scatter(es: &[Expr]) -> Option<Vec<usize>> {
     (idxs.len() >= 2 && peers.len() >= 2).then_some(idxs)
 }
 
-/// The literal peer of an `Execute` eligible for scattering, if any.
-fn scatter_exec_peer(e: &Expr) -> Option<String> {
-    if let Expr::Execute { peer, .. } = e {
-        if let Expr::Literal(a) = peer.as_ref() {
-            return Some(a.to_lexical());
-        }
-    }
-    None
-}
-
-/// Do `lhs`/`rhs` form a two-call scatter round? Both operands of a binary
-/// expression are always evaluated, so two remote calls to distinct peers —
-/// the shape distributed code motion leaves behind when it collapses a
-/// `let`-chain into `execute(…) ⊕ execute(…)` — can fan out together.
-fn binary_scatter(lhs: &Expr, rhs: &Expr) -> bool {
-    matches!(
-        (scatter_exec_peer(lhs), scatter_exec_peer(rhs)),
-        (Some(a), Some(b)) if a != b
-    )
-}
-
 /// A chain of `let $v := execute at <literal peer> … return …` bindings
 /// whose parameters are independent of earlier chain variables — the shape
 /// distributed code motion produces for a federated join. The calls can run
 /// as one scatter round and bind in order afterwards.
-struct LetScatterChain<'a> {
+struct LetChain<'a> {
     /// (bound variable, the Execute expression it binds)
     binds: Vec<(&'a str, &'a Expr)>,
     tail: &'a Expr,
 }
 
-fn let_scatter(e: &Expr) -> Option<LetScatterChain<'_>> {
+fn let_round(e: &Expr) -> Option<LetChain<'_>> {
     let mut binds: Vec<(&str, &Expr)> = Vec::new();
     let mut peers: Vec<String> = Vec::new();
     let mut cur = e;
@@ -636,19 +622,19 @@ fn let_scatter(e: &Expr) -> Option<LetScatterChain<'_>> {
         }
         cur = ret;
     }
-    (binds.len() >= 2 && peers.len() >= 2).then_some(LetScatterChain { binds, tail: cur })
+    (binds.len() >= 2 && peers.len() >= 2).then_some(LetChain { binds, tail: cur })
 }
 
 /// Sizes of every scatter round statically detectable in `e` — the same
-/// predicates the compiler bakes into the plan, exposed so the decomposer
-/// can record on a `Decomposition` which XRPC calls will fan out (explain
-/// output, tests).
+/// detectors the compiler lowers to [`Op::Scatter`], exposed so the
+/// decomposer can record on a `Decomposition` which XRPC calls will fan out
+/// (explain output, tests).
 pub fn scatter_rounds(e: &Expr) -> Vec<usize> {
     fn walk(e: &Expr, out: &mut Vec<usize>) {
-        if let Expr::Sequence(es) = e {
-            if let Some(idxs) = sequence_scatter(es) {
+        if let Some(operands) = operator_operands(e) {
+            if let Some(idxs) = operand_round(&operands) {
                 out.push(idxs.len());
-                for (i, child) in es.iter().enumerate() {
+                for (i, child) in operands.into_iter().enumerate() {
                     if !idxs.contains(&i) {
                         walk(child, out);
                     }
@@ -656,20 +642,10 @@ pub fn scatter_rounds(e: &Expr) -> Vec<usize> {
                 return;
             }
         }
-        if let Some(chain) = let_scatter(e) {
+        if let Some(chain) = let_round(e) {
             out.push(chain.binds.len());
             walk(chain.tail, out);
             return;
-        }
-        if let Expr::Comparison { lhs, rhs, .. }
-        | Expr::NodeComparison { lhs, rhs, .. }
-        | Expr::NodeSet { lhs, rhs, .. }
-        | Expr::Arith { lhs, rhs, .. } = e
-        {
-            if binary_scatter(lhs, rhs) {
-                out.push(2);
-                return;
-            }
         }
         e.for_each_child(&mut |c, _| walk(c, out));
     }
@@ -744,14 +720,11 @@ impl<'c> Compiler<'c> {
         }
         match e {
             Expr::Literal(_) | Expr::Empty => unreachable!("handled above"),
-            Expr::Sequence(es) => {
-                let scatter = sequence_scatter(es);
-                let mut items = Vec::with_capacity(es.len());
-                for x in es {
-                    items.push(self.compile(x));
-                }
-                self.push(Op::Seq { items, scatter })
-            }
+            Expr::Sequence(_)
+            | Expr::Comparison { .. }
+            | Expr::NodeComparison { .. }
+            | Expr::NodeSet { .. }
+            | Expr::Arith { .. } => self.compile_operator(e),
             Expr::VarRef(v) => {
                 let s = self.sym(v);
                 self.push(Op::VarRef(s))
@@ -781,31 +754,6 @@ impl<'c> Compiler<'c> {
                 let default_var = self.sym(default_var);
                 let default = self.compile(default);
                 self.push(Op::Typeswitch { input, cases: pcases, default_var, default })
-            }
-            Expr::Comparison { op, lhs, rhs } => {
-                let scatter = binary_scatter(lhs, rhs);
-                let lhs = self.compile(lhs);
-                let rhs = self.compile(rhs);
-                let memo = [self.memo_operand(lhs, rhs), self.memo_operand(rhs, lhs)];
-                self.push(Op::Comparison { op: *op, lhs, rhs, scatter, memo })
-            }
-            Expr::NodeComparison { op, lhs, rhs } => {
-                let scatter = binary_scatter(lhs, rhs);
-                let lhs = self.compile(lhs);
-                let rhs = self.compile(rhs);
-                self.push(Op::NodeComparison { op: *op, lhs, rhs, scatter })
-            }
-            Expr::NodeSet { op, lhs, rhs } => {
-                let scatter = binary_scatter(lhs, rhs);
-                let lhs = self.compile(lhs);
-                let rhs = self.compile(rhs);
-                self.push(Op::NodeSet { op: *op, lhs, rhs, scatter })
-            }
-            Expr::Arith { op, lhs, rhs } => {
-                let scatter = binary_scatter(lhs, rhs);
-                let lhs = self.compile(lhs);
-                let rhs = self.compile(rhs);
-                self.push(Op::Arith { op: *op, lhs, rhs, scatter })
             }
             Expr::OrderBy { input, specs } => {
                 let input = self.compile(input);
@@ -897,18 +845,61 @@ impl<'c> Compiler<'c> {
         }
     }
 
-    /// A `Let` node: the scatter-chain detection runs here, once, at
-    /// compile time.
+    /// A sequence or a binary operator. When its operands hold a scatter
+    /// round ([`operand_round`]), each call of the round is bound to a name
+    /// made up here — `#` and the operand's position, which no QName can
+    /// match — the operand reads it back as a `VarRef`, and one
+    /// [`Op::Scatter`] wraps the operator.
+    fn compile_operator(&mut self, e: &Expr) -> OpRef {
+        let operands = operator_operands(e).expect("compile_operator takes an operator");
+        let round = operand_round(&operands);
+        let mut binds = Vec::new();
+        let mut ops = Vec::with_capacity(operands.len());
+        for (i, x) in operands.into_iter().enumerate() {
+            if round.as_ref().is_some_and(|idxs| idxs.contains(&i)) {
+                let var = self.sym(&format!("#{i}"));
+                binds.push((var, self.compile_execute(x)));
+                ops.push(self.push(Op::VarRef(var)));
+            } else {
+                ops.push(self.compile(x));
+            }
+        }
+        let op = match e {
+            Expr::Sequence(_) => Op::Seq(ops),
+            Expr::Comparison { op, .. } => {
+                let (lhs, rhs) = (ops[0], ops[1]);
+                // a round's results are fresh on every run: nothing to probe
+                let memo = match round {
+                    None => [self.memo_operand(lhs, rhs), self.memo_operand(rhs, lhs)],
+                    Some(_) => [None, None],
+                };
+                Op::Comparison { op: *op, lhs, rhs, memo }
+            }
+            Expr::NodeComparison { op, .. } => {
+                Op::NodeComparison { op: *op, lhs: ops[0], rhs: ops[1] }
+            }
+            Expr::NodeSet { op, .. } => Op::NodeSet { op: *op, lhs: ops[0], rhs: ops[1] },
+            Expr::Arith { op, .. } => Op::Arith { op: *op, lhs: ops[0], rhs: ops[1] },
+            _ => unreachable!("operator_operands takes these five"),
+        };
+        let body = self.push(op);
+        if binds.is_empty() {
+            return body;
+        }
+        self.push(Op::Scatter { binds, body })
+    }
+
+    /// A `Let` node: a let-chain round binds its own variables.
     fn compile_let(&mut self, e: &Expr) -> OpRef {
-        if let Some(chain) = let_scatter(e) {
+        if let Some(chain) = let_round(e) {
             let mut binds = Vec::with_capacity(chain.binds.len());
             for (v, exec) in &chain.binds {
                 let s = self.sym(v);
                 let op = self.compile_execute(exec);
                 binds.push((s, op));
             }
-            let tail = self.compile(chain.tail);
-            return self.push(Op::LetScatter { binds, tail });
+            let body = self.compile(chain.tail);
+            return self.push(Op::Scatter { binds, body });
         }
         let Expr::Let { var, value, ret } = e else { unreachable!("compile_let takes Let") };
         let var = self.sym(var);
@@ -1189,12 +1180,7 @@ impl<'a> Evaluator<'a> {
             Op::Const(seq) => Ok(seq.clone()),
             Op::VarRef(v) => self.lookup(plan.sym(*v)),
             Op::ContextItem => Ok(Sequence::unit(self.context_item()?)),
-            Op::Seq { items, scatter } => {
-                if self.remote.is_some() {
-                    if let Some(idxs) = scatter {
-                        return self.eval_sequence_scatter(plan, run, items, idxs);
-                    }
-                }
+            Op::Seq(items) => {
                 let mut out = Vec::new();
                 for &x in items {
                     self.eval_op(plan, run, x)?.append_to(&mut out);
@@ -1235,50 +1221,7 @@ impl<'a> Evaluator<'a> {
                 self.env.pop();
                 r
             }
-            Op::LetScatter { binds, tail } => {
-                if self.remote.is_some() {
-                    let mut calls = Vec::with_capacity(binds.len());
-                    for (_, exec) in binds {
-                        calls.push(self.bind_scatter_call(plan, *exec)?);
-                    }
-                    let handler =
-                        self.remote.as_mut().expect("scatter path requires a handler");
-                    let gathered =
-                        handler.execute_scatter(self.store, &self.static_ctx, &calls)?;
-                    for ((var, _), seq) in binds.iter().zip(gathered) {
-                        self.env.push((plan.sym(*var).to_string(), seq));
-                    }
-                    let r = self.eval_op(plan, run, *tail);
-                    for _ in 0..binds.len() {
-                        self.env.pop();
-                    }
-                    return r;
-                }
-                // no remote handler: the chain degrades to plain nested
-                // lets
-                let mut pushed = 0usize;
-                let mut err = None;
-                for (var, exec) in binds {
-                    match self.eval_op(plan, run, *exec) {
-                        Ok(v) => {
-                            self.env.push((plan.sym(*var).to_string(), v));
-                            pushed += 1;
-                        }
-                        Err(e) => {
-                            err = Some(e);
-                            break;
-                        }
-                    }
-                }
-                let r = match err {
-                    Some(e) => Err(e),
-                    None => self.eval_op(plan, run, *tail),
-                };
-                for _ in 0..pushed {
-                    self.env.pop();
-                }
-                r
-            }
+            Op::Scatter { binds, body } => self.eval_scatter(plan, run, binds, *body),
             Op::If { cond, then, els } => {
                 let c = self.eval_op(plan, run, *cond)?;
                 if effective_boolean_value(&c)? {
@@ -1302,26 +1245,28 @@ impl<'a> Evaluator<'a> {
                 self.env.pop();
                 r
             }
-            Op::Comparison { op, lhs, rhs, memo, .. } if memo.iter().any(Option::is_some) => {
-                // a memoisable operand is never an `Execute`, so there is
-                // no scatter round to give up here
+            Op::Comparison { op, lhs, rhs, memo } if memo.iter().any(Option::is_some) => {
                 self.eval_comparison_memo(plan, run, *op, [*lhs, *rhs], *memo)
             }
-            Op::Comparison { op, lhs, rhs, scatter, .. } => {
-                let (l, r) = self.eval_operand_pair(plan, run, *lhs, *rhs, *scatter)?;
+            Op::Comparison { op, lhs, rhs, .. } => {
+                let l = self.eval_op(plan, run, *lhs)?;
+                let r = self.eval_op(plan, run, *rhs)?;
                 let b = general_compare(self.store, *op, &l, &r)?;
                 Ok(Sequence::boolean(b))
             }
-            Op::NodeComparison { op, lhs, rhs, scatter } => {
-                let (l, r) = self.eval_operand_pair(plan, run, *lhs, *rhs, *scatter)?;
+            Op::NodeComparison { op, lhs, rhs } => {
+                let l = self.eval_op(plan, run, *lhs)?;
+                let r = self.eval_op(plan, run, *rhs)?;
                 node_compare(*op, &l, &r)
             }
-            Op::NodeSet { op, lhs, rhs, scatter } => {
-                let (l, r) = self.eval_operand_pair(plan, run, *lhs, *rhs, *scatter)?;
+            Op::NodeSet { op, lhs, rhs } => {
+                let l = self.eval_op(plan, run, *lhs)?;
+                let r = self.eval_op(plan, run, *rhs)?;
                 node_set(*op, l, r)
             }
-            Op::Arith { op, lhs, rhs, scatter } => {
-                let (l, r) = self.eval_operand_pair(plan, run, *lhs, *rhs, *scatter)?;
+            Op::Arith { op, lhs, rhs } => {
+                let l = self.eval_op(plan, run, *lhs)?;
+                let r = self.eval_op(plan, run, *rhs)?;
                 arith(self.store, *op, &l, &r)
             }
             Op::OrderBy { input, specs } => {
@@ -1422,106 +1367,69 @@ impl<'a> Evaluator<'a> {
         Ok(Operand::Table(table))
     }
 
-    fn eval_execute(
+    /// A lone call: a Bulk RPC of one.
+    fn eval_execute(&mut self, plan: &Plan, run: &mut PlanRun, pe: &PlanExec) -> EvalResult {
+        let call = self.bind_call(plan, run, pe)?;
+        let handler = self.remote.as_mut().ok_or_else(no_remote_handler)?;
+        let mut results = handler.execute_bulk(
+            self.store,
+            &self.static_ctx,
+            &call.peer,
+            std::slice::from_ref(&call.params),
+            call.body,
+            call.projection,
+        )?;
+        Ok(results.pop().unwrap_or_default())
+    }
+
+    /// Evaluates the peer of one compiled `execute at` and binds its
+    /// parameters from the current environment.
+    fn bind_call<'p>(
         &mut self,
-        plan: &Plan,
+        plan: &'p Plan,
         run: &mut PlanRun,
-        pe: &PlanExec,
-    ) -> EvalResult {
-        let peer_seq = self.eval_op(plan, run, pe.peer)?;
-        let peer_uri = match peer_seq.as_slice() {
+        pe: &'p PlanExec,
+    ) -> EvalResult<ScatterCall<'p>> {
+        let peer = match self.eval_op(plan, run, pe.peer)?.as_slice() {
             [item] => string_value(self.store, item),
             _ => return Err(EvalError::new("execute at peer must be a single item")),
         };
-        let mut bound = Vec::with_capacity(pe.params.len());
-        for p in &pe.params {
-            bound.push((p.var.clone(), self.lookup(&p.outer)?));
-        }
-        match &mut self.remote {
-            Some(handler) => handler.execute(
-                self.store,
-                &self.static_ctx,
-                &peer_uri,
-                &bound,
-                &pe.body,
-                pe.projection.as_deref(),
-            ),
-            None => Err(EvalError::new(
-                "execute at: no remote handler configured (local-only evaluator)",
-            )),
-        }
+        let params = self.bind_params(pe)?;
+        Ok(ScatterCall { peer, params, body: &pe.body, projection: pe.projection.as_deref() })
     }
 
-    /// Binds the parameters of one compiled `Op::Execute` from the current
-    /// environment into a [`ScatterCall`].
-    fn bind_scatter_call<'p>(
-        &self,
-        plan: &'p Plan,
-        exec: OpRef,
-    ) -> EvalResult<ScatterCall<'p>> {
-        let Op::Execute(pe) = plan.op(exec) else {
-            unreachable!("scatter detection only selects Execute expressions");
-        };
-        let peer =
-            pe.literal_peer.clone().expect("scatter detection requires a literal peer");
-        let mut bound = Vec::with_capacity(pe.params.len());
-        for p in &pe.params {
-            bound.push((p.var.clone(), self.lookup(&p.outer)?));
-        }
-        Ok(ScatterCall { peer, params: bound, body: &pe.body, projection: pe.projection.as_deref() })
+    fn bind_params(&self, pe: &PlanExec) -> EvalResult<Vec<(String, Sequence)>> {
+        pe.params.iter().map(|p| Ok((p.var.clone(), self.lookup(&p.outer)?))).collect()
     }
 
-    fn eval_sequence_scatter(
+    /// One scatter round: every call is bound before any is sent, the
+    /// handler sends them out together, and `body` runs with each result
+    /// bound to its call's name. Out of line for the same reason as
+    /// [`Self::eval_comparison_memo`].
+    #[inline(never)]
+    fn eval_scatter(
         &mut self,
         plan: &Plan,
         run: &mut PlanRun,
-        items: &[OpRef],
-        idxs: &[usize],
+        binds: &[(SymId, OpRef)],
+        body: OpRef,
     ) -> EvalResult {
-        let mut calls = Vec::with_capacity(idxs.len());
-        for &i in idxs {
-            calls.push(self.bind_scatter_call(plan, items[i])?);
+        let mut calls = Vec::with_capacity(binds.len());
+        for &(_, exec) in binds {
+            let Op::Execute(pe) = plan.op(exec) else {
+                unreachable!("a round binds Execute ops only");
+            };
+            calls.push(self.bind_call(plan, run, pe)?);
         }
-        let handler = self.remote.as_mut().expect("scatter path requires a handler");
+        let handler = self.remote.as_mut().ok_or_else(no_remote_handler)?;
         let gathered = handler.execute_scatter(self.store, &self.static_ctx, &calls)?;
-        let mut by_idx: Vec<Option<Sequence>> = vec![None; items.len()];
-        for (&i, seq) in idxs.iter().zip(gathered) {
-            by_idx[i] = Some(seq);
+        let depth = self.env.len();
+        for (&(var, _), seq) in binds.iter().zip(gathered) {
+            self.env.push((plan.sym(var).to_string(), seq));
         }
-        let mut out = Vec::new();
-        for (i, &x) in items.iter().enumerate() {
-            match by_idx[i].take() {
-                Some(seq) => seq.append_to(&mut out),
-                None => self.eval_op(plan, run, x)?.append_to(&mut out),
-            }
-        }
-        Ok(out.into())
-    }
-
-    /// Evaluates the two operands of a binary op, fanning them out as a
-    /// two-call scatter round when the compile-time flag is set and a remote
-    /// handler is attached.
-    fn eval_operand_pair(
-        &mut self,
-        plan: &Plan,
-        run: &mut PlanRun,
-        lhs: OpRef,
-        rhs: OpRef,
-        scatter: bool,
-    ) -> EvalResult<(Sequence, Sequence)> {
-        let fan_out = scatter && self.remote.is_some();
-        if fan_out {
-            let calls = vec![
-                self.bind_scatter_call(plan, lhs)?,
-                self.bind_scatter_call(plan, rhs)?,
-            ];
-            let handler = self.remote.as_mut().expect("scatter path requires a handler");
-            let mut gathered = handler.execute_scatter(self.store, &self.static_ctx, &calls)?;
-            let r = gathered.pop().expect("two results for two calls");
-            let l = gathered.pop().expect("two results for two calls");
-            return Ok((l, r));
-        }
-        Ok((self.eval_op(plan, run, lhs)?, self.eval_op(plan, run, rhs)?))
+        let r = self.eval_op(plan, run, body);
+        self.env.truncate(depth);
+        r
     }
 
     /// One Bulk RPC for the whole loop: every iteration binds its lets and
@@ -1557,19 +1465,7 @@ impl<'a> Evaluator<'a> {
                 }
             }
             if bound.is_ok() {
-                let mut params = Vec::with_capacity(pe.params.len());
-                for p in &pe.params {
-                    match self.lookup(&p.outer) {
-                        Ok(v) => params.push((p.var.clone(), v)),
-                        Err(e) => {
-                            bound = Err(e);
-                            break;
-                        }
-                    }
-                }
-                if bound.is_ok() {
-                    bound = Ok(params);
-                }
+                bound = self.bind_params(pe);
             }
             for _ in 0..pushed {
                 self.env.pop();
@@ -1935,10 +1831,37 @@ mod tests {
         let module = parse_query(q).unwrap();
         let plan = compile_query(&module, true, &StaticContext::default());
         assert!(
-            plan.ops.iter().any(|op| matches!(op, Op::LetScatter { binds, .. } if binds.len() == 2)),
+            plan.ops.iter().any(|op| matches!(op, Op::Scatter { binds, .. } if binds.len() == 2)),
             "let-chain compiles to a scatter op:\n{}",
             plan.dump()
         );
+    }
+
+    #[test]
+    fn every_round_shape_lowers_to_one_scatter_op_of_the_recorded_size() {
+        let call = |p: &str| format!("execute at {{ \"{p}\" }} params () {{ doc(\"d.xml\")//a }}");
+        let (a, b, c) = (call("p1"), call("p2"), call("p3"));
+        let queries = [
+            format!("({a}, 1, {c}, {b})"),
+            format!("let $x := {a} let $y := {b} return count($x) + count($y)"),
+            format!("count(({a}) + ({b}))"),
+            format!("({a}) = ({b})"),
+            format!("count(({a}) union ({b}))"),
+        ];
+        for q in &queries {
+            let module = parse_query(q).unwrap();
+            let plan = compile_query(&module, true, &StaticContext::default());
+            let rounds: Vec<usize> = plan
+                .ops
+                .iter()
+                .filter_map(|op| match op {
+                    Op::Scatter { binds, .. } => Some(binds.len()),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(rounds.len(), 1, "one round in {q}:\n{}", plan.dump());
+            assert_eq!(rounds, scatter_rounds(&module.body), "{q}:\n{}", plan.dump());
+        }
     }
 
     #[test]

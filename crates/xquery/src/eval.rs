@@ -77,27 +77,17 @@ pub struct ScatterCall<'a> {
     pub projection: Option<&'a ExecProjection>,
 }
 
-/// Executes an `Execute` (XRPCExpr) remotely and shreds the response into
-/// the local store.
+/// Sends a compiled plan's remote calls (XRPCExpr) and shreds the
+/// responses into the local store. A plan makes two kinds of call: a lone
+/// `execute at`, or the calls of one `for` loop, is a Bulk RPC; the
+/// independent calls of one scatter round go out together.
 pub trait RemoteHandler {
-    #[allow(clippy::too_many_arguments)]
-    fn execute(
-        &mut self,
-        local: &mut Store,
-        static_ctx: &StaticContext,
-        peer: &str,
-        params: &[(String, Sequence)],
-        body: &Expr,
-        projection: Option<&ExecProjection>,
-    ) -> EvalResult<Sequence>;
-
     /// **Bulk RPC**: executes the same body once per parameter binding in a
     /// single network interaction. The plan engine batches a remote call
-    /// nested directly in a `for`-loop through this method; under
-    /// pass-by-fragment all iterations then share one fragments preamble,
-    /// which is what lets Section V drop `ForExpr` from condition iii.
-    ///
-    /// The default implementation degrades to one interaction per call.
+    /// nested directly in a `for`-loop through this method, and sends a
+    /// lone call as a bulk of one; under pass-by-fragment all iterations
+    /// then share one fragments preamble, which is what lets Section V drop
+    /// `ForExpr` from condition iii.
     #[allow(clippy::too_many_arguments)]
     fn execute_bulk(
         &mut self,
@@ -107,31 +97,24 @@ pub trait RemoteHandler {
         calls: &[Vec<(String, Sequence)>],
         body: &Expr,
         projection: Option<&ExecProjection>,
-    ) -> EvalResult<Vec<Sequence>> {
-        calls
-            .iter()
-            .map(|params| self.execute(local, static_ctx, peer, params, body, projection))
-            .collect()
-    }
+    ) -> EvalResult<Vec<Sequence>>;
 
     /// **Scatter-gather**: executes one round of calls aimed at (usually
     /// distinct) peers. The plan engine only batches calls whose parameters
     /// are independent of each other's results, so a handler may run them
     /// concurrently — but it must gather results in call order and stay
     /// observably identical to executing the calls one by one.
-    ///
-    /// The default implementation degrades to the sequential loop.
     fn execute_scatter(
         &mut self,
         local: &mut Store,
         static_ctx: &StaticContext,
         calls: &[ScatterCall<'_>],
-    ) -> EvalResult<Vec<Sequence>> {
-        calls
-            .iter()
-            .map(|c| self.execute(local, static_ctx, &c.peer, &c.params, c.body, c.projection))
-            .collect()
-    }
+    ) -> EvalResult<Vec<Sequence>>;
+}
+
+/// What evaluating an `execute at` raises without a [`RemoteHandler`].
+pub(crate) fn no_remote_handler() -> EvalError {
+    EvalError::new("execute at: no remote handler configured (local-only evaluator)")
 }
 
 pub(crate) const MAX_CALL_DEPTH: usize = 128;

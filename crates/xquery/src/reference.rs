@@ -12,7 +12,9 @@ use xqd_xml::axes::NodeTest;
 use xqd_xml::{NodeId, Store};
 
 use crate::ast::*;
-use crate::eval::{arith, matches_seq_type, node_compare, node_set, Evaluator, LocalResolver};
+use crate::eval::{
+    arith, matches_seq_type, no_remote_handler, node_compare, node_set, Evaluator, LocalResolver,
+};
 use crate::value::*;
 
 /// Evaluates `module` against `store` with local-only resolution, by
@@ -124,9 +126,7 @@ fn walk(ev: &mut Evaluator<'_>, e: &Expr) -> EvalResult {
             let rv = walk(ev, r)?;
             Ok(Sequence::boolean(effective_boolean_value(&rv)?))
         }
-        Expr::Execute { .. } => Err(EvalError::new(
-            "execute at: no remote handler configured (local-only evaluator)",
-        )),
+        Expr::Execute { .. } => Err(no_remote_handler()),
     }
 }
 

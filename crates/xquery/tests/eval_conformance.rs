@@ -259,6 +259,16 @@ fn arithmetic_on_node_values() {
     assert_eq!(atoms(&r), vec![Atomic::Dbl(119.0)]);
 }
 
+/// ±∞ is spelled `INF` / `-INF`, the XSD lexical form, so its string casts
+/// back to the same double.
+#[test]
+fn infinity_round_trips_through_its_string() {
+    let mut s = fixture();
+    assert_eq!(run_strings(&mut s, "string(number(\"1e400\"))"), vec!["INF"]);
+    let r = run(&mut s, "number(string(number(\"-1e400\")))");
+    assert_eq!(atoms(&r), vec![Atomic::Dbl(f64::NEG_INFINITY)]);
+}
+
 #[test]
 fn and_or_short_circuit() {
     let mut s = fixture();

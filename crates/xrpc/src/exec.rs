@@ -29,9 +29,11 @@
 //! The federation core is thread-safe: peers live in slots behind a
 //! `Mutex`+`Condvar` (a peer is *taken* for the duration of a call, and
 //! waiting replaces the old hard "busy" failure), and metrics accumulate
-//! into atomics. When a plan reaches a scatter point — independent
-//! `execute at` calls aimed at distinct peers — [`FedLink::execute_scatter`]
-//! encodes every request up front (byte-identical to sequential execution),
+//! into atomics. A plan sends its calls through two methods of the link:
+//! `execute_bulk` carries a lone call or one `for` loop's calls, and when
+//! the plan reaches an `Op::Scatter` — independent `execute at` calls aimed
+//! at distinct peers — [`FedLink::execute_scatter`] encodes every request
+//! up front (byte-identical to sequential execution),
 //! fans the ladders out across one scoped thread per peer
 //! ([`crate::scatter`]), and gathers/decodes responses in deterministic
 //! call order. Serialized network cost stays the exact per-transfer sum;
@@ -408,6 +410,21 @@ impl FedCore {
     fn put_peer(&self, peer: Peer) {
         self.peers.lock().unwrap().insert(peer.name.clone(), Some(peer));
         self.peers_returned.notify_all();
+    }
+
+    /// Runs `f` on `name`'s peer, taken out of its slot as
+    /// [`Self::take_peer`] does, and puts the peer back whatever `f`
+    /// returns.
+    fn with_peer<T>(
+        &self,
+        name: &str,
+        wait: Duration,
+        f: impl FnOnce(&mut Peer) -> T,
+    ) -> Result<T, XrpcError> {
+        let mut peer = self.take_peer(name, wait)?;
+        let out = f(&mut peer);
+        self.put_peer(peer);
+        Ok(out)
     }
 }
 
@@ -900,8 +917,7 @@ pub struct SimTransport {
 
 impl Transport for SimTransport {
     fn exchange(&self, peer: &str, request: &str, budget: Duration) -> Result<String, XrpcError> {
-        let mut p = self.core.take_peer(peer, budget)?;
-        let outcome = match decode_doc_request(request) {
+        self.core.with_peer(peer, budget, |p| match decode_doc_request(request) {
             // a doc-request envelope serves the data-shipping path
             Some(uri) => Ok(match p.serialize_document(&uri) {
                 Ok(xml) => encode_doc_response(&uri, &xml),
@@ -910,9 +926,7 @@ impl Transport for SimTransport {
             None => run_remote(peer, request, false, &mut |req| {
                 process_request(&self.core, peer, &mut p.store, req)
             }),
-        };
-        self.core.put_peer(p);
-        outcome
+        })?
     }
 }
 
@@ -1104,15 +1118,13 @@ impl Attempt for DocAttempt<'_> {
             // the slot wait is bounded by the ladder's per-rung wait AND the
             // remaining deadline budget — a chain that already ate most of
             // the deadline must not block the full wait on a busy slot
-            let peer_obj = match core.take_peer(fhost, slot_wait.min(budget)) {
-                Ok(p) => p,
-                Err(e) => break 'attempt (Duration::ZERO, Err(e)),
-            };
-            let t0 = Instant::now();
-            let found = peer_obj.serialize_document(uri);
-            sink.serialize.fetch_add(as_ns(t0.elapsed()), Ordering::Relaxed);
-            core.put_peer(peer_obj);
-            let xml = match found {
+            let found = core.with_peer(fhost, slot_wait.min(budget), |p| {
+                let t0 = Instant::now();
+                let found = p.serialize_document(uri);
+                sink.serialize.fetch_add(as_ns(t0.elapsed()), Ordering::Relaxed);
+                found
+            });
+            let xml = match found.and_then(|found| found) {
                 Ok(x) => x,
                 Err(e) => break 'attempt (Duration::ZERO, Err(e)),
             };
@@ -1723,22 +1735,18 @@ impl FedLink {
     }
 }
 
-impl RemoteHandler for FedLink {
-    fn execute(
-        &mut self,
-        local: &mut Store,
-        static_ctx: &StaticContext,
-        peer: &str,
-        params: &[(String, Sequence)],
-        body: &xqd_xquery::Expr,
-        projection: Option<&ExecProjection>,
-    ) -> EvalResult<Sequence> {
-        let one_call = vec![params.to_vec()];
-        let mut results =
-            self.execute_bulk(local, static_ctx, peer, &one_call, body, projection)?;
-        Ok(results.pop().unwrap_or_default())
-    }
+/// Serves one request on `host`'s peer, taken out of its slot for the
+/// call.
+fn process_on_peer(
+    core: &Arc<FedCore>,
+    host: &str,
+    req: &str,
+    wait: Duration,
+) -> EvalResult<String> {
+    core.with_peer(host, wait, |remote| process_request(core, host, &mut remote.store, req))?
+}
 
+impl RemoteHandler for FedLink {
     fn execute_bulk(
         &mut self,
         local: &mut Store,
@@ -1762,11 +1770,7 @@ impl RemoteHandler for FedLink {
                 // (empty) slot. The message still crossed the loopback wire.
                 process_request(&core, host, local, req)
             } else {
-                let mut remote = core.take_peer(host, wait).map_err(EvalError::from)?;
-                let outcome = process_request(&core, host, &mut remote.store, req);
-                // put the peer back regardless of the outcome
-                core.put_peer(remote);
-                outcome
+                process_on_peer(&core, host, req, wait)
             }
         };
         let mut ladder = call_with_failover(&self.core, &board, peer, lane, &request, &mut process);
@@ -1802,7 +1806,12 @@ impl RemoteHandler for FedLink {
         {
             return calls
                 .iter()
-                .map(|c| self.execute(local, static_ctx, &c.peer, &c.params, c.body, c.projection))
+                .map(|c| {
+                    let one_call = std::slice::from_ref(&c.params);
+                    let mut r = self
+                        .execute_bulk(local, static_ctx, &c.peer, one_call, c.body, c.projection)?;
+                    Ok(r.pop().unwrap_or_default())
+                })
                 .collect();
         }
 
@@ -1832,19 +1841,13 @@ impl RemoteHandler for FedLink {
         let mut rows: Vec<LadderOutcome> = fan_out(
             &groups,
             |i| {
-                let mut process = |host: &str, req: &str, wait: Duration| -> EvalResult<String> {
-                    let mut remote = core.take_peer(host, wait).map_err(EvalError::from)?;
-                    let outcome = process_request(core, host, &mut remote.store, req);
-                    core.put_peer(remote);
-                    outcome
-                };
                 call_with_failover(
                     core,
                     &board,
                     peers[i],
                     lane_base + i as u64,
                     &requests[i],
-                    &mut process,
+                    &mut |host, req, wait| process_on_peer(core, host, req, wait),
                 )
             },
             LadderOutcome::failed,

@@ -12,7 +12,7 @@
 //! real TCP is `daemon.rs`'s job).
 
 use xqd_core::Strategy;
-use xqd_xrpc::{ExecOptions, Federation, NetworkModel};
+use xqd_xrpc::{ExecOptions, Federation, NetworkModel, METRIC_NAMES};
 
 /// Three peers, each holding a differently-sized slice of the same shape.
 fn fed3(model: NetworkModel) -> Federation {
@@ -48,28 +48,50 @@ fn plan_reports_the_scatter_round() {
     assert_eq!(out.plan.scatter_rounds, vec![3]);
 }
 
+/// One query per shape a round takes: a sequence's items, a let-chain, and
+/// the two operands of `+`, of a general comparison and of `union`.
+const ROUND_SHAPES: [&str; 5] = [
+    SCATTER_Q,
+    r#"let $a := count(doc("xrpc://p1/d.xml")//item)
+       let $b := sum(doc("xrpc://p2/d.xml")//v)
+       return $a + $b"#,
+    r#"count(doc("xrpc://p1/d.xml")//item) + sum(doc("xrpc://p3/d.xml")//v)"#,
+    r#"count(doc("xrpc://p2/d.xml")//item) = count(doc("xrpc://p3/d.xml")//item)"#,
+    // by-value ships no node-set operand by itself: the calls are written out
+    r#"(execute at { "p1" } params () { doc("xrpc://p1/d.xml")//item })
+       union (execute at { "p2" } params () { doc("xrpc://p2/d.xml")//item })"#,
+];
+
 #[test]
 fn parallel_matches_sequential_everything_observable() {
-    for strategy in [Strategy::ByValue, Strategy::ByFragment, Strategy::ByProjection] {
-        let mut par = fed3(NetworkModel::lan());
-        let par_out = par.run(SCATTER_Q, strategy).unwrap();
+    let rounds = METRIC_NAMES.iter().position(|&n| n == "scatter_rounds").unwrap();
+    for query in ROUND_SHAPES {
+        for strategy in [Strategy::ByValue, Strategy::ByFragment, Strategy::ByProjection] {
+            let mut par = fed3(NetworkModel::lan());
+            let par_out = par.run(query, strategy).unwrap();
+            assert_eq!(par_out.plan.scatter_rounds.len(), 1, "fixture lost its round: {query}");
 
-        let mut seq = fed3(NetworkModel::lan());
-        seq.set_exec_options(seq_opts());
-        let seq_out = seq.run(SCATTER_Q, strategy).unwrap();
+            let mut seq = fed3(NetworkModel::lan());
+            seq.set_exec_options(seq_opts());
+            let seq_out = seq.run(query, strategy).unwrap();
 
-        assert_eq!(par_out.result, seq_out.result, "{strategy:?} results diverge");
-        assert_eq!(
-            par_out.metrics.message_bytes, seq_out.metrics.message_bytes,
-            "{strategy:?} message bytes diverge"
-        );
-        assert_eq!(par_out.metrics.transfers, seq_out.metrics.transfers);
-        assert_eq!(par_out.metrics.remote_calls, seq_out.metrics.remote_calls);
-        // the scatter round is only counted when it actually fans out
-        assert_eq!(par_out.metrics.scatter_rounds, 1, "{strategy:?}");
-        assert_eq!(seq_out.metrics.scatter_rounds, 0, "{strategy:?}");
-        // sequential execution never overlaps
-        assert_eq!(seq_out.metrics.network_overlapped, seq_out.metrics.network);
+            assert_eq!(par_out.result, seq_out.result, "{strategy:?} results diverge: {query}");
+            assert_eq!(
+                par_out.metrics.message_bytes, seq_out.metrics.message_bytes,
+                "{strategy:?} message bytes diverge: {query}"
+            );
+            assert_eq!(par_out.metrics.transfers, seq_out.metrics.transfers, "{query}");
+            assert_eq!(par_out.metrics.remote_calls, seq_out.metrics.remote_calls, "{query}");
+            // the scatter round is only counted when it actually fans out
+            assert_eq!(par_out.metrics.scatter_rounds, 1, "{strategy:?} {query}");
+            assert_eq!(seq_out.metrics.scatter_rounds, 0, "{strategy:?} {query}");
+            let (mut par_counters, seq_counters) =
+                (par_out.metrics.counters(), seq_out.metrics.counters());
+            par_counters[rounds] = 0;
+            assert_eq!(par_counters, seq_counters, "{strategy:?} counters diverge: {query}");
+            // sequential execution never overlaps
+            assert_eq!(seq_out.metrics.network_overlapped, seq_out.metrics.network);
+        }
     }
 }
 
