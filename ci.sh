@@ -15,6 +15,8 @@ echo "== build (release, offline) =="
 cargo build --release --offline
 
 echo "== tests (workspace, offline) =="
+# Includes tests/architecture.rs: the table of structural gates (where a
+# deleted parallel path would grow back), each row proven to fire.
 cargo test -q --offline --workspace
 
 echo "== clippy (workspace, all targets, deny warnings) =="
@@ -212,243 +214,6 @@ for row in "point_lookup    4929.5000    1 1 0" \
     expect_smoke "$1" 1 xrpc.tcp.doc_fetches_per_query "$5.0000"
     expect_smoke "$1" 1 xrpc.tcp.retries_per_query 0.0000
     expect_smoke "$1" 1 xrpc.tcp.failovers_per_query 0.0000
-done
-
-echo "== one ladder, one retry loop (structural) =="
-# How a logical call survives failure is decided in crates/xrpc/src/ladder.rs
-# and nowhere else: the backoff rule has one call site and the failover
-# predicate one consumer, both there (net.rs defines the predicate and
-# unit-tests it). A second file matching means a copy grew back.
-ladder_files=$(grep -ln 'backoff_with_hint(\|failover_eligible()' crates/xrpc/src/*.rs | tr '\n' ' ')
-if [ "$ladder_files" != "crates/xrpc/src/ladder.rs crates/xrpc/src/net.rs " ]; then
-    echo "ladder logic outside ladder.rs/net.rs: $ladder_files" >&2
-    exit 1
-fi
-
-echo "== one coordinator (structural) =="
-# What turns a plan's `execute at`s and foreign `fn:doc`s into ladders is
-# `Federation` in exec.rs, over either carrier. tcp.rs is a transport plus
-# a logic-free face: a handler, a resolver, a ladder walk, an evaluator, a
-# scoreboard or a counter there means a second coordinator grew back.
-link_files=$(grep -l 'impl RemoteHandler for\|impl DocResolver for' crates/xrpc/src/*.rs | tr '\n' ' ')
-if [ "$link_files" != "crates/xrpc/src/exec.rs " ]; then
-    echo "RemoteHandler/DocResolver implemented outside exec.rs: $link_files" >&2
-    exit 1
-fi
-walk_files=$(grep -l 'walk(' crates/xrpc/src/*.rs | tr '\n' ' ')
-if [ "$walk_files" != "crates/xrpc/src/exec.rs crates/xrpc/src/ladder.rs " ]; then
-    echo "ladders walked outside exec.rs/ladder.rs: $walk_files" >&2
-    exit 1
-fi
-if grep -n 'Mutex<Scoreboard>\|Evaluator::new\|AtomicU64' crates/xrpc/src/tcp.rs >&2; then
-    echo "tcp.rs holds coordinator state again" >&2
-    exit 1
-fi
-
-echo "== every envelope is opened once (structural) =="
-# What kind of envelope a byte string is, is decided by the five prefixes
-# named in crates/xrpc/src/message.rs: a whole-message scan for an element
-# name, a scratch parse of a doc reply, or a second copy of the peer-side
-# document lookup means a double grew back. An opened envelope is read one
-# way: outside its tests, message.rs reads attributes only through its one
-# strict reader (`impl Attrs`, where a leftover attribute is a typed fault)
-# and finds children with crates/xml's `NodeRef::child_element(s)`. An
-# `attr` / `find_child` / `children_named` helper, or an `.attribute(` /
-# `.attributes(` read outside the reader (a DocBuilder write, `b.attribute(`,
-# is no read), means the silent ad-hoc reads grew back.
-if grep -n 'contains("<fault\|contains("<doc-request' crates/xrpc/src/*.rs >&2; then
-    echo "an envelope is classified by scanning it (message.rs names the prefixes)" >&2
-    exit 1
-fi
-if awk '/^pub fn decode_doc_response/ { on = 1 } on && /^}/ { exit } on' crates/xrpc/src/message.rs \
-        | grep -n 'Store::new()' >&2; then
-    echo "decode_doc_response parses the envelope again (it strips a fixed header and trailer)" >&2
-    exit 1
-fi
-message_code=$(awk '/^#\[cfg\(test\)\]/ { exit } { print }' crates/xrpc/src/message.rs)
-if grep -nE 'fn (attr|find_child|children_named)\(' <<<"$message_code" >&2; then
-    echo "message.rs has a private attribute or child helper again (Attrs; NodeRef::child_element)" >&2
-    exit 1
-fi
-if awk '/^impl<.a> Attrs<.a> \{/ { on = 1 } !on { print } on && /^}/ { on = 0 }' <<<"$message_code" \
-        | grep -n '\.attributes\?(' | grep -v '\bb\.attribute(' >&2; then
-    echo "message.rs reads an attribute outside its one reader (impl Attrs)" >&2
-    exit 1
-fi
-not_found=$(grep -c '"xrpc:document-not-found"' crates/xrpc/src/exec.rs || true)
-if [ "$not_found" != 1 ]; then
-    echo "exec.rs holds $not_found document servers (Peer::serialize_document is the one)" >&2
-    exit 1
-fi
-
-echo "== the shredder copies runs (structural) =="
-# crates/xml parses a &str it never re-validates, finds delimiters with
-# str::find, escapes by copying the runs between special bytes, and keeps
-# node values as spans into one text arena per document. A UTF-8
-# re-validation, a byte-window search, a char-at-a-time escaper or a boxed
-# value per node means the per-character kernel grew back.
-if grep -n 'from_utf8\|windows(' crates/xml/src/parser.rs >&2; then
-    echo "parser.rs re-validates UTF-8 or searches byte windows (slice the &str, use str::find)" >&2
-    exit 1
-fi
-if awk '/^(pub )?fn escape(_text|_attr)?\(/ { on = 1 } on && /^}/ { on = 0 } on' crates/xml/src/serialize.rs \
-        | grep -n '\.chars()' >&2; then
-    echo "escape_text / escape_attr push one char at a time (copy the runs between special bytes)" >&2
-    exit 1
-fi
-if grep -n 'Option<Box<str>>' crates/xml/src/store.rs >&2; then
-    echo "store.rs boxes node values again (they are spans into the document's text arena)" >&2
-    exit 1
-fi
-
-echo "== one bench emitter, one report writer, no dead option (structural) =="
-# The five sweeps share examples/bench.rs and crates/bench/src/report.rs; a
-# second emitter or a hand-written JSON formatter beside the point types
-# means a copy grew back, as does the remote-side worker fork that no
-# caller ever turned on.
-bench_files=$(ls examples/*bench*.rs | tr '\n' ' ')
-if [ "$bench_files" != "examples/bench.rs " ]; then
-    echo "more than one bench emitter: $bench_files" >&2
-    exit 1
-fi
-if grep -n 'fn to_json\|fn [a-z_]*_json' crates/bench/src/lib.rs >&2; then
-    echo "crates/bench/src/lib.rs formats JSON by hand again (report.rs is the writer)" >&2
-    exit 1
-fi
-if grep -rn 'bulk_workers' crates src tests examples >&2; then
-    echo "ExecOptions::bulk_workers is back" >&2
-    exit 1
-fi
-
-echo "== overload is decided once per side (structural) =="
-# The workload engine starts every job through one `dispatch` (no macro or
-# inline copy of it, so each scheduler span is built in one place), a
-# peer slot's callers are bounded by the daemon's in-flight gate alone (no
-# second wait-queue bound under it), and the seeded rendezvous hash lives
-# in xqd_core::replicas only.
-if grep -rn 'peer_queue_depth' crates src >&2; then
-    echo "ExecOptions::peer_queue_depth is back (ServerConfig::max_inflight is the one bound)" >&2
-    exit 1
-fi
-if grep -n 'macro_rules!' crates/xrpc/src/sched.rs >&2; then
-    echo "sched.rs holds a macro again (Scheduler::dispatch is the one dispatch path)" >&2
-    exit 1
-fi
-for span in sched.queued sched.run sched.cancelled sched.shed; do
-    # counted outside the module's tests, which look spans up by name
-    n=$(awk '/^#\[cfg\(test\)\]/ { exit } { print }' crates/xrpc/src/sched.rs | grep -c "\"$span\"" || true)
-    if [ "$n" != 1 ]; then
-        echo "sched.rs builds \"$span\" in $n places (want 1)" >&2
-        exit 1
-    fi
-done
-mix=$(grep -rn 'fn mix_score' crates --include='*.rs' | wc -l)
-if [ "$mix" != 1 ]; then
-    echo "fn mix_score is defined $mix times under crates/ (xqd_core::replicas is its home)" >&2
-    exit 1
-fi
-
-echo "== the AST is walked one way (structural) =="
-# Which children an expression has, in which order, and which variables it
-# binds over each, is said once in crates/xquery/src/ast.rs
-# (`Expr::for_each_child` beside `map_children`). A hand-written child list,
-# a per-pass scope rule, a clone-to-read walk or decomposer metadata on the
-# plan means a copy grew back; FNV-1a lives in xqd-prng alone.
-if grep -rnE 'fn (collect_children|count_uses|uses_var|binds_name|normalize_children|is_downward_only)\b' \
-        crates --include='*.rs' >&2; then
-    echo "a second child list or scope rule is back (Expr::for_each_child is the one)" >&2
-    exit 1
-fi
-map_files=$(grep -rl 'fn map_children' crates --include='*.rs' | tr '\n' ' ')
-if [ "$map_files" != "crates/xquery/src/ast.rs " ]; then
-    echo "fn map_children defined outside ast.rs: $map_files" >&2
-    exit 1
-fi
-if grep -rn 'PlanRoute\|PlanSemijoin' crates src examples --include='*.rs' >&2; then
-    echo "the plan carries decomposer metadata again (the Decomposition holds it)" >&2
-    exit 1
-fi
-fnv=0
-for f in crates/*/src/*.rs; do
-    # counted outside each file's tests, which pin hashes by hand
-    n=$(awk '/^#\[cfg\(test\)\]/ { exit } { print }' "$f" | grep -c '0xcbf2_9ce4_8422_2325' || true)
-    fnv=$((fnv + n))
-done
-if [ "$fnv" != 1 ]; then
-    echo "the FNV-1a offset basis appears $fnv times in non-test code (xqd_prng::fnv1a is the one)" >&2
-    exit 1
-fi
-
-echo "== a shipped node is addressed one way (structural) =="
-# By-fragment and by-projection ship one `<fragments>` preamble addressed
-# through one table, `wire::Fragment`, on both ends of the wire: the sender
-# looks a node up in it, the receiver resolves `(fragid, nodeid)` against it
-# with checked indexing. A per-codec locate function, a rank scan, a third
-# codec variant or an unchecked subtraction from a received fragid means a
-# copy grew back.
-if grep -rnE 'fn (nodeid_in_range|node_at_nodeid|locate_projected|projected_nodeid)\b|struct ProjectedFragment\b' \
-        crates --include='*.rs' >&2; then
-    echo "a second way to address a shipped node is back (wire::Fragment is the one table)" >&2
-    exit 1
-fi
-variants=$(awk '/^enum NodeCodec/ { on = 1; next } on && /^}/ { exit } on' crates/xrpc/src/message.rs \
-    | grep -cE '^    [A-Z][A-Za-z]*([ ,{(]|$)' || true)
-if [ "$variants" != 2 ]; then
-    echo "enum NodeCodec has $variants variants (want 2: Value | Fragments)" >&2
-    exit 1
-fi
-if grep -n 'as usize - 1' crates/xrpc/src/message.rs >&2; then
-    echo "message.rs subtracts from a received value unchecked (checked_sub, then index)" >&2
-    exit 1
-fi
-
-echo "== one engine ships (structural) =="
-# Only the plan IR engine runs outside tests: coordinators, peers,
-# `eval_query` and the constant folder all run `Plan::eval`. The tree-walker
-# in crates/xquery/src/reference.rs is the scan-only reference the
-# differential suites compare against, and the operator bodies both engines
-# need are written once, in crates/xquery/src/eval.rs. An index path or
-# toggle on the walker, a call of `reference_eval` outside tests, a `_plan`
-# mirror in compile.rs or a second copy of a shared body means the second
-# engine grew back. Within the engine a scatter round is one op: a
-# sequence's items, a binary operator's operands and a let-chain all lower
-# to `Op::Scatter`, and a lone call is a Bulk RPC of one, so a per-shape
-# scatter path or field in compile.rs, or a per-call method on
-# `RemoteHandler`, is a second path too.
-nontest_code() {
-    # "file:line: text" of each non-comment line before a file's tests
-    for f in $(find crates/*/src src -name '*.rs' | sort); do
-        awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit } !/^[[:space:]]*\/\// { print f ":" FNR ": " $0 }' "$f"
-    done
-}
-if grep -rnwE 'with_indexes|eval_query_with_indexes|fn indexed_step|fn indexed_named_step' \
-        crates src tests examples --include='*.rs' >&2; then
-    echo "the walker's index path or toggle is back (a plan fixes its index choice when compiled)" >&2
-    exit 1
-fi
-if nontest_code | grep -w 'reference_eval' | grep -vE \
-        '^crates/xquery/src/(reference\.rs:[0-9]+: pub fn reference_eval\(|lib\.rs:[0-9]+: pub use reference::reference_eval;)' >&2; then
-    echo "non-test code runs the reference walker (Plan::eval is the engine that ships)" >&2
-    exit 1
-fi
-if nontest_code | grep -E '^crates/xquery/src/compile\.rs:[0-9]+: .*fn [a-z_]+_plan[(<]' >&2; then
-    echo "compile.rs mirrors a walker method again (call the shared body in eval.rs)" >&2
-    exit 1
-fi
-if nontest_code | grep -E '^crates/xquery/src/compile\.rs:[0-9]+: .*(LetScatter|binary_scatter|eval_sequence_scatter|eval_operand_pair|\bscatter:)' >&2; then
-    echo "compile.rs has a per-shape scatter path again (every round lowers to Op::Scatter)" >&2
-    exit 1
-fi
-if awk '/trait RemoteHandler/,/^}/' crates/xquery/src/eval.rs | grep 'fn execute(' >&2; then
-    echo "RemoteHandler declares a per-call execute again (a lone call is a Bulk RPC of one)" >&2
-    exit 1
-fi
-for body in 'arithmetic on a multi-item sequence' 'computed constructor name must be a single item'; do
-    n=$(nontest_code | grep -c "$body" || true)
-    if [ "$n" != 1 ]; then
-        echo "\"$body\" appears $n times in non-test code (want 1: the shared body in eval.rs)" >&2
-        exit 1
-    fi
 done
 
 echo "== the checkout is as ci.sh found it =="

@@ -30,18 +30,29 @@ impl Atomic {
         match self {
             Atomic::Str(s) | Atomic::Untyped(s) => s.clone(),
             Atomic::Int(i) => i.to_string(),
-            Atomic::Dbl(d) => {
-                if d.fract() == 0.0 && d.is_finite() && d.abs() < 1e15 {
-                    format!("{}", *d as i64)
-                } else if d.is_infinite() {
-                    (if *d > 0.0 { "INF" } else { "-INF" }).to_string()
-                } else {
-                    format!("{d}")
-                }
-            }
+            Atomic::Dbl(d) => double_lexical(*d),
             Atomic::Bool(b) => b.to_string(),
         }
     }
+}
+
+/// The `xs:double` → `xs:string` cast: a magnitude in [1e-6, 1e6) (and
+/// zero, signed) is written in decimal, any other finite value as a
+/// mantissa with at least one fractional digit, `E` and the exponent
+/// (`1.0E20`, `-2.5E-7`). Both forms use the shortest digits that parse
+/// back to the same value.
+fn double_lexical(d: f64) -> String {
+    if d.is_infinite() {
+        return (if d > 0.0 { "INF" } else { "-INF" }).to_string();
+    }
+    if d.is_nan() || d == 0.0 || (1e-6..1e6).contains(&d.abs()) {
+        // `{}` writes -0.0 as "-0" and integral values without a fraction
+        return format!("{d}");
+    }
+    let sci = format!("{d:e}");
+    let (mantissa, exponent) = sci.split_once('e').expect("LowerExp writes an exponent");
+    let fraction = if mantissa.contains('.') { "" } else { ".0" };
+    format!("{mantissa}{fraction}E{exponent}")
 }
 
 /// Value / general comparison operators (XCore rule 13).
@@ -1023,6 +1034,20 @@ mod tests {
         assert_eq!(Atomic::Dbl(2.5).to_lexical(), "2.5");
         assert_eq!(Atomic::Bool(true).to_lexical(), "true");
         assert_eq!(Atomic::Untyped("x".into()).to_lexical(), "x");
+    }
+
+    /// A double's lexical form parses back to the same value, bit for bit:
+    /// wire atoms travel in this form.
+    #[test]
+    fn double_lexical_round_trips() {
+        let mut rng = xqd_prng::Rng::seed_from_u64(7);
+        let specials = [0.0, -0.0, 1e6, 1e-6, f64::MAX, f64::MIN_POSITIVE, 5e-324, f64::INFINITY];
+        let random = (0..20_000).map(|_| f64::from_bits(rng.next_u64()));
+        for d in specials.into_iter().chain(random) {
+            let lex = Atomic::Dbl(d).to_lexical();
+            let back: f64 = lex.parse().unwrap_or_else(|e| panic!("{lex:?}: {e}"));
+            assert!(back.to_bits() == d.to_bits() || (d.is_nan() && back.is_nan()), "{d:e} -> {lex}");
+        }
     }
 
     #[test]

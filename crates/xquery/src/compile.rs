@@ -695,7 +695,7 @@ impl<'c> Compiler<'c> {
         let plan = lower(&[], e, self.use_indexes, self.static_ctx, false);
         let mut store = Store::new();
         let mut resolver = LocalResolver;
-        let mut ev = Evaluator::new(&mut store, &[], &mut resolver)
+        let mut ev = Evaluator::new(&mut store, &mut resolver)
             .with_static_context(self.static_ctx.clone());
         let folded = plan.eval(&mut ev).ok()?;
         // const expressions cannot construct nodes, but keep the invariant
@@ -1637,7 +1637,7 @@ mod tests {
             let mut s = store_with(doc);
             let plan = compile_query(&module, use_indexes, &StaticContext::default());
             let mut resolver = LocalResolver;
-            let mut ev = Evaluator::new(&mut s, &module.functions, &mut resolver);
+            let mut ev = Evaluator::new(&mut s, &mut resolver);
             plan.eval(&mut ev)
         };
         (interp, compiled)

@@ -127,9 +127,6 @@ pub(crate) const MAX_CALL_DEPTH: usize = 128;
 /// which differ only in how they evaluate an operand.
 pub struct Evaluator<'a> {
     pub store: &'a mut Store,
-    /// The module's function declarations, read by the reference walker
-    /// only: a plan carries its own compiled copies.
-    pub functions: &'a [FunctionDef],
     pub resolver: &'a mut dyn DocResolver,
     pub remote: Option<&'a mut dyn RemoteHandler>,
     pub static_ctx: StaticContext,
@@ -145,14 +142,9 @@ pub struct Evaluator<'a> {
 }
 
 impl<'a> Evaluator<'a> {
-    pub fn new(
-        store: &'a mut Store,
-        functions: &'a [FunctionDef],
-        resolver: &'a mut dyn DocResolver,
-    ) -> Self {
+    pub fn new(store: &'a mut Store, resolver: &'a mut dyn DocResolver) -> Self {
         Evaluator {
             store,
-            functions,
             resolver,
             remote: None,
             static_ctx: StaticContext::default(),
@@ -624,5 +616,5 @@ fn matches_item_type(store: &Store, item: &Item, t: &ItemType) -> bool {
 pub fn eval_query(store: &mut Store, module: &QueryModule) -> EvalResult {
     let plan = compile_query(module, true, &StaticContext::default());
     let mut resolver = LocalResolver;
-    plan.eval(&mut Evaluator::new(store, &module.functions, &mut resolver))
+    plan.eval(&mut Evaluator::new(store, &mut resolver))
 }

@@ -758,6 +758,11 @@ impl Parser {
         if self.peek() == &Token::Minus {
             self.bump();
             let operand = self.nested(Self::parse_unary)?;
+            // a minus before a double literal is part of it: `0 - 0e0` is
+            // +0, but XPath's `-0e0` is negative zero
+            if let Expr::Literal(Atomic::Dbl(d)) = operand {
+                return Ok(Expr::Literal(Atomic::Dbl(-d)));
+            }
             return Ok(Expr::Arith {
                 op: ArithOp::Sub,
                 lhs: Expr::int(0).boxed(),
@@ -1371,6 +1376,10 @@ mod tests {
     fn unary_minus() {
         let e = p("-$x");
         assert!(matches!(e, Expr::Arith { op: ArithOp::Sub, .. }));
+        assert!(matches!(p("-1"), Expr::Arith { op: ArithOp::Sub, .. }));
+        let Expr::Literal(Atomic::Dbl(d)) = p("-0e0") else { panic!("-0e0 is a literal") };
+        assert!(d == 0.0 && d.is_sign_negative());
+        assert_eq!(p(&p("-2.5").to_string()), Expr::Literal(Atomic::Dbl(-2.5)));
     }
 
     #[test]

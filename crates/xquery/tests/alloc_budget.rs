@@ -88,7 +88,7 @@ fn allocations(n: usize) -> u64 {
     let module = parse_query(BODY).unwrap();
     let plan = compile_query(&module, true, &StaticContext::default());
     let mut resolver = LocalResolver;
-    let mut ev = Evaluator::new(&mut store, &module.functions, &mut resolver);
+    let mut ev = Evaluator::new(&mut store, &mut resolver);
     let want = vec![Item::Atom(xqd_xquery::Atomic::Int(under_40(n)))];
     assert_eq!(plan.eval(&mut ev).unwrap(), want, "warm-up");
     COUNT.with(|c| c.set(0));

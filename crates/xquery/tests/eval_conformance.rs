@@ -269,6 +269,18 @@ fn infinity_round_trips_through_its_string() {
     assert_eq!(atoms(&r), vec![Atomic::Dbl(f64::NEG_INFINITY)]);
 }
 
+/// An `xs:double` cast to a string is written in decimal only for a
+/// magnitude in [1e-6, 1e6); any other value takes the exponent form, and
+/// negative zero keeps its sign.
+#[test]
+fn double_string_takes_the_exponent_form_outside_the_decimal_range() {
+    let mut s = fixture();
+    let q = "string(1e20), string(1e-7), 1e6 div 1, string(-0e0), string(0.5e0), \
+             string(999999.5e0), string(-1234567e0), string(0.000001e0)";
+    let want = ["1.0E20", "1.0E-7", "1.0E6", "-0", "0.5", "999999.5", "-1.234567E6", "0.000001"];
+    assert_eq!(run_strings(&mut s, q), want);
+}
+
 #[test]
 fn and_or_short_circuit() {
     let mut s = fixture();

@@ -95,7 +95,7 @@ fn nesting_at_the_bound_still_runs_end_to_end() {
         let plan = compile_query(&module, true, &StaticContext::default());
         let mut store = Store::new();
         let mut resolver = xqd_xquery::LocalResolver;
-        let mut ev = xqd_xquery::Evaluator::new(&mut store, &module.functions, &mut resolver);
+        let mut ev = xqd_xquery::Evaluator::new(&mut store, &mut resolver);
         let compiled = plan.eval(&mut ev).expect("compiled evaluation");
         assert_eq!(format!("{compiled:?}"), format!("{reference:?}"), "{:.60}", query);
     }

@@ -76,7 +76,7 @@ fn run(src: &str, use_indexes: bool) -> Ran {
     let result = {
         let mut s = store();
         let mut resolver = LocalResolver;
-        let mut ev = Evaluator::new(&mut s, &module.functions, &mut resolver)
+        let mut ev = Evaluator::new(&mut s, &mut resolver)
             .with_profile(hook.clone());
         plan.eval(&mut ev)
     };

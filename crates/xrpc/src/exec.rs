@@ -834,7 +834,7 @@ impl Federation {
         let mut local = Store::new();
         let mut link = FedLink { core: Arc::clone(&self.core), peer: String::new() };
         let mut handler = FedLink { core: Arc::clone(&self.core), peer: String::new() };
-        let mut ev = Evaluator::new(&mut local, &[], &mut link)
+        let mut ev = Evaluator::new(&mut local, &mut link)
             .with_remote(&mut handler)
             .with_static_context(static_ctx);
         if let Some(h) = &hook {
@@ -1197,8 +1197,7 @@ fn eval_shipped(
     for params in calls {
         let mut resolver = FedLink { core: Arc::clone(core), peer: peer.to_string() };
         let mut nested = FedLink { core: Arc::clone(core), peer: peer.to_string() };
-        // the plan carries its own compiled functions
-        let mut ev = Evaluator::new(store, &[], &mut resolver)
+        let mut ev = Evaluator::new(store, &mut resolver)
             .with_remote(&mut nested)
             .with_static_context(static_ctx.clone());
         for (name, value) in params {

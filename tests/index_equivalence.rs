@@ -113,7 +113,7 @@ fn every_axis_name_combination_matches_scan() {
                 for use_indexes in [true, false] {
                     let plan = compile_query(&module, use_indexes, &StaticContext::default());
                     let mut resolver = LocalResolver;
-                    let mut ev = Evaluator::new(&mut store, &module.functions, &mut resolver);
+                    let mut ev = Evaluator::new(&mut store, &mut resolver);
                     let compiled = plan.eval(&mut ev).unwrap();
                     assert_eq!(
                         scan, compiled,
