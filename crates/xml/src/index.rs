@@ -23,42 +23,135 @@
 //! attached, so a built index never needs invalidation — newly loaded
 //! documents simply start without one.
 
-use std::collections::HashMap;
-
 use crate::name::NameId;
 use crate::store::{Document, NodeKind};
 
-/// Inverted name→ranks maps for one document. Rank lists are sorted
-/// ascending (they are filled in one preorder pass).
-#[derive(Debug, Clone, Default)]
+/// Marks an empty [`NameIndex`] table entry: no store holds `u32::MAX`
+/// names.
+const EMPTY: u32 = u32::MAX;
+
+/// Inverted name→ranks lists for one document, elements and attributes
+/// apart. Each name the document uses gets a dense slot; the lists of all
+/// slots sit back to back in one rank array, each sorted ascending (they
+/// are filled in preorder).
+///
+/// A name finds its slot through a small open-addressed table hashed by
+/// one multiply. That hash is unkeyed on purpose, and safe: a [`NameId`] is
+/// assigned by the store in interning order, never chosen by the wire, and
+/// the table grows with the names of this document, not with the store's
+/// whole name table (which hostile envelopes can grow).
+#[derive(Debug, Clone)]
 pub struct NameIndex {
-    elements: HashMap<NameId, Vec<u32>>,
-    attributes: HashMap<NameId, Vec<u32>>,
+    /// `(name, slot)` per entry, power-of-two sized, at most half full;
+    /// empty entries hold [`EMPTY`].
+    table: Vec<(u32, u32)>,
+    /// Slot `s`'s element ranks are `ranks[starts[2s]..starts[2s + 1]]`,
+    /// its attribute ranks `ranks[starts[2s + 1]..starts[2s + 2]]`.
+    starts: Vec<u32>,
+    ranks: Vec<u32>,
 }
 
 impl NameIndex {
-    /// Builds the index with a single preorder pass over the arena.
+    /// Builds the index in two preorder passes over the arena: one counts
+    /// the nodes per name and kind, the other writes every rank into its
+    /// place, so no list ever regrows.
     pub fn build(doc: &Document) -> NameIndex {
-        let mut elements: HashMap<NameId, Vec<u32>> = HashMap::new();
-        let mut attributes: HashMap<NameId, Vec<u32>> = HashMap::new();
-        for i in 0..doc.len() as u32 {
-            match doc.kind(i) {
-                NodeKind::Element => elements.entry(doc.name(i)).or_default().push(i),
-                NodeKind::Attribute => attributes.entry(doc.name(i)).or_default().push(i),
-                _ => {}
+        let mut index =
+            NameIndex { table: vec![(EMPTY, 0); 64], starts: Vec::new(), ranks: Vec::new() };
+        // `counts[2s + kind]`, then prefix sums: the write cursor per list
+        let mut counts: Vec<u32> = Vec::new();
+        let named = |kind: NodeKind| match kind {
+            NodeKind::Element => Some(0),
+            NodeKind::Attribute => Some(1),
+            _ => None,
+        };
+        for rec in &doc.nodes {
+            if let Some(kind) = named(rec.kind) {
+                let slot = index.slot_or_insert(rec.name, &mut counts);
+                counts[2 * slot + kind] += 1;
             }
         }
-        NameIndex { elements, attributes }
+        let mut next = 0u32;
+        for count in &mut counts {
+            next += std::mem::replace(count, next);
+        }
+        index.ranks = vec![0; next as usize];
+        for (rank, rec) in doc.nodes.iter().enumerate() {
+            if let Some(kind) = named(rec.kind) {
+                let slot = index.slot(rec.name).expect("counted in the first pass");
+                let cursor = &mut counts[2 * slot + kind];
+                index.ranks[*cursor as usize] = rank as u32;
+                *cursor += 1;
+            }
+        }
+        // each cursor now ends its list, which is where the next one starts
+        index.starts = Vec::with_capacity(counts.len() + 1);
+        index.starts.push(0);
+        index.starts.extend(counts);
+        index
+    }
+
+    /// Where `name` is: `Ok(slot)`, or `Err(entry)` for the empty table
+    /// entry that ends its probe run.
+    fn probe(&self, name: NameId) -> Result<usize, usize> {
+        let mask = self.table.len() - 1;
+        let bits = self.table.len().trailing_zeros();
+        let mut at = (name.0.wrapping_mul(0x9E37_79B9) >> (32 - bits)) as usize;
+        loop {
+            match self.table[at] {
+                (EMPTY, _) => return Err(at),
+                (n, slot) if n == name.0 => return Ok(slot as usize),
+                _ => at = (at + 1) & mask,
+            }
+        }
+    }
+
+    /// The slot of `name`, if the document uses it.
+    fn slot(&self, name: NameId) -> Option<usize> {
+        self.probe(name).ok()
+    }
+
+    /// The slot of `name`, given the next free one (and two zero counts)
+    /// if it is new; the table doubles once it is more than half full.
+    fn slot_or_insert(&mut self, name: NameId, counts: &mut Vec<u32>) -> usize {
+        let at = match self.probe(name) {
+            Ok(slot) => return slot,
+            Err(at) => at,
+        };
+        let slot = counts.len() / 2;
+        counts.extend([0, 0]);
+        self.table[at] = (name.0, slot as u32);
+        if 2 * (slot + 1) > self.table.len() {
+            let grown = vec![(EMPTY, 0); 2 * self.table.len()];
+            let old = std::mem::replace(&mut self.table, grown);
+            for (n, s) in old.into_iter().filter(|&(n, _)| n != EMPTY) {
+                if let Err(at) = self.probe(NameId(n)) {
+                    self.table[at] = (n, s);
+                }
+            }
+        }
+        slot
+    }
+
+    /// The ranks of `name`'s list of `kind` (0 elements, 1 attributes).
+    fn list(&self, name: NameId, kind: usize) -> &[u32] {
+        match self.slot(name) {
+            Some(slot) => {
+                let list = 2 * slot + kind;
+                &self.ranks[self.starts[list] as usize..self.starts[list + 1] as usize]
+            }
+            None => &[],
+        }
     }
 
     /// Sorted preorder ranks of elements named `name`.
     pub fn elements(&self, name: NameId) -> &[u32] {
-        self.elements.get(&name).map_or(&[], Vec::as_slice)
+        self.list(name, 0)
     }
 
     /// Sorted preorder ranks of attributes named `name`.
     pub fn attributes(&self, name: NameId) -> &[u32] {
-        self.attributes.get(&name).map_or(&[], Vec::as_slice)
+        self.list(name, 1)
     }
 }
 
@@ -283,6 +376,38 @@ mod tests {
         assert_eq!(out, Vec::<u32>::new());
         children_named(doc, &ix, &[3, 4], c, &mut out);
         assert_eq!(out, Vec::<u32>::new());
+    }
+
+    /// Many names, each used by elements and attributes alike: every list
+    /// survives the table doubling, in preorder, with nothing left over.
+    #[test]
+    fn lists_survive_table_growth() {
+        let mut s = Store::new();
+        let d = build_into(&mut s, None, |b| {
+            b.start_element("root");
+            for i in 0..300 {
+                b.start_element(&format!("n{}", i % 150));
+                b.attribute(&format!("n{}", (i + 1) % 150), "v");
+                b.end_element();
+            }
+            b.end_element();
+        });
+        let doc = s.doc(d);
+        let ix = NameIndex::build(doc);
+        let mut listed = 0;
+        for i in 0..150 {
+            let name = s.names.get(&format!("n{i}")).unwrap();
+            let want = |kind| {
+                (0..doc.len() as u32)
+                    .filter(|&r| doc.kind(r) == kind && doc.name(r) == name)
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(ix.elements(name), want(NodeKind::Element), "n{i}");
+            assert_eq!(ix.attributes(name), want(NodeKind::Attribute), "@n{i}");
+            listed += ix.elements(name).len() + ix.attributes(name).len();
+        }
+        assert_eq!(listed, 600);
+        assert_eq!(ix.elements(NameId(u32::MAX - 1)), &[] as &[u32]);
     }
 
     #[test]

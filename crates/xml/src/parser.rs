@@ -42,6 +42,30 @@ impl std::error::Error for ParseError {}
 /// stack overflow later. Shipped documents nest ~12 levels (XMark).
 const MAX_NESTING: usize = 1024;
 
+/// [`NAME_BYTES`] of a byte that may start a name.
+const NAME_START: u8 = 2;
+
+/// Per byte, what it may be in a name: [`NAME_START`] (letters, `_`, `:`
+/// and every non-ASCII byte), 1 for what may only continue one (digits,
+/// `-`, `.`), 0 for what ends it. A name ends at an ASCII byte, so it is
+/// sliced on a character boundary.
+const NAME_BYTES: [u8; 256] = {
+    let mut table = [0u8; 256];
+    let mut b = 0;
+    while b < 256 {
+        let byte = b as u8;
+        table[b] = if byte.is_ascii_alphabetic() || byte == b'_' || byte == b':' || byte >= 0x80 {
+            NAME_START
+        } else if byte.is_ascii_digit() || byte == b'-' || byte == b'.' {
+            1
+        } else {
+            0
+        };
+        b += 1;
+    }
+    table
+};
+
 struct Parser<'a> {
     input: &'a str,
     /// Always on a character boundary: it only ever moves past ASCII
@@ -90,7 +114,12 @@ impl<'a> Parser<'a> {
 
     fn read_until(&mut self, marker: &str) -> Result<&'a str, ParseError> {
         let rest = self.rest();
-        match rest.find(marker) {
+        // a one-byte marker (a quote) is a memchr, not a substring search
+        let found = match marker.as_bytes() {
+            &[byte] => rest.find(char::from(byte)),
+            _ => rest.find(marker),
+        };
+        match found {
             Some(i) => {
                 self.pos += i + marker.len();
                 Ok(&rest[..i])
@@ -99,23 +128,15 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn is_name_start(b: u8) -> bool {
-        b.is_ascii_alphabetic() || b == b'_' || b == b':' || b >= 0x80
-    }
-
-    fn is_name_char(b: u8) -> bool {
-        Self::is_name_start(b) || b.is_ascii_digit() || b == b'-' || b == b'.'
-    }
-
     fn read_name(&mut self) -> Result<&'a str, ParseError> {
         let start = self.pos;
-        match self.peek() {
-            Some(b) if Self::is_name_start(b) => self.pos += 1,
+        let bytes = &self.input.as_bytes()[start..];
+        match bytes.first() {
+            Some(&b) if NAME_BYTES[usize::from(b)] == NAME_START => {}
             _ => return self.err("expected name"),
         }
-        while matches!(self.peek(), Some(b) if Self::is_name_char(b)) {
-            self.pos += 1;
-        }
+        let len = bytes.iter().position(|&b| NAME_BYTES[usize::from(b)] == 0);
+        self.pos += len.unwrap_or(bytes.len());
         Ok(&self.input[start..self.pos])
     }
 
@@ -183,26 +204,31 @@ impl<'a> Parser<'a> {
                 match self.peek() {
                     None => return self.err(format!("unterminated element <{name}>")),
                     Some(b'<') => {
-                        if self.starts_with("<![CDATA[") {
+                        let next = self.input.as_bytes().get(self.pos + 1).copied();
+                        if next == Some(b'!') && self.starts_with("<![CDATA[") {
                             self.bump(9);
                             let body = self.read_until("]]>")?;
                             b.text_arena().push_str(body);
                             continue;
                         }
                         b.text_since(run);
-                        if self.starts_with("</") {
-                            self.bump(2);
-                            let close = self.read_name()?;
-                            if close != name {
-                                return self
-                                    .err(format!("mismatched close tag </{close}>, open <{name}>"));
+                        match next {
+                            Some(b'/') => {
+                                self.bump(2);
+                                let close = self.read_name()?;
+                                if close != name {
+                                    return self.err(format!(
+                                        "mismatched close tag </{close}>, open <{name}>"
+                                    ));
+                                }
+                                self.skip_ws();
+                                self.expect(">")?;
+                                b.end_element();
+                                open.pop();
                             }
-                            self.skip_ws();
-                            self.expect(">")?;
-                            b.end_element();
-                            open.pop();
-                        } else if !self.parse_misc(b)? {
-                            break;
+                            Some(b'!' | b'?') if self.parse_misc(b)? => {}
+                            // a start tag, or markup that then fails as one
+                            _ => break,
                         }
                         run = b.text_arena().len();
                     }
@@ -431,6 +457,40 @@ mod tests {
         // the same name on two elements, or on an element and its child
         let d = parse_document(&mut s, "<a x='1'><b x='2'/><c x='3' y='4'/></a>", None).unwrap();
         assert_eq!(s.doc(d).len(), 8);
+    }
+
+    /// 10 000 distinct names that share four memo slots, as elements and
+    /// attributes, twice over in two orders: the shredded nodes carry the
+    /// names, and the ids, that plain `NameTable` interning gives.
+    #[test]
+    fn names_colliding_in_the_memo_shred_as_plain_interning_does() {
+        use crate::name::{memo_slot, NameTable};
+        let slots = [memo_slot(b"n0"), memo_slot(b"n1"), memo_slot(b"n2"), memo_slot(b"n3")];
+        let pool: Vec<String> = (0..10_000_000)
+            .map(|i| format!("n{i}"))
+            .filter(|n| slots.contains(&memo_slot(n.as_bytes())))
+            .take(10_000)
+            .collect();
+        assert_eq!(pool.len(), 10_000);
+        let mut xml = String::from("<site>");
+        let mut want = vec![(NodeKind::Element, "site")];
+        for i in (0..pool.len()).chain((0..pool.len()).rev()) {
+            let (el, at) = (&pool[i], &pool[(i * 7 + 3) % pool.len()]);
+            xml.push_str(&format!("<{el} {at}='v'/>"));
+            want.extend([(NodeKind::Element, el.as_str()), (NodeKind::Attribute, at.as_str())]);
+        }
+        xml.push_str("</site>");
+        let mut s = Store::new();
+        let d = parse_document(&mut s, &xml, None).unwrap();
+        let doc = s.doc(d);
+        let mut plain = NameTable::new();
+        let got: Vec<(NodeKind, &str)> =
+            (1..doc.len() as u32).map(|i| (doc.kind(i), s.names.resolve(doc.name(i)))).collect();
+        assert_eq!(got, want);
+        for (i, (_, name)) in want.iter().enumerate() {
+            assert_eq!(doc.name(i as u32 + 1), plain.intern(name), "node {}: {name}", i + 1);
+        }
+        assert_eq!(s.names.len(), plain.len());
     }
 
     /// The check costs O(1) per attribute: a start tag with 200 000

@@ -18,12 +18,21 @@
 //! `start..end` byte span of its value, so shredding a document allocates
 //! two growing buffers, not one box per text or attribute node, and
 //! releasing it frees those two.
+//!
+//! A document is immutable once attached, so its serialized form never
+//! changes either: [`Store::served_text`] serializes it on the first fetch
+//! and keeps the text on the document, so a peer serving it again writes
+//! that text instead of serializing anew. Nothing fills it at load (most
+//! documents are never fetched whole), and it is dropped with its
+//! document, so releasing a document or reusing its id needs no
+//! invalidation.
 
 use std::collections::HashMap;
+use std::sync::{Arc, OnceLock};
 
 use crate::index::NameIndex;
-use crate::name::{NameId, NameTable};
-use crate::serialize::write_nodes;
+use crate::name::{NameId, NameMemo, NameTable};
+use crate::serialize::{serialize_document, write_nodes};
 
 /// Identifier of a document within a [`Store`].
 ///
@@ -102,13 +111,20 @@ pub struct Document {
     pub uri: Option<String>,
     /// Static base URI; defaults to `uri`.
     pub base_uri: Option<String>,
-    /// Map from ID attribute value to the *element* owning the attribute.
-    pub(crate) id_map: HashMap<Box<str>, u32>,
+    /// The store's id of the name `id` when the document was attached, if
+    /// it was interned then: no attribute of the document has it otherwise.
+    id_name: Option<NameId>,
+    /// Map from ID attribute value to the *element* owning the attribute,
+    /// built by the first `fn:id` lookup: most documents never see one.
+    id_map: OnceLock<HashMap<Box<str>, u32>>,
     /// XRPC shipped-node metadata overrides, keyed by node index.
     pub meta: HashMap<u32, NodeMeta>,
     /// Lazily built name index (see [`crate::index`]); `None` until the
     /// first indexed axis step touches this document.
     pub(crate) name_index: Option<NameIndex>,
+    /// The document's serialized text, filled by the first
+    /// [`Store::served_text`] and kept until the document is dropped.
+    served: OnceLock<Arc<str>>,
 }
 
 impl Document {
@@ -272,12 +288,27 @@ impl Document {
 
     /// Element owning an `id="…"` attribute with the given value, if any.
     pub fn element_by_id(&self, id: &str) -> Option<u32> {
-        self.id_map.get(id).copied()
+        self.id_map().get(id).copied()
     }
 
     /// All elements owning an ID attribute (unordered).
     pub fn id_map_values(&self) -> Vec<u32> {
-        self.id_map.values().copied().collect()
+        self.id_map().values().copied().collect()
+    }
+
+    /// The ID map, built on first use: attributes literally named `id`
+    /// (the paper's `fn:id()` treatment scans ID-typed attributes by name),
+    /// the first owner of a value winning.
+    fn id_map(&self) -> &HashMap<Box<str>, u32> {
+        self.id_map.get_or_init(|| {
+            let mut map = HashMap::new();
+            for rec in &self.nodes {
+                if rec.kind == NodeKind::Attribute && Some(rec.name) == self.id_name {
+                    map.entry(self.span(rec).into()).or_insert(rec.parent);
+                }
+            }
+            map
+        })
     }
 
     /// All (element, idref-value) pairs, used by `fn:idref`.
@@ -351,26 +382,16 @@ impl Store {
         for rec in &mut nodes {
             rec.name = remap[rec.name.0 as usize];
         }
-        // Build the ID map (attributes literally named "id", as the paper's
-        // fn:id() treatment scans ID-typed attributes by name).
-        let id_name = self.names.get("id");
-        let mut id_map = HashMap::new();
-        if let Some(id_name) = id_name {
-            for rec in &nodes {
-                if rec.kind == NodeKind::Attribute && rec.name == id_name {
-                    let value = &text[rec.start as usize..rec.end as usize];
-                    id_map.entry(value.into()).or_insert(rec.parent);
-                }
-            }
-        }
         let doc = Document {
             nodes,
             text,
             uri: uri.clone(),
             base_uri,
-            id_map,
+            id_name: self.names.get("id"),
+            id_map: OnceLock::new(),
             meta: HashMap::new(),
             name_index: None,
+            served: OnceLock::new(),
         };
         let id = DocId(self.docs.len() as u32);
         self.docs.push(doc);
@@ -399,6 +420,14 @@ impl Store {
             let index = NameIndex::build(&self.docs[i]);
             self.docs[i].name_index = Some(index);
         }
+    }
+
+    /// The document's text as [`serialize_document`] writes it, serialized
+    /// on the first call and shared by every later one: a document is
+    /// immutable once attached, and the names it uses keep their ids.
+    pub fn served_text(&self, id: DocId) -> Arc<str> {
+        let doc = &self.docs[id.0 as usize];
+        Arc::clone(doc.served.get_or_init(|| serialize_document(doc, &self.names).into()))
     }
 
     /// Reference wrapper for ergonomic traversal.
@@ -490,6 +519,9 @@ pub struct DocBuilder {
     /// The document's text arena: each value is appended once, here.
     text: String,
     local_names: NameTable,
+    /// Answers the repeated names of a document without hashing them
+    /// again (see [`NameMemo`]).
+    memo: NameMemo,
     /// Stack of open element indices.
     open: Vec<u32>,
     uri: Option<String>,
@@ -505,6 +537,7 @@ impl DocBuilder {
             nodes: Vec::new(),
             text: String::new(),
             local_names: NameTable::new(),
+            memo: NameMemo::default(),
             open: Vec::new(),
             uri: uri.map(str::to_string),
             base_uri: uri.map(str::to_string),
@@ -550,7 +583,7 @@ impl DocBuilder {
 
     /// Opens an element.
     pub fn start_element(&mut self, name: &str) -> u32 {
-        let name = self.local_names.intern(name);
+        let name = self.memo.intern(&mut self.local_names, name);
         let idx = self.push(NodeKind::Element, name, self.text.len());
         self.open.push(idx);
         self.attrs_open = true;
@@ -573,7 +606,7 @@ impl DocBuilder {
             self.attrs_open,
             "attribute() must be called before child content of the element"
         );
-        let name = self.local_names.intern(name);
+        let name = self.memo.intern(&mut self.local_names, name);
         self.push(NodeKind::Attribute, name, from);
         name
     }
@@ -599,7 +632,7 @@ impl DocBuilder {
     }
 
     pub fn pi(&mut self, target: &str, value: &str) -> u32 {
-        let name = self.local_names.intern(target);
+        let name = self.memo.intern(&mut self.local_names, target);
         self.leaf(NodeKind::Pi, name, value)
     }
 
@@ -768,7 +801,7 @@ mod tests {
     }
 
     #[test]
-    fn id_map_is_built_on_attach() {
+    fn id_lookup_finds_the_owning_element() {
         let mut store = Store::new();
         let d = sample(&mut store);
         let doc = store.doc(d);
@@ -802,6 +835,33 @@ mod tests {
         // a mark at or past the end is a no-op
         store.truncate_docs(mark + 5);
         assert_eq!(store.doc_count(), mark);
+    }
+
+    /// Serving a document twice hands out one allocation; a request-scoped
+    /// document released by `truncate_docs` takes its text with it, and
+    /// the document that reuses its id serves its own.
+    #[test]
+    fn served_text_is_serialized_once_and_dropped_with_its_document() {
+        let mut store = Store::new();
+        let kept = sample(&mut store);
+        let first = store.served_text(kept);
+        assert_eq!(*first, serialize_document(store.doc(kept), &store.names));
+        assert!(Arc::ptr_eq(&first, &store.served_text(kept)));
+        let mark = store.doc_count();
+        let scratch = build_into(&mut store, None, |b| {
+            b.start_element("tmp");
+            b.end_element();
+        });
+        let released = Arc::downgrade(&store.served_text(scratch));
+        store.truncate_docs(mark);
+        assert!(released.upgrade().is_none(), "the text outlived its document");
+        let reused = build_into(&mut store, None, |b| {
+            b.start_element("new");
+            b.end_element();
+        });
+        assert_eq!(reused, scratch);
+        assert_eq!(&*store.served_text(reused), "<new/>");
+        assert!(Arc::ptr_eq(&first, &store.served_text(kept)));
     }
 
     #[test]

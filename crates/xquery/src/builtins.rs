@@ -212,17 +212,21 @@ pub fn eval_builtin(
             vec![Item::Atom(Atomic::Int(s.chars().count() as i64))]
         }
         ("substring", 2) | ("substring", 3) => {
+            // F&O §7.4.3, in doubles as the spec states it: the characters
+            // at positions p with round(start) <= p < round(start) +
+            // round(length), so a NaN bound selects nothing and an
+            // infinite one no end
             let s = optional_string(ev, &args[0])?;
-            let start = single_number(ev, &args[1])?.round() as i64;
-            let chars: Vec<char> = s.chars().collect();
-            let len = if args.len() == 3 {
-                single_number(ev, &args[2])?.round() as i64
-            } else {
-                chars.len() as i64
+            let start = round_half_up(single_number(ev, &args[1])?);
+            let end = match args.get(2) {
+                Some(len) => start + round_half_up(single_number(ev, len)?),
+                None => f64::INFINITY,
             };
-            let from = (start - 1).max(0) as usize;
-            let to = ((start - 1 + len).max(0) as usize).min(chars.len());
-            let out: String = if from < to { chars[from..to].iter().collect() } else { String::new() };
+            let out: String = (1u32..)
+                .zip(s.chars())
+                .filter(|&(p, _)| start <= f64::from(p) && f64::from(p) < end)
+                .map(|(_, c)| c)
+                .collect();
             vec![Item::Atom(Atomic::Str(out))]
         }
         ("upper-case", 1) => {
@@ -385,7 +389,7 @@ pub fn eval_builtin(
             vec![Item::Atom(Atomic::Dbl(single_number(ev, &args[0])?.ceil()))]
         }
         ("round", 1) => {
-            vec![Item::Atom(Atomic::Dbl(single_number(ev, &args[0])?.round()))]
+            vec![Item::Atom(Atomic::Dbl(round_half_up(single_number(ev, &args[0])?)))]
         }
         ("exactly-one", 1) => {
             if args[0].len() == 1 {
@@ -440,6 +444,21 @@ fn optional_string(ev: &Evaluator, seq: &Sequence) -> EvalResult<String> {
         [] => Ok(String::new()),
         [item] => Ok(string_value(ev.store, item)),
         _ => Err(EvalError::new("expected at most one item")),
+    }
+}
+
+/// `fn:round` (F&O §6.4.4): the nearest integer, a half rounding toward
+/// +∞ (`round(-2.5)` is -2, where `f64::round` gives -3), and negative zero
+/// for an argument in [-0.5, -0].
+fn round_half_up(x: f64) -> f64 {
+    let floor = x.floor();
+    // exact for a finite `x`: `x - floor` is in [0, 1) and loses no bit
+    // of `x`'s fraction (`x + 0.5` would round 0.49999999999999994 up)
+    let rounded = if x - floor >= 0.5 { floor + 1.0 } else { floor };
+    if rounded == 0.0 && x.is_sign_negative() {
+        -0.0
+    } else {
+        rounded
     }
 }
 

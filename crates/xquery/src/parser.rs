@@ -758,14 +758,18 @@ impl Parser {
         if self.peek() == &Token::Minus {
             self.bump();
             let operand = self.nested(Self::parse_unary)?;
-            // a minus before a double literal is part of it: `0 - 0e0` is
-            // +0, but XPath's `-0e0` is negative zero
-            if let Expr::Literal(Atomic::Dbl(d)) = operand {
-                return Ok(Expr::Literal(Atomic::Dbl(-d)));
+            // a minus before a numeric literal is part of it, so a negative
+            // literal prints as one and reads back the same
+            match operand {
+                Expr::Literal(Atomic::Dbl(d)) => return Ok(Expr::Literal(Atomic::Dbl(-d))),
+                Expr::Literal(Atomic::Int(n)) => return Ok(Expr::int(-n)),
+                _ => {}
             }
+            // negation is `-1 * x`: exact on an integer, and on a double it
+            // flips the sign alone, zero's included (`0 - x` turns a -0 +0)
             return Ok(Expr::Arith {
-                op: ArithOp::Sub,
-                lhs: Expr::int(0).boxed(),
+                op: ArithOp::Mul,
+                lhs: Expr::int(-1).boxed(),
                 rhs: operand.boxed(),
             });
         }
@@ -1375,8 +1379,10 @@ mod tests {
     #[test]
     fn unary_minus() {
         let e = p("-$x");
-        assert!(matches!(e, Expr::Arith { op: ArithOp::Sub, .. }));
-        assert!(matches!(p("-1"), Expr::Arith { op: ArithOp::Sub, .. }));
+        assert!(matches!(e, Expr::Arith { op: ArithOp::Mul, .. }));
+        assert_eq!(p(&e.to_string()), e, "{e}");
+        assert_eq!(p("-1"), Expr::int(-1));
+        assert_eq!(p("- -1"), Expr::int(1));
         let Expr::Literal(Atomic::Dbl(d)) = p("-0e0") else { panic!("-0e0 is a literal") };
         assert!(d == 0.0 && d.is_sign_negative());
         assert_eq!(p(&p("-2.5").to_string()), Expr::Literal(Atomic::Dbl(-2.5)));

@@ -659,6 +659,51 @@ fn builtin_string_functions_extended() {
     );
 }
 
+/// `substring` selects the positions p with round(start) <= p <
+/// round(start) + round(length), computed in doubles (F&O §7.4.3): a start
+/// before the string takes from its first character, a NaN bound selects
+/// nothing, and an infinite length has no end.
+#[test]
+fn substring_positions_follow_the_spec() {
+    let mut s = fixture();
+    for (q, want) in [
+        ("substring(\"abc\", 0)", "abc"),
+        ("substring(\"12345\", -1)", "12345"),
+        ("substring(\"12345\", number(\"NaN\"), 3)", ""),
+        ("substring(\"12345\", 2, number(\"INF\"))", "2345"),
+        ("substring(\"12345\", number(\"-INF\"), number(\"INF\"))", ""),
+        ("substring(\"12345\", 1.5, 2.6)", "234"),
+        ("substring(\"12345\", 0, 3)", "12"),
+        ("substring(\"12345\", -2.5, 5)", "12"),
+        ("substring(\"grüße\", 3)", "üße"),
+    ] {
+        assert_eq!(atoms(&run(&mut s, q)), vec![Atomic::Str(want.into())], "{q}");
+    }
+}
+
+/// `round` rounds a half toward +∞ and keeps the sign of a zero result
+/// (F&O §6.4.4).
+#[test]
+fn round_takes_halves_toward_positive_infinity() {
+    let mut s = fixture();
+    let r = run(&mut s, "(round(-2.5), round(2.5), round(-2.6), round(0.49999999999999994))");
+    assert_eq!(atoms(&r), [-2.0, 3.0, -3.0, 0.0].map(Atomic::Dbl));
+    let q = "(string(round(-0.5)), string(round(-0e0)), string(round(-0.2)), string(round(0.5)))";
+    assert_eq!(run_strings(&mut s, q), ["-0", "-0", "-0", "1"]);
+    assert_eq!(run_strings(&mut s, "string(round(number(\"NaN\")))"), ["NaN"]);
+}
+
+/// Unary minus flips the sign and nothing else: a double zero becomes
+/// the other zero, an integer stays an integer.
+#[test]
+fn unary_minus_keeps_the_sign_of_zero() {
+    let mut s = fixture();
+    let q = "let $z := 0e0 return string(-$z), let $z := -0e0 return string(-$z)";
+    assert_eq!(run_strings(&mut s, q), ["-0", "0"]);
+    let r = run(&mut s, "let $i := 5 return (-$i, - -$i, -(2 + 3), -2.5e0)");
+    assert_eq!(atoms(&r), [Atomic::Int(-5), Atomic::Int(5), Atomic::Int(-5), Atomic::Dbl(-2.5)]);
+}
+
 /// `order by` sorts in one total order: empty keys, then NaN, then the
 /// numeric keys by value, then the other keys by text. 400 mixed keys in two
 /// shuffles of the same document must sort to the same key sequence, in

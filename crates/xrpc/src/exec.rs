@@ -83,7 +83,7 @@ pub use crate::ladder::RetryPolicy;
 use crate::message::{
     decode_doc_request, decode_doc_response, decode_request, decode_response, encode_doc_request,
     encode_doc_response, encode_fault, encode_request, encode_response, payload_kind,
-    reply_or_fault, WireSemantics,
+    reply_or_fault, Reply, WireSemantics,
 };
 use crate::net::{as_ns, Fault, FaultPlan, Metrics, MetricsSink, NetworkModel, XrpcError};
 use crate::scatter::{fan_out, group_by_peer};
@@ -116,8 +116,10 @@ impl Peer {
     /// The one document server — data shipping on either carrier and
     /// replication all ask here: the document `uri` names, looked up under
     /// that URI and then under the plain name it may have been loaded as,
-    /// serialized; a typed `xrpc:document-not-found` fault otherwise.
-    pub fn serialize_document(&self, uri: &str) -> Result<String, XrpcError> {
+    /// as the text it was serialized to on its first fetch
+    /// ([`Store::served_text`]); a typed `xrpc:document-not-found` fault
+    /// otherwise.
+    pub fn serve_document(&self, uri: &str) -> Result<Arc<str>, XrpcError> {
         let name = xqd_core::uris::split_xrpc_uri(uri).map_or(uri, |(_, name)| name);
         let doc = self
             .store
@@ -128,7 +130,7 @@ impl Peer {
                 code: "xrpc:document-not-found".to_string(),
                 message: format!("document not found on {}: {name}", self.name),
             })?;
-        Ok(xqd_xml::serialize_document(self.store.doc(doc), &self.store.names))
+        Ok(self.store.served_text(doc))
     }
 }
 
@@ -609,7 +611,7 @@ impl Federation {
             .get(primary)
             .and_then(Option::as_ref)
             .ok_or_else(|| EvalError::new(format!("unknown or busy peer: {primary}")))?
-            .serialize_document(&canonical)?;
+            .serve_document(&canonical)?;
         self.load_replica_copy(replica, &canonical, &xml)
     }
 
@@ -915,18 +917,33 @@ pub struct SimTransport {
     core: Arc<FedCore>,
 }
 
-impl Transport for SimTransport {
-    fn exchange(&self, peer: &str, request: &str, budget: Duration) -> Result<String, XrpcError> {
+impl SimTransport {
+    /// [`Transport::exchange`] with the reply in parts: a doc reply keeps
+    /// the served text it shares with the document, for a daemon to write
+    /// without copying it.
+    pub(crate) fn serve(
+        &self,
+        peer: &str,
+        request: &str,
+        budget: Duration,
+    ) -> Result<Reply, XrpcError> {
         self.core.with_peer(peer, budget, |p| match decode_doc_request(request) {
             // a doc-request envelope serves the data-shipping path
-            Some(uri) => Ok(match p.serialize_document(&uri) {
-                Ok(xml) => encode_doc_response(&uri, &xml),
-                Err(not_found) => encode_fault(&not_found),
+            Some(uri) => Ok(match p.serve_document(&uri) {
+                Ok(text) => Reply::doc(&uri, text),
+                Err(not_found) => Reply::Envelope(encode_fault(&not_found)),
             }),
             None => run_remote(peer, request, false, &mut |req| {
                 process_request(&self.core, peer, &mut p.store, req)
-            }),
+            })
+            .map(Reply::Envelope),
         })?
+    }
+}
+
+impl Transport for SimTransport {
+    fn exchange(&self, peer: &str, request: &str, budget: Duration) -> Result<String, XrpcError> {
+        self.serve(peer, request, budget).map(Reply::into_envelope)
     }
 }
 
@@ -995,7 +1012,8 @@ impl DocResolver for FedLink {
                 }
             }
             let sink = &self.core.metrics;
-            let xml = ladder.outcome.map_err(EvalError::from)?;
+            let reply = ladder.outcome.map_err(EvalError::from)?;
+            let xml = decode_doc_response(&reply).ok_or_else(|| not_a_doc_envelope(host, uri))?;
             sink.doc_fetches.fetch_add(1, Ordering::Relaxed);
             let t0 = Instant::now();
             let d = xqd_xml::parse_document(store, &xml, Some(uri))
@@ -1077,10 +1095,11 @@ impl<'a> SimWire<'a> {
 }
 
 /// The simulated document-fetch [`Attempt`]: one data-shipping fetch of
-/// `uri` from a serving host under the fault plan. The whole-document
-/// payload *is* the message here, so truncation or corruption of either
-/// direction mangles it. Waiting is free — the retry loop already charged
-/// the backoff to the chain.
+/// `uri` from a serving host under the fault plan, answered with the doc
+/// envelope a daemon would send. The whole-document payload *is* the
+/// message here, so truncation or corruption of either direction mangles
+/// it, and only the document's bytes are billed. Waiting is free — the
+/// retry loop already charged the backoff to the chain.
 struct DocAttempt<'a> {
     wire: SimWire<'a>,
     uri: &'a str,
@@ -1120,7 +1139,7 @@ impl Attempt for DocAttempt<'_> {
             // the deadline must not block the full wait on a busy slot
             let found = core.with_peer(fhost, slot_wait.min(budget), |p| {
                 let t0 = Instant::now();
-                let found = p.serialize_document(uri);
+                let found = p.serve_document(uri);
                 sink.serialize.fetch_add(as_ns(t0.elapsed()), Ordering::Relaxed);
                 found
             });
@@ -1154,10 +1173,10 @@ impl Attempt for DocAttempt<'_> {
             if spent > budget {
                 break 'attempt (budget, Err(wire.timeout(fhost)));
             }
-            (spent, Ok(xml))
+            (spent, Ok(encode_doc_response(uri, &xml)))
         };
         let ok_arg = match &result {
-            Ok(xml) if wire.trace => Some(("bytes", xml.len().to_string())),
+            Ok(reply) if wire.trace => Some(("bytes", doc_bytes(reply))),
             _ => None,
         };
         Attempted { spent, result, fault, ok_arg }
@@ -1445,8 +1464,8 @@ struct WireAttempt<'a> {
     transport: &'a dyn Transport,
     request: &'a str,
     /// `Some(uri)` for a document fetch: `request` is then a doc-request
-    /// envelope, and the doc envelope that answers it is opened here, so
-    /// the link is handed document XML by either carrier.
+    /// envelope, and a reply that is not the doc envelope answering it
+    /// fails the attempt here, as it does on the simulated carrier.
     doc: Option<&'a str>,
     /// Jitter seed: backoff phases are a pure function of
     /// `(seed, lane, rung, host, failures)`, so same-peer retries across a
@@ -1493,15 +1512,15 @@ impl Attempt for WireAttempt<'_> {
                 sink.charge_keysets(&reply);
                 return Ok(reply);
             };
-            decode_doc_response(&reply).ok_or_else(|| XrpcError::TransportCorrupt {
-                peer: host.to_string(),
-                detail: format!("reply for {uri} is not a doc envelope"),
-            })
+            match decode_doc_response(&reply) {
+                Some(_) => Ok(reply),
+                None => Err(not_a_doc_envelope(host, uri)),
+            }
         });
         let ok_arg = match &result {
             Ok(reply) if self.trace => Some(match self.doc {
                 None => ("payload", payload_kind(reply).to_string()),
-                Some(_) => ("bytes", reply.len().to_string()),
+                Some(_) => ("bytes", doc_bytes(reply)),
             }),
             _ => None,
         };
@@ -1516,6 +1535,19 @@ impl Attempt for WireAttempt<'_> {
     fn pause(&mut self, wait: Duration) {
         std::thread::sleep(wait);
     }
+}
+
+/// The typed failure of a fetch whose reply is not a doc envelope.
+fn not_a_doc_envelope(host: &str, uri: &str) -> XrpcError {
+    XrpcError::TransportCorrupt {
+        peer: host.to_string(),
+        detail: format!("reply for {uri} is not a doc envelope"),
+    }
+}
+
+/// The size of the document a doc envelope carries, for a fetch's span.
+fn doc_bytes(reply: &str) -> String {
+    decode_doc_response(reply).map_or(0, |xml| xml.len()).to_string()
 }
 
 /// One logical call through the failover ladder ([`crate::ladder::walk`])
@@ -1981,6 +2013,25 @@ mod tests {
         let mut f = Federation::new(NetworkModel::lan());
         f.load_document("p", "d.xml", "<a><b/></a>").unwrap();
         f
+    }
+
+    /// Every fetch of a document is served from the one text its first
+    /// fetch serialized, and flattens to the envelope of the document
+    /// serialized anew.
+    #[test]
+    fn a_document_is_served_from_one_text() {
+        let f = federation();
+        let transport = f.transport();
+        let request = encode_doc_request("xrpc://p/d.xml");
+        let text = || match transport.serve("p", &request, Duration::from_secs(5)).unwrap() {
+            Reply::Doc { text, .. } => text,
+            Reply::Envelope(other) => panic!("not a doc reply: {other}"),
+        };
+        let first = text();
+        assert!(Arc::ptr_eq(&first, &text()));
+        let envelope = transport.exchange("p", &request, Duration::from_secs(5)).unwrap();
+        assert_eq!(envelope, encode_doc_response("xrpc://p/d.xml", "<a><b/></a>"));
+        assert!(Arc::ptr_eq(&first, &text()));
     }
 
     /// Request envelopes, shipped fragments and constructed results live in

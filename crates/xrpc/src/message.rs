@@ -44,7 +44,9 @@
 //! shipped inside `<copy>` / `<fragment>` and the text of `<query>` are
 //! not envelope; unknown child elements are ignored.
 
+use std::borrow::Cow;
 use std::fmt::Write;
+use std::sync::Arc;
 
 use xqd_xml::project::{compute_projection, ProjectionInput};
 use xqd_xml::serialize::{
@@ -731,27 +733,70 @@ const DOC_CLOSE: &str = "</doc></env>";
 /// envelope stays so, and a document costs its own bytes plus a constant.
 pub fn encode_doc_response(uri: &str, xml: &str) -> String {
     let mut out = String::with_capacity(64 + uri.len() + xml.len());
-    out.push_str(DOC);
-    out.push_str("uri=\"");
-    escape_attr(uri, &mut out);
-    out.push_str("\">");
+    push_doc_head(&mut out, uri);
     out.push_str(xml);
     out.push_str(DOC_CLOSE);
     out
 }
 
+/// What precedes the embedded document in a doc reply envelope.
+fn push_doc_head(out: &mut String, uri: &str) {
+    out.push_str(DOC);
+    out.push_str("uri=\"");
+    escape_attr(uri, out);
+    out.push_str("\">");
+}
+
+/// A reply envelope as a peer hands it over: whole, or for a fetched
+/// document in three parts — the `<doc uri=…>` head, the document's served
+/// text (shared with the document it was serialized from) and the fixed
+/// tail — so a daemon writes a document it serialized once without copying
+/// it into an envelope (see [`crate::transport`]'s frame writer).
+pub(crate) enum Reply {
+    Envelope(String),
+    Doc { head: String, text: Arc<str> },
+}
+
+impl Reply {
+    /// The doc reply carrying `text` as the document `uri` names.
+    pub(crate) fn doc(uri: &str, text: Arc<str>) -> Reply {
+        let mut head = String::with_capacity(64 + uri.len());
+        push_doc_head(&mut head, uri);
+        Reply::Doc { head, text }
+    }
+
+    /// The envelope's text, in the order it goes on the wire.
+    pub(crate) fn parts(&self) -> [&str; 3] {
+        match self {
+            Reply::Envelope(envelope) => [envelope, "", ""],
+            Reply::Doc { head, text } => [head, text, DOC_CLOSE],
+        }
+    }
+
+    /// The envelope as one string.
+    pub(crate) fn into_envelope(self) -> String {
+        match self {
+            Reply::Envelope(envelope) => envelope,
+            Reply::Doc { .. } => self.parts().concat(),
+        }
+    }
+}
+
 /// Opens a doc reply envelope: strips the fixed header and trailer and
-/// hands back the document's XML text untouched, for the caller to shred —
-/// the only parse it gets. Returns `None` for non-doc messages, for
-/// envelopes cut short and for a `<doc>` carrying more than its `uri` —
-/// the caller treats those as transport corruption (after checking
-/// [`decode_fault`] first).
-pub fn decode_doc_response(message: &str) -> Option<String> {
+/// hands back the document's XML text where it lies in the frame, for the
+/// caller to shred in place — the only parse it gets, and no copy. The
+/// text is always [`Cow::Borrowed`]; it is a `Cow` so that callers written
+/// against the owned `String` this once returned (`&xml`, `.as_deref()`)
+/// read it unchanged. Returns `None` for non-doc messages, for envelopes
+/// cut short and for a `<doc>` carrying more than its `uri` — the caller
+/// treats those as transport corruption (after checking [`decode_fault`]
+/// first).
+pub fn decode_doc_response(message: &str) -> Option<Cow<'_, str>> {
     let rest = message.strip_prefix(DOC)?.strip_prefix("uri=\"")?;
     // an escaped attribute value holds no quote, so the first one ends it,
     // and the start tag ends right after: `uri` is `<doc>`'s one attribute
     let rest = rest[rest.find('"')? + 1..].strip_prefix('>')?;
-    Some(rest.strip_suffix(DOC_CLOSE)?.to_string())
+    rest.strip_suffix(DOC_CLOSE).map(Cow::Borrowed)
 }
 
 /// A decoded request, with all node values shredded into the receiving

@@ -4,7 +4,8 @@
 //! One daemon hosts one peer's document store (plus any replica copies it
 //! serves) behind the same decode → evaluate → encode path the simulated
 //! federation runs — the server's execution engine *is* a single-peer
-//! [`Federation`] seen through its [`Transport`] view, so wire semantics
+//! [`Federation`] seen through its [`Transport`](crate::transport::Transport)
+//! view, so wire semantics
 //! cannot drift between the two worlds.
 //!
 //! Robustness discipline, per connection and per request:
@@ -50,10 +51,11 @@ use std::time::{Duration, Instant};
 use xqd_xquery::value::EvalError;
 
 use crate::exec::{ExecOptions, Federation, Peer, SimTransport};
-use crate::message::encode_fault;
+use crate::message::{encode_fault, Reply};
 use crate::net::{NetworkModel, XrpcError};
 use crate::transport::{
-    frame_reader, read_payload, read_prefix, write_frame, FrameError, Transport, MAX_FRAME_LEN,
+    frame_reader, read_payload, read_prefix, write_frame, write_frame_parts, FrameError,
+    MAX_FRAME_LEN,
 };
 
 /// Deadlines and bounds of one peer daemon.
@@ -190,7 +192,7 @@ impl Shared {
     /// the exchange budget is chunked so a request stuck waiting for the
     /// peer slot notices a drain (or its own deadline) within
     /// [`SLOT_POLL`], and expiry produces a typed `xrpc:timeout` fault.
-    fn execute(&self, request: &str) -> String {
+    fn execute(&self, request: &str) -> Reply {
         let started = Instant::now();
         loop {
             let deadline_left = self.config.request_deadline.saturating_sub(started.elapsed());
@@ -199,9 +201,10 @@ impl Shared {
                 None => (deadline_left, self.config.request_deadline),
             };
             if budget.is_zero() {
-                return encode_fault(&XrpcError::Timeout { peer: self.name.clone(), deadline });
+                let timeout = XrpcError::Timeout { peer: self.name.clone(), deadline };
+                return Reply::Envelope(encode_fault(&timeout));
             }
-            match self.transport.exchange(&self.name, request, budget.min(SLOT_POLL)) {
+            match self.transport.serve(&self.name, request, budget.min(SLOT_POLL)) {
                 Ok(reply) => {
                     self.note_service(started.elapsed());
                     return reply;
@@ -209,7 +212,7 @@ impl Shared {
                 // the slot stayed held by another request for the whole
                 // chunk: re-check drain and deadline, then wait again
                 Err(XrpcError::PeerBusy { .. }) => continue,
-                Err(e) => return encode_fault(&e),
+                Err(e) => return Reply::Envelope(encode_fault(&e)),
             }
         }
     }
@@ -296,9 +299,10 @@ fn serve_conn(shared: &Shared, stream: &TcpStream) {
             shared.execute(&payload)
         } else {
             shared.shed.fetch_add(1, Ordering::Relaxed);
-            encode_fault(&XrpcError::Overloaded { retry_after_ms: shared.retry_hint_ms() })
+            let shed = XrpcError::Overloaded { retry_after_ms: shared.retry_hint_ms() };
+            Reply::Envelope(encode_fault(&shed))
         };
-        let wrote = write_frame(&mut writer, &reply).is_ok();
+        let wrote = write_frame_parts(&mut writer, reply.parts()).is_ok();
         if admitted {
             shared.served.fetch_add(1, Ordering::Relaxed);
             shared.release_inflight();

@@ -105,11 +105,24 @@ fn io_frame_err(e: std::io::Error) -> FrameError {
 /// prefix alone only to block again for the payload. Gathering instead of
 /// assembling keeps an MB-sized payload from being copied just to be sent.
 pub fn write_frame(w: &mut dyn Write, payload: &str) -> std::io::Result<()> {
-    let len = u32::try_from(payload.len()).map_err(|_| {
+    write_frame_parts(w, [payload, "", ""])
+}
+
+/// [`write_frame`] of a payload given in parts, gathered the same way: a
+/// daemon's doc reply is its head, the document's served text and the
+/// tail, and the text is sent from where the document keeps it.
+pub(crate) fn write_frame_parts(w: &mut dyn Write, payload: [&str; 3]) -> std::io::Result<()> {
+    let total: usize = payload.iter().map(|part| part.len()).sum();
+    let len = u32::try_from(total).map_err(|_| {
         std::io::Error::new(std::io::ErrorKind::InvalidInput, "frame payload exceeds u32 length")
     })?;
     let prefix = len.to_be_bytes();
-    let mut parts = [IoSlice::new(&prefix), IoSlice::new(payload.as_bytes())];
+    let mut parts = [
+        IoSlice::new(&prefix),
+        IoSlice::new(payload[0].as_bytes()),
+        IoSlice::new(payload[1].as_bytes()),
+        IoSlice::new(payload[2].as_bytes()),
+    ];
     let mut left = &mut parts[..];
     // an empty payload leaves an empty slice behind the prefix: done when
     // no byte is left, not when no slice is

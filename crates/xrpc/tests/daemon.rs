@@ -45,7 +45,8 @@ use std::time::{Duration, Instant};
 
 use xqd_core::Strategy;
 use xqd_xrpc::{
-    decode_doc_response, decode_fault, encode_doc_request, encode_request, read_frame,
+    decode_doc_response, decode_fault, encode_doc_request, encode_doc_response, encode_request,
+    read_frame,
     write_frame, BreakerState, ExecOptions, Federation, NetworkModel, PeerServer, RetryPolicy,
     ServerConfig, SocketFederation, TcpTransport, Transport, WireSemantics, XrpcError,
     MAX_FRAME_LEN,
@@ -173,6 +174,27 @@ fn doc_request_over_raw_socket_ships_the_document() {
         .expect("doc reply frame");
     let xml = decode_doc_response(&reply).expect("doc envelope");
     assert!(xml.contains("person"), "shipped document lost content: {xml}");
+}
+
+/// A daemon serves a fetched document from the text it serialized on the
+/// first fetch: repeat requests, on one connection or a fresh one, get the
+/// same frame, byte for byte the envelope of the document serialized anew.
+#[test]
+fn repeated_doc_requests_return_the_same_frame() {
+    let p1 = daemon("P1", ServerConfig::default());
+    let uri = "xrpc://P1/people.xml";
+    let mut store = xqd_xml::Store::new();
+    let doc = xqd_xml::parse_document(&mut store, PEOPLE, Some(uri)).unwrap();
+    let want = encode_doc_response(uri, &xqd_xml::serialize_document(store.doc(doc), &store.names));
+    let request = encode_doc_request(uri);
+    let mut stream = TcpStream::connect(p1.addr()).unwrap();
+    let first = raw_exchange(&mut stream, &request).expect("first doc reply frame");
+    let second = raw_exchange(&mut stream, &request).expect("second doc reply frame");
+    let mut fresh = TcpStream::connect(p1.addr()).unwrap();
+    let third = raw_exchange(&mut fresh, &request).expect("doc reply frame on a new connection");
+    assert_eq!(first, want);
+    assert_eq!(second, want);
+    assert_eq!(third, want);
 }
 
 /// The accept loop blocks in `accept`: a new connection is served the

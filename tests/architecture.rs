@@ -299,11 +299,44 @@ const ROWS: &[Row] = &[
     },
     Row {
         gate: "every envelope is opened once",
-        why: "exec.rs holds one document server (Peer::serialize_document)",
+        why: "exec.rs holds one document server (Peer::serve_document)",
         files: &[EXEC],
         needles: &[lit(r#""xrpc:document-not-found""#)],
         expect: Expect::Lines(1),
         tamper: top(EXEC, r#"        return fault("xrpc:document-not-found", uri);"#),
+        ..BASE
+    },
+    Row {
+        gate: "a shipped document is paid for once",
+        why: "exec.rs serves a document from its cached text (Store::served_text), never anew",
+        files: &[EXEC],
+        lines: Lines::NonTest,
+        needles: &[lit("serialize_document(")],
+        exempt: &[Exempt::Line(EXEC, lit("total += xqd_xml::serialize_document("))],
+        tamper: top(
+            EXEC,
+            "        Ok(xqd_xml::serialize_document(self.store.doc(doc), &self.store.names))",
+        ),
+        ..BASE
+    },
+    Row {
+        gate: "a shipped document is paid for once",
+        why: "decode_doc_response borrows the document from the frame; the shredder reads it there",
+        files: &[MESSAGE],
+        lines: Lines::Body(&[line_start("pub fn decode_doc_response")]),
+        needles: &[lit("to_string"), lit("to_owned"), lit("String::from")],
+        tamper: below(MESSAGE, "pub fn decode_doc_response", "    Some(rest.to_string())"),
+        ..BASE
+    },
+    Row {
+        gate: "a shipped document is paid for once",
+        why: "NameTable keeps std's keyed SipHash (the shredder's NameMemo sits in front of it)",
+        files: &["crates/xml/src/name.rs"],
+        needles: &[lit("BuildHasher"), lit("with_hasher("), lit("Hasher for")],
+        tamper: top(
+            "crates/xml/src/name.rs",
+            "    index: HashMap<Box<str>, NameId, BuildHasherDefault<FxHasher>>,",
+        ),
         ..BASE
     },
     Row {
