@@ -49,7 +49,7 @@ use xqd_xml::{index, Axis, DocId, NameId, NodeId, Store};
 use crate::ast::*;
 use crate::eval::{
     arith, matches_seq_type, no_remote_handler, node_compare, node_set, Evaluator, LocalResolver,
-    ScatterCall, StaticContext,
+    RemoteRequest, StaticContext,
 };
 use crate::value::*;
 
@@ -102,6 +102,17 @@ pub struct PlanExec {
     pub params: Vec<XrpcParam>,
     pub body: Box<Expr>,
     pub projection: Option<Box<ExecProjection>>,
+}
+
+impl PlanExec {
+    /// The request carrying `calls` of this body to `peer`.
+    fn request<'a>(
+        &'a self,
+        peer: &'a str,
+        calls: &'a [Vec<(String, Sequence)>],
+    ) -> RemoteRequest<'a> {
+        RemoteRequest { peer, body: &self.body, projection: self.projection.as_deref(), calls }
+    }
 }
 
 /// A `for`-return clause amenable to Bulk RPC, detected at compile time:
@@ -1367,35 +1378,32 @@ impl<'a> Evaluator<'a> {
         Ok(Operand::Table(table))
     }
 
-    /// A lone call: a Bulk RPC of one.
+    /// A lone call: a request of one call.
     fn eval_execute(&mut self, plan: &Plan, run: &mut PlanRun, pe: &PlanExec) -> EvalResult {
-        let call = self.bind_call(plan, run, pe)?;
+        let (peer, params) = self.bind_call(plan, run, pe)?;
+        let request = pe.request(&peer, std::slice::from_ref(&params));
+        Ok(self.send(&[request])?.pop().unwrap_or_default())
+    }
+
+    /// Sends `requests` through the remote handler.
+    fn send(&mut self, requests: &[RemoteRequest<'_>]) -> EvalResult<Vec<Sequence>> {
         let handler = self.remote.as_mut().ok_or_else(no_remote_handler)?;
-        let mut results = handler.execute_bulk(
-            self.store,
-            &self.static_ctx,
-            &call.peer,
-            std::slice::from_ref(&call.params),
-            call.body,
-            call.projection,
-        )?;
-        Ok(results.pop().unwrap_or_default())
+        handler.send(self.store, &self.static_ctx, requests)
     }
 
     /// Evaluates the peer of one compiled `execute at` and binds its
     /// parameters from the current environment.
-    fn bind_call<'p>(
+    fn bind_call(
         &mut self,
-        plan: &'p Plan,
+        plan: &Plan,
         run: &mut PlanRun,
-        pe: &'p PlanExec,
-    ) -> EvalResult<ScatterCall<'p>> {
+        pe: &PlanExec,
+    ) -> EvalResult<(String, Vec<(String, Sequence)>)> {
         let peer = match self.eval_op(plan, run, pe.peer)?.as_slice() {
             [item] => string_value(self.store, item),
             _ => return Err(EvalError::new("execute at peer must be a single item")),
         };
-        let params = self.bind_params(pe)?;
-        Ok(ScatterCall { peer, params, body: &pe.body, projection: pe.projection.as_deref() })
+        Ok((peer, self.bind_params(pe)?))
     }
 
     fn bind_params(&self, pe: &PlanExec) -> EvalResult<Vec<(String, Sequence)>> {
@@ -1414,15 +1422,18 @@ impl<'a> Evaluator<'a> {
         binds: &[(SymId, OpRef)],
         body: OpRef,
     ) -> EvalResult {
-        let mut calls = Vec::with_capacity(binds.len());
+        let mut bound = Vec::with_capacity(binds.len());
         for &(_, exec) in binds {
             let Op::Execute(pe) = plan.op(exec) else {
                 unreachable!("a round binds Execute ops only");
             };
-            calls.push(self.bind_call(plan, run, pe)?);
+            bound.push((pe, self.bind_call(plan, run, pe)?));
         }
-        let handler = self.remote.as_mut().ok_or_else(no_remote_handler)?;
-        let gathered = handler.execute_scatter(self.store, &self.static_ctx, &calls)?;
+        let requests: Vec<RemoteRequest<'_>> = bound
+            .iter()
+            .map(|(pe, (peer, params))| pe.request(peer, std::slice::from_ref(params)))
+            .collect();
+        let gathered = self.send(&requests)?;
         let depth = self.env.len();
         for (&(var, _), seq) in binds.iter().zip(gathered) {
             self.env.push((plan.sym(var).to_string(), seq));
@@ -1472,16 +1483,7 @@ impl<'a> Evaluator<'a> {
             }
             calls.push(bound?);
         }
-        let handler = self.remote.as_mut().expect("bulk path requires a handler");
-        let results = handler.execute_bulk(
-            self.store,
-            &self.static_ctx,
-            peer,
-            &calls,
-            &pe.body,
-            pe.projection.as_deref(),
-        )?;
-        Ok(results.into_iter().flatten().collect())
+        Ok(self.send(&[pe.request(peer, &calls)])?.into_iter().flatten().collect())
     }
 
     fn eval_path(

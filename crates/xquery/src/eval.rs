@@ -67,48 +67,33 @@ impl DocResolver for LocalResolver {
     }
 }
 
-/// One pre-bound remote call of a scatter round. Every parameter sequence
-/// is already evaluated, so a handler can encode all requests up front and
-/// fan the execute phase out across peers concurrently.
-pub struct ScatterCall<'a> {
-    pub peer: String,
-    pub params: Vec<(String, Sequence)>,
+/// One XRPC request message: the calls of one body at one peer, every
+/// parameter sequence already evaluated. A lone `execute at` is a request
+/// of one call, the calls of one `for` loop are one request (a Bulk RPC),
+/// and a scatter round is several requests of one call each.
+pub struct RemoteRequest<'a> {
+    pub peer: &'a str,
     pub body: &'a Expr,
     pub projection: Option<&'a ExecProjection>,
+    pub calls: &'a [Vec<(String, Sequence)>],
 }
 
 /// Sends a compiled plan's remote calls (XRPCExpr) and shreds the
-/// responses into the local store. A plan makes two kinds of call: a lone
-/// `execute at`, or the calls of one `for` loop, is a Bulk RPC; the
-/// independent calls of one scatter round go out together.
+/// responses into the local store.
 pub trait RemoteHandler {
-    /// **Bulk RPC**: executes the same body once per parameter binding in a
-    /// single network interaction. The plan engine batches a remote call
-    /// nested directly in a `for`-loop through this method, and sends a
-    /// lone call as a bulk of one; under pass-by-fragment all iterations
-    /// then share one fragments preamble, which is what lets Section V drop
-    /// `ForExpr` from condition iii.
-    #[allow(clippy::too_many_arguments)]
-    fn execute_bulk(
+    /// Sends `requests` and returns one sequence per call, in request order
+    /// and, within a request, in call order. A request's calls share one
+    /// network interaction: under pass-by-fragment they share one fragments
+    /// preamble, which is what lets Section V drop `ForExpr` from condition
+    /// iii. The plan engine only sends several requests at once when their
+    /// parameters are independent of each other's results, so a handler may
+    /// run them concurrently — but it must stay observably identical to
+    /// sending them one by one.
+    fn send(
         &mut self,
         local: &mut Store,
         static_ctx: &StaticContext,
-        peer: &str,
-        calls: &[Vec<(String, Sequence)>],
-        body: &Expr,
-        projection: Option<&ExecProjection>,
-    ) -> EvalResult<Vec<Sequence>>;
-
-    /// **Scatter-gather**: executes one round of calls aimed at (usually
-    /// distinct) peers. The plan engine only batches calls whose parameters
-    /// are independent of each other's results, so a handler may run them
-    /// concurrently — but it must gather results in call order and stay
-    /// observably identical to executing the calls one by one.
-    fn execute_scatter(
-        &mut self,
-        local: &mut Store,
-        static_ctx: &StaticContext,
-        calls: &[ScatterCall<'_>],
+        requests: &[RemoteRequest<'_>],
     ) -> EvalResult<Vec<Sequence>>;
 }
 

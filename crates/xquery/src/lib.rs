@@ -39,7 +39,7 @@ pub use compile::{
     ProfileHook, SymId,
 };
 pub use eval::{
-    eval_query, DocResolver, Evaluator, LocalResolver, RemoteHandler, ScatterCall, StaticContext,
+    eval_query, DocResolver, Evaluator, LocalResolver, RemoteHandler, RemoteRequest, StaticContext,
 };
 pub use normalize::{free_vars, inline_functions, lower_filters, normalize, rename_var};
 pub use parser::{parse_expr_str, parse_query, ParseError};

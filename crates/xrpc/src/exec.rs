@@ -29,15 +29,19 @@
 //! The federation core is thread-safe: peers live in slots behind a
 //! `Mutex`+`Condvar` (a peer is *taken* for the duration of a call, and
 //! waiting replaces the old hard "busy" failure), and metrics accumulate
-//! into atomics. A plan sends its calls through two methods of the link:
-//! `execute_bulk` carries a lone call or one `for` loop's calls, and when
-//! the plan reaches an `Op::Scatter` — independent `execute at` calls aimed
-//! at distinct peers — [`FedLink::execute_scatter`] encodes every request
-//! up front (byte-identical to sequential execution),
-//! fans the ladders out across one scoped thread per peer
-//! ([`crate::scatter`]), and gathers/decodes responses in deterministic
-//! call order. Serialized network cost stays the exact per-transfer sum;
-//! the overlapped cost of a round is the slowest peer's chain (see
+//! into atomics. A plan sends its calls through the link's one method,
+//! `send`, as a slice of requests: a lone call is one request of one call,
+//! a `for` loop's calls are one request (a Bulk RPC), and an `Op::Scatter`
+//! round — independent `execute at` calls aimed at distinct peers — is
+//! several requests of one call each. Requests go one after the other,
+//! each ladder settled before the next starts, unless they make a round:
+//! then [`FedLink::scatter`] encodes every request up front
+//! (byte-identical to sequential execution), fans the ladders out across
+//! one scoped thread per peer ([`crate::scatter`]), and gathers/decodes
+//! responses in deterministic call order. Whatever the path, a finished
+//! ladder — or a whole round — is billed, observed and traced by one
+//! routine, `land`: serialized network cost stays the exact per-transfer
+//! sum; the overlapped cost of a round is the slowest peer's chain (see
 //! [`Metrics::network_overlapped`]).
 //!
 //! # Failure semantics
@@ -65,8 +69,8 @@ use std::time::{Duration, Instant};
 
 use xqd_core::Strategy;
 use xqd_xml::{NodeId, NodeKind, Store};
-use xqd_xquery::ast::{Atomic, ExecProjection};
-use xqd_xquery::eval::{DocResolver, Evaluator, RemoteHandler, ScatterCall, StaticContext};
+use xqd_xquery::ast::Atomic;
+use xqd_xquery::eval::{DocResolver, Evaluator, RemoteHandler, RemoteRequest, StaticContext};
 use xqd_xquery::value::{EvalError, EvalResult, Item, Sequence};
 use xqd_xquery::{parse_query, Expr, QueryModule};
 
@@ -343,26 +347,6 @@ impl FedCore {
                 self.metrics.breaker_trips.fetch_add(1, Ordering::Relaxed);
             }
         }
-    }
-
-    /// Bills one ladder outside a scatter round, where transfers never
-    /// overlap: its chains to the serialized and the overlapped clock, and
-    /// its counters.
-    fn charge_ladder(&self, ladder: &LadderOutcome) {
-        let sink = &self.metrics;
-        sink.network.fetch_add(as_ns(ladder.serialized), Ordering::Relaxed);
-        sink.network_overlapped.fetch_add(as_ns(ladder.window), Ordering::Relaxed);
-        self.charge_ladder_counters(ladder);
-    }
-
-    /// Bills a ladder's counters (retries, hedges, probes, failovers).
-    fn charge_ladder_counters(&self, ladder: &LadderOutcome) {
-        let sink = &self.metrics;
-        sink.retries.fetch_add(ladder.retries, Ordering::Relaxed);
-        sink.hedges.fetch_add(ladder.hedges, Ordering::Relaxed);
-        sink.hedge_wins.fetch_add(ladder.hedge_wins, Ordering::Relaxed);
-        sink.breaker_probes.fetch_add(ladder.probes, Ordering::Relaxed);
-        sink.replica_failovers.fetch_add(ladder.failovers, Ordering::Relaxed);
     }
 
     /// An honest resubmission hint for a busy peer: its observed EWMA
@@ -1002,15 +986,7 @@ impl DocResolver for FedLink {
                 }
             };
             let mut ladder = walk(fetch, &call, host, candidates, rejected);
-            self.core.charge_ladder(&ladder);
-            if self.peer.is_empty() {
-                self.core.apply_observations(ladder.window, &ladder.observations);
-                if let Some(tracer) = self.core.tracer() {
-                    let root = SpanBuilder::new("doc.fetch", "doc").arg("uri", uri);
-                    tracer.submit(tracer.clock_ns(), ROOT_SPAN, ladder.span(root));
-                    tracer.advance(ladder.window);
-                }
-            }
+            land(self, Landing::Fetch(uri), std::slice::from_mut(&mut ladder));
             let sink = &self.core.metrics;
             let reply = ladder.outcome.map_err(EvalError::from)?;
             let xml = decode_doc_response(&reply).ok_or_else(|| not_a_doc_envelope(host, uri))?;
@@ -1649,21 +1625,16 @@ fn degrade_module(body: &Expr, peer: &str) -> Option<QueryModule> {
 ///
 /// Returns `Ok(None)` when the body is ineligible (see [`degrade_module`]);
 /// the caller then surfaces the typed transport error instead.
-#[allow(clippy::too_many_arguments)]
 fn fallback_local(
     core: &Arc<FedCore>,
     local: &mut Store,
     static_ctx: &StaticContext,
-    peer: &str,
-    body: &Expr,
-    calls: &[Vec<(String, Sequence)>],
-    projection: Option<&ExecProjection>,
-    wire: WireSemantics,
+    r: &RemoteRequest<'_>,
 ) -> EvalResult<Option<Vec<Sequence>>> {
-    let Some(module) = degrade_module(body, peer) else { return Ok(None) };
+    let Some(module) = degrade_module(r.body, r.peer) else { return Ok(None) };
     // evaluated as the coordinator (empty peer name), so the rewritten
     // `xrpc://` document URIs data-ship through the resolver
-    let results = eval_shipped(core, "", local, &module, static_ctx, calls).map_err(|e| {
+    let results = eval_shipped(core, "", local, &module, static_ctx, r.calls).map_err(|e| {
         if e.code.is_some() {
             e
         } else {
@@ -1671,79 +1642,148 @@ fn fallback_local(
             // dynamic error during degraded evaluation is the same
             // fault the peer would have reported
             EvalError::from(XrpcError::RemoteFault {
-                peer: peer.to_string(),
+                peer: r.peer.to_string(),
                 code: "err:dynamic".to_string(),
                 message: e.message,
             })
         }
     })?;
-    let response = encode_response(local, wire, &results, projection.map(|p| &p.result))?;
+    let projection = r.projection.map(|p| &p.result);
+    let response = encode_response(local, core.wire(), &results, projection)?;
     let decoded = decode_response(local, &response)?;
     core.metrics.fallbacks.fetch_add(1, Ordering::Relaxed);
     Ok(Some(decoded))
 }
 
 impl FedLink {
-    /// Caller side of a request: serialize `calls` against the local store.
+    /// Caller side of a request: serialize its calls against the local
+    /// store.
     fn encode(
         &self,
         local: &Store,
         static_ctx: &StaticContext,
-        calls: &[Vec<(String, Sequence)>],
-        body: &xqd_xquery::Expr,
-        projection: Option<&ExecProjection>,
+        r: &RemoteRequest<'_>,
     ) -> EvalResult<String> {
         let t0 = Instant::now();
         let request = encode_request(
             local,
             self.core.wire(),
             static_ctx,
-            &body.to_string(),
-            calls,
-            projection.map(|p| p.params.as_slice()),
-            projection.map(|p| &p.result),
+            &r.body.to_string(),
+            r.calls,
+            r.projection.map(|p| p.params.as_slice()),
+            r.projection.map(|p| &p.result),
         )?;
         let sink = &self.core.metrics;
         sink.serialize.fetch_add(as_ns(t0.elapsed()), Ordering::Relaxed);
-        sink.remote_calls.fetch_add(calls.len() as u64, Ordering::Relaxed);
+        sink.remote_calls.fetch_add(r.calls.len() as u64, Ordering::Relaxed);
         Ok(request)
+    }
+
+    /// One request on its own: encoded, walked through the failover ladder
+    /// on the next lane, landed, and settled before the caller moves on.
+    fn call(
+        &self,
+        local: &mut Store,
+        static_ctx: &StaticContext,
+        r: &RemoteRequest<'_>,
+    ) -> EvalResult<Vec<Sequence>> {
+        let request = self.encode(local, static_ctx, r)?;
+        let board = self.core.board_snapshot();
+        let lane = self.core.next_lane();
+        let mut process = |host: &str, req: &str, wait: Duration| -> EvalResult<String> {
+            if host == self.peer {
+                // re-entrant call: the caller *is* this peer, so its store
+                // is on our stack — evaluate directly instead of taking the
+                // (empty) slot. The message still crossed the loopback wire.
+                process_request(&self.core, host, local, req)
+            } else {
+                process_on_peer(&self.core, host, req, wait)
+            }
+        };
+        let mut ladder = call_with_failover(&self.core, &board, r.peer, lane, &request, &mut process);
+        let landing = Landing::Request { peer: r.peer, calls: r.calls.len() };
+        land(self, landing, std::slice::from_mut(&mut ladder));
+        self.settle(local, static_ctx, r, ladder.outcome)
+    }
+
+    /// One scatter round: every request is encoded up front, in call order
+    /// — parameters were pre-bound by the evaluator and responses only ever
+    /// *add* documents to the coordinator store, so these encodings are
+    /// byte-identical to the ones sequential execution would produce — then
+    /// the ladders fan out across one scoped thread per distinct
+    /// destination, and the replies are settled in call order.
+    fn scatter(
+        &self,
+        local: &mut Store,
+        static_ctx: &StaticContext,
+        requests: &[RemoteRequest<'_>],
+    ) -> EvalResult<Vec<Sequence>> {
+        let encoded = requests
+            .iter()
+            .map(|r| self.encode(local, static_ctx, r))
+            .collect::<EvalResult<Vec<String>>>()?;
+        // Each worker drives its calls through the same failover ladder as
+        // sequential execution, over a shared scoreboard snapshot. Fault
+        // ordinals come from per-slot lanes reserved before the spawn, so
+        // the schedule is independent of thread interleaving even when two
+        // slots fail over to the same replica; health observations are
+        // applied at the landing, in slot order.
+        let peers: Vec<&str> = requests.iter().map(|r| r.peer).collect();
+        let groups = group_by_peer(&peers);
+        let board = self.core.board_snapshot();
+        let lane_base = self.core.reserve_lanes(requests.len() as u64);
+        let core = &self.core;
+        let mut rows: Vec<LadderOutcome> = fan_out(
+            &groups,
+            |i| {
+                call_with_failover(
+                    core,
+                    &board,
+                    peers[i],
+                    lane_base + i as u64,
+                    &encoded[i],
+                    &mut |host, req, wait| process_on_peer(core, host, req, wait),
+                )
+            },
+            LadderOutcome::failed,
+        );
+        // the slowest destination's chain dominates the round
+        let window = groups
+            .iter()
+            .map(|(_, idxs)| idxs.iter().map(|&i| rows[i].window).sum())
+            .max()
+            .unwrap_or_default();
+        land(self, Landing::Round { peers: &peers, window }, &mut rows);
+        let mut results = Vec::with_capacity(requests.len());
+        for (row, r) in rows.into_iter().zip(requests) {
+            results.extend(self.settle(local, static_ctx, r, row.outcome)?);
+        }
+        Ok(results)
     }
 
     /// Caller side of a ladder's outcome: shred the reply into the local
     /// store, or — when the peer could not *answer*, the body is eligible
     /// and the carrier has the rung — degrade to data shipping
     /// ([`fallback_local`]); anything else is the typed error.
-    #[allow(clippy::too_many_arguments)]
     fn settle(
         &self,
         local: &mut Store,
         static_ctx: &StaticContext,
-        peer: &str,
-        calls: &[Vec<(String, Sequence)>],
-        body: &xqd_xquery::Expr,
-        projection: Option<&ExecProjection>,
+        r: &RemoteRequest<'_>,
         outcome: Result<String, XrpcError>,
     ) -> EvalResult<Vec<Sequence>> {
         let response = match outcome {
-            Ok(r) => r,
+            Ok(response) => response,
             Err(e) => {
                 if e.degradable() && self.core.degrades() {
-                    if let Some(sequences) = fallback_local(
-                        &self.core,
-                        local,
-                        static_ctx,
-                        peer,
-                        body,
-                        calls,
-                        projection,
-                        self.core.wire(),
-                    )? {
+                    if let Some(sequences) = fallback_local(&self.core, local, static_ctx, r)? {
                         if let Some(tracer) = self.core.tracer().filter(|_| self.peer.is_empty()) {
                             tracer.event(
                                 ROOT_SPAN,
                                 "rpc.degrade",
                                 "rpc",
-                                vec![("peer", peer.to_string()), ("error", e.code().to_string())],
+                                vec![("peer", r.peer.to_string()), ("error", e.code().to_string())],
                             );
                         }
                         return Ok(sequences);
@@ -1755,15 +1795,79 @@ impl FedLink {
         let t0 = Instant::now();
         let sequences = decode_response(local, &response)?;
         self.core.metrics.shred.fetch_add(as_ns(t0.elapsed()), Ordering::Relaxed);
-        if sequences.len() != calls.len() {
+        if sequences.len() != r.calls.len() {
             return Err(EvalError::new(format!(
                 "response carries {} sequences for {} calls",
                 sequences.len(),
-                calls.len()
+                r.calls.len()
             )));
         }
         Ok(sequences)
     }
+}
+
+/// What one landing carries: the ladder of a document fetch or of one
+/// request, or every slot of a scatter round.
+enum Landing<'a> {
+    Fetch(&'a str),
+    Request { peer: &'a str, calls: usize },
+    /// Slot `i` went to `peers[i]`; the round occupied `window`.
+    Round { peers: &'a [&'a str], window: Duration },
+}
+
+/// Lands finished ladders — one, or every slot of a round — for `link`:
+/// bills their serialized network (the exact sum over every attempt chain,
+/// hedged losers included), the window they occupied to the overlapped
+/// network, and their counters; then, on the coordinator only, advances the
+/// health board past the window and applies their observations in slot
+/// order, submits their span tree and moves the trace clock by the same
+/// window — so the board and the trace evolve identically on either path.
+fn land(link: &FedLink, landing: Landing<'_>, ladders: &mut [LadderOutcome]) {
+    let window = match landing {
+        Landing::Round { window, .. } => window,
+        Landing::Fetch(_) | Landing::Request { .. } => ladders[0].window,
+    };
+    let core = &link.core;
+    let sink = &core.metrics;
+    let serialized: Duration = ladders.iter().map(|l| l.serialized).sum();
+    sink.network.fetch_add(as_ns(serialized), Ordering::Relaxed);
+    sink.network_overlapped.fetch_add(as_ns(window), Ordering::Relaxed);
+    if let Landing::Round { .. } = landing {
+        sink.scatter_rounds.fetch_add(1, Ordering::Relaxed);
+    }
+    for l in ladders.iter() {
+        sink.retries.fetch_add(l.retries, Ordering::Relaxed);
+        sink.hedges.fetch_add(l.hedges, Ordering::Relaxed);
+        sink.hedge_wins.fetch_add(l.hedge_wins, Ordering::Relaxed);
+        sink.breaker_probes.fetch_add(l.probes, Ordering::Relaxed);
+        sink.replica_failovers.fetch_add(l.failovers, Ordering::Relaxed);
+    }
+    if !link.peer.is_empty() {
+        return;
+    }
+    core.apply_observations(window, ladders.iter().flat_map(|l| &l.observations));
+    let Some(tracer) = core.tracer() else { return };
+    let anchor = tracer.clock_ns();
+    let tree = match landing {
+        Landing::Fetch(uri) => ladders[0].span(SpanBuilder::new("doc.fetch", "doc").arg("uri", uri)),
+        Landing::Request { peer, calls } => ladders[0]
+            .span(SpanBuilder::new("rpc.ladder", "rpc").arg("peer", peer))
+            .arg("calls", calls.to_string()),
+        // slot ladders all anchor at the round start (they genuinely
+        // overlap); ids are assigned in slot order
+        Landing::Round { peers, .. } => {
+            let mut round = SpanBuilder::new("scatter.round", "rpc")
+                .lasting(window)
+                .arg("slots", ladders.len().to_string());
+            for (i, l) in ladders.iter_mut().enumerate() {
+                let root = SpanBuilder::new("rpc.ladder", "rpc").arg("peer", peers[i]);
+                round.push_child(l.span(root).arg("slot", i.to_string()));
+            }
+            round
+        }
+    };
+    tracer.submit(anchor, ROOT_SPAN, tree);
+    tracer.advance(window);
 }
 
 /// Serves one request on `host`'s peer, taken out of its slot for the
@@ -1778,165 +1882,30 @@ fn process_on_peer(
 }
 
 impl RemoteHandler for FedLink {
-    fn execute_bulk(
+    /// Sends each request in turn — each on its own lane, its ladder
+    /// walked, landed and settled (a degrade fetch included) before the
+    /// next starts — unless the requests make a scatter round worth
+    /// overlapping: parallel scatter on, at least two requests, and none
+    /// aimed re-entrantly at this link's own peer. Either way the results,
+    /// bytes and serialized network are identical; only a round earns
+    /// overlap credit.
+    fn send(
         &mut self,
         local: &mut Store,
         static_ctx: &StaticContext,
-        peer: &str,
-        calls: &[Vec<(String, Sequence)>],
-        body: &xqd_xquery::Expr,
-        projection: Option<&ExecProjection>,
+        requests: &[RemoteRequest<'_>],
     ) -> EvalResult<Vec<Sequence>> {
-        let request = self.encode(local, static_ctx, calls, body, projection)?;
-
-        // ---- deliver through the failover ladder over the replica set ----
-        let core = Arc::clone(&self.core);
-        let own = self.peer.clone();
-        let board = self.core.board_snapshot();
-        let lane = self.core.next_lane();
-        let mut process = |host: &str, req: &str, wait: Duration| -> EvalResult<String> {
-            if host == own {
-                // re-entrant call: the caller *is* this peer, so its store
-                // is on our stack — evaluate directly instead of taking the
-                // (empty) slot. The message still crossed the loopback wire.
-                process_request(&core, host, local, req)
-            } else {
-                process_on_peer(&core, host, req, wait)
-            }
-        };
-        let mut ladder = call_with_failover(&self.core, &board, peer, lane, &request, &mut process);
-        self.core.charge_ladder(&ladder);
-        if self.peer.is_empty() {
-            self.core.apply_observations(ladder.window, &ladder.observations);
-            // submit the ladder's span tree and advance the trace clock by
-            // exactly the wall clock the scoreboard just advanced by
-            if let Some(tracer) = self.core.tracer() {
-                let root = SpanBuilder::new("rpc.ladder", "rpc").arg("peer", peer);
-                let tree = ladder.span(root).arg("calls", calls.len().to_string());
-                tracer.submit(tracer.clock_ns(), ROOT_SPAN, tree);
-                tracer.advance(ladder.window);
-            }
-        }
-        self.settle(local, static_ctx, peer, calls, body, projection, ladder.outcome)
-    }
-
-    fn execute_scatter(
-        &mut self,
-        local: &mut Store,
-        static_ctx: &StaticContext,
-        calls: &[ScatterCall<'_>],
-    ) -> EvalResult<Vec<Sequence>> {
-        let options = self.core.options();
-        // parallelism disabled, nothing to overlap, or a round targeting
-        // our own peer re-entrantly: fall back to the sequential per-call
-        // loop (identical results, bytes and serialized network; no overlap
-        // credit)
-        if !options.parallel_scatter
-            || calls.len() < 2
-            || calls.iter().any(|c| c.peer == self.peer)
+        if requests.len() < 2
+            || requests.iter().any(|r| r.peer == self.peer)
+            || !self.core.options().parallel_scatter
         {
-            return calls
-                .iter()
-                .map(|c| {
-                    let one_call = std::slice::from_ref(&c.params);
-                    let mut r = self
-                        .execute_bulk(local, static_ctx, &c.peer, one_call, c.body, c.projection)?;
-                    Ok(r.pop().unwrap_or_default())
-                })
-                .collect();
-        }
-
-        // ---- scatter: encode every request up front, in call order ----
-        // Parameters were pre-bound by the evaluator and responses only ever
-        // *add* documents to the coordinator store, so these encodings are
-        // byte-identical to the ones sequential execution would produce.
-        let requests = calls
-            .iter()
-            .map(|c| {
-                self.encode(local, static_ctx, std::slice::from_ref(&c.params), c.body, c.projection)
-            })
-            .collect::<EvalResult<Vec<String>>>()?;
-
-        // ---- fan out: one scoped thread per distinct destination ----
-        // Each worker drives its calls through the same failover ladder as
-        // sequential execution, over a shared scoreboard snapshot. Fault
-        // ordinals come from per-slot lanes reserved before the spawn, so
-        // the schedule is independent of thread interleaving even when two
-        // slots fail over to the same replica; health observations are
-        // collected per slot and applied at the gather, in slot order.
-        let peers: Vec<&str> = calls.iter().map(|c| c.peer.as_str()).collect();
-        let groups = group_by_peer(&peers);
-        let board = self.core.board_snapshot();
-        let lane_base = self.core.reserve_lanes(calls.len() as u64);
-        let core = &self.core;
-        let mut rows: Vec<LadderOutcome> = fan_out(
-            &groups,
-            |i| {
-                call_with_failover(
-                    core,
-                    &board,
-                    peers[i],
-                    lane_base + i as u64,
-                    &requests[i],
-                    &mut |host, req, wait| process_on_peer(core, host, req, wait),
-                )
-            },
-            LadderOutcome::failed,
-        );
-
-        // ---- account the round ----
-        // serialized network: the exact sum over every attempt chain
-        // (transfer legs, stalls, backoff waits — hedged losers included);
-        // overlapped: the slowest destination's wall clock dominates the
-        // round
-        let sink = &self.core.metrics;
-        let mut serialized_sum = Duration::ZERO;
-        let mut slowest_chain = Duration::ZERO;
-        for (_, idxs) in &groups {
-            let serialized: Duration = idxs.iter().map(|&i| rows[i].serialized).sum();
-            let window: Duration = idxs.iter().map(|&i| rows[i].window).sum();
-            serialized_sum += serialized;
-            slowest_chain = slowest_chain.max(window);
-        }
-        sink.network.fetch_add(as_ns(serialized_sum), Ordering::Relaxed);
-        sink.network_overlapped
-            .fetch_add(as_ns(slowest_chain), Ordering::Relaxed);
-        sink.scatter_rounds.fetch_add(1, Ordering::Relaxed);
-        for row in &rows {
-            self.core.charge_ladder_counters(row);
-        }
-        if self.peer.is_empty() {
-            // one clock advance for the whole round, then every slot's
-            // observations in slot order — deterministic by construction
-            self.core.apply_observations(
-                slowest_chain,
-                rows.iter().flat_map(|r| &r.observations),
-            );
-            // slot ladders all anchor at the round start (they genuinely
-            // overlap); ids are assigned in slot order at this gather
-            if let Some(tracer) = self.core.tracer() {
-                let anchor = tracer.clock_ns();
-                let mut round = SpanBuilder::new("scatter.round", "rpc")
-                    .lasting(slowest_chain)
-                    .arg("slots", rows.len().to_string());
-                for (i, row) in rows.iter_mut().enumerate() {
-                    let root = SpanBuilder::new("rpc.ladder", "rpc").arg("peer", peers[i]);
-                    round.push_child(row.span(root).arg("slot", i.to_string()));
-                }
-                tracer.submit(anchor, ROOT_SPAN, round);
-                tracer.advance(slowest_chain);
+            let mut results = Vec::with_capacity(requests.len());
+            for r in requests {
+                results.extend(self.call(local, static_ctx, r)?);
             }
+            return Ok(results);
         }
-
-        // ---- gather: decode or degrade per slot, in call order ----
-        let mut results = Vec::with_capacity(calls.len());
-        for (row, c) in rows.into_iter().zip(calls) {
-            let one_call = std::slice::from_ref(&c.params);
-            let mut sequences =
-                self.settle(local, static_ctx, &c.peer, one_call, c.body, c.projection, row.outcome)?;
-            results.push(sequences.pop().unwrap_or_default());
-        }
-        Ok(results)
+        self.scatter(local, static_ctx, requests)
     }
 }
 
