@@ -121,6 +121,20 @@ done
 cmp target/ci_trace_1.json target/ci_trace_2.json
 grep -q '"trace_id": "0x' target/ci_trace_1.json
 grep -q '"name": "rpc.attempt"' target/ci_trace_1.json
+# A two-peer query whose schedule takes every landing kind: a scatter
+# round, a slot that degrades to data shipping, and the document fetch
+# that backs it.
+TQ2='count(doc("xrpc://p/d.xml")//c) + count(doc("xrpc://q/e.xml")//c)'
+printf '<e><c>x</c><c>y</c><c>z</c></e>' > target/ci_trace_doc2.xml
+for i in 1 2; do
+    "$XQD" run -e "$TQ2" --peer p:d.xml=target/ci_trace_doc.xml \
+        --peer q:e.xml=target/ci_trace_doc2.xml --fault-seed 7 --fault-rate 0.3 \
+        --trace-out "target/ci_trace2_$i.json" > /dev/null 2> /dev/null
+done
+cmp target/ci_trace2_1.json target/ci_trace2_2.json
+for span in scatter.round rpc.degrade doc.fetch; do
+    grep -q "\"name\": \"$span\"" target/ci_trace2_1.json
+done
 "$XQD" run -e "$TQ" --peer p:d.xml=target/ci_trace_doc.xml \
     --fault-seed 7 --fault-rate 0.3 \
     --trace-out target/ci_trace.chrome --trace-format chrome > /dev/null 2> /dev/null

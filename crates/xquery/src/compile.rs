@@ -31,7 +31,10 @@
 //! function calls, the axis scan — which the scan-only reference walker
 //! ([`crate::reference_eval`]) calls too. What the two engines do not share
 //! is what this module adds: index use, folding, memo probes, the
-//! scatter / bulk shapes and name caching. On local (`Execute`-free)
+//! scatter / bulk shapes and name caching. Its three call sites — a lone
+//! `execute at`, a Bulk-RPC loop and an `Op::Scatter` round — each build
+//! [`crate::eval::RemoteRequest`]s (one request of one call, one request of
+//! N calls, N requests of one call) and make the same handler call. On local (`Execute`-free)
 //! queries `Plan::eval` is bit-identical to the reference, results and
 //! errors both, which the unit tests below and the differential suites in
 //! the workspace root assert.

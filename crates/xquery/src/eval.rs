@@ -11,7 +11,9 @@
 //!
 //! Neither engine touches a transport itself: only compiled plans drive the
 //! [`RemoteHandler`] hook that `xqd-xrpc` implements with the three message
-//! passing semantics. Non-local `fn:doc` URIs go through the [`DocResolver`]
+//! passing semantics. Its one method takes a slice of [`RemoteRequest`]s,
+//! one per XRPC request message: a lone call, a Bulk RPC or a scatter round
+//! are all the same shape. Non-local `fn:doc` URIs go through the [`DocResolver`]
 //! hook. Everything else — node identity, document order, duplicate
 //! elimination, constructor copy semantics — is evaluated against the local
 //! [`Store`], which is exactly what makes the paper's semantic Problems 1–5
@@ -417,8 +419,11 @@ fn joined_string_value(store: &Store, items: &[Item]) -> String {
     items.iter().map(|i| string_value(store, i)).collect::<Vec<_>>().join(" ")
 }
 
-/// Arithmetic. Two integers add, subtract, multiply and take `mod`
-/// exactly; `div` and every other operand pair compute in `f64`.
+/// Arithmetic (XQuery §3.4). Two integers add, subtract, multiply and take
+/// `mod` exactly; `div` and every other operand pair compute in `f64`, so a
+/// double divided by zero is `INF`, `-INF` or `NaN` per IEEE 754 (F&O
+/// §6.2.4, §6.2.6). An operand must be numeric or untyped, which casts to
+/// `xs:double`; a string or boolean is `err:XPTY0004`.
 pub(crate) fn arith(store: &Store, op: ArithOp, l: &[Item], r: &[Item]) -> EvalResult {
     if l.is_empty() || r.is_empty() {
         return Ok(Sequence::new());
@@ -429,35 +434,48 @@ pub(crate) fn arith(store: &Store, op: ArithOp, l: &[Item], r: &[Item]) -> EvalR
         return Err(EvalError::new("arithmetic on a multi-item sequence"));
     }
     if let (Atomic::Int(a), Atomic::Int(b)) = (&la[0], &ra[0]) {
-        if op != ArithOp::Div {
-            return int_arith(op, *a, *b);
-        }
+        return int_arith(op, *a, *b);
     }
-    let a = to_number(&la[0]).ok_or_else(|| EvalError::new("left operand is not numeric"))?;
-    let b = to_number(&ra[0]).ok_or_else(|| EvalError::new("right operand is not numeric"))?;
+    let a = numeric_operand(&la[0], "left")?;
+    let b = numeric_operand(&ra[0], "right")?;
     let result = match op {
         ArithOp::Add => a + b,
         ArithOp::Sub => a - b,
         ArithOp::Mul => a * b,
-        ArithOp::Div if b == 0.0 => return Err(EvalError::new("division by zero")),
         ArithOp::Div => a / b,
-        ArithOp::Mod if b == 0.0 => return Err(EvalError::new("modulo by zero")),
         ArithOp::Mod => a % b,
     };
     Ok(Sequence::unit(Item::Atom(Atomic::Dbl(result))))
 }
 
-/// `+`, `-`, `*` and `mod` of two integers in `i64`; an overflow is
-/// `err:FOAR0002`.
+/// One operand of an arithmetic operator as `xs:double`.
+fn numeric_operand(a: &Atomic, side: &str) -> EvalResult<f64> {
+    match a {
+        Atomic::Int(_) | Atomic::Dbl(_) | Atomic::Untyped(_) => to_number(a)
+            .ok_or_else(|| EvalError::new(format!("{side} operand is not numeric"))),
+        Atomic::Str(_) | Atomic::Bool(_) => Err(EvalError::with_code(
+            "err:XPTY0004",
+            format!("{side} operand of an arithmetic operator is not numeric"),
+        )),
+    }
+}
+
+/// `+`, `-`, `*` and `mod` of two integers in `i64`, and their `div` in
+/// `f64`; an overflow is `err:FOAR0002`, and a zero divisor is FOAR0001,
+/// named in the message: the error stays untyped so that a peer reports it
+/// as the dynamic fault a remote division always was.
 fn int_arith(op: ArithOp, a: i64, b: i64) -> EvalResult {
     let exact = match op {
+        ArithOp::Div | ArithOp::Mod if b == 0 => {
+            let what = if op == ArithOp::Div { "division" } else { "modulo" };
+            return Err(EvalError::new(format!("{what} by zero (err:FOAR0001)")));
+        }
+        ArithOp::Div => return Ok(Sequence::unit(Item::Atom(Atomic::Dbl(a as f64 / b as f64)))),
         ArithOp::Add => a.checked_add(b),
         ArithOp::Sub => a.checked_sub(b),
         ArithOp::Mul => a.checked_mul(b),
-        ArithOp::Mod if b == 0 => return Err(EvalError::new("modulo by zero")),
         // only i64::MIN mod -1 overflows, and its remainder is 0
         ArithOp::Mod => Some(a.checked_rem(b).unwrap_or(0)),
-        ArithOp::Div => unreachable!("div computes in f64"),
     };
     let v = exact.ok_or_else(|| {
         EvalError::with_code("err:FOAR0002", format!("integer overflow in {a} {} {b}", op.symbol()))

@@ -775,7 +775,16 @@ impl Parser {
         }
         if self.peek() == &Token::Plus {
             self.bump();
-            return self.nested(Self::parse_unary);
+            // unary plus is `1 * x`: the identity on a number, a cast on
+            // untyped content, and `err:XPTY0004` on anything else
+            return Ok(match self.nested(Self::parse_unary)? {
+                number @ Expr::Literal(Atomic::Int(_) | Atomic::Dbl(_)) => number,
+                operand => Expr::Arith {
+                    op: ArithOp::Mul,
+                    lhs: Expr::int(1).boxed(),
+                    rhs: operand.boxed(),
+                },
+            });
         }
         self.parse_path()
     }
@@ -1386,6 +1395,15 @@ mod tests {
         let Expr::Literal(Atomic::Dbl(d)) = p("-0e0") else { panic!("-0e0 is a literal") };
         assert!(d == 0.0 && d.is_sign_negative());
         assert_eq!(p(&p("-2.5").to_string()), Expr::Literal(Atomic::Dbl(-2.5)));
+    }
+
+    #[test]
+    fn unary_plus() {
+        let e = p("+$x");
+        assert!(matches!(e, Expr::Arith { op: ArithOp::Mul, .. }));
+        assert_eq!(p(&e.to_string()), e, "{e}");
+        assert_eq!(p("+1"), Expr::int(1));
+        assert_eq!(p("+-1"), Expr::int(-1));
     }
 
     #[test]

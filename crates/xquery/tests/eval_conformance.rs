@@ -704,6 +704,52 @@ fn unary_minus_keeps_the_sign_of_zero() {
     assert_eq!(atoms(&r), [Atomic::Int(-5), Atomic::Int(5), Atomic::Int(-5), Atomic::Dbl(-2.5)]);
 }
 
+/// F&O §6.2.4 / §6.2.6: an `xs:double` divided by zero is `INF`, `-INF` or
+/// `NaN` per IEEE 754, and so is its `mod`; a decimal is modelled as a
+/// double (DESIGN.md, Substitutions), so `1.0 div 0` is `INF` too.
+#[test]
+fn double_division_by_zero_follows_ieee_754() {
+    let rows = [
+        ("string(1e0 div 0)", "INF"),
+        ("string(-1e0 div 0)", "-INF"),
+        ("string(0e0 div 0e0)", "NaN"),
+        ("string(5 mod 0e0)", "NaN"),
+        ("string(1.0 div 0)", "INF"),
+    ];
+    let mut s = fixture();
+    for (q, want) in rows {
+        assert_eq!(run_strings(&mut s, q), [want], "{q}");
+    }
+}
+
+/// F&O §6.2.4 / §6.2.6: an integer `div` or `mod` by zero raises
+/// `err:FOAR0001`, named in the message.
+#[test]
+fn integer_division_by_zero_is_foar0001() {
+    let mut s = fixture();
+    for q in ["1 div 0", "5 mod 0"] {
+        let err = eval_both(&mut s, &parse_query(q).unwrap()).unwrap_err();
+        assert!(err.message.contains("err:FOAR0001"), "{q}: {err}");
+    }
+}
+
+/// XQuery §3.4: an arithmetic operand is atomized and must be numeric, or
+/// untyped, which casts to `xs:double`; anything else is `err:XPTY0004`.
+/// Unary plus and minus obey the same rule.
+#[test]
+fn arithmetic_on_a_string_or_boolean_is_xpty0004() {
+    let mut s = fixture();
+    for q in ["true() + 1", "\"1\" + 1", "+\"a\"", "-\"a\"", "1 * false()"] {
+        let err = eval_both(&mut s, &parse_query(q).unwrap()).unwrap_err();
+        assert_eq!(err.code.as_deref(), Some("err:XPTY0004"), "{q}: {err}");
+    }
+    let q = "let $age := doc(\"people.xml\")//person[1]/age \
+             return ($age + 1, +$age, -$age, 1 * 2, +2)";
+    let r = run(&mut s, q);
+    let want = [Atomic::Dbl(31.0), Atomic::Dbl(30.0), Atomic::Dbl(-30.0)];
+    assert_eq!(atoms(&r), [&want[..], &[Atomic::Int(2), Atomic::Int(2)]].concat());
+}
+
 /// `order by` sorts in one total order: empty keys, then NaN, then the
 /// numeric keys by value, then the other keys by text. 400 mixed keys in two
 /// shuffles of the same document must sort to the same key sequence, in

@@ -1701,7 +1701,8 @@ impl FedLink {
                 process_on_peer(&self.core, host, req, wait)
             }
         };
-        let mut ladder = call_with_failover(&self.core, &board, r.peer, lane, &request, &mut process);
+        let mut ladder =
+            call_with_failover(&self.core, &board, r.peer, lane, &request, &mut process);
         let landing = Landing::Request { peer: r.peer, calls: r.calls.len() };
         land(self, landing, std::slice::from_mut(&mut ladder));
         self.settle(local, static_ctx, r, ladder.outcome)
@@ -1849,7 +1850,9 @@ fn land(link: &FedLink, landing: Landing<'_>, ladders: &mut [LadderOutcome]) {
     let Some(tracer) = core.tracer() else { return };
     let anchor = tracer.clock_ns();
     let tree = match landing {
-        Landing::Fetch(uri) => ladders[0].span(SpanBuilder::new("doc.fetch", "doc").arg("uri", uri)),
+        Landing::Fetch(uri) => {
+            ladders[0].span(SpanBuilder::new("doc.fetch", "doc").arg("uri", uri))
+        }
         Landing::Request { peer, calls } => ladders[0]
             .span(SpanBuilder::new("rpc.ladder", "rpc").arg("peer", peer))
             .arg("calls", calls.to_string()),

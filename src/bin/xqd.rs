@@ -541,19 +541,9 @@ fn cmd_run(args: &[String], explain_only: bool) -> ExitCode {
                 if opts.analyze {
                     print_analysis(&out, if wire { "measured" } else { "simulated" });
                 }
-                if let Some(path) = &opts.trace_out {
-                    let path = if opts.strategies.len() > 1 {
-                        format!("{path}.{}", strategy.name())
-                    } else {
-                        path.clone()
-                    };
-                    if let Some(trace) = &out.trace {
-                        if let Err(e) = write_trace(trace, &path, opts.trace_chrome) {
-                            eprintln!("{e}");
-                            return ExitCode::FAILURE;
-                        }
-                        eprintln!("# trace written to {path}");
-                    }
+                if let Err(e) = write_run_trace(&opts, strategy.name(), out.trace.as_ref()) {
+                    eprintln!("{e}");
+                    return ExitCode::FAILURE;
                 }
                 if opts.metrics {
                     let m = &out.metrics;
@@ -618,11 +608,30 @@ fn cmd_run(args: &[String], explain_only: bool) -> ExitCode {
             }
             Err(e) => {
                 eprintln!("error under {}: {e}", strategy.name());
+                // the trace of a failed run, its root annotated by the error
+                if let Err(e) = write_run_trace(&opts, strategy.name(), fed.take_trace().as_ref()) {
+                    eprintln!("{e}");
+                }
                 return ExitCode::FAILURE;
             }
         }
     }
     ExitCode::SUCCESS
+}
+
+/// Writes a run's trace to `--trace-out`, suffixed by the strategy's name
+/// when several strategies run; nothing without the flag or a trace.
+fn write_run_trace(
+    opts: &RunOptions,
+    strategy: &str,
+    trace: Option<&xqd::Trace>,
+) -> Result<(), String> {
+    let (Some(path), Some(trace)) = (&opts.trace_out, trace) else { return Ok(()) };
+    let path =
+        if opts.strategies.len() > 1 { format!("{path}.{strategy}") } else { path.clone() };
+    write_trace(trace, &path, opts.trace_chrome)?;
+    eprintln!("# trace written to {path}");
+    Ok(())
 }
 
 /// The federation `opts` describes, configured and loaded: live daemons

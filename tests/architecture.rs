@@ -555,16 +555,55 @@ const ROWS: &[Row] = &[
         ..BASE
     },
     Row {
-        gate: "one engine ships",
-        why: "RemoteHandler has no per-call execute (a lone call is a Bulk RPC of one)",
+        gate: "a remote call has one shape",
+        why: "RemoteHandler declares one method: a lone call, a Bulk RPC and a scatter round \
+              are all slices of requests",
         files: &[EVAL],
         lines: Lines::Body(&[lit("trait RemoteHandler")]),
-        needles: &[lit("fn execute(")],
+        needles: &[word_start("fn ")],
+        expect: Expect::Lines(1),
         tamper: below(
             EVAL,
             "pub trait RemoteHandler",
             "    fn execute(&mut self, call: &Call) -> EvalResult;",
         ),
+        ..BASE
+    },
+    Row {
+        gate: "a remote call has one shape",
+        why: "no second handler entry point and no per-ladder billing helper",
+        files: SOURCES,
+        lines: Lines::NonTestCode,
+        needles: &[
+            word_start("execute_bulk"),
+            word_start("execute_scatter"),
+            word_start("charge_ladder"),
+        ],
+        tamper: below(EXEC, "impl RemoteHandler for FedLink", "    fn execute_bulk("),
+        ..BASE
+    },
+    Row {
+        gate: "a remote call lands one way",
+        why: "only the landing routine, exec.rs's fn land, observes and traces a finished ladder",
+        files: &[EXEC],
+        lines: Lines::NonTestCode,
+        needles: &[lit("apply_observations("), lit("tracer.advance(")],
+        exempt: &[Exempt::Body(line_start("fn land("))],
+        tamper: below(
+            EXEC,
+            "impl DocResolver for FedLink",
+            "        tracer.advance(ladder.window);",
+        ),
+        ..BASE
+    },
+    Row {
+        gate: "a remote call lands one way",
+        why: "fn land applies the health observations and advances the trace clock once each",
+        files: &[EXEC],
+        lines: Lines::Body(&[line_start("fn land(")]),
+        needles: &[lit("apply_observations("), lit("tracer.advance(")],
+        expect: Expect::Lines(2),
+        tamper: below(EXEC, "fn land(", "    core.apply_observations(window, []);"),
         ..BASE
     },
     Row {

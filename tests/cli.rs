@@ -126,3 +126,31 @@ fn connect_rejects_the_flags_of_the_simulation_by_name() {
         assert!(!stderr.contains("127.0.0.1:1"), "{flag}: a connection was attempted: {stderr}");
     }
 }
+
+/// A run that ends in a typed error still writes its trace, the root span
+/// annotated by the error, before exiting non-zero.
+#[test]
+fn trace_out_writes_the_trace_of_a_failed_run() {
+    let d = write_temp("t_d.xml", "<a><b><c>one</c></b><b><c>two</c></b></a>");
+    let e = write_temp("t_e.xml", "<e><c>x</c><c>y</c><c>z</c></e>");
+    let trace = write_temp("failed_trace.json", "");
+    std::fs::remove_file(&trace).unwrap();
+    let out = xqd()
+        .args(["run", "-e"])
+        .arg(r#"count(doc("xrpc://p/d.xml")//c) + count(doc("xrpc://q/e.xml")//c)"#)
+        .args(["--peer", &format!("p:d.xml={}", d.display())])
+        .args(["--peer", &format!("q:e.xml={}", e.display())])
+        .args(["--strategy", "ship", "--fault-seed", "7", "--fault-rate", "0.3"])
+        .arg("--trace-out")
+        .arg(&trace)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "the fixture must fail: {stderr}");
+    assert!(stderr.contains("xrpc:cancelled"), "{stderr}");
+    let json =
+        std::fs::read_to_string(&trace).unwrap_or_else(|e| panic!("no trace: {e}: {stderr}"));
+    assert!(json.contains(r#""name": "query""#), "{json}");
+    assert!(json.contains(r#""error": "call to peer q cancelled"#), "{json}");
+    assert!(json.contains(r#""name": "doc.fetch""#), "{json}");
+}
