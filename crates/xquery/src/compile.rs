@@ -34,10 +34,10 @@
 //! scatter / bulk shapes and name caching. Its three call sites — a lone
 //! `execute at`, a Bulk-RPC loop and an `Op::Scatter` round — each build
 //! [`crate::eval::RemoteRequest`]s (one request of one call, one request of
-//! N calls, N requests of one call) and make the same handler call. On local (`Execute`-free)
-//! queries `Plan::eval` is bit-identical to the reference, results and
-//! errors both, which the unit tests below and the differential suites in
-//! the workspace root assert.
+//! N calls, N requests of one call) and make the same handler call. On
+//! local (`Execute`-free) queries `Plan::eval` is bit-identical to the
+//! reference, results and errors both, which the unit tests below and the
+//! differential suites in the workspace root assert.
 
 use std::cell::RefCell;
 use std::collections::HashMap;

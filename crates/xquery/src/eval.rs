@@ -13,8 +13,8 @@
 //! [`RemoteHandler`] hook that `xqd-xrpc` implements with the three message
 //! passing semantics. Its one method takes a slice of [`RemoteRequest`]s,
 //! one per XRPC request message: a lone call, a Bulk RPC or a scatter round
-//! are all the same shape. Non-local `fn:doc` URIs go through the [`DocResolver`]
-//! hook. Everything else — node identity, document order, duplicate
+//! are all the same shape. Non-local `fn:doc` URIs go through the
+//! [`DocResolver`] hook. Everything else — node identity, document order, duplicate
 //! elimination, constructor copy semantics — is evaluated against the local
 //! [`Store`], which is exactly what makes the paper's semantic Problems 1–5
 //! reproducible: a shipped fragment is just another document in the
