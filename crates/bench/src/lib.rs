@@ -491,7 +491,7 @@ pub struct PlansPoint {
     /// Workload label (see [`PLANS_QUERIES`]).
     pub query: &'static str,
     /// Front-end rate with the plan cache disabled (`plan_cache_size: 0`):
-    /// every call pays parse + decompose + replica resolution + lowering.
+    /// every call pays parse + decompose + lowering.
     pub off_plans_per_sec: f64,
     /// Front-end rate with the cache cleared before every call: the miss
     /// path including insertion.
@@ -547,9 +547,13 @@ fn rate_of(iters: usize, mut f: impl FnMut()) -> f64 {
     iters as f64 / t0.elapsed().as_secs_f64().max(1e-9)
 }
 
+/// Untraced / traced run pairs behind a [`PlansPoint`]'s two latencies.
+const LATENCY_PAIRS: usize = 5;
+
 /// Measures one [`PLANS_QUERIES`] entry at one document scale under
 /// `strategy`. The three front-end modes run `iters` `prepare` calls each;
-/// latency is the best of `iters.min(5)` full runs per mode.
+/// each latency is the best of [`LATENCY_PAIRS`] full runs, the untraced
+/// and the traced ones alternating.
 pub fn plans_point(
     label: &'static str,
     query: &str,
@@ -580,29 +584,27 @@ pub fn plans_point(
         warm.prepare(query, strategy).expect("prepare");
     });
 
-    // latency on the warm federation, parity against the cache-off one
-    let lat_iters = iters.clamp(1, 5);
-    let mut compiled_us = u128::MAX;
+    // latency on the warm federation, untraced and traced runs taken
+    // alternately and as often each, so host noise lands on both sides of
+    // the tracing overhead budget alike; parity against the cache-off one
+    let untraced = warm.exec_options();
+    let traced = ExecOptions { trace: true, ..untraced };
+    let (mut compiled_us, mut traced_us) = (u128::MAX, u128::MAX);
     let mut warm_out = None;
-    for _ in 0..lat_iters {
+    for _ in 0..LATENCY_PAIRS {
+        warm.set_exec_options(untraced);
         let t = Instant::now();
         let out = warm.run(query, strategy).expect("warm run");
         compiled_us = compiled_us.min(t.elapsed().as_micros());
         warm_out = Some(out);
-    }
-    let warm_out = warm_out.expect("at least one run");
-    let off_out = off.run(query, strategy).expect("cache-off run");
-
-    // tracing overhead: the same warm federation with span tracing on
-    let saved = warm.exec_options();
-    warm.set_exec_options(ExecOptions { trace: true, ..saved });
-    let mut traced_us = u128::MAX;
-    for _ in 0..lat_iters.max(3) {
+        warm.set_exec_options(traced);
         let t = Instant::now();
         warm.run(query, strategy).expect("traced run");
         traced_us = traced_us.min(t.elapsed().as_micros());
     }
-    warm.set_exec_options(saved);
+    warm.set_exec_options(untraced);
+    let warm_out = warm_out.expect("at least one run");
+    let off_out = off.run(query, strategy).expect("cache-off run");
 
     PlansPoint {
         query: label,

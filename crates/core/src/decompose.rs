@@ -77,7 +77,9 @@ pub struct RemoteCall {
     pub projection: Option<ExecProjection>,
     /// Hosts able to answer this call, in seeded preference order (empty
     /// until [`Decomposition::resolve_replicas`] runs, or when the catalog
-    /// names no stand-in for `peer`).
+    /// names no stand-in for `peer`). No coordinator path fills or reads
+    /// it — the failover ladder picks hosts per call — and it is kept only
+    /// because the wirebench driver times `resolve_replicas`.
     pub replicas: Vec<String>,
     /// Indices (into [`Decomposition::calls`]) of the calls whose results
     /// feed this call's inputs — its peer expression or shipped parameter
@@ -201,9 +203,10 @@ impl Decomposition {
     /// rendezvous policy. Bodies opening no literal URI (parameter-only
     /// calls) fall back to the hosts able to serve the peer entirely.
     ///
-    /// This replaces the paper's single-destination assumption: the peer
-    /// named by `execute at` becomes merely the *canonical* destination,
-    /// and the executor is free to elect any host in the set.
+    /// Kept only for the wirebench driver, which times it with the
+    /// decomposer. The coordinator never calls it: its failover ladder
+    /// picks each call's hosts from the live catalog when the call is
+    /// made, so no plan carries a route.
     pub fn resolve_replicas(&mut self, catalog: &crate::replicas::ReplicaCatalog, seed: u64) {
         if catalog.is_empty() || self.calls.is_empty() {
             return;

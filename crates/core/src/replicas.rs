@@ -17,21 +17,24 @@
 //! document `xrpc://p/d.xml`. Decomposed call bodies therefore evaluate
 //! unchanged on any replica, and responses stay bit-identical regardless
 //! of which host answers (the wire codecs are content-based).
+//!
+//! The coordinator reads the catalog at call time only: its failover
+//! ladder asks for a call's candidate hosts when the call is made, so
+//! no plan carries a route and a cached plan needs no invalidation when
+//! placement grows.
 
 use std::collections::BTreeMap;
 
 use crate::uris::split_xrpc_uri;
 
-/// Document → replica-host placement map.
+/// Document → replica-host placement map. It holds placement only: where
+/// a host listens is the transport's business (`TcpTransport`'s dial map
+/// on sockets; in a simulated federation the name *is* the address).
 #[derive(Debug, Clone, Default)]
 pub struct ReplicaCatalog {
     /// Canonical `xrpc://primary/doc` URI → alternate hosts (registration
     /// order, primary excluded — it is implied by the URI).
     entries: BTreeMap<String, Vec<String>>,
-    /// Peer name → transport address (`host:port`). Empty in simulated
-    /// federations, where the name *is* the address; the socket transport
-    /// dials through this book.
-    addresses: BTreeMap<String, String>,
 }
 
 impl ReplicaCatalog {
@@ -41,10 +44,6 @@ impl ReplicaCatalog {
 
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    pub fn clear(&mut self) {
-        self.entries.clear();
     }
 
     /// Records `host` as serving a bit-identical copy of the canonical
@@ -73,11 +72,6 @@ impl ReplicaCatalog {
             out.extend(replicas.iter().cloned());
         }
         out
-    }
-
-    /// The registered replicas of `uri` (primary excluded).
-    pub fn replicas_of(&self, uri: &str) -> &[String] {
-        self.entries.get(uri).map(Vec::as_slice).unwrap_or(&[])
     }
 
     /// Reverse lookup for plain-name resolution on a replica: the canonical
@@ -111,24 +105,6 @@ impl ReplicaCatalog {
         let mut out = vec![primary.to_string()];
         out.extend(common.unwrap_or_default());
         out
-    }
-
-    /// Records the transport address a peer daemon answers on. Placement
-    /// (which host serves which document) and addressing (where that host
-    /// listens) live in the same catalog so a federation is described by
-    /// one structure.
-    pub fn set_address(&mut self, peer: &str, addr: &str) {
-        self.addresses.insert(peer.to_string(), addr.to_string());
-    }
-
-    /// The transport address registered for `peer`, if any.
-    pub fn address_of(&self, peer: &str) -> Option<&str> {
-        self.addresses.get(peer).map(String::as_str)
-    }
-
-    /// Every peer with a registered transport address, in name order.
-    pub fn addressed_peers(&self) -> impl Iterator<Item = (&str, &str)> {
-        self.addresses.iter().map(|(p, a)| (p.as_str(), a.as_str()))
     }
 }
 
@@ -179,7 +155,7 @@ mod tests {
         assert_eq!(c.hosts_for("xrpc://p/e.xml"), ["p", "q"]);
         // unreplicated documents are served by their primary alone
         assert_eq!(c.hosts_for("xrpc://z/solo.xml"), ["z"]);
-        assert!(c.replicas_of("xrpc://z/solo.xml").is_empty());
+        assert!(c.hosts_for("xrpc://z/solo.xml")[1..].is_empty(), "no replica registered");
     }
 
     #[test]
@@ -207,15 +183,6 @@ mod tests {
         assert_eq!(c.canonical_on("b", "da.xml"), Some("xrpc://a/da.xml".into()));
         assert_eq!(c.canonical_on("q", "missing.xml"), None);
         assert_eq!(c.canonical_on("z", "d.xml"), None);
-    }
-
-    #[test]
-    fn address_book_round_trips() {
-        let mut c = catalog();
-        c.set_address("p", "127.0.0.1:7001");
-        assert_eq!(c.address_of("p"), Some("127.0.0.1:7001"));
-        assert_eq!(c.address_of("q"), None);
-        assert_eq!(c.addressed_peers().collect::<Vec<_>>(), [("p", "127.0.0.1:7001")]);
     }
 
     #[test]

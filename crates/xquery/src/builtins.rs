@@ -167,10 +167,9 @@ pub fn eval_builtin(
             } else {
                 let mut nums = Vec::with_capacity(atoms.len());
                 for a in &atoms {
-                    nums.push(
-                        to_number(a)
-                            .ok_or_else(|| EvalError::new(format!("{bare}() over non-numeric")))?,
-                    );
+                    nums.push(to_number(a).ok_or_else(|| {
+                        EvalError::with_code("err:FORG0006", format!("{bare}() over non-numeric"))
+                    })?);
                 }
                 let v = if bare == "min" {
                     nums.iter().cloned().fold(f64::INFINITY, f64::min)

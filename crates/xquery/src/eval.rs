@@ -422,8 +422,9 @@ fn joined_string_value(store: &Store, items: &[Item]) -> String {
 /// Arithmetic (XQuery §3.4). Two integers add, subtract, multiply and take
 /// `mod` exactly; `div` and every other operand pair compute in `f64`, so a
 /// double divided by zero is `INF`, `-INF` or `NaN` per IEEE 754 (F&O
-/// §6.2.4, §6.2.6). An operand must be numeric or untyped, which casts to
-/// `xs:double`; a string or boolean is `err:XPTY0004`.
+/// §6.2.4, §6.2.6). An operand must be one item (more is `err:XPTY0004`),
+/// numeric or untyped; untyped casts to `xs:double` (a text that does not
+/// is `err:FORG0001`), and a string or boolean is `err:XPTY0004`.
 pub(crate) fn arith(store: &Store, op: ArithOp, l: &[Item], r: &[Item]) -> EvalResult {
     if l.is_empty() || r.is_empty() {
         return Ok(Sequence::new());
@@ -431,7 +432,7 @@ pub(crate) fn arith(store: &Store, op: ArithOp, l: &[Item], r: &[Item]) -> EvalR
     let la = atomize(store, l);
     let ra = atomize(store, r);
     if la.len() != 1 || ra.len() != 1 {
-        return Err(EvalError::new("arithmetic on a multi-item sequence"));
+        return Err(EvalError::with_code("err:XPTY0004", "arithmetic on a multi-item sequence"));
     }
     if let (Atomic::Int(a), Atomic::Int(b)) = (&la[0], &ra[0]) {
         return int_arith(op, *a, *b);
@@ -451,8 +452,9 @@ pub(crate) fn arith(store: &Store, op: ArithOp, l: &[Item], r: &[Item]) -> EvalR
 /// One operand of an arithmetic operator as `xs:double`.
 fn numeric_operand(a: &Atomic, side: &str) -> EvalResult<f64> {
     match a {
-        Atomic::Int(_) | Atomic::Dbl(_) | Atomic::Untyped(_) => to_number(a)
-            .ok_or_else(|| EvalError::new(format!("{side} operand is not numeric"))),
+        Atomic::Int(_) | Atomic::Dbl(_) | Atomic::Untyped(_) => to_number(a).ok_or_else(|| {
+            EvalError::with_code("err:FORG0001", format!("{side} operand is not numeric"))
+        }),
         Atomic::Str(_) | Atomic::Bool(_) => Err(EvalError::with_code(
             "err:XPTY0004",
             format!("{side} operand of an arithmetic operator is not numeric"),

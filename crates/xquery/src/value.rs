@@ -267,7 +267,8 @@ fn cannot_cast_to_number(a: &Atomic) -> EvalError {
     EvalError::new(format!("cannot cast {a:?} to number"))
 }
 
-/// Effective boolean value (XPath 2.0 §2.4.3).
+/// Effective boolean value (XPath 2.0 §2.4.3); a sequence of two or more
+/// atoms has none (`err:FORG0006`).
 pub fn effective_boolean_value(seq: &[Item]) -> EvalResult<bool> {
     match seq {
         [] => Ok(false),
@@ -278,7 +279,10 @@ pub fn effective_boolean_value(seq: &[Item]) -> EvalResult<bool> {
             Atomic::Int(i) => *i != 0,
             Atomic::Dbl(d) => *d != 0.0 && !d.is_nan(),
         }),
-        _ => Err(EvalError::new("effective boolean value of a multi-atom sequence")),
+        _ => Err(EvalError::with_code(
+            "err:FORG0006",
+            "effective boolean value of a multi-atom sequence",
+        )),
     }
 }
 

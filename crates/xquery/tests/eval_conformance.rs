@@ -750,6 +750,49 @@ fn arithmetic_on_a_string_or_boolean_is_xpty0004() {
     assert_eq!(atoms(&r), [&want[..], &[Atomic::Int(2), Atomic::Int(2)]].concat());
 }
 
+/// Dynamic errors carry their codes beside today's messages, one row per
+/// case: (query, code, message, the section that names the code).
+#[test]
+fn dynamic_errors_carry_their_codes() {
+    let rows = [
+        // XQuery 1.0 §3.4: an untyped operand casts to xs:double, and a
+        // text outside its lexical space fails the cast (F&O §17.1.1)
+        (
+            "doc(\"people.xml\")//person[1]/name + 1",
+            "err:FORG0001",
+            "left operand is not numeric",
+            "XQuery 1.0 §3.4, F&O §17.1.1",
+        ),
+        // XQuery 1.0 §3.4: an atomized operand longer than one item
+        (
+            "(1, 2) + 1",
+            "err:XPTY0004",
+            "arithmetic on a multi-item sequence",
+            "XQuery 1.0 §3.4",
+        ),
+        // XQuery 1.0 §2.4.3 / F&O §15.1.1: no effective boolean value
+        (
+            "if ((1, 2)) then 1 else 0",
+            "err:FORG0006",
+            "effective boolean value of a multi-atom sequence",
+            "XQuery 1.0 §2.4.3, F&O §15.1.1",
+        ),
+        // F&O §15.4.3: fn:min over values that cannot be compared
+        (
+            "min((1, \"a\"))",
+            "err:FORG0006",
+            "min() over non-numeric",
+            "F&O §15.4.3",
+        ),
+    ];
+    let mut s = fixture();
+    for (q, code, message, section) in rows {
+        let err = eval_both(&mut s, &parse_query(q).unwrap()).unwrap_err();
+        assert_eq!(err.code.as_deref(), Some(code), "{q} ({section}): {err}");
+        assert_eq!(err.message, message, "{q} ({section})");
+    }
+}
+
 /// `order by` sorts in one total order: empty keys, then NaN, then the
 /// numeric keys by value, then the other keys by text. 400 mixed keys in two
 /// shuffles of the same document must sort to the same key sequence, in

@@ -256,8 +256,7 @@ struct FedCore {
     board: Mutex<Scoreboard>,
     /// Replicated document placement (see [`ReplicaCatalog`]).
     catalog: Mutex<ReplicaCatalog>,
-    /// Coordinator-side plan cache and the topology generation stamped
-    /// into its keys (see [`crate::frontend`]).
+    /// Coordinator-side plan cache (see [`crate::frontend`]).
     frontend: FrontEnd,
     /// Static context applied to coordinator evaluation and compiled into
     /// cached plans; part of the plan-cache key.
@@ -553,13 +552,6 @@ impl Federation {
     /// daemons ([`Self::replicate_document`] covers the simulated case).
     pub fn register_replica(&mut self, canonical_uri: &str, host: &str) {
         self.core.catalog.lock().unwrap().register(canonical_uri, host);
-        self.core.frontend.topology_changed();
-    }
-
-    /// Records the transport address of `peer` in the catalog (the address
-    /// book `--connect` populates; a TCP transport keeps its own dial map).
-    pub fn set_peer_address(&mut self, peer: &str, addr: &str) {
-        self.core.catalog.lock().unwrap().set_address(peer, addr);
     }
 
     /// Breaker state of `peer` on the scoreboard left by the last run.
@@ -578,8 +570,8 @@ impl Federation {
     /// registered under the primary's **canonical** `xrpc://` URI — it is
     /// still *the* primary's document, merely served from another host — and
     /// the placement is recorded in the replica catalog so the failover
-    /// ladder and the decomposer's destination resolution can elect the new
-    /// host. Replicating an already-replicated document is idempotent.
+    /// ladder can elect the new host. Replicating an already-replicated
+    /// document is idempotent.
     pub fn replicate_document(
         &mut self,
         primary: &str,
@@ -634,7 +626,6 @@ impl Federation {
     /// Adds an empty peer.
     pub fn add_peer(&mut self, name: &str) {
         self.core.peers.lock().unwrap().insert(name.to_string(), Some(Peer::new(name)));
-        self.core.frontend.topology_changed();
     }
 
     /// Loads `xml` as document `doc_name` on `peer` (added if absent).
@@ -645,10 +636,7 @@ impl Federation {
             .or_insert_with(|| Some(Peer::new(peer)))
             .as_mut()
             .ok_or_else(|| EvalError::new(format!("peer {peer} is busy")))?
-            .load_document(doc_name, xml)?;
-        drop(peers);
-        self.core.frontend.topology_changed();
-        Ok(())
+            .load_document(doc_name, xml)
     }
 
     /// Loads `xml` on `peer` under an explicit foreign **canonical** URI —
@@ -675,7 +663,6 @@ impl Federation {
         }
         drop(peers);
         self.core.catalog.lock().unwrap().register(canonical_uri, peer);
-        self.core.frontend.topology_changed();
         Ok(())
     }
 
@@ -717,7 +704,7 @@ impl Federation {
     }
 
     /// Runs (or, on a warm cache, skips) the front end for `query` — parse,
-    /// decompose, replica resolution, lowering to plan IR — and returns the
+    /// decompose, lowering to plan IR — and returns the
     /// prepared entry. This is the per-run preamble [`Self::run`] executes;
     /// exposed so benches can measure the front-end rate on its own. Cache
     /// events count into the metric sink and are swept up by the next run's
@@ -766,7 +753,7 @@ impl Federation {
                 tracer.event(ROOT_SPAN, name, "frontend", args);
             }
         };
-        self.core.frontend.prepare(query, session, &self.core.catalog, &mut observe)
+        self.core.frontend.prepare(query, session, &mut observe)
     }
 
     /// Per-run state reset.

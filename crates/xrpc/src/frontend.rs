@@ -1,18 +1,21 @@
 //! The coordinator front end: query text → cache key
-//! → LRU plan cache → parse · decompose · replica resolution · lowering to
-//! plan IR.
+//! → LRU plan cache → parse · decompose · lowering to plan IR.
 //!
 //! Every run of the coordinator ([`crate::exec::Federation`]), simulated
 //! or over sockets, prepares its query through the one
 //! [`FrontEnd::prepare`], so what the two carriers execute can differ only
 //! in the attempt and the clock underneath. A warm hit skips the parser,
 //! the decomposer and the compiler alike.
+//!
+//! Nothing here reads placement: a plan is a function of the query text,
+//! the strategy, the decomposition and index toggles and the static
+//! context. Which host answers a call is chosen by the failover ladder at
+//! call time, from the live catalog, so a cached plan stays valid when a
+//! peer, document or replica is added.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use xqd_core::replicas::ReplicaCatalog;
 use xqd_core::{DecomposeOptions, Strategy};
 use xqd_xquery::eval::StaticContext;
 use xqd_xquery::value::{EvalError, EvalResult};
@@ -29,7 +32,7 @@ pub struct PreparedQuery {
 }
 
 /// Everything besides the query itself that a prepared query is a function
-/// of (the catalog generation is the front end's own).
+/// of.
 pub(crate) struct Session<'a> {
     pub strategy: Strategy,
     pub decompose: DecomposeOptions,
@@ -50,9 +53,9 @@ pub(crate) enum FrontEndEvent {
 
 /// Everything a prepared query is a function of. Two runs whose keys differ
 /// in any field can never share a plan — which is exactly the safety
-/// argument for replaying a hit: documents are immutable once loaded (the
-/// generation covers additions), and the static context, index strategy,
-/// decomposition knobs and replica seed are all fingerprinted here.
+/// argument for replaying a hit: the static context, index strategy and
+/// decomposition knobs are all fingerprinted here, and placement is not an
+/// input (routes are chosen per call, not per plan).
 #[derive(Clone, PartialEq, Eq, Hash)]
 struct PlanKey {
     /// Raw query text, so a warm hit skips the parser too; equivalent
@@ -65,8 +68,6 @@ struct PlanKey {
     /// `--no-semijoin` must never replay a semi-join plan from the cache.
     semijoin: bool,
     use_indexes: bool,
-    replica_seed: u64,
-    catalog_gen: u64,
     /// `\u{1}`-joined static-context fields.
     static_fingerprint: String,
 }
@@ -117,22 +118,13 @@ impl PlanCache {
     }
 }
 
-/// The plan cache plus the topology generation its keys are stamped with.
+/// The coordinator's plan cache.
 #[derive(Default)]
 pub(crate) struct FrontEnd {
     plans: Mutex<PlanCache>,
-    /// Bumped whenever a peer, document or replica placement is added, so
-    /// plans whose replica resolution was baked against the old topology
-    /// miss the cache instead of being replayed.
-    catalog_gen: AtomicU64,
 }
 
 impl FrontEnd {
-    /// Records a topology change (see [`FrontEnd::catalog_gen`]).
-    pub(crate) fn topology_changed(&self) {
-        self.catalog_gen.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Number of prepared queries currently cached.
     pub(crate) fn len(&self) -> usize {
         self.plans.lock().unwrap().entries.len()
@@ -146,14 +138,11 @@ impl FrontEnd {
     }
 
     /// Looks `query` up in the plan cache and, on a miss, runs the slow
-    /// path — parse, decompose, annotate each remote call with its replica
-    /// candidates (explain output; the executor re-derives the same order
-    /// per ladder), lower to plan IR — and caches the result.
+    /// path — parse, decompose, lower to plan IR — and caches the result.
     pub(crate) fn prepare(
         &self,
         query: &str,
         session: &Session<'_>,
-        catalog: &Mutex<ReplicaCatalog>,
         observe: &mut dyn FnMut(FrontEndEvent),
     ) -> EvalResult<Arc<PreparedQuery>> {
         let Session { strategy, decompose, exec, static_ctx } = session;
@@ -166,8 +155,6 @@ impl FrontEnd {
             code_motion: decompose.code_motion,
             semijoin: decompose.semijoin,
             use_indexes: exec.use_indexes,
-            replica_seed: exec.replica_seed,
-            catalog_gen: self.catalog_gen.load(Ordering::Relaxed),
             static_fingerprint: format!(
                 "{}\u{1}{}\u{1}{}",
                 static_ctx.base_uri, static_ctx.default_collation, static_ctx.current_datetime
@@ -182,8 +169,7 @@ impl FrontEnd {
         let module =
             parse_query(query).map_err(|e| EvalError::new(format!("parse error: {e}")))?;
         observe(FrontEndEvent::Parsed { chars: query.len() });
-        let mut decomposition = xqd_core::decompose_with(&module, *strategy, decompose)?;
-        decomposition.resolve_replicas(&catalog.lock().unwrap(), exec.replica_seed);
+        let decomposition = xqd_core::decompose_with(&module, *strategy, decompose)?;
         // the decomposer inlined user functions; the body is the whole query
         let plan = xqd_xquery::compile_module(
             &[],

@@ -15,8 +15,8 @@
 //!   breakers on the clock its owner advances, and seeded selection
 //!   helpers behind the replica failover ladder;
 //! * `frontend` — the query front end: text or module → cache key → LRU
-//!   plan cache → parse · decompose · replica resolution · lowering to
-//!   plan IR ([`PreparedQuery`]);
+//!   plan cache → parse · decompose · lowering to plan IR
+//!   ([`PreparedQuery`]);
 //! * `ladder` — how a logical call survives failure, once: the one retry
 //!   loop ([`RetryPolicy`]: backoff, server hints, deadline) and the one
 //!   failover walk over admitted replicas (busy-switch wait, hedging), both
@@ -46,8 +46,9 @@
 //!   (one exchange = one reply envelope), the length-prefixed socket
 //!   framing with typed corruption errors and whole-read deadlines;
 //! * [`tcp`] — the real-socket side: [`TcpTransport`] (pooled
-//!   connections, per-attempt deadlines), plus [`SocketFederation`], a
-//!   compatibility face over [`Federation::over`];
+//!   connections, per-attempt deadlines, the one peer address book), plus
+//!   [`SocketFederation`], the three calls `wirebench` makes of
+//!   [`Federation::over`];
 //! * [`server`] — the `xqd serve` daemon: [`PeerServer`] listening for
 //!   length-prefixed envelopes with read/write/idle deadlines, bounded
 //!   in-flight admission with honest `retry-after-ms`, typed faults for

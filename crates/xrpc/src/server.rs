@@ -85,8 +85,6 @@ pub struct ServerConfig {
     /// How long [`PeerServer::drain`] waits for in-flight requests before
     /// cancelling them.
     pub drain_deadline: Duration,
-    /// Largest accepted frame payload.
-    pub max_frame_len: usize,
 }
 
 impl Default for ServerConfig {
@@ -99,7 +97,6 @@ impl Default for ServerConfig {
             idle_timeout: Duration::from_secs(300),
             request_deadline: Duration::from_secs(10),
             drain_deadline: Duration::from_secs(5),
-            max_frame_len: MAX_FRAME_LEN,
         }
     }
 }
@@ -272,7 +269,7 @@ fn serve_conn(shared: &Shared, stream: &TcpStream) {
         let Ok(Some(declared)) = read_prefix(&mut reader) else {
             return; // the length prefix itself was cut or stalled
         };
-        let payload = match read_payload(&mut reader, declared, shared.config.max_frame_len) {
+        let payload = match read_payload(&mut reader, declared, MAX_FRAME_LEN) {
             Ok(p) => p,
             Err(e) => {
                 // frame-level desync: answer with a typed fault (the write

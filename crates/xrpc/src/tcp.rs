@@ -15,10 +15,13 @@
 //! refused connection surfaces as a retryable [`XrpcError::PeerBusy`]
 //! feeding the breaker like any other failure.
 //!
-//! [`SocketFederation`] is a compatibility face over [`Federation::over`]
-//! for callers written against the former socket coordinator (the
-//! `wirebench` driver); it holds no logic and goes once they are
-//! re-pointed.
+//! [`TcpTransport`]'s dial map is the federation's one address book: the
+//! replica catalog holds placement only, and peers are registered here
+//! once.
+//!
+//! [`SocketFederation`] keeps the three calls the `wirebench` driver makes
+//! (`new`, `set_retry_policy`, `run`); it holds no logic, and everything
+//! else is [`Federation::over`]'s.
 
 use std::collections::{BTreeMap, HashMap};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -26,11 +29,9 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use xqd_core::Strategy;
-use xqd_xquery::eval::StaticContext;
 use xqd_xquery::value::EvalResult;
 
-use crate::exec::{ExecOptions, Federation};
-use crate::health::BreakerState;
+use crate::exec::Federation;
 use crate::ladder::RetryPolicy;
 use crate::net::XrpcError;
 use crate::transport::{
@@ -52,7 +53,6 @@ const RECONNECT_HINT: Duration = Duration::from_millis(25);
 pub struct TcpTransport {
     addrs: Mutex<BTreeMap<String, String>>,
     pool: Mutex<HashMap<String, TcpStream>>,
-    max_frame_len: usize,
 }
 
 impl Default for TcpTransport {
@@ -66,7 +66,6 @@ impl TcpTransport {
         TcpTransport {
             addrs: Mutex::new(BTreeMap::new()),
             pool: Mutex::new(HashMap::new()),
-            max_frame_len: MAX_FRAME_LEN,
         }
     }
 
@@ -156,7 +155,7 @@ impl TcpTransport {
             }
             Err(fe) => return Err(RoundTripError::Typed(fe.into_xrpc(peer, budget))),
         };
-        let reply = read_payload(&mut reader, declared, self.max_frame_len)
+        let reply = read_payload(&mut reader, declared, MAX_FRAME_LEN)
             .map_err(|fe| RoundTripError::Typed(fe.into_xrpc(peer, budget)))?;
         // bytes past the reply belong to no request: the stream is out of
         // step, so it is dropped instead of pooled
@@ -219,8 +218,8 @@ pub struct SocketRunOutcome {
     pub retries: u64,
 }
 
-/// [`Federation::over`] under its former name and method set — every method
-/// delegates.
+/// [`Federation::over`] under its former name, with the methods the
+/// `wirebench` driver calls — each delegates.
 pub struct SocketFederation(Federation);
 
 impl SocketFederation {
@@ -228,43 +227,8 @@ impl SocketFederation {
         SocketFederation(Federation::over(transport))
     }
 
-    /// A federation dialing daemons over TCP; the returned transport
-    /// handle registers peer addresses.
-    pub fn over_tcp() -> (Self, Arc<TcpTransport>) {
-        let transport = Arc::new(TcpTransport::new());
-        (SocketFederation::new(Arc::<TcpTransport>::clone(&transport)), transport)
-    }
-
-    pub fn register_replica(&mut self, canonical_uri: &str, host: &str) {
-        self.0.register_replica(canonical_uri, host);
-    }
-
-    pub fn set_peer_address(&mut self, peer: &str, addr: &str) {
-        self.0.set_peer_address(peer, addr);
-    }
-
-    pub fn set_exec_options(&mut self, options: ExecOptions) {
-        self.0.set_exec_options(options);
-    }
-
     pub fn set_retry_policy(&mut self, retry: RetryPolicy) {
         self.0.set_retry_policy(retry);
-    }
-
-    pub fn set_static_context(&mut self, ctx: StaticContext) {
-        self.0.set_static_context(ctx);
-    }
-
-    pub fn plan_cache_len(&self) -> usize {
-        self.0.plan_cache_len()
-    }
-
-    pub fn breaker_state(&self, peer: &str) -> BreakerState {
-        self.0.breaker_state(peer)
-    }
-
-    pub fn reset_health(&mut self) {
-        self.0.reset_health();
     }
 
     pub fn run(&mut self, query: &str, strategy: Strategy) -> EvalResult<SocketRunOutcome> {

@@ -2,7 +2,7 @@
 //!
 //! Everything here runs multi-threaded but single-process — live
 //! [`PeerServer`] daemons on ephemeral localhost ports, driven by
-//! [`SocketFederation`] or by a raw framed socket. The multi-*process*
+//! [`Federation::over`] or by a raw framed socket. The multi-*process*
 //! version of the same discipline (kill -9 included) lives in
 //! `examples/crash_harness.rs`.
 //!
@@ -10,8 +10,8 @@
 //!
 //! * the same query over TCP returns **bit-identical** canonical results
 //!   to the simulated federation, across all three strategies — cold, and
-//!   again warm from the socket coordinator's plan cache, whose routes a
-//!   newly registered replica invalidates;
+//!   again warm from the socket coordinator's plan cache, whose plans a
+//!   newly registered replica leaves valid (hosts are picked per call);
 //! * malformed-but-well-framed payloads get a typed fault and the
 //!   connection **stays usable** — including a query body nested far past
 //!   the parser's depth bound; frame-level desync (mid-frame EOF,
@@ -48,7 +48,7 @@ use xqd_xrpc::{
     decode_doc_response, decode_fault, encode_doc_request, encode_doc_response, encode_request,
     read_frame,
     write_frame, BreakerState, ExecOptions, Federation, NetworkModel, PeerServer, RetryPolicy,
-    ServerConfig, SocketFederation, TcpTransport, Transport, WireSemantics, XrpcError,
+    ServerConfig, TcpTransport, Transport, WireSemantics, XrpcError,
     MAX_FRAME_LEN,
 };
 
@@ -74,13 +74,12 @@ fn daemon(name: &str, config: ServerConfig) -> PeerServer {
     s
 }
 
-fn socket_fed(servers: &[&PeerServer]) -> SocketFederation {
-    let (mut fed, transport) = SocketFederation::over_tcp();
+fn socket_fed(servers: &[&PeerServer]) -> Federation {
+    let transport = TcpTransport::new();
     for s in servers {
         transport.register(s.name(), &s.addr().to_string());
-        fed.set_peer_address(s.name(), &s.addr().to_string());
     }
-    fed
+    Federation::over(Arc::new(transport))
 }
 
 /// Sends one framed payload and reads one framed reply on a fresh
@@ -114,7 +113,7 @@ fn tcp_results_are_bit_identical_to_simulated() {
         );
         assert!(!got.result.is_empty(), "join produced no rows");
         assert!(
-            got.remote_calls + got.doc_fetches > 0,
+            got.metrics.remote_calls + got.metrics.doc_fetches > 0,
             "query never crossed the wire under {strategy:?}"
         );
     }
@@ -126,10 +125,10 @@ fn tcp_results_are_bit_identical_to_simulated() {
 /// The socket coordinator runs compiled plans out of the shared front end:
 /// a semi-join and a two-peer scatter each return the simulated answer
 /// cold, the same answer warm (second run = plan-cache hit), and a replica
-/// registered between runs invalidates the cached routes — the re-planned
-/// query fails over to it once the primary is gone.
+/// registered between runs needs no re-plan — the cached plan fails over
+/// to it once the primary is gone, because hosts are picked per call.
 #[test]
-fn tcp_runs_cached_compiled_plans_and_replans_on_new_replicas() {
+fn tcp_runs_cached_compiled_plans_and_reroutes_them_to_new_replicas() {
     let scatter = r#"(count(doc("xrpc://P1/people.xml")//person),
                       count(doc("xrpc://P2/orders.xml")//order))"#;
     let mut sim = Federation::new(NetworkModel::lan());
@@ -150,20 +149,20 @@ fn tcp_runs_cached_compiled_plans_and_replans_on_new_replicas() {
         let warm = fed.run(query, Strategy::ByProjection).expect("warm tcp run");
         assert_eq!(cold.result, expected.result, "cold run diverged on {query}");
         assert_eq!(warm.result, expected.result, "warm run diverged on {query}");
-        assert_eq!(cold.remote_calls, expected.metrics.remote_calls, "{query}");
-        assert_eq!(warm.remote_calls, cold.remote_calls, "{query}");
+        assert_eq!(cold.metrics.remote_calls, expected.metrics.remote_calls, "{query}");
+        assert_eq!(warm.metrics.remote_calls, cold.metrics.remote_calls, "{query}");
     }
     assert_eq!(fed.plan_cache_len(), 2, "each warm run must have hit the cold run's plan");
     let semijoin = sim.run(JOIN_QUERY, Strategy::ByProjection).unwrap();
     assert_eq!(semijoin.metrics.semijoins, 1, "fixture must exercise the semi-join rewrite");
 
-    // the cached join plan's routes predate P3; registering it must re-plan
+    // the cached join plan predates P3; the ladder reaches it all the same
     fed.register_replica("xrpc://P1/people.xml", "P3");
     assert!(p1.drain().clean);
     let rerouted = fed.run(JOIN_QUERY, Strategy::ByProjection).expect("failover run");
     assert_eq!(rerouted.result, semijoin.result);
-    assert_eq!(fed.plan_cache_len(), 3, "stale routes were replayed from the cache");
-    assert!(rerouted.failovers > 0, "the replica rung was never used");
+    assert_eq!(fed.plan_cache_len(), 2, "a new replica must not cost a re-plan");
+    assert!(rerouted.metrics.replica_failovers > 0, "the replica rung was never used");
 }
 
 #[test]
@@ -560,7 +559,8 @@ fn fast_retry() -> RetryPolicy {
 fn dead_peer_yields_typed_error_not_hang() {
     let p1 = daemon("P1", ServerConfig::default());
     // P2 is registered at an address nobody listens on
-    let (mut fed, transport) = SocketFederation::over_tcp();
+    let transport = Arc::new(TcpTransport::new());
+    let mut fed = Federation::over(Arc::<TcpTransport>::clone(&transport));
     transport.register("P1", &p1.addr().to_string());
     transport.register("P2", "127.0.0.1:1"); // reserved port: refused
     fed.set_retry_policy(fast_retry());
@@ -599,7 +599,7 @@ fn drained_primary_fails_over_to_replica_with_identical_result() {
         failed_over.result, expected.result,
         "failover result must be bit-identical to the healthy one"
     );
-    assert!(failed_over.failovers > 0, "the replica rung was never used");
+    assert!(failed_over.metrics.replica_failovers > 0, "the replica rung was never used");
 }
 
 // ---------------------------------------------------------------------------
@@ -677,9 +677,9 @@ fn recording_transport(servers: &[&PeerServer]) -> Arc<RecordingTransport> {
 fn recording_fed(
     servers: &[&PeerServer],
     parallel_scatter: bool,
-) -> (SocketFederation, Arc<RecordingTransport>) {
+) -> (Federation, Arc<RecordingTransport>) {
     let transport = recording_transport(servers);
-    let mut fed = SocketFederation::new(Arc::<RecordingTransport>::clone(&transport));
+    let mut fed = Federation::over(Arc::<RecordingTransport>::clone(&transport));
     fed.set_exec_options(ExecOptions {
         parallel_scatter,
         retry: RetryPolicy { max_attempts: 1, ..RetryPolicy::default() },
@@ -704,9 +704,9 @@ fn tcp_scatter_matches_simulated_and_sends_the_same_bytes_either_way() {
             let looped = seq.run(query, strategy).expect("sequential tcp run");
             assert_eq!(fanned.result, expected.result, "{strategy:?} {query}");
             assert_eq!(looped.result, expected.result, "{strategy:?} {query}");
-            assert_eq!(fanned.remote_calls, expected.metrics.remote_calls, "{query}");
-            assert_eq!(looped.remote_calls, fanned.remote_calls, "{query}");
-            assert_eq!((fanned.retries, fanned.failovers), (0, 0));
+            assert_eq!(fanned.metrics.remote_calls, expected.metrics.remote_calls, "{query}");
+            assert_eq!(looped.metrics.remote_calls, fanned.metrics.remote_calls, "{query}");
+            assert_eq!((fanned.metrics.retries, fanned.metrics.replica_failovers), (0, 0));
         }
     }
     let par_sent = par_sent.sent.lock().unwrap();
@@ -717,7 +717,8 @@ fn tcp_scatter_matches_simulated_and_sends_the_same_bytes_either_way() {
 #[test]
 fn scatter_slot_for_a_dead_peer_is_the_first_typed_error_in_call_order() {
     let p1 = daemon("P1", ServerConfig::default());
-    let (mut fed, transport) = SocketFederation::over_tcp();
+    let transport = Arc::new(TcpTransport::new());
+    let mut fed = Federation::over(Arc::<TcpTransport>::clone(&transport));
     transport.register("P1", &p1.addr().to_string());
     // two dead destinations either side of the live one: reserved ports
     transport.register("P2", "127.0.0.1:1");
@@ -755,13 +756,13 @@ fn scatter_slot_fails_over_to_its_replica_and_leaves_the_other_slot_alone() {
 
     let healthy = fed.run(SCATTER_SHAPES[0], Strategy::ByProjection).expect("healthy run");
     assert_eq!(healthy.result, expected.result);
-    assert_eq!(healthy.failovers, 0);
+    assert_eq!(healthy.metrics.replica_failovers, 0);
 
     assert!(p1.drain().clean);
     assert_served(&p2, 1);
     let failed_over = fed.run(SCATTER_SHAPES[0], Strategy::ByProjection).expect("failover run");
     assert_eq!(failed_over.result, expected.result);
-    assert_eq!(failed_over.failovers, 1, "exactly P1's slot walks one rung");
+    assert_eq!(failed_over.metrics.replica_failovers, 1, "exactly P1's slot walks one rung");
     assert_served(&p2, 2); // P2's slot was sent exactly once more
     assert_eq!(fed.breaker_state("P2"), BreakerState::Closed);
 }
@@ -798,7 +799,7 @@ fn idle_closed_pooled_connection_is_not_charged_to_the_peer() {
     std::thread::sleep(Duration::from_millis(200));
     let second = fed.run(query, Strategy::ByValue).expect("run after the idle close");
     assert_eq!(second.result, first.result);
-    assert_eq!(second.retries, 0, "a stale pooled connection must not cost a retry");
+    assert_eq!(second.metrics.retries, 0, "a stale pooled connection must not cost a retry");
     assert_eq!(fed.breaker_state("P1"), BreakerState::Closed);
 }
 
@@ -929,9 +930,9 @@ fn flaky_fed(
     rate: f64,
     menu: &[Flake],
     seed: u64,
-) -> (SocketFederation, Arc<FlakyTransport>) {
+) -> (Federation, Arc<FlakyTransport>) {
     let transport = flaky_transport(servers, flaky, rate, menu, seed);
-    let mut fed = SocketFederation::new(Arc::<FlakyTransport>::clone(&transport));
+    let mut fed = Federation::over(Arc::<FlakyTransport>::clone(&transport));
     fed.set_exec_options(flaky_options(seed));
     (fed, transport)
 }
@@ -966,10 +967,14 @@ fn flaky_wire_runs_are_identical_or_typed_errors_and_count_what_was_injected() {
                     Ok(got) => {
                         assert_eq!(got.result, expected, "seed {seed} {strategy:?}");
                         assert_eq!(incurable, 0, "seed {seed}: a fault reply was swallowed");
-                        assert_eq!(got.retries, injected.retryable, "seed {seed} {strategy:?}");
-                        assert_eq!(got.failovers, 0, "seed {seed}: no replica to fail over to");
+                        let m = &got.metrics;
+                        assert_eq!(m.retries, injected.retryable, "seed {seed} {strategy:?}");
+                        assert_eq!(
+                            m.replica_failovers, 0,
+                            "seed {seed}: no replica to fail over to"
+                        );
                         identical += 1;
-                        retried += got.retries;
+                        retried += m.retries;
                     }
                     Err(e) => {
                         let code = e.code.as_deref().expect("typed error");
@@ -1009,10 +1014,11 @@ fn flaky_primary_with_a_replica_never_fails_a_run() {
                     .unwrap_or_else(|e| panic!("seed {seed} {strategy:?}: {e:?}"));
                 assert_eq!(got.result, expected, "seed {seed} {strategy:?}");
                 let injected = wire.injected.lock().unwrap();
-                assert_eq!(got.retries, injected.retryable, "seed {seed} {strategy:?}");
-                assert_eq!(got.failovers, injected.panics, "seed {seed} {strategy:?}");
-                retried += got.retries;
-                failed_over += got.failovers;
+                let m = &got.metrics;
+                assert_eq!(m.retries, injected.retryable, "seed {seed} {strategy:?}");
+                assert_eq!(m.replica_failovers, injected.panics, "seed {seed} {strategy:?}");
+                retried += m.retries;
+                failed_over += m.replica_failovers;
             }
         }
     }

@@ -223,8 +223,7 @@ mod rendezvous {
 
     use xqd_core::Strategy;
     use xqd_xrpc::{
-        ExecOptions, Federation, NetworkModel, RetryPolicy, SimTransport, SocketFederation,
-        Transport, XrpcError,
+        ExecOptions, Federation, NetworkModel, RetryPolicy, SimTransport, Transport, XrpcError,
     };
 
     const PEERS: [(&str, &str); 2] =
@@ -273,7 +272,7 @@ mod rendezvous {
     }
 
     fn run(parallel_scatter: bool, deadline: Duration) -> Result<Vec<String>, String> {
-        let mut fed = SocketFederation::new(Arc::new(RendezvousTransport::new()));
+        let mut fed = Federation::over(Arc::new(RendezvousTransport::new()));
         fed.set_exec_options(ExecOptions {
             parallel_scatter,
             retry: RetryPolicy { max_attempts: 1, deadline, ..RetryPolicy::default() },

@@ -37,7 +37,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-use xqd::{Federation, NetworkModel, SocketFederation, Strategy};
+use xqd::{Federation, NetworkModel, Strategy, TcpTransport};
 use xqd::xrpc::RetryPolicy;
 
 /// Absolute ceiling on the whole harness. The watchdog thread exits 2
@@ -158,12 +158,12 @@ fn write_doc(dir: &Path, name: &str, xml: &str) -> String {
 }
 
 /// Builds the coordinator federating the given daemons.
-fn coordinator(daemons: &[&Daemon], replicas: &[(&str, &str)]) -> SocketFederation {
-    let (mut fed, transport) = SocketFederation::over_tcp();
+fn coordinator(daemons: &[&Daemon], replicas: &[(&str, &str)]) -> Federation {
+    let transport = Arc::new(TcpTransport::new());
     for d in daemons {
         transport.register(&d.name, &d.addr);
-        fed.set_peer_address(&d.name, &d.addr);
     }
+    let mut fed = Federation::over(transport);
     for (uri, host) in replicas {
         fed.register_replica(uri, host);
     }
@@ -192,7 +192,7 @@ fn classify(run: Result<Vec<String>, xqd::EvalError>, expected: &[String]) -> Ou
 
 /// Hammers the federation until told to stop, reporting each outcome.
 fn worker(
-    mut fed: SocketFederation,
+    mut fed: Federation,
     expected: Vec<String>,
     stop: Arc<AtomicBool>,
     tx: mpsc::Sender<Outcome>,

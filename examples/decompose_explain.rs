@@ -3,7 +3,7 @@
 //! normalized (let-motion) → the decomposed plans Qv2 / Qf2 / Qp2 with code
 //! motion and projection paths (Tables III & IV) → the compiled flat plan
 //! IR the executor actually runs (op list, per-step indexed/scan choice,
-//! folded constants, scatter rounds, replica routes) → the join-aware
+//! folded constants, scatter rounds, call destinations) → the join-aware
 //! variant: the detected cross-peer join graph, the chosen key-ship
 //! direction, and the rewritten distinct-key harvest call.
 //!
@@ -67,7 +67,8 @@ fn main() {
 
         // the flat plan IR the executor lowers the rewritten query to (the
         // coordinator caches this per query text + static context), after
-        // its header the decomposition's scatter rounds and call routes
+        // its header the decomposition's scatter rounds and each call's
+        // canonical peer
         let plan = compile_module(&[], &d.rewritten, true, &StaticContext::default());
         let dump = plan.dump();
         let (header, ops) = dump.split_once('\n').expect("dump has a header line");
@@ -76,7 +77,7 @@ fn main() {
         if !d.scatter_rounds.is_empty() {
             println!("  scatter rounds: {:?}", d.scatter_rounds);
         }
-        // (no replica catalog here, so every route is its canonical peer)
+        // (a replica standing in for the peer is picked per call, at run time)
         for c in &d.calls {
             println!("  route: {}", c.peer);
         }

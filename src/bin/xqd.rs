@@ -661,9 +661,6 @@ fn build_federation(opts: &RunOptions, trace: bool, profile: bool) -> Result<Fed
         replica_seed: if wire { opts.seed } else { opts.fault_seed.unwrap_or(0) },
         ..ExecOptions::default()
     });
-    for (peer, addr) in &opts.connects {
-        fed.set_peer_address(peer, addr);
-    }
     for (host, uri) in &opts.serves {
         fed.register_replica(uri, host);
     }

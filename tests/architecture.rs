@@ -208,6 +208,9 @@ const MESSAGE: &str = "crates/xrpc/src/message.rs";
 const SCHED: &str = "crates/xrpc/src/sched.rs";
 const EVAL: &str = "crates/xquery/src/eval.rs";
 const COMPILE: &str = "crates/xquery/src/compile.rs";
+const FRONTEND: &str = "crates/xrpc/src/frontend.rs";
+const TCP: &str = "crates/xrpc/src/tcp.rs";
+const SERVER: &str = "crates/xrpc/src/server.rs";
 
 const fn span_row(needle: &'static [Needle], tamper: &'static str) -> Row {
     Row {
@@ -256,6 +259,44 @@ const ROWS: &[Row] = &[
         files: &["crates/xrpc/src/tcp.rs"],
         needles: &[lit("Mutex<Scoreboard>"), lit("Evaluator::new"), lit("AtomicU64")],
         tamper: top("crates/xrpc/src/tcp.rs", "static CALLS: AtomicU64 = AtomicU64::new(0);"),
+        ..BASE
+    },
+    Row {
+        gate: "one home per placement fact",
+        why: "routes are chosen per call by the ladder: no plan is resolved or keyed on topology",
+        files: &["crates/xrpc/src/**/*.rs"],
+        needles: &[lit("topology_changed"), lit("catalog_gen"), lit("resolve_replicas(")],
+        tamper: below(
+            FRONTEND,
+            "pub(crate) fn prepare(",
+            "        decomposition.resolve_replicas(&catalog.lock().unwrap(), exec.replica_seed);",
+        ),
+        ..BASE
+    },
+    Row {
+        gate: "one home per placement fact",
+        why: "TcpTransport's dial map is the one address book (the catalog holds placement only)",
+        files: SOURCES,
+        needles: &[lit("set_address"), lit("set_peer_address")],
+        tamper: top(EXEC, "    pub fn set_peer_address(&mut self, peer: &str, addr: &str) {"),
+        ..BASE
+    },
+    Row {
+        gate: "one home per placement fact",
+        why: "SocketFederation keeps the three calls wirebench makes: new, set_retry_policy, run",
+        files: &[TCP],
+        lines: Lines::Body(&[line_start("impl SocketFederation")]),
+        needles: &[word_start("fn ")],
+        expect: Expect::Lines(3),
+        tamper: below(TCP, "impl SocketFederation", "    pub fn plan_cache_len(&self) -> usize {"),
+        ..BASE
+    },
+    Row {
+        gate: "one home per placement fact",
+        why: "both ends read a frame under the one cap, MAX_FRAME_LEN: no per-side field",
+        files: &[SERVER, TCP],
+        needles: &[lit("max_frame_len")],
+        tamper: below(SERVER, "pub struct ServerConfig {", "    pub max_frame_len: usize,"),
         ..BASE
     },
     Row {
